@@ -31,6 +31,11 @@ class RunConfig:
     emit_plot: bool = False
     workers: int = 1
 
+    def __post_init__(self):
+        # Checked here so that the config file and --workers agree.
+        if self.workers < 1:
+            raise ConfigurationError("config key 'workers': must be >= 1")
+
 
 # Config file keys -> ExperimentPlan fields (or run options).
 _PLAN_KEYS = {
@@ -160,8 +165,6 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
 
     workers = run_kwargs.pop("workers", _default_workers())
-    if workers < 1:
-        raise ConfigurationError("config key 'workers': must be >= 1")
     plan = montecarlo.ExperimentPlan(**plan_kwargs)
     return RunConfig(plan=plan, workers=workers, **run_kwargs)
 

@@ -1,9 +1,19 @@
 """Seeded Monte Carlo sweeps over SNR and P_FA grids.
 
-Each trial runs the full pipeline (channels -> projectors -> selection ->
-echo synthesis -> GLRT) for the enabled waveform modes.  Trials own RNG
-substreams keyed by (master seed, SNR index, trial id), so results are
-independent of execution order and worker count.
+Each trial runs the pipeline (channels -> projectors -> selection -> echo
+-> GLRT) for the enabled waveform modes, in the M x M sufficient-statistic
+domain.  The GLRT sees the echo Y = alpha A X_tx + N only through
+E = Y X_tx^H.  The orthogonal waveforms satisfy X X^H = I and X_tx = P X, so
+E = alpha A R + E0 X X_tx^H, where E0 = N X^H is an M x M matrix of i.i.d.
+CN(0, 1) entries.  Trials therefore draw E0 directly instead of the M x L
+noise N.
+
+Noise comes from one Philox stream per (master seed, SNR index,
+hypothesis).  Trial t reads a fixed-width record at a fixed offset of that
+stream, so results are independent of chunking, execution order and worker
+count.  `run_trial` lifts the same E0 to N = E0 X, which has N X^H = E0,
+and runs the explicit pipeline; it is the test oracle of the vectorized
+engine.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 
 from . import detection, radar, sharing
 from .errors import ConfigurationError
-from .numerics import complex_normal, rng_substream
+from .numerics import complex_normal_block, rng_substream
 
 MODE_ORTHOGONAL = "orthogonal"
 MODE_NSP_PER_BS = "nsp-per-bs"
@@ -26,14 +36,21 @@ _KNOWN_MODES = (MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED)
 CHANNEL_FIXED = "fixed-per-experiment"
 CHANNEL_REDRAWN = "redrawn-per-trial"
 
-# Substream layout: stream 0 holds the fixed-per-experiment channel draw;
-# redraw streams live at _REDRAW_BASE + r; per-trial streams are packed as
-# 1 + 4 * ((snr_index << 32) | trial_id) + phase.
+# Substream layout under the master seed:
+#   0                                         fixed-per-experiment channels;
+#   1 + 4 * ((snr_index << 32) | trial_id) + 2  per-trial channels (redrawn
+#                                             mode; moving them would change
+#                                             every seed's channel draws);
+#   _REDRAW_BASE + r                          channel redraws of
+#                                             mean_selected_gap_db;
+#   _NOISE_BASE + 2 * snr_index + hypothesis  noise E0 at one SNR point, one
+#                                             fixed-width record per trial.
+# Per-trial ids stay below _REDRAW_BASE while snr_index < 2**28.
 _CHANNEL_STREAM = 0
 _REDRAW_BASE = 2**62
-_PHASE_H1_NOISE = 0
-_PHASE_H0_NOISE = 1
-_PHASE_CHANNELS = 2
+_NOISE_BASE = 2**63
+_H1 = 0
+_H0 = 1
 
 _GAIN_FLOOR_FRAC = 1e-10
 _WILSON_Z = 1.959963984540054  # 95%
@@ -146,8 +163,8 @@ class SnrGapReport:
     gap_db: dict
 
 
-def _stream_id(snr_index: int, trial_id: int, phase: int) -> int:
-    return 1 + 4 * ((snr_index << 32) | trial_id) + phase
+def _trial_channel_stream(snr_index: int, trial_id: int) -> int:
+    return 1 + 4 * ((snr_index << 32) | trial_id) + 2
 
 
 def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
@@ -166,7 +183,7 @@ class _ModeSetup:
     label: str
     bs_id: str
     x_tx: np.ndarray
-    corr: np.ndarray
+    corr: np.ndarray      # R = X_tx X_tx^H
     gain: float           # c = a^H R^T a at the target angle
     rho_paper_unit: float  # noncentrality at SNR = 1
     rho_cal_unit: float
@@ -219,9 +236,7 @@ def _build_modes(
 
 
 def _trial_channels(plan: ExperimentPlan, snr_index: int, trial_id: int):
-    rng = rng_substream(
-        plan.master_seed, _stream_id(snr_index, trial_id, _PHASE_CHANNELS)
-    )
+    rng = rng_substream(plan.master_seed, _trial_channel_stream(snr_index, trial_id))
     return sharing.draw_channels(plan.k, plan.n_bs, plan.m, rng)
 
 
@@ -230,73 +245,63 @@ def _fixed_channels(plan: ExperimentPlan):
     return sharing.draw_channels(plan.k, plan.n_bs, plan.m, rng)
 
 
-def _noise_batch(plan: ExperimentPlan, snr_index: int, trial_ids, phase: int):
-    out = np.empty((len(trial_ids), plan.m, plan.l), dtype=complex)
-    for i, t in enumerate(trial_ids):
-        rng = rng_substream(plan.master_seed, _stream_id(snr_index, int(t), phase))
-        out[i] = complex_normal(rng, (plan.m, plan.l))
-    return out
+def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
+                 first: int, count: int) -> np.ndarray:
+    """E0 = N X^H for trials [first, first + count) under one hypothesis:
+    a (count, M, M) array of i.i.d. CN(0, 1) entries."""
+    return complex_normal_block(
+        plan.master_seed, _NOISE_BASE + 2 * snr_index + hypothesis,
+        first, count, (plan.m, plan.m),
+    )
 
 
 class _PointEngine:
     """Vectorized statistic evaluation for one set of mode setups.
 
-    The factored expressions below are exact rewrites of
-    glrt_statistic(sufficient_statistic(Y, X_tx), ...) for Y = alpha A X_tx + N.
+    With X X^H = I the matched filter of mode P is E = (alpha A + E0) R, as
+    X X_tx^H = X X^H P = P = R.  At scan angle g the GLRT numerator is
+    a_g^H E a_g^*, linear in E0, so a chunk of T trials takes one
+    (T, M^2) @ (M^2, modes x G) product for all modes.  Without the scan the
+    grid is the target angle alone.  This is an exact rewrite of
+    glrt_statistic / glrt_scan on sufficient_statistic(alpha A X_tx + E0 X, X_tx).
     """
 
     def __init__(self, plan: ExperimentPlan, modes: list[_ModeSetup]):
-        self.plan = plan
         geom = plan.geometry()
-        self.a = radar.steering_vector(geom, plan.theta_target)
-        self.a_mat = radar.transmit_receive_matrix(self.a)
-        self.modes = modes
-        self.floor = _GAIN_FLOOR_FRAC * plan.m
+        a = radar.steering_vector(geom, plan.theta_target)
         if plan.scan:
-            grid = plan.theta_grid()
-            self.grid = grid
-            self.a_grid = np.stack(
-                [radar.steering_vector(geom, t) for t in grid], axis=1
+            a_grid = np.stack(
+                [radar.steering_vector(geom, t) for t in plan.theta_grid()], axis=1
             )
-        self._per_mode = [self._prepare(ms) for ms in modes]
-
-    def _prepare(self, ms: _ModeSetup):
-        if not self.plan.scan:
-            if ms.gain < self.floor:
-                return None
-            w = ms.x_tx.conj().T @ self.a.conj()                 # (L,)
-            sig = complex(self.a.conj() @ (self.a_mat @ ms.x_tx) @ w)
-            return {"w": w, "sig": sig, "c": ms.gain}
-        wmat = ms.x_tx.conj().T @ self.a_grid.conj()             # (L, G)
-        c_g = np.real(
-            np.einsum("mg,mn,ng->g", self.a_grid.conj(), ms.corr.T, self.a_grid)
+        else:
+            a_grid = a[:, None]                                   # (M, G)
+        a_conj = a_grid.conj()
+        r_a = np.stack([ms.corr for ms in modes]) @ a_conj       # (modes, M, G)
+        # c_g = a_g^H R^T a_g = a_g^T R a_g^*
+        gain = np.real(np.sum(a_grid * r_a, axis=1))            # (modes, G)
+        valid = gain >= _GAIN_FLOOR_FRAC * plan.m
+        self.degenerate = ~valid.any(axis=1)
+        # Invalid angles get scale 0: their statistic 0 never exceeds the
+        # maximum over the valid ones, which is >= 0.
+        self.scale = np.divide(2.0, plan.m * gain, out=np.zeros_like(gain),
+                               where=valid)
+        self.sig = np.sum(a_conj * (radar.transmit_receive_matrix(a) @ r_a), axis=1)
+        # coef[(m, n), (mode, g)] = conj(a_g[m]) (R a_g^*)[n]
+        self.coef = np.einsum("mg,kng->mnkg", a_conj, r_a).reshape(
+            plan.m * plan.m, -1
         )
-        valid = c_g >= self.floor
-        if not np.any(valid):
-            return None
-        sig_g = np.einsum(
-            "mg,mg->g", self.a_grid.conj(), (self.a_mat @ ms.x_tx) @ wmat
-        )
-        return {"wmat": wmat, "sig_g": sig_g, "c_g": c_g, "valid": valid}
 
-    def statistics(self, mode_index: int, noise: np.ndarray, alpha: float):
-        """Scaled GLRT statistic per trial (scan max or at the true angle);
-        None when the mode is fully degenerate."""
-        prep = self._per_mode[mode_index]
-        if prep is None:
-            return None
-        m = self.plan.m
-        if not self.plan.scan:
-            g_noise = np.einsum("m,tml,l->t", self.a.conj(), noise, prep["w"])
-            g = alpha * prep["sig"] + g_noise
-            return 2.0 * np.abs(g) ** 2 / (m * prep["c"])
-        proj = noise @ prep["wmat"]                              # (T, M, G)
-        g_noise = np.einsum("mg,tmg->tg", self.a_grid.conj(), proj)
-        g = alpha * prep["sig_g"][None, :] + g_noise
-        stats = np.full(g.shape, -np.inf)
-        valid = prep["valid"]
-        stats[:, valid] = 2.0 * np.abs(g[:, valid]) ** 2 / (m * prep["c_g"][valid])
-        return stats.max(axis=1)
+    def statistics(self, e0: np.ndarray, alpha: float) -> np.ndarray:
+        """Scaled GLRT statistics, shape (T, modes), for a (T, M, M) stack of
+        E0: the scan maximum, or the value at the true angle.  Columns of
+        fully degenerate modes (`self.degenerate`) read 0."""
+        t = len(e0)
+        g = (e0.reshape(t, -1) @ self.coef).reshape((t,) + self.sig.shape)
+        g += alpha * self.sig
+        power = g.real ** 2
+        power += g.imag ** 2
+        power *= self.scale
+        return power.max(axis=2)
 
 
 def _run_point(plan: ExperimentPlan, snr_index: int) -> dict:
@@ -323,41 +328,46 @@ def _run_point(plan: ExperimentPlan, snr_index: int) -> dict:
 
     trials = plan.trials_per_point
     for start in range(0, trials, _CHUNK):
-        ids = range(start, min(start + _CHUNK, trials))
-        if not fixed:
-            # Channels redrawn per trial: no batch structure to exploit.
-            for t in ids:
-                modes, _ = _build_modes(plan, _trial_channels(plan, snr_index, t))
-                engine = _PointEngine(plan, modes)
-                n1 = _noise_batch(plan, snr_index, [t], _PHASE_H1_NOISE)
-                n0 = _noise_batch(plan, snr_index, [t], _PHASE_H0_NOISE)
-                _tally_chunk(plan, engine, modes, tally, thresholds, alpha, n1, n0)
+        count = min(_CHUNK, trials - start)
+        e1 = _noise_block(plan, snr_index, _H1, start, count)
+        e0 = _noise_block(plan, snr_index, _H0, start, count)
+        if fixed:
+            _tally_chunk(engine, modes, tally, thresholds, alpha, e1, e0)
             continue
-        n1 = _noise_batch(plan, snr_index, ids, _PHASE_H1_NOISE)
-        n0 = _noise_batch(plan, snr_index, ids, _PHASE_H0_NOISE)
-        _tally_chunk(plan, engine, modes, tally, thresholds, alpha, n1, n0)
+        # Channels redrawn per trial: one engine per trial, on its slice.
+        for i in range(count):
+            channels = _trial_channels(plan, snr_index, start + i)
+            modes, _ = _build_modes(plan, channels)
+            engine = _PointEngine(plan, modes)
+            _tally_chunk(engine, modes, tally, thresholds, alpha,
+                         e1[i:i + 1], e0[i:i + 1])
     return {"snr_index": snr_index, "snr": snr, "tally": tally}
 
 
-def _tally_chunk(plan, engine, modes, tally, thresholds, alpha, n1, n0):
-    n_trials = n1.shape[0]
+def _tally_chunk(engine, modes, tally, thresholds, alpha, e1, e0):
+    n_trials = len(e1)
+    s1 = engine.statistics(e1, alpha)
+    s0 = engine.statistics(e0, 0.0)
+    counts = {p: (np.count_nonzero(s1 > delta, axis=0),
+                  np.count_nonzero(s0 > delta, axis=0))
+              for p, delta in thresholds.items()}
     for mi, ms in enumerate(modes):
         rec = tally[ms.label]
         rec["rho_paper_sum"] += ms.rho_paper_unit * alpha * alpha * n_trials
         rec["rho_cal_sum"] += ms.rho_cal_unit * alpha * alpha * n_trials
-        s1 = engine.statistics(mi, n1, alpha)
-        s0 = engine.statistics(mi, n0, 0.0)
-        if s1 is None:
+        if engine.degenerate[mi]:
             rec["degenerate"] += n_trials
             continue
-        for p, delta in thresholds.items():
-            rec["detections"][p] += int(np.sum(s1 > delta))
-            rec["false_alarms"][p] += int(np.sum(s0 > delta))
+        for p, (det, fa) in counts.items():
+            rec["detections"][p] += int(det[mi])
+            rec["false_alarms"][p] += int(fa[mi])
 
 
 def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) -> dict:
     """Single-trial reference path through the explicit pipeline.
 
+    Lifts the trial's E0 to the echo noise N = E0 X (so N X^H = E0) and runs
+    sufficient_statistic and glrt_statistic / glrt_scan on the echo.
     Returns {mode label: TrialOutcome}; deterministic in (plan, snr_db, trial_id).
     """
     if snr_db not in plan.snr_grid_db:
@@ -375,18 +385,17 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     cfg = detection.DetectorConfig(pfa=pfa, theta_grid=plan.theta_grid())
     threshold = detection.chi2_central_inv(1 - pfa)
 
+    x = radar.orthogonal_waveforms(plan.m, plan.l)
+    n1 = _noise_block(plan, snr_index, _H1, trial_id, 1)[0] @ x
+    n0 = _noise_block(plan, snr_index, _H0, trial_id, 1)[0] @ x
+    a_mat = radar.transmit_receive_matrix(
+        radar.steering_vector(geom, plan.theta_target)
+    )
+
     out = {}
     for ms in modes:
-        scn1 = radar.TargetScenario(theta=plan.theta_target, alpha=alpha)
-        scn0 = radar.TargetScenario(theta=plan.theta_target, alpha=0.0)
-        rng1 = rng_substream(
-            plan.master_seed, _stream_id(snr_index, trial_id, _PHASE_H1_NOISE)
-        )
-        rng0 = rng_substream(
-            plan.master_seed, _stream_id(snr_index, trial_id, _PHASE_H0_NOISE)
-        )
-        y1 = radar.synthesize_echo(scn1, geom, ms.x_tx, rng1)
-        y0 = radar.synthesize_echo(scn0, geom, ms.x_tx, rng0)
+        y1 = alpha * (a_mat @ ms.x_tx) + n1
+        y0 = n0
         e1 = detection.sufficient_statistic(y1, ms.x_tx)
         e0 = detection.sufficient_statistic(y0, ms.x_tx)
         if plan.scan:

@@ -2,7 +2,8 @@
 
 Complex SVD facade, chi-squared statistics with two degrees of freedom
 (central CDF/inverse and the noncentral survival function, i.e. the
-first-order Marcum Q), and deterministic per-trial RNG substreams.
+first-order Marcum Q), deterministic RNG substreams, and fixed-width
+Gaussian record streams.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 from scipy import stats
+from scipy.special import ndtri
 
 from .errors import NumericFailure
 
@@ -18,6 +20,11 @@ from .errors import NumericFailure
 # large-argument cutoff the series underflows and we delegate to scipy.
 _SERIES_TOL = 1e-14
 _LARGE_ARG_CUTOFF = 30.0
+
+# Generator.random() spends one 64-bit word per double and returns k * 2**-53
+# with k in [0, 2**53); one Philox counter step yields four words.
+_HALF_CELL = 2.0 ** -54
+_PHILOX_WORDS = 4
 
 
 def svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,19 +102,62 @@ def chi2_noncentral_sf(x: float, rho: float) -> float:
     return min(total, 1.0)
 
 
+def _philox(master_seed: int, stream_id: int) -> np.random.Philox:
+    if stream_id < 0:
+        raise ValueError(f"stream_id must be non-negative, got {stream_id}")
+    ss = np.random.SeedSequence((int(master_seed) & (2**64 - 1), int(stream_id)))
+    return np.random.Philox(ss)
+
+
 def rng_substream(master_seed: int, stream_id: int) -> np.random.Generator:
     """Independent, reproducible substream keyed by (master_seed, stream_id).
 
     Backed by the counter-based Philox generator so distinct stream ids give
     statistically independent sequences regardless of draw order.
     """
-    if stream_id < 0:
-        raise ValueError(f"stream_id must be non-negative, got {stream_id}")
-    ss = np.random.SeedSequence((int(master_seed) & (2**64 - 1), int(stream_id)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(_philox(master_seed, stream_id))
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
     """i.i.d. circularly-symmetric complex Gaussian draws, CN(0, variance)."""
     scale = math.sqrt(0.5 * variance)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def normal_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Standard normals by inverse CDF at the midpoint of each 2**-53 cell.
+
+    A `random()` output u = k 2**-53 maps to ndtri((k + 1/2) 2**-53), whose
+    argument lies strictly inside (0, 1), so u = 0 gives a finite normal.
+    The midpoint is formed exactly: as u + 2**-54 below 1/2 and, reflected,
+    as (1 - u) - 2**-54 above it (u + 2**-54 would round to 1.0 at the top
+    cell).  The map is therefore odd about 1/2 and finite at both ends.
+    """
+    u = np.asarray(u, dtype=float)
+    upper = u >= 0.5
+    z = ndtri(np.where(upper, (1.0 - u) - _HALF_CELL, u + _HALF_CELL))
+    return np.where(upper, -z, z)
+
+
+def complex_normal_block(
+    master_seed: int, stream_id: int, first: int, count: int, shape
+) -> np.ndarray:
+    """CN(0, 1) arrays of the given shape for records [first, first + count)
+    of the Philox stream keyed by (master_seed, stream_id).
+
+    Every record consumes the same number of words: its 2 prod(shape)
+    uniforms, padded to whole counter steps.  Record r therefore starts at
+    counter step r * width / 4, reached by `advance()` in O(1), and a block
+    draw is byte-identical to the per-record draws concatenated, however
+    the records are chunked.  Normals come from `normal_from_uniform`, never
+    from the ziggurat, whose word count varies.
+    """
+    shape = tuple(shape)
+    size = 2 * math.prod(shape)
+    width = -(-size // _PHILOX_WORDS) * _PHILOX_WORDS
+    bitgen = _philox(master_seed, stream_id)
+    bitgen.advance(first * (width // _PHILOX_WORDS))
+    u = np.random.Generator(bitgen).random((count, width))
+    z = normal_from_uniform(u[:, :size])
+    z *= math.sqrt(0.5)
+    return z.view(complex).reshape((count,) + shape)

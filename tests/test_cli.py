@@ -131,6 +131,20 @@ class TestRun:
         assert cli.main(["--config", path]) == cli.EXIT_CONFIG
         assert "pfa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_flag_exit_code(self, tmp_path, capsys, workers):
+        path = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        code = cli.main(["--config", path, "--out", str(out), "--workers", workers])
+        assert code == cli.EXIT_CONFIG
+        assert "config key 'workers': must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonpositive_workers_key_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL + "workers = 0\n")
+        assert cli.main(["--config", path]) == cli.EXIT_CONFIG
+        assert "config key 'workers': must be >= 1" in capsys.readouterr().err
+
     def test_unknown_preset_exit_code(self, capsys):
         assert cli.main(["--preset", "fig99"]) == cli.EXIT_CONFIG
         assert "fig99" in capsys.readouterr().err

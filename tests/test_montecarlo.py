@@ -20,6 +20,7 @@ from nspradar.montecarlo import (
     _isotonic,
 )
 
+import nspradar.montecarlo as montecarlo
 import oracles
 
 
@@ -142,6 +143,113 @@ class TestRunTrial:
                 pt = next(p for p in curve.points if p.snr_db == snr_db)
                 assert pt.detections == det[curve.label]
                 assert pt.false_alarms == fa[curve.label]
+
+
+def _tallies_by_run_trial(plan, pfa):
+    det, fa = {}, {}
+    for snr_db in plan.snr_grid_db:
+        for t in range(plan.trials_per_point):
+            for label, outcome in run_trial(plan, snr_db, pfa, t).items():
+                det[label, snr_db] = det.get((label, snr_db), 0) + outcome.detected_h1
+                fa[label, snr_db] = fa.get((label, snr_db), 0) + outcome.detected_h0
+    return det, fa
+
+
+def _assert_tallies_match(plan, result, pfa):
+    det, fa = _tallies_by_run_trial(plan, pfa)
+    for curve in result.curves:
+        for pt in curve.points:
+            if pt.pfa == pfa:
+                assert pt.detections == det[curve.label, pt.snr_db]
+                assert pt.false_alarms == fa[curve.label, pt.snr_db]
+
+
+class TestEngineOracle:
+    """The vectorized engine against the explicit run_trial pipeline."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"trials_per_point": 30, "scan": True, "theta_step_deg": 2.0},
+        {"trials_per_point": 30, "channel_mode": CHANNEL_REDRAWN},
+        {"trials_per_point": 20, "scan": True, "theta_step_deg": 2.0,
+         "channel_mode": CHANNEL_REDRAWN, "m": 3, "l": 5},
+    ])
+    def test_tallies_match_in_every_channel_mode(self, kwargs):
+        plan = tiny_plan(**kwargs)
+        _assert_tallies_match(plan, run_experiment(plan), 0.1)
+
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_fully_degenerate_mode(self, scan):
+        # n_bs = m leaves an empty null space: P = 0 at every angle.
+        plan = tiny_plan(m=2, n_bs=2, l=4, trials_per_point=20, scan=scan,
+                         theta_step_deg=5.0)
+        result = run_experiment(plan)
+        curves = {c.label: c for c in result.curves}
+        for pt in curves[MODE_NSP_SELECTED].points:
+            assert pt.degenerate == pt.trials and pt.detections == 0
+        assert all(pt.degenerate == 0 for pt in curves[MODE_ORTHOGONAL].points)
+        _assert_tallies_match(plan, result, 0.1)
+
+    def test_tallies_match_across_chunk_boundary(self):
+        plan = tiny_plan(snr_grid_db=(3.0,), trials_per_point=montecarlo._CHUNK + 3)
+        _assert_tallies_match(plan, run_experiment(plan), 0.1)
+
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_statistics_match(self, scan):
+        plan = tiny_plan(
+            waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
+            scan=scan, theta_step_deg=1.0,
+        )
+        modes, _ = montecarlo._build_modes(plan, montecarlo._fixed_channels(plan))
+        engine = montecarlo._PointEngine(plan, modes)
+        alpha = math.sqrt(10 ** (6.0 / 10))
+        e1 = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, 8)
+        e0 = montecarlo._noise_block(plan, 1, montecarlo._H0, 0, 8)
+        s1 = engine.statistics(e1, alpha)
+        s0 = engine.statistics(e0, 0.0)
+        for mi, ms in enumerate(modes):
+            for t in range(8):
+                want = run_trial(plan, 6.0, 0.1, t)[ms.label]
+                assert s1[t, mi] == pytest.approx(want.statistic_h1, rel=1e-9)
+                assert s0[t, mi] == pytest.approx(want.statistic_h0, rel=1e-9)
+
+
+class TestNoiseDraws:
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"scan": True, "theta_step_deg": 5.0},
+        {"channel_mode": CHANNEL_REDRAWN, "trials_per_point": 25},
+    ])
+    def test_chunk_size_does_not_change_curves(self, kwargs, monkeypatch):
+        plan = tiny_plan(**{"trials_per_point": 40, **kwargs})
+        want = run_experiment(plan).curves
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        assert run_experiment(plan).curves == want
+
+    def test_sample_count_does_not_change_draws(self):
+        # With X X^H = I the statistic depends on the noise only through E0,
+        # which is drawn directly, so L no longer enters the draws.
+        plan = tiny_plan(trials_per_point=300)
+        a = run_experiment(plan)
+        b = run_experiment(with_overrides(plan, l=40))
+        for ca, cb in zip(a.curves, b.curves):
+            assert [(p.detections, p.false_alarms) for p in ca.points] == [
+                (p.detections, p.false_alarms) for p in cb.points
+            ]
+
+    def test_stream_ids_do_not_collide(self):
+        # Largest per-trial channel id for any snr_index < 2**28.
+        top_trial = montecarlo._trial_channel_stream(2**28 - 1, 2**32 - 1)
+        assert montecarlo._CHANNEL_STREAM < 1 <= top_trial < montecarlo._REDRAW_BASE
+        assert montecarlo._REDRAW_BASE + 2**32 < montecarlo._NOISE_BASE
+
+    def test_channel_draws_are_pinned(self):
+        # Acceptance seeds are pinned to channel draws, so the noise streams
+        # must leave the channel streams where they are.
+        plan = tiny_plan()
+        fixed = montecarlo._fixed_channels(plan)[0].h[0, 0]
+        trial = montecarlo._trial_channels(plan, 1, 17)[2].h[1, 3]
+        assert fixed == -0.531437094499637 + 0.023026140752559265j
+        assert trial == -0.1857017865529491 - 0.26512386584123976j
 
 
 class TestRunExperiment:

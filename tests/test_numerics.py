@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from nspradar.errors import NumericFailure
 from nspradar.numerics import (
@@ -10,6 +11,8 @@ from nspradar.numerics import (
     chi2_central_inv,
     chi2_noncentral_sf,
     complex_normal,
+    complex_normal_block,
+    normal_from_uniform,
     rng_substream,
     svd,
 )
@@ -181,3 +184,81 @@ class TestRngSubstream:
         z = complex_normal(rng_substream(5, 3), n)
         assert abs(z.mean()) < 5 / math.sqrt(n)
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01
+
+
+class TestNormalFromUniform:
+    def test_extreme_doubles_give_finite_normals(self):
+        # random() can return 0.0; its largest output is 1 - 2**-53.
+        z = normal_from_uniform(np.array([0.0, 1.0 - 2.0**-53]))
+        assert np.all(np.isfinite(z))
+        # the midpoints of the two end cells: +-ndtri(2**-54), about 8.3
+        assert z[0] == ndtri(2.0**-54) and z[1] == -z[0]
+        assert -8.5 < z[0] < -8.0
+
+    def test_middle_cells(self):
+        z = normal_from_uniform(np.array([0.5 - 2.0**-53, 0.5]))
+        assert z[0] < 0 < z[1] and z[0] == -z[1]
+
+    @given(k=st.integers(0, 2**53 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_odd_about_one_half(self, k):
+        u = np.array([k * 2.0**-53, (2**53 - 1 - k) * 2.0**-53])
+        z = normal_from_uniform(u)
+        assert np.isfinite(z[0]) and z[0] == -z[1]
+
+    def test_matches_inverse_cdf_of_cell_midpoint(self):
+        u = np.random.default_rng(3).random(1000)
+        np.testing.assert_allclose(
+            normal_from_uniform(u), ndtri(u + 2.0**-54), rtol=1e-9, atol=1e-12)
+
+
+def _record_from_raw_stream(seed, stream, m, record):
+    """Record `record` of an M x M block stream, read off the plain stream:
+    each record takes 2 M^2 words padded up to a multiple of 4."""
+    width = 4 * -(-2 * m * m // 4)
+    u = rng_substream(seed, stream).random((record + 1) * width)[record * width:]
+    z = normal_from_uniform(u[:2 * m * m]) * math.sqrt(0.5)
+    return (z[0::2] + 1j * z[1::2]).reshape(m, m)
+
+
+class TestComplexNormalBlock:
+    @given(
+        m=st.integers(1, 6),
+        first=st.integers(0, 50),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_per_record_draws(self, m, first, count, seed):
+        block = complex_normal_block(seed, 9, first, count, (m, m))
+        assert block.shape == (count, m, m) and block.dtype == complex
+        singles = np.concatenate([
+            complex_normal_block(seed, 9, t, 1, (m, m))
+            for t in range(first, first + count)
+        ])
+        assert block.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_fixed_word_count_per_record(self, m):
+        # M=3 needs 18 words, padded to 20; M=4 needs exactly 32.
+        for record in (0, 1, 5):
+            got = complex_normal_block(77, 4, record, 1, (m, m))[0]
+            want = _record_from_raw_stream(77, 4, m, record)
+            assert got.tobytes() == want.tobytes()
+
+    def test_streams_and_seeds_differ(self):
+        a = complex_normal_block(1, 0, 0, 4, (2, 2))
+        assert not np.array_equal(a, complex_normal_block(1, 1, 0, 4, (2, 2)))
+        assert not np.array_equal(a, complex_normal_block(2, 0, 0, 4, (2, 2)))
+
+    def test_moments(self):
+        n = 200_000
+        z = complex_normal_block(5, 3, 0, n, (1,)).ravel()
+        assert abs(z.mean()) < 5 / math.sqrt(n)
+        assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01
+        assert abs(np.mean(z * z)) < 5 / math.sqrt(n)  # circular symmetry
+        assert np.isfinite(z).all()
+
+    def test_negative_stream_rejected(self):
+        with pytest.raises(ValueError):
+            complex_normal_block(1, -1, 0, 1, (2, 2))
