@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDirectionError, DegenerateTrialError
+from .errors import ConfigurationError, DegenerateDirectionError
 from .numerics import chi2_central_inv, chi2_noncentral_sf
 from .radar import ArrayGeometry, steering_vector
 
@@ -23,7 +23,6 @@ class DetectorConfig:
     theta_grid: np.ndarray = field(
         default_factory=lambda: np.deg2rad(np.arange(-90.0, 90.0 + 0.25, 0.5))
     )
-    statistic_scaling: float | None = None  # None -> 2 / noise_var
 
     def __post_init__(self):
         if not 0 < self.pfa < 1:
@@ -57,10 +56,14 @@ def sufficient_statistic(y: np.ndarray, x_tx: np.ndarray) -> np.ndarray:
     return y @ x_tx.conj().T
 
 
-def direction_gain(a: np.ndarray, r: np.ndarray) -> float:
+def direction_gain(a: np.ndarray, r: np.ndarray):
     """Quadratic form a^H R^T a of the waveform correlation along a steering
-    direction; real-valued for Hermitian R, equals M for orthogonal waveforms."""
-    return float(np.real(a.conj() @ r.T @ a))
+    direction; real-valued for Hermitian R, equals M for orthogonal waveforms.
+
+    A (..., M, M) stack of correlations gives an array of shape (...).
+    """
+    gain = np.real(a.conj() @ np.swapaxes(r, -1, -2) @ a)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def glrt_statistic(
@@ -101,11 +104,9 @@ def glrt_scan(
     Degenerate grid points are skipped; an entirely degenerate grid yields a
     forced target-absent decision with the degeneracy flag set.
     """
-    if cfg.theta_grid.size == 0:
-        raise DegenerateTrialError("empty angle grid")
     threshold = chi2_central_inv(1.0 - cfg.pfa)
     grid = cfg.theta_grid
-    a_grid = np.stack([steering_vector(geom, t) for t in grid], axis=1)  # M x G
+    a_grid = steering_vector(geom, grid)  # M x G
     denom = np.real(np.einsum("mg,mn,ng->g", a_grid.conj(), r.T, a_grid))
     valid = denom >= _DENOMINATOR_FLOOR_FRAC * geom.m
     if not np.any(valid):
@@ -113,9 +114,7 @@ def glrt_scan(
             statistic=0.0, theta_ml=float(grid[0]), detected=False,
             threshold=threshold, degenerate=True,
         )
-    scaling = cfg.statistic_scaling
-    if scaling is None:
-        scaling = 2.0 / noise_var
+    scaling = 2.0 / noise_var
     num = np.abs(np.einsum("mg,mn,ng->g", a_grid.conj(), e, a_grid.conj())) ** 2
     stats = np.full(grid.size, -np.inf)
     stats[valid] = scaling * num[valid] / (geom.m * denom[valid])
@@ -173,7 +172,7 @@ def theory_snr_gap_db(m: int, gain: float, convention: str = "calibrated") -> fl
     10 log10(M/c) under the calibrated law and 20 log10(M/c) under the
     published formulas.
     """
-    if gain <= 0:
+    if np.any(np.asarray(gain) <= 0):
         raise ValueError("direction gain must be positive")
     factor = {"calibrated": 10.0, "paper": 20.0}[convention]
     return factor * np.log10(m / gain)

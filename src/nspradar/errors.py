@@ -17,6 +17,3 @@ class DegenerateDirectionError(NspRadarError):
     """The GLRT denominator vanished: the steering direction lies in the
     projector's kernel (or the projected waveform is zero)."""
 
-
-class DegenerateTrialError(NspRadarError):
-    """Every grid point of a GLRT scan was degenerate."""

@@ -14,6 +14,17 @@ stream, so results are independent of chunking, execution order and worker
 count.  `run_trial` lifts the same E0 to N = E0 X, which has N X^H = E0,
 and runs the explicit pipeline; it is the test oracle of the vectorized
 engine.
+
+A fixed channel is set up once per sweep: projectors, selection and the
+engine are built in `run_experiment` and handed to every SNR point.  With
+channels redrawn per trial, a point runs in blocks of trials.  A block draws
+its channels (each trial from its own stream) into a (T, K, N_BS, M) stack,
+builds every projector with one stacked SVD, selects per trial, and
+evaluates the engine with one channel draw per trial.
+
+The theory curves average P_D(rho_t) over the trials' channel draws, from
+the per-trial target gains c_t; with a fixed channel that is the value at
+its one gain.
 """
 
 from __future__ import annotations
@@ -55,6 +66,10 @@ _H0 = 1
 _GAIN_FLOOR_FRAC = 1e-10
 _WILSON_Z = 1.959963984540054  # 95%
 _CHUNK = 2000
+# Redrawn-channel blocks hold about this many entries per per-trial array
+# (`_redraw_block`), and the theory curves are evaluated on about this many
+# values at a time (`_mean_theory_pd`), which bounds the memory they take.
+_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -178,15 +193,15 @@ def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ModeSetup:
+    """One waveform mode over a stack of C channel draws (C = 1 for a fixed
+    channel): the transmitted waveform is X_tx = P X."""
     label: str
     bs_id: str
-    x_tx: np.ndarray
-    corr: np.ndarray      # R = X_tx X_tx^H
-    gain: float           # c = a^H R^T a at the target angle
-    rho_paper_unit: float  # noncentrality at SNR = 1
-    rho_cal_unit: float
+    proj: np.ndarray      # (C, M, M) projector P; the identity for orthogonal
+    corr: np.ndarray      # (C, M, M) R = X_tx X_tx^H
+    gain: np.ndarray      # (C,) c = a^H R^T a at the target angle
 
 
 def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
@@ -202,42 +217,56 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
     return out
 
 
+def _stacked_modes(
+    plan: ExperimentPlan, h: np.ndarray
+) -> tuple[list[_ModeSetup], np.ndarray, np.ndarray]:
+    """Mode setups for a (C, K, N_BS, M) stack of channel draws, with the
+    selected BS index (C,) and the degradation norms (C, K)."""
+    a = radar.steering_vector(plan.geometry(), plan.theta_target)
+    x = radar.orthogonal_waveforms(plan.m, plan.l)
+    p, _ = sharing.null_projectors(h, plan.rank_tol_factor)     # (C, K, M, M)
+    selected, norms = sharing.select_projector(p, x)
+    corr = sharing.projected_correlation(p, x)
+    eye = np.broadcast_to(np.eye(plan.m, dtype=complex), (len(h), plan.m, plan.m))
+    rows = np.arange(len(h))
+    modes = []
+    for label, bs_id in _mode_labels(plan):
+        if label == MODE_ORTHOGONAL:
+            pm, r = eye, eye
+        elif label == MODE_NSP_SELECTED:
+            pm, r = p[rows, selected], corr[rows, selected]
+        else:
+            pm, r = p[:, int(bs_id) - 1], corr[:, int(bs_id) - 1]
+        modes.append(_ModeSetup(label, bs_id, pm, r, detection.direction_gain(a, r)))
+    return modes, selected, norms
+
+
 def _build_modes(
     plan: ExperimentPlan,
     channels: list[sharing.InterferenceChannel],
 ) -> tuple[list[_ModeSetup], sharing.ChannelSelection]:
-    geom = plan.geometry()
-    a = radar.steering_vector(geom, plan.theta_target)
-    x = radar.orthogonal_waveforms(plan.m, plan.l)
-    projs = [sharing.projection_matrix(ch, plan.rank_tol_factor) for ch in channels]
-    selection = sharing.select_channel(projs, x)
-    projected = {pr.bs_id: sharing.project_waveform(pr, x) for pr in projs}
-
-    def setup(label, bs_id, x_tx, corr):
-        gain = detection.direction_gain(a, corr)
-        if label == MODE_ORTHOGONAL:
-            rho_paper = detection.noncentrality_orthogonal(plan.m, 1.0, 1.0)
-        else:
-            rho_paper = detection.noncentrality_nsp(a, corr, 1.0, 1.0)
-        rho_cal = detection.calibrated_noncentrality(a, corr, plan.m, 1.0, 1.0)
-        return _ModeSetup(label, bs_id, x_tx, corr, gain, rho_paper, rho_cal)
-
-    modes = []
-    for label, bs_id in _mode_labels(plan):
-        if label == MODE_ORTHOGONAL:
-            modes.append(setup(label, bs_id, x, np.eye(plan.m, dtype=complex)))
-        elif label == MODE_NSP_SELECTED:
-            pw = projected[selection.selected]
-            modes.append(setup(label, bs_id, pw.samples, pw.correlation))
-        else:
-            pw = projected[int(bs_id)]
-            modes.append(setup(label, bs_id, pw.samples, pw.correlation))
+    """Mode setups (C = 1) and the channel selection for one draw of K channels."""
+    modes, selected, norms = _stacked_modes(plan, np.stack([ch.h for ch in channels])[None])
+    selection = sharing.ChannelSelection(
+        selected=channels[int(selected[0])].bs_id,
+        norms=tuple(float(n) for n in norms[0]),
+        bs_ids=tuple(ch.bs_id for ch in channels),
+    )
     return modes, selection
 
 
 def _trial_channels(plan: ExperimentPlan, snr_index: int, trial_id: int):
     rng = rng_substream(plan.master_seed, _trial_channel_stream(snr_index, trial_id))
     return sharing.draw_channels(plan.k, plan.n_bs, plan.m, rng)
+
+
+def _redrawn_channels(plan: ExperimentPlan, snr_index: int, first: int,
+                      count: int) -> np.ndarray:
+    """(count, K, N_BS, M) channel draws of trials [first, first + count),
+    each from its own stream, as `_trial_channels` draws them one by one."""
+    rngs = [rng_substream(plan.master_seed, _trial_channel_stream(snr_index, t))
+            for t in range(first, first + count)]
+    return sharing.channel_matrices(rngs, plan.k, plan.n_bs, plan.m)
 
 
 def _fixed_channels(plan: ExperimentPlan):
@@ -256,12 +285,13 @@ def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
 
 
 class _PointEngine:
-    """Vectorized statistic evaluation for one set of mode setups.
+    """Vectorized statistic evaluation for mode setups over C channel draws.
 
     With X X^H = I the matched filter of mode P is E = (alpha A + E0) R, as
     X X_tx^H = X X^H P = P = R.  At scan angle g the GLRT numerator is
-    a_g^H E a_g^*, linear in E0, so a chunk of T trials takes one
-    (T, M^2) @ (M^2, modes x G) product for all modes.  Without the scan the
+    a_g^H E a_g^*, linear in E0.  With one channel draw (C = 1) a chunk of T
+    trials takes one (T, M^2) @ (M^2, modes x G) product for all modes; with
+    C = T draws trial t is evaluated against draw t.  Without the scan the
     grid is the target angle alone.  This is an exact rewrite of
     glrt_statistic / glrt_scan on sufficient_statistic(alpha A X_tx + E0 X, X_tx).
     """
@@ -270,33 +300,38 @@ class _PointEngine:
         geom = plan.geometry()
         a = radar.steering_vector(geom, plan.theta_target)
         if plan.scan:
-            a_grid = np.stack(
-                [radar.steering_vector(geom, t) for t in plan.theta_grid()], axis=1
-            )
+            a_grid = radar.steering_vector(geom, plan.theta_grid())
         else:
             a_grid = a[:, None]                                   # (M, G)
         a_conj = a_grid.conj()
-        r_a = np.stack([ms.corr for ms in modes]) @ a_conj       # (modes, M, G)
+        corr = np.stack([ms.corr for ms in modes], axis=1)       # (C, modes, M, M)
+        r_a = corr @ a_conj                                      # (C, modes, M, G)
         # c_g = a_g^H R^T a_g = a_g^T R a_g^*
-        gain = np.real(np.sum(a_grid * r_a, axis=1))            # (modes, G)
+        gain = np.real(np.sum(a_grid * r_a, axis=-2))           # (C, modes, G)
         valid = gain >= _GAIN_FLOOR_FRAC * plan.m
-        self.degenerate = ~valid.any(axis=1)
+        self.degenerate = ~valid.any(axis=-1)                    # (C, modes)
+        self.target_gain = np.stack([ms.gain for ms in modes], axis=1)
         # Invalid angles get scale 0: their statistic 0 never exceeds the
         # maximum over the valid ones, which is >= 0.
         self.scale = np.divide(2.0, plan.m * gain, out=np.zeros_like(gain),
                                where=valid)
-        self.sig = np.sum(a_conj * (radar.transmit_receive_matrix(a) @ r_a), axis=1)
-        # coef[(m, n), (mode, g)] = conj(a_g[m]) (R a_g^*)[n]
-        self.coef = np.einsum("mg,kng->mnkg", a_conj, r_a).reshape(
-            plan.m * plan.m, -1
+        self.sig = np.sum(a_conj * (radar.transmit_receive_matrix(a) @ r_a), axis=-2)
+        # coef[c, (m, n), (mode, g)] = conj(a_g[m]) (R_c a_g^*)[n]
+        self.coef = np.einsum("mg,ckng->cmnkg", a_conj, r_a).reshape(
+            len(corr), plan.m * plan.m, -1
         )
 
     def statistics(self, e0: np.ndarray, alpha: float) -> np.ndarray:
         """Scaled GLRT statistics, shape (T, modes), for a (T, M, M) stack of
         E0: the scan maximum, or the value at the true angle.  Columns of
-        fully degenerate modes (`self.degenerate`) read 0."""
+        degenerate modes (`self.degenerate`) read 0."""
         t = len(e0)
-        g = (e0.reshape(t, -1) @ self.coef).reshape((t,) + self.sig.shape)
+        e = e0.reshape(t, -1)
+        if len(self.coef) == 1:
+            g = e @ self.coef[0]
+        else:
+            g = (e[:, None] @ self.coef)[:, 0]
+        g = g.reshape((t,) + self.sig.shape[1:])
         g += alpha * self.sig
         power = g.real ** 2
         power += g.imag ** 2
@@ -304,63 +339,51 @@ class _PointEngine:
         return power.max(axis=2)
 
 
-def _run_point(plan: ExperimentPlan, snr_index: int) -> dict:
-    """All trials for one SNR grid point; returns per-mode tallies."""
+def _redraw_block(plan: ExperimentPlan) -> int:
+    """Trials per block in redrawn-channel mode, so that the block's
+    per-trial arrays ((K, M, M) projectors, (M^2, modes x G) coefficients)
+    hold about _BLOCK_ELEMENTS entries."""
+    grid = len(plan.theta_grid()) if plan.scan else 1
+    per_trial = plan.m * plan.m * (plan.k + len(_mode_labels(plan)) * grid)
+    return max(1, _BLOCK_ELEMENTS // per_trial)
+
+
+def _run_point(plan: ExperimentPlan, snr_index: int,
+               engine: _PointEngine | None = None) -> dict:
+    """All trials for one SNR grid point.
+
+    `engine` is the fixed-channel engine; without it the channels are
+    redrawn per trial, in blocks.  Returns the point's tallies, each shaped
+    (pfa, modes) or (modes,), and the target gains, (T, modes) or, for a
+    fixed channel, (1, modes).
+    """
     snr = 10 ** (plan.snr_grid_db[snr_index] / 10)
     alpha = math.sqrt(snr)
-    thresholds = {p: detection.chi2_central_inv(1 - p) for p in plan.pfa_list}
-    labels = _mode_labels(plan)
-    tally = {
-        label: {
-            "detections": {p: 0 for p in plan.pfa_list},
-            "false_alarms": {p: 0 for p in plan.pfa_list},
-            "degenerate": 0,
-            "rho_paper_sum": 0.0,
-            "rho_cal_sum": 0.0,
-        }
-        for label, _ in labels
-    }
+    thresholds = np.array([detection.chi2_central_inv(1 - p) for p in plan.pfa_list])
+    n_modes = len(_mode_labels(plan))
+    detections = np.zeros((len(thresholds), n_modes), dtype=np.int64)
+    false_alarms = np.zeros_like(detections)
+    degenerate = np.zeros(n_modes, dtype=np.int64)
 
-    fixed = plan.channel_mode == CHANNEL_FIXED
-    if fixed:
-        modes, _ = _build_modes(plan, _fixed_channels(plan))
-        engine = _PointEngine(plan, modes)
-
+    redrawn = engine is None
+    gains = [] if redrawn else [engine.target_gain]
     trials = plan.trials_per_point
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        e1 = _noise_block(plan, snr_index, _H1, start, count)
-        e0 = _noise_block(plan, snr_index, _H0, start, count)
-        if fixed:
-            _tally_chunk(engine, modes, tally, thresholds, alpha, e1, e0)
-            continue
-        # Channels redrawn per trial: one engine per trial, on its slice.
-        for i in range(count):
-            channels = _trial_channels(plan, snr_index, start + i)
-            modes, _ = _build_modes(plan, channels)
-            engine = _PointEngine(plan, modes)
-            _tally_chunk(engine, modes, tally, thresholds, alpha,
-                         e1[i:i + 1], e0[i:i + 1])
-    return {"snr_index": snr_index, "snr": snr, "tally": tally}
-
-
-def _tally_chunk(engine, modes, tally, thresholds, alpha, e1, e0):
-    n_trials = len(e1)
-    s1 = engine.statistics(e1, alpha)
-    s0 = engine.statistics(e0, 0.0)
-    counts = {p: (np.count_nonzero(s1 > delta, axis=0),
-                  np.count_nonzero(s0 > delta, axis=0))
-              for p, delta in thresholds.items()}
-    for mi, ms in enumerate(modes):
-        rec = tally[ms.label]
-        rec["rho_paper_sum"] += ms.rho_paper_unit * alpha * alpha * n_trials
-        rec["rho_cal_sum"] += ms.rho_cal_unit * alpha * alpha * n_trials
-        if engine.degenerate[mi]:
-            rec["degenerate"] += n_trials
-            continue
-        for p, (det, fa) in counts.items():
-            rec["detections"][p] += int(det[mi])
-            rec["false_alarms"][p] += int(fa[mi])
+    step = min(_CHUNK, _redraw_block(plan)) if redrawn else _CHUNK
+    for start in range(0, trials, step):
+        count = min(step, trials - start)
+        if redrawn:
+            h = _redrawn_channels(plan, snr_index, start, count)
+            engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
+            gains.append(engine.target_gain)
+        s1 = engine.statistics(_noise_block(plan, snr_index, _H1, start, count), alpha)
+        s0 = engine.statistics(_noise_block(plan, snr_index, _H0, start, count), 0.0)
+        # Degenerate columns read 0, below every threshold.
+        detections += np.count_nonzero(s1 > thresholds[:, None, None], axis=1)
+        false_alarms += np.count_nonzero(s0 > thresholds[:, None, None], axis=1)
+        degenerate += np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
+    return {"snr_index": snr_index, "snr": snr, "detections": detections,
+            "false_alarms": false_alarms, "degenerate": degenerate,
+            "gain": np.concatenate(gains)}
 
 
 def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) -> dict:
@@ -394,25 +417,26 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
 
     out = {}
     for ms in modes:
-        y1 = alpha * (a_mat @ ms.x_tx) + n1
+        x_tx, corr = ms.proj[0] @ x, ms.corr[0]
+        y1 = alpha * (a_mat @ x_tx) + n1
         y0 = n0
-        e1 = detection.sufficient_statistic(y1, ms.x_tx)
-        e0 = detection.sufficient_statistic(y0, ms.x_tx)
+        e1 = detection.sufficient_statistic(y1, x_tx)
+        e0 = detection.sufficient_statistic(y0, x_tx)
         if plan.scan:
-            r1 = detection.glrt_scan(e1, ms.corr, geom, cfg, 1.0)
-            r0 = detection.glrt_scan(e0, ms.corr, geom, cfg, 1.0)
+            r1 = detection.glrt_scan(e1, corr, geom, cfg, 1.0)
+            r0 = detection.glrt_scan(e0, corr, geom, cfg, 1.0)
             out[ms.label] = TrialOutcome(
                 statistic_h1=r1.statistic, statistic_h0=r0.statistic,
                 detected_h1=r1.detected, detected_h0=r0.detected,
                 theta_ml=r1.theta_ml, degenerate=r1.degenerate,
             )
         else:
-            if ms.gain < _GAIN_FLOOR_FRAC * plan.m:
+            if ms.gain[0] < _GAIN_FLOOR_FRAC * plan.m:
                 out[ms.label] = TrialOutcome(0.0, 0.0, False, False,
                                              plan.theta_target, True)
                 continue
-            s1 = detection.glrt_statistic(e1, ms.corr, geom, plan.theta_target, 1.0)
-            s0 = detection.glrt_statistic(e0, ms.corr, geom, plan.theta_target, 1.0)
+            s1 = detection.glrt_statistic(e1, corr, geom, plan.theta_target, 1.0)
+            s0 = detection.glrt_statistic(e0, corr, geom, plan.theta_target, 1.0)
             out[ms.label] = TrialOutcome(
                 statistic_h1=s1, statistic_h0=s0,
                 detected_h1=s1 > threshold, detected_h0=s0 > threshold,
@@ -421,43 +445,67 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     return out
 
 
+def _mean_theory_pd(plan: ExperimentPlan, snr: np.ndarray,
+                    gains: np.ndarray) -> dict:
+    """Theory P_D averaged over each point's channel draws, per convention
+    and P_FA: {(convention, pfa): (points, modes)}.
+
+    `gains` is (points, C, modes) and `snr` (points,).  The noncentralities
+    are those of `detection` written in the gain c: calibrated 2 SNR M c;
+    published SNR M^2 for orthogonal waveforms and SNR c^2 for projected ones.
+    Points go in groups of about _BLOCK_ELEMENTS values, since scipy's
+    noncentral survival function takes several temporaries of its input's
+    size; each point's trials are still reduced in one step.
+    """
+    orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
+    step = max(1, _BLOCK_ELEMENTS // gains[0].size)
+    out = {(conv, p): [] for conv in ("paper", "calibrated") for p in plan.pfa_list}
+    for i in range(0, len(snr), step):
+        g, s = gains[i:i + step], snr[i:i + step, None, None]
+        rho = {"paper": s * np.where(orthogonal, float(plan.m * plan.m), g ** 2),
+               "calibrated": s * (2.0 * plan.m * g)}
+        for conv, p in out:
+            out[conv, p].append(detection.theoretical_pd(rho[conv], p).mean(axis=1))
+    return {key: np.concatenate(parts) for key, parts in out.items()}
+
+
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     """Full sweep over (snr, pfa, trial); deterministic for a fixed seed
     regardless of worker count."""
+    selection, engine = None, None
+    if plan.channel_mode == CHANNEL_FIXED:
+        modes, selection = _build_modes(plan, _fixed_channels(plan))
+        engine = _PointEngine(plan, modes)
     indices = list(range(len(plan.snr_grid_db)))
     if workers > 1 and len(indices) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_run_point, [plan] * len(indices), indices))
+            payloads = list(pool.map(_run_point, [plan] * len(indices), indices,
+                                     [engine] * len(indices)))
     else:
-        payloads = [_run_point(plan, si) for si in indices]
+        payloads = [_run_point(plan, si, engine) for si in indices]
     payloads.sort(key=lambda d: d["snr_index"])
-
-    selection = None
-    if plan.channel_mode == CHANNEL_FIXED:
-        _, selection = _build_modes(plan, _fixed_channels(plan))
+    theory = _mean_theory_pd(plan, np.array([pl["snr"] for pl in payloads]),
+                             np.stack([pl["gain"] for pl in payloads]))
 
     trials = plan.trials_per_point
     curves = []
     total_degenerate = 0
-    for label, bs_id in _mode_labels(plan):
+    for mi, (label, bs_id) in enumerate(_mode_labels(plan)):
         points = []
-        for payload in payloads:
-            si = payload["snr_index"]
-            rec = payload["tally"][label]
-            rho_paper = rec["rho_paper_sum"] / trials
-            rho_cal = rec["rho_cal_sum"] / trials
-            total_degenerate += rec["degenerate"]
-            for p in plan.pfa_list:
-                det = rec["detections"][p]
-                pd_emp = det / trials
+        for pi, payload in enumerate(payloads):
+            degenerate = int(payload["degenerate"][mi])
+            total_degenerate += degenerate
+            for fi, p in enumerate(plan.pfa_list):
+                det = int(payload["detections"][fi, mi])
                 lo, hi = wilson_interval(det, trials)
                 points.append(CurvePoint(
-                    snr_db=plan.snr_grid_db[si], pfa=p, trials=trials,
-                    detections=det, false_alarms=rec["false_alarms"][p],
-                    pd_emp=pd_emp, ci_lo=lo, ci_hi=hi,
-                    pd_theory_paper=detection.theoretical_pd(rho_paper, p),
-                    pd_theory_calibrated=detection.theoretical_pd(rho_cal, p),
-                    degenerate=rec["degenerate"],
+                    snr_db=plan.snr_grid_db[payload["snr_index"]], pfa=p,
+                    trials=trials, detections=det,
+                    false_alarms=int(payload["false_alarms"][fi, mi]),
+                    pd_emp=det / trials, ci_lo=lo, ci_hi=hi,
+                    pd_theory_paper=float(theory["paper", p][pi, mi]),
+                    pd_theory_calibrated=float(theory["calibrated", p][pi, mi]),
+                    degenerate=degenerate,
                 ))
         curves.append(DetectionCurve(label=label, bs_id=bs_id, points=tuple(points)))
     return ExperimentResult(
@@ -545,19 +593,10 @@ def mean_selected_gap_db(
 ) -> float:
     """Mean SNR gap of the selected-BS projected waveform over independent
     channel redraws, from the closed-form gap at the target angle."""
-    geom = plan.geometry()
-    a = radar.steering_vector(geom, plan.theta_target)
-    x = radar.orthogonal_waveforms(plan.m, plan.l)
-    gaps = []
-    for r in range(n_redraws):
-        rng = rng_substream(plan.master_seed, _REDRAW_BASE + r)
-        channels = sharing.draw_channels(plan.k, plan.n_bs, plan.m, rng)
-        projs = [sharing.projection_matrix(ch, plan.rank_tol_factor) for ch in channels]
-        sel = sharing.select_channel(projs, x)
-        pw = sharing.project_waveform(projs[sel.selected - 1], x)
-        gain = detection.direction_gain(a, pw.correlation)
-        gaps.append(detection.theory_snr_gap_db(plan.m, gain, convention))
-    return float(np.mean(gaps))
+    rngs = [rng_substream(plan.master_seed, _REDRAW_BASE + r) for r in range(n_redraws)]
+    h = sharing.channel_matrices(rngs, plan.k, plan.n_bs, plan.m)
+    modes, _, _ = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)
+    return float(np.mean(detection.theory_snr_gap_db(plan.m, modes[0].gain, convention)))
 
 
 def make_plan(**kwargs) -> ExperimentPlan:

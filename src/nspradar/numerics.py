@@ -16,11 +16,6 @@ from scipy.special import ndtri
 
 from .errors import NumericFailure
 
-# Term-ratio truncation for the ascending Marcum-Q series; beyond the
-# large-argument cutoff the series underflows and we delegate to scipy.
-_SERIES_TOL = 1e-14
-_LARGE_ARG_CUTOFF = 30.0
-
 # Generator.random() spends one 64-bit word per double and returns k * 2**-53
 # with k in [0, 2**53); one Philox counter step yields four words.
 _HALF_CELL = 2.0 ** -54
@@ -28,22 +23,23 @@ _PHILOX_WORDS = 4
 
 
 def svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD of a complex matrix, returned as (U, s, V) with H = U diag(s) V^H.
+    """Full SVD of a complex matrix or a (..., n, m) stack of them, returned
+    as (U, s, V) with H = U diag(s) V^H.
 
     Note the third factor is V itself, not V^H.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-2] < 1 or h.shape[-1] < 1:
+        raise ValueError(f"expected a (..., n, m) matrix stack, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix contains non-finite entries")
     try:
         u, s, vh = np.linalg.svd(h, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(
-            f"SVD did not converge for a {h.shape[0]}x{h.shape[1]} matrix"
+            f"SVD did not converge for a stack of {h.shape[-2]}x{h.shape[-1]} matrices"
         ) from exc
-    return u, s, vh.conj().T
+    return u, s, np.swapaxes(vh.conj(), -1, -2)
 
 
 def chi2_central_cdf(x: float) -> float:
@@ -60,46 +56,20 @@ def chi2_central_inv(p: float) -> float:
     return -2.0 * math.log1p(-p)
 
 
-def chi2_noncentral_sf(x: float, rho: float) -> float:
+def chi2_noncentral_sf(x, rho):
     """Survival function 1 - F of the noncentral chi-squared law (2 dof,
     noncentrality rho); equals the Marcum Q function Q1(sqrt(rho), sqrt(x)).
 
-    Evaluated by the ascending series in the noncentrality, switching to
-    scipy's implementation in the large-argument regime where the series
-    terms underflow.
+    Broadcasts over arrays; scalar arguments give a float.
     """
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if np.any(x < 0):
         raise ValueError(f"x must be non-negative, got {x}")
-    if rho < 0:
+    if np.any(rho < 0):
         raise ValueError(f"rho must be non-negative, got {rho}")
-    if x == 0:
-        return 1.0
-    if rho == 0:
-        return math.exp(-0.5 * x)
-    if math.sqrt(rho * x) > _LARGE_ARG_CUTOFF or (rho + x) > 1400.0:
-        return float(stats.ncx2.sf(x, 2, rho))
-
-    # sf = sum_k Pois(k; rho/2) * sf_chi2(x; 2 + 2k), where the inner
-    # survival function admits the running partial sum of exp(-x/2) (x/2)^j/j!.
-    hr, hx = 0.5 * rho, 0.5 * x
-    pois = math.exp(-hr)         # Poisson weight at k
-    pois_cum = pois
-    inner_term = math.exp(-hx)   # exp(-x/2) (x/2)^k / k!
-    inner = inner_term           # sf of chi2 with 2+2k dof at x
-    total = pois * inner
-    k = 0
-    while True:
-        k += 1
-        pois *= hr / k
-        pois_cum += pois
-        inner_term *= hx / k
-        inner += inner_term
-        term = pois * inner
-        total += term
-        # Remaining Poisson mass bounds the truncation error since inner <= 1.
-        if (1.0 - pois_cum) < _SERIES_TOL and (k > hr or term < _SERIES_TOL * total):
-            break
-    return min(total, 1.0)
+    sf = stats.ncx2.sf(x, 2, rho)
+    return float(sf) if sf.ndim == 0 else sf
 
 
 def _philox(master_seed: int, stream_id: int) -> np.random.Philox:

@@ -14,11 +14,6 @@ SPEED_OF_LIGHT = 3e8
 CARRIER_FREQ_HZ = 3.55e9
 DEFAULT_WAVELENGTH = SPEED_OF_LIGHT / CARRIER_FREQ_HZ  # ~8.45 cm
 
-# Documentation constants: range-Doppler parameters are assumed compensated
-# before detection, so these never enter the simulated echo.
-RADIAL_VELOCITY_M_S = 2000.0
-TARGET_RANGE_M = 500e3
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -57,14 +52,16 @@ class TargetScenario:
             raise ConfigurationError("noise variance must be positive")
 
 
-def steering_vector(geom: ArrayGeometry, theta: float) -> np.ndarray:
+def steering_vector(geom: ArrayGeometry, theta) -> np.ndarray:
     """Unit-modulus array response a(theta) for azimuth theta (radians).
 
-    Element k carries phase -2*pi*k*d*sin(theta)/lambda, so a^H a = M.
+    Element k carries phase -2*pi*k*d*sin(theta)/lambda, so a^H a = M.  A
+    1-d array of G angles gives the M x G matrix of responses, one column
+    per angle.
     """
-    if abs(theta) > np.pi / 2:
+    if np.any(np.abs(theta) > np.pi / 2):
         raise ValueError(f"azimuth must satisfy |theta| <= pi/2, got {theta}")
-    k = np.arange(geom.m)
+    k = np.arange(geom.m).reshape((-1,) + (1,) * np.ndim(theta))
     return np.exp(-2j * np.pi * k * geom.spacing * np.sin(theta) / geom.wavelength)
 
 

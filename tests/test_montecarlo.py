@@ -225,6 +225,16 @@ class TestNoiseDraws:
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         assert run_experiment(plan).curves == want
 
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_redraw_block_size_does_not_change_curves(self, scan, monkeypatch):
+        # One-trial blocks take the engine's single-draw product.
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=25,
+                         scan=scan, theta_step_deg=5.0)
+        want = run_experiment(plan).curves
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
+        assert montecarlo._redraw_block(plan) == 1
+        assert run_experiment(plan).curves == want
+
     def test_sample_count_does_not_change_draws(self):
         # With X X^H = I the statistic depends on the noise only through E0,
         # which is drawn directly, so L no longer enters the draws.
@@ -241,6 +251,13 @@ class TestNoiseDraws:
         top_trial = montecarlo._trial_channel_stream(2**28 - 1, 2**32 - 1)
         assert montecarlo._CHANNEL_STREAM < 1 <= top_trial < montecarlo._REDRAW_BASE
         assert montecarlo._REDRAW_BASE + 2**32 < montecarlo._NOISE_BASE
+
+    def test_redrawn_block_equals_per_trial_channels(self):
+        plan = tiny_plan()
+        block = montecarlo._redrawn_channels(plan, 1, 15, 4)
+        for i, row in enumerate(block):
+            want = np.stack([ch.h for ch in montecarlo._trial_channels(plan, 1, 15 + i)])
+            assert row.tobytes() == want.tobytes()
 
     def test_channel_draws_are_pinned(self):
         # Acceptance seeds are pinned to channel draws, so the noise streams
@@ -309,6 +326,32 @@ class TestRunExperiment:
         b = run_experiment(plan)
         assert a.curves == b.curves
         assert a.selection is None
+
+    def test_redrawn_theory_is_the_mean_over_channel_draws(self):
+        # Criterion 3 for redrawn channels: the theory curve averages P_D
+        # over each trial's channel draw.  P_D at the mean noncentrality
+        # reads 0.05-0.09 too high for the projected modes here.
+        plan = tiny_plan(
+            k=5, snr_grid_db=(0.0, 4.0), pfa_list=(1e-3,), trials_per_point=3000,
+            master_seed=3, channel_mode=CHANNEL_REDRAWN,
+            waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
+        )
+        tol = 4 * math.sqrt(0.25 / plan.trials_per_point)  # 4 standard errors at P_D = 1/2
+        for curve in run_experiment(plan).curves:
+            for pt in curve.points:
+                assert abs(pt.pd_emp - pt.pd_theory_calibrated) < tol
+
+    def test_fixed_setup_is_built_once(self, monkeypatch):
+        calls = []
+        build = montecarlo._build_modes
+        monkeypatch.setattr(montecarlo, "_build_modes",
+                            lambda *args: calls.append(1) or build(*args))
+        run_experiment(tiny_plan(snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=10))
+        assert len(calls) == 1
+
+    def test_redrawn_worker_count_invariance(self):
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30)
+        assert run_experiment(plan, workers=1).curves == run_experiment(plan, workers=2).curves
 
     def test_pfa_sweep_orders_detection(self):
         plan = tiny_plan(

@@ -63,6 +63,17 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((3, 4, 2, 5)) + 1j * rng.standard_normal((3, 4, 2, 5))
+        u, s, v = svd(h)
+        assert u.shape == (3, 4, 2, 2) and s.shape == (3, 4, 2) and v.shape == (3, 4, 5, 5)
+        for i in np.ndindex(3, 4):
+            for got, want in zip((u[i], s[i], v[i]), svd(h[i])):
+                np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError):
+            svd(np.ones(3))
+
 
 class TestCentralChi2:
     def test_at_origin(self):
@@ -157,6 +168,16 @@ class TestNoncentralSf:
             chi2_noncentral_sf(-1.0, 1.0)
         with pytest.raises(ValueError):
             chi2_noncentral_sf(1.0, -1.0)
+
+    def test_broadcasts_over_arrays(self):
+        x = np.linspace(0.0, 40.0, 9)[:, None]
+        rho = np.array([0.0, 1.0, 16.0, 900.0])
+        got = chi2_noncentral_sf(x, rho)
+        assert got.shape == (9, 4)
+        for i, j in np.ndindex(got.shape):
+            assert got[i, j] == chi2_noncentral_sf(float(x[i, 0]), float(rho[j]))
+        with pytest.raises(ValueError):
+            chi2_noncentral_sf(np.array([1.0, -1.0]), 1.0)
 
 
 class TestRngSubstream:

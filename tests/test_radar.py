@@ -29,6 +29,14 @@ class TestSteeringVector:
         a = steering_vector(ArrayGeometry(m=4), 0.0)
         np.testing.assert_allclose(a, np.ones(4))
 
+    def test_angle_array_gives_one_column_per_angle(self, geom8):
+        grid = np.deg2rad(np.arange(-90.0, 90.5, 7.5))
+        got = steering_vector(geom8, grid)
+        want = np.stack([steering_vector(geom8, t) for t in grid], axis=1)
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            steering_vector(geom8, np.array([0.0, math.pi / 2 + 0.01]))
+
     def test_unit_modulus_and_norm(self, geom8):
         a = steering_vector(geom8, 0.3)
         assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-12

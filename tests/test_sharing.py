@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nspradar.errors import ConfigurationError
-from nspradar.numerics import rng_substream
+from nspradar.numerics import complex_normal, rng_substream
 from nspradar.radar import orthogonal_waveforms
 from nspradar.sharing import (
     InterferenceChannel,
     ProjectionMatrix,
+    channel_matrices,
     draw_channels,
+    null_projectors,
     project_waveform,
+    projected_correlation,
     projection_matrix,
     residual_interference,
     select_channel,
+    select_projector,
 )
 
 import oracles
@@ -42,6 +46,15 @@ class TestDrawChannels:
     def test_bad_counts(self):
         with pytest.raises(ConfigurationError):
             draw_channels(0, 2, 4, rng_substream(0, 0))
+
+    def test_one_draw_per_stream_equals_per_channel_draws(self):
+        # One standard_normal call per generator consumes the normals in the
+        # order of K successive complex_normal calls.
+        stack = channel_matrices([rng_substream(7, s) for s in (3, 4)], 5, 2, 4)
+        for s, row in zip((3, 4), stack):
+            rng = rng_substream(7, s)
+            for h in row:
+                assert h.tobytes() == complex_normal(rng, (2, 4)).tobytes()
 
 
 class TestProjectionMatrix:
@@ -193,3 +206,75 @@ class TestResidualInterference:
             orthogonal_waveforms(4, 16),
         )
         assert residual_interference(chans[0], pw) == 0.0
+
+
+def _channel_stack(rng, t, k, n_bs, m):
+    """(t, K, N_BS, M) channels: random full-rank ones and rank-deficient
+    ones (rank 1, and a second singular value 1e-6 of the first)."""
+    h = rng.standard_normal((t, k, n_bs, m)) + 1j * rng.standard_normal((t, k, n_bs, m))
+    h[:, 1] = h[:, 1, :1] * rng.standard_normal((t, n_bs, 1))
+    u, s, vh = np.linalg.svd(h[:, 2], full_matrices=False)
+    s[:, 1:] = s[:, :1] * 1e-6
+    h[:, 2] = (u * s[:, None, :]) @ vh
+    return h
+
+
+class TestStackedSharing:
+    """The stacked projector, selection and correlation code against the
+    scalar functions applied one matrix, one trial at a time."""
+
+    @pytest.mark.parametrize("n_bs, m, rank_tol", [
+        (2, 4, None), (1, 4, None), (3, 3, None), (4, 2, None),
+        (2, 4, 1e-3), (2, 8, 1e-3),
+    ])
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_matches_scalar_path(self, n_bs, m, rank_tol, orthogonal):
+        rng = np.random.default_rng(n_bs * 100 + m)
+        t, k, l = 6, 5, 2 * m
+        h = _channel_stack(rng, t, k, n_bs, m)
+        if orthogonal:
+            x = orthogonal_waveforms(m, l)
+        else:
+            x = rng.standard_normal((m, l)) + 1j * rng.standard_normal((m, l))
+        p, nullity = null_projectors(h, rank_tol)
+        best, norms = select_projector(p, x)
+        corr = projected_correlation(p, x)
+        assert p.shape == (t, k, m, m) and nullity.shape == (t, k)
+        for i in range(t):
+            projs = [projection_matrix(InterferenceChannel(j + 1, h[i, j]), rank_tol)
+                     for j in range(k)]
+            for j, pr in enumerate(projs):
+                np.testing.assert_array_equal(p[i, j], pr.p)
+                assert nullity[i, j] == pr.nullity
+                pw = project_waveform(pr, x)
+                np.testing.assert_array_equal(corr[i, j], pw.correlation)
+            sel = select_channel(projs, x)
+            assert sel.selected == best[i] + 1
+            np.testing.assert_array_equal(norms[i], sel.norms)
+            idx, want = oracles.brute_force_argmin_norms([pr.p for pr in projs], x)
+            assert best[i] == idx
+            np.testing.assert_allclose(norms[i], want, rtol=1e-9, atol=1e-12)
+
+    def test_rank_rule(self):
+        # Rank-1 channels with two antennas leave an (M - 1)-dimensional null
+        # space; a second singular value of 1e-6 s_max counts toward the rank
+        # under the default tolerance but not under rank_tol = 1e-3.
+        h = _channel_stack(np.random.default_rng(0), 4, 5, 2, 4)
+        _, nullity = null_projectors(h)
+        assert np.all(nullity[:, 1] == 3) and np.all(nullity[:, 2] == 2)
+        _, nullity = null_projectors(h, 1e-3)
+        assert np.all(nullity[:, 2] == 3)
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((6, 5, 2, 4)) + 1j * rng.standard_normal((6, 5, 2, 4))
+        x = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        _, norms = select_projector(null_projectors(h)[0], x)
+        order = np.argsort(norms, axis=-1)
+        # Each trial's best channel at positions 1 and 3, worse ones around it.
+        tied = h[np.arange(6)[:, None], order[:, [4, 0, 3, 0, 2]]]
+        best, norms = select_projector(null_projectors(tied)[0], x)
+        assert np.all(norms[:, 1] == norms[:, 3]) and np.all(best == 1)
+        same = np.repeat(h[:, :1], 5, axis=1)
+        best, _ = select_projector(null_projectors(same)[0], x)
+        assert np.all(best == 0)
