@@ -21,16 +21,12 @@ def gaps_for_seed(seed, m, n_bs, k, l, theta):
     geom = radar.ArrayGeometry(m=m)
     a = radar.steering_vector(geom, theta)
     x = radar.orthogonal_waveforms(m, l)
-    rng = rng_substream(seed, 0)
-    channels = sharing.draw_channels(k, n_bs, m, rng)
-    projs = [sharing.projection_matrix(ch) for ch in channels]
-    sel = sharing.select_channel(projs, x)
-    gaps = []
-    for pr in projs:
-        pw = sharing.project_waveform(pr, x)
-        gain = detection.direction_gain(a, pw.correlation)
-        gaps.append(float(detection.theory_snr_gap_db(m, gain, "paper")))
-    return gaps, sel.selected
+    h = sharing.channel_matrices([rng_substream(seed, 0)], k, n_bs, m)[0]
+    p, _ = sharing.null_projectors(h)
+    best, _ = sharing.select_projector(p, x)
+    gain = detection.direction_gain(a, sharing.projected_correlation(p, x))
+    gaps = detection.theory_snr_gap_db(m, gain, "paper")
+    return [float(g) for g in gaps], int(best) + 1
 
 
 def main():

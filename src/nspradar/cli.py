@@ -32,9 +32,12 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # Checked here so that the config file and --workers agree.
+        # Checked here so that the config file, --workers and NSPSIM_THREADS
+        # agree.
         if self.workers < 1:
-            raise ConfigurationError("config key 'workers': must be >= 1")
+            raise ConfigurationError(
+                f"config key 'workers': must be >= 1, got {self.workers} "
+                "(from the config file, --workers or NSPSIM_THREADS)")
 
 
 # Config file keys -> ExperimentPlan fields (or run options).
@@ -164,7 +167,7 @@ def parse_config(path: str) -> RunConfig:
         else:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
 
-    workers = run_kwargs.pop("workers", _default_workers())
+    workers = run_kwargs.pop("workers") if "workers" in run_kwargs else _default_workers()
     plan = montecarlo.ExperimentPlan(**plan_kwargs)
     return RunConfig(plan=plan, workers=workers, **run_kwargs)
 
@@ -196,13 +199,16 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def _default_workers() -> int:
+    """Worker count from NSPSIM_THREADS (1 when unset); `RunConfig` checks
+    the value as it checks the config key and --workers."""
     env = os.environ.get("NSPSIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(
+            f"NSPSIM_THREADS: expected an integer, got {env!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -244,6 +250,7 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str) -> None:
             "waveform_modes": list(plan.waveform_modes),
             "scan": plan.scan,
             "theta_step_deg": plan.theta_step_deg,
+            "rank_tol_factor": plan.rank_tol_factor,
         },
         "workers": cfg.workers,
         "degenerate_trials": result.degenerate_trials,

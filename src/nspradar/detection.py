@@ -71,13 +71,11 @@ def glrt_statistic(
     r: np.ndarray,
     geom: ArrayGeometry,
     theta: float,
-    noise_var: float,
-    scaling: float | None = None,
 ) -> float:
-    """Scaled GLRT ratio |a^H E a*|^2 / (M a^H R^T a) at a single angle.
+    """Scaled GLRT ratio 2 |a^H E a*|^2 / (M a^H R^T a) at a single angle.
 
-    With the default scaling 2/noise_var the statistic is exactly chi-squared
-    with two degrees of freedom under the target-absent hypothesis.
+    With unit noise variance the statistic is exactly chi-squared with two
+    degrees of freedom under the target-absent hypothesis.
     """
     a = steering_vector(geom, theta)
     m = geom.m
@@ -86,10 +84,8 @@ def glrt_statistic(
         raise DegenerateDirectionError(
             f"direction gain {denom:.3e} below floor at theta={theta:.4f}"
         )
-    if scaling is None:
-        scaling = 2.0 / noise_var
     num = abs(a.conj() @ e @ a.conj()) ** 2
-    return float(scaling * num / (m * denom))
+    return float(2.0 * num / (m * denom))
 
 
 def glrt_scan(
@@ -97,7 +93,6 @@ def glrt_scan(
     r: np.ndarray,
     geom: ArrayGeometry,
     cfg: DetectorConfig,
-    noise_var: float,
 ) -> GlrtResult:
     """Maximize the GLRT statistic over the angle grid and threshold it.
 
@@ -114,10 +109,9 @@ def glrt_scan(
             statistic=0.0, theta_ml=float(grid[0]), detected=False,
             threshold=threshold, degenerate=True,
         )
-    scaling = 2.0 / noise_var
     num = np.abs(np.einsum("mg,mn,ng->g", a_grid.conj(), e, a_grid.conj())) ** 2
     stats = np.full(grid.size, -np.inf)
-    stats[valid] = scaling * num[valid] / (geom.m * denom[valid])
+    stats[valid] = 2.0 * num[valid] / (geom.m * denom[valid])
     best = int(np.argmax(stats))  # ties resolve to the smaller angle
     return GlrtResult(
         statistic=float(stats[best]),
@@ -127,34 +121,22 @@ def glrt_scan(
     )
 
 
-def noncentrality_orthogonal(m: int, alpha_sq: float, noise_var: float) -> float:
-    """Published noncentrality for orthogonal waveforms: M^2 |alpha|^2 / sigma_n^2."""
-    if noise_var <= 0:
-        raise ConfigurationError("noise variance must be positive")
-    return m * m * alpha_sq / noise_var
+def noncentrality(convention: str, m: int, snr, gain, orthogonal=False):
+    """Noncentrality of the scaled GLRT statistic at the true angle, for
+    SNR |alpha|^2 (unit noise variance) and direction gain c = a^H R^T a;
+    broadcasts over arrays.
 
-
-def noncentrality_nsp(
-    a: np.ndarray, r_proj: np.ndarray, alpha_sq: float, noise_var: float
-) -> float:
-    """Published noncentrality for projected waveforms:
-    |alpha|^2 / sigma_n^2 * |a^H R^T a|^2."""
-    if noise_var <= 0:
-        raise ConfigurationError("noise variance must be positive")
-    return float(alpha_sq / noise_var * abs(a.conj() @ r_proj.T @ a) ** 2)
-
-
-def calibrated_noncentrality(
-    a: np.ndarray, r: np.ndarray, m: int, alpha_sq: float, noise_var: float
-) -> float:
-    """Noncentrality of the scaled statistic derived from its actual moments:
-    2 |alpha|^2 M (a^H R^T a) / sigma_n^2.
-
-    This is the value the simulated statistic concentrates around; the
-    published formula coincides with it only for the identity correlation up
-    to a factor of two.
+    "calibrated" is 2 SNR M c, derived from the statistic's actual moments:
+    the law the simulated statistic follows.  "paper" is the published
+    formula: SNR M^2 where `orthogonal` is true (the unprojected waveform)
+    and SNR c^2 elsewhere.  The two coincide only for the identity
+    correlation, up to a factor of two.
     """
-    return 2.0 * alpha_sq * m * direction_gain(a, r) / noise_var
+    if convention == "calibrated":
+        return snr * (2.0 * m * gain)
+    if convention == "paper":
+        return snr * np.where(orthogonal, float(m * m), gain ** 2)
+    raise ValueError(f"unknown noncentrality convention {convention!r}")
 
 
 def theoretical_pd(rho: float, pfa: float) -> float:

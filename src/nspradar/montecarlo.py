@@ -15,12 +15,13 @@ count.  `run_trial` lifts the same E0 to N = E0 X, which has N X^H = E0,
 and runs the explicit pipeline; it is the test oracle of the vectorized
 engine.
 
-A fixed channel is set up once per sweep: projectors, selection and the
-engine are built in `run_experiment` and handed to every SNR point.  With
-channels redrawn per trial, a point runs in blocks of trials.  A block draws
-its channels (each trial from its own stream) into a (T, K, N_BS, M) stack,
-builds every projector with one stacked SVD, selects per trial, and
-evaluates the engine with one channel draw per trial.
+Channels take one route everywhere: `_channels` draws a (C, K, N_BS, M)
+stack and `_stacked_modes` turns it into projectors (one stacked SVD), the
+selection per draw and the mode setups.  A fixed channel is stream 0 alone
+(C = 1); it is set up once per sweep, in `run_experiment`, and its engine is
+handed to every SNR point.  Redrawn channels give each trial its own stream;
+a point then runs in blocks of trials (C = T), with one engine per block.
+`run_trial` takes the same route for its one trial.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t; with a fixed channel that is the value at
@@ -94,9 +95,9 @@ class ExperimentPlan:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "pfa_list", tuple(float(p) for p in self.pfa_list))
         object.__setattr__(self, "waveform_modes", tuple(self.waveform_modes))
-        self.validate()
-
-    def validate(self):
+        if self.m < 1 or self.n_bs < 1 or self.k < 1:
+            raise ConfigurationError(
+                f"m, n_bs and k must all be >= 1, got m={self.m}, n_bs={self.n_bs}, k={self.k}")
         if self.trials_per_point < 1:
             raise ConfigurationError("trials_per_point must be >= 1")
         if not self.snr_grid_db:
@@ -110,12 +111,18 @@ class ExperimentPlan:
         unknown = [w for w in self.waveform_modes if w not in _KNOWN_MODES]
         if unknown or not self.waveform_modes:
             raise ConfigurationError(f"unknown waveform modes: {unknown}")
-        if self.k < 1:
-            raise ConfigurationError("k must be >= 1")
         if not 0 < self.theta_step_deg <= 180:
             raise ConfigurationError("theta_step_deg must lie in (0, 180]")
         if abs(self.theta_target_deg) > 90:
             raise ConfigurationError("theta_target_deg must lie in [-90, 90]")
+        # The largest singular value must count toward the rank
+        # (`sharing.null_projectors`), or a projector nulls nothing: P = I.
+        tol = self.rank_tol_factor
+        if tol is not None and not (math.isfinite(tol) and 0 <= tol
+                                    and tol * max(self.n_bs, self.m) < 1):
+            raise ConfigurationError(
+                f"rank_tol_factor must be finite, >= 0 and below "
+                f"1 / max(n_bs, m) = {1 / max(self.n_bs, self.m):g}, got {tol!r}")
 
     def geometry(self) -> radar.ArrayGeometry:
         return radar.ArrayGeometry(m=self.m, wavelength=self.wavelength)
@@ -221,7 +228,7 @@ def _stacked_modes(
     plan: ExperimentPlan, h: np.ndarray
 ) -> tuple[list[_ModeSetup], np.ndarray, np.ndarray]:
     """Mode setups for a (C, K, N_BS, M) stack of channel draws, with the
-    selected BS index (C,) and the degradation norms (C, K)."""
+    selected BS's 0-based index (C,) and the degradation norms (C, K)."""
     a = radar.steering_vector(plan.geometry(), plan.theta_target)
     x = radar.orthogonal_waveforms(plan.m, plan.l)
     p, _ = sharing.null_projectors(h, plan.rank_tol_factor)     # (C, K, M, M)
@@ -241,37 +248,20 @@ def _stacked_modes(
     return modes, selected, norms
 
 
-def _build_modes(
-    plan: ExperimentPlan,
-    channels: list[sharing.InterferenceChannel],
-) -> tuple[list[_ModeSetup], sharing.ChannelSelection]:
-    """Mode setups (C = 1) and the channel selection for one draw of K channels."""
-    modes, selected, norms = _stacked_modes(plan, np.stack([ch.h for ch in channels])[None])
-    selection = sharing.ChannelSelection(
-        selected=channels[int(selected[0])].bs_id,
-        norms=tuple(float(n) for n in norms[0]),
-        bs_ids=tuple(ch.bs_id for ch in channels),
-    )
-    return modes, selection
+def _channels(plan: ExperimentPlan, snr_index: int, first: int,
+              count: int) -> np.ndarray:
+    """(C, K, N_BS, M) channel draws for trials [first, first + count) of
+    SNR point snr_index.
 
-
-def _trial_channels(plan: ExperimentPlan, snr_index: int, trial_id: int):
-    rng = rng_substream(plan.master_seed, _trial_channel_stream(snr_index, trial_id))
-    return sharing.draw_channels(plan.k, plan.n_bs, plan.m, rng)
-
-
-def _redrawn_channels(plan: ExperimentPlan, snr_index: int, first: int,
-                      count: int) -> np.ndarray:
-    """(count, K, N_BS, M) channel draws of trials [first, first + count),
-    each from its own stream, as `_trial_channels` draws them one by one."""
-    rngs = [rng_substream(plan.master_seed, _trial_channel_stream(snr_index, t))
-            for t in range(first, first + count)]
+    A fixed channel is stream 0 alone (C = 1) for every point and trial;
+    redrawn channels give each trial its own stream (C = count).
+    """
+    if plan.channel_mode == CHANNEL_FIXED:
+        streams = [_CHANNEL_STREAM]
+    else:
+        streams = [_trial_channel_stream(snr_index, t) for t in range(first, first + count)]
+    rngs = [rng_substream(plan.master_seed, s) for s in streams]
     return sharing.channel_matrices(rngs, plan.k, plan.n_bs, plan.m)
-
-
-def _fixed_channels(plan: ExperimentPlan):
-    rng = rng_substream(plan.master_seed, _CHANNEL_STREAM)
-    return sharing.draw_channels(plan.k, plan.n_bs, plan.m, rng)
 
 
 def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
@@ -372,7 +362,7 @@ def _run_point(plan: ExperimentPlan, snr_index: int,
     for start in range(0, trials, step):
         count = min(step, trials - start)
         if redrawn:
-            h = _redrawn_channels(plan, snr_index, start, count)
+            h = _channels(plan, snr_index, start, count)
             engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
             gains.append(engine.target_gain)
         s1 = engine.statistics(_noise_block(plan, snr_index, _H1, start, count), alpha)
@@ -400,11 +390,7 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     snr_index = plan.snr_grid_db.index(snr_db)
     geom = plan.geometry()
     alpha = math.sqrt(10 ** (snr_db / 10))
-    if plan.channel_mode == CHANNEL_FIXED:
-        channels = _fixed_channels(plan)
-    else:
-        channels = _trial_channels(plan, snr_index, trial_id)
-    modes, _ = _build_modes(plan, channels)
+    modes, _, _ = _stacked_modes(plan, _channels(plan, snr_index, trial_id, 1))
     cfg = detection.DetectorConfig(pfa=pfa, theta_grid=plan.theta_grid())
     threshold = detection.chi2_central_inv(1 - pfa)
 
@@ -423,8 +409,8 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
         e1 = detection.sufficient_statistic(y1, x_tx)
         e0 = detection.sufficient_statistic(y0, x_tx)
         if plan.scan:
-            r1 = detection.glrt_scan(e1, corr, geom, cfg, 1.0)
-            r0 = detection.glrt_scan(e0, corr, geom, cfg, 1.0)
+            r1 = detection.glrt_scan(e1, corr, geom, cfg)
+            r0 = detection.glrt_scan(e0, corr, geom, cfg)
             out[ms.label] = TrialOutcome(
                 statistic_h1=r1.statistic, statistic_h0=r0.statistic,
                 detected_h1=r1.detected, detected_h0=r0.detected,
@@ -435,8 +421,8 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
                 out[ms.label] = TrialOutcome(0.0, 0.0, False, False,
                                              plan.theta_target, True)
                 continue
-            s1 = detection.glrt_statistic(e1, corr, geom, plan.theta_target, 1.0)
-            s0 = detection.glrt_statistic(e0, corr, geom, plan.theta_target, 1.0)
+            s1 = detection.glrt_statistic(e1, corr, geom, plan.theta_target)
+            s0 = detection.glrt_statistic(e0, corr, geom, plan.theta_target)
             out[ms.label] = TrialOutcome(
                 statistic_h1=s1, statistic_h0=s0,
                 detected_h1=s1 > threshold, detected_h0=s0 > threshold,
@@ -450,22 +436,20 @@ def _mean_theory_pd(plan: ExperimentPlan, snr: np.ndarray,
     """Theory P_D averaged over each point's channel draws, per convention
     and P_FA: {(convention, pfa): (points, modes)}.
 
-    `gains` is (points, C, modes) and `snr` (points,).  The noncentralities
-    are those of `detection` written in the gain c: calibrated 2 SNR M c;
-    published SNR M^2 for orthogonal waveforms and SNR c^2 for projected ones.
-    Points go in groups of about _BLOCK_ELEMENTS values, since scipy's
-    noncentral survival function takes several temporaries of its input's
-    size; each point's trials are still reduced in one step.
+    `gains` is (points, C, modes) and `snr` (points,); the noncentralities
+    are `detection.noncentrality`'s.  Points go in groups of about
+    _BLOCK_ELEMENTS values, since scipy's noncentral survival function takes
+    several temporaries of its input's size; each point's trials are still
+    reduced in one step.
     """
     orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
     step = max(1, _BLOCK_ELEMENTS // gains[0].size)
     out = {(conv, p): [] for conv in ("paper", "calibrated") for p in plan.pfa_list}
     for i in range(0, len(snr), step):
         g, s = gains[i:i + step], snr[i:i + step, None, None]
-        rho = {"paper": s * np.where(orthogonal, float(plan.m * plan.m), g ** 2),
-               "calibrated": s * (2.0 * plan.m * g)}
         for conv, p in out:
-            out[conv, p].append(detection.theoretical_pd(rho[conv], p).mean(axis=1))
+            rho = detection.noncentrality(conv, plan.m, s, g, orthogonal)
+            out[conv, p].append(detection.theoretical_pd(rho, p).mean(axis=1))
     return {key: np.concatenate(parts) for key, parts in out.items()}
 
 
@@ -474,8 +458,10 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     regardless of worker count."""
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
-        modes, selection = _build_modes(plan, _fixed_channels(plan))
+        modes, selected, norms = _stacked_modes(plan, _channels(plan, 0, 0, 1))
         engine = _PointEngine(plan, modes)
+        selection = sharing.ChannelSelection(
+            selected=int(selected[0]) + 1, norms=tuple(float(n) for n in norms[0]))
     indices = list(range(len(plan.snr_grid_db)))
     if workers > 1 and len(indices) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -598,11 +584,3 @@ def mean_selected_gap_db(
     modes, _, _ = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)
     return float(np.mean(detection.theory_snr_gap_db(plan.m, modes[0].gain, convention)))
 
-
-def make_plan(**kwargs) -> ExperimentPlan:
-    """Convenience constructor used by the CLI and tests."""
-    return ExperimentPlan(**kwargs)
-
-
-def with_overrides(plan: ExperimentPlan, **kwargs) -> ExperimentPlan:
-    return replace(plan, **kwargs)

@@ -1,5 +1,6 @@
-"""Spectrum sharing machinery: interference channels, null-space projectors,
-minimum-degradation channel selection, and waveform projection."""
+"""Spectrum sharing machinery on stacks of channels: Rayleigh-fading channel
+draws, null-space projectors, minimum-degradation selection, projected
+waveform correlations and residual interference."""
 
 from __future__ import annotations
 
@@ -14,44 +15,18 @@ from .numerics import svd
 # Relative tie window for the argmin over degradation norms.  With exactly
 # orthogonal waveforms every channel degrades the waveform by the identical
 # amount (||P X - X||_F^2 = min(N_BS, M) for any full-rank channel), so the
-# argmin is decided by this tolerance, which resolves ties to the lowest bs_id.
+# argmin is decided by this tolerance, which resolves ties to the lowest index.
 _TIE_RTOL = 1e-9
 
 _DEFAULT_RANK_TOL_FACTOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class InterferenceChannel:
-    """Radar-to-BS channel: N_BS x M matrix of i.i.d. CN(0,1) gains."""
-
-    bs_id: int
-    h: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProjectionMatrix:
-    """Hermitian idempotent projector onto null(H) with trace = nullity."""
-
-    bs_id: int
-    p: np.ndarray
-    nullity: int
-
-
-@dataclass(frozen=True)
 class ChannelSelection:
     """Result of the minimum-degradation argmin over K projectors."""
 
-    selected: int                 # bs_id of the winner
-    norms: tuple[float, ...]      # ||P_i X - X||_F per projector, in input order
-    bs_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ProjectedWaveform:
-    """Projected samples and their (rank-deficient) sample-sum correlation."""
-
-    samples: np.ndarray
-    correlation: np.ndarray
+    selected: int                 # 1-based index of the winning BS
+    norms: tuple[float, ...]      # ||P_i X - X||_F per BS, in BS order
 
 
 def channel_matrices(
@@ -70,14 +45,6 @@ def channel_matrices(
     for rng, row in zip(rngs, z):
         rng.standard_normal(out=row)
     return math.sqrt(0.5) * (z[:, :, 0] + 1j * z[:, :, 1])
-
-
-def draw_channels(
-    k: int, n_bs: int, m: int, rng: np.random.Generator
-) -> list[InterferenceChannel]:
-    """Draw K independent N_BS x M Rayleigh-fading channels from one stream."""
-    h = channel_matrices([rng], k, n_bs, m)[0]
-    return [InterferenceChannel(bs_id=i + 1, h=h[i]) for i in range(k)]
 
 
 def null_projectors(
@@ -131,47 +98,9 @@ def projected_correlation(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return pf @ np.swapaxes(pf.conj(), -1, -2)
 
 
-def projection_matrix(
-    ch: InterferenceChannel, rank_tol: float | None = None
-) -> ProjectionMatrix:
-    """Orthogonal projector onto the null space of one channel matrix
-    (`null_projectors` of a single matrix)."""
-    p, nullity = null_projectors(ch.h, rank_tol)
-    return ProjectionMatrix(bs_id=ch.bs_id, p=p, nullity=int(nullity))
-
-
-def select_channel(
-    projs: list[ProjectionMatrix], x: np.ndarray
-) -> ChannelSelection:
-    """Pick the projector that least degrades the waveform in Frobenius norm
-    (`select_projector` over one list).
-
-    Ties (within a small relative window) go to the first in input order.
-    """
-    if not projs:
-        raise ConfigurationError("need at least one projector")
-    m = x.shape[0]
-    for pr in projs:
-        if pr.p.shape != (m, m):
-            raise ConfigurationError(
-                f"projector for BS {pr.bs_id} has shape {pr.p.shape}, expected ({m}, {m})"
-            )
-    best, norms = select_projector(np.stack([pr.p for pr in projs]), x)
-    return ChannelSelection(
-        selected=projs[best].bs_id, norms=tuple(float(n) for n in norms),
-        bs_ids=tuple(pr.bs_id for pr in projs),
-    )
-
-
-def project_waveform(proj: ProjectionMatrix, x: np.ndarray) -> ProjectedWaveform:
-    """Project the waveform column-wise and cache its sample-sum correlation."""
-    return ProjectedWaveform(samples=proj.p @ x,
-                             correlation=projected_correlation(proj.p, x))
-
-
-def residual_interference(ch: InterferenceChannel, pw: ProjectedWaveform) -> float:
-    """Normalized residual power the channel would still receive:
-    ||H X||_F / max(1, ||H||_F ||X||_F)."""
-    num = float(np.linalg.norm(ch.h @ pw.samples))
-    den = max(1.0, float(np.linalg.norm(ch.h)) * float(np.linalg.norm(pw.samples)))
+def residual_interference(h: np.ndarray, x_tx: np.ndarray) -> float:
+    """Normalized residual power a channel still receives from the
+    transmitted samples: ||H X_tx||_F / max(1, ||H||_F ||X_tx||_F)."""
+    num = float(np.linalg.norm(h @ x_tx))
+    den = max(1.0, float(np.linalg.norm(h)) * float(np.linalg.norm(x_tx)))
     return num / den

@@ -17,7 +17,7 @@ from nspradar.montecarlo import (
     MODE_NSP_PER_BS,
     MODE_NSP_SELECTED,
     MODE_ORTHOGONAL,
-    make_plan,
+    ExperimentPlan,
     mean_selected_gap_db,
     run_experiment,
     snr_gap,
@@ -44,7 +44,7 @@ def _report(num: int, name: str, ok: bool) -> None:
 
 
 def _band_plan(m, seed, snr_lo, snr_hi):
-    return make_plan(
+    return ExperimentPlan(
         m=m, n_bs=2, k=5, l=16, master_seed=seed,
         snr_grid_db=tuple(np.arange(snr_lo, snr_hi + 0.25, 0.5)),
         pfa_list=(1e-3,), trials_per_point=TRIALS_BAND,
@@ -73,8 +73,7 @@ class TestAcceptance:
             for _ in range(1000):
                 h = (rng.standard_normal((n_bs, m))
                      + 1j * rng.standard_normal((n_bs, m))) / math.sqrt(2)
-                proj = sharing.projection_matrix(sharing.InterferenceChannel(1, h))
-                p = proj.p
+                p, _ = sharing.null_projectors(h)
                 ok &= np.linalg.norm(p - p.conj().T) < 1e-10
                 ok &= np.linalg.norm(p @ p - p) < 1e-10
                 ok &= np.linalg.norm(h @ p) / np.linalg.norm(h) < 1e-8
@@ -86,12 +85,12 @@ class TestAcceptance:
     def test_2_statistical_calibration(self):
         t0 = time.monotonic()
         n = 100_000
-        plan = make_plan(
+        plan = ExperimentPlan(
             m=4, k=1, l=16, snr_grid_db=(0.0,), pfa_list=(0.1,),
             trials_per_point=n, master_seed=7,
             waveform_modes=(MODE_ORTHOGONAL,),
         )
-        modes, _ = montecarlo._build_modes(plan, montecarlo._fixed_channels(plan))
+        modes, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
         engine = montecarlo._PointEngine(plan, modes)
         stats = np.empty(n)
         for start in range(0, n, 10_000):
@@ -114,7 +113,7 @@ class TestAcceptance:
                 round(oracles.pd_at_snr_root(m, float(m), 1e-3, pd), 4)
                 for pd in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
             )
-            plan = make_plan(
+            plan = ExperimentPlan(
                 m=m, k=1, l=16, snr_grid_db=grid, pfa_list=(1e-3,),
                 trials_per_point=10_000, master_seed=11,
                 waveform_modes=(MODE_ORTHOGONAL,),
@@ -173,15 +172,15 @@ class TestAcceptance:
             # selection argmin vs brute-force recomputation, for the fixed
             # draw shared by all trials and for 50 independent redraws
             x = radar.orthogonal_waveforms(plan.m, plan.l)
-            draws = [montecarlo._fixed_channels(plan)]
+            draws = [montecarlo._channels(plan, 0, 0, 1)[0]]
             for r in range(50):
                 rng = rng_substream(plan.master_seed, montecarlo._REDRAW_BASE + r)
-                draws.append(sharing.draw_channels(plan.k, plan.n_bs, plan.m, rng))
-            for channels in draws:
-                projs = [sharing.projection_matrix(ch) for ch in channels]
-                got = sharing.select_channel(projs, x).selected
-                idx, _ = oracles.brute_force_argmin_norms([p.p for p in projs], x)
-                ok &= got == projs[idx].bs_id
+                draws.append(sharing.channel_matrices([rng], plan.k, plan.n_bs, plan.m)[0])
+            for h in draws:
+                p, _ = sharing.null_projectors(h)
+                got, _ = sharing.select_projector(p, x)
+                idx, _ = oracles.brute_force_argmin_norms(list(p), x)
+                ok &= got == idx
         _report(5, "dominance and selection optimality", bool(ok))
 
     def test_6_determinism_across_workers(self, tmp_path):

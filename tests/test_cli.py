@@ -145,6 +145,40 @@ class TestRun:
         assert cli.main(["--config", path]) == cli.EXIT_CONFIG
         assert "config key 'workers': must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["m", "n_bs"])
+    def test_zero_antennas_exit_code(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, f"{key} = 0\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "m, n_bs and k must all be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "NSPSIM_THREADS: expected an integer, got 'abc'"),
+        ("-4", "config key 'workers': must be >= 1, got -4"),
+    ])
+    def test_bad_workers_env_exit_code(self, tmp_path, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("NSPSIM_THREADS", value)
+        path = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rank_tol_factor_that_nulls_nothing_exit_code(self, tmp_path, capsys):
+        # 0.5 * max(n_bs, m) >= 1: no singular value counts toward the rank,
+        # so every projector would be the identity.
+        path = write_config(tmp_path, SMALL + "rank_tol_factor = 0.5\n")
+        assert cli.main(["--config", path]) == cli.EXIT_CONFIG
+        assert "rank_tol_factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, want", [("", None), ("rank_tol_factor = 0.001\n", 0.001)])
+    def test_summary_echoes_rank_tol_factor(self, tmp_path, extra, want):
+        code, out = self._run(tmp_path, extra=extra)
+        assert code == cli.EXIT_OK
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert summary["plan"]["rank_tol_factor"] == want
+
     def test_unknown_preset_exit_code(self, capsys):
         assert cli.main(["--preset", "fig99"]) == cli.EXIT_CONFIG
         assert "fig99" in capsys.readouterr().err

@@ -6,11 +6,10 @@ from scipy import stats as scipy_stats
 
 from nspradar.detection import (
     DetectorConfig,
-    calibrated_noncentrality,
+    direction_gain,
     glrt_scan,
     glrt_statistic,
-    noncentrality_nsp,
-    noncentrality_orthogonal,
+    noncentrality,
     sufficient_statistic,
     theoretical_pd,
     theory_snr_gap_db,
@@ -25,7 +24,7 @@ from nspradar.radar import (
     synthesize_echo,
     transmit_receive_matrix,
 )
-from nspradar.sharing import draw_channels, project_waveform, projection_matrix
+from nspradar.sharing import channel_matrices, null_projectors, projected_correlation
 
 import oracles
 
@@ -40,7 +39,7 @@ def _h0_statistics(n_trials, seed, geom=GEOM4, l=16, theta=0.2):
     out = np.empty(n_trials)
     for t in range(n_trials):
         y = synthesize_echo(scn, geom, x, rng_substream(seed, t))
-        out[t] = glrt_statistic(sufficient_statistic(y, x), r, geom, theta, 1.0)
+        out[t] = glrt_statistic(sufficient_statistic(y, x), r, geom, theta)
     return out
 
 
@@ -76,7 +75,7 @@ class TestSufficientStatistic:
 class TestGlrtStatistic:
     def test_zero_input(self):
         r = np.eye(4, dtype=complex)
-        assert glrt_statistic(np.zeros((4, 4)), r, GEOM4, 0.1, 1.0) == 0.0
+        assert glrt_statistic(np.zeros((4, 4)), r, GEOM4, 0.1) == 0.0
 
     def test_noiseless_value_at_true_angle(self):
         # |a^H (alpha A) a*|^2 scaled: 2 |alpha|^2 M^2 / sigma^2
@@ -84,12 +83,12 @@ class TestGlrtStatistic:
         a = steering_vector(GEOM4, theta)
         e = alpha * transmit_receive_matrix(a)  # noiseless E for R = I
         r = np.eye(m, dtype=complex)
-        got = glrt_statistic(e, r, GEOM4, theta, 1.0)
+        got = glrt_statistic(e, r, GEOM4, theta)
         assert abs(got - 2 * alpha**2 * m**2) < 1e-9
 
     def test_degenerate_direction(self):
         with pytest.raises(DegenerateDirectionError):
-            glrt_statistic(np.eye(4), np.zeros((4, 4)), GEOM4, 0.1, 1.0)
+            glrt_statistic(np.eye(4), np.zeros((4, 4)), GEOM4, 0.1)
 
     def test_h0_law_is_chi2_with_2_dof(self):
         stats = _h0_statistics(20000, seed=21)
@@ -101,12 +100,12 @@ class TestGlrtStatistic:
         x = orthogonal_waveforms(4, l)
         r = np.eye(4, dtype=complex)
         a = steering_vector(GEOM4, theta)
-        rho = calibrated_noncentrality(a, r, 4, snr, 1.0)
+        rho = noncentrality("calibrated", 4, snr, direction_gain(a, r))
         scn = TargetScenario(theta=theta, alpha=math.sqrt(snr))
         vals = []
         for t in range(5000):
             y = synthesize_echo(scn, GEOM4, x, rng_substream(22, t))
-            vals.append(glrt_statistic(sufficient_statistic(y, x), r, GEOM4, theta, 1.0))
+            vals.append(glrt_statistic(sufficient_statistic(y, x), r, GEOM4, theta))
         assert abs(np.mean(vals) - (2 + rho)) < 0.02 * (2 + rho)
 
 
@@ -117,13 +116,13 @@ class TestGlrtScan:
         a = steering_vector(GEOM4, theta)
         e = 2.0 * transmit_receive_matrix(a)
         cfg = DetectorConfig(pfa=0.1)
-        res = glrt_scan(e, np.eye(4, dtype=complex), GEOM4, cfg, 1.0)
+        res = glrt_scan(e, np.eye(4, dtype=complex), GEOM4, cfg)
         assert abs(math.degrees(res.theta_ml) - 10.0) < 1e-9
         assert res.detected
 
     def test_zero_correlation_forces_h0(self):
         cfg = DetectorConfig(pfa=0.1)
-        res = glrt_scan(np.eye(4), np.zeros((4, 4)), GEOM4, cfg, 1.0)
+        res = glrt_scan(np.eye(4), np.zeros((4, 4)), GEOM4, cfg)
         assert res.degenerate
         assert not res.detected
 
@@ -145,7 +144,7 @@ class TestGlrtScan:
         n = 1000
         for t in range(n):
             y = synthesize_echo(scn, GEOM4, x, rng_substream(24, t))
-            res = glrt_scan(sufficient_statistic(y, x), r, GEOM4, cfg, 1.0)
+            res = glrt_scan(sufficient_statistic(y, x), r, GEOM4, cfg)
             hits += res.detected
         assert hits / n > 0.1
 
@@ -161,7 +160,7 @@ class TestGlrtScan:
         n = 300
         for t in range(n):
             y = synthesize_echo(scn, geom, x, rng_substream(25, t))
-            res = glrt_scan(sufficient_statistic(y, x), r, geom, cfg, 1.0)
+            res = glrt_scan(sufficient_statistic(y, x), r, geom, cfg)
             # noise still perturbs the argmax by a grid step or two, so
             # require localization within a degree of the true angle
             hits += abs(math.degrees(res.theta_ml) - 10.0) <= 1.0
@@ -170,42 +169,59 @@ class TestGlrtScan:
 
 class TestNoncentralities:
     def test_orthogonal_values(self):
-        assert noncentrality_orthogonal(4, 1.0, 1.0) == 16.0
-        assert noncentrality_orthogonal(8, 1.0, 1.0) == 64.0
-        assert noncentrality_orthogonal(8, 0.0, 1.0) == 0.0
+        assert noncentrality("paper", 4, 1.0, 4.0, orthogonal=True) == 16.0
+        assert noncentrality("paper", 8, 1.0, 8.0, orthogonal=True) == 64.0
+        assert noncentrality("paper", 8, 0.0, 8.0, orthogonal=True) == 0.0
 
     def test_nsp_identity_matches_orthogonal(self):
         a = steering_vector(GEOM4, 0.3)
-        got = noncentrality_nsp(a, np.eye(4, dtype=complex), 2.0, 0.5)
-        assert abs(got - noncentrality_orthogonal(4, 2.0, 0.5)) < 1e-9
+        snr = 2.0 / 0.5
+        got = noncentrality("paper", 4, snr, direction_gain(a, np.eye(4, dtype=complex)))
+        assert abs(got - noncentrality("paper", 4, snr, 4.0, orthogonal=True)) < 1e-9
 
     def test_nsp_zero_correlation(self):
         a = steering_vector(GEOM4, 0.3)
-        assert noncentrality_nsp(a, np.zeros((4, 4)), 1.0, 1.0) == 0.0
+        assert noncentrality("paper", 4, 1.0, direction_gain(a, np.zeros((4, 4)))) == 0.0
 
     def test_nsp_bounded_by_orthogonal(self):
         geom = ArrayGeometry(m=8)
         theta = math.radians(10)
         a = steering_vector(geom, theta)
         x = orthogonal_waveforms(8, 64)
-        ch = draw_channels(1, 2, 8, rng_substream(26, 0))[0]
-        pw = project_waveform(projection_matrix(ch), x)
+        h = channel_matrices([rng_substream(26, 0)], 1, 2, 8)[0, 0]
+        corr = projected_correlation(null_projectors(h)[0], x)
         # direct matrix evaluation oracle
         direct = abs(sum(
-            a[i].conjugate() * pw.correlation.T[i, j] * a[j]
+            a[i].conjugate() * corr.T[i, j] * a[j]
             for i in range(8) for j in range(8)
         )) ** 2
-        got = noncentrality_nsp(a, pw.correlation, 1.0, 1.0)
+        got = noncentrality("paper", 8, 1.0, direction_gain(a, corr))
         assert abs(got - direct) < 1e-8 * max(1.0, direct)
-        assert got <= noncentrality_orthogonal(8, 1.0, 1.0) + 1e-9
-        cal_nsp = calibrated_noncentrality(a, pw.correlation, 8, 1.0, 1.0)
-        cal_orth = calibrated_noncentrality(a, np.eye(8, dtype=complex), 8, 1.0, 1.0)
+        assert got <= noncentrality("paper", 8, 1.0, 8.0, orthogonal=True) + 1e-9
+        cal_nsp = noncentrality("calibrated", 8, 1.0, direction_gain(a, corr))
+        cal_orth = noncentrality("calibrated", 8, 1.0,
+                                 direction_gain(a, np.eye(8, dtype=complex)))
         assert cal_nsp <= cal_orth + 1e-9
 
     def test_calibrated_identity_case(self):
         a = steering_vector(GEOM4, 0.3)
-        got = calibrated_noncentrality(a, np.eye(4, dtype=complex), 4, 1.5, 0.5)
+        got = noncentrality("calibrated", 4, 1.5 / 0.5,
+                            direction_gain(a, np.eye(4, dtype=complex)))
         assert abs(got - 2 * 1.5 * 16 / 0.5) < 1e-9
+
+    def test_paper_convention_per_mode_on_stacks(self):
+        # The orthogonal mode keeps the published M^2 even where the
+        # computed gain a^H a is not exactly M; the other modes use c^2.
+        gain = np.array([[4.0 - 4e-16, 2.5], [3.0, 1.0]])
+        got = noncentrality("paper", 4, np.array([[1.0], [2.0]]), gain,
+                            orthogonal=np.array([True, False]))
+        np.testing.assert_array_equal(got, [[16.0, 6.25], [32.0, 2.0]])
+        np.testing.assert_array_equal(
+            noncentrality("calibrated", 4, 2.0, gain), 16.0 * gain)
+
+    def test_unknown_convention(self):
+        with pytest.raises(ValueError):
+            noncentrality("published", 4, 1.0, 4.0)
 
 
 class TestTheoreticalPd:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,16 @@ from nspradar.montecarlo import (
     MODE_NSP_SELECTED,
     MODE_ORTHOGONAL,
     ExperimentPlan,
-    make_plan,
     mean_selected_gap_db,
     run_experiment,
     run_trial,
     snr_gap,
     wilson_interval,
-    with_overrides,
     _isotonic,
 )
 
 import nspradar.montecarlo as montecarlo
+from nspradar import sharing
 import oracles
 
 
@@ -31,7 +31,7 @@ def tiny_plan(**kwargs):
         waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_SELECTED),
     )
     base.update(kwargs)
-    return make_plan(**base)
+    return ExperimentPlan(**base)
 
 
 class TestPlanValidation:
@@ -53,16 +53,36 @@ class TestPlanValidation:
             {"k": 0},
             {"theta_target_deg": 91.0},
             {"theta_step_deg": 0.0},
+            {"m": 0},
+            {"n_bs": 0},
+            {"rank_tol_factor": math.nan},
+            {"rank_tol_factor": math.inf},
+            {"rank_tol_factor": -1e-3},
+            # rank_tol_factor * max(n_bs, m) >= 1 nulls nothing: P = I.
+            {"rank_tol_factor": 0.5},
+            {"rank_tol_factor": 0.25},
+            {"m": 8, "l": 16, "rank_tol_factor": 0.125},
+            {"n_bs": 10, "rank_tol_factor": 0.1},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigurationError):
-            make_plan(**kwargs)
+            ExperimentPlan(**kwargs)
 
-    def test_with_overrides(self):
-        plan = with_overrides(tiny_plan(), master_seed=9)
+    @pytest.mark.parametrize("rank_tol_factor", [None, 0.0, 1e-3, 0.2])
+    def test_accepts_rank_tol_factors_that_keep_the_largest_singular_value(
+            self, rank_tol_factor):
+        plan = ExperimentPlan(rank_tol_factor=rank_tol_factor)
+        h = montecarlo._channels(plan, 0, 0, 1)
+        _, nullity = sharing.null_projectors(h, plan.rank_tol_factor)
+        assert np.all(nullity < plan.m)
+
+    def test_replace_revalidates(self):
+        plan = replace(tiny_plan(), master_seed=9)
         assert plan.master_seed == 9
         assert plan.snr_grid_db == (0.0, 6.0)
+        with pytest.raises(ConfigurationError):
+            replace(plan, k=0)
 
 
 class TestWilsonInterval:
@@ -199,7 +219,7 @@ class TestEngineOracle:
             waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
             scan=scan, theta_step_deg=1.0,
         )
-        modes, _ = montecarlo._build_modes(plan, montecarlo._fixed_channels(plan))
+        modes, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
         engine = montecarlo._PointEngine(plan, modes)
         alpha = math.sqrt(10 ** (6.0 / 10))
         e1 = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, 8)
@@ -240,7 +260,7 @@ class TestNoiseDraws:
         # which is drawn directly, so L no longer enters the draws.
         plan = tiny_plan(trials_per_point=300)
         a = run_experiment(plan)
-        b = run_experiment(with_overrides(plan, l=40))
+        b = run_experiment(replace(plan, l=40))
         for ca, cb in zip(a.curves, b.curves):
             assert [(p.detections, p.false_alarms) for p in ca.points] == [
                 (p.detections, p.false_alarms) for p in cb.points
@@ -253,18 +273,25 @@ class TestNoiseDraws:
         assert montecarlo._REDRAW_BASE + 2**32 < montecarlo._NOISE_BASE
 
     def test_redrawn_block_equals_per_trial_channels(self):
-        plan = tiny_plan()
-        block = montecarlo._redrawn_channels(plan, 1, 15, 4)
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN)
+        block = montecarlo._channels(plan, 1, 15, 4)
         for i, row in enumerate(block):
-            want = np.stack([ch.h for ch in montecarlo._trial_channels(plan, 1, 15 + i)])
+            want = montecarlo._channels(plan, 1, 15 + i, 1)[0]
             assert row.tobytes() == want.tobytes()
+
+    def test_fixed_channel_is_one_draw_for_every_trial(self):
+        plan = tiny_plan()
+        want = montecarlo._channels(plan, 0, 0, 1)
+        assert want.shape == (1, plan.k, plan.n_bs, plan.m)
+        assert montecarlo._channels(plan, 1, 15, 4).tobytes() == want.tobytes()
 
     def test_channel_draws_are_pinned(self):
         # Acceptance seeds are pinned to channel draws, so the noise streams
         # must leave the channel streams where they are.
         plan = tiny_plan()
-        fixed = montecarlo._fixed_channels(plan)[0].h[0, 0]
-        trial = montecarlo._trial_channels(plan, 1, 17)[2].h[1, 3]
+        fixed = montecarlo._channels(plan, 0, 0, 1)[0, 0, 0, 0]
+        redrawn = replace(plan, channel_mode=CHANNEL_REDRAWN)
+        trial = montecarlo._channels(redrawn, 1, 17, 1)[0, 2, 1, 3]
         assert fixed == -0.531437094499637 + 0.023026140752559265j
         assert trial == -0.1857017865529491 - 0.26512386584123976j
 
@@ -343,8 +370,8 @@ class TestRunExperiment:
 
     def test_fixed_setup_is_built_once(self, monkeypatch):
         calls = []
-        build = montecarlo._build_modes
-        monkeypatch.setattr(montecarlo, "_build_modes",
+        build = montecarlo._stacked_modes
+        monkeypatch.setattr(montecarlo, "_stacked_modes",
                             lambda *args: calls.append(1) or build(*args))
         run_experiment(tiny_plan(snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=10))
         assert len(calls) == 1
@@ -361,6 +388,90 @@ class TestRunExperiment:
         for curve in result.curves:
             by_pfa = {pt.pfa: pt.pd_emp for pt in curve.points}
             assert by_pfa[0.1] >= by_pfa[1e-3]
+
+
+# run_experiment's tallies and theory columns for GOLDEN_PLAN, per channel
+# setting: {label: [(detections, false_alarms, degenerate, pd_theory_paper,
+# pd_theory_calibrated) at -6 dB, at 0 dB]}.  Recorded before the scalar
+# channel/projector layer was replaced by the stacked one; any change to
+# the streams, the selection or the arithmetic shows here.
+GOLDEN_PLAN = dict(
+    m=4, k=2, l=16, snr_grid_db=(-6.0, 0.0), pfa_list=(0.1,), trials_per_point=40,
+    master_seed=5, waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
+)
+GOLDEN = {
+    "fixed": {
+        "orthogonal": [
+            (34, 7, 0, 0.5440529562566051, 0.8152917144245608),
+            (40, 7, 0, 0.9786015642681981, 0.9998694333859738),
+        ],
+        "nsp-bs1": [
+            (32, 6, 0, 0.3783434868292715, 0.7149767374024334),
+            (40, 7, 0, 0.8725422122131625, 0.9985294586036594),
+        ],
+        "nsp-bs2": [
+            (28, 5, 0, 0.311521100188079, 0.657718169481609),
+            (40, 11, 0, 0.7723090242273178, 0.9958529653201275),
+        ],
+        "nsp-selected": [
+            (32, 6, 0, 0.3783434868292715, 0.7149767374024334),
+            (40, 7, 0, 0.8725422122131625, 0.9985294586036594),
+        ],
+    },
+    "scan": {
+        "orthogonal": [
+            (40, 25, 0, 0.5440529562566051, 0.8152917144245608),
+            (40, 29, 0, 0.9786015642681981, 0.9998694333859738),
+        ],
+        "nsp-bs1": [
+            (37, 25, 0, 0.3783434868292715, 0.7149767374024334),
+            (40, 28, 0, 0.8725422122131625, 0.9985294586036594),
+        ],
+        "nsp-bs2": [
+            (35, 33, 0, 0.311521100188079, 0.657718169481609),
+            (40, 28, 0, 0.7723090242273178, 0.9958529653201275),
+        ],
+        "nsp-selected": [
+            (37, 25, 0, 0.3783434868292715, 0.7149767374024334),
+            (40, 28, 0, 0.8725422122131625, 0.9985294586036594),
+        ],
+    },
+    "redrawn": {
+        "orthogonal": [
+            (34, 7, 0, 0.5440529562566047, 0.8152917144245608),
+            (40, 7, 0, 0.9786015642681981, 0.9998694333859743),
+        ],
+        "nsp-bs1": [
+            (24, 8, 0, 0.2544715921933916, 0.5461940528852167),
+            (36, 5, 0, 0.511215816617503, 0.8720014364855043),
+        ],
+        "nsp-bs2": [
+            (24, 5, 0, 0.22874556698931786, 0.5092863728678163),
+            (35, 8, 0, 0.5398320584541472, 0.9239252886858363),
+        ],
+        "nsp-selected": [
+            (24, 8, 0, 0.2544715921933916, 0.5461940528852167),
+            (36, 5, 0, 0.511215816617503, 0.8720014364855043),
+        ],
+    },
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("setting, kwargs", [
+        ("fixed", {}),
+        ("scan", {"scan": True, "theta_step_deg": 5.0}),
+        ("redrawn", {"channel_mode": CHANNEL_REDRAWN}),
+    ])
+    def test_tallies_and_theory_are_pinned(self, setting, kwargs):
+        result = run_experiment(ExperimentPlan(**GOLDEN_PLAN, **kwargs))
+        got = {c.label: [(p.detections, p.false_alarms, p.degenerate,
+                          p.pd_theory_paper, p.pd_theory_calibrated) for p in c.points]
+               for c in result.curves}
+        assert got == GOLDEN[setting]
+        if setting != "redrawn":
+            assert result.selection.selected == 1
+            assert result.selection.norms == (1.4142135623730951, 1.4142135623730951)
 
 
 class TestSnrGap:
@@ -385,11 +496,11 @@ class TestSnrGap:
         geom = plan.geometry()
         a = radar.steering_vector(geom, plan.theta_target)
         x = radar.orthogonal_waveforms(plan.m, plan.l)
-        chans = sharing.draw_channels(plan.k, plan.n_bs, plan.m, rng_substream(plan.master_seed, 0))
-        projs = [sharing.projection_matrix(ch) for ch in chans]
-        sel = sharing.select_channel(projs, x)
-        pw = sharing.project_waveform(projs[sel.selected - 1], x)
-        gain = detection.direction_gain(a, pw.correlation)
+        h = sharing.channel_matrices([rng_substream(plan.master_seed, 0)],
+                                     plan.k, plan.n_bs, plan.m)[0]
+        p, _ = sharing.null_projectors(h)
+        best, _ = sharing.select_projector(p, x)
+        gain = detection.direction_gain(a, sharing.projected_correlation(p[best], x))
         want = detection.theory_snr_gap_db(plan.m, gain, "calibrated")
         assert abs(report.gap_db[MODE_NSP_SELECTED] - want) < 0.05
         assert report.gap_db[MODE_ORTHOGONAL] == 0.0

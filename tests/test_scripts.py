@@ -1,0 +1,16 @@
+import os
+import runpy
+import sys
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def test_search_band_seeds_finds_the_pinned_seeds(monkeypatch, capsys):
+    # Seed 26 is acceptance criterion 4's SEED_2X4.
+    monkeypatch.setattr(sys, "argv", ["search_band_seeds.py", "--max-seed", "200",
+                                      "--limit", "2"])
+    runpy.run_path(os.path.join(SCRIPTS, "search_band_seeds.py"), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 4: gaps [5.87, 12.61, 7.91, 9.22, 6.83] dB, selected BS 1",
+        "seed 26: gaps [6.22, 10.85, 13.19, 13.63, 9.1] dB, selected BS 1",
+    ]
