@@ -18,8 +18,7 @@ from nspradar.numerics import rng_substream
 
 
 def gaps_for_seed(seed, m, n_bs, k, l, theta):
-    geom = radar.ArrayGeometry(m=m)
-    a = radar.steering_vector(geom, theta)
+    a = radar.steering_vector(m, theta)
     x = radar.orthogonal_waveforms(m, l)
     h = sharing.channel_matrices([rng_substream(seed, 0)], k, n_bs, m)[0]
     p, _ = sharing.null_projectors(h)

@@ -1,28 +1,29 @@
-"""GLRT detector: matched-filter sufficient statistic, calibrated test
-statistic, angle scan, thresholds and theoretical detection probabilities."""
+"""GLRT detector: matched-filter sufficient statistic, the calibrated test
+statistic maximized over an angle grid, thresholds and theoretical
+detection probabilities.
+
+Detection at a known target angle is the scan over the one-angle grid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDirectionError
+from .errors import ConfigurationError
 from .numerics import chi2_central_inv, chi2_noncentral_sf
-from .radar import ArrayGeometry, steering_vector
+from .radar import steering_vector
 
-# A steering direction whose waveform-correlation quadratic form falls below
-# this fraction of the orthogonal value M is treated as lying in the
-# projector's kernel.
-_DENOMINATOR_FLOOR_FRAC = 1e-10
+# A steering direction whose direction gain a^H R^T a falls below this
+# fraction of the orthogonal value M is treated as lying in the projector's
+# kernel.
+GAIN_FLOOR_FRAC = 1e-10
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
     pfa: float
-    theta_grid: np.ndarray = field(
-        default_factory=lambda: np.deg2rad(np.arange(-90.0, 90.0 + 0.25, 0.5))
-    )
+    theta_grid: np.ndarray
 
     def __post_init__(self):
         if not 0 < self.pfa < 1:
@@ -66,44 +67,22 @@ def direction_gain(a: np.ndarray, r: np.ndarray):
     return float(gain) if gain.ndim == 0 else gain
 
 
-def glrt_statistic(
-    e: np.ndarray,
-    r: np.ndarray,
-    geom: ArrayGeometry,
-    theta: float,
-) -> float:
-    """Scaled GLRT ratio 2 |a^H E a*|^2 / (M a^H R^T a) at a single angle.
+def glrt_scan(e: np.ndarray, r: np.ndarray, cfg: DetectorConfig) -> GlrtResult:
+    """Maximize the scaled GLRT ratio 2 |a^H E a*|^2 / (M a^H R^T a) over the
+    angle grid and threshold it; M is the size of the M x M correlation R.
 
-    With unit noise variance the statistic is exactly chi-squared with two
-    degrees of freedom under the target-absent hypothesis.
-    """
-    a = steering_vector(geom, theta)
-    m = geom.m
-    denom = direction_gain(a, r)
-    if denom < _DENOMINATOR_FLOOR_FRAC * m:
-        raise DegenerateDirectionError(
-            f"direction gain {denom:.3e} below floor at theta={theta:.4f}"
-        )
-    num = abs(a.conj() @ e @ a.conj()) ** 2
-    return float(2.0 * num / (m * denom))
-
-
-def glrt_scan(
-    e: np.ndarray,
-    r: np.ndarray,
-    geom: ArrayGeometry,
-    cfg: DetectorConfig,
-) -> GlrtResult:
-    """Maximize the GLRT statistic over the angle grid and threshold it.
-
-    Degenerate grid points are skipped; an entirely degenerate grid yields a
-    forced target-absent decision with the degeneracy flag set.
+    With unit noise variance the statistic at each angle is exactly
+    chi-squared with two degrees of freedom under the target-absent
+    hypothesis.  Degenerate grid points (direction gain below the floor) are
+    skipped; an entirely degenerate grid yields a forced target-absent
+    decision with statistic 0 and the degeneracy flag set.
     """
     threshold = chi2_central_inv(1.0 - cfg.pfa)
     grid = cfg.theta_grid
-    a_grid = steering_vector(geom, grid)  # M x G
+    m = len(r)
+    a_grid = steering_vector(m, grid)  # M x G
     denom = np.real(np.einsum("mg,mn,ng->g", a_grid.conj(), r.T, a_grid))
-    valid = denom >= _DENOMINATOR_FLOOR_FRAC * geom.m
+    valid = denom >= GAIN_FLOOR_FRAC * m
     if not np.any(valid):
         return GlrtResult(
             statistic=0.0, theta_ml=float(grid[0]), detected=False,
@@ -111,7 +90,7 @@ def glrt_scan(
         )
     num = np.abs(np.einsum("mg,mn,ng->g", a_grid.conj(), e, a_grid.conj())) ** 2
     stats = np.full(grid.size, -np.inf)
-    stats[valid] = 2.0 * num[valid] / (geom.m * denom[valid])
+    stats[valid] = 2.0 * num[valid] / (m * denom[valid])
     best = int(np.argmax(stats))  # ties resolve to the smaller angle
     return GlrtResult(
         statistic=float(stats[best]),

@@ -12,8 +12,3 @@ class NumericFailure(NspRadarError):
 class ConfigurationError(NspRadarError):
     """Invalid experiment or detector configuration."""
 
-
-class DegenerateDirectionError(NspRadarError):
-    """The GLRT denominator vanished: the steering direction lies in the
-    projector's kernel (or the projected waveform is zero)."""
-

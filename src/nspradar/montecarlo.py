@@ -15,6 +15,10 @@ count.  `run_trial` lifts the same E0 to N = E0 X, which has N X^H = E0,
 and runs the explicit pipeline; it is the test oracle of the vectorized
 engine.
 
+The detector is one GLRT maximized over `ExperimentPlan.theta_grid()`: the
+scan grid, or the target angle alone when the scan is off.  The engine and
+`run_trial` both take that grid.
+
 Channels take one route everywhere: `_channels` draws a (C, K, N_BS, M)
 stack and `_stacked_modes` turns it into projectors (one stacked SVD), the
 selection per draw and the mode setups.  A fixed channel is stream 0 alone
@@ -64,7 +68,6 @@ _NOISE_BASE = 2**63
 _H1 = 0
 _H0 = 1
 
-_GAIN_FLOOR_FRAC = 1e-10
 _WILSON_Z = 1.959963984540054  # 95%
 _CHUNK = 2000
 # Redrawn-channel blocks hold about this many entries per per-trial array
@@ -89,7 +92,6 @@ class ExperimentPlan:
     scan: bool = False
     theta_step_deg: float = 0.5
     rank_tol_factor: float | None = None
-    wavelength: float = radar.DEFAULT_WAVELENGTH
 
     def __post_init__(self):
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
@@ -102,6 +104,9 @@ class ExperimentPlan:
             raise ConfigurationError("trials_per_point must be >= 1")
         if not self.snr_grid_db:
             raise ConfigurationError("snr grid must be non-empty")
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ConfigurationError(
+                f"snr grid values must be finite, got {self.snr_grid_db}")
         if not self.pfa_list or not all(0 < p < 1 for p in self.pfa_list):
             raise ConfigurationError("pfa values must lie in (0, 1)")
         if self.l < self.m:
@@ -113,7 +118,7 @@ class ExperimentPlan:
             raise ConfigurationError(f"unknown waveform modes: {unknown}")
         if not 0 < self.theta_step_deg <= 180:
             raise ConfigurationError("theta_step_deg must lie in (0, 180]")
-        if abs(self.theta_target_deg) > 90:
+        if not abs(self.theta_target_deg) <= 90:  # also rejects nan
             raise ConfigurationError("theta_target_deg must lie in [-90, 90]")
         # The largest singular value must count toward the rank
         # (`sharing.null_projectors`), or a projector nulls nothing: P = I.
@@ -124,16 +129,19 @@ class ExperimentPlan:
                 f"rank_tol_factor must be finite, >= 0 and below "
                 f"1 / max(n_bs, m) = {1 / max(self.n_bs, self.m):g}, got {tol!r}")
 
-    def geometry(self) -> radar.ArrayGeometry:
-        return radar.ArrayGeometry(m=self.m, wavelength=self.wavelength)
-
     @property
     def theta_target(self) -> float:
         return math.radians(self.theta_target_deg)
 
     def theta_grid(self) -> np.ndarray:
-        return np.deg2rad(np.arange(-90.0, 90.0 + self.theta_step_deg / 2,
-                                     self.theta_step_deg))
+        """The detector's angle grid (radians): -90:theta_step_deg:90 degrees
+        with the scan, the target angle alone without it.  A step that does
+        not divide 180 degrees ends the grid at its last angle below 90."""
+        if not self.scan:
+            return np.array([self.theta_target])
+        grid = np.deg2rad(np.arange(-90.0, 90.0 + self.theta_step_deg / 2,
+                                    self.theta_step_deg))
+        return grid[grid <= np.pi / 2]
 
 
 @dataclass(frozen=True)
@@ -197,7 +205,11 @@ def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # The exact bounds at the edges are 0 and 1; rounded, center - half can
+    # land just above 0 (center + half just below 1) and exclude phat.
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == n else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -229,7 +241,7 @@ def _stacked_modes(
 ) -> tuple[list[_ModeSetup], np.ndarray, np.ndarray]:
     """Mode setups for a (C, K, N_BS, M) stack of channel draws, with the
     selected BS's 0-based index (C,) and the degradation norms (C, K)."""
-    a = radar.steering_vector(plan.geometry(), plan.theta_target)
+    a = radar.steering_vector(plan.m, plan.theta_target)
     x = radar.orthogonal_waveforms(plan.m, plan.l)
     p, _ = sharing.null_projectors(h, plan.rank_tol_factor)     # (C, K, M, M)
     selected, norms = sharing.select_projector(p, x)
@@ -281,24 +293,20 @@ class _PointEngine:
     X X_tx^H = X X^H P = P = R.  At scan angle g the GLRT numerator is
     a_g^H E a_g^*, linear in E0.  With one channel draw (C = 1) a chunk of T
     trials takes one (T, M^2) @ (M^2, modes x G) product for all modes; with
-    C = T draws trial t is evaluated against draw t.  Without the scan the
-    grid is the target angle alone.  This is an exact rewrite of
-    glrt_statistic / glrt_scan on sufficient_statistic(alpha A X_tx + E0 X, X_tx).
+    C = T draws trial t is evaluated against draw t.  The grid is
+    `plan.theta_grid()`.  This is an exact rewrite of glrt_scan on
+    sufficient_statistic(alpha A X_tx + E0 X, X_tx).
     """
 
     def __init__(self, plan: ExperimentPlan, modes: list[_ModeSetup]):
-        geom = plan.geometry()
-        a = radar.steering_vector(geom, plan.theta_target)
-        if plan.scan:
-            a_grid = radar.steering_vector(geom, plan.theta_grid())
-        else:
-            a_grid = a[:, None]                                   # (M, G)
+        a = radar.steering_vector(plan.m, plan.theta_target)
+        a_grid = radar.steering_vector(plan.m, plan.theta_grid())  # (M, G)
         a_conj = a_grid.conj()
         corr = np.stack([ms.corr for ms in modes], axis=1)       # (C, modes, M, M)
         r_a = corr @ a_conj                                      # (C, modes, M, G)
         # c_g = a_g^H R^T a_g = a_g^T R a_g^*
         gain = np.real(np.sum(a_grid * r_a, axis=-2))           # (C, modes, G)
-        valid = gain >= _GAIN_FLOOR_FRAC * plan.m
+        valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
         self.degenerate = ~valid.any(axis=-1)                    # (C, modes)
         self.target_gain = np.stack([ms.gain for ms in modes], axis=1)
         # Invalid angles get scale 0: their statistic 0 never exceeds the
@@ -313,8 +321,8 @@ class _PointEngine:
 
     def statistics(self, e0: np.ndarray, alpha: float) -> np.ndarray:
         """Scaled GLRT statistics, shape (T, modes), for a (T, M, M) stack of
-        E0: the scan maximum, or the value at the true angle.  Columns of
-        degenerate modes (`self.degenerate`) read 0."""
+        E0: the maximum over the grid.  Columns of degenerate modes
+        (`self.degenerate`) read 0."""
         t = len(e0)
         e = e0.reshape(t, -1)
         if len(self.coef) == 1:
@@ -333,7 +341,7 @@ def _redraw_block(plan: ExperimentPlan) -> int:
     """Trials per block in redrawn-channel mode, so that the block's
     per-trial arrays ((K, M, M) projectors, (M^2, modes x G) coefficients)
     hold about _BLOCK_ELEMENTS entries."""
-    grid = len(plan.theta_grid()) if plan.scan else 1
+    grid = len(plan.theta_grid())
     per_trial = plan.m * plan.m * (plan.k + len(_mode_labels(plan)) * grid)
     return max(1, _BLOCK_ELEMENTS // per_trial)
 
@@ -380,7 +388,7 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     """Single-trial reference path through the explicit pipeline.
 
     Lifts the trial's E0 to the echo noise N = E0 X (so N X^H = E0) and runs
-    sufficient_statistic and glrt_statistic / glrt_scan on the echo.
+    sufficient_statistic and glrt_scan over `plan.theta_grid()` on the echo.
     Returns {mode label: TrialOutcome}; deterministic in (plan, snr_db, trial_id).
     """
     if snr_db not in plan.snr_grid_db:
@@ -388,46 +396,28 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     if pfa not in plan.pfa_list:
         raise ConfigurationError(f"pfa {pfa} not in the plan's list")
     snr_index = plan.snr_grid_db.index(snr_db)
-    geom = plan.geometry()
     alpha = math.sqrt(10 ** (snr_db / 10))
     modes, _, _ = _stacked_modes(plan, _channels(plan, snr_index, trial_id, 1))
     cfg = detection.DetectorConfig(pfa=pfa, theta_grid=plan.theta_grid())
-    threshold = detection.chi2_central_inv(1 - pfa)
 
     x = radar.orthogonal_waveforms(plan.m, plan.l)
     n1 = _noise_block(plan, snr_index, _H1, trial_id, 1)[0] @ x
     n0 = _noise_block(plan, snr_index, _H0, trial_id, 1)[0] @ x
     a_mat = radar.transmit_receive_matrix(
-        radar.steering_vector(geom, plan.theta_target)
+        radar.steering_vector(plan.m, plan.theta_target)
     )
 
     out = {}
     for ms in modes:
         x_tx, corr = ms.proj[0] @ x, ms.corr[0]
         y1 = alpha * (a_mat @ x_tx) + n1
-        y0 = n0
-        e1 = detection.sufficient_statistic(y1, x_tx)
-        e0 = detection.sufficient_statistic(y0, x_tx)
-        if plan.scan:
-            r1 = detection.glrt_scan(e1, corr, geom, cfg)
-            r0 = detection.glrt_scan(e0, corr, geom, cfg)
-            out[ms.label] = TrialOutcome(
-                statistic_h1=r1.statistic, statistic_h0=r0.statistic,
-                detected_h1=r1.detected, detected_h0=r0.detected,
-                theta_ml=r1.theta_ml, degenerate=r1.degenerate,
-            )
-        else:
-            if ms.gain[0] < _GAIN_FLOOR_FRAC * plan.m:
-                out[ms.label] = TrialOutcome(0.0, 0.0, False, False,
-                                             plan.theta_target, True)
-                continue
-            s1 = detection.glrt_statistic(e1, corr, geom, plan.theta_target)
-            s0 = detection.glrt_statistic(e0, corr, geom, plan.theta_target)
-            out[ms.label] = TrialOutcome(
-                statistic_h1=s1, statistic_h0=s0,
-                detected_h1=s1 > threshold, detected_h0=s0 > threshold,
-                theta_ml=plan.theta_target, degenerate=False,
-            )
+        r1 = detection.glrt_scan(detection.sufficient_statistic(y1, x_tx), corr, cfg)
+        r0 = detection.glrt_scan(detection.sufficient_statistic(n0, x_tx), corr, cfg)
+        out[ms.label] = TrialOutcome(
+            statistic_h1=r1.statistic, statistic_h0=r0.statistic,
+            detected_h1=r1.detected, detected_h0=r0.detected,
+            theta_ml=r1.theta_ml, degenerate=r1.degenerate,
+        )
     return out
 
 

@@ -1,42 +1,25 @@
-"""Colocated MIMO radar model: array geometry, steering vectors, orthogonal
-waveform synthesis, and single-target echo generation."""
+"""Colocated MIMO radar model: steering vectors of the uniform linear array,
+orthogonal waveform synthesis, and single-target echo generation.
+
+The array has M elements, given to `steering_vector` or read from the rows
+of the waveform; its element spacing is fixed at 3/4 of the carrier
+wavelength.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .numerics import complex_normal
 
-SPEED_OF_LIGHT = 3e8
-CARRIER_FREQ_HZ = 3.55e9
-DEFAULT_WAVELENGTH = SPEED_OF_LIGHT / CARRIER_FREQ_HZ  # ~8.45 cm
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform linear array with M elements.
-
-    Element spacing defaults to 3/4 of the carrier wavelength. (The nominal
-    6.42 cm spacing quoted alongside an 8.5 cm wavelength is internally
-    inconsistent by ~0.5 mm; we derive spacing from the wavelength.)
-    """
-
-    m: int
-    wavelength: float = DEFAULT_WAVELENGTH
-    spacing: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ConfigurationError(f"antenna count must be >= 1, got {self.m}")
-        if self.wavelength <= 0:
-            raise ConfigurationError("wavelength must be positive")
-        if self.spacing == 0.0:
-            object.__setattr__(self, "spacing", 0.75 * self.wavelength)
-        if self.spacing <= 0:
-            raise ConfigurationError("element spacing must be positive")
+# 3.55 GHz carrier (~8.45 cm).  The nominal 6.42 cm spacing quoted alongside
+# an 8.5 cm wavelength is inconsistent by ~0.5 mm, so the spacing is derived
+# from the wavelength.
+_WAVELENGTH = 3e8 / 3.55e9
+_SPACING = 0.75 * _WAVELENGTH
 
 
 @dataclass(frozen=True)
@@ -52,8 +35,9 @@ class TargetScenario:
             raise ConfigurationError("noise variance must be positive")
 
 
-def steering_vector(geom: ArrayGeometry, theta) -> np.ndarray:
-    """Unit-modulus array response a(theta) for azimuth theta (radians).
+def steering_vector(m: int, theta) -> np.ndarray:
+    """Unit-modulus response a(theta) of the M-element array for azimuth
+    theta (radians).
 
     Element k carries phase -2*pi*k*d*sin(theta)/lambda, so a^H a = M.  A
     1-d array of G angles gives the M x G matrix of responses, one column
@@ -61,8 +45,8 @@ def steering_vector(geom: ArrayGeometry, theta) -> np.ndarray:
     """
     if np.any(np.abs(theta) > np.pi / 2):
         raise ValueError(f"azimuth must satisfy |theta| <= pi/2, got {theta}")
-    k = np.arange(geom.m).reshape((-1,) + (1,) * np.ndim(theta))
-    return np.exp(-2j * np.pi * k * geom.spacing * np.sin(theta) / geom.wavelength)
+    k = np.arange(m).reshape((-1,) + (1,) * np.ndim(theta))
+    return np.exp(-2j * np.pi * k * _SPACING * np.sin(theta) / _WAVELENGTH)
 
 
 def transmit_receive_matrix(a: np.ndarray) -> np.ndarray:
@@ -92,14 +76,14 @@ def waveform_correlation(x: np.ndarray) -> np.ndarray:
 
 def synthesize_echo(
     scn: TargetScenario,
-    geom: ArrayGeometry,
     x: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Received echo Y = alpha A(theta) X + N with N i.i.d. CN(0, noise_var).
+    """Received echo Y = alpha A(theta) X + N with N i.i.d. CN(0, noise_var)
+    for an M x L sample matrix X.
 
     The target-absent hypothesis is synthesized with alpha = 0.
     """
-    a = steering_vector(geom, scn.theta)
+    a = steering_vector(len(x), scn.theta)
     signal = scn.alpha * (transmit_receive_matrix(a) @ x)
     return signal + complex_normal(rng, x.shape, scn.noise_var)

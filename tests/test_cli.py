@@ -179,6 +179,26 @@ class TestRun:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["plan"]["rank_tol_factor"] == want
 
+    @pytest.mark.parametrize("line, message", [
+        ("snr_db = [nan, 0.0]", "snr grid values must be finite"),
+        ("snr_db = [inf]", "snr grid values must be finite"),
+        ("theta_target_deg = nan", "theta_target_deg must lie in [-90, 90]"),
+    ])
+    def test_non_finite_angle_or_snr_exit_code(self, tmp_path, capsys, line, message):
+        path = write_config(tmp_path, line + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["7", "13", "100"])
+    def test_scan_step_that_does_not_divide_180_runs(self, tmp_path, step):
+        # The grid stops at its last angle below 90 degrees.
+        code, out = self._run(tmp_path, extra=f"scan = true\ntheta_step_deg = {step}\n",
+                              argv_extra=("--trials", "5"))
+        assert code == cli.EXIT_OK
+        assert os.path.exists(os.path.join(out, "results.csv"))
+
     def test_unknown_preset_exit_code(self, capsys):
         assert cli.main(["--preset", "fig99"]) == cli.EXIT_CONFIG
         assert "fig99" in capsys.readouterr().err

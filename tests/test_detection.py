@@ -8,16 +8,14 @@ from nspradar.detection import (
     DetectorConfig,
     direction_gain,
     glrt_scan,
-    glrt_statistic,
     noncentrality,
     sufficient_statistic,
     theoretical_pd,
     theory_snr_gap_db,
 )
-from nspradar.errors import ConfigurationError, DegenerateDirectionError
+from nspradar.errors import ConfigurationError
 from nspradar.numerics import chi2_central_inv, rng_substream
 from nspradar.radar import (
-    ArrayGeometry,
     TargetScenario,
     orthogonal_waveforms,
     steering_vector,
@@ -29,17 +27,22 @@ from nspradar.sharing import channel_matrices, null_projectors, projected_correl
 import oracles
 
 
-GEOM4 = ArrayGeometry(m=4)
+GRID_HALF_DEG = np.deg2rad(np.arange(-90.0, 90.0 + 0.25, 0.5))
 
 
-def _h0_statistics(n_trials, seed, geom=GEOM4, l=16, theta=0.2):
-    x = orthogonal_waveforms(geom.m, l)
-    r = np.eye(geom.m, dtype=complex)
+def _one_angle(theta):
+    """The detector at a known angle: the scan over the one-angle grid."""
+    return DetectorConfig(pfa=0.1, theta_grid=np.array([theta]))
+
+
+def _h0_statistics(n_trials, seed, m=4, l=16, theta=0.2):
+    x = orthogonal_waveforms(m, l)
+    r = np.eye(m, dtype=complex)
     scn = TargetScenario(theta=theta, alpha=0.0)
     out = np.empty(n_trials)
     for t in range(n_trials):
-        y = synthesize_echo(scn, geom, x, rng_substream(seed, t))
-        out[t] = glrt_statistic(sufficient_statistic(y, x), r, geom, theta)
+        y = synthesize_echo(scn, x, rng_substream(seed, t))
+        out[t] = glrt_scan(sufficient_statistic(y, x), r, _one_angle(theta)).statistic
     return out
 
 
@@ -50,7 +53,7 @@ class TestSufficientStatistic:
 
     def test_noiseless_linearity(self):
         x = orthogonal_waveforms(4, 16)
-        a = steering_vector(GEOM4, 0.4)
+        a = steering_vector(4, 0.4)
         alpha = 0.3 - 1.1j
         y = alpha * transmit_receive_matrix(a) @ x
         expected = alpha * transmit_receive_matrix(a)  # A R_x with R_x = I
@@ -63,7 +66,7 @@ class TestSufficientStatistic:
         acc = np.zeros((4, 4), dtype=complex)
         n = 10**4
         for _ in range(n):
-            acc += sufficient_statistic(synthesize_echo(scn, GEOM4, x, rng), x)
+            acc += sufficient_statistic(synthesize_echo(scn, x, rng), x)
         # each entry averages CN(0, 1/n); 3-sigma bound on the matrix norm
         assert np.linalg.norm(acc / n) < 3 * math.sqrt(16 / n)
 
@@ -75,20 +78,22 @@ class TestSufficientStatistic:
 class TestGlrtStatistic:
     def test_zero_input(self):
         r = np.eye(4, dtype=complex)
-        assert glrt_statistic(np.zeros((4, 4)), r, GEOM4, 0.1) == 0.0
+        assert glrt_scan(np.zeros((4, 4)), r, _one_angle(0.1)).statistic == 0.0
 
     def test_noiseless_value_at_true_angle(self):
         # |a^H (alpha A) a*|^2 scaled: 2 |alpha|^2 M^2 / sigma^2
         theta, alpha, m = 0.25, 1.3, 4
-        a = steering_vector(GEOM4, theta)
+        a = steering_vector(4, theta)
         e = alpha * transmit_receive_matrix(a)  # noiseless E for R = I
         r = np.eye(m, dtype=complex)
-        got = glrt_statistic(e, r, GEOM4, theta)
+        got = glrt_scan(e, r, _one_angle(theta)).statistic
         assert abs(got - 2 * alpha**2 * m**2) < 1e-9
 
     def test_degenerate_direction(self):
-        with pytest.raises(DegenerateDirectionError):
-            glrt_statistic(np.eye(4), np.zeros((4, 4)), GEOM4, 0.1)
+        res = glrt_scan(np.eye(4), np.zeros((4, 4)), _one_angle(0.1))
+        assert res.degenerate
+        assert res.statistic == 0.0
+        assert not res.detected
 
     def test_h0_law_is_chi2_with_2_dof(self):
         stats = _h0_statistics(20000, seed=21)
@@ -99,13 +104,13 @@ class TestGlrtStatistic:
         theta, snr, l = 0.2, 1.0, 16
         x = orthogonal_waveforms(4, l)
         r = np.eye(4, dtype=complex)
-        a = steering_vector(GEOM4, theta)
+        a = steering_vector(4, theta)
         rho = noncentrality("calibrated", 4, snr, direction_gain(a, r))
         scn = TargetScenario(theta=theta, alpha=math.sqrt(snr))
         vals = []
         for t in range(5000):
-            y = synthesize_echo(scn, GEOM4, x, rng_substream(22, t))
-            vals.append(glrt_statistic(sufficient_statistic(y, x), r, GEOM4, theta))
+            y = synthesize_echo(scn, x, rng_substream(22, t))
+            vals.append(glrt_scan(sufficient_statistic(y, x), r, _one_angle(theta)).statistic)
         assert abs(np.mean(vals) - (2 + rho)) < 0.02 * (2 + rho)
 
 
@@ -113,16 +118,16 @@ class TestGlrtScan:
     def test_noiseless_argmax_recovers_angle(self):
         theta = math.radians(10)
         x = orthogonal_waveforms(4, 16)
-        a = steering_vector(GEOM4, theta)
+        a = steering_vector(4, theta)
         e = 2.0 * transmit_receive_matrix(a)
-        cfg = DetectorConfig(pfa=0.1)
-        res = glrt_scan(e, np.eye(4, dtype=complex), GEOM4, cfg)
+        cfg = DetectorConfig(pfa=0.1, theta_grid=GRID_HALF_DEG)
+        res = glrt_scan(e, np.eye(4, dtype=complex), cfg)
         assert abs(math.degrees(res.theta_ml) - 10.0) < 1e-9
         assert res.detected
 
     def test_zero_correlation_forces_h0(self):
-        cfg = DetectorConfig(pfa=0.1)
-        res = glrt_scan(np.eye(4), np.zeros((4, 4)), GEOM4, cfg)
+        cfg = DetectorConfig(pfa=0.1, theta_grid=GRID_HALF_DEG)
+        res = glrt_scan(np.eye(4), np.zeros((4, 4)), cfg)
         assert res.degenerate
         assert not res.detected
 
@@ -143,24 +148,23 @@ class TestGlrtScan:
         hits = 0
         n = 1000
         for t in range(n):
-            y = synthesize_echo(scn, GEOM4, x, rng_substream(24, t))
-            res = glrt_scan(sufficient_statistic(y, x), r, GEOM4, cfg)
+            y = synthesize_echo(scn, x, rng_substream(24, t))
+            res = glrt_scan(sufficient_statistic(y, x), r, cfg)
             hits += res.detected
         assert hits / n > 0.1
 
     def test_argmax_localization_at_high_snr(self):
-        geom = ArrayGeometry(m=8)
         theta = math.radians(10)
         x = orthogonal_waveforms(8, 16)
         r = np.eye(8, dtype=complex)
         snr = 1.0  # calibrated noncentrality 2*M^2 = 128 >= 100
         scn = TargetScenario(theta=theta, alpha=math.sqrt(snr))
-        cfg = DetectorConfig(pfa=0.1)
+        cfg = DetectorConfig(pfa=0.1, theta_grid=GRID_HALF_DEG)
         hits = 0
         n = 300
         for t in range(n):
-            y = synthesize_echo(scn, geom, x, rng_substream(25, t))
-            res = glrt_scan(sufficient_statistic(y, x), r, geom, cfg)
+            y = synthesize_echo(scn, x, rng_substream(25, t))
+            res = glrt_scan(sufficient_statistic(y, x), r, cfg)
             # noise still perturbs the argmax by a grid step or two, so
             # require localization within a degree of the true angle
             hits += abs(math.degrees(res.theta_ml) - 10.0) <= 1.0
@@ -174,19 +178,18 @@ class TestNoncentralities:
         assert noncentrality("paper", 8, 0.0, 8.0, orthogonal=True) == 0.0
 
     def test_nsp_identity_matches_orthogonal(self):
-        a = steering_vector(GEOM4, 0.3)
+        a = steering_vector(4, 0.3)
         snr = 2.0 / 0.5
         got = noncentrality("paper", 4, snr, direction_gain(a, np.eye(4, dtype=complex)))
         assert abs(got - noncentrality("paper", 4, snr, 4.0, orthogonal=True)) < 1e-9
 
     def test_nsp_zero_correlation(self):
-        a = steering_vector(GEOM4, 0.3)
+        a = steering_vector(4, 0.3)
         assert noncentrality("paper", 4, 1.0, direction_gain(a, np.zeros((4, 4)))) == 0.0
 
     def test_nsp_bounded_by_orthogonal(self):
-        geom = ArrayGeometry(m=8)
         theta = math.radians(10)
-        a = steering_vector(geom, theta)
+        a = steering_vector(8, theta)
         x = orthogonal_waveforms(8, 64)
         h = channel_matrices([rng_substream(26, 0)], 1, 2, 8)[0, 0]
         corr = projected_correlation(null_projectors(h)[0], x)
@@ -204,7 +207,7 @@ class TestNoncentralities:
         assert cal_nsp <= cal_orth + 1e-9
 
     def test_calibrated_identity_case(self):
-        a = steering_vector(GEOM4, 0.3)
+        a = steering_vector(4, 0.3)
         got = noncentrality("calibrated", 4, 1.5 / 0.5,
                             direction_gain(a, np.eye(4, dtype=complex)))
         assert abs(got - 2 * 1.5 * 16 / 0.5) < 1e-9

@@ -77,6 +77,23 @@ class TestPlanValidation:
         _, nullity = sharing.null_projectors(h, plan.rank_tol_factor)
         assert np.all(nullity < plan.m)
 
+    @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 5.0, 0.7])
+    def test_scan_grid_is_unchanged_where_it_lies_within_90_degrees(self, step):
+        grid = tiny_plan(scan=True, theta_step_deg=step).theta_grid()
+        want = np.deg2rad(np.arange(-90.0, 90.0 + step / 2, step))
+        assert grid.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("step, last", [(7.0, 85.0), (13.0, 79.0), (100.0, 10.0)])
+    def test_scan_grid_stops_below_90_degrees(self, step, last):
+        grid = tiny_plan(scan=True, theta_step_deg=step).theta_grid()
+        assert np.rad2deg(grid[-1]) == pytest.approx(last)
+        assert np.rad2deg(grid[0]) == -90.0
+        assert np.all(np.abs(grid) <= np.pi / 2)
+
+    def test_grid_without_scan_is_the_target_angle(self):
+        plan = tiny_plan(theta_target_deg=-20.0)
+        assert plan.theta_grid().tolist() == [plan.theta_target]
+
     def test_replace_revalidates(self):
         plan = replace(tiny_plan(), master_seed=9)
         assert plan.master_seed == 9
@@ -99,6 +116,14 @@ class TestWilsonInterval:
 
     def test_empty(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+    def test_edges_contain_their_estimate(self):
+        # The bounds' formula, rounded, gives lo = 8.7e-19 at 0 of 250 and
+        # hi = 1 - 2.2e-16 at 250 of 250.
+        for n in range(1, 20_001):
+            for k in (0, n):
+                lo, hi = wilson_interval(k, n)
+                assert lo <= k / n <= hi
 
     def test_width_shrinks_with_n(self):
         w1 = np.diff(wilson_interval(10, 100))[0]
@@ -493,8 +518,7 @@ class TestSnrGap:
         import nspradar.sharing as sharing
         from nspradar.numerics import rng_substream
 
-        geom = plan.geometry()
-        a = radar.steering_vector(geom, plan.theta_target)
+        a = radar.steering_vector(plan.m, plan.theta_target)
         x = radar.orthogonal_waveforms(plan.m, plan.l)
         h = sharing.channel_matrices([rng_substream(plan.master_seed, 0)],
                                      plan.k, plan.n_bs, plan.m)[0]

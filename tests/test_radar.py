@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from nspradar.errors import ConfigurationError
 from nspradar.numerics import rng_substream
 from nspradar.radar import (
-    ArrayGeometry,
     TargetScenario,
     orthogonal_waveforms,
     steering_vector,
@@ -19,63 +18,60 @@ from nspradar.radar import (
 import oracles
 
 
-@pytest.fixture
-def geom8():
-    return ArrayGeometry(m=8)
+M8 = 8
 
 
 class TestSteeringVector:
     def test_broadside_all_ones(self):
-        a = steering_vector(ArrayGeometry(m=4), 0.0)
+        a = steering_vector(4, 0.0)
         np.testing.assert_allclose(a, np.ones(4))
 
-    def test_angle_array_gives_one_column_per_angle(self, geom8):
+    def test_angle_array_gives_one_column_per_angle(self):
         grid = np.deg2rad(np.arange(-90.0, 90.5, 7.5))
-        got = steering_vector(geom8, grid)
-        want = np.stack([steering_vector(geom8, t) for t in grid], axis=1)
+        got = steering_vector(M8, grid)
+        want = np.stack([steering_vector(M8, t) for t in grid], axis=1)
         assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
-            steering_vector(geom8, np.array([0.0, math.pi / 2 + 0.01]))
+            steering_vector(M8, np.array([0.0, math.pi / 2 + 0.01]))
 
-    def test_unit_modulus_and_norm(self, geom8):
-        a = steering_vector(geom8, 0.3)
+    def test_unit_modulus_and_norm(self):
+        a = steering_vector(M8, 0.3)
         assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-12
         assert abs(a.conj() @ a - 8.0) < 1e-10
 
-    def test_cross_correlation_against_summation_oracle(self, geom8):
+    def test_cross_correlation_against_summation_oracle(self):
         t1, t2 = math.radians(10), math.radians(40)
-        a1 = steering_vector(geom8, t1)
-        a2 = steering_vector(geom8, t2)
+        a1 = steering_vector(M8, t1)
+        a2 = steering_vector(M8, t2)
         got = a1.conj() @ a2
         want = oracles.steering_inner_product(8, 0.75, t1, t2)
         assert abs(got - want) < 1e-10
         assert abs(got) < 8.0
 
-    def test_azimuth_domain(self, geom8):
+    def test_azimuth_domain(self):
         with pytest.raises(ValueError):
-            steering_vector(geom8, math.pi / 2 + 0.01)
+            steering_vector(M8, math.pi / 2 + 0.01)
 
     @given(theta=st.floats(-math.pi / 2, math.pi / 2), m=st.integers(1, 16))
     @settings(max_examples=100, deadline=None)
     def test_reciprocity(self, theta, m):
-        geom = ArrayGeometry(m=m)
-        a_pos = steering_vector(geom, theta)
-        a_neg = steering_vector(geom, -theta)
+        a_pos = steering_vector(m, theta)
+        a_neg = steering_vector(m, -theta)
         assert np.max(np.abs(a_neg - a_pos.conj())) < 1e-12
 
 
 class TestTransmitReceiveMatrix:
     def test_broadside_all_ones(self):
-        a = steering_vector(ArrayGeometry(m=4), 0.0)
+        a = steering_vector(4, 0.0)
         np.testing.assert_allclose(transmit_receive_matrix(a), np.ones((4, 4)))
 
-    def test_rank_one(self, geom8):
-        a = steering_vector(geom8, 0.7)
+    def test_rank_one(self):
+        a = steering_vector(M8, 0.7)
         assert np.linalg.matrix_rank(transmit_receive_matrix(a)) == 1
 
-    def test_symmetric_not_hermitian(self, geom8):
+    def test_symmetric_not_hermitian(self):
         for theta in np.linspace(-1.4, 1.4, 9):
-            mat = transmit_receive_matrix(steering_vector(geom8, theta))
+            mat = transmit_receive_matrix(steering_vector(M8, theta))
             assert np.max(np.abs(mat - mat.T)) < 1e-12
             if abs(theta) > 1e-9:
                 assert np.max(np.abs(mat - mat.conj().T)) > 1e-6
@@ -108,50 +104,46 @@ class TestOrthogonalWaveforms:
 
 class TestSynthesizeEcho:
     def test_noiseless_limit(self):
-        geom = ArrayGeometry(m=4)
         x = orthogonal_waveforms(4, 16)
         scn = TargetScenario(theta=0.2, alpha=1.0, noise_var=1e-30)
-        y = synthesize_echo(scn, geom, x, rng_substream(0, 0))
-        a = steering_vector(geom, 0.2)
+        y = synthesize_echo(scn, x, rng_substream(0, 0))
+        a = steering_vector(4, 0.2)
         expected = transmit_receive_matrix(a) @ x
         assert np.max(np.abs(y - expected)) < 1e-12
 
     def test_noise_only_covariance(self):
-        geom = ArrayGeometry(m=4)
         x = orthogonal_waveforms(4, 16)
         scn = TargetScenario(theta=0.0, alpha=0.0, noise_var=2.0)
         rng = rng_substream(1, 0)
         cols = []
         for _ in range(500):
-            y = synthesize_echo(scn, geom, x, rng)
+            y = synthesize_echo(scn, x, rng)
             cols.append(y)
         samples = np.concatenate(cols, axis=1)  # 4 x 8000
         cov = samples @ samples.conj().T / samples.shape[1]
         np.testing.assert_allclose(cov, 2.0 * np.eye(4), atol=0.08)
 
     def test_mean_energy_matches_analytic_expansion(self):
-        geom = ArrayGeometry(m=4)
         l = 64
         x = orthogonal_waveforms(4, l)
         scn = TargetScenario(theta=0.15, alpha=1.0, noise_var=1.0)
-        a = steering_vector(geom, 0.15)
+        a = steering_vector(4, 0.15)
         signal = transmit_receive_matrix(a) @ x
         expected = np.linalg.norm(signal) ** 2 + 4 * l * 1.0
         rng = rng_substream(2, 0)
         energies = [
-            np.linalg.norm(synthesize_echo(scn, geom, x, rng)) ** 2
+            np.linalg.norm(synthesize_echo(scn, x, rng)) ** 2
             for _ in range(3000)
         ]
         # 3-sigma Monte Carlo band on the mean
         assert abs(np.mean(energies) - expected) < 3 * np.std(energies) / math.sqrt(3000)
 
     def test_linearity_in_path_loss(self):
-        geom = ArrayGeometry(m=4)
         x = orthogonal_waveforms(4, 16)
         quiet = 1e-30
-        y1 = synthesize_echo(TargetScenario(0.3, 0.7 + 0.2j, quiet), geom, x, rng_substream(0, 1))
-        y2 = synthesize_echo(TargetScenario(0.3, 0.1 - 0.5j, quiet), geom, x, rng_substream(0, 2))
-        ysum = synthesize_echo(TargetScenario(0.3, 0.8 - 0.3j, quiet), geom, x, rng_substream(0, 3))
+        y1 = synthesize_echo(TargetScenario(0.3, 0.7 + 0.2j, quiet), x, rng_substream(0, 1))
+        y2 = synthesize_echo(TargetScenario(0.3, 0.1 - 0.5j, quiet), x, rng_substream(0, 2))
+        ysum = synthesize_echo(TargetScenario(0.3, 0.8 - 0.3j, quiet), x, rng_substream(0, 3))
         assert np.max(np.abs((y1 + y2) - ysum)) < 1e-12
 
     def test_invalid_noise_variance(self):
@@ -159,7 +151,9 @@ class TestSynthesizeEcho:
             TargetScenario(theta=0.0, alpha=1.0, noise_var=0.0)
 
     def test_geometry_validation(self):
-        with pytest.raises(ConfigurationError):
-            ArrayGeometry(m=0)
-        geom = ArrayGeometry(m=4)
-        assert abs(geom.spacing - 0.75 * geom.wavelength) < 1e-15
+        # Elements sit 3/4 of a wavelength apart: adjacent elements differ in
+        # phase by -2 pi 0.75 sin(theta).
+        for theta in np.linspace(-math.pi / 2, math.pi / 2, 13):
+            a = steering_vector(4, theta)
+            step = np.exp(-2j * math.pi * 0.75 * math.sin(theta))
+            assert np.max(np.abs(a[1:] * a[:-1].conj() - step)) < 1e-12

@@ -2,6 +2,8 @@ import os
 import runpy
 import sys
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
@@ -14,3 +16,13 @@ def test_search_band_seeds_finds_the_pinned_seeds(monkeypatch, capsys):
         "seed 4: gaps [5.87, 12.61, 7.91, 9.22, 6.83] dB, selected BS 1",
         "seed 26: gaps [6.22, 10.85, 13.19, 13.63, 9.1] dB, selected BS 1",
     ]
+
+
+def test_reproduce_figures_smoke(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--trials", "2",
+                                      "--workers", "1", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(os.path.join(SCRIPTS, "reproduce_figures.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    for preset in ("fig3", "fig4", "fig5"):
+        assert (tmp_path / preset / "plot.gp").is_file()
