@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Time the figure presets end to end and write BENCH_<pr>.json.
+
+Each measured run is a fresh interpreter that imports nspradar from one
+source tree and times `cli.main(["--preset", P, "--trials", N,
+"--workers", "1", ...])` with perf_counter, output files included.  Runs
+of several trees (say, a parent commit's src/ and this one's) interleave
+preset by preset, so that drift in the machine's speed reaches them alike.
+Each (tree, preset) reports the median of --repeats runs:
+
+    python3 scripts/bench_presets.py --pr N --tree parent=../parent/src \\
+        --tree change=src
+
+The file records the machine (nproc, python/numpy/scipy versions, BLAS
+thread variables), the wall times and trials/s (trials per SNR point x SNR
+points / wall time), the per-stage `timings_s` of summary.json where the
+tree writes them, and each tree's speed-up over the first tree.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+import numpy
+import scipy
+
+PRESETS = ("fig3", "fig4", "fig5")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Runs in the child: argv is [src, out_dir, preset, trials].
+_CHILD = """
+import json, os, sys, time
+sys.path.insert(0, sys.argv[1])
+from nspradar import cli
+out, preset, trials = sys.argv[2:5]
+t0 = time.perf_counter()
+rc = cli.main(["--preset", preset, "--trials", trials, "--workers", "1",
+               "--out", out])
+seconds = time.perf_counter() - t0
+with open(os.path.join(out, "summary.json")) as fh:
+    stages = json.load(fh).get("timings_s")
+print(json.dumps({"rc": rc, "seconds": seconds, "stages": stages,
+                  "points": len(cli.PRESETS[preset]["snr_grid_db"])}))
+"""
+
+
+def machine() -> dict:
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:
+        nproc = os.cpu_count()
+    return {
+        "nproc": nproc,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
+    }
+
+
+def run_once(src: str, preset: str, trials: int) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, src, out, preset, str(trials)],
+            capture_output=True, text=True)
+    res = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.returncode == 0 else {}
+    if res.get("rc") != 0:
+        raise RuntimeError(f"{src}: preset {preset} failed:\n{proc.stderr}")
+    return res
+
+
+def summarize(runs: list[dict], trials: int) -> dict:
+    wall = statistics.median(r["seconds"] for r in runs)
+    out = {"wall_s": wall, "runs_s": [r["seconds"] for r in runs],
+           "trials_per_s": trials * runs[0]["points"] / wall}
+    if all(r["stages"] for r in runs):
+        out["stages_s"] = {k: statistics.median(r["stages"][k] for r in runs)
+                           for k in runs[0]["stages"]}
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", type=int, required=True,
+                        help="number in the output name BENCH_<pr>.json")
+    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
+                        help="a labelled source tree (its src/ directory); "
+                             "repeat to compare trees (default: change=src)")
+    parser.add_argument("--trials", type=int, default=10_000)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--out-dir", default=".", help="where BENCH_<pr>.json goes")
+    args = parser.parse_args()
+
+    trees = dict(t.split("=", 1) for t in (args.tree or ["change=src"]))
+    runs = {(label, p): [] for label in trees for p in PRESETS}
+    for rep in range(args.repeats):
+        for preset in PRESETS:
+            for label, src in trees.items():
+                res = run_once(os.path.abspath(src), preset, args.trials)
+                runs[label, preset].append(res)
+                print(f"run {rep + 1}/{args.repeats} {label} {preset}: "
+                      f"{res['seconds']:.3f} s", flush=True)
+
+    results = {label: {p: summarize(runs[label, p], args.trials) for p in PRESETS}
+               for label in trees}
+    base = next(iter(trees))
+    bench = {
+        "pr": args.pr,
+        "machine": machine(),
+        "config": {"trials_per_point": args.trials, "workers": 1,
+                   "repeats": args.repeats, "statistic": "median"},
+        "trees": results,
+        "speedup_over": base,
+        "speedup": {label: {p: results[base][p]["wall_s"] / results[label][p]["wall_s"]
+                            for p in PRESETS} for label in trees},
+    }
+    path = os.path.join(args.out_dir, f"BENCH_{args.pr}.json")
+    with open(path, "w") as fh:
+        json.dump(bench, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

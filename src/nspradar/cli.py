@@ -6,9 +6,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+
+import numpy
+import scipy
 
 from . import __version__, montecarlo
 from .errors import ConfigurationError, NspRadarError, NumericFailure
@@ -20,7 +24,8 @@ EXIT_NUMERIC = 4
 
 CSV_HEADER = (
     "mode,bs_id,snr_db,pfa,trials,detections,pd_emp,ci_lo,ci_hi,"
-    "pd_theory_paper,pd_theory_calibrated"
+    "pd_theory_paper,pd_theory_calibrated,"
+    "false_alarms,pfa_emp,pfa_ci_lo,pfa_ci_hi,degenerate"
 )
 
 
@@ -219,17 +224,23 @@ def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
     rows = [CSV_HEADER]
     for curve in result.curves:
         for pt in curve.points:
+            fa_lo, fa_hi = montecarlo.wilson_interval(pt.false_alarms, pt.trials)
             rows.append(",".join([
                 curve.label, curve.bs_id, _fmt(pt.snr_db), _fmt(pt.pfa),
                 str(pt.trials), str(pt.detections), _fmt(pt.pd_emp),
                 _fmt(pt.ci_lo), _fmt(pt.ci_hi),
                 _fmt(pt.pd_theory_paper), _fmt(pt.pd_theory_calibrated),
+                str(pt.false_alarms), _fmt(pt.false_alarms / pt.trials),
+                _fmt(fa_lo), _fmt(fa_hi), str(pt.degenerate),
             ]))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
 
-def write_summary(result, cfg: RunConfig, wall_time: float, path: str) -> None:
+def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
+                  output_s: float) -> None:
+    """summary.json; `output_s` is the time spent writing the other output
+    files, reported with `result.timings_s` under "timings_s"."""
     plan = result.plan
     gap_reports = {}
     for pfa in plan.pfa_list:
@@ -239,6 +250,8 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str) -> None:
         }
     summary = {
         "version": __version__,
+        "versions": {"python": platform.python_version(),
+                     "numpy": numpy.__version__, "scipy": scipy.__version__},
         "master_seed": plan.master_seed,
         "plan": {
             "m": plan.m, "n_bs": plan.n_bs, "k": plan.k, "l": plan.l,
@@ -257,6 +270,8 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str) -> None:
         "selection": None,
         "snr_gap_db_at_pd_0.9": gap_reports,
         "wall_time_s": round(wall_time, 3),
+        "timings_s": {stage: round(seconds, 6) for stage, seconds in
+                      {**result.timings_s, "output": output_s}.items()},
     }
     if result.selection is not None:
         summary["selection"] = {
@@ -316,17 +331,18 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     try:
         result = montecarlo.run_experiment(cfg.plan, workers=cfg.workers)
     except NumericFailure as exc:
         print(f"error: numeric failure during simulation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    wall = time.monotonic() - t0
+    t_output = time.perf_counter()
     write_csv(result, os.path.join(cfg.output_dir, "results.csv"))
-    write_summary(result, cfg, wall, os.path.join(cfg.output_dir, "summary.json"))
     if cfg.emit_plot:
         write_plot_script(result, os.path.join(cfg.output_dir, "plot.gp"))
+    write_summary(result, cfg, t_output - t0, os.path.join(cfg.output_dir, "summary.json"),
+                  time.perf_counter() - t_output)
     return EXIT_OK
 
 

@@ -5,15 +5,19 @@ Each trial runs the pipeline (channels -> projectors -> selection -> echo
 domain.  The GLRT sees the echo Y = alpha A X_tx + N only through
 E = Y X_tx^H.  The orthogonal waveforms satisfy X X^H = I and X_tx = P X, so
 E = alpha A R + E0 X X_tx^H, where E0 = N X^H is an M x M matrix of i.i.d.
-CN(0, 1) entries.  Trials therefore draw E0 directly instead of the M x L
-noise N.
+CN(0, 1) entries.  Trials therefore never draw the M x L noise N.  With the
+scan they draw E0 itself.  At the target angle alone the statistic sees E0
+only through w = E0^T a^*, since a^H E0 R a^* = w^T R a^* for every R, and
+w ~ CN(0, M I); those trials draw the M-vector w.
 
 Noise comes from one Philox stream per (master seed, SNR index,
 hypothesis).  Trial t reads a fixed-width record at a fixed offset of that
 stream, so results are independent of chunking, execution order and worker
-count.  `run_trial` lifts the same E0 to N = E0 X, which has N X^H = E0,
-and runs the explicit pipeline; it is the test oracle of the vectorized
-engine.
+count.  `run_trial` is the test oracle of the vectorized engine: it runs
+the explicit pipeline on the echo noise N = E0 X, which has N X^H = E0.
+At the target angle it first lifts w to E0 = a w^T / M + (I - a a^H / M) G,
+with G of i.i.d. CN(0, 1) entries from a separate stream; this E0 has
+i.i.d. CN(0, 1) entries and E0^T a^* = w exactly.
 
 The detector is one GLRT maximized over `ExperimentPlan.theta_grid()`: the
 scan grid, or the target angle alone when the scan is off.  The engine and
@@ -35,8 +39,9 @@ its one gain.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,12 +64,18 @@ CHANNEL_REDRAWN = "redrawn-per-trial"
 #                                             every seed's channel draws);
 #   _REDRAW_BASE + r                          channel redraws of
 #                                             mean_selected_gap_db;
-#   _NOISE_BASE + 2 * snr_index + hypothesis  noise E0 at one SNR point, one
-#                                             fixed-width record per trial.
-# Per-trial ids stay below _REDRAW_BASE while snr_index < 2**28.
+#   _NOISE_BASE + 2 * snr_index + hypothesis  noise at one SNR point (E0
+#                                             with the scan, w without it),
+#                                             one fixed-width record per trial;
+#   _LIFT_BASE + 2 * snr_index + hypothesis   the M x M G with which
+#                                             `run_trial` lifts w to E0, one
+#                                             record per trial.
+# Per-trial ids stay below _REDRAW_BASE, and noise ids below _LIFT_BASE,
+# while snr_index < 2**28.
 _CHANNEL_STREAM = 0
 _REDRAW_BASE = 2**62
 _NOISE_BASE = 2**63
+_LIFT_BASE = _NOISE_BASE + 2**62
 _H1 = 0
 _H0 = 1
 
@@ -172,6 +183,9 @@ class ExperimentResult:
     curves: tuple[DetectionCurve, ...]
     degenerate_trials: int
     selection: sharing.ChannelSelection | None  # fixed-channel runs only
+    # Seconds per stage: "setup" (the fixed channel's engine), "points"
+    # (the trials) and "theory" (the theory curves and the curve tables).
+    timings_s: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -278,12 +292,32 @@ def _channels(plan: ExperimentPlan, snr_index: int, first: int,
 
 def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
                  first: int, count: int) -> np.ndarray:
-    """E0 = N X^H for trials [first, first + count) under one hypothesis:
-    a (count, M, M) array of i.i.d. CN(0, 1) entries."""
+    """The noise of trials [first, first + count) under one hypothesis.
+
+    With the scan: E0 = N X^H, a (count, M, M) array of i.i.d. CN(0, 1)
+    entries.  Without it: w = E0^T a^*, a (count, M) array of i.i.d.
+    CN(0, M) entries.
+    """
+    shape, variance = ((plan.m, plan.m), 1.0) if plan.scan else ((plan.m,), plan.m)
     return complex_normal_block(
         plan.master_seed, _NOISE_BASE + 2 * snr_index + hypothesis,
+        first, count, shape, variance,
+    )
+
+
+def _lifted_noise(plan: ExperimentPlan, snr_index: int, hypothesis: int,
+                  first: int, count: int) -> np.ndarray:
+    """E0 for trials [first, first + count) of an at-angle plan: the
+    (count, M, M) E0 = G + a (w^T - a^H G) / M, with w from `_noise_block`
+    and G of i.i.d. CN(0, 1) entries from the lift stream.  Its entries are
+    i.i.d. CN(0, 1) and E0^T a^* = w, since a^T a^* = M."""
+    w = _noise_block(plan, snr_index, hypothesis, first, count)
+    g = complex_normal_block(
+        plan.master_seed, _LIFT_BASE + 2 * snr_index + hypothesis,
         first, count, (plan.m, plan.m),
     )
+    a = radar.steering_vector(plan.m, plan.theta_target)
+    return g + a[:, None] * ((w - a.conj() @ g) / plan.m)[:, None, :]
 
 
 class _PointEngine:
@@ -294,7 +328,9 @@ class _PointEngine:
     a_g^H E a_g^*, linear in E0.  With one channel draw (C = 1) a chunk of T
     trials takes one (T, M^2) @ (M^2, modes x G) product for all modes; with
     C = T draws trial t is evaluated against draw t.  The grid is
-    `plan.theta_grid()`.  This is an exact rewrite of glrt_scan on
+    `plan.theta_grid()`.  At the target angle alone the numerator's noise
+    term is w^T R a^*, and the product is (T, M) @ (M, modes) on the
+    `_noise_block` vectors w.  This is an exact rewrite of glrt_scan on
     sufficient_statistic(alpha A X_tx + E0 X, X_tx).
     """
 
@@ -314,17 +350,21 @@ class _PointEngine:
         self.scale = np.divide(2.0, plan.m * gain, out=np.zeros_like(gain),
                                where=valid)
         self.sig = np.sum(a_conj * (radar.transmit_receive_matrix(a) @ r_a), axis=-2)
-        # coef[c, (m, n), (mode, g)] = conj(a_g[m]) (R_c a_g^*)[n]
-        self.coef = np.einsum("mg,ckng->cmnkg", a_conj, r_a).reshape(
-            len(corr), plan.m * plan.m, -1
-        )
+        if plan.scan:
+            # coef[c, (m, n), (mode, g)] = conj(a_g[m]) (R_c a_g^*)[n]
+            self.coef = np.einsum("mg,ckng->cmnkg", a_conj, r_a).reshape(
+                len(corr), plan.m * plan.m, -1
+            )
+        else:
+            # coef[c, n, mode] = (R_c a^*)[n]
+            self.coef = np.swapaxes(r_a[..., 0], 1, 2)
 
-    def statistics(self, e0: np.ndarray, alpha: float) -> np.ndarray:
-        """Scaled GLRT statistics, shape (T, modes), for a (T, M, M) stack of
-        E0: the maximum over the grid.  Columns of degenerate modes
-        (`self.degenerate`) read 0."""
-        t = len(e0)
-        e = e0.reshape(t, -1)
+    def statistics(self, noise: np.ndarray, alpha: float) -> np.ndarray:
+        """Scaled GLRT statistics, shape (T, modes), for the T trials' noise
+        from `_noise_block`: the maximum over the grid.  Columns of
+        degenerate modes (`self.degenerate`) read 0."""
+        t = len(noise)
+        e = noise.reshape(t, -1)
         if len(self.coef) == 1:
             g = e @ self.coef[0]
         else:
@@ -339,8 +379,9 @@ class _PointEngine:
 
 def _redraw_block(plan: ExperimentPlan) -> int:
     """Trials per block in redrawn-channel mode, so that the block's
-    per-trial arrays ((K, M, M) projectors, (M^2, modes x G) coefficients)
-    hold about _BLOCK_ELEMENTS entries."""
+    per-trial arrays ((K, M, M) projectors and either (modes, M, M)
+    correlations or, with the scan, (M^2, modes x G) coefficients) hold
+    about _BLOCK_ELEMENTS entries."""
     grid = len(plan.theta_grid())
     per_trial = plan.m * plan.m * (plan.k + len(_mode_labels(plan)) * grid)
     return max(1, _BLOCK_ELEMENTS // per_trial)
@@ -387,8 +428,9 @@ def _run_point(plan: ExperimentPlan, snr_index: int,
 def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) -> dict:
     """Single-trial reference path through the explicit pipeline.
 
-    Lifts the trial's E0 to the echo noise N = E0 X (so N X^H = E0) and runs
-    sufficient_statistic and glrt_scan over `plan.theta_grid()` on the echo.
+    Takes the trial's E0 (`_lifted_noise` at the target angle alone), forms
+    the echo noise N = E0 X (so N X^H = E0) and runs sufficient_statistic
+    and glrt_scan over `plan.theta_grid()` on the echo.
     Returns {mode label: TrialOutcome}; deterministic in (plan, snr_db, trial_id).
     """
     if snr_db not in plan.snr_grid_db:
@@ -401,8 +443,9 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     cfg = detection.DetectorConfig(pfa=pfa, theta_grid=plan.theta_grid())
 
     x = radar.orthogonal_waveforms(plan.m, plan.l)
-    n1 = _noise_block(plan, snr_index, _H1, trial_id, 1)[0] @ x
-    n0 = _noise_block(plan, snr_index, _H0, trial_id, 1)[0] @ x
+    draw = _noise_block if plan.scan else _lifted_noise
+    n1 = draw(plan, snr_index, _H1, trial_id, 1)[0] @ x
+    n0 = draw(plan, snr_index, _H0, trial_id, 1)[0] @ x
     a_mat = radar.transmit_receive_matrix(
         radar.steering_vector(plan.m, plan.theta_target)
     )
@@ -446,12 +489,14 @@ def _mean_theory_pd(plan: ExperimentPlan, snr: np.ndarray,
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     """Full sweep over (snr, pfa, trial); deterministic for a fixed seed
     regardless of worker count."""
+    t_setup = time.perf_counter()
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
         modes, selected, norms = _stacked_modes(plan, _channels(plan, 0, 0, 1))
         engine = _PointEngine(plan, modes)
         selection = sharing.ChannelSelection(
             selected=int(selected[0]) + 1, norms=tuple(float(n) for n in norms[0]))
+    t_points = time.perf_counter()
     indices = list(range(len(plan.snr_grid_db)))
     if workers > 1 and len(indices) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -460,6 +505,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     else:
         payloads = [_run_point(plan, si, engine) for si in indices]
     payloads.sort(key=lambda d: d["snr_index"])
+    t_theory = time.perf_counter()
     theory = _mean_theory_pd(plan, np.array([pl["snr"] for pl in payloads]),
                              np.stack([pl["gain"] for pl in payloads]))
 
@@ -484,9 +530,11 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
                     degenerate=degenerate,
                 ))
         curves.append(DetectionCurve(label=label, bs_id=bs_id, points=tuple(points)))
+    timings = {"setup": t_points - t_setup, "points": t_theory - t_points,
+               "theory": time.perf_counter() - t_theory}
     return ExperimentResult(
         plan=plan, curves=tuple(curves),
-        degenerate_trials=total_degenerate, selection=selection,
+        degenerate_trials=total_degenerate, selection=selection, timings_s=timings,
     )
 
 

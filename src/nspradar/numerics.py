@@ -110,10 +110,12 @@ def normal_from_uniform(u: np.ndarray) -> np.ndarray:
 
 
 def complex_normal_block(
-    master_seed: int, stream_id: int, first: int, count: int, shape
+    master_seed: int, stream_id: int, first: int, count: int, shape,
+    variance: float = 1.0,
 ) -> np.ndarray:
-    """CN(0, 1) arrays of the given shape for records [first, first + count)
-    of the Philox stream keyed by (master_seed, stream_id).
+    """CN(0, variance) arrays of the given shape for records
+    [first, first + count) of the Philox stream keyed by
+    (master_seed, stream_id).
 
     Every record consumes the same number of words: its 2 prod(shape)
     uniforms, padded to whole counter steps.  Record r therefore starts at
@@ -129,5 +131,5 @@ def complex_normal_block(
     bitgen.advance(first * (width // _PHILOX_WORDS))
     u = np.random.Generator(bitgen).random((count, width))
     z = normal_from_uniform(u[:, :size])
-    z *= math.sqrt(0.5)
+    z *= math.sqrt(0.5 * variance)
     return z.view(complex).reshape((count,) + shape)

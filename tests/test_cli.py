@@ -1,9 +1,10 @@
+import csv
 import json
 import os
 
 import pytest
 
-from nspradar import cli
+from nspradar import cli, montecarlo
 from nspradar.errors import ConfigurationError
 from nspradar.montecarlo import MODE_NSP_SELECTED, MODE_ORTHOGONAL
 
@@ -104,6 +105,37 @@ class TestRun:
         assert summary["version"]
         assert summary["selection"]["selected_bs"] in (1, 2, 3)
         assert "snr_gap_db_at_pd_0.9" in summary
+
+    def test_false_alarm_and_degenerate_columns(self, tmp_path):
+        # n_bs = m leaves the projected mode no null space: every trial is
+        # degenerate.
+        code, out = self._run(tmp_path, "n_bs = 4\n")
+        assert code == cli.EXIT_OK
+        with open(os.path.join(out, "results.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        result = montecarlo.run_experiment(cli.parse_config(str(tmp_path / "run.cfg")).plan)
+        points = [(c.label, pt) for c in result.curves for pt in c.points]
+        assert len(rows) == len(points)
+        for row, (label, pt) in zip(rows, points):
+            assert row["mode"] == label
+            fa, n = int(row["false_alarms"]), int(row["trials"])
+            assert fa == pt.false_alarms
+            assert float(row["pfa_emp"]) == fa / n
+            lo, hi = float(row["pfa_ci_lo"]), float(row["pfa_ci_hi"])
+            assert (lo, hi) == montecarlo.wilson_interval(fa, n)
+            assert lo <= fa / n <= hi
+            assert int(row["degenerate"]) == pt.degenerate
+            assert pt.degenerate == (n if label == MODE_NSP_SELECTED else 0)
+
+    def test_summary_reports_versions_and_stage_timings(self, tmp_path):
+        code, out = self._run(tmp_path)
+        assert code == cli.EXIT_OK
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert set(summary["versions"]) == {"python", "numpy", "scipy"}
+        assert all(isinstance(v, str) and v for v in summary["versions"].values())
+        timings = summary["timings_s"]
+        assert set(timings) == {"setup", "points", "theory", "output"}
+        assert all(v >= 0 for v in timings.values())
 
     def test_reruns_are_byte_identical(self, tmp_path):
         _, out1 = self._run(tmp_path)

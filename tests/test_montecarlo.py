@@ -20,7 +20,7 @@ from nspradar.montecarlo import (
 )
 
 import nspradar.montecarlo as montecarlo
-from nspradar import sharing
+from nspradar import radar, sharing
 import oracles
 
 
@@ -296,6 +296,55 @@ class TestNoiseDraws:
         top_trial = montecarlo._trial_channel_stream(2**28 - 1, 2**32 - 1)
         assert montecarlo._CHANNEL_STREAM < 1 <= top_trial < montecarlo._REDRAW_BASE
         assert montecarlo._REDRAW_BASE + 2**32 < montecarlo._NOISE_BASE
+        # Noise and lift ids for any snr_index < 2**28 and either hypothesis.
+        assert montecarlo._NOISE_BASE + 2 * 2**28 <= montecarlo._LIFT_BASE
+        assert montecarlo._LIFT_BASE + 2 * 2**28 <= 2**64
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_at_angle_noise_is_cn_0_m_identity(self, m):
+        # w = E0^T a^* ~ CN(0, M I): power M, circular, uncorrelated entries.
+        plan = tiny_plan(m=m, trials_per_point=20_000)
+        w = montecarlo._noise_block(plan, 0, montecarlo._H1, 0, 20_000)
+        n = len(w)
+        assert w.shape == (n, m)
+        # |w_i|^2 / M is Exp(1) (standard deviation 1).
+        assert abs(np.mean(np.abs(w) ** 2) / m - 1) < 4 / math.sqrt(w.size)
+        # With z = w / sqrt(M) ~ CN(0, I), re and im of z_i^2 have standard
+        # deviation 1, and those of z_i z_j (i != j) and z_i z_j^* 1 / sqrt(2).
+        eye = np.eye(m, dtype=bool)
+        sigma = np.where(eye, 1.0, math.sqrt(0.5)) / math.sqrt(n)
+        pseudo = (w.T @ w) / (n * m)
+        cov = (w.T @ w.conj()) / (n * m)
+        for part, sd in ((pseudo, sigma), (cov[~eye], sigma[~eye])):
+            assert np.all(np.abs(part.real) < 4 * sd)
+            assert np.all(np.abs(part.imag) < 4 * sd)
+
+    def test_lifted_noise_matches_w_and_has_iid_unit_entries(self):
+        plan = tiny_plan(trials_per_point=20_000)
+        m, n = plan.m, 20_000
+        w = montecarlo._noise_block(plan, 1, montecarlo._H0, 0, n)
+        e0 = montecarlo._lifted_noise(plan, 1, montecarlo._H0, 0, n)
+        assert e0.shape == (n, m, m)
+        a = radar.steering_vector(m, plan.theta_target)
+        np.testing.assert_allclose(np.einsum("tmn,m->tn", e0, a.conj()), w,
+                                   rtol=0, atol=1e-12)
+        # One trial's lift is the block's row: run_trial reads count = 1.
+        one = montecarlo._lifted_noise(plan, 1, montecarlo._H0, 17, 1)[0]
+        assert one.tobytes() == e0[17].tobytes()
+        # vec(E0) ~ CN(0, I): unit power per entry, and no correlation or
+        # pseudo-correlation between entries.  As for w, re and im of the
+        # pseudo-correlation's diagonal have standard deviation 1 / sqrt(n)
+        # and the other terms 1 / sqrt(2 n); 5 sigma covers the maximum over
+        # the 16 x 16 terms.
+        v = e0.reshape(n, m * m)
+        power = np.mean(np.abs(v) ** 2, axis=0)
+        assert np.max(np.abs(power - 1)) < 5 / math.sqrt(n)
+        eye = np.eye(m * m, dtype=bool)
+        sigma = np.where(eye, 1.0, math.sqrt(0.5)) / math.sqrt(n)
+        cov, pseudo = v.T @ v.conj() / n, v.T @ v / n
+        for part, sd in ((pseudo, sigma), (cov[~eye], sigma[~eye])):
+            assert np.all(np.abs(part.real) < 5 * sd)
+            assert np.all(np.abs(part.imag) < 5 * sd)
 
     def test_redrawn_block_equals_per_trial_channels(self):
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN)
@@ -418,8 +467,10 @@ class TestRunExperiment:
 # run_experiment's tallies and theory columns for GOLDEN_PLAN, per channel
 # setting: {label: [(detections, false_alarms, degenerate, pd_theory_paper,
 # pd_theory_calibrated) at -6 dB, at 0 dB]}.  Recorded before the scalar
-# channel/projector layer was replaced by the stacked one; any change to
-# the streams, the selection or the arithmetic shows here.
+# channel/projector layer was replaced by the stacked one; the "fixed" and
+# "redrawn" tallies were re-read when the at-angle noise became the M-vector
+# w = E0^T a^* (same law, new realization).  Any other change to the
+# streams, the selection or the arithmetic shows here.
 GOLDEN_PLAN = dict(
     m=4, k=2, l=16, snr_grid_db=(-6.0, 0.0), pfa_list=(0.1,), trials_per_point=40,
     master_seed=5, waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
@@ -427,20 +478,20 @@ GOLDEN_PLAN = dict(
 GOLDEN = {
     "fixed": {
         "orthogonal": [
-            (34, 7, 0, 0.5440529562566051, 0.8152917144245608),
-            (40, 7, 0, 0.9786015642681981, 0.9998694333859738),
+            (36, 6, 0, 0.5440529562566051, 0.8152917144245608),
+            (40, 4, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (32, 6, 0, 0.3783434868292715, 0.7149767374024334),
-            (40, 7, 0, 0.8725422122131625, 0.9985294586036594),
+            (30, 6, 0, 0.3783434868292715, 0.7149767374024334),
+            (40, 2, 0, 0.8725422122131625, 0.9985294586036594),
         ],
         "nsp-bs2": [
-            (28, 5, 0, 0.311521100188079, 0.657718169481609),
-            (40, 11, 0, 0.7723090242273178, 0.9958529653201275),
+            (25, 4, 0, 0.311521100188079, 0.657718169481609),
+            (39, 5, 0, 0.7723090242273178, 0.9958529653201275),
         ],
         "nsp-selected": [
-            (32, 6, 0, 0.3783434868292715, 0.7149767374024334),
-            (40, 7, 0, 0.8725422122131625, 0.9985294586036594),
+            (30, 6, 0, 0.3783434868292715, 0.7149767374024334),
+            (40, 2, 0, 0.8725422122131625, 0.9985294586036594),
         ],
     },
     "scan": {
@@ -463,20 +514,20 @@ GOLDEN = {
     },
     "redrawn": {
         "orthogonal": [
-            (34, 7, 0, 0.5440529562566047, 0.8152917144245608),
-            (40, 7, 0, 0.9786015642681981, 0.9998694333859743),
+            (36, 6, 0, 0.5440529562566047, 0.8152917144245608),
+            (40, 4, 0, 0.9786015642681981, 0.9998694333859743),
         ],
         "nsp-bs1": [
-            (24, 8, 0, 0.2544715921933916, 0.5461940528852167),
-            (36, 5, 0, 0.511215816617503, 0.8720014364855043),
+            (23, 3, 0, 0.2544715921933916, 0.5461940528852167),
+            (33, 4, 0, 0.511215816617503, 0.8720014364855043),
         ],
         "nsp-bs2": [
-            (24, 5, 0, 0.22874556698931786, 0.5092863728678163),
-            (35, 8, 0, 0.5398320584541472, 0.9239252886858363),
+            (24, 2, 0, 0.22874556698931786, 0.5092863728678163),
+            (36, 4, 0, 0.5398320584541472, 0.9239252886858363),
         ],
         "nsp-selected": [
-            (24, 8, 0, 0.2544715921933916, 0.5461940528852167),
-            (36, 5, 0, 0.511215816617503, 0.8720014364855043),
+            (23, 3, 0, 0.2544715921933916, 0.5461940528852167),
+            (33, 4, 0, 0.511215816617503, 0.8720014364855043),
         ],
     },
 }

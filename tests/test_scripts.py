@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 import sys
@@ -26,3 +27,21 @@ def test_reproduce_figures_smoke(monkeypatch, tmp_path):
     assert exit_info.value.code == 0
     for preset in ("fig3", "fig4", "fig5"):
         assert (tmp_path / preset / "plot.gp").is_file()
+
+
+def test_bench_presets_smoke(monkeypatch, tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    monkeypatch.setattr(sys, "argv", [
+        "bench_presets.py", "--pr", "0", "--trials", "2", "--repeats", "1",
+        "--tree", f"change={src}", "--out-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    bench = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert {"nproc", "python", "numpy", "scipy"} <= set(bench["machine"])
+    for preset in ("fig3", "fig4", "fig5"):
+        run = bench["trees"]["change"][preset]
+        assert run["wall_s"] > 0 and len(run["runs_s"]) == 1
+        assert run["trials_per_s"] == 2 * 41 / run["wall_s"]
+        assert set(run["stages_s"]) == {"setup", "points", "theory", "output"}
+    assert bench["speedup"] == {"change": {"fig3": 1.0, "fig4": 1.0, "fig5": 1.0}}
