@@ -3,18 +3,21 @@
 
 Each measured run is a fresh interpreter that imports nspradar from one
 source tree and times `cli.main(["--preset", P, "--trials", N,
-"--workers", "1", ...])` with perf_counter, output files included.  Runs
+"--workers", "1", ...])` with perf_counter, output files included.  The
+run `fig3-redrawn` is the `fig3` preset with channels redrawn per trial,
+set by a config file the script writes and passes with --config.  Runs
 of several trees (say, a parent commit's src/ and this one's) interleave
-preset by preset, so that drift in the machine's speed reaches them alike.
-Each (tree, preset) reports the median of --repeats runs:
+run by run, so that drift in the machine's speed reaches them alike.  Each
+(tree, run) reports the median of --repeats runs:
 
     python3 scripts/bench_presets.py --pr N --tree parent=../parent/src \\
         --tree change=src
 
 The file records the machine (nproc, python/numpy/scipy versions, BLAS
-thread variables), the wall times and trials/s (trials per SNR point x SNR
-points / wall time), the per-stage `timings_s` of summary.json where the
-tree writes them, and each tree's speed-up over the first tree.
+thread variables), each run's channel mode, the wall times and trials/s
+(trials per SNR point x SNR points / wall time), the per-stage
+`timings_s` of summary.json where the tree writes them, and each tree's
+speed-up over the first tree.
 """
 
 import argparse
@@ -29,10 +32,16 @@ import tempfile
 import numpy
 import scipy
 
-PRESETS = ("fig3", "fig4", "fig5")
+# Run name -> (preset, config file text or None).
+RUNS = {
+    "fig3": ("fig3", None),
+    "fig4": ("fig4", None),
+    "fig5": ("fig5", None),
+    "fig3-redrawn": ("fig3", "channel_mode = redrawn-per-trial\n"),
+}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# Runs in the child: argv is [src, out_dir, preset, trials].
+# Runs in the child: argv is [src, out_dir, preset, trials, config args...].
 _CHILD = """
 import json, os, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -40,11 +49,13 @@ from nspradar import cli
 out, preset, trials = sys.argv[2:5]
 t0 = time.perf_counter()
 rc = cli.main(["--preset", preset, "--trials", trials, "--workers", "1",
-               "--out", out])
+               "--out", out, *sys.argv[5:]])
 seconds = time.perf_counter() - t0
 with open(os.path.join(out, "summary.json")) as fh:
-    stages = json.load(fh).get("timings_s")
+    summary = json.load(fh)
+stages = summary.get("timings_s")
 print(json.dumps({"rc": rc, "seconds": seconds, "stages": stages,
+                  "channel_mode": summary["plan"]["channel_mode"],
                   "points": len(cli.PRESETS[preset]["snr_grid_db"])}))
 """
 
@@ -63,20 +74,28 @@ def machine() -> dict:
     }
 
 
-def run_once(src: str, preset: str, trials: int) -> dict:
-    with tempfile.TemporaryDirectory() as out:
+def run_once(src: str, name: str, trials: int) -> dict:
+    preset, config = RUNS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        extra = []
+        if config is not None:
+            extra = ["--config", os.path.join(tmp, "run.cfg")]
+            with open(extra[1], "w") as fh:
+                fh.write(config)
         proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, src, out, preset, str(trials)],
+            [sys.executable, "-c", _CHILD, src, os.path.join(tmp, "out"), preset,
+             str(trials), *extra],
             capture_output=True, text=True)
     res = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.returncode == 0 else {}
     if res.get("rc") != 0:
-        raise RuntimeError(f"{src}: preset {preset} failed:\n{proc.stderr}")
+        raise RuntimeError(f"{src}: run {name} failed:\n{proc.stderr}")
     return res
 
 
 def summarize(runs: list[dict], trials: int) -> dict:
     wall = statistics.median(r["seconds"] for r in runs)
-    out = {"wall_s": wall, "runs_s": [r["seconds"] for r in runs],
+    out = {"channel_mode": runs[0]["channel_mode"],
+           "wall_s": wall, "runs_s": [r["seconds"] for r in runs],
            "trials_per_s": trials * runs[0]["points"] / wall}
     if all(r["stages"] for r in runs):
         out["stages_s"] = {k: statistics.median(r["stages"][k] for r in runs)
@@ -97,16 +116,16 @@ def main() -> int:
     args = parser.parse_args()
 
     trees = dict(t.split("=", 1) for t in (args.tree or ["change=src"]))
-    runs = {(label, p): [] for label in trees for p in PRESETS}
+    runs = {(label, p): [] for label in trees for p in RUNS}
     for rep in range(args.repeats):
-        for preset in PRESETS:
+        for name in RUNS:
             for label, src in trees.items():
-                res = run_once(os.path.abspath(src), preset, args.trials)
-                runs[label, preset].append(res)
-                print(f"run {rep + 1}/{args.repeats} {label} {preset}: "
+                res = run_once(os.path.abspath(src), name, args.trials)
+                runs[label, name].append(res)
+                print(f"run {rep + 1}/{args.repeats} {label} {name}: "
                       f"{res['seconds']:.3f} s", flush=True)
 
-    results = {label: {p: summarize(runs[label, p], args.trials) for p in PRESETS}
+    results = {label: {p: summarize(runs[label, p], args.trials) for p in RUNS}
                for label in trees}
     base = next(iter(trees))
     bench = {
@@ -117,7 +136,7 @@ def main() -> int:
         "trees": results,
         "speedup_over": base,
         "speedup": {label: {p: results[base][p]["wall_s"] / results[label][p]["wall_s"]
-                            for p in PRESETS} for label in trees},
+                            for p in RUNS} for label in trees},
     }
     path = os.path.join(args.out_dir, f"BENCH_{args.pr}.json")
     with open(path, "w") as fh:

@@ -6,10 +6,13 @@ The per-BS gaps are channel-realization dependent, so tests that assert
 band membership need a pinned seed.  This script scans seeds and prints
 every one whose closed-form gaps (at the target angle, 20*log10(M/c)
 convention) satisfy the band, the spread requirement, and selection of
-the best-gap BS.
+the best-gap BS.  With exactly orthogonal waveforms the selection always
+ties and goes to BS 1, so a kept seed is one whose BS 1 has the best gap;
+a line on stderr says so.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -43,6 +46,8 @@ def main():
                         help="stop after this many hits")
     args = parser.parse_args()
 
+    print("keeping only seeds where the tie-broken selection (BS 1) "
+          "coincides with the best gap", file=sys.stderr)
     theta = np.deg2rad(args.theta_deg)
     lo, hi = args.band
     hits = 0

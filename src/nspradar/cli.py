@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -118,6 +119,9 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
             f"expected [..] list or start:stop:step range, got {raw!r}"
         )
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigurationError(
+            f"start, stop and step of a range must be finite, got {raw!r}")
     if step <= 0:
         raise ConfigurationError("grid step must be positive")
     vals, v = [], start
@@ -267,6 +271,7 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
         },
         "workers": cfg.workers,
         "degenerate_trials": result.degenerate_trials,
+        "degenerate_by_mode": result.degenerate_by_mode,
         "selection": None,
         "snr_gap_db_at_pd_0.9": gap_reports,
         "wall_time_s": round(wall_time, 3),
@@ -277,6 +282,7 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
         summary["selection"] = {
             "selected_bs": result.selection.selected,
             "degradation_norms": list(result.selection.norms),
+            "residual_interference": result.selection.residual_interference,
         }
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -12,7 +12,7 @@ w ~ CN(0, M I); those trials draw the M-vector w.
 
 Noise comes from one Philox stream per (master seed, SNR index,
 hypothesis).  Trial t reads a fixed-width record at a fixed offset of that
-stream, so results are independent of chunking, execution order and worker
+stream, so results are independent of tiling, execution order and worker
 count.  `run_trial` is the test oracle of the vectorized engine: it runs
 the explicit pipeline on the echo noise N = E0 X, which has N X^H = E0.
 At the target angle it first lifts w to E0 = a w^T / M + (I - a a^H / M) G,
@@ -26,10 +26,18 @@ scan grid, or the target angle alone when the scan is off.  The engine and
 Channels take one route everywhere: `_channels` draws a (C, K, N_BS, M)
 stack and `_stacked_modes` turns it into projectors (one stacked SVD), the
 selection per draw and the mode setups.  A fixed channel is stream 0 alone
-(C = 1); it is set up once per sweep, in `run_experiment`, and its engine is
-handed to every SNR point.  Redrawn channels give each trial its own stream;
-a point then runs in blocks of trials (C = T), with one engine per block.
-`run_trial` takes the same route for its one trial.
+(C = 1); it is set up once per sweep, in `run_experiment`.  Redrawn channels
+give each trial its own stream.  `run_trial` takes the same route for its
+one trial.
+
+The sweep is one loop over tiles of its (SNR point, trial) rows, row
+i * trials_per_point + t being trial t of point i (`_tiles`).  A tile packs
+whole points in grid order up to a row budget (`_tile_rows`); only a point
+larger than the budget is split.  With redrawn channels each tile is set up
+once (C = its rows): one stacked SVD and one engine for all of its points.
+Every row still reads its own channel stream and its own noise record, so
+no tile size changes an output.  With workers, the pool runs contiguous
+runs of tiles through the same loop.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t; with a fixed channel that is the value at
@@ -80,11 +88,12 @@ _H1 = 0
 _H0 = 1
 
 _WILSON_Z = 1.959963984540054  # 95%
+# A tile holds at most _CHUNK rows, and the engine's per-row arrays hold at
+# most _BLOCK_ELEMENTS entries over the tile (`_tile_rows`); the theory
+# curves are evaluated on about _BLOCK_ELEMENTS values at a time
+# (`_mean_theory_pd`).  Both bound the memory a sweep takes.
 _CHUNK = 2000
-# Redrawn-channel blocks hold about this many entries per per-trial array
-# (`_redraw_block`), and the theory curves are evaluated on about this many
-# values at a time (`_mean_theory_pd`), which bounds the memory they take.
-_BLOCK_ELEMENTS = 2**16
+_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,8 @@ class ExperimentResult:
     # Seconds per stage: "setup" (the fixed channel's engine), "points"
     # (the trials) and "theory" (the theory curves and the curve tables).
     timings_s: dict[str, float] = field(default_factory=dict)
+    # Degenerate trials per mode label; they sum to degenerate_trials.
+    degenerate_by_mode: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -325,9 +336,11 @@ class _PointEngine:
 
     With X X^H = I the matched filter of mode P is E = (alpha A + E0) R, as
     X X_tx^H = X X^H P = P = R.  At scan angle g the GLRT numerator is
-    a_g^H E a_g^*, linear in E0.  With one channel draw (C = 1) a chunk of T
-    trials takes one (T, M^2) @ (M^2, modes x G) product for all modes; with
-    C = T draws trial t is evaluated against draw t.  The grid is
+    a_g^H E a_g^*, linear in E0.  With one channel draw (C = 1) a tile of T
+    rows takes one (T, M^2) @ (M^2, modes x G) product for all modes, across
+    its SNR points; with C = T draws row t is evaluated against draw t.
+    The echo term a_g^H A R a_g^* (`sig`) scales by one alpha for all rows
+    of a point, so `statistics` adds it once per point segment.  The grid is
     `plan.theta_grid()`.  At the target angle alone the numerator's noise
     term is w^T R a^*, and the product is (T, M) @ (M, modes) on the
     `_noise_block` vectors w.  This is an exact rewrite of glrt_scan on
@@ -359,10 +372,14 @@ class _PointEngine:
             # coef[c, n, mode] = (R_c a^*)[n]
             self.coef = np.swapaxes(r_a[..., 0], 1, 2)
 
-    def statistics(self, noise: np.ndarray, alpha: float) -> np.ndarray:
-        """Scaled GLRT statistics, shape (T, modes), for the T trials' noise
-        from `_noise_block`: the maximum over the grid.  Columns of
-        degenerate modes (`self.degenerate`) read 0."""
+    def statistics(self, noise: np.ndarray, alpha, bounds=None) -> np.ndarray:
+        """Scaled GLRT statistics, shape (T, modes), for the T rows' noise
+        from `_noise_block`: the maximum over the grid.  `alpha` is the
+        echo amplitude of every row or, with `bounds`, one amplitude per
+        SNR point segment of rows bounds[j]:bounds[j + 1]; each segment's
+        numerators get alpha times the echo term `sig` in one step (their
+        own rows of `sig` when C = T).  Columns of degenerate modes
+        (`self.degenerate`) read 0."""
         t = len(noise)
         e = noise.reshape(t, -1)
         if len(self.coef) == 1:
@@ -370,59 +387,122 @@ class _PointEngine:
         else:
             g = (e[:, None] @ self.coef)[:, 0]
         g = g.reshape((t,) + self.sig.shape[1:])
-        g += alpha * self.sig
+        if bounds is None:
+            alpha, bounds = [alpha], [0, t]
+        for a, lo, hi in zip(alpha, bounds, bounds[1:]):
+            # alpha = 0 (H0) would add zeros.
+            if a:
+                g[lo:hi] += a * (self.sig if len(self.sig) == 1 else self.sig[lo:hi])
         power = g.real ** 2
         power += g.imag ** 2
         power *= self.scale
         return power.max(axis=2)
 
 
-def _redraw_block(plan: ExperimentPlan) -> int:
-    """Trials per block in redrawn-channel mode, so that the block's
-    per-trial arrays ((K, M, M) projectors and either (modes, M, M)
-    correlations or, with the scan, (M^2, modes x G) coefficients) hold
-    about _BLOCK_ELEMENTS entries."""
+def _tile_rows(plan: ExperimentPlan) -> int:
+    """Rows per tile: at most _CHUNK, and few enough that the engine's
+    per-row arrays hold at most _BLOCK_ELEMENTS entries over the tile.
+
+    A fixed-channel engine builds (modes, G) GLRT numerators per row, G
+    being the number of grid angles.  Redrawn channels also set up every
+    row: (K, M, M) projectors and either (modes, M, M) correlations or,
+    with the scan, (M^2, modes x G) coefficients, each counted twice for
+    the temporaries they are built from.  That keeps a split point's tiles
+    at the redrawn blocks of earlier versions, which matters for one-row
+    tiles: `detection.direction_gain` on a one-row stack takes another
+    BLAS path, and its gains can differ in the last bit.
+    """
     grid = len(plan.theta_grid())
-    per_trial = plan.m * plan.m * (plan.k + len(_mode_labels(plan)) * grid)
-    return max(1, _BLOCK_ELEMENTS // per_trial)
+    n_modes = len(_mode_labels(plan))
+    if plan.channel_mode == CHANNEL_FIXED:
+        per_row = n_modes * grid
+    else:
+        per_row = 2 * plan.m * plan.m * (plan.k + n_modes * grid)
+    return max(1, min(_CHUNK, _BLOCK_ELEMENTS // per_row))
 
 
-def _run_point(plan: ExperimentPlan, snr_index: int,
-               engine: _PointEngine | None = None) -> dict:
-    """All trials for one SNR grid point.
+def _tiles(plan: ExperimentPlan) -> list[tuple[int, int]]:
+    """The sweep's tiles, as row ranges [start, stop) in order.  Row
+    i * trials_per_point + t is trial t of SNR point i.  A tile packs whole
+    points up to `_tile_rows` rows; a point larger than that is split into
+    tiles of its own."""
+    trials, rows = plan.trials_per_point, _tile_rows(plan)
+    total = len(plan.snr_grid_db) * trials
+    if trials <= rows:
+        step = rows // trials * trials
+        return [(r, min(r + step, total)) for r in range(0, total, step)]
+    return [(p + r, p + min(r + rows, trials))
+            for p in range(0, total, trials) for r in range(0, trials, rows)]
+
+
+def _segments(plan: ExperimentPlan, start: int,
+              stop: int) -> list[tuple[int, int, int]]:
+    """(snr_index, first trial, count) of each SNR point's part of the
+    rows [start, stop), in row order."""
+    out = []
+    while start < stop:
+        snr_index, first = divmod(start, plan.trials_per_point)
+        count = min(stop - start, plan.trials_per_point - first)
+        out.append((snr_index, first, count))
+        start += count
+    return out
+
+
+def _tile_array(plan: ExperimentPlan, segments: list[tuple[int, int, int]],
+                draw, *args) -> np.ndarray:
+    """draw(plan, snr_index, *args, first, count) for every segment, filled
+    into one array of the tile's rows."""
+    if len(segments) == 1:
+        i, first, count = segments[0]
+        return draw(plan, i, *args, first, count)
+    out, row = None, 0
+    for i, first, count in segments:
+        part = draw(plan, i, *args, first, count)
+        if out is None:
+            rows = sum(count for _, _, count in segments)
+            out = np.empty((rows,) + part.shape[1:], part.dtype)
+        out[row:row + len(part)] = part
+        row += len(part)
+    return out
+
+
+def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
+               engine: _PointEngine | None) -> dict:
+    """The trials of the sweep rows in `tiles` (`_tiles`' row ranges).
 
     `engine` is the fixed-channel engine; without it the channels are
-    redrawn per trial, in blocks.  Returns the point's tallies, each shaped
-    (pfa, modes) or (modes,), and the target gains, (T, modes) or, for a
-    fixed channel, (1, modes).
+    redrawn per trial and set up once per tile.  Returns tallies per SNR
+    point (detections and false alarms (points, pfa, modes), degenerate
+    trials (points, modes)) and, for redrawn channels, the target gains of
+    the rows in order, as a list of (tile rows, modes) arrays.
     """
-    snr = 10 ** (plan.snr_grid_db[snr_index] / 10)
-    alpha = math.sqrt(snr)
-    thresholds = np.array([detection.chi2_central_inv(1 - p) for p in plan.pfa_list])
-    n_modes = len(_mode_labels(plan))
-    detections = np.zeros((len(thresholds), n_modes), dtype=np.int64)
+    thresholds = np.array([detection.chi2_central_inv(1 - p)
+                           for p in plan.pfa_list])[:, None, None]
+    n_points, n_modes = len(plan.snr_grid_db), len(_mode_labels(plan))
+    detections = np.zeros((n_points, len(plan.pfa_list), n_modes), dtype=np.int64)
     false_alarms = np.zeros_like(detections)
-    degenerate = np.zeros(n_modes, dtype=np.int64)
-
+    degenerate = np.zeros((n_points, n_modes), dtype=np.int64)
     redrawn = engine is None
-    gains = [] if redrawn else [engine.target_gain]
-    trials = plan.trials_per_point
-    step = min(_CHUNK, _redraw_block(plan)) if redrawn else _CHUNK
-    for start in range(0, trials, step):
-        count = min(step, trials - start)
+    gains = []
+    for start, stop in tiles:
+        segments = _segments(plan, start, stop)
         if redrawn:
-            h = _channels(plan, snr_index, start, count)
+            h = _tile_array(plan, segments, _channels)
             engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
             gains.append(engine.target_gain)
-        s1 = engine.statistics(_noise_block(plan, snr_index, _H1, start, count), alpha)
-        s0 = engine.statistics(_noise_block(plan, snr_index, _H0, start, count), 0.0)
+        bounds = np.cumsum([0] + [count for _, _, count in segments]).tolist()
+        alphas = [math.sqrt(10 ** (plan.snr_grid_db[i] / 10)) for i, _, _ in segments]
+        s1 = engine.statistics(_tile_array(plan, segments, _noise_block, _H1),
+                               alphas, bounds)
+        s0 = engine.statistics(_tile_array(plan, segments, _noise_block, _H0), 0.0)
         # Degenerate columns read 0, below every threshold.
-        detections += np.count_nonzero(s1 > thresholds[:, None, None], axis=1)
-        false_alarms += np.count_nonzero(s0 > thresholds[:, None, None], axis=1)
-        degenerate += np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
-    return {"snr_index": snr_index, "snr": snr, "detections": detections,
-            "false_alarms": false_alarms, "degenerate": degenerate,
-            "gain": np.concatenate(gains)}
+        deg = np.broadcast_to(engine.degenerate, (stop - start, n_modes))
+        for (i, _, _), lo, hi in zip(segments, bounds, bounds[1:]):
+            detections[i] += np.count_nonzero(s1[lo:hi] > thresholds, axis=1)
+            false_alarms[i] += np.count_nonzero(s0[lo:hi] > thresholds, axis=1)
+            degenerate[i] += deg[lo:hi].sum(axis=0)
+    return {"detections": detections, "false_alarms": false_alarms,
+            "degenerate": degenerate, "gains": gains}
 
 
 def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) -> dict:
@@ -492,49 +572,65 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     t_setup = time.perf_counter()
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
-        modes, selected, norms = _stacked_modes(plan, _channels(plan, 0, 0, 1))
+        h = _channels(plan, 0, 0, 1)
+        modes, selected, norms = _stacked_modes(plan, h)
         engine = _PointEngine(plan, modes)
+        best = h[0, selected[0]]
+        p, _ = sharing.null_projectors(best, plan.rank_tol_factor)
+        residual = sharing.residual_interference(
+            best, p @ radar.orthogonal_waveforms(plan.m, plan.l))
         selection = sharing.ChannelSelection(
-            selected=int(selected[0]) + 1, norms=tuple(float(n) for n in norms[0]))
+            selected=int(selected[0]) + 1, norms=tuple(float(n) for n in norms[0]),
+            residual_interference=residual)
     t_points = time.perf_counter()
-    indices = list(range(len(plan.snr_grid_db)))
-    if workers > 1 and len(indices) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_run_point, [plan] * len(indices), indices,
-                                     [engine] * len(indices)))
+    tiles = _tiles(plan)
+    groups = min(workers, len(tiles))
+    if groups > 1:
+        # Contiguous runs of tiles, one per worker.
+        runs = [tiles[len(tiles) * j // groups:len(tiles) * (j + 1) // groups]
+                for j in range(groups)]
+        with ProcessPoolExecutor(max_workers=groups) as pool:
+            parts = list(pool.map(_run_tiles, [plan] * groups, runs, [engine] * groups))
     else:
-        payloads = [_run_point(plan, si, engine) for si in indices]
-    payloads.sort(key=lambda d: d["snr_index"])
+        parts = [_run_tiles(plan, tiles, engine)]
+    detections, false_alarms, degenerate = (
+        sum(part[key] for part in parts)
+        for key in ("detections", "false_alarms", "degenerate"))
+    if engine is None:
+        gains = np.concatenate([g for part in parts for g in part["gains"]])
+        gains = gains.reshape(len(plan.snr_grid_db), plan.trials_per_point, -1)
+    else:
+        gains = np.broadcast_to(engine.target_gain, (len(plan.snr_grid_db),)
+                                + engine.target_gain.shape)
     t_theory = time.perf_counter()
-    theory = _mean_theory_pd(plan, np.array([pl["snr"] for pl in payloads]),
-                             np.stack([pl["gain"] for pl in payloads]))
+    snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
+    theory = _mean_theory_pd(plan, snr, gains)
 
     trials = plan.trials_per_point
     curves = []
-    total_degenerate = 0
+    by_mode = {}
     for mi, (label, bs_id) in enumerate(_mode_labels(plan)):
         points = []
-        for pi, payload in enumerate(payloads):
-            degenerate = int(payload["degenerate"][mi])
-            total_degenerate += degenerate
+        by_mode[label] = int(degenerate[:, mi].sum())
+        for pi, snr_db in enumerate(plan.snr_grid_db):
             for fi, p in enumerate(plan.pfa_list):
-                det = int(payload["detections"][fi, mi])
+                det = int(detections[pi, fi, mi])
                 lo, hi = wilson_interval(det, trials)
                 points.append(CurvePoint(
-                    snr_db=plan.snr_grid_db[payload["snr_index"]], pfa=p,
+                    snr_db=snr_db, pfa=p,
                     trials=trials, detections=det,
-                    false_alarms=int(payload["false_alarms"][fi, mi]),
+                    false_alarms=int(false_alarms[pi, fi, mi]),
                     pd_emp=det / trials, ci_lo=lo, ci_hi=hi,
                     pd_theory_paper=float(theory["paper", p][pi, mi]),
                     pd_theory_calibrated=float(theory["calibrated", p][pi, mi]),
-                    degenerate=degenerate,
+                    degenerate=int(degenerate[pi, mi]),
                 ))
         curves.append(DetectionCurve(label=label, bs_id=bs_id, points=tuple(points)))
     timings = {"setup": t_points - t_setup, "points": t_theory - t_points,
                "theory": time.perf_counter() - t_theory}
     return ExperimentResult(
-        plan=plan, curves=tuple(curves),
-        degenerate_trials=total_degenerate, selection=selection, timings_s=timings,
+        plan=plan, curves=tuple(curves), degenerate_trials=sum(by_mode.values()),
+        selection=selection, timings_s=timings, degenerate_by_mode=by_mode,
     )
 
 

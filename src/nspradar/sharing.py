@@ -27,6 +27,8 @@ class ChannelSelection:
 
     selected: int                 # 1-based index of the winning BS
     norms: tuple[float, ...]      # ||P_i X - X||_F per BS, in BS order
+    # `residual_interference` of the selected waveform at the selected BS.
+    residual_interference: float
 
 
 def channel_matrices(

@@ -137,6 +137,24 @@ class TestRun:
         assert set(timings) == {"setup", "points", "theory", "output"}
         assert all(v >= 0 for v in timings.values())
 
+    def test_summary_reports_degenerate_trials_by_mode(self, tmp_path):
+        # n_bs = m: the projected mode is degenerate in every trial.
+        code, out = self._run(tmp_path, "n_bs = 4\n")
+        assert code == cli.EXIT_OK
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        by_mode = summary["degenerate_by_mode"]
+        assert by_mode == {MODE_ORTHOGONAL: 0, MODE_NSP_SELECTED: 2 * 50}
+        assert sum(by_mode.values()) == summary["degenerate_trials"]
+
+    @pytest.mark.parametrize("n_bs, bound", [(2, 1e-12), (4, 0.0)])
+    def test_summary_reports_residual_interference(self, tmp_path, n_bs, bound):
+        # A full-rank 2 x 4 channel keeps a two-dimensional null space; with
+        # n_bs = m the projector and the transmitted waveform are 0.
+        code, out = self._run(tmp_path, f"n_bs = {n_bs}\n")
+        assert code == cli.EXIT_OK
+        selection = json.load(open(os.path.join(out, "summary.json")))["selection"]
+        assert 0.0 <= selection["residual_interference"] <= bound
+
     def test_reruns_are_byte_identical(self, tmp_path):
         _, out1 = self._run(tmp_path)
         csv1 = open(os.path.join(out1, "results.csv"), "rb").read()
@@ -221,6 +239,20 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [
+        f"{start}:{stop}:{step}"
+        for bad in ("inf", "-inf", "nan")
+        for start, stop, step in ((bad, "10", "1"), ("0", bad, "1"), ("0", "10", bad))
+    ])
+    def test_non_finite_snr_range_exit_code(self, tmp_path, capsys, grid):
+        # 0:inf:1 used to grow its list without bound; 0:10:nan ran one
+        # point at 0 dB.
+        path = write_config(tmp_path, f"snr_db = {grid}\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "config key 'snr_db'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["7", "13", "100"])

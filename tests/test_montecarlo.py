@@ -277,8 +277,47 @@ class TestNoiseDraws:
                          scan=scan, theta_step_deg=5.0)
         want = run_experiment(plan).curves
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
-        assert montecarlo._redraw_block(plan) == 1
+        assert montecarlo._tile_rows(plan) == 1
         assert run_experiment(plan).curves == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"scan": True, "theta_step_deg": 5.0},
+        {"channel_mode": CHANNEL_REDRAWN},
+    ])
+    @pytest.mark.parametrize("tiling", ["split", "packed", "straddling"])
+    def test_tile_size_does_not_change_curves(self, tiling, kwargs, workers,
+                                              monkeypatch):
+        plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=25, **kwargs)
+        want = run_experiment(plan).curves
+        if tiling == "split":        # 7-row tiles: points of 7, 7, 7 and 4 rows
+            monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        elif tiling == "packed":     # 60-row budget: two whole points per tile
+            monkeypatch.setattr(montecarlo, "_CHUNK", 60)
+        else:                        # 7-row tiles across point boundaries
+            n = len(plan.snr_grid_db) * plan.trials_per_point
+            monkeypatch.setattr(montecarlo, "_tiles", lambda plan: [
+                (r, min(r + 7, n)) for r in range(0, n, 7)])
+        assert run_experiment(plan, workers=workers).curves == want
+
+    def test_tiles_pack_whole_points_and_split_larger_ones(self, monkeypatch):
+        plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), trials_per_point=25)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 60)
+        assert montecarlo._tiles(plan) == [(0, 50), (50, 100), (100, 125)]
+        monkeypatch.setattr(montecarlo, "_CHUNK", 10)
+        tiles = montecarlo._tiles(plan)
+        assert tiles[:4] == [(0, 10), (10, 20), (20, 25), (25, 35)]
+        assert len(tiles) == 5 * 3 and tiles[-1] == (120, 125)
+        assert montecarlo._segments(plan, 20, 57) == [(0, 20, 5), (1, 0, 25), (2, 0, 7)]
+
+    def test_scan_budget_keeps_100_trial_points_whole(self):
+        # Splitting the fig4 scan's 100-trial points into smaller tiles
+        # measured 6-12% slower; a tile holds one whole point.
+        plan = tiny_plan(scan=True, k=5, trials_per_point=100,
+                         pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
+        assert len(plan.theta_grid()) == 361
+        assert montecarlo._tile_rows(plan) >= 100
 
     def test_sample_count_does_not_change_draws(self):
         # With X X^H = I the statistic depends on the noise only through E0,
@@ -449,6 +488,20 @@ class TestRunExperiment:
                             lambda *args: calls.append(1) or build(*args))
         run_experiment(tiny_plan(snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=10))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("chunk", [20, montecarlo._CHUNK])
+    def test_redrawn_setup_is_built_once_per_tile(self, chunk, monkeypatch):
+        # P points x T trials take ceil(P T / rows) set-ups, not one per point.
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        calls = []
+        build = montecarlo._stacked_modes
+        monkeypatch.setattr(montecarlo, "_stacked_modes",
+                            lambda *args: calls.append(1) or build(*args))
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=10,
+                         snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0))
+        run_experiment(plan)
+        rows = montecarlo._tile_rows(plan)
+        assert len(calls) == math.ceil(5 * 10 / rows) < 5
 
     def test_redrawn_worker_count_invariance(self):
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30)

@@ -19,6 +19,16 @@ def test_search_band_seeds_finds_the_pinned_seeds(monkeypatch, capsys):
     ]
 
 
+def test_search_band_seeds_names_its_pin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["search_band_seeds.py", "--max-seed", "5",
+                                      "--limit", "1"])
+    runpy.run_path(os.path.join(SCRIPTS, "search_band_seeds.py"), run_name="__main__")
+    assert capsys.readouterr().err.splitlines() == [
+        "keeping only seeds where the tie-broken selection (BS 1) coincides "
+        "with the best gap",
+    ]
+
+
 def test_reproduce_figures_smoke(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--trials", "2",
                                       "--workers", "1", "--out", str(tmp_path)])
@@ -39,9 +49,14 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
     assert exit_info.value.code == 0
     bench = json.loads((tmp_path / "BENCH_0.json").read_text())
     assert {"nproc", "python", "numpy", "scipy"} <= set(bench["machine"])
-    for preset in ("fig3", "fig4", "fig5"):
-        run = bench["trees"]["change"][preset]
+    runs = ("fig3", "fig4", "fig5", "fig3-redrawn")
+    for name in runs:
+        run = bench["trees"]["change"][name]
         assert run["wall_s"] > 0 and len(run["runs_s"]) == 1
         assert run["trials_per_s"] == 2 * 41 / run["wall_s"]
         assert set(run["stages_s"]) == {"setup", "points", "theory", "output"}
-    assert bench["speedup"] == {"change": {"fig3": 1.0, "fig4": 1.0, "fig5": 1.0}}
+    assert bench["speedup"] == {"change": {name: 1.0 for name in runs}}
+    modes = {name: bench["trees"]["change"][name]["channel_mode"] for name in runs}
+    assert modes == {"fig3": "fixed-per-experiment", "fig4": "fixed-per-experiment",
+                     "fig5": "fixed-per-experiment",
+                     "fig3-redrawn": "redrawn-per-trial"}
