@@ -3,7 +3,9 @@
 
 Each measured run is a fresh interpreter that imports nspradar from one
 source tree and times `cli.main(["--preset", P, "--trials", N,
-"--workers", "1", ...])` with perf_counter, output files included.  The
+"--workers", "1", ...])` with perf_counter, output files included.  That
+time leaves out the import, so each tree's cold start `import_s` is timed
+on its own: a fresh interpreter timing `import nspradar.cli`.  The
 run `fig3-redrawn` is the `fig3` preset with channels redrawn per trial,
 set by a config file the script writes and passes with --config.  Runs
 of several trees (say, a parent commit's src/ and this one's) interleave
@@ -14,10 +16,10 @@ run by run, so that drift in the machine's speed reaches them alike.  Each
         --tree change=src
 
 The file records the machine (nproc, python/numpy/scipy versions, BLAS
-thread variables), each run's channel mode, the wall times and trials/s
-(trials per SNR point x SNR points / wall time), the per-stage
-`timings_s` of summary.json where the tree writes them, and each tree's
-speed-up over the first tree.
+thread variables), each tree's import time, each run's channel mode, the
+wall times and trials/s (trials per SNR point x SNR points / wall time),
+the per-stage `timings_s` of summary.json where the tree writes them, and
+each tree's speed-up over the first tree.
 """
 
 import argparse
@@ -59,6 +61,16 @@ print(json.dumps({"rc": rc, "seconds": seconds, "stages": stages,
                   "points": len(cli.PRESETS[preset]["snr_grid_db"])}))
 """
 
+# Runs in the child: argv is [src]; prints the seconds `import nspradar.cli`
+# takes in a fresh interpreter.
+_IMPORT = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import nspradar.cli
+print(time.perf_counter() - t0)
+"""
+
 
 def machine() -> dict:
     try:
@@ -92,6 +104,14 @@ def run_once(src: str, name: str, trials: int) -> dict:
     return res
 
 
+def import_once(src: str) -> float:
+    proc = subprocess.run([sys.executable, "-c", _IMPORT, src],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{src}: import failed:\n{proc.stderr}")
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
 def summarize(runs: list[dict], trials: int) -> dict:
     wall = statistics.median(r["seconds"] for r in runs)
     out = {"channel_mode": runs[0]["channel_mode"],
@@ -117,7 +137,12 @@ def main() -> int:
 
     trees = dict(t.split("=", 1) for t in (args.tree or ["change=src"]))
     runs = {(label, p): [] for label in trees for p in RUNS}
+    imports = {label: [] for label in trees}
     for rep in range(args.repeats):
+        for label, src in trees.items():
+            imports[label].append(import_once(os.path.abspath(src)))
+            print(f"run {rep + 1}/{args.repeats} {label} import: "
+                  f"{imports[label][-1]:.3f} s", flush=True)
         for name in RUNS:
             for label, src in trees.items():
                 res = run_once(os.path.abspath(src), name, args.trials)
@@ -133,6 +158,8 @@ def main() -> int:
         "machine": machine(),
         "config": {"trials_per_point": args.trials, "workers": 1,
                    "repeats": args.repeats, "statistic": "median"},
+        "import_s": {label: {"median_s": statistics.median(times), "runs_s": times}
+                     for label, times in imports.items()},
         "trees": results,
         "speedup_over": base,
         "speedup": {label: {p: results[base][p]["wall_s"] / results[label][p]["wall_s"]

@@ -62,8 +62,10 @@ def direction_gain(a: np.ndarray, r: np.ndarray):
     direction; real-valued for Hermitian R, equals M for orthogonal waveforms.
 
     A (..., M, M) stack of correlations gives an array of shape (...).
+    It is evaluated as a^T (R a^*), one matrix-vector product per matrix,
+    so a row's value does not depend on the size of its stack.
     """
-    gain = np.real(a.conj() @ np.swapaxes(r, -1, -2) @ a)
+    gain = np.real(np.sum(a * (r @ a.conj()), axis=-1))
     return float(gain) if gain.ndim == 0 else gain
 
 

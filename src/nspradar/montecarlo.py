@@ -27,8 +27,9 @@ Channels take one route everywhere: `_channels` draws a (C, K, N_BS, M)
 stack and `_stacked_modes` turns it into projectors (one stacked SVD), the
 selection per draw and the mode setups.  A fixed channel is stream 0 alone
 (C = 1); it is set up once per sweep, in `run_experiment`.  Redrawn channels
-give each trial its own stream.  `run_trial` takes the same route for its
-one trial.
+are drawn as the noise is: one Philox stream per (master seed, SNR index),
+of which trial t reads the fixed-width record t, its K channels of i.i.d.
+CN(0, 1) entries.  `run_trial` takes the same route for its one trial.
 
 The sweep is one loop over tiles of its (SNR point, trial) rows, row
 i * trials_per_point + t being trial t of point i (`_tiles`).  A tile packs
@@ -66,21 +67,25 @@ CHANNEL_FIXED = "fixed-per-experiment"
 CHANNEL_REDRAWN = "redrawn-per-trial"
 
 # Substream layout under the master seed:
-#   0                                         fixed-per-experiment channels;
-#   1 + 4 * ((snr_index << 32) | trial_id) + 2  per-trial channels (redrawn
-#                                             mode; moving them would change
-#                                             every seed's channel draws);
+#   0                                         fixed-per-experiment channels
+#                                             (acceptance seeds are pinned
+#                                             to this draw);
+#   _TRIAL_CHANNEL_BASE + snr_index           redrawn channels at one SNR
+#                                             point, one fixed-width record
+#                                             of K channels per trial;
 #   _REDRAW_BASE + r                          channel redraws of
-#                                             mean_selected_gap_db;
+#                                             mean_selected_gap_db (pinned
+#                                             like stream 0);
 #   _NOISE_BASE + 2 * snr_index + hypothesis  noise at one SNR point (E0
 #                                             with the scan, w without it),
 #                                             one fixed-width record per trial;
 #   _LIFT_BASE + 2 * snr_index + hypothesis   the M x M G with which
 #                                             `run_trial` lifts w to E0, one
 #                                             record per trial.
-# Per-trial ids stay below _REDRAW_BASE, and noise ids below _LIFT_BASE,
-# while snr_index < 2**28.
+# Redrawn-channel ids stay below _REDRAW_BASE, and noise ids below
+# _LIFT_BASE, while snr_index < 2**28.
 _CHANNEL_STREAM = 0
+_TRIAL_CHANNEL_BASE = 1
 _REDRAW_BASE = 2**62
 _NOISE_BASE = 2**63
 _LIFT_BASE = _NOISE_BASE + 2**62
@@ -218,10 +223,6 @@ class SnrGapReport:
     gap_db: dict
 
 
-def _trial_channel_stream(snr_index: int, trial_id: int) -> int:
-    return 1 + 4 * ((snr_index << 32) | trial_id) + 2
-
-
 def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate."""
     if n == 0:
@@ -290,15 +291,16 @@ def _channels(plan: ExperimentPlan, snr_index: int, first: int,
     """(C, K, N_BS, M) channel draws for trials [first, first + count) of
     SNR point snr_index.
 
-    A fixed channel is stream 0 alone (C = 1) for every point and trial;
-    redrawn channels give each trial its own stream (C = count).
+    A fixed channel is stream 0 alone (C = 1) for every point and trial.
+    Redrawn channels (C = count) are records [first, first + count) of the
+    point's stream, one record of K channels of i.i.d. CN(0, 1) entries per
+    trial, so a block equals its trials drawn one by one.
     """
     if plan.channel_mode == CHANNEL_FIXED:
-        streams = [_CHANNEL_STREAM]
-    else:
-        streams = [_trial_channel_stream(snr_index, t) for t in range(first, first + count)]
-    rngs = [rng_substream(plan.master_seed, s) for s in streams]
-    return sharing.channel_matrices(rngs, plan.k, plan.n_bs, plan.m)
+        rng = rng_substream(plan.master_seed, _CHANNEL_STREAM)
+        return sharing.channel_matrices([rng], plan.k, plan.n_bs, plan.m)
+    return complex_normal_block(plan.master_seed, _TRIAL_CHANNEL_BASE + snr_index,
+                                first, count, (plan.k, plan.n_bs, plan.m))
 
 
 def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
@@ -407,10 +409,7 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     being the number of grid angles.  Redrawn channels also set up every
     row: (K, M, M) projectors and either (modes, M, M) correlations or,
     with the scan, (M^2, modes x G) coefficients, each counted twice for
-    the temporaries they are built from.  That keeps a split point's tiles
-    at the redrawn blocks of earlier versions, which matters for one-row
-    tiles: `detection.direction_gain` on a one-row stack takes another
-    BLAS path, and its gains can differ in the last bit.
+    the temporaries they are built from.
     """
     grid = len(plan.theta_grid())
     n_modes = len(_mode_labels(plan))
@@ -508,9 +507,12 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
 def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) -> dict:
     """Single-trial reference path through the explicit pipeline.
 
-    Takes the trial's E0 (`_lifted_noise` at the target angle alone), forms
-    the echo noise N = E0 X (so N X^H = E0) and runs sufficient_statistic
-    and glrt_scan over `plan.theta_grid()` on the echo.
+    Reads the trial's channels (`_channels` with count 1: the fixed draw,
+    or record trial_id of the point's redrawn-channel stream, the record
+    the sweep reads) and its E0 (`_lifted_noise` at the target angle
+    alone), forms the echo noise N = E0 X (so N X^H = E0) and runs
+    sufficient_statistic and glrt_scan over `plan.theta_grid()` on the
+    echo.
     Returns {mode label: TrialOutcome}; deterministic in (plan, snr_db, trial_id).
     """
     if snr_db not in plan.snr_grid_db:

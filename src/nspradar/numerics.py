@@ -1,7 +1,7 @@
 """Shared numerical substrate.
 
 Complex SVD facade, chi-squared statistics with two degrees of freedom
-(central CDF/inverse and the noncentral survival function, i.e. the
+(the central inverse CDF and the noncentral survival function, i.e. the
 first-order Marcum Q), deterministic RNG substreams, and fixed-width
 Gaussian record streams.
 """
@@ -42,15 +42,9 @@ def svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, np.swapaxes(vh.conj(), -1, -2)
 
 
-def chi2_central_cdf(x: float) -> float:
-    """CDF of the central chi-squared law with 2 dof: F(x) = 1 - exp(-x/2)."""
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    return -math.expm1(-0.5 * x)
-
-
 def chi2_central_inv(p: float) -> float:
-    """Inverse of `chi2_central_cdf`: F^-1(p) = -2 log(1 - p), for p in [0, 1)."""
+    """Inverse of the central chi-squared CDF with 2 dof, F(x) = 1 - exp(-x/2):
+    F^-1(p) = -2 log(1 - p), for p in [0, 1)."""
     if not 0 <= p < 1:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     return -2.0 * math.log1p(-p)
@@ -86,12 +80,6 @@ def rng_substream(master_seed: int, stream_id: int) -> np.random.Generator:
     statistically independent sequences regardless of draw order.
     """
     return np.random.Generator(_philox(master_seed, stream_id))
-
-
-def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex Gaussian draws, CN(0, variance)."""
-    scale = math.sqrt(0.5 * variance)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def normal_from_uniform(u: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Colocated MIMO radar model: steering vectors of the uniform linear array,
-orthogonal waveform synthesis, and single-target echo generation.
+the rank-one transmit-receive matrix and orthogonal waveform synthesis.
 
 The array has M elements, given to `steering_vector` or read from the rows
 of the waveform; its element spacing is fixed at 3/4 of the carrier
@@ -8,31 +8,15 @@ wavelength.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import complex_normal
 
 # 3.55 GHz carrier (~8.45 cm).  The nominal 6.42 cm spacing quoted alongside
 # an 8.5 cm wavelength is inconsistent by ~0.5 mm, so the spacing is derived
 # from the wavelength.
 _WAVELENGTH = 3e8 / 3.55e9
 _SPACING = 0.75 * _WAVELENGTH
-
-
-@dataclass(frozen=True)
-class TargetScenario:
-    """Single point target: azimuth, complex path loss, per-sample noise power."""
-
-    theta: float
-    alpha: complex
-    noise_var: float = 1.0
-
-    def __post_init__(self):
-        if self.noise_var <= 0:
-            raise ConfigurationError("noise variance must be positive")
 
 
 def steering_vector(m: int, theta) -> np.ndarray:
@@ -67,23 +51,3 @@ def orthogonal_waveforms(m: int, l: int) -> np.ndarray:
     n = np.arange(l)
     rows = np.arange(m)[:, None]
     return np.exp(2j * np.pi * rows * n / l) / np.sqrt(l)
-
-
-def waveform_correlation(x: np.ndarray) -> np.ndarray:
-    """Sample-sum correlation sum_n x[n] x[n]^H of an M x L sample matrix."""
-    return x @ x.conj().T
-
-
-def synthesize_echo(
-    scn: TargetScenario,
-    x: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Received echo Y = alpha A(theta) X + N with N i.i.d. CN(0, noise_var)
-    for an M x L sample matrix X.
-
-    The target-absent hypothesis is synthesized with alpha = 0.
-    """
-    a = steering_vector(len(x), scn.theta)
-    signal = scn.alpha * (transmit_receive_matrix(a) @ x)
-    return signal + complex_normal(rng, x.shape, scn.noise_var)

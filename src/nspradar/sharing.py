@@ -38,8 +38,8 @@ def channel_matrices(
     row of K channels per generator.
 
     Each generator gives one standard_normal call in the order channel,
-    real/imaginary part, entry, which is the order K successive
-    `complex_normal(rng, (N_BS, M))` calls consume.
+    real/imaginary part, entry: the order in which K successive N_BS x M
+    complex draws (all real parts, then all imaginary parts) consume it.
     """
     if k < 1 or n_bs < 1 or m < 1:
         raise ConfigurationError("K, N_BS and M must all be >= 1")

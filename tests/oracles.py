@@ -2,13 +2,66 @@
 
 These deliberately avoid the library's own code paths: chi-squared
 quantities come from direct quadrature of the density / bisection on the
-CDF, and steering products from explicit summation loops.
+CDF, and steering products from explicit summation loops.  The explicit
+M x L echo model (`TargetScenario`, `synthesize_echo`), which the sweep
+replaces by its M x M sufficient statistic, lives here too, with the
+closed-form central chi-squared CDF and the ziggurat complex normals.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
+
+from nspradar.errors import ConfigurationError
+from nspradar.radar import steering_vector, transmit_receive_matrix
+
+
+def chi2_central_cdf(x: float) -> float:
+    """CDF of the central chi-squared law with 2 dof: F(x) = 1 - exp(-x/2)."""
+    if x < 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    return -math.expm1(-0.5 * x)
+
+
+def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
+    """i.i.d. circularly-symmetric complex Gaussian draws, CN(0, variance)."""
+    scale = math.sqrt(0.5 * variance)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@dataclass(frozen=True)
+class TargetScenario:
+    """Single point target: azimuth, complex path loss, per-sample noise power."""
+
+    theta: float
+    alpha: complex
+    noise_var: float = 1.0
+
+    def __post_init__(self):
+        if self.noise_var <= 0:
+            raise ConfigurationError("noise variance must be positive")
+
+
+def waveform_correlation(x: np.ndarray) -> np.ndarray:
+    """Sample-sum correlation sum_n x[n] x[n]^H of an M x L sample matrix."""
+    return x @ x.conj().T
+
+
+def synthesize_echo(
+    scn: TargetScenario,
+    x: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Received echo Y = alpha A(theta) X + N with N i.i.d. CN(0, noise_var)
+    for an M x L sample matrix X.
+
+    The target-absent hypothesis is synthesized with alpha = 0.
+    """
+    a = steering_vector(len(x), scn.theta)
+    signal = scn.alpha * (transmit_receive_matrix(a) @ x)
+    return signal + complex_normal(rng, x.shape, scn.noise_var)
 
 
 def chi2_density(x: float) -> float:

@@ -16,15 +16,14 @@ from nspradar.detection import (
 from nspradar.errors import ConfigurationError
 from nspradar.numerics import chi2_central_inv, rng_substream
 from nspradar.radar import (
-    TargetScenario,
     orthogonal_waveforms,
     steering_vector,
-    synthesize_echo,
     transmit_receive_matrix,
 )
 from nspradar.sharing import channel_matrices, null_projectors, projected_correlation
 
 import oracles
+from oracles import TargetScenario, synthesize_echo
 
 
 GRID_HALF_DEG = np.deg2rad(np.arange(-90.0, 90.0 + 0.25, 0.5))
@@ -169,6 +168,24 @@ class TestGlrtScan:
             # require localization within a degree of the true angle
             hits += abs(math.degrees(res.theta_ml) - 10.0) <= 1.0
         assert hits / n >= 0.99
+
+
+class TestDirectionGain:
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_row_does_not_depend_on_stack_size(self, m):
+        # Each row's bits are the same alone, in a one-row stack and in the
+        # 64-row stack, and equal the quadratic form to rounding.
+        rng = np.random.default_rng(m)
+        z = rng.standard_normal((64, m, m)) + 1j * rng.standard_normal((64, m, m))
+        r = z @ np.swapaxes(z.conj(), -1, -2)
+        a = steering_vector(m, 0.3)
+        stack = direction_gain(a, r)
+        assert stack.shape == (64,)
+        for i in range(64):
+            assert direction_gain(a, r[i:i + 1]).tobytes() == stack[i:i + 1].tobytes()
+            assert direction_gain(a, r[i]) == stack[i]
+            assert direction_gain(a, r[i]) == pytest.approx(
+                np.real(a.conj() @ r[i].T @ a), rel=1e-12)
 
 
 class TestNoncentralities:

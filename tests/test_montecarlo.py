@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nspradar.errors import ConfigurationError
 from nspradar.montecarlo import (
@@ -20,7 +21,7 @@ from nspradar.montecarlo import (
 )
 
 import nspradar.montecarlo as montecarlo
-from nspradar import radar, sharing
+from nspradar import numerics, radar, sharing
 import oracles
 
 
@@ -331,9 +332,9 @@ class TestNoiseDraws:
             ]
 
     def test_stream_ids_do_not_collide(self):
-        # Largest per-trial channel id for any snr_index < 2**28.
-        top_trial = montecarlo._trial_channel_stream(2**28 - 1, 2**32 - 1)
-        assert montecarlo._CHANNEL_STREAM < 1 <= top_trial < montecarlo._REDRAW_BASE
+        # Redrawn-channel ids for any snr_index < 2**28.
+        assert montecarlo._CHANNEL_STREAM < montecarlo._TRIAL_CHANNEL_BASE
+        assert montecarlo._TRIAL_CHANNEL_BASE + 2**28 <= montecarlo._REDRAW_BASE
         assert montecarlo._REDRAW_BASE + 2**32 < montecarlo._NOISE_BASE
         # Noise and lift ids for any snr_index < 2**28 and either hypothesis.
         assert montecarlo._NOISE_BASE + 2 * 2**28 <= montecarlo._LIFT_BASE
@@ -392,6 +393,45 @@ class TestNoiseDraws:
             want = montecarlo._channels(plan, 1, 15 + i, 1)[0]
             assert row.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("k, n_bs", [(2, 1), (1, 2)])
+    def test_redrawn_channels_are_iid_cn_0_1(self, k, n_bs):
+        # The K N_BS M = 8 entries of a trial's record are i.i.d. CN(0, 1):
+        # unit power, circular, uncorrelated, and uncorrelated with the next
+        # trial's record.
+        plan = tiny_plan(k=k, n_bs=n_bs, channel_mode=CHANNEL_REDRAWN)
+        n = 20_000
+        v = montecarlo._channels(plan, 0, 0, n).reshape(n, -1)
+        d = v.shape[1]
+        assert d == 8
+        # |v_i|^2 is Exp(1) (standard deviation 1).
+        power = np.mean(np.abs(v) ** 2, axis=0)
+        assert np.all(np.abs(power - 1) < 4 / math.sqrt(n))
+        # As for the noise: re and im of v_i^2 have standard deviation 1, and
+        # those of v_i v_j (i != j) and v_i v_j^* 1 / sqrt(2); so do those of
+        # v_i(t) v_j(t + 1)^* for every i, j.
+        eye = np.eye(d, dtype=bool)
+        sigma = np.where(eye, 1.0, math.sqrt(0.5)) / math.sqrt(n)
+        pseudo = v.T @ v / n
+        cov = v.T @ v.conj() / n
+        lag = v[1:].T @ v[:-1].conj() / (n - 1)
+        for part, sd in ((pseudo, sigma), (cov[~eye], sigma[~eye]),
+                         (lag, math.sqrt(0.5 / (n - 1)))):
+            assert np.all(np.abs(part.real) < 4 * sd)
+            assert np.all(np.abs(part.imag) < 4 * sd)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_redrawn_target_gain_is_beta(self, m):
+        # An i.i.d. CN channel has a Haar-distributed null space, so for every
+        # BS c / M = a^H P^T a / M ~ Beta(M - N_BS, N_BS).  The gains are the
+        # ones the sweep's theory columns average, 4000 trials x 5 BSs.
+        plan = tiny_plan(m=m, k=5, snr_grid_db=(0.0,), trials_per_point=4000,
+                         channel_mode=CHANNEL_REDRAWN, waveform_modes=(MODE_NSP_PER_BS,))
+        parts = montecarlo._run_tiles(plan, montecarlo._tiles(plan), None)["gains"]
+        gains = np.concatenate(parts)
+        assert gains.shape == (4000, 5)
+        law = stats.beta(m - plan.n_bs, plan.n_bs)
+        assert stats.kstest(gains.ravel() / m, law.cdf).pvalue > 1e-3
+
     def test_fixed_channel_is_one_draw_for_every_trial(self):
         plan = tiny_plan()
         want = montecarlo._channels(plan, 0, 0, 1)
@@ -399,14 +439,15 @@ class TestNoiseDraws:
         assert montecarlo._channels(plan, 1, 15, 4).tobytes() == want.tobytes()
 
     def test_channel_draws_are_pinned(self):
-        # Acceptance seeds are pinned to channel draws, so the noise streams
-        # must leave the channel streams where they are.
+        # Acceptance seeds are pinned to the fixed channel draw, so no other
+        # stream may move it.  The redrawn value pins the per-point record
+        # layout of the redrawn-channel streams.
         plan = tiny_plan()
         fixed = montecarlo._channels(plan, 0, 0, 1)[0, 0, 0, 0]
         redrawn = replace(plan, channel_mode=CHANNEL_REDRAWN)
         trial = montecarlo._channels(redrawn, 1, 17, 1)[0, 2, 1, 3]
         assert fixed == -0.531437094499637 + 0.023026140752559265j
-        assert trial == -0.1857017865529491 - 0.26512386584123976j
+        assert trial == -0.8712791325290165 - 0.08533192293780599j
 
 
 class TestRunExperiment:
@@ -503,6 +544,22 @@ class TestRunExperiment:
         rows = montecarlo._tile_rows(plan)
         assert len(calls) == math.ceil(5 * 10 / rows) < 5
 
+    def test_redrawn_sweep_builds_no_generator_per_trial(self, monkeypatch):
+        # Channels and noise read records of one Philox stream per SNR point,
+        # so the number of Philox generators built does not grow with the
+        # trials per point.
+        calls = []
+        philox = numerics._philox
+        monkeypatch.setattr(numerics, "_philox",
+                            lambda *args: calls.append(1) or philox(*args))
+        built = []
+        for trials in (10, 40):
+            calls.clear()
+            run_experiment(tiny_plan(channel_mode=CHANNEL_REDRAWN,
+                                     trials_per_point=trials))
+            built.append(len(calls))
+        assert built[0] == built[1]
+
     def test_redrawn_worker_count_invariance(self):
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30)
         assert run_experiment(plan, workers=1).curves == run_experiment(plan, workers=2).curves
@@ -522,8 +579,10 @@ class TestRunExperiment:
 # pd_theory_calibrated) at -6 dB, at 0 dB]}.  Recorded before the scalar
 # channel/projector layer was replaced by the stacked one; the "fixed" and
 # "redrawn" tallies were re-read when the at-angle noise became the M-vector
-# w = E0^T a^* (same law, new realization).  Any other change to the
-# streams, the selection or the arithmetic shows here.
+# w = E0^T a^* (same law, new realization), and the "redrawn" projected
+# modes again when redrawn channels became records of one stream per SNR
+# point (same law, new realization).  Any other change to the streams, the
+# selection or the arithmetic shows here.
 GOLDEN_PLAN = dict(
     m=4, k=2, l=16, snr_grid_db=(-6.0, 0.0), pfa_list=(0.1,), trials_per_point=40,
     master_seed=5, waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
@@ -571,16 +630,16 @@ GOLDEN = {
             (40, 4, 0, 0.9786015642681981, 0.9998694333859743),
         ],
         "nsp-bs1": [
-            (23, 3, 0, 0.2544715921933916, 0.5461940528852167),
-            (33, 4, 0, 0.511215816617503, 0.8720014364855043),
+            (23, 3, 0, 0.25585441987984353, 0.5421437843795189),
+            (36, 6, 0, 0.49658816392205596, 0.9072706613222878),
         ],
         "nsp-bs2": [
-            (24, 2, 0, 0.22874556698931786, 0.5092863728678163),
-            (36, 4, 0, 0.5398320584541472, 0.9239252886858363),
+            (23, 4, 0, 0.2141544776975167, 0.48251746803556117),
+            (34, 4, 0, 0.507750092844981, 0.8854759318324055),
         ],
         "nsp-selected": [
-            (23, 3, 0, 0.2544715921933916, 0.5461940528852167),
-            (33, 4, 0, 0.511215816617503, 0.8720014364855043),
+            (23, 3, 0, 0.25585441987984353, 0.5421437843795189),
+            (36, 6, 0, 0.49658816392205596, 0.9072706613222878),
         ],
     },
 }

@@ -7,15 +7,13 @@ from hypothesis import given, settings, strategies as st
 from nspradar.errors import ConfigurationError
 from nspradar.numerics import rng_substream
 from nspradar.radar import (
-    TargetScenario,
     orthogonal_waveforms,
     steering_vector,
-    synthesize_echo,
     transmit_receive_matrix,
-    waveform_correlation,
 )
 
 import oracles
+from oracles import TargetScenario, synthesize_echo, waveform_correlation
 
 
 M8 = 8

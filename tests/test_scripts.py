@@ -56,6 +56,8 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
         assert run["trials_per_s"] == 2 * 41 / run["wall_s"]
         assert set(run["stages_s"]) == {"setup", "points", "theory", "output"}
     assert bench["speedup"] == {"change": {name: 1.0 for name in runs}}
+    imports = bench["import_s"]["change"]
+    assert len(imports["runs_s"]) == 1 and imports["median_s"] == imports["runs_s"][0] > 0
     modes = {name: bench["trees"]["change"][name]["channel_mode"] for name in runs}
     assert modes == {"fig3": "fixed-per-experiment", "fig4": "fixed-per-experiment",
                      "fig5": "fixed-per-experiment",

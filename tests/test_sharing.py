@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nspradar.errors import ConfigurationError
-from nspradar.numerics import complex_normal, rng_substream
+from nspradar.numerics import rng_substream
 from nspradar.radar import orthogonal_waveforms
 from nspradar.sharing import (
     channel_matrices,
@@ -14,6 +14,7 @@ from nspradar.sharing import (
 )
 
 import oracles
+from oracles import complex_normal
 
 
 class TestDrawChannels:
