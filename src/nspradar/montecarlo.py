@@ -132,15 +132,25 @@ class ExperimentPlan:
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigurationError(
                 f"snr grid values must be finite, got {self.snr_grid_db}")
-        if not self.pfa_list or not all(0 < p < 1 for p in self.pfa_list):
+        if not self.pfa_list:
+            raise ConfigurationError("pfa list must be non-empty")
+        if not all(0 < p < 1 for p in self.pfa_list):
             raise ConfigurationError("pfa values must lie in (0, 1)")
         if self.l < self.m:
             raise ConfigurationError(f"need l >= m, got l={self.l}, m={self.m}")
         if self.channel_mode not in (CHANNEL_FIXED, CHANNEL_REDRAWN):
             raise ConfigurationError(f"unknown channel_mode {self.channel_mode!r}")
+        if not self.waveform_modes:
+            raise ConfigurationError("waveform modes must be non-empty")
         unknown = [w for w in self.waveform_modes if w not in _KNOWN_MODES]
-        if unknown or not self.waveform_modes:
+        if unknown:
             raise ConfigurationError(f"unknown waveform modes: {unknown}")
+        # Each (mode, snr, pfa) is one results.csv row and one curve key.
+        for name, values in (("snr grid values", self.snr_grid_db),
+                             ("pfa values", self.pfa_list),
+                             ("waveform modes", self.waveform_modes)):
+            if len(set(values)) < len(values):
+                raise ConfigurationError(f"{name} must be distinct, got {list(values)}")
         if not 0 < self.theta_step_deg <= 180:
             raise ConfigurationError("theta_step_deg must lie in (0, 180]")
         if not abs(self.theta_target_deg) <= 90:  # also rejects nan
@@ -553,7 +563,7 @@ def _mean_theory_pd(plan: ExperimentPlan, snr: np.ndarray,
 
     `gains` is (points, C, modes) and `snr` (points,); the noncentralities
     are `detection.noncentrality`'s.  Points go in groups of about
-    _BLOCK_ELEMENTS values, since scipy's noncentral survival function takes
+    _BLOCK_ELEMENTS values, since the noncentral survival function takes
     several temporaries of its input's size; each point's trials are still
     reduced in one step.
     """

@@ -4,6 +4,11 @@ Complex SVD facade, chi-squared statistics with two degrees of freedom
 (the central inverse CDF and the noncentral survival function, i.e. the
 first-order Marcum Q), deterministic RNG substreams, and fixed-width
 Gaussian record streams.
+
+The noncentral survival function is the `scipy.special` ufunc behind
+`scipy.stats.ncx2.sf`, with the same branches, so it equals that function
+bit for bit; importing it leaves `scipy.stats` (most of a cold start)
+unloaded.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
+from scipy.special import chdtrc, ndtri
+from scipy.special._ufuncs import _ncx2_sf
 
 from .errors import NumericFailure
 
@@ -54,15 +59,21 @@ def chi2_noncentral_sf(x, rho):
     """Survival function 1 - F of the noncentral chi-squared law (2 dof,
     noncentrality rho); equals the Marcum Q function Q1(sqrt(rho), sqrt(x)).
 
+    Evaluated as `scipy.stats.ncx2.sf(x, 2, rho)` does: the central law's
+    `chdtrc` where rho = 0, Boost's noncentral `_ncx2_sf` elsewhere, and 1 at
+    x = 0 (where `_ncx2_sf` alone gives -0.0).  x must be finite.
+
     Broadcasts over arrays; scalar arguments give a float.
     """
     x = np.asarray(x, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if np.any(x < 0):
-        raise ValueError(f"x must be non-negative, got {x}")
-    if np.any(rho < 0):
+    if not np.all((x >= 0) & (x < np.inf)):
+        raise ValueError(f"x must be finite and non-negative, got {x}")
+    if not np.all(rho >= 0):
         raise ValueError(f"rho must be non-negative, got {rho}")
-    sf = stats.ncx2.sf(x, 2, rho)
+    with np.errstate(over="ignore"):
+        sf = np.where(rho == 0, chdtrc(2.0, x), _ncx2_sf(x, 2.0, rho))
+    sf = np.where(x == 0, 1.0, sf)
     return float(sf) if sf.ndim == 0 else sf
 
 

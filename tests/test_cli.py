@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -241,6 +243,23 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("snr_db = [1, 1]", "snr grid values must be distinct, got [1.0, 1.0]"),
+        ("snr_db = [0.0, -0.0]", "snr grid values must be distinct"),
+        ("pfa = [0.001, 0.001]", "pfa values must be distinct, got [0.001, 0.001]"),
+        ("modes = [orthogonal, orthogonal]",
+         "waveform modes must be distinct, got ['orthogonal', 'orthogonal']"),
+        ("pfa = []", "pfa list must be non-empty"),
+        ("modes = []", "waveform modes must be non-empty"),
+    ])
+    def test_repeated_or_empty_grid_exit_code(self, tmp_path, capsys, line, message):
+        # Repeated entries used to write repeated (mode, snr_db, pfa) rows.
+        path = write_config(tmp_path, line + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", [
         f"{start}:{stop}:{step}"
         for bad in ("inf", "-inf", "nan")
@@ -314,3 +333,31 @@ class TestPresets:
         assert code == cli.EXIT_OK
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["plan"]["m"] == 8
+
+
+# Run in a fresh interpreter, so that nothing this test session imported
+# counts; checked after the runs, so that an import made during a sweep fails
+# it too.
+_COLD_START = """
+import sys
+from nspradar import cli
+out, cfg = sys.argv[1:]
+assert cli.main(["--preset", "fig4", "--trials", "5", "--emit-plot",
+                 "--out", out + "/fig4"]) == cli.EXIT_OK
+assert cli.main(["--config", cfg, "--out", out + "/redrawn"]) == cli.EXIT_OK
+print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+
+
+def test_cli_runs_without_importing_scipy_stats(tmp_path):
+    cfg = write_config(tmp_path, "channel_mode = redrawn-per-trial\n"
+                       "snr_db = [0.0, 6.0]\ntrials = 5\n"
+                       "modes = [orthogonal, nsp-per-bs, nsp-selected]\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path), cfg],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "fig4" / "plot.gp").is_file()
+    assert "redrawn-per-trial" in (tmp_path / "redrawn" / "summary.json").read_text()

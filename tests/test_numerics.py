@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 from scipy.special import ndtri
 
 from nspradar.errors import NumericFailure
@@ -137,10 +138,35 @@ class TestNoncentralSf:
             assert abs(chi2_noncentral_sf(x, 0.0) - (1 - chi2_central_cdf(x))) < 1e-10
 
     def test_large_argument_branch(self):
-        from scipy import stats
-
         for x, rho in [(32.24, 900.0), (300.0, 5.0), (50.0, 2000.0)]:
-            assert abs(chi2_noncentral_sf(x, rho) - stats.ncx2.sf(x, 2, rho)) < 1e-10
+            assert chi2_noncentral_sf(x, rho) == stats.ncx2.sf(x, 2, rho)
+
+    # x: 0, the preset thresholds -2 ln P_FA, and random values in [0, 80];
+    # rho: 0, two tiny values and log-uniform values up to 1e5.
+    _rng = np.random.default_rng(20261018)
+    SF_X = np.concatenate([
+        [0.0], [chi2_central_inv(1 - p) for p in (1e-1, 1e-3, 1e-5, 1e-7)],
+        _rng.uniform(0.0, 80.0, 60)])
+    SF_RHO = np.concatenate([[0.0, 1e-300, 1e-12], 10.0 ** _rng.uniform(-12.0, 5.0, 60)])
+
+    def test_equals_scipy_stats_bit_for_bit(self):
+        for x in self.SF_X:
+            for rho in self.SF_RHO:
+                got = chi2_noncentral_sf(float(x), float(rho))
+                assert isinstance(got, float)
+                assert got == stats.ncx2.sf(x, 2, rho), (x, rho)
+
+    @pytest.mark.parametrize("x_shape, rho_shape", [
+        ((65, 1), (1, 63)), ((65, 1, 1), (63,)), ((), (63,)), ((65,), ()),
+    ])
+    def test_equals_scipy_stats_over_broadcast_shapes(self, x_shape, rho_shape):
+        x = self.SF_X[:math.prod(x_shape)].reshape(x_shape)
+        rho = self.SF_RHO[:math.prod(rho_shape)].reshape(rho_shape)
+        got = chi2_noncentral_sf(x, rho)
+        want = stats.ncx2.sf(x, 2, rho)
+        assert got.shape == np.shape(want) == np.broadcast_shapes(x_shape, rho_shape)
+        assert np.array_equal(got, want)
+        assert not np.any(np.signbit(got))
 
     @given(
         x=st.floats(0.0, 60.0),
@@ -167,6 +193,9 @@ class TestNoncentralSf:
             chi2_noncentral_sf(-1.0, 1.0)
         with pytest.raises(ValueError):
             chi2_noncentral_sf(1.0, -1.0)
+        for x, rho in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                chi2_noncentral_sf(x, rho)
 
     def test_broadcasts_over_arrays(self):
         x = np.linspace(0.0, 40.0, 9)[:, None]
