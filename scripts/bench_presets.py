@@ -7,7 +7,8 @@ source tree and times `cli.main(["--preset", P, "--trials", N,
 time leaves out the import, so each tree's cold start `import_s` is timed
 on its own: a fresh interpreter timing `import nspradar.cli`.  The
 run `fig3-redrawn` is the `fig3` preset with channels redrawn per trial,
-set by a config file the script writes and passes with --config.  Runs
+and `fig4-scan` the `fig4` preset with the GLRT scan over the angle grid,
+each set by a config file the script writes and passes with --config.  Runs
 of several trees (say, a parent commit's src/ and this one's) interleave
 run by run, so that drift in the machine's speed reaches them alike.  Each
 (tree, run) reports the median of --repeats runs:
@@ -16,10 +17,10 @@ run by run, so that drift in the machine's speed reaches them alike.  Each
         --tree change=src
 
 The file records the machine (nproc, python/numpy/scipy versions, BLAS
-thread variables), each tree's import time, each run's channel mode, the
-wall times and trials/s (trials per SNR point x SNR points / wall time),
-the per-stage `timings_s` of summary.json where the tree writes them, and
-each tree's speed-up over the first tree.
+thread variables), each tree's import time, each run's channel mode and
+scan flag, the wall times and trials/s (trials per SNR point x SNR
+points / wall time), the per-stage `timings_s` of summary.json where the
+tree writes them, and each tree's speed-up over the first tree.
 """
 
 import argparse
@@ -40,6 +41,7 @@ RUNS = {
     "fig4": ("fig4", None),
     "fig5": ("fig5", None),
     "fig3-redrawn": ("fig3", "channel_mode = redrawn-per-trial\n"),
+    "fig4-scan": ("fig4", "scan = true\n"),
 }
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -58,6 +60,7 @@ with open(os.path.join(out, "summary.json")) as fh:
 stages = summary.get("timings_s")
 print(json.dumps({"rc": rc, "seconds": seconds, "stages": stages,
                   "channel_mode": summary["plan"]["channel_mode"],
+                  "scan": summary["plan"]["scan"],
                   "points": len(cli.PRESETS[preset]["snr_grid_db"])}))
 """
 
@@ -114,7 +117,7 @@ def import_once(src: str) -> float:
 
 def summarize(runs: list[dict], trials: int) -> dict:
     wall = statistics.median(r["seconds"] for r in runs)
-    out = {"channel_mode": runs[0]["channel_mode"],
+    out = {"channel_mode": runs[0]["channel_mode"], "scan": runs[0]["scan"],
            "wall_s": wall, "runs_s": [r["seconds"] for r in runs],
            "trials_per_s": trials * runs[0]["points"] / wall}
     if all(r["stages"] for r in runs):

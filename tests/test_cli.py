@@ -234,6 +234,10 @@ class TestRun:
     @pytest.mark.parametrize("line, message", [
         ("snr_db = [nan, 0.0]", "snr grid values must be finite"),
         ("snr_db = [inf]", "snr grid values must be finite"),
+        # 10 ** 400 overflows a float; this used to exit 1 with a traceback.
+        ("snr_db = [0.0, 4000.0]",
+         "snr grid values must have a finite linear SNR 10 ** (snr_db / 10) "
+         "(below about 3082 dB), got [4000.0]"),
         ("theta_target_deg = nan", "theta_target_deg must lie in [-90, 90]"),
     ])
     def test_non_finite_angle_or_snr_exit_code(self, tmp_path, capsys, line, message):
@@ -242,6 +246,16 @@ class TestRun:
         assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_theory_exit_code(self, tmp_path, capsys):
+        # The noncentral survival function returns nan from rho ~ 1e19; the
+        # theory columns used to read nan with exit code 0.
+        path = write_config(tmp_path, SMALL.replace("[0.0, 6.0]", "[0.0, 400.0]"))
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", path, "--out", out]) == cli.EXIT_NUMERIC
+        assert ("paper theory P_D of mode 'orthogonal' at SNR 400.0 dB, P_FA 0.1 "
+                "is nan") in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "results.csv"))
 
     @pytest.mark.parametrize("line, message", [
         ("snr_db = [1, 1]", "snr grid values must be distinct, got [1.0, 1.0]"),

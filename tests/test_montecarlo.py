@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import stats
 
 from nspradar.errors import ConfigurationError
 from nspradar.montecarlo import (
+    CHANNEL_FIXED,
     CHANNEL_REDRAWN,
     MODE_NSP_PER_BS,
     MODE_NSP_SELECTED,
@@ -21,7 +23,7 @@ from nspradar.montecarlo import (
 )
 
 import nspradar.montecarlo as montecarlo
-from nspradar import numerics, radar, sharing
+from nspradar import detection, numerics, radar, sharing
 import oracles
 
 
@@ -257,6 +259,74 @@ class TestEngineOracle:
                 want = run_trial(plan, 6.0, 0.1, t)[ms.label]
                 assert s1[t, mi] == pytest.approx(want.statistic_h1, rel=1e-9)
                 assert s0[t, mi] == pytest.approx(want.statistic_h0, rel=1e-9)
+
+
+class TestScanKernel:
+    """The scan engine's trigonometric polynomial against the direct form
+    max_g 2 |a_g^H (alpha A + E0) R a_g^*|^2 / (M c_g) over the valid angles."""
+
+    @staticmethod
+    def _direct(plan, modes, noise, alpha):
+        a = radar.steering_vector(plan.m, plan.theta_target)
+        a_grid = radar.steering_vector(plan.m, plan.theta_grid())
+        echo = alpha * radar.transmit_receive_matrix(a)
+        out = np.zeros((len(noise), len(modes)))
+        for mi, ms in enumerate(modes):
+            for t, e0 in enumerate(noise):
+                r = ms.corr[t if len(ms.corr) > 1 else 0]
+                num = np.einsum("mg,mn,ng->g", a_grid.conj(), (echo + e0) @ r, a_grid.conj())
+                gain = np.einsum("mg,mn,ng->g", a_grid, r, a_grid.conj()).real
+                valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
+                if valid.any():
+                    out[t, mi] = np.max(2 * np.abs(num[valid]) ** 2
+                                        / (plan.m * gain[valid]))
+        return out
+
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_FIXED, CHANNEL_REDRAWN])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize("step, target, degenerate", [
+        (0.5, 10.0, False),
+        (7.0, 10.0, False),     # a step that does not divide 180 degrees
+        (0.5, 40.0, False),     # |sin| > 1/3: the target has a grating-lobe alias
+        (5.0, 10.0, True),      # n_bs = m: every nsp mode is degenerate
+    ])
+    def test_statistics_match_direct_form(self, step, target, degenerate, m,
+                                          channel_mode):
+        plan = tiny_plan(m=m, n_bs=m if degenerate else 1, scan=True,
+                         theta_step_deg=step, theta_target_deg=target,
+                         channel_mode=channel_mode,
+                         waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS,
+                                         MODE_NSP_SELECTED))
+        rows = 6
+        modes, _, _ = montecarlo._stacked_modes(
+            plan, montecarlo._channels(plan, 1, 0, rows))
+        engine = montecarlo._PointEngine(plan, modes)
+        noise = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, rows)
+        for alpha in (0.0, math.sqrt(10 ** (6.0 / 10))):
+            want = self._direct(plan, modes, noise, alpha)
+            np.testing.assert_allclose(engine.statistics(noise, alpha), want,
+                                       rtol=1e-12, atol=0)
+        if degenerate:
+            assert engine.degenerate[:, 1:].all() and not engine.degenerate[:, 0].any()
+
+    def test_statistics_working_set(self):
+        # One fig4 scan tile: 100 rows, 2 modes, 361 angles.  A complex
+        # per-angle numerator with its power temporaries takes 32 bytes an
+        # entry; the trigonometric polynomial's one real product takes 8.
+        plan = tiny_plan(scan=True, k=5, trials_per_point=100,
+                         pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
+        modes, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
+        engine = montecarlo._PointEngine(plan, modes)
+        noise = montecarlo._noise_block(plan, 0, montecarlo._H1, 0, 100)
+        engine.statistics(noise, 1.0)
+        tracemalloc.start()
+        try:
+            engine.statistics(noise, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = 100 * len(modes) * len(plan.theta_grid())
+        assert peak <= 16 * entries
 
 
 class TestNoiseDraws:

@@ -49,7 +49,7 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
     assert exit_info.value.code == 0
     bench = json.loads((tmp_path / "BENCH_0.json").read_text())
     assert {"nproc", "python", "numpy", "scipy"} <= set(bench["machine"])
-    runs = ("fig3", "fig4", "fig5", "fig3-redrawn")
+    runs = ("fig3", "fig4", "fig5", "fig3-redrawn", "fig4-scan")
     for name in runs:
         run = bench["trees"]["change"][name]
         assert run["wall_s"] > 0 and len(run["runs_s"]) == 1
@@ -61,4 +61,7 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
     modes = {name: bench["trees"]["change"][name]["channel_mode"] for name in runs}
     assert modes == {"fig3": "fixed-per-experiment", "fig4": "fixed-per-experiment",
                      "fig5": "fixed-per-experiment",
-                     "fig3-redrawn": "redrawn-per-trial"}
+                     "fig3-redrawn": "redrawn-per-trial",
+                     "fig4-scan": "fixed-per-experiment"}
+    scans = {name for name in runs if bench["trees"]["change"][name]["scan"]}
+    assert scans == {"fig4-scan"}
