@@ -26,7 +26,8 @@ def gaps_for_seed(seed, m, n_bs, k, l, theta):
     h = sharing.channel_matrices([rng_substream(seed, 0)], k, n_bs, m)[0]
     p, _ = sharing.null_projectors(h)
     best, _ = sharing.select_projector(p, x)
-    gain = detection.direction_gain(a, sharing.projected_correlation(p, x))
+    # X X^H = I, so the projected waveform's correlation is P itself.
+    gain = detection.direction_gain(a, p)
     gaps = detection.theory_snr_gap_db(m, gain, "paper")
     return [float(g) for g in gaps], int(best) + 1
 

@@ -392,7 +392,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory (default: results)")
     parser.add_argument("--seed", type=int, help="override master seed")
     parser.add_argument("--trials", type=int, help="override trials per grid point")
-    parser.add_argument("--workers", type=int, help="worker process count")
+    parser.add_argument("--workers", type=int, help="worker thread count")
     parser.add_argument("--emit-plot", action="store_true",
                         help="write a gnuplot script alongside the CSV")
     args = parser.parse_args(argv)

@@ -4,10 +4,11 @@ Each trial runs the pipeline (channels -> projectors -> selection -> echo
 -> GLRT) for the enabled waveform modes, in the M x M sufficient-statistic
 domain.  The GLRT sees the echo Y = alpha A X_tx + N only through
 E = Y X_tx^H.  The orthogonal waveforms satisfy X X^H = I and X_tx = P X, so
-E = alpha A R + E0 X X_tx^H, where E0 = N X^H is an M x M matrix of i.i.d.
-CN(0, 1) entries.  Trials therefore never draw the M x L noise N.  With the
-scan they draw E0 itself.  At the target angle alone the statistic sees E0
-only through w = E0^T a^*, since a^H E0 R a^* = w^T R a^* for every R, and
+R = X_tx X_tx^H = P and E = (alpha A + E0) P, where E0 = N X^H is an M x M
+matrix of i.i.d. CN(0, 1) entries: each mode is set up from its projector
+alone, and trials never draw the M x L noise N.  With the scan they draw E0
+itself.  At the target angle alone the statistic sees E0 only through
+w = E0^T a^*, since a^H E0 P a^* = w^T P a^* for every P, and
 w ~ CN(0, M I); those trials draw the M-vector w.
 
 Noise comes from one Philox stream per (master seed, SNR index,
@@ -47,8 +48,8 @@ whole points in grid order up to a row budget (`_tile_rows`); only a point
 larger than the budget is split.  With redrawn channels each tile is set up
 once (C = its rows): one stacked SVD and one engine for all of its points.
 Every row still reads its own channel stream and its own noise record, so
-no tile size changes an output.  With workers, the pool runs contiguous
-runs of tiles through the same loop.
+no tile size changes an output.  With workers, threads run contiguous runs
+of tiles through the same loop, sharing the read-only fixed-channel engine.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t; with a fixed channel that is the value at
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -271,12 +272,11 @@ def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float
 @dataclass(frozen=True)
 class _ModeSetup:
     """One waveform mode over a stack of C channel draws (C = 1 for a fixed
-    channel): the transmitted waveform is X_tx = P X."""
+    channel): X_tx = P X, so its correlation X_tx X_tx^H is P itself."""
     label: str
     bs_id: str
     proj: np.ndarray      # (C, M, M) projector P; the identity for orthogonal
-    corr: np.ndarray      # (C, M, M) R = X_tx X_tx^H
-    gain: np.ndarray      # (C,) c = a^H R^T a at the target angle
+    gain: np.ndarray      # (C,) c = a^H P^T a at the target angle
 
 
 def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
@@ -294,26 +294,26 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
 
 def _stacked_modes(
     plan: ExperimentPlan, h: np.ndarray
-) -> tuple[list[_ModeSetup], np.ndarray, np.ndarray]:
-    """Mode setups for a (C, K, N_BS, M) stack of channel draws, with the
-    selected BS's 0-based index (C,) and the degradation norms (C, K)."""
+) -> tuple[list[_ModeSetup], tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Mode setups for a (C, K, N_BS, M) stack of channel draws, with
+    `sharing.select_projector`'s (selected BS's 0-based index (C,),
+    degradation norms (C, K)) and the selected BS's projector (C, M, M)."""
     a = radar.steering_vector(plan.m, plan.theta_target)
     x = radar.orthogonal_waveforms(plan.m, plan.l)
     p, _ = sharing.null_projectors(h, plan.rank_tol_factor)     # (C, K, M, M)
     selected, norms = sharing.select_projector(p, x)
-    corr = sharing.projected_correlation(p, x)
+    p_selected = p[np.arange(len(h)), selected]
     eye = np.broadcast_to(np.eye(plan.m, dtype=complex), (len(h), plan.m, plan.m))
-    rows = np.arange(len(h))
     modes = []
     for label, bs_id in _mode_labels(plan):
         if label == MODE_ORTHOGONAL:
-            pm, r = eye, eye
+            pm = eye
         elif label == MODE_NSP_SELECTED:
-            pm, r = p[rows, selected], corr[rows, selected]
+            pm = p_selected
         else:
-            pm, r = p[:, int(bs_id) - 1], corr[:, int(bs_id) - 1]
-        modes.append(_ModeSetup(label, bs_id, pm, r, detection.direction_gain(a, r)))
-    return modes, selected, norms
+            pm = p[:, int(bs_id) - 1]
+        modes.append(_ModeSetup(label, bs_id, pm, detection.direction_gain(a, pm)))
+    return modes, (selected, norms), p_selected
 
 
 def _channels(plan: ExperimentPlan, snr_index: int, first: int,
@@ -366,11 +366,11 @@ def _lifted_noise(plan: ExperimentPlan, snr_index: int, hypothesis: int,
 class _PointEngine:
     """Vectorized statistic evaluation for mode setups over C channel draws.
 
-    With X X^H = I the matched filter of mode P is E = (alpha A + E0) R, as
-    X X_tx^H = X X^H P = P = R.  At scan angle g the GLRT numerator is
-    n_g = a_g^H E a_g^*.  The array is uniform and linear, so
-    conj(a_g[m]) conj(a_g[p]) = z_g^(m + p) with z_g = exp(j phi_g),
-    phi_g = 2 pi (d / lambda) sin(theta_g), and
+    With X X^H = I the matched filter of mode P is E = (alpha A + E0) P, as
+    X X_tx^H = X X^H P = P, and P is the waveform correlation R too.  At
+    scan angle g the GLRT numerator is n_g = a_g^H E a_g^*.  The array is
+    uniform and linear, so conj(a_g[m]) conj(a_g[p]) = z_g^(m + p) with
+    z_g = exp(j phi_g), phi_g = 2 pi (d / lambda) sin(theta_g), and
 
         n_g = sum_{s=0}^{2M-2} d_s z_g^s,
 
@@ -378,7 +378,7 @@ class _PointEngine:
     channel draw (C = 1) a tile of T rows takes one
     (T, M^2) @ (M^2, modes x (2M - 1)) product for all modes, across its
     SNR points; with C = T draws row t is evaluated against draw t.  The
-    echo's anti-diagonal sums (`sig`, those of A R) scale by one alpha for
+    echo's anti-diagonal sums (`sig`, those of A P) scale by one alpha for
     all rows of a point, so `statistics` adds them once per point segment.
     The numerator's power is then a real trigonometric polynomial in phi_g,
 
@@ -389,7 +389,7 @@ class _PointEngine:
     2 / (M c_g), so the scaled statistics are one real product of the rows'
     (4M - 3) autocorrelation coefficients per mode.  The grid is
     `plan.theta_grid()`.  At the target angle alone the numerator's noise
-    term is w^T R a^*, and the product is (T, M) @ (M, modes) on the
+    term is w^T P a^*, and the product is (T, M) @ (M, modes) on the
     `_noise_block` vectors w.  Both are exact rewrites of glrt_scan on
     sufficient_statistic(alpha A X_tx + E0 X, X_tx).  The scan's statistics
     agree with the direct form to about 1e-15 relative.  Where the
@@ -403,10 +403,10 @@ class _PointEngine:
         a = radar.steering_vector(plan.m, plan.theta_target)
         a_grid = radar.steering_vector(plan.m, grid)             # (M, G)
         a_conj = a_grid.conj()
-        corr = np.stack([ms.corr for ms in modes], axis=1)       # (C, modes, M, M)
-        r_a = corr @ a_conj                                      # (C, modes, M, G)
-        # c_g = a_g^H R^T a_g = a_g^T R a_g^*
-        gain = np.real(np.sum(a_grid * r_a, axis=-2))           # (C, modes, G)
+        proj = np.stack([ms.proj for ms in modes], axis=1)       # (C, modes, M, M)
+        p_a = proj @ a_conj                                      # (C, modes, M, G)
+        # c_g = a_g^H P^T a_g = a_g^T P a_g^*
+        gain = np.real(np.sum(a_grid * p_a, axis=-2))           # (C, modes, G)
         valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
         self.degenerate = ~valid.any(axis=-1)                    # (C, modes)
         self.target_gain = np.stack([ms.gain for ms in modes], axis=1)
@@ -415,12 +415,12 @@ class _PointEngine:
         scale = np.divide(2.0, plan.m * gain, out=np.zeros_like(gain), where=valid)
         a_mat = radar.transmit_receive_matrix(a)
         if plan.scan:
-            m, n_draws, n_modes = plan.m, len(corr), len(modes)
-            # coef[c, (i, q), (mode, s)] = R_c[q, s - i]: the anti-diagonal
-            # sums of E0 R are e @ coef, for e = E0 flattened.
+            m, n_draws, n_modes = plan.m, len(proj), len(modes)
+            # coef[c, (i, q), (mode, s)] = P_c[q, s - i]: the anti-diagonal
+            # sums of E0 P are e @ coef, for e = E0 flattened.
             coef = np.zeros((n_draws, m, m, n_modes, 2 * m - 1), dtype=complex)
             for i in range(m):
-                coef[:, i, :, :, i:i + m] = np.swapaxes(corr, 1, 2)
+                coef[:, i, :, :, i:i + m] = np.swapaxes(proj, 1, 2)
             self.coef = coef.reshape(n_draws, m * m, -1)
             self.sig = (a_mat.reshape(-1) @ self.coef).reshape(n_draws, n_modes, -1)
             # z[k, g] = exp(-j k phi_g) = conj(z_g^k), so
@@ -430,9 +430,9 @@ class _PointEngine:
             trig[1:] *= 2
             self.basis = scale[:, :, None, :] * trig             # (C, modes, 4M - 3, G)
         else:
-            self.sig = np.sum(a_conj * (a_mat @ r_a), axis=-2)
-            # coef[c, n, mode] = (R_c a^*)[n]
-            self.coef = np.swapaxes(r_a[..., 0], 1, 2)
+            self.sig = np.sum(a_conj * (a_mat @ p_a), axis=-2)
+            # coef[c, n, mode] = (P_c a^*)[n]
+            self.coef = np.swapaxes(p_a[..., 0], 1, 2)
             self.scale = scale
             self.basis = None
 
@@ -491,8 +491,8 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     row, G being the number of grid angles; with the scan its other per-row
     arrays, the (modes, 2M - 1) anti-diagonal sums and autocorrelations,
     are small beside it.  Redrawn channels also set up every row: (K, M, M)
-    projectors, (modes, M, M) correlations and, with the scan, the
-    (M^2, modes x (2M - 1)) coefficients, the (modes, M, G) products R a_g^*
+    projectors, the modes' (modes, M, M) projectors and, with the scan, the
+    (M^2, modes x (2M - 1)) coefficients, the (modes, M, G) products P a_g^*
     the gains are formed from and the real (modes, 4M - 3, G) scaled basis.
     The redrawn count, 2 M^2 (K + modes x G) per row, is a conservative
     bound: for M >= 3 it exceeds the about 5M - 1 entries per (mode, angle)
@@ -599,8 +599,8 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     or record trial_id of the point's redrawn-channel stream, the record
     the sweep reads) and its E0 (`_lifted_noise` at the target angle
     alone), forms the echo noise N = E0 X (so N X^H = E0) and runs
-    sufficient_statistic and glrt_scan over `plan.theta_grid()` on the
-    echo.
+    sufficient_statistic and glrt_scan, with R = X_tx X_tx^H formed from
+    each mode's samples, over `plan.theta_grid()` on the echo.
     Returns {mode label: TrialOutcome}; deterministic in (plan, snr_db, trial_id).
     """
     if snr_db not in plan.snr_grid_db:
@@ -609,7 +609,7 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
         raise ConfigurationError(f"pfa {pfa} not in the plan's list")
     snr_index = plan.snr_grid_db.index(snr_db)
     alpha = math.sqrt(10 ** (snr_db / 10))
-    modes, _, _ = _stacked_modes(plan, _channels(plan, snr_index, trial_id, 1))
+    modes = _stacked_modes(plan, _channels(plan, snr_index, trial_id, 1))[0]
     cfg = detection.DetectorConfig(pfa=pfa, theta_grid=plan.theta_grid())
 
     x = radar.orthogonal_waveforms(plan.m, plan.l)
@@ -622,10 +622,11 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
 
     out = {}
     for ms in modes:
-        x_tx, corr = ms.proj[0] @ x, ms.corr[0]
+        x_tx = ms.proj[0] @ x
+        r = x_tx @ x_tx.conj().T
         y1 = alpha * (a_mat @ x_tx) + n1
-        r1 = detection.glrt_scan(detection.sufficient_statistic(y1, x_tx), corr, cfg)
-        r0 = detection.glrt_scan(detection.sufficient_statistic(n0, x_tx), corr, cfg)
+        r1 = detection.glrt_scan(detection.sufficient_statistic(y1, x_tx), r, cfg)
+        r0 = detection.glrt_scan(detection.sufficient_statistic(n0, x_tx), r, cfg)
         out[ms.label] = TrialOutcome(
             statistic_h1=r1.statistic, statistic_h0=r0.statistic,
             detected_h1=r1.detected, detected_h0=r0.detected,
@@ -678,12 +679,10 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
         h = _channels(plan, 0, 0, 1)
-        modes, selected, norms = _stacked_modes(plan, h)
+        modes, (selected, norms), p_selected = _stacked_modes(plan, h)
         engine = _PointEngine(plan, modes)
-        best = h[0, selected[0]]
-        p, _ = sharing.null_projectors(best, plan.rank_tol_factor)
-        residual = sharing.residual_interference(
-            best, p @ radar.orthogonal_waveforms(plan.m, plan.l))
+        x_tx = p_selected[0] @ radar.orthogonal_waveforms(plan.m, plan.l)
+        residual = sharing.residual_interference(h[0, selected[0]], x_tx)
         selection = sharing.ChannelSelection(
             selected=int(selected[0]) + 1, norms=tuple(float(n) for n in norms[0]),
             residual_interference=residual)
@@ -694,7 +693,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
         # Contiguous runs of tiles, one per worker.
         runs = [tiles[len(tiles) * j // groups:len(tiles) * (j + 1) // groups]
                 for j in range(groups)]
-        with ProcessPoolExecutor(max_workers=groups) as pool:
+        with ThreadPoolExecutor(max_workers=groups) as pool:
             parts = list(pool.map(_run_tiles, [plan] * groups, runs, [engine] * groups))
     else:
         parts = [_run_tiles(plan, tiles, engine)]
@@ -820,6 +819,6 @@ def mean_selected_gap_db(
     channel redraws, from the closed-form gap at the target angle."""
     rngs = [rng_substream(plan.master_seed, _REDRAW_BASE + r) for r in range(n_redraws)]
     h = sharing.channel_matrices(rngs, plan.k, plan.n_bs, plan.m)
-    modes, _, _ = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)
+    modes = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)[0]
     return float(np.mean(detection.theory_snr_gap_db(plan.m, modes[0].gain, convention)))
 

@@ -1,6 +1,6 @@
 """Spectrum sharing machinery on stacks of channels: Rayleigh-fading channel
-draws, null-space projectors, minimum-degradation selection, projected
-waveform correlations and residual interference."""
+draws, null-space projectors, minimum-degradation selection and residual
+interference."""
 
 from __future__ import annotations
 
@@ -73,8 +73,8 @@ def null_projectors(
 def _gram_factor(x: np.ndarray) -> np.ndarray:
     """An M x min(M, L) factor F of the waveform Gram matrix, F F^H = X X^H.
 
-    ||A X||_F = ||A F||_F for every A, so the degradation norms and the
-    projected correlations need F alone, never the M x L samples.
+    ||A X||_F = ||A F||_F for every A, so the degradation norms need F
+    alone, never the M x L samples.
     """
     return np.linalg.qr(x.conj().T, mode="r").conj().T
 
@@ -91,13 +91,6 @@ def select_projector(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     norms = np.linalg.norm(p @ f - f, axis=(-2, -1))
     best = norms.min(axis=-1, keepdims=True)
     return np.argmax(norms <= best * (1 + _TIE_RTOL) + 1e-12, axis=-1), norms
-
-
-def projected_correlation(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sample-sum correlation P X X^H P^H of the projected waveform, for a
-    (..., M, M) stack of projectors."""
-    pf = p @ _gram_factor(x)
-    return pf @ np.swapaxes(pf.conj(), -1, -2)
 
 
 def residual_interference(h: np.ndarray, x_tx: np.ndarray) -> float:

@@ -7,6 +7,7 @@ line carry the stated tolerances.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestAcceptance:
                 "--workers", str(workers), "--out", out,
             ])
             assert code == cli.EXIT_OK
-            csvs.append(open(os.path.join(out, "results.csv"), "rb").read())
+            csvs.append(Path(out, "results.csv").read_bytes())
         _report(6, "worker-count determinism", csvs[0] == csvs[1])
 
     def test_7_oracle_grid(self):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,14 +96,14 @@ class TestRun:
     def test_outputs_and_schema(self, tmp_path):
         code, out = self._run(tmp_path)
         assert code == cli.EXIT_OK
-        lines = open(os.path.join(out, "results.csv")).read().splitlines()
+        lines = Path(out, "results.csv").read_text().splitlines()
         assert lines[0] == cli.CSV_HEADER
         # one row per (mode, snr, pfa)
         assert len(lines) - 1 == 2 * 2 * 1
         first = lines[1].split(",")
         assert first[0] == "orthogonal" and first[1] == "orthogonal"
         assert len(first) == len(cli.CSV_HEADER.split(","))
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["master_seed"] == 5
         assert summary["version"]
         assert summary["selection"]["selected_bs"] in (1, 2, 3)
@@ -132,7 +133,7 @@ class TestRun:
     def test_summary_reports_versions_and_stage_timings(self, tmp_path):
         code, out = self._run(tmp_path)
         assert code == cli.EXIT_OK
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert set(summary["versions"]) == {"python", "numpy", "scipy"}
         assert all(isinstance(v, str) and v for v in summary["versions"].values())
         timings = summary["timings_s"]
@@ -143,7 +144,7 @@ class TestRun:
         # n_bs = m: the projected mode is degenerate in every trial.
         code, out = self._run(tmp_path, "n_bs = 4\n")
         assert code == cli.EXIT_OK
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         by_mode = summary["degenerate_by_mode"]
         assert by_mode == {MODE_ORTHOGONAL: 0, MODE_NSP_SELECTED: 2 * 50}
         assert sum(by_mode.values()) == summary["degenerate_trials"]
@@ -154,17 +155,17 @@ class TestRun:
         # n_bs = m the projector and the transmitted waveform are 0.
         code, out = self._run(tmp_path, f"n_bs = {n_bs}\n")
         assert code == cli.EXIT_OK
-        selection = json.load(open(os.path.join(out, "summary.json")))["selection"]
+        selection = json.loads(Path(out, "summary.json").read_text())["selection"]
         assert 0.0 <= selection["residual_interference"] <= bound
 
     def test_reruns_are_byte_identical(self, tmp_path):
         _, out1 = self._run(tmp_path)
-        csv1 = open(os.path.join(out1, "results.csv"), "rb").read()
+        csv1 = Path(out1, "results.csv").read_bytes()
         code = cli.main([
             "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out2"),
         ])
         assert code == cli.EXIT_OK
-        csv2 = open(str(tmp_path / "out2" / "results.csv"), "rb").read()
+        csv2 = (tmp_path / "out2" / "results.csv").read_bytes()
         assert csv1 == csv2
 
     def test_worker_count_does_not_change_csv(self, tmp_path):
@@ -174,8 +175,8 @@ class TestRun:
             "--out", str(tmp_path / "out_w3"), "--workers", "3",
         ])
         assert code == cli.EXIT_OK
-        a = open(os.path.join(out1, "results.csv"), "rb").read()
-        b = open(str(tmp_path / "out_w3" / "results.csv"), "rb").read()
+        a = Path(out1, "results.csv").read_bytes()
+        b = (tmp_path / "out_w3" / "results.csv").read_bytes()
         assert a == b
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
@@ -228,7 +229,7 @@ class TestRun:
     def test_summary_echoes_rank_tol_factor(self, tmp_path, extra, want):
         code, out = self._run(tmp_path, extra=extra)
         assert code == cli.EXIT_OK
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["plan"]["rank_tol_factor"] == want
 
     @pytest.mark.parametrize("line, message", [
@@ -311,7 +312,7 @@ class TestRun:
     def test_seed_and_trials_overrides(self, tmp_path):
         code, out = self._run(tmp_path, argv_extra=("--seed", "99", "--trials", "10"))
         assert code == cli.EXIT_OK
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["master_seed"] == 99
         assert summary["plan"]["trials_per_point"] == 10
 
@@ -323,18 +324,18 @@ class TestPresets:
             "--preset", "fig4", "--trials", "5", "--out", out, "--emit-plot",
         ])
         assert code == cli.EXIT_OK
-        gp = open(os.path.join(out, "plot.gp")).read()
+        gp = Path(out, "plot.gp").read_text()
         # one panel per false-alarm rate
         assert gp.count("set title") == 4
         assert "multiplot" in gp
-        lines = open(os.path.join(out, "results.csv")).read().splitlines()
+        lines = Path(out, "results.csv").read_text().splitlines()
         assert len(lines) - 1 == 2 * 41 * 4  # modes x snr points x pfas
 
     def test_preset_fig3_modes(self, tmp_path):
         out = str(tmp_path / "fig3")
         code = cli.main(["--preset", "fig3", "--trials", "2", "--out", out])
         assert code == cli.EXIT_OK
-        lines = open(os.path.join(out, "results.csv")).read().splitlines()
+        lines = Path(out, "results.csv").read_text().splitlines()
         modes = {row.split(",")[0] for row in lines[1:]}
         assert modes == {
             "orthogonal", "nsp-bs1", "nsp-bs2", "nsp-bs3", "nsp-bs4",
@@ -345,7 +346,7 @@ class TestPresets:
         out = str(tmp_path / "fig5")
         code = cli.main(["--preset", "fig5", "--trials", "2", "--out", out])
         assert code == cli.EXIT_OK
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["plan"]["m"] == 8
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -267,13 +270,14 @@ class TestScanKernel:
 
     @staticmethod
     def _direct(plan, modes, noise, alpha):
+        x = radar.orthogonal_waveforms(plan.m, plan.l)
         a = radar.steering_vector(plan.m, plan.theta_target)
         a_grid = radar.steering_vector(plan.m, plan.theta_grid())
         echo = alpha * radar.transmit_receive_matrix(a)
         out = np.zeros((len(noise), len(modes)))
         for mi, ms in enumerate(modes):
             for t, e0 in enumerate(noise):
-                r = ms.corr[t if len(ms.corr) > 1 else 0]
+                r = oracles.waveform_correlation(ms.proj[t if len(ms.proj) > 1 else 0] @ x)
                 num = np.einsum("mg,mn,ng->g", a_grid.conj(), (echo + e0) @ r, a_grid.conj())
                 gain = np.einsum("mg,mn,ng->g", a_grid, r, a_grid.conj()).real
                 valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
@@ -600,6 +604,17 @@ class TestRunExperiment:
         run_experiment(tiny_plan(snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=10))
         assert len(calls) == 1
 
+    def test_fixed_run_takes_one_svd(self, monkeypatch):
+        # The residual interference reads the selected projector from the
+        # set-up's stack; no second SVD of the selected channel.
+        calls = []
+        build = sharing.null_projectors
+        monkeypatch.setattr(sharing, "null_projectors",
+                            lambda *args: calls.append(1) or build(*args))
+        result = run_experiment(tiny_plan(trials_per_point=10))
+        assert len(calls) == 1
+        assert result.selection.residual_interference < 1e-12
+
     @pytest.mark.parametrize("chunk", [20, montecarlo._CHUNK])
     def test_redrawn_setup_is_built_once_per_tile(self, chunk, monkeypatch):
         # P points x T trials take ceil(P T / rows) set-ups, not one per point.
@@ -634,6 +649,33 @@ class TestRunExperiment:
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30)
         assert run_experiment(plan, workers=1).curves == run_experiment(plan, workers=2).curves
 
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
+    def test_more_threads_than_cores(self, channel_mode, monkeypatch):
+        # One row per tile, so that every one of the cpu_count() + 2 worker
+        # threads runs tiles of a scan; with a fixed channel they share one
+        # engine.  A short switch interval makes the threads interleave
+        # often, and a lost tally would change the curves.  The run goes in
+        # a daemon thread joined with a timeout, so a deadlocked pool fails
+        # the test rather than hanging the suite.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1)
+        workers = (os.cpu_count() or 1) + 2
+        plan = tiny_plan(channel_mode=channel_mode, scan=True, theta_step_deg=5.0,
+                         trials_per_point=workers)
+        assert len(montecarlo._tiles(plan)) >= workers
+        out = {}
+        run = threading.Thread(
+            target=lambda: out.update(curves=run_experiment(plan, workers=workers).curves),
+            daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run.start()
+            run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive(), "the thread pool did not finish within 120 s"
+        assert out["curves"] == run_experiment(plan, workers=1).curves
+
     def test_pfa_sweep_orders_detection(self):
         plan = tiny_plan(
             snr_grid_db=(3.0,), pfa_list=(0.1, 1e-3), trials_per_point=2000,
@@ -651,8 +693,10 @@ class TestRunExperiment:
 # "redrawn" tallies were re-read when the at-angle noise became the M-vector
 # w = E0^T a^* (same law, new realization), and the "redrawn" projected
 # modes again when redrawn channels became records of one stream per SNR
-# point (same law, new realization).  Any other change to the streams, the
-# selection or the arithmetic shows here.
+# point (same law, new realization).  The projected modes' theory floats
+# were re-read (by at most 3.3e-16) when the direction gain came to be taken
+# from P itself, the projected waveform's correlation.  Any other change to
+# the streams, the selection or the arithmetic shows here.
 GOLDEN_PLAN = dict(
     m=4, k=2, l=16, snr_grid_db=(-6.0, 0.0), pfa_list=(0.1,), trials_per_point=40,
     master_seed=5, waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
@@ -664,16 +708,16 @@ GOLDEN = {
             (40, 4, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (30, 6, 0, 0.3783434868292715, 0.7149767374024334),
-            (40, 2, 0, 0.8725422122131625, 0.9985294586036594),
+            (30, 6, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 2, 0, 0.8725422122131623, 0.9985294586036594),
         ],
         "nsp-bs2": [
-            (25, 4, 0, 0.311521100188079, 0.657718169481609),
-            (39, 5, 0, 0.7723090242273178, 0.9958529653201275),
+            (25, 4, 0, 0.3115211001880789, 0.657718169481609),
+            (39, 5, 0, 0.7723090242273175, 0.9958529653201275),
         ],
         "nsp-selected": [
-            (30, 6, 0, 0.3783434868292715, 0.7149767374024334),
-            (40, 2, 0, 0.8725422122131625, 0.9985294586036594),
+            (30, 6, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 2, 0, 0.8725422122131623, 0.9985294586036594),
         ],
     },
     "scan": {
@@ -682,16 +726,16 @@ GOLDEN = {
             (40, 29, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (37, 25, 0, 0.3783434868292715, 0.7149767374024334),
-            (40, 28, 0, 0.8725422122131625, 0.9985294586036594),
+            (37, 25, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 28, 0, 0.8725422122131623, 0.9985294586036594),
         ],
         "nsp-bs2": [
-            (35, 33, 0, 0.311521100188079, 0.657718169481609),
-            (40, 28, 0, 0.7723090242273178, 0.9958529653201275),
+            (35, 33, 0, 0.3115211001880789, 0.657718169481609),
+            (40, 28, 0, 0.7723090242273175, 0.9958529653201275),
         ],
         "nsp-selected": [
-            (37, 25, 0, 0.3783434868292715, 0.7149767374024334),
-            (40, 28, 0, 0.8725422122131625, 0.9985294586036594),
+            (37, 25, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 28, 0, 0.8725422122131623, 0.9985294586036594),
         ],
     },
     "redrawn": {
@@ -701,15 +745,15 @@ GOLDEN = {
         ],
         "nsp-bs1": [
             (23, 3, 0, 0.25585441987984353, 0.5421437843795189),
-            (36, 6, 0, 0.49658816392205596, 0.9072706613222878),
+            (36, 6, 0, 0.4965881639220558, 0.9072706613222878),
         ],
         "nsp-bs2": [
-            (23, 4, 0, 0.2141544776975167, 0.48251746803556117),
+            (23, 4, 0, 0.21415447769751675, 0.48251746803556134),
             (34, 4, 0, 0.507750092844981, 0.8854759318324055),
         ],
         "nsp-selected": [
             (23, 3, 0, 0.25585441987984353, 0.5421437843795189),
-            (36, 6, 0, 0.49658816392205596, 0.9072706613222878),
+            (36, 6, 0, 0.4965881639220558, 0.9072706613222878),
         ],
     },
 }
@@ -757,7 +801,7 @@ class TestSnrGap:
                                      plan.k, plan.n_bs, plan.m)[0]
         p, _ = sharing.null_projectors(h)
         best, _ = sharing.select_projector(p, x)
-        gain = detection.direction_gain(a, sharing.projected_correlation(p[best], x))
+        gain = detection.direction_gain(a, oracles.waveform_correlation(p[best] @ x))
         want = detection.theory_snr_gap_db(plan.m, gain, "calibrated")
         assert abs(report.gap_db[MODE_NSP_SELECTED] - want) < 0.05
         assert report.gap_db[MODE_ORTHOGONAL] == 0.0

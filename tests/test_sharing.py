@@ -8,7 +8,6 @@ from nspradar.radar import orthogonal_waveforms
 from nspradar.sharing import (
     channel_matrices,
     null_projectors,
-    projected_correlation,
     residual_interference,
     select_projector,
 )
@@ -120,31 +119,26 @@ class TestSelectChannel:
         np.testing.assert_allclose(norms, np.sqrt(2.0), rtol=1e-9)
 
 
+@st.composite
+def _shapes(draw):
+    """(M, L, N_BS) with M in 1..8, L in M..3M and N_BS in 1..M + 1."""
+    m = draw(st.integers(1, 8))
+    return m, draw(st.integers(m, 3 * m)), draw(st.integers(1, m + 1))
+
+
 class TestProjectWaveform:
-    def test_identity(self):
-        x = orthogonal_waveforms(4, 16)
-        corr = projected_correlation(np.eye(4, dtype=complex), x)
-        np.testing.assert_allclose(corr, np.eye(4), atol=1e-12)
-
-    def test_zero_projector(self):
-        x = orthogonal_waveforms(4, 16)
-        corr = projected_correlation(np.zeros((4, 4), dtype=complex), x)
-        assert np.linalg.norm(corr) == 0.0
-
-    def test_correlation_rank_equals_nullity(self):
-        x = orthogonal_waveforms(8, 64)
-        h = channel_matrices([rng_substream(4, 0)], 1, 2, 8)[0, 0]
-        p, _ = null_projectors(h)
-        corr = projected_correlation(p, x)
-        eigs = np.linalg.eigvalsh(corr)
-        assert np.sum(eigs > 1e-8) == 6
-        # correlation really is the sample sum
-        samples = p @ x
-        direct = sum(
-            np.outer(samples[:, n], samples[:, n].conj())
-            for n in range(64)
-        )
-        assert np.linalg.norm(corr - direct) < 1e-10
+    @given(shape=_shapes(), seed=st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_projected_correlation_is_the_projector(self, shape, seed):
+        # The engine reads P as the correlation of X_tx = P X: with X X^H = I,
+        # P X X^H P^H = P P^H = P.  Checked on the sample sum, for full-rank
+        # and rank-deficient channels.
+        m, l, n_bs = shape
+        x = orthogonal_waveforms(m, l)
+        h = _channel_stack(np.random.default_rng(seed), 1, 3, n_bs, m)[0]
+        for p in null_projectors(h)[0]:
+            np.testing.assert_allclose(oracles.waveform_correlation(p @ x), p,
+                                       rtol=0, atol=1e-14)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -194,9 +188,8 @@ def _channel_stack(rng, t, k, n_bs, m):
 
 
 class TestStackedSharing:
-    """The stacked projector, selection and correlation code against the
-    same functions applied one matrix (the scalar path), one trial at a
-    time."""
+    """The stacked projector and selection code against the same functions
+    applied one matrix (the scalar path), one trial at a time."""
 
     @pytest.mark.parametrize("n_bs, m, rank_tol", [
         (2, 4, None), (1, 4, None), (3, 3, None), (4, 2, None),
@@ -213,14 +206,12 @@ class TestStackedSharing:
             x = rng.standard_normal((m, l)) + 1j * rng.standard_normal((m, l))
         p, nullity = null_projectors(h, rank_tol)
         best, norms = select_projector(p, x)
-        corr = projected_correlation(p, x)
         assert p.shape == (t, k, m, m) and nullity.shape == (t, k)
         for i in range(t):
             projs = [null_projectors(h[i, j], rank_tol) for j in range(k)]
             for j, (pj, nj) in enumerate(projs):
                 np.testing.assert_array_equal(p[i, j], pj)
                 assert nullity[i, j] == nj
-                np.testing.assert_array_equal(corr[i, j], projected_correlation(pj, x))
             sel, sel_norms = select_projector(np.stack([pj for pj, _ in projs]), x)
             assert sel == best[i]
             np.testing.assert_array_equal(norms[i], sel_norms)
