@@ -35,21 +35,25 @@ agree with the direct per-angle form to about 1e-15 relative (less near a
 null of the direction gain; see `_PointEngine`).
 
 Channels take one route everywhere: `_channels` draws a (C, K, N_BS, M)
-stack and `_stacked_modes` turns it into projectors (one stacked SVD), the
-selection per draw and the mode setups.  A fixed channel is stream 0 alone
-(C = 1); it is set up once per sweep, in `run_experiment`.  Redrawn channels
-are drawn as the noise is: one Philox stream per (master seed, SNR index),
-of which trial t reads the fixed-width record t, its K channels of i.i.d.
-CN(0, 1) entries.  `run_trial` takes the same route for its one trial.
+stack and `_stacked_modes` turns it into projectors (one stacked
+`sharing.null_projectors` call: Gram-Schmidt, with the SVD for any channel
+it cannot certify full rank), the selection per draw and the mode setups.
+A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
+`run_experiment`.  Redrawn channels are drawn as the noise is: one Philox
+stream per (master seed, SNR index), of which trial t reads the fixed-width
+record t, its K channels of i.i.d. CN(0, 1) entries.  `run_trial` takes the
+same route for its one trial.
 
 The sweep is one loop over tiles of its (SNR point, trial) rows, row
 i * trials_per_point + t being trial t of point i (`_tiles`).  A tile packs
 whole points in grid order up to a row budget (`_tile_rows`); only a point
 larger than the budget is split.  With redrawn channels each tile is set up
-once (C = its rows): one stacked SVD and one engine for all of its points.
-Every row still reads its own channel stream and its own noise record, so
-no tile size changes an output.  With workers, threads run contiguous runs
-of tiles through the same loop, sharing the read-only fixed-channel engine.
+once (C = its rows): one stacked projector build and one engine for all of
+its points.  Every row still reads its own channel stream and its own noise
+record, and a channel's projector does not depend on the stack it sits in,
+so no tile size changes an output.  With workers, threads run contiguous
+runs of tiles through the same loop, sharing the read-only fixed-channel
+engine.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t; with a fixed channel that is the value at
@@ -490,21 +494,19 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     A fixed-channel engine builds one real (modes, G) statistic array per
     row, G being the number of grid angles; with the scan its other per-row
     arrays, the (modes, 2M - 1) anti-diagonal sums and autocorrelations,
-    are small beside it.  Redrawn channels also set up every row: (K, M, M)
-    projectors, the modes' (modes, M, M) projectors and, with the scan, the
-    (M^2, modes x (2M - 1)) coefficients, the (modes, M, G) products P a_g^*
-    the gains are formed from and the real (modes, 4M - 3, G) scaled basis.
-    The redrawn count, 2 M^2 (K + modes x G) per row, is a conservative
-    bound: for M >= 3 it exceeds the about 5M - 1 entries per (mode, angle)
-    the scan's set-up holds at once.  It stays as it is so that the tiles,
-    and with them a sweep's memory, do not change.
+    are small beside it.  Redrawn channels also set up every row: M^2 (K +
+    modes) entries for the (K, M, M) projectors and the modes' stacked
+    (modes, M, M) projectors, and about 5M - 1 per (mode, angle) for the
+    (modes, M, G) products P a_g^* the gains are formed from, the real
+    (modes, 4M - 3, G) scaled basis and the (modes, G) gains and scales.
+    The scan's (M^2, modes x (2M - 1)) coefficients are small beside the
+    basis.
     """
     grid = len(plan.theta_grid())
     n_modes = len(_mode_labels(plan))
-    if plan.channel_mode == CHANNEL_FIXED:
-        per_row = n_modes * grid
-    else:
-        per_row = 2 * plan.m * plan.m * (plan.k + n_modes * grid)
+    per_row = n_modes * grid
+    if plan.channel_mode == CHANNEL_REDRAWN:
+        per_row = plan.m ** 2 * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
     return max(1, min(_CHUNK, _BLOCK_ELEMENTS // per_row))
 
 

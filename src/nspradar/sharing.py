@@ -1,6 +1,11 @@
 """Spectrum sharing machinery on stacks of channels: Rayleigh-fading channel
 draws, null-space projectors, minimum-degradation selection and residual
-interference."""
+interference.
+
+A projector onto a channel's null space needs only an orthonormal basis of
+its N_BS rows, so for N_BS < M it is built by Gram-Schmidt; the SVD's rank
+rule stays exact, as a certificate from the Gram-Schmidt residuals sends
+every channel it cannot prove full rank to the SVD (`null_projectors`)."""
 
 from __future__ import annotations
 
@@ -55,12 +60,69 @@ def null_projectors(
     """Orthogonal projectors onto the null spaces of a (..., N_BS, M) stack
     of channel matrices: P shaped (..., M, M) and the nullities (...).
 
-    SVD H = U diag(s) V^H; singular values above rank_tol * s_max * max(N_BS, M)
-    count toward the numerical rank q, and the projector is built from the
-    trailing M - q right singular vectors: P = V_null V_null^H.
+    The rank rule is the SVD's: singular values above
+    rank_tol * s_max * max(N_BS, M) count toward the numerical rank q, and
+    P projects onto the complement of the q leading right singular vectors.
+
+    For N_BS < M each matrix is first scaled to its largest entry and its
+    rows are made orthonormal by two-pass classical Gram-Schmidt, so that
+    P = I - W^H W with W the orthonormal rows.  The residual norms r_i
+    multiply to s_1 ... s_N_BS <= s_min s_max^(N_BS - 1), and s_max <= ||H||_F,
+    so prod(r_i / ||H||_F) bounds s_min / s_max from below: a matrix whose
+    bound exceeds twice the tolerance (never less than twice the default) is
+    full rank under the SVD rule too, with nullity M - N_BS.  Every other
+    matrix, every stack with N_BS >= M and any stack holding a non-finite
+    entry go to the SVD (`_svd_projectors`), so the nullities are the SVD
+    rule's exactly.  Each matrix's result depends on that matrix alone, not
+    on the stack it sits in.
     """
     if rank_tol is None:
         rank_tol = _DEFAULT_RANK_TOL_FACTOR
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or not 0 < h.shape[-2] < h.shape[-1] or not np.all(np.isfinite(h)):
+        return _svd_projectors(h, rank_tol)
+    n_bs, m = h.shape[-2:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w, bound = _orthonormal_rows(h)
+    p = np.broadcast_to(np.eye(m, dtype=complex), w.shape[:-2] + (m, m)).copy()
+    for i in range(n_bs):
+        p -= w[..., i, :, None].conj() * w[..., i, None, :]
+    nullity = np.full(h.shape[:-2], m - n_bs)
+    # max(N_BS, M) = M here; a nan bound (an all-zero matrix) fails too.
+    fallback = ~(bound > 2 * max(rank_tol, _DEFAULT_RANK_TOL_FACTOR) * m)
+    if fallback.any():
+        p[fallback], nullity[fallback] = _svd_projectors(h[fallback], rank_tol)
+    return p, nullity
+
+
+def _orthonormal_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-pass classical Gram-Schmidt over the rows of a (..., N, M) stack:
+    the orthonormal rows W (..., N, M) and the bound prod(r_i / ||H||_F) on
+    s_min / s_max (...).  Each matrix is scaled to its largest entry first,
+    so neither the rows nor the product of N residuals overflows or
+    underflows at any scale of H."""
+    peak = np.abs(h).max(axis=(-2, -1), keepdims=True)
+    a = h / peak
+    fro = np.sqrt(np.sum(a.real ** 2 + a.imag ** 2, axis=(-2, -1)))
+    w = np.empty_like(a)
+    bound = np.ones(h.shape[:-2])
+    for i in range(h.shape[-2]):
+        v = a[..., i, :]
+        for _ in range(2):
+            c = [np.sum(v * w[..., j, :].conj(), axis=-1) for j in range(i)]
+            for j in range(i):
+                v = v - c[j][..., None] * w[..., j, :]
+        r = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1))
+        w[..., i, :] = v / r[..., None]
+        bound *= r / fro
+    return w, bound
+
+
+def _svd_projectors(
+    h: np.ndarray, rank_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`null_projectors` by the SVD H = U diag(s) V^H: P = V_null V_null^H
+    from the trailing M - q right singular vectors."""
     _, s, v = svd(h)
     n_bs, m = h.shape[-2:]
     q = np.sum(s > rank_tol * s[..., :1] * max(n_bs, m), axis=-1)

@@ -6,6 +6,8 @@ from nspradar.errors import ConfigurationError
 from nspradar.numerics import rng_substream
 from nspradar.radar import orthogonal_waveforms
 from nspradar.sharing import (
+    _DEFAULT_RANK_TOL_FACTOR,
+    _svd_projectors,
     channel_matrices,
     null_projectors,
     residual_interference,
@@ -84,6 +86,83 @@ class TestProjectionMatrix:
         assert np.all(np.minimum(np.abs(eigs), np.abs(eigs - 1)) < 1e-8)
         assert abs(np.trace(p).real - (m - min(n_bs, m))) < 1e-8
         assert nullity == m - min(n_bs, m)
+
+
+_RANK_TOLS = [None, 0.0, 1e-10, 1e-3]
+
+
+class TestGramSchmidtRoute:
+    """`null_projectors` (Gram-Schmidt with its certificate, N_BS < M)
+    against `_svd_projectors`, the SVD rule it must reproduce."""
+
+    @given(
+        m=st.sampled_from([2, 4, 8]),
+        data=st.data(),
+        eps=st.sampled_from([0.0, 1e-14, 1e-8]),
+        scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+        tol_index=st.integers(0, len(_RANK_TOLS) - 1),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_svd_rule(self, m, data, eps, scale, tol_index, seed):
+        # A stack of a random channel, one whose second row is the first
+        # plus eps times noise, an all-zero channel and a rank-one one.
+        n_bs = data.draw(st.integers(1, m - 1))
+        rank_tol = _RANK_TOLS[tol_index]
+        rng = np.random.default_rng(seed)
+        h = complex_normal(rng, (4, n_bs, m))
+        if n_bs > 1:
+            h[1, 1] = h[1, 0] + eps * complex_normal(rng, (m,))
+        h[2] = 0
+        h[3] = h[3, :1] * rng.standard_normal((n_bs, 1))
+        h *= scale
+        p, nullity = null_projectors(h, rank_tol)
+        want_p, want_nullity = _svd_projectors(
+            h, _DEFAULT_RANK_TOL_FACTOR if rank_tol is None else rank_tol)
+        np.testing.assert_array_equal(nullity, want_nullity)
+        s = np.linalg.svd(h, compute_uv=False)
+        for j in range(len(h)):
+            # Both routes are backward stable, so they agree to rounding
+            # times the condition s_max / s_min of the rows' span.
+            q = m - nullity[j]
+            cond = s[j, 0] / s[j, q - 1] if q else 1.0
+            tol = 1e-13 * max(1.0, np.linalg.norm(want_p[j])) * cond
+            assert np.abs(p[j] - want_p[j]).max() <= tol
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_zero_tolerance_on_proportional_rows(self, m):
+        # Under rank_tol = 0 the SVD counts any nonzero s_min, which
+        # rounding decides for exactly proportional rows; the certificate
+        # leaves such rows to the SVD whatever the tolerance.
+        rng = np.random.default_rng(m)
+        h = complex_normal(rng, (20000, 2, m))
+        h[:, 1] = h[:, 0] * complex_normal(rng, (20000, 1))
+        _, nullity = null_projectors(h, 0.0)
+        np.testing.assert_array_equal(nullity, _svd_projectors(h, 0.0)[1])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_full_rank_channels_take_no_svd(self, monkeypatch, scale):
+        # Rayleigh channels pass the certificate at any scale: the rows are
+        # scaled to their largest entry before any sum of squares.
+        import nspradar.sharing as sharing
+
+        def fail(h):
+            raise AssertionError("SVD called")
+
+        h = channel_matrices([rng_substream(3, 2)], 5, 2, 4)
+        want, _ = null_projectors(h)
+        monkeypatch.setattr(sharing, "svd", fail)
+        p, nullity = null_projectors(h * scale)
+        assert np.all(nullity == 2)
+        np.testing.assert_allclose(p, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_bs, m", [(2, 4), (4, 4)])
+    def test_non_finite_input_raises(self, bad, n_bs, m):
+        h = channel_matrices([rng_substream(3, 3)], 3, n_bs, m)
+        h[0, 1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            null_projectors(h)
 
 
 class TestSelectChannel:
@@ -228,6 +307,18 @@ class TestStackedSharing:
         assert np.all(nullity[:, 1] == 3) and np.all(nullity[:, 2] == 2)
         _, nullity = null_projectors(h, 1e-3)
         assert np.all(nullity[:, 2] == 3)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_row_does_not_depend_on_stack_size(self, m):
+        # Each row's projector bits are the same alone, in a one-row stack
+        # and in the 64-row stack, full-rank and rank-deficient channels
+        # alike.
+        h = _channel_stack(np.random.default_rng(m), 64, 5, 2, m)
+        p, nullity = null_projectors(h)
+        for i in range(64):
+            pi, ni = null_projectors(h[i:i + 1])
+            assert pi.tobytes() == p[i:i + 1].tobytes()
+            assert ni.tobytes() == nullity[i:i + 1].tobytes()
 
     def test_exact_ties_go_to_the_lowest_index(self):
         rng = np.random.default_rng(5)
