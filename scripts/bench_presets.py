@@ -2,25 +2,31 @@
 """Time the figure presets end to end and write BENCH_<pr>.json.
 
 Each measured run is a fresh interpreter that imports nspradar from one
-source tree and times `cli.main(["--preset", P, "--trials", N,
-"--workers", "1", ...])` with perf_counter, output files included.  That
-time leaves out the import, so each tree's cold start `import_s` is timed
-on its own: a fresh interpreter timing `import nspradar.cli`.  The
-run `fig3-redrawn` is the `fig3` preset with channels redrawn per trial,
-and `fig4-scan` the `fig4` preset with the GLRT scan over the angle grid,
-each set by a config file the script writes and passes with --config.  Runs
+source tree and times `cli.main(["--trials", N, "--workers", "1", ...])`,
+with the run's --preset and --config, by perf_counter, output files
+included.  That time leaves out the import, so each tree's cold start
+`import_s` is timed on its own: a fresh interpreter timing
+`import nspradar.cli`.  The run `fig3-redrawn` is the `fig3` preset with
+channels redrawn per trial, and `fig4-scan` the `fig4` preset with the GLRT
+scan over the angle grid, each set by a config file the script writes and
+passes with --config.  `band-m4` and `band-m8` are the acceptance band
+fixture of tests/test_acceptance.py (M = 4 with seed 26 over -6:16 dB,
+M = 8 with seed 201 over -12:2 dB, 0.5 dB steps, the fig3 modes, P_FA
+1e-3), set by a config file alone; they run when --runs names them.  Runs
 of several trees (say, a parent commit's src/ and this one's) interleave
 run by run, so that drift in the machine's speed reaches them alike.  Each
 (tree, run) reports the median of --repeats runs:
 
     python3 scripts/bench_presets.py --pr N --tree parent=../parent/src \\
-        --tree change=src
+        --tree change=src --runs all
 
 The file records the machine (nproc, python/numpy/scipy versions, BLAS
 thread variables), each tree's import time, each run's channel mode and
 scan flag, the wall times and trials/s (trials per SNR point x SNR
-points / wall time), the per-stage `timings_s` of summary.json where the
-tree writes them, and each tree's speed-up over the first tree.
+points / wall time), the minor page faults `cli.main` takes (`ru_minflt`
+of the child, read around the call), the per-stage `timings_s` of
+summary.json where the tree writes them, and each tree's speed-up over
+the first tree.
 """
 
 import argparse
@@ -35,33 +41,47 @@ import tempfile
 import numpy
 import scipy
 
-# Run name -> (preset, config file text or None).
+
+def _band_config(m: int, seed: int, snr_lo: float, snr_hi: float) -> str:
+    """Config of the acceptance band fixture's plan (`_band_plan` in
+    tests/test_acceptance.py); trials come from --trials."""
+    grid = numpy.arange(snr_lo, snr_hi + 0.25, 0.5)
+    return (f"m = {m}\nseed = {seed}\n"
+            f"snr_db = [{', '.join(repr(float(s)) for s in grid)}]\n"
+            "pfa = [0.001]\nmodes = [orthogonal, nsp-per-bs, nsp-selected]\n")
+
+
+# Run name -> (preset or None, config file text or None).
 RUNS = {
     "fig3": ("fig3", None),
     "fig4": ("fig4", None),
     "fig5": ("fig5", None),
     "fig3-redrawn": ("fig3", "channel_mode = redrawn-per-trial\n"),
     "fig4-scan": ("fig4", "scan = true\n"),
+    "band-m4": (None, _band_config(4, 26, -6.0, 16.0)),
+    "band-m8": (None, _band_config(8, 201, -12.0, 2.0)),
 }
+DEFAULT_RUNS = ("fig3", "fig4", "fig5", "fig3-redrawn", "fig4-scan")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# Runs in the child: argv is [src, out_dir, preset, trials, config args...].
+# Runs in the child: argv is [src, out_dir, trials, cli args...].
 _CHILD = """
-import json, os, sys, time
+import json, os, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from nspradar import cli
-out, preset, trials = sys.argv[2:5]
+out, trials = sys.argv[2:4]
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 t0 = time.perf_counter()
-rc = cli.main(["--preset", preset, "--trials", trials, "--workers", "1",
-               "--out", out, *sys.argv[5:]])
+rc = cli.main(["--trials", trials, "--workers", "1", "--out", out, *sys.argv[4:]])
 seconds = time.perf_counter() - t0
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 with open(os.path.join(out, "summary.json")) as fh:
     summary = json.load(fh)
 stages = summary.get("timings_s")
-print(json.dumps({"rc": rc, "seconds": seconds, "stages": stages,
+print(json.dumps({"rc": rc, "seconds": seconds, "minflt": faults, "stages": stages,
                   "channel_mode": summary["plan"]["channel_mode"],
                   "scan": summary["plan"]["scan"],
-                  "points": len(cli.PRESETS[preset]["snr_grid_db"])}))
+                  "points": len(summary["plan"]["snr_grid_db"])}))
 """
 
 # Runs in the child: argv is [src]; prints the seconds `import nspradar.cli`
@@ -92,13 +112,13 @@ def machine() -> dict:
 def run_once(src: str, name: str, trials: int) -> dict:
     preset, config = RUNS[name]
     with tempfile.TemporaryDirectory() as tmp:
-        extra = []
+        extra = [] if preset is None else ["--preset", preset]
         if config is not None:
-            extra = ["--config", os.path.join(tmp, "run.cfg")]
-            with open(extra[1], "w") as fh:
+            extra += ["--config", os.path.join(tmp, "run.cfg")]
+            with open(extra[-1], "w") as fh:
                 fh.write(config)
         proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, src, os.path.join(tmp, "out"), preset,
+            [sys.executable, "-c", _CHILD, src, os.path.join(tmp, "out"),
              str(trials), *extra],
             capture_output=True, text=True)
     res = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.returncode == 0 else {}
@@ -119,7 +139,9 @@ def summarize(runs: list[dict], trials: int) -> dict:
     wall = statistics.median(r["seconds"] for r in runs)
     out = {"channel_mode": runs[0]["channel_mode"], "scan": runs[0]["scan"],
            "wall_s": wall, "runs_s": [r["seconds"] for r in runs],
-           "trials_per_s": trials * runs[0]["points"] / wall}
+           "trials_per_s": trials * runs[0]["points"] / wall,
+           "minflt": statistics.median(r["minflt"] for r in runs),
+           "runs_minflt": [r["minflt"] for r in runs]}
     if all(r["stages"] for r in runs):
         out["stages_s"] = {k: statistics.median(r["stages"][k] for r in runs)
                            for k in runs[0]["stages"]}
@@ -136,24 +158,29 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out-dir", default=".", help="where BENCH_<pr>.json goes")
+    parser.add_argument("--runs", nargs="+", choices=(*RUNS, "all"),
+                        default=list(DEFAULT_RUNS),
+                        help=f"runs to time (default: {' '.join(DEFAULT_RUNS)}; "
+                             "'all' adds the band fixture)")
     args = parser.parse_args()
+    names = list(RUNS) if "all" in args.runs else list(dict.fromkeys(args.runs))
 
     trees = dict(t.split("=", 1) for t in (args.tree or ["change=src"]))
-    runs = {(label, p): [] for label in trees for p in RUNS}
+    runs = {(label, p): [] for label in trees for p in names}
     imports = {label: [] for label in trees}
     for rep in range(args.repeats):
         for label, src in trees.items():
             imports[label].append(import_once(os.path.abspath(src)))
             print(f"run {rep + 1}/{args.repeats} {label} import: "
                   f"{imports[label][-1]:.3f} s", flush=True)
-        for name in RUNS:
+        for name in names:
             for label, src in trees.items():
                 res = run_once(os.path.abspath(src), name, args.trials)
                 runs[label, name].append(res)
                 print(f"run {rep + 1}/{args.repeats} {label} {name}: "
                       f"{res['seconds']:.3f} s", flush=True)
 
-    results = {label: {p: summarize(runs[label, p], args.trials) for p in RUNS}
+    results = {label: {p: summarize(runs[label, p], args.trials) for p in names}
                for label in trees}
     base = next(iter(trees))
     bench = {
@@ -166,7 +193,7 @@ def main() -> int:
         "trees": results,
         "speedup_over": base,
         "speedup": {label: {p: results[base][p]["wall_s"] / results[label][p]["wall_s"]
-                            for p in RUNS} for label in trees},
+                            for p in names} for label in trees},
     }
     path = os.path.join(args.out_dir, f"BENCH_{args.pr}.json")
     with open(path, "w") as fh:

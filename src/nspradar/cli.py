@@ -12,7 +12,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 
-import numpy
+import numpy as np
 import scipy
 
 from . import __version__, montecarlo
@@ -220,25 +220,22 @@ def _default_workers() -> int:
             f"NSPSIM_THREADS: expected an integer, got {env!r}") from None
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
-    rows = [CSV_HEADER]
-    for curve in result.curves:
-        for pt in curve.points:
-            fa_lo, fa_hi = montecarlo.wilson_interval(pt.false_alarms, pt.trials)
-            rows.append(",".join([
-                curve.label, curve.bs_id, _fmt(pt.snr_db), _fmt(pt.pfa),
-                str(pt.trials), str(pt.detections), _fmt(pt.pd_emp),
-                _fmt(pt.ci_lo), _fmt(pt.ci_hi),
-                _fmt(pt.pd_theory_paper), _fmt(pt.pd_theory_calibrated),
-                str(pt.false_alarms), _fmt(pt.false_alarms / pt.trials),
-                _fmt(fa_lo), _fmt(fa_hi), str(pt.degenerate),
-            ]))
+    """results.csv: one row per (mode, SNR, P_FA), floats as their repr."""
+    rows = [(curve, pt) for curve in result.curves for pt in curve.points]
+    false_alarms = np.array([pt.false_alarms for _, pt in rows])
+    trials = np.array([pt.trials for _, pt in rows])
+    fa_lo, fa_hi = montecarlo.wilson_interval(false_alarms, trials)
+    lines = [CSV_HEADER]
+    for (curve, pt), pfa_emp, lo, hi in zip(rows, (false_alarms / trials).tolist(),
+                                            fa_lo.tolist(), fa_hi.tolist()):
+        lines.append(
+            f"{curve.label},{curve.bs_id},{pt.snr_db!r},{pt.pfa!r},{pt.trials},"
+            f"{pt.detections},{pt.pd_emp!r},{pt.ci_lo!r},{pt.ci_hi!r},"
+            f"{pt.pd_theory_paper!r},{pt.pd_theory_calibrated!r},{pt.false_alarms},"
+            f"{pfa_emp!r},{lo!r},{hi!r},{pt.degenerate}")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
@@ -255,7 +252,7 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
     summary = {
         "version": __version__,
         "versions": {"python": platform.python_version(),
-                     "numpy": numpy.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "master_seed": plan.master_seed,
         "plan": {
             "m": plan.m, "n_bs": plan.n_bs, "k": plan.k, "l": plan.l,

@@ -53,7 +53,11 @@ its points.  Every row still reads its own channel stream and its own noise
 record, and a channel's projector does not depend on the stack it sits in,
 so no tile size changes an output.  With workers, threads run contiguous
 runs of tiles through the same loop, sharing the read-only fixed-channel
-engine.
+engine.  Each thread's loop (one `_run_tiles` call) owns its buffer of
+uniforms, allocated once for its largest tile: a tile's noise, both
+hypotheses of all of its points, is one `numerics.complex_normal_ranges`
+draw into it, and redrawn channels another.  A point's tallies are one
+threshold comparison per hypothesis and tile, summed per point segment.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t; with a fixed channel that is the value at
@@ -71,7 +75,8 @@ import numpy as np
 
 from . import detection, radar, sharing
 from .errors import ConfigurationError, NumericFailure
-from .numerics import complex_normal_block, rng_substream
+from .numerics import (complex_normal_block, complex_normal_ranges, record_words,
+                       rng_substream)
 
 MODE_ORTHOGONAL = "orthogonal"
 MODE_NSP_PER_BS = "nsp-per-bs"
@@ -258,18 +263,26 @@ class SnrGapReport:
     gap_db: dict
 
 
-def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial rate."""
-    if n == 0:
-        return 0.0, 1.0
-    phat = successes / n
-    denom = 1 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+def wilson_interval(successes, n, z: float = _WILSON_Z):
+    """95% Wilson score interval for a binomial rate: (lo, hi) as floats for
+    scalar counts, as arrays (elementwise, broadcast) for array counts.
+
+    Each element takes the operations of the scalar formula in its order,
+    so it has the scalar formula's bits; n = 0 gives (0, 1).
+    """
+    k, n = np.asarray(successes), np.asarray(n)
+    zz = z * z
+    with np.errstate(divide="ignore", invalid="ignore"):  # n = 0
+        phat = k / n
+        denom = 1 + zz / n
+        center = (phat + zz / (2 * n)) / denom
+        half = z * np.sqrt(phat * (1 - phat) / n + zz / (4 * n * n)) / denom
     # The exact bounds at the edges are 0 and 1; rounded, center - half can
     # land just above 0 (center + half just below 1) and exclude phat.
-    lo = 0.0 if successes == 0 else max(0.0, center - half)
-    hi = 1.0 if successes == n else min(1.0, center + half)
+    lo = np.where(k == 0, 0.0, np.maximum(0.0, center - half))
+    hi = np.where(k == n, 1.0, np.minimum(1.0, center + half))
+    if lo.ndim == 0:
+        return float(lo), float(hi)
     return lo, hi
 
 
@@ -320,6 +333,32 @@ def _stacked_modes(
     return modes, (selected, norms), p_selected
 
 
+def _channel_shape(plan: ExperimentPlan) -> tuple[int, int, int]:
+    """Shape (K, N_BS, M) of one trial's redrawn-channel record."""
+    return plan.k, plan.n_bs, plan.m
+
+
+def _noise_shape(plan: ExperimentPlan) -> tuple[tuple[int, ...], float]:
+    """(record shape, variance) of one trial's noise: E0 = N X^H, M x M of
+    i.i.d. CN(0, 1) entries, with the scan; w = E0^T a^*, M i.i.d. CN(0, M)
+    entries, without it."""
+    return ((plan.m, plan.m), 1.0) if plan.scan else ((plan.m,), float(plan.m))
+
+
+def _channel_ranges(segments: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """`complex_normal_ranges` record ranges of the redrawn channels of the
+    (snr_index, first trial, count) segments."""
+    return [(_TRIAL_CHANNEL_BASE + i, first, count) for i, first, count in segments]
+
+
+def _noise_ranges(segments: list[tuple[int, int, int]],
+                  hypotheses: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """`complex_normal_ranges` record ranges of the noise of the segments,
+    hypothesis by hypothesis."""
+    return [(_NOISE_BASE + 2 * i + hypothesis, first, count)
+            for hypothesis in hypotheses for i, first, count in segments]
+
+
 def _channels(plan: ExperimentPlan, snr_index: int, first: int,
               count: int) -> np.ndarray:
     """(C, K, N_BS, M) channel draws for trials [first, first + count) of
@@ -333,23 +372,18 @@ def _channels(plan: ExperimentPlan, snr_index: int, first: int,
     if plan.channel_mode == CHANNEL_FIXED:
         rng = rng_substream(plan.master_seed, _CHANNEL_STREAM)
         return sharing.channel_matrices([rng], plan.k, plan.n_bs, plan.m)
-    return complex_normal_block(plan.master_seed, _TRIAL_CHANNEL_BASE + snr_index,
-                                first, count, (plan.k, plan.n_bs, plan.m))
+    return complex_normal_ranges(plan.master_seed,
+                                 _channel_ranges([(snr_index, first, count)]),
+                                 _channel_shape(plan))
 
 
 def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
                  first: int, count: int) -> np.ndarray:
-    """The noise of trials [first, first + count) under one hypothesis.
-
-    With the scan: E0 = N X^H, a (count, M, M) array of i.i.d. CN(0, 1)
-    entries.  Without it: w = E0^T a^*, a (count, M) array of i.i.d.
-    CN(0, M) entries.
-    """
-    shape, variance = ((plan.m, plan.m), 1.0) if plan.scan else ((plan.m,), plan.m)
-    return complex_normal_block(
-        plan.master_seed, _NOISE_BASE + 2 * snr_index + hypothesis,
-        first, count, shape, variance,
-    )
+    """The noise of trials [first, first + count) under one hypothesis: a
+    (count,) + record shape array (`_noise_shape`)."""
+    return complex_normal_ranges(
+        plan.master_seed, _noise_ranges([(snr_index, first, count)], (hypothesis,)),
+        *_noise_shape(plan))
 
 
 def _lifted_noise(plan: ExperimentPlan, snr_index: int, hypothesis: int,
@@ -537,24 +571,6 @@ def _segments(plan: ExperimentPlan, start: int,
     return out
 
 
-def _tile_array(plan: ExperimentPlan, segments: list[tuple[int, int, int]],
-                draw, *args) -> np.ndarray:
-    """draw(plan, snr_index, *args, first, count) for every segment, filled
-    into one array of the tile's rows."""
-    if len(segments) == 1:
-        i, first, count = segments[0]
-        return draw(plan, i, *args, first, count)
-    out, row = None, 0
-    for i, first, count in segments:
-        part = draw(plan, i, *args, first, count)
-        if out is None:
-            rows = sum(count for _, _, count in segments)
-            out = np.empty((rows,) + part.shape[1:], part.dtype)
-        out[row:row + len(part)] = part
-        row += len(part)
-    return out
-
-
 def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
                engine: _PointEngine | None) -> dict:
     """The trials of the sweep rows in `tiles` (`_tiles`' row ranges).
@@ -564,6 +580,13 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
     point (detections and false alarms (points, pfa, modes), degenerate
     trials (points, modes)) and, for redrawn channels, the target gains of
     the rows in order, as a list of (tile rows, modes) arrays.
+
+    Each call owns one buffer of uniforms, allocated here for the largest
+    of its tiles, so a worker thread (one call each) draws into its own
+    memory and no tile allocates it again.  A tile's noise, both
+    hypotheses of all of its SNR point segments, is one
+    `complex_normal_ranges` draw into the buffer; redrawn channels are
+    another, consumed by the engine before the noise overwrites them.
     """
     thresholds = np.array([detection.chi2_central_inv(1 - p)
                            for p in plan.pfa_list])[:, None, None]
@@ -573,23 +596,36 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
     degenerate = np.zeros((n_points, n_modes), dtype=np.int64)
     redrawn = engine is None
     gains = []
+    noise_shape, noise_var = _noise_shape(plan)
+    # Doubles per row: the two hypotheses' noise records, or the channel
+    # record, each padded to whole Philox counter steps of 4 words.
+    per_row = 2 * record_words(noise_shape)
+    if redrawn:
+        per_row = max(per_row, record_words(_channel_shape(plan)))
+    buffer = np.empty(max(stop - start for start, stop in tiles) * per_row)
     for start, stop in tiles:
+        rows = stop - start
         segments = _segments(plan, start, stop)
+        points = [i for i, _, _ in segments]
         if redrawn:
-            h = _tile_array(plan, segments, _channels)
+            h = complex_normal_ranges(plan.master_seed, _channel_ranges(segments),
+                                      _channel_shape(plan), buffer=buffer)
             engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
             gains.append(engine.target_gain)
+        noise = complex_normal_ranges(plan.master_seed,
+                                      _noise_ranges(segments, (_H1, _H0)),
+                                      noise_shape, noise_var, buffer=buffer)
         bounds = np.cumsum([0] + [count for _, _, count in segments]).tolist()
-        alphas = [math.sqrt(10 ** (plan.snr_grid_db[i] / 10)) for i, _, _ in segments]
-        s1 = engine.statistics(_tile_array(plan, segments, _noise_block, _H1),
-                               alphas, bounds)
-        s0 = engine.statistics(_tile_array(plan, segments, _noise_block, _H0), 0.0)
-        # Degenerate columns read 0, below every threshold.
-        deg = np.broadcast_to(engine.degenerate, (stop - start, n_modes))
-        for (i, _, _), lo, hi in zip(segments, bounds, bounds[1:]):
-            detections[i] += np.count_nonzero(s1[lo:hi] > thresholds, axis=1)
-            false_alarms[i] += np.count_nonzero(s0[lo:hi] > thresholds, axis=1)
-            degenerate[i] += deg[lo:hi].sum(axis=0)
+        alphas = [math.sqrt(10 ** (plan.snr_grid_db[i] / 10)) for i in points]
+        s1 = engine.statistics(noise[:rows], alphas, bounds)
+        s0 = engine.statistics(noise[rows:], 0.0)
+        # Per-segment sums, (segments, pfa, modes); degenerate columns read
+        # 0, below every threshold.
+        for tally, s in ((detections, s1), (false_alarms, s0)):
+            tally[points] += np.add.reduceat(s > thresholds, bounds[:-1], axis=1
+                                             ).swapaxes(0, 1)
+        deg = np.broadcast_to(engine.degenerate, (rows, n_modes))
+        degenerate[points] += np.add.reduceat(deg, bounds[:-1], axis=0)
     return {"detections": detections, "false_alarms": false_alarms,
             "degenerate": degenerate, "gains": gains}
 
@@ -713,25 +749,25 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     theory = _mean_theory_pd(plan, snr, gains)
 
     trials = plan.trials_per_point
-    curves = []
-    by_mode = {}
-    for mi, (label, bs_id) in enumerate(_mode_labels(plan)):
-        points = []
-        by_mode[label] = int(degenerate[:, mi].sum())
-        for pi, snr_db in enumerate(plan.snr_grid_db):
-            for fi, p in enumerate(plan.pfa_list):
-                det = int(detections[pi, fi, mi])
-                lo, hi = wilson_interval(det, trials)
-                points.append(CurvePoint(
-                    snr_db=snr_db, pfa=p,
-                    trials=trials, detections=det,
-                    false_alarms=int(false_alarms[pi, fi, mi]),
-                    pd_emp=det / trials, ci_lo=lo, ci_hi=hi,
-                    pd_theory_paper=float(theory["paper", p][pi, mi]),
-                    pd_theory_calibrated=float(theory["calibrated", p][pi, mi]),
-                    degenerate=int(degenerate[pi, mi]),
-                ))
-        curves.append(DetectionCurve(label=label, bs_id=bs_id, points=tuple(points)))
+    # (points, pfa, modes) tables as nested lists of Python numbers.
+    ci_lo, ci_hi = wilson_interval(detections, trials)
+    table = zip(detections.tolist(), (detections / trials).tolist(), ci_lo.tolist(),
+                ci_hi.tolist(), false_alarms.tolist())
+    cols = {key: values.tolist() for key, values in theory.items()}
+    points = {label: [] for label, _ in _mode_labels(plan)}
+    for pi, (snr_db, (det, pd, lo, hi, fa), deg) in enumerate(
+            zip(plan.snr_grid_db, table, degenerate.tolist())):
+        for fi, p in enumerate(plan.pfa_list):
+            paper, calibrated = cols["paper", p][pi], cols["calibrated", p][pi]
+            for mi, label in enumerate(points):
+                points[label].append(CurvePoint(
+                    snr_db=snr_db, pfa=p, trials=trials, detections=det[fi][mi],
+                    false_alarms=fa[fi][mi], pd_emp=pd[fi][mi], ci_lo=lo[fi][mi],
+                    ci_hi=hi[fi][mi], pd_theory_paper=paper[mi],
+                    pd_theory_calibrated=calibrated[mi], degenerate=deg[mi]))
+    curves = [DetectionCurve(label=label, bs_id=bs_id, points=tuple(points[label]))
+              for label, bs_id in _mode_labels(plan)]
+    by_mode = dict(zip(points, degenerate.sum(axis=0).tolist()))
     timings = {"setup": t_points - t_setup, "points": t_theory - t_points,
                "theory": time.perf_counter() - t_theory}
     return ExperimentResult(
@@ -741,8 +777,12 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
 
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators fit, nondecreasing, equal weights."""
-    vals = list(y.astype(float))
+    """Pool-adjacent-violators fit, nondecreasing, equal weights.  An input
+    with no violation (no y[i] > y[i + 1] + 1e-15) is its own fit."""
+    vals = y.astype(float)
+    if not np.any(vals[:-1] > vals[1:] + 1e-15):
+        return vals
+    vals = list(vals)
     weights = [1.0] * len(vals)
     i = 0
     while i < len(vals) - 1:

@@ -93,19 +93,77 @@ def rng_substream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(_philox(master_seed, stream_id))
 
 
-def normal_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Standard normals by inverse CDF at the midpoint of each 2**-53 cell.
+def normal_from_uniform(u: np.ndarray, scale: float = 1.0, out=None) -> np.ndarray:
+    """Standard normals by inverse CDF at the midpoint of each 2**-53 cell,
+    times `scale`.
 
     A `random()` output u = k 2**-53 maps to ndtri((k + 1/2) 2**-53), whose
     argument lies strictly inside (0, 1), so u = 0 gives a finite normal.
     The midpoint is formed exactly: as u + 2**-54 below 1/2 and, reflected,
     as (1 - u) - 2**-54 above it (u + 2**-54 would round to 1.0 at the top
     cell).  The map is therefore odd about 1/2 and finite at both ends.
+
+    The result goes to `out` (which may be `u` itself), else to a new array.
+    Above 1/2 the argument is formed as |(u - 1) + 2**-54|: u - 1 is exact
+    there and rounding is symmetric, so it equals (1 - u) - 2**-54 bit for
+    bit.  The sign and a positive scale are then one multiply by -scale
+    above 1/2 and scale below it, which gives the bits of
+    -ndtri(...) * scale there.
     """
     u = np.asarray(u, dtype=float)
     upper = u >= 0.5
-    z = ndtri(np.where(upper, (1.0 - u) - _HALF_CELL, u + _HALF_CELL))
-    return np.where(upper, -z, z)
+    out = np.subtract(u, upper, out=out)
+    out += _HALF_CELL
+    np.abs(out, out=out)
+    ndtri(out, out=out)
+    sign = upper * (-2.0 * scale)
+    sign += scale
+    out *= sign
+    return out
+
+
+def record_words(shape) -> int:
+    """Words (uniforms) one record of complex normals of the given shape
+    takes: its 2 prod(shape) uniforms, padded to whole Philox counter steps."""
+    return -(-2 * math.prod(shape) // _PHILOX_WORDS) * _PHILOX_WORDS
+
+
+def complex_normal_ranges(master_seed: int, ranges, shape, variance: float = 1.0,
+                          buffer: np.ndarray | None = None) -> np.ndarray:
+    """CN(0, variance) arrays of the given shape for the record ranges
+    [(stream_id, first, count), ...] of the Philox streams keyed by
+    (master_seed, stream_id), stacked in range order: an array of shape
+    (sum of counts,) + shape.
+
+    Every record consumes the same number of words: its 2 prod(shape)
+    uniforms, padded to whole counter steps.  Record r therefore starts at
+    counter step r * width / 4, reached by `advance()` in O(1), and a draw
+    is byte-identical to its records drawn one by one, however they are
+    grouped into ranges and calls.  The uniforms of all ranges fill one
+    (records, width) array, stream by stream, and one `normal_from_uniform`
+    pass turns them into normals in place; never the ziggurat, whose word
+    count varies.
+
+    `buffer`, a flat float64 array of at least records x width entries,
+    holds that array; the result is then a view of it, valid until the
+    buffer's next use.  Without it a new array is allocated.
+    """
+    shape = tuple(shape)
+    size, width = 2 * math.prod(shape), record_words(shape)
+    rows = sum(count for _, _, count in ranges)
+    if buffer is None:
+        u = np.empty((rows, width))
+    else:
+        u = buffer[:rows * width].reshape(rows, width)
+    row = 0
+    for stream_id, first, count in ranges:
+        bitgen = _philox(master_seed, stream_id)
+        bitgen.advance(first * (width // _PHILOX_WORDS))
+        np.random.Generator(bitgen).random(out=u[row:row + count])
+        row += count
+    normal_from_uniform(u, math.sqrt(0.5 * variance), out=u)
+    z = u if width == size else np.ascontiguousarray(u[:, :size])
+    return z.view(complex).reshape((rows,) + shape)
 
 
 def complex_normal_block(
@@ -114,21 +172,6 @@ def complex_normal_block(
 ) -> np.ndarray:
     """CN(0, variance) arrays of the given shape for records
     [first, first + count) of the Philox stream keyed by
-    (master_seed, stream_id).
-
-    Every record consumes the same number of words: its 2 prod(shape)
-    uniforms, padded to whole counter steps.  Record r therefore starts at
-    counter step r * width / 4, reached by `advance()` in O(1), and a block
-    draw is byte-identical to the per-record draws concatenated, however
-    the records are chunked.  Normals come from `normal_from_uniform`, never
-    from the ziggurat, whose word count varies.
-    """
-    shape = tuple(shape)
-    size = 2 * math.prod(shape)
-    width = -(-size // _PHILOX_WORDS) * _PHILOX_WORDS
-    bitgen = _philox(master_seed, stream_id)
-    bitgen.advance(first * (width // _PHILOX_WORDS))
-    u = np.random.Generator(bitgen).random((count, width))
-    z = normal_from_uniform(u[:, :size])
-    z *= math.sqrt(0.5 * variance)
-    return z.view(complex).reshape((count,) + shape)
+    (master_seed, stream_id): `complex_normal_ranges` of that one range."""
+    return complex_normal_ranges(master_seed, [(stream_id, first, count)], shape,
+                                 variance)

@@ -6,6 +6,8 @@ CDF, and steering products from explicit summation loops.  The explicit
 M x L echo model (`TargetScenario`, `synthesize_echo`), which the sweep
 replaces by its M x M sufficient statistic, lives here too, with the
 closed-form central chi-squared CDF and the ziggurat complex normals.
+The scalar Wilson interval and the select-based inverse-CDF normals are the
+formulas whose bits the library's array and in-place versions keep.
 """
 
 import math
@@ -138,3 +140,29 @@ def pd_at_snr_root(m: int, gain: float, pfa: float, target_pd: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def wilson_interval_scalar(successes: int, n: int,
+                           z: float = 1.959963984540054) -> tuple[float, float]:
+    """95% Wilson score interval of one binomial count, in plain Python
+    scalars: the formula the library's array-valued interval must match
+    bit for bit."""
+    if n == 0:
+        return 0.0, 1.0
+    phat = successes / n
+    denom = 1 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == n else min(1.0, center + half)
+    return lo, hi
+
+
+def normal_from_uniform_reference(u: np.ndarray) -> np.ndarray:
+    """Inverse normal CDF at the midpoint of each 2**-53 cell, formed with
+    whole-array selects: u + 2**-54 below 1/2, (1 - u) - 2**-54 reflected
+    above it."""
+    half_cell = 2.0 ** -54
+    upper = u >= 0.5
+    z = special.ndtri(np.where(upper, (1.0 - u) - half_cell, u + half_cell))
+    return np.where(upper, -z, z)

@@ -136,6 +136,37 @@ class TestWilsonInterval:
         w2 = np.diff(wilson_interval(100, 1000))[0]
         assert w2 < w1
 
+    @staticmethod
+    def _assert_matches_scalar_formula(k, n):
+        lo, hi = wilson_interval(k, n)
+        want = np.array([oracles.wilson_interval_scalar(int(a), int(b))
+                         for a, b in zip(k, n)])
+        assert lo.tobytes() == want[:, 0].tobytes()
+        assert hi.tobytes() == want[:, 1].tobytes()
+
+    def test_array_equals_scalar_formula_for_every_count(self):
+        n = np.repeat(np.arange(1, 301), np.arange(2, 302))
+        k = np.concatenate([np.arange(m + 1) for m in range(1, 301)])
+        self._assert_matches_scalar_formula(k, n)
+
+    def test_array_equals_scalar_formula_at_the_edges(self):
+        n = np.arange(1, 20_001)
+        self._assert_matches_scalar_formula(np.concatenate([0 * n, n]),
+                                            np.concatenate([n, n]))
+
+    def test_array_and_scalar_calls_at_n_zero(self):
+        lo, hi = wilson_interval(np.array([0, 0, 3]), np.array([0, 0, 7]))
+        assert lo[:2].tolist() == [0.0, 0.0] and hi[:2].tolist() == [1.0, 1.0]
+        assert (lo[2], hi[2]) == oracles.wilson_interval_scalar(3, 7)
+        got = wilson_interval(0, 0)
+        assert got == (0.0, 1.0) and all(type(v) is float for v in got)
+
+    def test_scalar_call_gives_floats_of_the_formula(self):
+        for k, n in [(0, 1), (37, 100), (250, 250), (1, 20_000)]:
+            got = wilson_interval(k, n)
+            assert all(type(v) is float for v in got)
+            assert got == oracles.wilson_interval_scalar(k, n)
+
 
 class TestIsotonic:
     def test_already_sorted(self):
@@ -154,6 +185,13 @@ class TestIsotonic:
             assert len(fit) == len(y)
             # pooling preserves the total
             assert abs(fit.sum() - y.sum()) < 1e-9
+
+    def test_nondecreasing_input_is_returned_as_is(self):
+        # Dips of up to 1e-15 are not violations, as in the pooling loop.
+        y = np.array([0.0, 0.25, 0.25, 0.5 + 1e-15, 0.5, 0.9, 1.0])
+        fit = _isotonic(y)
+        assert fit.dtype == float and fit.tobytes() == y.tobytes()
+        assert _isotonic(np.array([0, 1, 1])).tobytes() == np.array([0.0, 1.0, 1.0]).tobytes()
 
 
 class TestRunTrial:
@@ -675,6 +713,46 @@ class TestRunExperiment:
             sys.setswitchinterval(interval)
         assert not run.is_alive(), "the thread pool did not finish within 120 s"
         assert out["curves"] == run_experiment(plan, workers=1).curves
+
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
+    def test_more_threads_than_cores_at_angle(self, channel_mode, monkeypatch):
+        # As test_more_threads_than_cores, on the at-angle path: each of the
+        # cpu_count() + 2 threads draws the w vectors (and redrawn channels)
+        # into its own buffer.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1)
+        workers = (os.cpu_count() or 1) + 2
+        plan = tiny_plan(channel_mode=channel_mode, trials_per_point=workers)
+        assert len(montecarlo._tiles(plan)) >= workers
+        out = {}
+        run = threading.Thread(
+            target=lambda: out.update(curves=run_experiment(plan, workers=workers).curves),
+            daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run.start()
+            run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive(), "the thread pool did not finish within 120 s"
+        assert out["curves"] == run_experiment(plan, workers=1).curves
+
+    @pytest.mark.parametrize("chunk", [3, 12])
+    @pytest.mark.parametrize("scan", [False, True])
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
+    def test_padded_records_do_not_depend_on_tiles(self, chunk, scan, channel_mode,
+                                                   monkeypatch):
+        # M = 3 pads each noise record (6 or 18 words) to whole counter
+        # steps.  Tiles of 3 rows split every point; tiles of 12 rows pack
+        # two points and end with a shorter tile.  The worker's buffer is
+        # reused across tiles of different sizes.
+        plan = tiny_plan(m=3, channel_mode=channel_mode, scan=scan, theta_step_deg=5.0,
+                         trials_per_point=5, snr_grid_db=(0.0, 4.0, 8.0))
+        want = run_experiment(plan).curves
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        tiles = montecarlo._tiles(plan)
+        assert len(tiles) > 1 and len({stop - start for start, stop in tiles}) > 1
+        assert run_experiment(plan).curves == want
 
     def test_pfa_sweep_orders_detection(self):
         plan = tiny_plan(

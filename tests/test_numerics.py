@@ -11,7 +11,9 @@ from nspradar.numerics import (
     chi2_central_inv,
     chi2_noncentral_sf,
     complex_normal_block,
+    complex_normal_ranges,
     normal_from_uniform,
+    record_words,
     rng_substream,
     svd,
 )
@@ -311,3 +313,76 @@ class TestComplexNormalBlock:
     def test_negative_stream_rejected(self):
         with pytest.raises(ValueError):
             complex_normal_block(1, -1, 0, 1, (2, 2))
+
+
+class TestInPlaceNormals:
+    def _uniforms(self):
+        k = np.random.default_rng(8).integers(0, 2**53, 20_000)
+        edges = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+        return np.concatenate([k, edges]) * 2.0**-53
+
+    @pytest.mark.parametrize("scale", [1.0, math.sqrt(0.5), math.sqrt(2.0), 3.0])
+    def test_equals_select_formula_bit_for_bit(self, scale):
+        u = self._uniforms()
+        want = oracles.normal_from_uniform_reference(u) * scale
+        assert normal_from_uniform(u, scale).tobytes() == want.tobytes()
+        in_place = u.copy()
+        assert normal_from_uniform(in_place, scale, out=in_place) is in_place
+        assert in_place.tobytes() == want.tobytes()
+
+    def test_leaves_its_input_alone_without_out(self):
+        u = self._uniforms()
+        before = u.copy()
+        normal_from_uniform(u)
+        assert u.tobytes() == before.tobytes()
+
+
+class TestComplexNormalRanges:
+    @staticmethod
+    def _per_range(seed, ranges, shape, variance):
+        return np.concatenate([complex_normal_block(seed, s, first, count, shape, variance)
+                               for s, first, count in ranges])
+
+    @pytest.mark.parametrize("shape", [(4,), (3,), (4, 4), (3, 3), (5, 2, 4)])
+    def test_streams_split_and_out_of_order(self, shape):
+        # Several streams; stream 9 split into two adjacent ranges and read
+        # again later; streams out of order.
+        ranges = [(9, 3, 5), (2, 0, 4), (9, 8, 2), (5, 100, 1), (9, 0, 3), (1, 7, 6)]
+        got = complex_normal_ranges(21, ranges, shape, 4.0)
+        assert got.shape == (21,) + shape and got.dtype == complex
+        assert got.tobytes() == self._per_range(21, ranges, shape, 4.0).tobytes()
+
+    @given(
+        ranges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 40),
+                                  st.integers(1, 8)), min_size=1, max_size=6),
+        shape=st.sampled_from([(1,), (2,), (3,), (8,), (2, 2), (3, 3), (2, 3, 3)]),
+        variance=st.sampled_from([1.0, 4.0, 8.0]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_range_draws_concatenated(self, ranges, shape, variance, seed):
+        want = self._per_range(seed, ranges, shape, variance).tobytes()
+        assert complex_normal_ranges(seed, ranges, shape, variance).tobytes() == want
+        # A reused buffer holding stale values gives the same bits.
+        rows = sum(count for _, _, count in ranges)
+        buffer = np.full(rows * record_words(shape) + 5, np.nan)
+        got = complex_normal_ranges(seed, ranges, shape, variance, buffer=buffer)
+        assert got.tobytes() == want
+        again = complex_normal_ranges(seed, ranges[::-1], shape, variance, buffer=buffer)
+        assert again.tobytes() == self._per_range(seed, ranges[::-1], shape,
+                                                  variance).tobytes()
+
+    def test_unpadded_records_are_a_view_of_the_buffer(self):
+        buffer = np.empty(10 * record_words((4,)))
+        z = complex_normal_ranges(3, [(0, 0, 4), (1, 2, 6)], (4,), buffer=buffer)
+        assert z.shape == (10, 4) and np.shares_memory(z, buffer)
+        assert z.flags.c_contiguous
+
+    def test_padded_records_come_out_contiguous(self):
+        buffer = np.empty(10 * record_words((3,)))
+        z = complex_normal_ranges(3, [(0, 0, 4), (1, 2, 6)], (3,), buffer=buffer)
+        assert z.shape == (10, 3) and z.flags.c_contiguous
+
+    def test_record_words(self):
+        assert [record_words(s) for s in [(1,), (2,), (3,), (4, 4), (5, 2, 4)]] == [
+            4, 4, 8, 32, 80]

@@ -65,3 +65,23 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
                      "fig4-scan": "fixed-per-experiment"}
     scans = {name for name in runs if bench["trees"]["change"][name]["scan"]}
     assert scans == {"fig4-scan"}
+
+
+def test_bench_presets_band_runs_and_faults(monkeypatch, tmp_path):
+    # --runs picks the acceptance band fixture's two plans (45 and 29 SNR
+    # points); every run records the minor faults its cli.main took.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    monkeypatch.setattr(sys, "argv", [
+        "bench_presets.py", "--pr", "0", "--trials", "2", "--repeats", "1",
+        "--tree", f"change={src}", "--out-dir", str(tmp_path),
+        "--runs", "band-m4", "band-m8", "fig5"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    runs = json.loads((tmp_path / "BENCH_0.json").read_text())["trees"]["change"]
+    assert list(runs) == ["band-m4", "band-m8", "fig5"]
+    for name, points in (("band-m4", 45), ("band-m8", 29), ("fig5", 41)):
+        run = runs[name]
+        assert run["trials_per_s"] == 2 * points / run["wall_s"]
+        assert run["channel_mode"] == "fixed-per-experiment" and not run["scan"]
+        assert run["runs_minflt"] == [run["minflt"]] and run["minflt"] >= 0
