@@ -14,7 +14,13 @@ w ~ CN(0, M I); those trials draw the M-vector w.
 Noise comes from one Philox stream per (master seed, SNR index,
 hypothesis).  Trial t reads a fixed-width record at a fixed offset of that
 stream, so results are independent of tiling, execution order and worker
-count.  `run_trial` is the test oracle of the vectorized engine: it runs
+count.  A stream is its key and a counter: each worker's tile loop derives
+the keys of all the streams it reads in one `numerics.philox_keys` pass,
+and each draw sets a generator's key and counter per record range
+(`numerics.complex_normal_ranges`), with the bits of a generator seeded
+per stream and moved by `advance()`.
+
+`run_trial` is the test oracle of the vectorized engine: it runs
 the explicit pipeline on the echo noise N = E0 X, which has N X^H = E0.
 At the target angle it first lifts w to E0 = a w^T / M + (I - a a^H / M) G,
 with G of i.i.d. CN(0, 1) entries from a separate stream; this E0 has
@@ -38,6 +44,10 @@ Channels take one route everywhere: `_channels` draws a (C, K, N_BS, M)
 stack and `_stacked_modes` turns it into projectors (one stacked
 `sharing.null_projectors` call: Gram-Schmidt, with the SVD for any channel
 it cannot certify full rank), the selection per draw and the mode setups.
+With X X^H = I the degradation ||P X - X||_F is sqrt(M - nullity), so the
+selection is the first BS of maximal nullity, read from the same call
+(`sharing.select_by_nullity`); only a fixed channel's reported norms take
+`sharing.select_projector`.
 A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 `run_experiment`.  Redrawn channels are drawn as the noise is: one Philox
 stream per (master seed, SNR index), of which trial t reads the fixed-width
@@ -75,8 +85,8 @@ import numpy as np
 
 from . import detection, radar, sharing
 from .errors import ConfigurationError, NumericFailure
-from .numerics import (complex_normal_block, complex_normal_ranges, record_words,
-                       rng_substream)
+from .numerics import (complex_normal_block, complex_normal_ranges, philox_keys,
+                       record_words, rng_substream)
 
 MODE_ORTHOGONAL = "orthogonal"
 MODE_NSP_PER_BS = "nsp-per-bs"
@@ -311,14 +321,17 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
 
 def _stacked_modes(
     plan: ExperimentPlan, h: np.ndarray
-) -> tuple[list[_ModeSetup], tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Mode setups for a (C, K, N_BS, M) stack of channel draws, with
-    `sharing.select_projector`'s (selected BS's 0-based index (C,),
-    degradation norms (C, K)) and the selected BS's projector (C, M, M)."""
+) -> tuple[list[_ModeSetup], np.ndarray, np.ndarray]:
+    """Mode setups for a (C, K, N_BS, M) stack of channel draws, with the
+    selected BS's 0-based index (C,) and the projectors (C, K, M, M).
+
+    The orthogonal waveforms have X X^H = I, so the minimum-degradation
+    selection is the first BS of maximal nullity (`sharing.select_by_nullity`,
+    equal to `sharing.select_projector` on these waveforms); no degradation
+    norm is formed."""
     a = radar.steering_vector(plan.m, plan.theta_target)
-    x = radar.orthogonal_waveforms(plan.m, plan.l)
-    p, _ = sharing.null_projectors(h, plan.rank_tol_factor)     # (C, K, M, M)
-    selected, norms = sharing.select_projector(p, x)
+    p, nullity = sharing.null_projectors(h, plan.rank_tol_factor)  # (C, K, M, M)
+    selected = sharing.select_by_nullity(nullity)
     p_selected = p[np.arange(len(h)), selected]
     eye = np.broadcast_to(np.eye(plan.m, dtype=complex), (len(h), plan.m, plan.m))
     modes = []
@@ -330,7 +343,7 @@ def _stacked_modes(
         else:
             pm = p[:, int(bs_id) - 1]
         modes.append(_ModeSetup(label, bs_id, pm, detection.direction_gain(a, pm)))
-    return modes, (selected, norms), p_selected
+    return modes, selected, p
 
 
 def _channel_shape(plan: ExperimentPlan) -> tuple[int, int, int]:
@@ -586,7 +599,9 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
     memory and no tile allocates it again.  A tile's noise, both
     hypotheses of all of its SNR point segments, is one
     `complex_normal_ranges` draw into the buffer; redrawn channels are
-    another, consumed by the engine before the noise overwrites them.
+    another, consumed by the engine before the noise overwrites them.  The
+    Philox keys of every stream the call reads are derived once, in one
+    `philox_keys` pass, before its first tile.
     """
     thresholds = np.array([detection.chi2_central_inv(1 - p)
                            for p in plan.pfa_list])[:, None, None]
@@ -603,18 +618,26 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
     if redrawn:
         per_row = max(per_row, record_words(_channel_shape(plan)))
     buffer = np.empty(max(stop - start for start, stop in tiles) * per_row)
+    # The keys of every stream of the points the tiles touch (a superset
+    # when the tiles are not contiguous), in one pass.
+    first = min(start for start, _ in tiles) // plan.trials_per_point
+    last = (max(stop for _, stop in tiles) - 1) // plan.trials_per_point
+    touched = [(i, 0, 0) for i in range(first, last + 1)]
+    ids = [stream_id for stream_id, _, _ in _noise_ranges(touched, (_H1, _H0))
+           + (_channel_ranges(touched) if redrawn else [])]
+    keys = dict(zip(ids, philox_keys(plan.master_seed, ids)))
     for start, stop in tiles:
         rows = stop - start
         segments = _segments(plan, start, stop)
         points = [i for i, _, _ in segments]
         if redrawn:
             h = complex_normal_ranges(plan.master_seed, _channel_ranges(segments),
-                                      _channel_shape(plan), buffer=buffer)
+                                      _channel_shape(plan), buffer=buffer, keys=keys)
             engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
             gains.append(engine.target_gain)
         noise = complex_normal_ranges(plan.master_seed,
                                       _noise_ranges(segments, (_H1, _H0)),
-                                      noise_shape, noise_var, buffer=buffer)
+                                      noise_shape, noise_var, buffer=buffer, keys=keys)
         bounds = np.cumsum([0] + [count for _, _, count in segments]).tolist()
         alphas = [math.sqrt(10 ** (plan.snr_grid_db[i] / 10)) for i in points]
         s1 = engine.statistics(noise[:rows], alphas, bounds)
@@ -717,9 +740,13 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
         h = _channels(plan, 0, 0, 1)
-        modes, (selected, norms), p_selected = _stacked_modes(plan, h)
+        modes, selected, p = _stacked_modes(plan, h)
         engine = _PointEngine(plan, modes)
-        x_tx = p_selected[0] @ radar.orthogonal_waveforms(plan.m, plan.l)
+        # The reported degradation norms are the paper's rule's, whose
+        # argmin is the selection.
+        x = radar.orthogonal_waveforms(plan.m, plan.l)
+        _, norms = sharing.select_projector(p, x)
+        x_tx = p[0, selected[0]] @ x
         residual = sharing.residual_interference(h[0, selected[0]], x_tx)
         selection = sharing.ChannelSelection(
             selected=int(selected[0]) + 1, norms=tuple(float(n) for n in norms[0]),
@@ -825,15 +852,22 @@ def snr_gap(
 
     source selects which probability the interpolation reads: "emp",
     "theory_paper", or "theory_calibrated".  Modes that never reach the
-    target report None.
+    target report None.  Raises ValueError for an unknown source or a pfa
+    that the curves do not hold.
     """
-    attr = {
+    attrs = {
         "emp": "pd_emp",
         "theory_paper": "pd_theory_paper",
         "theory_calibrated": "pd_theory_calibrated",
-    }[source]
+    }
+    if source not in attrs:
+        raise ValueError(f"unknown source {source!r}; choose from {list(attrs)}")
+    attr = attrs[source]
+    pfas = list(dict.fromkeys(pt.pfa for pt in curves[0].points))
     if pfa is None:
-        pfa = curves[0].points[0].pfa
+        pfa = pfas[0]
+    elif pfa not in pfas:
+        raise ValueError(f"pfa {pfa!r} is not in the curves; choose from {pfas}")
     snr_at, gaps = {}, {}
     for curve in curves:
         pts = [pt for pt in curve.points if pt.pfa == pfa]

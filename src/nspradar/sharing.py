@@ -155,6 +155,20 @@ def select_projector(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.argmax(norms <= best * (1 + _TIE_RTOL) + 1e-12, axis=-1), norms
 
 
+def select_by_nullity(nullity: np.ndarray) -> np.ndarray:
+    """Minimum-degradation selection over the last axis of a (..., K) array
+    of projector nullities (`null_projectors`): the first index of maximal
+    nullity.
+
+    For waveforms with X X^H = I, ||P X - X||_F^2 = tr(I - P) = M - nullity,
+    so this is `select_projector`'s argmin.  Norms of unequal nullities
+    differ by at least sqrt(M) - sqrt(M - 1) >= 1 / (2 sqrt(M)), far outside
+    its tie window, and equal nullities tie there and go to the lowest index
+    as here.
+    """
+    return np.argmax(nullity, axis=-1)
+
+
 def residual_interference(h: np.ndarray, x_tx: np.ndarray) -> float:
     """Normalized residual power a channel still receives from the
     transmitted samples: ||H X_tx||_F / max(1, ||H||_F ||X_tx||_F)."""

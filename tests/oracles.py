@@ -7,7 +7,9 @@ M x L echo model (`TargetScenario`, `synthesize_echo`), which the sweep
 replaces by its M x M sufficient statistic, lives here too, with the
 closed-form central chi-squared CDF and the ziggurat complex normals.
 The scalar Wilson interval and the select-based inverse-CDF normals are the
-formulas whose bits the library's array and in-place versions keep.
+formulas whose bits the library's array and in-place versions keep, and
+the per-range Philox generators moved by `advance()` are the construction
+whose bits the library's keyed record draws keep.
 """
 
 import math
@@ -166,3 +168,22 @@ def normal_from_uniform_reference(u: np.ndarray) -> np.ndarray:
     upper = u >= 0.5
     z = special.ndtri(np.where(upper, (1.0 - u) - half_cell, u + half_cell))
     return np.where(upper, -z, z)
+
+
+def complex_normal_ranges_reference(master_seed: int, ranges, shape,
+                                    variance: float = 1.0) -> np.ndarray:
+    """CN(0, variance) records [first, first + count) of each range
+    (stream_id, first, count), stacked: for each range a Philox generator
+    seeded by SeedSequence((master_seed mod 2**64, stream_id)) is moved to
+    its first record by `advance()`, each record taking its 2 prod(shape)
+    uniforms padded to whole 4-word counter steps."""
+    size = 2 * math.prod(shape)
+    width = -(-size // 4) * 4
+    parts = []
+    for stream_id, first, count in ranges:
+        bitgen = np.random.Philox(np.random.SeedSequence((master_seed % 2**64, stream_id)))
+        bitgen.advance(first * width // 4)
+        u = np.random.Generator(bitgen).random((count, width))
+        parts.append(normal_from_uniform_reference(u)[:, :size])
+    z = np.concatenate(parts) * math.sqrt(0.5 * variance)
+    return np.ascontiguousarray(z).view(complex).reshape((-1,) + tuple(shape))

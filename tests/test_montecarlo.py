@@ -683,6 +683,45 @@ class TestRunExperiment:
             built.append(len(calls))
         assert built[0] == built[1]
 
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keys_are_derived_once_per_worker(self, channel_mode, workers,
+                                              monkeypatch):
+        # Each _run_tiles call derives the keys of all of its streams in one
+        # philox_keys call; no draw derives its own keys or builds a
+        # generator by SeedSequence, except the fixed channel's stream 0.
+        calls = {"sweep": 0, "draw": 0, "philox": 0}
+
+        def counted(name, fn):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+        monkeypatch.setattr(montecarlo, "philox_keys",
+                            counted("sweep", montecarlo.philox_keys))
+        monkeypatch.setattr(numerics, "philox_keys", counted("draw", numerics.philox_keys))
+        monkeypatch.setattr(numerics, "_philox", counted("philox", numerics._philox))
+        plan = tiny_plan(channel_mode=channel_mode, trials_per_point=10,
+                         snr_grid_db=(0.0, 3.0, 6.0, 9.0))
+        monkeypatch.setattr(montecarlo, "_CHUNK", 10)
+        run_experiment(plan, workers=workers)
+        assert calls == {"sweep": workers, "draw": 0,
+                         "philox": int(channel_mode == CHANNEL_FIXED)}
+
+    @pytest.mark.parametrize("n_bs, m, rank_tol", [(2, 4, None), (1, 3, 1e-3),
+                                                   (4, 4, None), (6, 4, 0.0)])
+    def test_selection_is_the_degradation_argmin(self, n_bs, m, rank_tol):
+        # The set-up selects by nullity; on the orthogonal waveforms that is
+        # select_projector's argmin, and nsp-selected takes its projector.
+        plan = tiny_plan(m=m, n_bs=n_bs, l=16, rank_tol_factor=rank_tol,
+                         channel_mode=CHANNEL_REDRAWN,
+                         waveform_modes=(MODE_NSP_SELECTED,))
+        h = montecarlo._channels(plan, 0, 0, 40)
+        h[::3, 1] = 0                                   # zero channels
+        h[1::3, 2, 1:] = h[1::3, 2, :1]                 # repeated rows
+        modes, selected, p = montecarlo._stacked_modes(plan, h)
+        want, _ = sharing.select_projector(p, radar.orthogonal_waveforms(m, plan.l))
+        assert selected.tolist() == want.tolist()
+        assert modes[0].proj.tobytes() == p[np.arange(40), want].tobytes()
+
     def test_redrawn_worker_count_invariance(self):
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30)
         assert run_experiment(plan, workers=1).curves == run_experiment(plan, workers=2).curves
@@ -899,6 +938,14 @@ class TestSnrGap:
         report = snr_gap(result.curves, target_pd=0.9, source="emp")
         assert report.snr_at_target[MODE_ORTHOGONAL] is None
         assert report.gap_db[MODE_NSP_SELECTED] is None
+
+    def test_unknown_pfa_or_source_raises(self):
+        result = run_experiment(tiny_plan(trials_per_point=5, pfa_list=(1e-3, 1e-1)))
+        with pytest.raises(ValueError, match=r"pfa 0\.5 .*\[0\.001, 0\.1\]"):
+            snr_gap(result.curves, pfa=0.5)
+        with pytest.raises(ValueError, match="'bogus'.*'emp'"):
+            snr_gap(result.curves, source="bogus")
+        assert snr_gap(result.curves, pfa=0.1).pfa == 0.1
 
     def test_empirical_gap_near_theory_gap(self):
         plan = tiny_plan(

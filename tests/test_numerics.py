@@ -7,12 +7,14 @@ from scipy import stats
 from scipy.special import ndtri
 
 from nspradar.errors import NumericFailure
+from nspradar import numerics
 from nspradar.numerics import (
     chi2_central_inv,
     chi2_noncentral_sf,
     complex_normal_block,
     complex_normal_ranges,
     normal_from_uniform,
+    philox_keys,
     record_words,
     rng_substream,
     svd,
@@ -314,6 +316,14 @@ class TestComplexNormalBlock:
         with pytest.raises(ValueError):
             complex_normal_block(1, -1, 0, 1, (2, 2))
 
+    @pytest.mark.parametrize("first, count", [(-1, 2), (0, -1), (-3, -1)])
+    def test_negative_first_or_count_rejected(self, first, count):
+        # A negative first record would wrap the counter to the stream's end.
+        with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
+            complex_normal_block(1, 0, first, count, (4,))
+        with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
+            complex_normal_ranges(1, [(0, 0, 2), (3, first, count)], (4,))
+
 
 class TestInPlaceNormals:
     def _uniforms(self):
@@ -383,6 +393,70 @@ class TestComplexNormalRanges:
         z = complex_normal_ranges(3, [(0, 0, 4), (1, 2, 6)], (3,), buffer=buffer)
         assert z.shape == (10, 3) and z.flags.c_contiguous
 
+    @given(
+        ranges=st.lists(st.tuples(st.integers(0, 2**64 - 1),
+                                  st.one_of(st.integers(0, 50),
+                                            st.integers(2**61, 2**66)),
+                                  st.integers(0, 4)), min_size=1, max_size=5),
+        shape=st.sampled_from([(1,), (2,), (3,), (4,), (3, 3)]),
+        seed=st.integers(-2**63, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_advanced_generators(self, ranges, shape, seed):
+        # Record offsets from 2**61 on take counter steps of 2**64 or more
+        # for most widths, so the step carries into the counter's word 1.
+        want = oracles.complex_normal_ranges_reference(seed, ranges, shape, 2.0)
+        assert complex_normal_ranges(seed, ranges, shape, 2.0).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width_steps, first", [
+        (1, 2**64 - 1), (1, 2**64), (1, 2**64 + 5), (2, 2**63), (2, 2**63 + 1),
+        (8, 2**62 + 3), (1, 2**127 + 2**64 + 9),
+    ])
+    def test_counter_carries_into_word_one(self, width_steps, first):
+        # width_steps counter steps per record: shapes (2,), (4,) and
+        # (4, 4); the record's step is first * width_steps.
+        shape = {1: (2,), 2: (4,), 8: (4, 4)}[width_steps]
+        ranges = [(7, first, 2), (2**63 + 1, first, 1)]
+        want = oracles.complex_normal_ranges_reference(11, ranges, shape)
+        assert complex_normal_ranges(11, ranges, shape).tobytes() == want.tobytes()
+
+    def test_given_keys_equal_derived_keys(self):
+        ranges = [(2**63 + 4, 0, 3), (1, 5, 2), (2**63 + 4, 3, 1)]
+        keys = {1: philox_keys(8, [1])[0], 2**63 + 4: philox_keys(8, [2**63 + 4])[0]}
+        got = complex_normal_ranges(8, ranges, (3,), keys=keys)
+        assert got.tobytes() == complex_normal_ranges(8, ranges, (3,)).tobytes()
+
     def test_record_words(self):
         assert [record_words(s) for s in [(1,), (2,), (3,), (4, 4), (5, 2, 4)]] == [
             4, 4, 8, 32, 80]
+
+
+# Seeds and stream ids at the 32-bit word boundaries of SeedSequence's
+# entropy, and the sweep's stream bases (2**62, 2**63 + 2**62 + k).
+_KEY_EDGES = [0, 1, 2**32 - 1, 2**32, 2**62, 2**63,
+              *(2**63 + 2**62 + k for k in range(4)), 2**64 - 1]
+
+
+class TestPhiloxKeys:
+    @staticmethod
+    def _want(seed, ids):
+        return np.array([numerics._philox(seed, i).state["state"]["key"] for i in ids],
+                        dtype=np.uint64).reshape(-1, 2)
+
+    @given(seed=st.integers(-2**63, 2**64 - 1),
+           ids=st.lists(st.integers(0, 2**64 - 1), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_seed_sequence_keys(self, seed, ids):
+        got = philox_keys(seed, ids)
+        assert got.dtype == np.uint64 and got.shape == (len(ids), 2)
+        assert got.tobytes() == self._want(seed, ids).tobytes()
+
+    @pytest.mark.parametrize("seed", _KEY_EDGES + [-1, -2**32, -2**63])
+    def test_edge_cases(self, seed):
+        got = philox_keys(seed, _KEY_EDGES)
+        assert got.tobytes() == self._want(seed, _KEY_EDGES).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_out_of_range_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            philox_keys(3, [0, bad])

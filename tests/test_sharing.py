@@ -11,6 +11,7 @@ from nspradar.sharing import (
     channel_matrices,
     null_projectors,
     residual_interference,
+    select_by_nullity,
     select_projector,
 )
 
@@ -333,3 +334,38 @@ class TestStackedSharing:
         same = np.repeat(h[:, :1], 5, axis=1)
         best, _ = select_projector(null_projectors(same)[0], x)
         assert np.all(best == 0)
+
+
+class TestSelectByNullity:
+    """The first BS of maximal nullity against the minimum-degradation argmin
+    on the orthogonal waveforms (X X^H = I), over stacks mixing full-rank,
+    zero and rank-deficient channels."""
+
+    @staticmethod
+    def _stack(rng, t, k, n_bs, m):
+        h = rng.standard_normal((t, k, n_bs, m)) + 1j * rng.standard_normal((t, k, n_bs, m))
+        kind = rng.integers(0, 4, (t, k))
+        h[kind == 1] = 0                                   # zero channel
+        if n_bs > 1:                                       # repeated rows
+            h[kind == 2, 1:] = h[kind == 2, :1]
+        # Rows scaled by 1e-9 beyond the first: rank-deficient or not,
+        # depending on the rank tolerance.
+        h[kind == 3, 1:] *= 1e-9
+        return h
+
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 6),
+           n_bs=st.integers(1, 9), m=st.sampled_from([1, 2, 3, 4, 8]),
+           l_extra=st.integers(0, 8),
+           rank_tol=st.sampled_from([None, 0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_select_projector_on_orthogonal_waveforms(
+            self, seed, k, n_bs, m, l_extra, rank_tol):
+        h = self._stack(np.random.default_rng(seed), 5, k, n_bs, m)
+        p, nullity = null_projectors(h, rank_tol)
+        want, norms = select_projector(p, orthogonal_waveforms(m, m + l_extra))
+        assert select_by_nullity(nullity).tolist() == want.tolist()
+        # The norms are sqrt(M - nullity).
+        np.testing.assert_allclose(norms, np.sqrt(m - nullity), rtol=0, atol=1e-12)
+
+    def test_ties_go_to_the_lowest_index(self):
+        assert select_by_nullity(np.array([[2, 3, 3, 1], [0, 0, 0, 0]])).tolist() == [1, 0]
