@@ -26,7 +26,11 @@ scan flag, the wall times and trials/s (trials per SNR point x SNR
 points / wall time), the minor page faults `cli.main` takes (`ru_minflt`
 of the child, read around the call), the per-stage `timings_s` of
 summary.json where the tree writes them, and each tree's speed-up over
-the first tree.
+the first tree.  Each run records the fastest and slowest of its repeats
+(`min_s`, `max_s`) next to the median, and each run of a later tree is
+`resolved` only when its median lies outside the first tree's
+[min_s, max_s]: a median inside that spread is not told apart from the
+first tree's noise.
 """
 
 import argparse
@@ -139,6 +143,8 @@ def summarize(runs: list[dict], trials: int) -> dict:
     wall = statistics.median(r["seconds"] for r in runs)
     out = {"channel_mode": runs[0]["channel_mode"], "scan": runs[0]["scan"],
            "wall_s": wall, "runs_s": [r["seconds"] for r in runs],
+           "min_s": min(r["seconds"] for r in runs),
+           "max_s": max(r["seconds"] for r in runs),
            "trials_per_s": trials * runs[0]["points"] / wall,
            "minflt": statistics.median(r["minflt"] for r in runs),
            "runs_minflt": [r["minflt"] for r in runs]}
@@ -146,6 +152,16 @@ def summarize(runs: list[dict], trials: int) -> dict:
         out["stages_s"] = {k: statistics.median(r["stages"][k] for r in runs)
                            for k in runs[0]["stages"]}
     return out
+
+
+def mark_resolved(results: dict, base: str) -> None:
+    """Set `resolved` on each run of every tree but `base`: true when its
+    median wall time lies outside base's [min_s, max_s] for that run."""
+    for label, runs in results.items():
+        if label != base:
+            for name, run in runs.items():
+                ref = results[base][name]
+                run["resolved"] = not ref["min_s"] <= run["wall_s"] <= ref["max_s"]
 
 
 def main() -> int:
@@ -183,6 +199,7 @@ def main() -> int:
     results = {label: {p: summarize(runs[label, p], args.trials) for p in names}
                for label in trees}
     base = next(iter(trees))
+    mark_resolved(results, base)
     bench = {
         "pr": args.pr,
         "machine": machine(),

@@ -10,7 +10,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -46,7 +46,8 @@ class RunConfig:
                 "(from the config file, --workers or NSPSIM_THREADS)")
 
 
-# Config file keys -> ExperimentPlan fields (or run options).
+# Config file keys -> ExperimentPlan fields (or run options), with the
+# kind `_convert` parses; the only list of config keys.
 _PLAN_KEYS = {
     "m": ("m", int),
     "n_bs": ("n_bs", int),
@@ -181,29 +182,29 @@ def parse_config(path: str) -> RunConfig:
     return RunConfig(plan=plan, workers=workers, **run_kwargs)
 
 
+def _format(kind, value) -> str:
+    """A config value as `_convert` reads it back."""
+    if kind == "bool":
+        return str(value).lower()
+    if kind in ("grid", "float_list"):
+        return f"[{', '.join(repr(v) for v in value)}]"
+    if kind == "str_list":
+        return f"[{', '.join(value)}]"
+    return repr(value) if kind is float else str(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config: parse(serialize(cfg)) == cfg."""
-    p = cfg.plan
-    lines = [
-        f"m = {p.m}",
-        f"n_bs = {p.n_bs}",
-        f"k = {p.k}",
-        f"l = {p.l}",
-        f"theta_target_deg = {p.theta_target_deg!r}",
-        f"snr_db = [{', '.join(repr(s) for s in p.snr_grid_db)}]",
-        f"pfa = [{', '.join(repr(v) for v in p.pfa_list)}]",
-        f"trials = {p.trials_per_point}",
-        f"seed = {p.master_seed}",
-        f"channel_mode = {p.channel_mode}",
-        f"modes = [{', '.join(p.waveform_modes)}]",
-        f"scan = {str(p.scan).lower()}",
-        f"theta_step_deg = {p.theta_step_deg!r}",
-        f"workers = {cfg.workers}",
-        f"emit_plot = {str(cfg.emit_plot).lower()}",
-        f"output_dir = {cfg.output_dir}",
-    ]
-    if p.rank_tol_factor is not None:
-        lines.append(f"rank_tol_factor = {p.rank_tol_factor!r}")
+    """Inverse of parse_config: parse(serialize(cfg)) == cfg.  A plan field
+    that is None (the default rank_tol_factor) is left out."""
+    keys = {name: (key, kind) for key, (name, kind) in _PLAN_KEYS.items()}
+    lines = []
+    for f in fields(cfg.plan):
+        key, kind = keys[f.name]
+        value = getattr(cfg.plan, f.name)
+        if value is not None:
+            lines.append(f"{key} = {_format(kind, value)}")
+    lines.extend(f"{key} = {_format(kind, getattr(cfg, key))}"
+                 for key, kind in _RUN_KEYS.items())
     return "\n".join(lines) + "\n"
 
 
@@ -254,18 +255,8 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
         "master_seed": plan.master_seed,
-        "plan": {
-            "m": plan.m, "n_bs": plan.n_bs, "k": plan.k, "l": plan.l,
-            "theta_target_deg": plan.theta_target_deg,
-            "snr_grid_db": list(plan.snr_grid_db),
-            "pfa_list": list(plan.pfa_list),
-            "trials_per_point": plan.trials_per_point,
-            "channel_mode": plan.channel_mode,
-            "waveform_modes": list(plan.waveform_modes),
-            "scan": plan.scan,
-            "theta_step_deg": plan.theta_step_deg,
-            "rank_tol_factor": plan.rank_tol_factor,
-        },
+        "plan": {key: value for key, value in asdict(plan).items()
+                 if key != "master_seed"},
         "workers": cfg.workers,
         "degenerate_trials": result.degenerate_trials,
         "degenerate_by_mode": result.degenerate_by_mode,

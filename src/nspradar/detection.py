@@ -63,9 +63,11 @@ def direction_gain(a: np.ndarray, r: np.ndarray):
 
     A (..., M, M) stack of correlations gives an array of shape (...).
     It is evaluated as a^T (R a^*), one matrix-vector product per matrix,
-    so a row's value does not depend on the size of its stack.
+    so a row's value does not depend on the size of its stack.  The array
+    owns its memory: a caller that keeps it does not keep the complex sum
+    of twice its size that its values come from.
     """
-    gain = np.real(np.sum(a * (r @ a.conj()), axis=-1))
+    gain = np.sum(a * (r @ a.conj()), axis=-1).real.copy()
     return float(gain) if gain.ndim == 0 else gain
 
 
@@ -117,7 +119,8 @@ def noncentrality(convention: str, m: int, snr, gain, orthogonal=False):
         return snr * (2.0 * m * gain)
     if convention == "paper":
         return snr * np.where(orthogonal, float(m * m), gain ** 2)
-    raise ValueError(f"unknown noncentrality convention {convention!r}")
+    raise ValueError(f"unknown noncentrality convention {convention!r}; "
+                     f"choose from ['calibrated', 'paper']")
 
 
 def theoretical_pd(rho: float, pfa: float) -> float:
@@ -135,7 +138,9 @@ def theory_snr_gap_db(m: int, gain: float, convention: str = "calibrated") -> fl
     10 log10(M/c) under the calibrated law and 20 log10(M/c) under the
     published formulas.
     """
+    factors = {"calibrated": 10.0, "paper": 20.0}
+    if convention not in factors:
+        raise ValueError(f"unknown convention {convention!r}; choose from {list(factors)}")
     if np.any(np.asarray(gain) <= 0):
         raise ValueError("direction gain must be positive")
-    factor = {"calibrated": 10.0, "paper": 20.0}[convention]
-    return factor * np.log10(m / gain)
+    return factors[convention] * np.log10(m / gain)

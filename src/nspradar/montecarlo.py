@@ -43,11 +43,14 @@ null of the direction gain; see `_PointEngine`).
 Channels take one route everywhere: `_channels` draws a (C, K, N_BS, M)
 stack and `_stacked_modes` turns it into projectors (one stacked
 `sharing.null_projectors` call: Gram-Schmidt, with the SVD for any channel
-it cannot certify full rank), the selection per draw and the mode setups.
+it cannot certify full rank) and the selection per draw.
 With X X^H = I the degradation ||P X - X||_F is sqrt(M - nullity), so the
 selection is the first BS of maximal nullity, read from the same call
 (`sharing.select_by_nullity`); only a fixed channel's reported norms take
-`sharing.select_projector`.
+`sharing.select_projector`.  Every waveform mode is one projector applied to
+X, so a set-up's modes are one (C, modes, M, M) stack in `_mode_labels`
+order: the identity, the K projectors, and the selected BS's projector,
+gathered per draw by its index; a selection rule only gives that index.
 A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 `run_experiment`.  Redrawn channels are drawn as the noise is: one Philox
 stream per (master seed, SNR index), of which trial t reads the fixed-width
@@ -296,16 +299,6 @@ def wilson_interval(successes, n, z: float = _WILSON_Z):
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _ModeSetup:
-    """One waveform mode over a stack of C channel draws (C = 1 for a fixed
-    channel): X_tx = P X, so its correlation X_tx X_tx^H is P itself."""
-    label: str
-    bs_id: str
-    proj: np.ndarray      # (C, M, M) projector P; the identity for orthogonal
-    gain: np.ndarray      # (C,) c = a^H P^T a at the target angle
-
-
 def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
     """Expanded (label, bs_id) pairs in deterministic output order."""
     out = []
@@ -321,29 +314,27 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
 
 def _stacked_modes(
     plan: ExperimentPlan, h: np.ndarray
-) -> tuple[list[_ModeSetup], np.ndarray, np.ndarray]:
-    """Mode setups for a (C, K, N_BS, M) stack of channel draws, with the
-    selected BS's 0-based index (C,) and the projectors (C, K, M, M).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The modes' projectors for a (C, K, N_BS, M) stack of channel draws:
+    (proj, selected, p), with proj the (C, modes, M, M) stack in
+    `_mode_labels` order, selected the chosen BS's 0-based index (C,) and p
+    the BSs' projectors (C, K, M, M).
 
     The orthogonal waveforms have X X^H = I, so the minimum-degradation
     selection is the first BS of maximal nullity (`sharing.select_by_nullity`,
     equal to `sharing.select_projector` on these waveforms); no degradation
     norm is formed."""
-    a = radar.steering_vector(plan.m, plan.theta_target)
     p, nullity = sharing.null_projectors(h, plan.rank_tol_factor)  # (C, K, M, M)
     selected = sharing.select_by_nullity(nullity)
-    p_selected = p[np.arange(len(h)), selected]
-    eye = np.broadcast_to(np.eye(plan.m, dtype=complex), (len(h), plan.m, plan.m))
-    modes = []
-    for label, bs_id in _mode_labels(plan):
-        if label == MODE_ORTHOGONAL:
-            pm = eye
-        elif label == MODE_NSP_SELECTED:
-            pm = p_selected
-        else:
-            pm = p[:, int(bs_id) - 1]
-        modes.append(_ModeSetup(label, bs_id, pm, detection.direction_gain(a, pm)))
-    return modes, selected, p
+    c = len(h)
+    blocks = {
+        MODE_ORTHOGONAL: np.broadcast_to(np.eye(plan.m, dtype=complex),
+                                         (c, 1, plan.m, plan.m)),
+        MODE_NSP_PER_BS: p,
+        MODE_NSP_SELECTED: p[np.arange(c), selected, None],
+    }
+    proj = np.concatenate([blocks[mode] for mode in plan.waveform_modes], axis=1)
+    return proj, selected, p
 
 
 def _channel_shape(plan: ExperimentPlan) -> tuple[int, int, int]:
@@ -415,7 +406,8 @@ def _lifted_noise(plan: ExperimentPlan, snr_index: int, hypothesis: int,
 
 
 class _PointEngine:
-    """Vectorized statistic evaluation for mode setups over C channel draws.
+    """Vectorized statistic evaluation for the (C, modes, M, M) projector
+    stack of `_stacked_modes`, over C channel draws.
 
     With X X^H = I the matched filter of mode P is E = (alpha A + E0) P, as
     X X_tx^H = X X^H P = P, and P is the waveform correlation R too.  At
@@ -449,24 +441,23 @@ class _PointEngine:
     the error grows to about 1e-16 M / c_g.
     """
 
-    def __init__(self, plan: ExperimentPlan, modes: list[_ModeSetup]):
+    def __init__(self, plan: ExperimentPlan, proj: np.ndarray):
         grid = plan.theta_grid()
         a = radar.steering_vector(plan.m, plan.theta_target)
         a_grid = radar.steering_vector(plan.m, grid)             # (M, G)
         a_conj = a_grid.conj()
-        proj = np.stack([ms.proj for ms in modes], axis=1)       # (C, modes, M, M)
         p_a = proj @ a_conj                                      # (C, modes, M, G)
         # c_g = a_g^H P^T a_g = a_g^T P a_g^*
         gain = np.real(np.sum(a_grid * p_a, axis=-2))           # (C, modes, G)
         valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
         self.degenerate = ~valid.any(axis=-1)                    # (C, modes)
-        self.target_gain = np.stack([ms.gain for ms in modes], axis=1)
+        self.target_gain = detection.direction_gain(a, proj)     # (C, modes)
         # Invalid angles get scale 0: their statistic 0 never exceeds the
         # maximum over the valid ones, which is >= 0.
         scale = np.divide(2.0, plan.m * gain, out=np.zeros_like(gain), where=valid)
         a_mat = radar.transmit_receive_matrix(a)
         if plan.scan:
-            m, n_draws, n_modes = plan.m, len(proj), len(modes)
+            n_draws, n_modes, m = proj.shape[:3]
             # coef[c, (i, q), (mode, s)] = P_c[q, s - i]: the anti-diagonal
             # sums of E0 P are e @ coef, for e = E0 flattened.
             coef = np.zeros((n_draws, m, m, n_modes, 2 * m - 1), dtype=complex)
@@ -670,7 +661,7 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
         raise ConfigurationError(f"pfa {pfa} not in the plan's list")
     snr_index = plan.snr_grid_db.index(snr_db)
     alpha = math.sqrt(10 ** (snr_db / 10))
-    modes = _stacked_modes(plan, _channels(plan, snr_index, trial_id, 1))[0]
+    proj = _stacked_modes(plan, _channels(plan, snr_index, trial_id, 1))[0]
     cfg = detection.DetectorConfig(pfa=pfa, theta_grid=plan.theta_grid())
 
     x = radar.orthogonal_waveforms(plan.m, plan.l)
@@ -682,13 +673,13 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     )
 
     out = {}
-    for ms in modes:
-        x_tx = ms.proj[0] @ x
+    for (label, _), pm in zip(_mode_labels(plan), proj[0]):
+        x_tx = pm @ x
         r = x_tx @ x_tx.conj().T
         y1 = alpha * (a_mat @ x_tx) + n1
         r1 = detection.glrt_scan(detection.sufficient_statistic(y1, x_tx), r, cfg)
         r0 = detection.glrt_scan(detection.sufficient_statistic(n0, x_tx), r, cfg)
-        out[ms.label] = TrialOutcome(
+        out[label] = TrialOutcome(
             statistic_h1=r1.statistic, statistic_h0=r0.statistic,
             detected_h1=r1.detected, detected_h0=r0.detected,
             theta_ml=r1.theta_ml, degenerate=r1.degenerate,
@@ -740,8 +731,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
         h = _channels(plan, 0, 0, 1)
-        modes, selected, p = _stacked_modes(plan, h)
-        engine = _PointEngine(plan, modes)
+        proj, selected, p = _stacked_modes(plan, h)
+        engine = _PointEngine(plan, proj)
         # The reported degradation norms are the paper's rule's, whose
         # argmin is the selection.
         x = radar.orthogonal_waveforms(plan.m, plan.l)
@@ -892,9 +883,14 @@ def mean_selected_gap_db(
     convention: str = "paper",
 ) -> float:
     """Mean SNR gap of the selected-BS projected waveform over independent
-    channel redraws, from the closed-form gap at the target angle."""
+    channel redraws, from the closed-form gap at the target angle.  Raises
+    ValueError for n_redraws < 1 or an unknown convention."""
+    if n_redraws < 1:
+        raise ValueError(f"n_redraws must be >= 1, got {n_redraws!r}")
     rngs = [rng_substream(plan.master_seed, _REDRAW_BASE + r) for r in range(n_redraws)]
     h = sharing.channel_matrices(rngs, plan.k, plan.n_bs, plan.m)
-    modes = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)[0]
-    return float(np.mean(detection.theory_snr_gap_db(plan.m, modes[0].gain, convention)))
+    proj = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)[0]
+    gain = detection.direction_gain(radar.steering_vector(plan.m, plan.theta_target),
+                                    proj[:, 0])
+    return float(np.mean(detection.theory_snr_gap_db(plan.m, gain, convention)))
 

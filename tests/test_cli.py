@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,29 @@ class TestParseConfig:
         assert cfg2 == cfg
         # and serialization is a fixed point
         assert cli.serialize_config(cfg2) == text
+
+    def test_roundtrip_with_every_key_set(self, tmp_path):
+        text = SMALL + ("channel_mode = redrawn-per-trial\nscan = true\n"
+                        "theta_step_deg = 7.5\nrank_tol_factor = 0.001\n"
+                        "workers = 2\nemit_plot = true\noutput_dir = elsewhere\n")
+        cfg = cli.parse_config(write_config(tmp_path, text))
+        echo = cli.serialize_config(cfg)
+        assert cli.parse_config(write_config(tmp_path, echo, name="echo.cfg")) == cfg
+        keys = [line.partition(" = ")[0] for line in echo.splitlines()]
+        assert keys == list(cli._PLAN_KEYS) + list(cli._RUN_KEYS)
+
+    def test_every_field_has_one_key_and_is_summarized(self, tmp_path):
+        # The key tables are the only list of config keys: each plan field
+        # has exactly one key, and each run option is a RunConfig field.
+        names = [f.name for f in fields(montecarlo.ExperimentPlan)]
+        mapped = [name for name, _ in cli._PLAN_KEYS.values()]
+        assert sorted(mapped) == sorted(names)
+        assert set(cli._RUN_KEYS) == {f.name for f in fields(cli.RunConfig)} - {"plan"}
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", write_config(tmp_path, SMALL), "--out", out]) == 0
+        summary = json.loads(Path(out, "summary.json").read_text())
+        assert list(summary["plan"]) == [n for n in names if n != "master_seed"]
+        assert summary["master_seed"] == 5
 
 
 class TestRun:

@@ -187,6 +187,18 @@ class TestDirectionGain:
             assert direction_gain(a, r[i]) == pytest.approx(
                 np.real(a.conj() @ r[i].T @ a), rel=1e-12)
 
+    def test_column_of_a_mode_stack_matches_its_own_call(self):
+        # A (C, modes, M, M) stack in one call gives each column's bits, in
+        # a real array of its own rather than a view of the complex sum.
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((390, 7, 4, 4)) + 1j * rng.standard_normal((390, 7, 4, 4))
+        r = z @ np.swapaxes(z.conj(), -1, -2)
+        a = steering_vector(4, 0.3)
+        stack = direction_gain(a, r)
+        assert stack.shape == (390, 7) and stack.dtype == float and stack.base is None
+        for mi in range(7):
+            assert direction_gain(a, r[:, mi]).tobytes() == stack[:, mi].copy().tobytes()
+
 
 class TestNoncentralities:
     def test_orthogonal_values(self):
@@ -240,7 +252,7 @@ class TestNoncentralities:
             noncentrality("calibrated", 4, 2.0, gain), 16.0 * gain)
 
     def test_unknown_convention(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"'published'.*\['calibrated', 'paper'\]"):
             noncentrality("published", 4, 1.0, 4.0)
 
 
@@ -263,3 +275,7 @@ class TestTheoreticalPd:
     def test_gap_conventions(self):
         assert abs(theory_snr_gap_db(4, 2.0, "calibrated") - 10 * math.log10(2)) < 1e-12
         assert abs(theory_snr_gap_db(4, 2.0, "paper") - 20 * math.log10(2)) < 1e-12
+
+    def test_gap_unknown_convention_names_the_choices(self):
+        with pytest.raises(ValueError, match=r"'bogus'.*\['calibrated', 'paper'\]"):
+            theory_snr_gap_db(4, 2.0, "bogus")

@@ -288,16 +288,16 @@ class TestEngineOracle:
             waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
             scan=scan, theta_step_deg=1.0,
         )
-        modes, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
-        engine = montecarlo._PointEngine(plan, modes)
+        proj, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
+        engine = montecarlo._PointEngine(plan, proj)
         alpha = math.sqrt(10 ** (6.0 / 10))
         e1 = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, 8)
         e0 = montecarlo._noise_block(plan, 1, montecarlo._H0, 0, 8)
         s1 = engine.statistics(e1, alpha)
         s0 = engine.statistics(e0, 0.0)
-        for mi, ms in enumerate(modes):
+        for mi, (label, _) in enumerate(montecarlo._mode_labels(plan)):
             for t in range(8):
-                want = run_trial(plan, 6.0, 0.1, t)[ms.label]
+                want = run_trial(plan, 6.0, 0.1, t)[label]
                 assert s1[t, mi] == pytest.approx(want.statistic_h1, rel=1e-9)
                 assert s0[t, mi] == pytest.approx(want.statistic_h0, rel=1e-9)
 
@@ -307,15 +307,15 @@ class TestScanKernel:
     max_g 2 |a_g^H (alpha A + E0) R a_g^*|^2 / (M c_g) over the valid angles."""
 
     @staticmethod
-    def _direct(plan, modes, noise, alpha):
+    def _direct(plan, proj, noise, alpha):
         x = radar.orthogonal_waveforms(plan.m, plan.l)
         a = radar.steering_vector(plan.m, plan.theta_target)
         a_grid = radar.steering_vector(plan.m, plan.theta_grid())
         echo = alpha * radar.transmit_receive_matrix(a)
-        out = np.zeros((len(noise), len(modes)))
-        for mi, ms in enumerate(modes):
+        out = np.zeros((len(noise), proj.shape[1]))
+        for mi in range(proj.shape[1]):
             for t, e0 in enumerate(noise):
-                r = oracles.waveform_correlation(ms.proj[t if len(ms.proj) > 1 else 0] @ x)
+                r = oracles.waveform_correlation(proj[t if len(proj) > 1 else 0, mi] @ x)
                 num = np.einsum("mg,mn,ng->g", a_grid.conj(), (echo + e0) @ r, a_grid.conj())
                 gain = np.einsum("mg,mn,ng->g", a_grid, r, a_grid.conj()).real
                 valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
@@ -340,12 +340,12 @@ class TestScanKernel:
                          waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS,
                                          MODE_NSP_SELECTED))
         rows = 6
-        modes, _, _ = montecarlo._stacked_modes(
+        proj, _, _ = montecarlo._stacked_modes(
             plan, montecarlo._channels(plan, 1, 0, rows))
-        engine = montecarlo._PointEngine(plan, modes)
+        engine = montecarlo._PointEngine(plan, proj)
         noise = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, rows)
         for alpha in (0.0, math.sqrt(10 ** (6.0 / 10))):
-            want = self._direct(plan, modes, noise, alpha)
+            want = self._direct(plan, proj, noise, alpha)
             np.testing.assert_allclose(engine.statistics(noise, alpha), want,
                                        rtol=1e-12, atol=0)
         if degenerate:
@@ -357,8 +357,8 @@ class TestScanKernel:
         # entry; the trigonometric polynomial's one real product takes 8.
         plan = tiny_plan(scan=True, k=5, trials_per_point=100,
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
-        modes, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
-        engine = montecarlo._PointEngine(plan, modes)
+        proj, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
+        engine = montecarlo._PointEngine(plan, proj)
         noise = montecarlo._noise_block(plan, 0, montecarlo._H1, 0, 100)
         engine.statistics(noise, 1.0)
         tracemalloc.start()
@@ -367,7 +367,7 @@ class TestScanKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        entries = 100 * len(modes) * len(plan.theta_grid())
+        entries = 100 * proj.shape[1] * len(plan.theta_grid())
         assert peak <= 16 * entries
 
 
@@ -667,29 +667,15 @@ class TestRunExperiment:
         rows = montecarlo._tile_rows(plan)
         assert len(calls) == math.ceil(5 * 10 / rows) < 5
 
-    def test_redrawn_sweep_builds_no_generator_per_trial(self, monkeypatch):
-        # Channels and noise read records of one Philox stream per SNR point,
-        # so the number of Philox generators built does not grow with the
-        # trials per point.
-        calls = []
-        philox = numerics._philox
-        monkeypatch.setattr(numerics, "_philox",
-                            lambda *args: calls.append(1) or philox(*args))
-        built = []
-        for trials in (10, 40):
-            calls.clear()
-            run_experiment(tiny_plan(channel_mode=CHANNEL_REDRAWN,
-                                     trials_per_point=trials))
-            built.append(len(calls))
-        assert built[0] == built[1]
-
+    @pytest.mark.parametrize("trials", [10, 40])
     @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_keys_are_derived_once_per_worker(self, channel_mode, workers,
+    def test_keys_are_derived_once_per_worker(self, channel_mode, workers, trials,
                                               monkeypatch):
         # Each _run_tiles call derives the keys of all of its streams in one
         # philox_keys call; no draw derives its own keys or builds a
         # generator by SeedSequence, except the fixed channel's stream 0.
+        # Neither count grows with the trials per point or the tiles.
         calls = {"sweep": 0, "draw": 0, "philox": 0}
 
         def counted(name, fn):
@@ -699,7 +685,7 @@ class TestRunExperiment:
                             counted("sweep", montecarlo.philox_keys))
         monkeypatch.setattr(numerics, "philox_keys", counted("draw", numerics.philox_keys))
         monkeypatch.setattr(numerics, "_philox", counted("philox", numerics._philox))
-        plan = tiny_plan(channel_mode=channel_mode, trials_per_point=10,
+        plan = tiny_plan(channel_mode=channel_mode, trials_per_point=trials,
                          snr_grid_db=(0.0, 3.0, 6.0, 9.0))
         monkeypatch.setattr(montecarlo, "_CHUNK", 10)
         run_experiment(plan, workers=workers)
@@ -717,10 +703,10 @@ class TestRunExperiment:
         h = montecarlo._channels(plan, 0, 0, 40)
         h[::3, 1] = 0                                   # zero channels
         h[1::3, 2, 1:] = h[1::3, 2, :1]                 # repeated rows
-        modes, selected, p = montecarlo._stacked_modes(plan, h)
+        proj, selected, p = montecarlo._stacked_modes(plan, h)
         want, _ = sharing.select_projector(p, radar.orthogonal_waveforms(m, plan.l))
         assert selected.tolist() == want.tolist()
-        assert modes[0].proj.tobytes() == p[np.arange(40), want].tobytes()
+        assert proj[:, 0].tobytes() == p[np.arange(40), want].tobytes()
 
     def test_redrawn_worker_count_invariance(self):
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30)
@@ -973,3 +959,12 @@ class TestMeanSelectedGap:
         paper = mean_selected_gap_db(plan, n_redraws=10, convention="paper")
         cal = mean_selected_gap_db(plan, n_redraws=10, convention="calibrated")
         assert abs(paper - 2 * cal) < 1e-9
+
+    def test_unknown_convention_names_the_choices(self):
+        with pytest.raises(ValueError, match=r"'bogus'.*\['calibrated', 'paper'\]"):
+            mean_selected_gap_db(tiny_plan(), convention="bogus")
+
+    @pytest.mark.parametrize("n_redraws", [0, -1])
+    def test_no_redraws_rejected(self, n_redraws):
+        with pytest.raises(ValueError, match=f"n_redraws must be >= 1, got {n_redraws}"):
+            mean_selected_gap_db(tiny_plan(), n_redraws=n_redraws)

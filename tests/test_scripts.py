@@ -53,6 +53,8 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
     for name in runs:
         run = bench["trees"]["change"][name]
         assert run["wall_s"] > 0 and len(run["runs_s"]) == 1
+        assert run["min_s"] == run["max_s"] == run["wall_s"]
+        assert "resolved" not in run   # only later trees are compared
         assert run["trials_per_s"] == 2 * 41 / run["wall_s"]
         assert set(run["stages_s"]) == {"setup", "points", "theory", "output"}
     assert bench["speedup"] == {"change": {name: 1.0 for name in runs}}
@@ -65,6 +67,22 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
                      "fig4-scan": "fixed-per-experiment"}
     scans = {name for name in runs if bench["trees"]["change"][name]["scan"]}
     assert scans == {"fig4-scan"}
+
+
+def test_bench_presets_resolved_outside_first_tree_spread():
+    # A later tree's median is resolved only outside the first tree's
+    # [min_s, max_s]; the bounds themselves count as inside.
+    mark = runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"))["mark_resolved"]
+    base = {"min_s": 0.24, "max_s": 0.38, "wall_s": 0.32}
+    results = {"parent": {"fig3": base},
+               **{label: {"fig3": {"wall_s": wall}} for label, wall in
+                  (("faster", 0.2), ("low", 0.24), ("inside", 0.35),
+                   ("high", 0.38), ("slower", 0.39))}}
+    mark(results, "parent")
+    assert "resolved" not in results["parent"]["fig3"]
+    assert {label: runs["fig3"]["resolved"] for label, runs in results.items()
+            if label != "parent"} == {"faster": True, "low": False, "inside": False,
+                                      "high": False, "slower": True}
 
 
 def test_bench_presets_band_runs_and_faults(monkeypatch, tmp_path):
