@@ -2,33 +2,36 @@
 """Time the figure presets end to end and write BENCH_<pr>.json.
 
 Each measured run is a fresh interpreter that imports nspradar from one
-source tree and times `cli.main(["--trials", N, "--workers", "1", ...])`,
-with the run's --preset and --config, by perf_counter, output files
-included.  That time leaves out the import, so each tree's cold start
-`import_s` is timed on its own: a fresh interpreter timing
-`import nspradar.cli`.  The run `fig3-redrawn` is the `fig3` preset with
-channels redrawn per trial, and `fig4-scan` the `fig4` preset with the GLRT
-scan over the angle grid, each set by a config file the script writes and
-passes with --config.  `band-m4` and `band-m8` are the acceptance band
-fixture of tests/test_acceptance.py (M = 4 with seed 26 over -6:16 dB,
-M = 8 with seed 201 over -12:2 dB, 0.5 dB steps, the fig3 modes, P_FA
-1e-3), set by a config file alone; they run when --runs names them.  Runs
-of several trees (say, a parent commit's src/ and this one's) interleave
-run by run, so that drift in the machine's speed reaches them alike.  Each
-(tree, run) reports the median of --repeats runs:
+source tree and times `cli.main(["--trials", N, "--workers", W, ...])`,
+with the run's worker count W and its --preset and --config, by
+perf_counter, output files included.  That time leaves out the import, so
+each tree's cold start `import_s` is timed on its own: a fresh interpreter
+timing `import nspradar.cli`.  The run `fig3-redrawn` is the `fig3` preset
+with channels redrawn per trial, and `fig4-scan` the `fig4` preset with
+the GLRT scan over the angle grid, each set by a config file the script
+writes and passes with --config.  `band-m4` and `band-m8` are the
+acceptance band fixture of tests/test_acceptance.py (M = 4 with seed 26
+over -6:16 dB, M = 8 with seed 201 over -12:2 dB, 0.5 dB steps, the fig3
+modes, P_FA 1e-3), set by a config file alone; they run when --runs names
+them.  Every run takes 1 worker but `fig5-w2` and `fig3-redrawn-w2`, which
+are `fig5` and `fig3-redrawn` at 2 worker threads; they too run when
+--runs names them.  Runs of several trees (say, a parent commit's src/ and
+this one's) interleave run by run, so that drift in the machine's speed
+reaches them alike.  Each (tree, run) reports the median of --repeats
+runs:
 
     python3 scripts/bench_presets.py --pr N --tree parent=../parent/src \\
         --tree change=src --runs all
 
 The file records the machine (nproc, python/numpy/scipy versions, BLAS
-thread variables), each tree's import time, each run's channel mode and
-scan flag, the wall times and trials/s (trials per SNR point x SNR
-points / wall time), the minor page faults `cli.main` takes (`ru_minflt`
-of the child, read around the call), the per-stage `timings_s` of
-summary.json where the tree writes them, and each tree's speed-up over
-the first tree.  Each run records the fastest and slowest of its repeats
-(`min_s`, `max_s`) next to the median, and each run of a later tree is
-`resolved` only when its median lies outside the first tree's
+thread variables), each tree's import time, each run's channel mode, scan
+flag and worker count, the wall times and trials/s (trials per SNR point x
+SNR points / wall time), the minor page faults `cli.main` takes
+(`ru_minflt` of the child, read around the call), the per-stage
+`timings_s` of summary.json where the tree writes them, and each tree's
+speed-up over the first tree.  Each run records the fastest and slowest of
+its repeats (`min_s`, `max_s`) next to the median, and each run of a later
+tree is `resolved` only when its median lies outside the first tree's
 [min_s, max_s]: a median inside that spread is not told apart from the
 first tree's noise.
 """
@@ -55,28 +58,30 @@ def _band_config(m: int, seed: int, snr_lo: float, snr_hi: float) -> str:
             "pfa = [0.001]\nmodes = [orthogonal, nsp-per-bs, nsp-selected]\n")
 
 
-# Run name -> (preset or None, config file text or None).
+# Run name -> (preset or None, config file text or None, workers).
 RUNS = {
-    "fig3": ("fig3", None),
-    "fig4": ("fig4", None),
-    "fig5": ("fig5", None),
-    "fig3-redrawn": ("fig3", "channel_mode = redrawn-per-trial\n"),
-    "fig4-scan": ("fig4", "scan = true\n"),
-    "band-m4": (None, _band_config(4, 26, -6.0, 16.0)),
-    "band-m8": (None, _band_config(8, 201, -12.0, 2.0)),
+    "fig3": ("fig3", None, 1),
+    "fig4": ("fig4", None, 1),
+    "fig5": ("fig5", None, 1),
+    "fig3-redrawn": ("fig3", "channel_mode = redrawn-per-trial\n", 1),
+    "fig4-scan": ("fig4", "scan = true\n", 1),
+    "band-m4": (None, _band_config(4, 26, -6.0, 16.0), 1),
+    "band-m8": (None, _band_config(8, 201, -12.0, 2.0), 1),
+    "fig5-w2": ("fig5", None, 2),
+    "fig3-redrawn-w2": ("fig3", "channel_mode = redrawn-per-trial\n", 2),
 }
 DEFAULT_RUNS = ("fig3", "fig4", "fig5", "fig3-redrawn", "fig4-scan")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# Runs in the child: argv is [src, out_dir, trials, cli args...].
+# Runs in the child: argv is [src, out_dir, trials, workers, cli args...].
 _CHILD = """
 import json, os, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from nspradar import cli
-out, trials = sys.argv[2:4]
+out, trials, workers = sys.argv[2:5]
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 t0 = time.perf_counter()
-rc = cli.main(["--trials", trials, "--workers", "1", "--out", out, *sys.argv[4:]])
+rc = cli.main(["--trials", trials, "--workers", workers, "--out", out, *sys.argv[5:]])
 seconds = time.perf_counter() - t0
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 with open(os.path.join(out, "summary.json")) as fh:
@@ -84,7 +89,7 @@ with open(os.path.join(out, "summary.json")) as fh:
 stages = summary.get("timings_s")
 print(json.dumps({"rc": rc, "seconds": seconds, "minflt": faults, "stages": stages,
                   "channel_mode": summary["plan"]["channel_mode"],
-                  "scan": summary["plan"]["scan"],
+                  "scan": summary["plan"]["scan"], "workers": summary["workers"],
                   "points": len(summary["plan"]["snr_grid_db"])}))
 """
 
@@ -114,7 +119,7 @@ def machine() -> dict:
 
 
 def run_once(src: str, name: str, trials: int) -> dict:
-    preset, config = RUNS[name]
+    preset, config, workers = RUNS[name]
     with tempfile.TemporaryDirectory() as tmp:
         extra = [] if preset is None else ["--preset", preset]
         if config is not None:
@@ -123,7 +128,7 @@ def run_once(src: str, name: str, trials: int) -> dict:
                 fh.write(config)
         proc = subprocess.run(
             [sys.executable, "-c", _CHILD, src, os.path.join(tmp, "out"),
-             str(trials), *extra],
+             str(trials), str(workers), *extra],
             capture_output=True, text=True)
     res = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.returncode == 0 else {}
     if res.get("rc") != 0:
@@ -142,7 +147,8 @@ def import_once(src: str) -> float:
 def summarize(runs: list[dict], trials: int) -> dict:
     wall = statistics.median(r["seconds"] for r in runs)
     out = {"channel_mode": runs[0]["channel_mode"], "scan": runs[0]["scan"],
-           "wall_s": wall, "runs_s": [r["seconds"] for r in runs],
+           "workers": runs[0]["workers"], "wall_s": wall,
+           "runs_s": [r["seconds"] for r in runs],
            "min_s": min(r["seconds"] for r in runs),
            "max_s": max(r["seconds"] for r in runs),
            "trials_per_s": trials * runs[0]["points"] / wall,
@@ -203,7 +209,7 @@ def main() -> int:
     bench = {
         "pr": args.pr,
         "machine": machine(),
-        "config": {"trials_per_point": args.trials, "workers": 1,
+        "config": {"trials_per_point": args.trials,
                    "repeats": args.repeats, "statistic": "median"},
         "import_s": {label: {"median_s": statistics.median(times), "runs_s": times}
                      for label, times in imports.items()},

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import platform
 import sys
@@ -23,11 +24,9 @@ EXIT_CONFIG = 2
 EXIT_OUTPUT = 3
 EXIT_NUMERIC = 4
 
-CSV_HEADER = (
-    "mode,bs_id,snr_db,pfa,trials,detections,pd_emp,ci_lo,ci_hi,"
-    "pd_theory_paper,pd_theory_calibrated,"
-    "false_alarms,pfa_emp,pfa_ci_lo,pfa_ci_hi,degenerate"
-)
+# A results.csv row is its curve's mode and bs_id, then its CurvePoint.
+_POINT_FIELDS = [f.name for f in fields(montecarlo.CurvePoint)]
+CSV_HEADER = ",".join(["mode", "bs_id", *_POINT_FIELDS])
 
 
 @dataclass(frozen=True)
@@ -195,16 +194,23 @@ def _format(kind, value) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Inverse of parse_config: parse(serialize(cfg)) == cfg.  A plan field
-    that is None (the default rank_tol_factor) is left out."""
+    that is None (the default rank_tol_factor) is left out.  Raises
+    ValueError, naming the key and the value, for a value parse_config
+    would not read back: one that holds '#' (a comment) or a line break, or
+    has whitespace at either end (stripped)."""
     keys = {name: (key, kind) for key, (name, kind) in _PLAN_KEYS.items()}
+    items = [(*keys[f.name], getattr(cfg.plan, f.name)) for f in fields(cfg.plan)]
+    items += [(key, kind, getattr(cfg, key)) for key, kind in _RUN_KEYS.items()]
     lines = []
-    for f in fields(cfg.plan):
-        key, kind = keys[f.name]
-        value = getattr(cfg.plan, f.name)
-        if value is not None:
-            lines.append(f"{key} = {_format(kind, value)}")
-    lines.extend(f"{key} = {_format(kind, getattr(cfg, key))}"
-                 for key, kind in _RUN_KEYS.items())
+    for key, kind, value in items:
+        if value is None:
+            continue
+        text = _format(kind, value)
+        if any(c in text for c in "#\n\r") or text != text.strip():
+            raise ValueError(
+                f"config key {key!r}: cannot serialize {value!r}, which holds '#' "
+                f"or a line break or has whitespace at either end")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -222,19 +228,13 @@ def _default_workers() -> int:
 
 
 def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
-    """results.csv: one row per (mode, SNR, P_FA), floats as their repr."""
-    rows = [(curve, pt) for curve in result.curves for pt in curve.points]
-    false_alarms = np.array([pt.false_alarms for _, pt in rows])
-    trials = np.array([pt.trials for _, pt in rows])
-    fa_lo, fa_hi = montecarlo.wilson_interval(false_alarms, trials)
+    """results.csv: one row per (mode, SNR, P_FA), the curve's mode and
+    bs_id and then the CurvePoint's fields, each as its repr."""
+    point = operator.attrgetter(*_POINT_FIELDS)
     lines = [CSV_HEADER]
-    for (curve, pt), pfa_emp, lo, hi in zip(rows, (false_alarms / trials).tolist(),
-                                            fa_lo.tolist(), fa_hi.tolist()):
-        lines.append(
-            f"{curve.label},{curve.bs_id},{pt.snr_db!r},{pt.pfa!r},{pt.trials},"
-            f"{pt.detections},{pt.pd_emp!r},{pt.ci_lo!r},{pt.ci_hi!r},"
-            f"{pt.pd_theory_paper!r},{pt.pd_theory_calibrated!r},{pt.false_alarms},"
-            f"{pfa_emp!r},{lo!r},{hi!r},{pt.degenerate}")
+    for curve in result.curves:
+        head = f"{curve.label},{curve.bs_id},"
+        lines.extend(head + ",".join(map(repr, point(pt))) for pt in curve.points)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -294,20 +294,17 @@ def write_plot_script(result, path: str, csv_name: str = "results.csv") -> None:
         "set yrange [0:1]",
         "set key bottom right",
     ]
-    labels = [(c.label, c.bs_id) for c in result.curves]
+    col = {name: i for i, name in enumerate(CSV_HEADER.split(","), start=1)}
     for pfa in plan.pfa_list:
         lines.append(f"set title 'P_FA = {pfa:g}'")
         plots = []
-        for label, _ in labels:
-            cond = f"(strcol(1) eq '{label}' && column(4) == {pfa!r})"
-            plots.append(
-                f"'{csv_name}' using ({cond} ? $3 : NaN):7 with linespoints "
-                f"title '{label}'"
-            )
-            plots.append(
-                f"'{csv_name}' using ({cond} ? $3 : NaN):11 with lines dashtype 2 "
-                f"title '{label} (theory)'"
-            )
+        for label in (curve.label for curve in result.curves):
+            cond = (f"(strcol({col['mode']}) eq '{label}' && "
+                    f"column({col['pfa']}) == {pfa!r})")
+            using = f"'{csv_name}' using ({cond} ? ${col['snr_db']} : NaN)"
+            plots += [f"{using}:{col['pd_emp']} with linespoints title '{label}'",
+                      f"{using}:{col['pd_theory_calibrated']} with lines dashtype 2 "
+                      f"title '{label} (theory)'"]
         lines.append("plot \\\n    " + ", \\\n    ".join(plots))
     lines.append("unset multiplot")
     with open(path, "w") as fh:

@@ -141,6 +141,8 @@ def theory_snr_gap_db(m: int, gain: float, convention: str = "calibrated") -> fl
     factors = {"calibrated": 10.0, "paper": 20.0}
     if convention not in factors:
         raise ValueError(f"unknown convention {convention!r}; choose from {list(factors)}")
-    if np.any(np.asarray(gain) <= 0):
-        raise ValueError("direction gain must be positive")
+    bad = np.asarray(gain)[np.asarray(gain) <= 0]
+    if bad.size:
+        more = f" and {bad.size - 1} more" if bad.size > 1 else ""
+        raise ValueError(f"direction gain must be positive, got {float(bad[0])!r}{more}")
     return factors[convention] * np.log10(m / gain)

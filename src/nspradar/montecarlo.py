@@ -57,20 +57,21 @@ stream per (master seed, SNR index), of which trial t reads the fixed-width
 record t, its K channels of i.i.d. CN(0, 1) entries.  `run_trial` takes the
 same route for its one trial.
 
-The sweep is one loop over tiles of its (SNR point, trial) rows, row
-i * trials_per_point + t being trial t of point i (`_tiles`).  A tile packs
+The sweep is one loop over tiles of its (SNR point, trial) rows, each tile
+a list of (snr_index, first trial, count) segments (`_tiles`).  A tile packs
 whole points in grid order up to a row budget (`_tile_rows`); only a point
-larger than the budget is split.  With redrawn channels each tile is set up
-once (C = its rows): one stacked projector build and one engine for all of
-its points.  Every row still reads its own channel stream and its own noise
-record, and a channel's projector does not depend on the stack it sits in,
-so no tile size changes an output.  With workers, threads run contiguous
-runs of tiles through the same loop, sharing the read-only fixed-channel
-engine.  Each thread's loop (one `_run_tiles` call) owns its buffer of
-uniforms, allocated once for its largest tile: a tile's noise, both
-hypotheses of all of its points, is one `numerics.complex_normal_ranges`
-draw into it, and redrawn channels another.  A point's tallies are one
-threshold comparison per hypothesis and tile, summed per point segment.
+larger than the budget is split, one segment per tile.  With redrawn
+channels each tile is set up once (C = its rows): one stacked projector
+build and one engine for all of its points.  Every row still reads its own
+channel stream and its own noise record, and a channel's projector does not
+depend on the stack it sits in, so no tile size changes an output.  With
+workers, threads run contiguous runs of tiles through the same loop,
+sharing the read-only fixed-channel engine.  Each thread's loop (one
+`_run_tiles` call) owns its buffer of uniforms, allocated once for its
+largest tile: a tile's noise, both hypotheses of all of its points, is one
+`numerics.complex_normal_ranges` draw into it, and redrawn channels
+another.  A point's tallies are one threshold comparison per hypothesis and
+tile, summed per point segment.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t; with a fixed channel that is the value at
@@ -224,17 +225,23 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One (mode, SNR, P_FA) point of a curve.  Its fields, in order, are
+    the results.csv columns after mode and bs_id; ci_* and pfa_ci_* are 95%
+    Wilson intervals (`wilson_interval`)."""
     snr_db: float
     pfa: float
     trials: int
     detections: int
-    false_alarms: int
     pd_emp: float
     ci_lo: float
     ci_hi: float
     pd_theory_paper: float
     pd_theory_calibrated: float
-    degenerate: int = 0
+    false_alarms: int
+    pfa_emp: float
+    pfa_ci_lo: float
+    pfa_ci_hi: float
+    degenerate: int
 
 
 @dataclass(frozen=True)
@@ -548,36 +555,24 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     return max(1, min(_CHUNK, _BLOCK_ELEMENTS // per_row))
 
 
-def _tiles(plan: ExperimentPlan) -> list[tuple[int, int]]:
-    """The sweep's tiles, as row ranges [start, stop) in order.  Row
-    i * trials_per_point + t is trial t of SNR point i.  A tile packs whole
-    points up to `_tile_rows` rows; a point larger than that is split into
-    tiles of its own."""
+def _tiles(plan: ExperimentPlan) -> list[list[tuple[int, int, int]]]:
+    """The sweep's tiles in row order, each a list of (snr_index, first
+    trial, count) segments.  A tile packs whole points up to `_tile_rows`
+    rows; a point larger than that is split into tiles of its own, one
+    segment each."""
     trials, rows = plan.trials_per_point, _tile_rows(plan)
-    total = len(plan.snr_grid_db) * trials
+    points = range(len(plan.snr_grid_db))
     if trials <= rows:
-        step = rows // trials * trials
-        return [(r, min(r + step, total)) for r in range(0, total, step)]
-    return [(p + r, p + min(r + rows, trials))
-            for p in range(0, total, trials) for r in range(0, trials, rows)]
+        step = rows // trials
+        return [[(i, 0, trials) for i in points[j:j + step]]
+                for j in range(0, len(points), step)]
+    return [[(i, first, min(rows, trials - first))]
+            for i in points for first in range(0, trials, rows)]
 
 
-def _segments(plan: ExperimentPlan, start: int,
-              stop: int) -> list[tuple[int, int, int]]:
-    """(snr_index, first trial, count) of each SNR point's part of the
-    rows [start, stop), in row order."""
-    out = []
-    while start < stop:
-        snr_index, first = divmod(start, plan.trials_per_point)
-        count = min(stop - start, plan.trials_per_point - first)
-        out.append((snr_index, first, count))
-        start += count
-    return out
-
-
-def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
+def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
                engine: _PointEngine | None) -> dict:
-    """The trials of the sweep rows in `tiles` (`_tiles`' row ranges).
+    """The trials of the sweep rows in `tiles` (`_tiles`' segment lists).
 
     `engine` is the fixed-channel engine; without it the channels are
     redrawn per trial and set up once per tile.  Returns tallies per SNR
@@ -591,8 +586,8 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
     hypotheses of all of its SNR point segments, is one
     `complex_normal_ranges` draw into the buffer; redrawn channels are
     another, consumed by the engine before the noise overwrites them.  The
-    Philox keys of every stream the call reads are derived once, in one
-    `philox_keys` pass, before its first tile.
+    Philox keys of exactly the streams the tiles' segments read are derived
+    once, in one `philox_keys` pass, before the first tile.
     """
     thresholds = np.array([detection.chi2_central_inv(1 - p)
                            for p in plan.pfa_list])[:, None, None]
@@ -608,28 +603,24 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int]],
     per_row = 2 * record_words(noise_shape)
     if redrawn:
         per_row = max(per_row, record_words(_channel_shape(plan)))
-    buffer = np.empty(max(stop - start for start, stop in tiles) * per_row)
-    # The keys of every stream of the points the tiles touch (a superset
-    # when the tiles are not contiguous), in one pass.
-    first = min(start for start, _ in tiles) // plan.trials_per_point
-    last = (max(stop for _, stop in tiles) - 1) // plan.trials_per_point
-    touched = [(i, 0, 0) for i in range(first, last + 1)]
-    ids = [stream_id for stream_id, _, _ in _noise_ranges(touched, (_H1, _H0))
-           + (_channel_ranges(touched) if redrawn else [])]
+    buffer = np.empty(max(sum(count for *_, count in tile) for tile in tiles)
+                      * per_row)
+    ids = list(dict.fromkeys(
+        stream_id for tile in tiles
+        for stream_id, _, _ in _noise_ranges(tile, (_H1, _H0))
+        + (_channel_ranges(tile) if redrawn else [])))
     keys = dict(zip(ids, philox_keys(plan.master_seed, ids)))
-    for start, stop in tiles:
-        rows = stop - start
-        segments = _segments(plan, start, stop)
-        points = [i for i, _, _ in segments]
+    for tile in tiles:
+        points = [i for i, _, _ in tile]
+        bounds = np.cumsum([0] + [count for *_, count in tile]).tolist()
+        rows = bounds[-1]
         if redrawn:
-            h = complex_normal_ranges(plan.master_seed, _channel_ranges(segments),
+            h = complex_normal_ranges(plan.master_seed, _channel_ranges(tile),
                                       _channel_shape(plan), buffer=buffer, keys=keys)
             engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
             gains.append(engine.target_gain)
-        noise = complex_normal_ranges(plan.master_seed,
-                                      _noise_ranges(segments, (_H1, _H0)),
+        noise = complex_normal_ranges(plan.master_seed, _noise_ranges(tile, (_H1, _H0)),
                                       noise_shape, noise_var, buffer=buffer, keys=keys)
-        bounds = np.cumsum([0] + [count for _, _, count in segments]).tolist()
         alphas = [math.sqrt(10 ** (plan.snr_grid_db[i] / 10)) for i in points]
         s1 = engine.statistics(noise[:rows], alphas, bounds)
         s0 = engine.statistics(noise[rows:], 0.0)
@@ -767,25 +758,22 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     theory = _mean_theory_pd(plan, snr, gains)
 
     trials = plan.trials_per_point
-    # (points, pfa, modes) tables as nested lists of Python numbers.
-    ci_lo, ci_hi = wilson_interval(detections, trials)
-    table = zip(detections.tolist(), (detections / trials).tolist(), ci_lo.tolist(),
-                ci_hi.tolist(), false_alarms.tolist())
-    cols = {key: values.tolist() for key, values in theory.items()}
-    points = {label: [] for label, _ in _mode_labels(plan)}
-    for pi, (snr_db, (det, pd, lo, hi, fa), deg) in enumerate(
-            zip(plan.snr_grid_db, table, degenerate.tolist())):
-        for fi, p in enumerate(plan.pfa_list):
-            paper, calibrated = cols["paper", p][pi], cols["calibrated", p][pi]
-            for mi, label in enumerate(points):
-                points[label].append(CurvePoint(
-                    snr_db=snr_db, pfa=p, trials=trials, detections=det[fi][mi],
-                    false_alarms=fa[fi][mi], pd_emp=pd[fi][mi], ci_lo=lo[fi][mi],
-                    ci_hi=hi[fi][mi], pd_theory_paper=paper[mi],
-                    pd_theory_calibrated=calibrated[mi], degenerate=deg[mi]))
-    curves = [DetectionCurve(label=label, bs_id=bs_id, points=tuple(points[label]))
-              for label, bs_id in _mode_labels(plan)]
-    by_mode = dict(zip(points, degenerate.sum(axis=0).tolist()))
+    paper, calibrated = (np.stack([theory[conv, p] for p in plan.pfa_list], axis=1)
+                         for conv in ("paper", "calibrated"))
+    # CurvePoint's fields in order, each broadcast to (points, pfa, modes)
+    # and listed curve by curve, point by point, P_FA by P_FA.
+    values = (np.array(plan.snr_grid_db)[:, None, None], np.array(plan.pfa_list)[:, None],
+              trials, detections, detections / trials,
+              *wilson_interval(detections, trials), paper, calibrated,
+              false_alarms, false_alarms / trials, *wilson_interval(false_alarms, trials),
+              degenerate[:, None])
+    points = [CurvePoint(*row) for row in zip(*(
+        np.moveaxis(np.broadcast_to(v, detections.shape), -1, 0).ravel().tolist()
+        for v in values))]
+    n = len(points) // detections.shape[-1]
+    curves = [DetectionCurve(label=label, bs_id=bs_id, points=tuple(points[j * n:][:n]))
+              for j, (label, bs_id) in enumerate(_mode_labels(plan))]
+    by_mode = dict(zip((c.label for c in curves), degenerate.sum(axis=0).tolist()))
     timings = {"setup": t_points - t_setup, "points": t_theory - t_points,
                "theory": time.perf_counter() - t_theory}
     return ExperimentResult(
@@ -884,7 +872,9 @@ def mean_selected_gap_db(
 ) -> float:
     """Mean SNR gap of the selected-BS projected waveform over independent
     channel redraws, from the closed-form gap at the target angle.  Raises
-    ValueError for n_redraws < 1 or an unknown convention."""
+    ValueError for n_redraws < 1, an unknown convention, or redraws whose
+    selected waveform has zero gain at the target (every redraw when
+    n_bs >= m leaves no null space)."""
     if n_redraws < 1:
         raise ValueError(f"n_redraws must be >= 1, got {n_redraws!r}")
     rngs = [rng_substream(plan.master_seed, _REDRAW_BASE + r) for r in range(n_redraws)]
@@ -892,5 +882,11 @@ def mean_selected_gap_db(
     proj = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)[0]
     gain = detection.direction_gain(radar.steering_vector(plan.m, plan.theta_target),
                                     proj[:, 0])
+    zero = int(np.count_nonzero(gain <= 0))
+    if zero:
+        raise ValueError(
+            f"{zero} of {n_redraws} channel redraws give the selected waveform "
+            f"zero gain at the target (n_bs={plan.n_bs}, m={plan.m}); the gap "
+            f"needs a null space, n_bs < m")
     return float(np.mean(detection.theory_snr_gap_db(plan.m, gain, convention)))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,6 +12,8 @@ import pytest
 from nspradar import cli, montecarlo
 from nspradar.errors import ConfigurationError
 from nspradar.montecarlo import MODE_NSP_SELECTED, MODE_ORTHOGONAL
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -96,6 +99,25 @@ class TestParseConfig:
         keys = [line.partition(" = ")[0] for line in echo.splitlines()]
         assert keys == list(cli._PLAN_KEYS) + list(cli._RUN_KEYS)
 
+    @pytest.mark.parametrize("output_dir", ["runs/#3", " runs", "runs ", "a\nb",
+                                            "a\rb", "\truns"])
+    def test_serialize_rejects_values_that_do_not_read_back(self, output_dir):
+        # '#' starts a comment, a line break ends the line, and parse_config
+        # strips whitespace at either end of a value.
+        cfg = cli.RunConfig(plan=montecarlo.ExperimentPlan(), output_dir=output_dir)
+        with pytest.raises(ValueError, match=re.escape(
+                f"config key 'output_dir': cannot serialize {output_dir!r}")):
+            cli.serialize_config(cfg)
+
+    def test_readme_config_parses_and_round_trips(self, tmp_path):
+        text = README.read_text()
+        section = text[text.index("## Config files"):]
+        block = section[section.index("```ini\n") + 7:section.index("```\n", 7)]
+        cfg = cli.parse_config(write_config(tmp_path, block))
+        assert cfg.plan.snr_grid_db[0] == -10.0 and cfg.workers == 4
+        echo = cli.serialize_config(cfg)
+        assert cli.parse_config(write_config(tmp_path, echo, name="echo.cfg")) == cfg
+
     def test_every_field_has_one_key_and_is_summarized(self, tmp_path):
         # The key tables are the only list of config keys: each plan field
         # has exactly one key, and each run option is a RunConfig field.
@@ -132,6 +154,35 @@ class TestRun:
         assert summary["version"]
         assert summary["selection"]["selected_bs"] in (1, 2, 3)
         assert "snr_gap_db_at_pd_0.9" in summary
+
+    def test_csv_header_is_pinned(self):
+        # The header is derived from CurvePoint's fields, so reordering them
+        # would reorder the CSV; the README documents this header.
+        header = ("mode,bs_id,snr_db,pfa,trials,detections,pd_emp,ci_lo,ci_hi,"
+                  "pd_theory_paper,pd_theory_calibrated,"
+                  "false_alarms,pfa_emp,pfa_ci_lo,pfa_ci_hi,degenerate")
+        assert cli.CSV_HEADER == header
+        assert f"```\n{header}\n```" in README.read_text()
+
+    @pytest.mark.parametrize("extra", ["", "n_bs = 4\n", "channel_mode = redrawn-per-trial\n"])
+    def test_every_cell_is_the_repr_of_its_field(self, tmp_path, extra):
+        code, out = self._run(tmp_path, extra)
+        assert code == cli.EXIT_OK
+        with open(os.path.join(out, "results.csv")) as fh:
+            rows = list(csv.reader(fh))
+        header, rows = rows[0], rows[1:]
+        result = montecarlo.run_experiment(cli.parse_config(str(tmp_path / "run.cfg")).plan)
+        points = [(c, pt) for c in result.curves for pt in c.points]
+        assert len(rows) == len(points)
+        names = [f.name for f in fields(montecarlo.CurvePoint)]
+        assert header == ["mode", "bs_id", *names]
+        for row, (curve, pt) in zip(rows, points):
+            assert row == [curve.label, curve.bs_id,
+                           *(repr(getattr(pt, name)) for name in names)]
+            # The false-alarm columns are the ones the writer used to compute.
+            assert (pt.pfa_ci_lo, pt.pfa_ci_hi) == montecarlo.wilson_interval(
+                pt.false_alarms, pt.trials)
+            assert pt.pfa_emp == pt.false_alarms / pt.trials
 
     def test_false_alarm_and_degenerate_columns(self, tmp_path):
         # n_bs = m leaves the projected mode no null space: every trial is

@@ -279,3 +279,12 @@ class TestTheoreticalPd:
     def test_gap_unknown_convention_names_the_choices(self):
         with pytest.raises(ValueError, match=r"'bogus'.*\['calibrated', 'paper'\]"):
             theory_snr_gap_db(4, 2.0, "bogus")
+
+    @pytest.mark.parametrize("gain, message", [
+        (0.0, "got 0.0$"),
+        (-1.5, "got -1.5$"),
+        (np.array([2.0, 0.0, 3.0, -1e-17]), "got 0.0 and 1 more$"),
+    ])
+    def test_gap_nonpositive_gain_is_named(self, gain, message):
+        with pytest.raises(ValueError, match="direction gain must be positive, " + message):
+            theory_snr_gap_db(4, gain)

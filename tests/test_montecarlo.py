@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -38,6 +39,19 @@ def tiny_plan(**kwargs):
     )
     base.update(kwargs)
     return ExperimentPlan(**base)
+
+
+def row_segments(plan, start, stop):
+    """The tile of sweep rows [start, stop) as `_tiles` gives tiles: the
+    (snr_index, first trial, count) segments of each SNR point's part, row
+    i * trials_per_point + t being trial t of point i."""
+    out = []
+    while start < stop:
+        snr_index, first = divmod(start, plan.trials_per_point)
+        count = min(stop - start, plan.trials_per_point - first)
+        out.append((snr_index, first, count))
+        start += count
+    return out
 
 
 class TestPlanValidation:
@@ -411,18 +425,19 @@ class TestNoiseDraws:
         else:                        # 7-row tiles across point boundaries
             n = len(plan.snr_grid_db) * plan.trials_per_point
             monkeypatch.setattr(montecarlo, "_tiles", lambda plan: [
-                (r, min(r + 7, n)) for r in range(0, n, 7)])
+                row_segments(plan, r, min(r + 7, n)) for r in range(0, n, 7)])
         assert run_experiment(plan, workers=workers).curves == want
 
     def test_tiles_pack_whole_points_and_split_larger_ones(self, monkeypatch):
         plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), trials_per_point=25)
         monkeypatch.setattr(montecarlo, "_CHUNK", 60)
-        assert montecarlo._tiles(plan) == [(0, 50), (50, 100), (100, 125)]
+        assert montecarlo._tiles(plan) == [[(0, 0, 25), (1, 0, 25)],
+                                           [(2, 0, 25), (3, 0, 25)], [(4, 0, 25)]]
         monkeypatch.setattr(montecarlo, "_CHUNK", 10)
         tiles = montecarlo._tiles(plan)
-        assert tiles[:4] == [(0, 10), (10, 20), (20, 25), (25, 35)]
-        assert len(tiles) == 5 * 3 and tiles[-1] == (120, 125)
-        assert montecarlo._segments(plan, 20, 57) == [(0, 20, 5), (1, 0, 25), (2, 0, 7)]
+        assert tiles[:4] == [[(0, 0, 10)], [(0, 10, 10)], [(0, 20, 5)], [(1, 0, 10)]]
+        assert len(tiles) == 5 * 3 and tiles[-1] == [(4, 20, 5)]
+        assert row_segments(plan, 20, 57) == [(0, 20, 5), (1, 0, 25), (2, 0, 7)]
 
     def test_scan_budget_keeps_100_trial_points_whole(self):
         # Splitting the fig4 scan's 100-trial points into smaller tiles
@@ -692,6 +707,32 @@ class TestRunExperiment:
         assert calls == {"sweep": workers, "draw": 0,
                          "philox": int(channel_mode == CHANNEL_FIXED)}
 
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
+    def test_keys_are_derived_for_exactly_the_tiles_streams(self, channel_mode,
+                                                            monkeypatch):
+        # Tiles of points 0 and 2 alone: the keys are those of their noise
+        # streams (and redrawn-channel streams), each derived once, and none
+        # of point 1's.
+        derived = []
+        keys = montecarlo.philox_keys
+        monkeypatch.setattr(montecarlo, "philox_keys",
+                            lambda seed, ids: derived.append(list(ids)) or keys(seed, ids))
+        monkeypatch.setattr(montecarlo, "_CHUNK", 10)
+        plan = tiny_plan(channel_mode=channel_mode, trials_per_point=20,
+                         snr_grid_db=(0.0, 3.0, 6.0))
+        tiles = montecarlo._tiles(plan)
+        assert tiles[1] == [(0, 10, 10)] and tiles[4] == [(2, 0, 10)]
+        engine = None
+        if channel_mode == CHANNEL_FIXED:
+            h = montecarlo._channels(plan, 0, 0, 1)
+            engine = montecarlo._PointEngine(plan, montecarlo._stacked_modes(plan, h)[0])
+        montecarlo._run_tiles(plan, [tiles[0], tiles[1], tiles[4]], engine)
+        want = [montecarlo._NOISE_BASE + 2 * i + hyp for i in (0, 2) for hyp in (0, 1)]
+        if channel_mode == CHANNEL_REDRAWN:
+            want += [montecarlo._TRIAL_CHANNEL_BASE + i for i in (0, 2)]
+        assert len(derived) == 1
+        assert sorted(derived[0]) == sorted(want)
+
     @pytest.mark.parametrize("n_bs, m, rank_tol", [(2, 4, None), (1, 3, 1e-3),
                                                    (4, 4, None), (6, 4, 0.0)])
     def test_selection_is_the_degradation_argmin(self, n_bs, m, rank_tol):
@@ -776,7 +817,8 @@ class TestRunExperiment:
         want = run_experiment(plan).curves
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         tiles = montecarlo._tiles(plan)
-        assert len(tiles) > 1 and len({stop - start for start, stop in tiles}) > 1
+        sizes = {sum(count for *_, count in tile) for tile in tiles}
+        assert len(tiles) > 1 and len(sizes) > 1
         assert run_experiment(plan).curves == want
 
     def test_pfa_sweep_orders_detection(self):
@@ -968,3 +1010,12 @@ class TestMeanSelectedGap:
     def test_no_redraws_rejected(self, n_redraws):
         with pytest.raises(ValueError, match=f"n_redraws must be >= 1, got {n_redraws}"):
             mean_selected_gap_db(tiny_plan(), n_redraws=n_redraws)
+
+    @pytest.mark.parametrize("n_bs", [4, 5])
+    def test_no_null_space_names_the_cause(self, n_bs):
+        # n_bs >= m leaves every projector 0, so every redraw's selected
+        # waveform has zero gain at the target.
+        with pytest.raises(ValueError, match=re.escape(
+                f"10 of 10 channel redraws give the selected waveform zero gain "
+                f"at the target (n_bs={n_bs}, m=4)")):
+            mean_selected_gap_db(tiny_plan(m=4, n_bs=n_bs), n_redraws=10)

@@ -87,19 +87,26 @@ def test_bench_presets_resolved_outside_first_tree_spread():
 
 def test_bench_presets_band_runs_and_faults(monkeypatch, tmp_path):
     # --runs picks the acceptance band fixture's two plans (45 and 29 SNR
-    # points); every run records the minor faults its cli.main took.
+    # points) and the 2-worker runs; every run records the minor faults its
+    # cli.main took and the worker count its summary.json reports.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     monkeypatch.setattr(sys, "argv", [
         "bench_presets.py", "--pr", "0", "--trials", "2", "--repeats", "1",
         "--tree", f"change={src}", "--out-dir", str(tmp_path),
-        "--runs", "band-m4", "band-m8", "fig5"])
+        "--runs", "band-m4", "band-m8", "fig5", "fig5-w2", "fig3-redrawn-w2"])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"), run_name="__main__")
     assert exit_info.value.code == 0
-    runs = json.loads((tmp_path / "BENCH_0.json").read_text())["trees"]["change"]
-    assert list(runs) == ["band-m4", "band-m8", "fig5"]
-    for name, points in (("band-m4", 45), ("band-m8", 29), ("fig5", 41)):
+    bench = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert "workers" not in bench["config"]
+    runs = bench["trees"]["change"]
+    assert list(runs) == ["band-m4", "band-m8", "fig5", "fig5-w2", "fig3-redrawn-w2"]
+    for name, points, workers in (("band-m4", 45, 1), ("band-m8", 29, 1), ("fig5", 41, 1),
+                                  ("fig5-w2", 41, 2), ("fig3-redrawn-w2", 41, 2)):
         run = runs[name]
         assert run["trials_per_s"] == 2 * points / run["wall_s"]
-        assert run["channel_mode"] == "fixed-per-experiment" and not run["scan"]
+        assert run["workers"] == workers
+        assert run["channel_mode"] == ("redrawn-per-trial" if name == "fig3-redrawn-w2"
+                                       else "fixed-per-experiment")
+        assert not run["scan"]
         assert run["runs_minflt"] == [run["minflt"]] and run["minflt"] >= 0
