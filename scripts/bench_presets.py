@@ -30,10 +30,15 @@ SNR points / wall time), the minor page faults `cli.main` takes
 (`ru_minflt` of the child, read around the call), the per-stage
 `timings_s` of summary.json where the tree writes them, and each tree's
 speed-up over the first tree.  Each run records the fastest and slowest of
-its repeats (`min_s`, `max_s`) next to the median, and each run of a later
-tree is `resolved` only when its median lies outside the first tree's
-[min_s, max_s]: a median inside that spread is not told apart from the
-first tree's noise.
+its repeats (`min_s`, `max_s`) next to the median.  Trees take turns to run
+first: the order of the trees is reversed on every other repeat.  Repeat k
+of a later tree and repeat k of the first tree are a pair, and each run of
+a later tree records its `wins` (pairs in which it was faster) and
+`losses` (slower); ties count for neither.  It is `resolved` only when
+there are at least 10 pairs, one side wins at least 9 in 10 of them, and
+the medians differ by more than the first tree's interquartile range: a
+host whose speed drifts moves both runs of a pair alike, but not a change
+that wins by less than the first tree's own spread.
 """
 
 import argparse
@@ -160,14 +165,29 @@ def summarize(runs: list[dict], trials: int) -> dict:
     return out
 
 
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
 def mark_resolved(results: dict, base: str) -> None:
-    """Set `resolved` on each run of every tree but `base`: true when its
-    median wall time lies outside base's [min_s, max_s] for that run."""
+    """Set `wins`, `losses` and `resolved` on each run of every tree but
+    `base`, from the pairs of its `runs_s` with base's of the same repeat:
+    resolved when there are at least MIN_PAIRS pairs, one side wins at
+    least WIN_SHARE of them, and the medians differ by more than base's
+    interquartile range."""
     for label, runs in results.items():
         if label != base:
             for name, run in runs.items():
                 ref = results[base][name]
-                run["resolved"] = not ref["min_s"] <= run["wall_s"] <= ref["max_s"]
+                pairs = list(zip(run["runs_s"], ref["runs_s"]))
+                run["wins"] = sum(t < r for t, r in pairs)
+                run["losses"] = sum(t > r for t, r in pairs)
+                run["resolved"] = False
+                if (len(pairs) >= MIN_PAIRS
+                        and max(run["wins"], run["losses"]) >= WIN_SHARE * len(pairs)):
+                    q1, _, q3 = statistics.quantiles(ref["runs_s"], n=4,
+                                                     method="inclusive")
+                    run["resolved"] = abs(run["wall_s"] - ref["wall_s"]) > q3 - q1
 
 
 def main() -> int:
@@ -191,12 +211,13 @@ def main() -> int:
     runs = {(label, p): [] for label in trees for p in names}
     imports = {label: [] for label in trees}
     for rep in range(args.repeats):
-        for label, src in trees.items():
+        order = list(trees.items())[::-1 if rep % 2 else 1]
+        for label, src in order:
             imports[label].append(import_once(os.path.abspath(src)))
             print(f"run {rep + 1}/{args.repeats} {label} import: "
                   f"{imports[label][-1]:.3f} s", flush=True)
         for name in names:
-            for label, src in trees.items():
+            for label, src in order:
                 res = run_once(os.path.abspath(src), name, args.trials)
                 runs[label, name].append(res)
                 print(f"run {rep + 1}/{args.repeats} {label} {name}: "

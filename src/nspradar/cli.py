@@ -329,11 +329,16 @@ def run(cfg: RunConfig) -> int:
         print(f"error: numeric failure during simulation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     t_output = time.perf_counter()
-    write_csv(result, os.path.join(cfg.output_dir, "results.csv"))
-    if cfg.emit_plot:
-        write_plot_script(result, os.path.join(cfg.output_dir, "plot.gp"))
-    write_summary(result, cfg, t_output - t0, os.path.join(cfg.output_dir, "summary.json"),
-                  time.perf_counter() - t_output)
+    try:
+        write_csv(result, os.path.join(cfg.output_dir, "results.csv"))
+        if cfg.emit_plot:
+            write_plot_script(result, os.path.join(cfg.output_dir, "plot.gp"))
+        write_summary(result, cfg, t_output - t0,
+                      os.path.join(cfg.output_dir, "summary.json"),
+                      time.perf_counter() - t_output)
+    except OSError as exc:  # the probe passed, but an output file is unwritable
+        print(f"error: output not writable: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

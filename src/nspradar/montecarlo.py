@@ -11,19 +11,21 @@ itself.  At the target angle alone the statistic sees E0 only through
 w = E0^T a^*, since a^H E0 P a^* = w^T P a^* for every P, and
 w ~ CN(0, M I); those trials draw the M-vector w.
 
-Noise comes from one Philox stream per (master seed, SNR index,
-hypothesis).  Trial t reads a fixed-width record at a fixed offset of that
-stream, so results are independent of tiling, execution order and worker
-count.  A stream is its key and a counter: each worker's tile loop derives
-the keys of all the streams it reads in one `numerics.philox_keys` pass,
-and each draw sets a generator's key and counter per record range
-(`numerics.complex_normal_ranges`), with the bits of a generator seeded
-per stream and moved by `advance()`.
+Noise comes from one Philox stream per hypothesis under the master seed,
+and the SNR index is the substream (counter word 2, numpy's
+`Philox.jumped`).  Trial t reads a fixed-width record at a fixed offset of
+its point's substream, so results are independent of tiling, execution
+order and worker count.  A stream is its key and a counter: each worker's
+tile loop derives the keys of the stream kinds it reads once
+(`numerics.stream_key`), and each draw sets a generator's key and counter
+per record range (`numerics.complex_normal_ranges`), with the bits of a
+generator seeded per stream, jumped to the substream and moved by
+`advance()`.
 
 `run_trial` is the test oracle of the vectorized engine: it runs
 the explicit pipeline on the echo noise N = E0 X, which has N X^H = E0.
 At the target angle it first lifts w to E0 = a w^T / M + (I - a a^H / M) G,
-with G of i.i.d. CN(0, 1) entries from a separate stream; this E0 has
+with G of i.i.d. CN(0, 1) entries from a separate stream kind; this E0 has
 i.i.d. CN(0, 1) entries and E0^T a^* = w exactly.
 
 The detector is one GLRT maximized over `ExperimentPlan.theta_grid()`: the
@@ -53,9 +55,9 @@ order: the identity, the K projectors, and the selected BS's projector,
 gathered per draw by its index; a selection rule only gives that index.
 A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 `run_experiment`.  Redrawn channels are drawn as the noise is: one Philox
-stream per (master seed, SNR index), of which trial t reads the fixed-width
-record t, its K channels of i.i.d. CN(0, 1) entries.  `run_trial` takes the
-same route for its one trial.
+stream, whose substream i is SNR point i's, of which trial t reads the
+fixed-width record t, its K channels of i.i.d. CN(0, 1) entries.
+`run_trial` takes the same route for its one trial.
 
 The sweep is one loop over tiles of its (SNR point, trial) rows, each tile
 a list of (snr_index, first trial, count) segments (`_tiles`).  A tile packs
@@ -63,7 +65,7 @@ whole points in grid order up to a row budget (`_tile_rows`); only a point
 larger than the budget is split, one segment per tile.  With redrawn
 channels each tile is set up once (C = its rows): one stacked projector
 build and one engine for all of its points.  Every row still reads its own
-channel stream and its own noise record, and a channel's projector does not
+channel record and its own noise record, and a channel's projector does not
 depend on the stack it sits in, so no tile size changes an output.  With
 workers, threads run contiguous runs of tiles through the same loop,
 sharing the read-only fixed-channel engine.  Each thread's loop (one
@@ -89,8 +91,7 @@ import numpy as np
 
 from . import detection, radar, sharing
 from .errors import ConfigurationError, NumericFailure
-from .numerics import (complex_normal_block, complex_normal_ranges, philox_keys,
-                       record_words, rng_substream)
+from .numerics import complex_normal_ranges, record_words, rng_substream, stream_key
 
 MODE_ORTHOGONAL = "orthogonal"
 MODE_NSP_PER_BS = "nsp-per-bs"
@@ -100,29 +101,23 @@ _KNOWN_MODES = (MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED)
 CHANNEL_FIXED = "fixed-per-experiment"
 CHANNEL_REDRAWN = "redrawn-per-trial"
 
-# Substream layout under the master seed:
-#   0                                         fixed-per-experiment channels
-#                                             (acceptance seeds are pinned
-#                                             to this draw);
-#   _TRIAL_CHANNEL_BASE + snr_index           redrawn channels at one SNR
-#                                             point, one fixed-width record
-#                                             of K channels per trial;
-#   _REDRAW_BASE + r                          channel redraws of
-#                                             mean_selected_gap_db (pinned
-#                                             like stream 0);
-#   _NOISE_BASE + 2 * snr_index + hypothesis  noise at one SNR point (E0
-#                                             with the scan, w without it),
-#                                             one fixed-width record per trial;
-#   _LIFT_BASE + 2 * snr_index + hypothesis   the M x M G with which
-#                                             `run_trial` lifts w to E0, one
-#                                             record per trial.
-# Redrawn-channel ids stay below _REDRAW_BASE, and noise ids below
-# _LIFT_BASE, while snr_index < 2**28.
+# Streams under the master seed, one per kind; the SNR index is the
+# substream of the per-point kinds:
+#   0                    fixed-per-experiment channels (acceptance seeds are
+#                        pinned to this draw);
+#   1                    redrawn channels, one fixed-width record of K
+#                        channels per trial;
+#   2 + hypothesis       noise (E0 with the scan, w without it), one
+#                        fixed-width record per trial;
+#   4 + hypothesis       the M x M G with which `run_trial` lifts w to E0,
+#                        one record per trial;
+#   _REDRAW_BASE + r     channel redraws of mean_selected_gap_db (pinned
+#                        like stream 0).
 _CHANNEL_STREAM = 0
-_TRIAL_CHANNEL_BASE = 1
+_TRIAL_CHANNEL_STREAM = 1
+_NOISE_STREAM = 2
+_LIFT_STREAM = 4
 _REDRAW_BASE = 2**62
-_NOISE_BASE = 2**63
-_LIFT_BASE = _NOISE_BASE + 2**62
 _H1 = 0
 _H0 = 1
 
@@ -356,18 +351,18 @@ def _noise_shape(plan: ExperimentPlan) -> tuple[tuple[int, ...], float]:
     return ((plan.m, plan.m), 1.0) if plan.scan else ((plan.m,), float(plan.m))
 
 
-def _channel_ranges(segments: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+def _channel_ranges(segments: list[tuple[int, int, int]]) -> list[tuple[int, ...]]:
     """`complex_normal_ranges` record ranges of the redrawn channels of the
     (snr_index, first trial, count) segments."""
-    return [(_TRIAL_CHANNEL_BASE + i, first, count) for i, first, count in segments]
+    return [(_TRIAL_CHANNEL_STREAM, *segment) for segment in segments]
 
 
 def _noise_ranges(segments: list[tuple[int, int, int]],
-                  hypotheses: tuple[int, ...]) -> list[tuple[int, int, int]]:
+                  hypotheses: tuple[int, ...]) -> list[tuple[int, ...]]:
     """`complex_normal_ranges` record ranges of the noise of the segments,
     hypothesis by hypothesis."""
-    return [(_NOISE_BASE + 2 * i + hypothesis, first, count)
-            for hypothesis in hypotheses for i, first, count in segments]
+    return [(_NOISE_STREAM + hypothesis, *segment)
+            for hypothesis in hypotheses for segment in segments]
 
 
 def _channels(plan: ExperimentPlan, snr_index: int, first: int,
@@ -377,8 +372,9 @@ def _channels(plan: ExperimentPlan, snr_index: int, first: int,
 
     A fixed channel is stream 0 alone (C = 1) for every point and trial.
     Redrawn channels (C = count) are records [first, first + count) of the
-    point's stream, one record of K channels of i.i.d. CN(0, 1) entries per
-    trial, so a block equals its trials drawn one by one.
+    point's substream of the redrawn-channel stream, one record of K
+    channels of i.i.d. CN(0, 1) entries per trial, so a block equals its
+    trials drawn one by one.
     """
     if plan.channel_mode == CHANNEL_FIXED:
         rng = rng_substream(plan.master_seed, _CHANNEL_STREAM)
@@ -401,13 +397,13 @@ def _lifted_noise(plan: ExperimentPlan, snr_index: int, hypothesis: int,
                   first: int, count: int) -> np.ndarray:
     """E0 for trials [first, first + count) of an at-angle plan: the
     (count, M, M) E0 = G + a (w^T - a^H G) / M, with w from `_noise_block`
-    and G of i.i.d. CN(0, 1) entries from the lift stream.  Its entries are
-    i.i.d. CN(0, 1) and E0^T a^* = w, since a^T a^* = M."""
+    and G of i.i.d. CN(0, 1) entries from the point's substream of the lift
+    stream.  Its entries are i.i.d. CN(0, 1) and E0^T a^* = w, since
+    a^T a^* = M."""
     w = _noise_block(plan, snr_index, hypothesis, first, count)
-    g = complex_normal_block(
-        plan.master_seed, _LIFT_BASE + 2 * snr_index + hypothesis,
-        first, count, (plan.m, plan.m),
-    )
+    g = complex_normal_ranges(
+        plan.master_seed, [(_LIFT_STREAM + hypothesis, snr_index, first, count)],
+        (plan.m, plan.m))
     a = radar.steering_vector(plan.m, plan.theta_target)
     return g + a[:, None] * ((w - a.conj() @ g) / plan.m)[:, None, :]
 
@@ -586,8 +582,9 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
     hypotheses of all of its SNR point segments, is one
     `complex_normal_ranges` draw into the buffer; redrawn channels are
     another, consumed by the engine before the noise overwrites them.  The
-    Philox keys of exactly the streams the tiles' segments read are derived
-    once, in one `philox_keys` pass, before the first tile.
+    Philox keys of the stream kinds the tiles read (the two noise streams,
+    and the redrawn-channel stream) are derived once, before the first
+    tile; the segments' SNR indices are substreams of them.
     """
     thresholds = np.array([detection.chi2_central_inv(1 - p)
                            for p in plan.pfa_list])[:, None, None]
@@ -605,11 +602,9 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
         per_row = max(per_row, record_words(_channel_shape(plan)))
     buffer = np.empty(max(sum(count for *_, count in tile) for tile in tiles)
                       * per_row)
-    ids = list(dict.fromkeys(
-        stream_id for tile in tiles
-        for stream_id, _, _ in _noise_ranges(tile, (_H1, _H0))
-        + (_channel_ranges(tile) if redrawn else [])))
-    keys = dict(zip(ids, philox_keys(plan.master_seed, ids)))
+    kinds = [_NOISE_STREAM + _H1, _NOISE_STREAM + _H0]
+    kinds += [_TRIAL_CHANNEL_STREAM] if redrawn else []
+    keys = {kind: stream_key(plan.master_seed, kind) for kind in kinds}
     for tile in tiles:
         points = [i for i, _, _ in tile]
         bounds = np.cumsum([0] + [count for *_, count in tile]).tolist()
@@ -639,7 +634,7 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     """Single-trial reference path through the explicit pipeline.
 
     Reads the trial's channels (`_channels` with count 1: the fixed draw,
-    or record trial_id of the point's redrawn-channel stream, the record
+    or record trial_id of the point's redrawn-channel substream, the record
     the sweep reads) and its E0 (`_lifted_noise` at the target angle
     alone), forms the echo noise N = E0 X (so N X^H = E0) and runs
     sufficient_statistic and glrt_scan, with R = X_tx X_tx^H formed from
@@ -783,27 +778,20 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
 
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators fit, nondecreasing, equal weights.  An input
-    with no violation (no y[i] > y[i + 1] + 1e-15) is its own fit."""
-    vals = y.astype(float)
-    if not np.any(vals[:-1] > vals[1:] + 1e-15):
-        return vals
-    vals = list(vals)
-    weights = [1.0] * len(vals)
-    i = 0
-    while i < len(vals) - 1:
-        if vals[i] > vals[i + 1] + 1e-15:
-            merged = (vals[i] * weights[i] + vals[i + 1] * weights[i + 1]) / (
-                weights[i] + weights[i + 1]
-            )
-            vals[i] = merged
-            weights[i] += weights[i + 1]
-            del vals[i + 1], weights[i + 1]
-            if i > 0:
-                i -= 1
-        else:
-            i += 1
-    return np.repeat(vals, [int(w) for w in weights])
+    """Pool-adjacent-violators fit, nondecreasing, equal weights.  Each
+    value, as a block of weight 1, pools with the top of a stack of pooled
+    blocks into their weighted mean while that top exceeds it by more than
+    1e-15, and then goes onto the stack."""
+    vals, weights = [], []
+    for v in y.astype(float).tolist():
+        w = 1
+        while vals and vals[-1] > v + 1e-15:
+            u, k = vals.pop(), weights.pop()
+            v = (u * k + v * w) / (k + w)
+            w += k
+        vals.append(v)
+        weights.append(w)
+    return np.array(vals).repeat(weights)
 
 
 def _snr_at_target(snr_db: np.ndarray, pd: np.ndarray, target: float):

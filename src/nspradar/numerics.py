@@ -5,14 +5,14 @@ Complex SVD facade, chi-squared statistics with two degrees of freedom
 first-order Marcum Q), deterministic RNG substreams, and fixed-width
 Gaussian record streams.
 
-A substream is the Philox generator seeded by
-SeedSequence((master_seed mod 2**64, stream_id)).  Philox is counter-based
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): a
-stream is its 128-bit key and a 256-bit counter, so a record at a known
-offset needs no generator object of its own.  `philox_keys` derives the
-keys of many streams in one vectorized pass of SeedSequence's hash, and
-`complex_normal_ranges` reads each range by setting one generator's key and
-counter.
+A stream is the Philox generator seeded by
+SeedSequence((master_seed mod 2**64, stream_id)); `stream_key` derives its
+key.  Philox is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11): a stream is its 128-bit key and a 256-bit
+counter, so it splits into 2**64 independent substreams by the counter's
+word 2 (numpy's `Philox.jumped`), and a record at a known offset of a
+substream needs no generator object of its own.  `complex_normal_ranges`
+reads each record range by setting one generator's key and counter.
 
 The noncentral survival function is the `scipy.special` ufunc behind
 `scipy.stats.ncx2.sf`, with the same branches, so it equals that function
@@ -86,90 +86,24 @@ def chi2_noncentral_sf(x, rho):
     return float(sf) if sf.ndim == 0 else sf
 
 
-# SeedSequence's hash (numpy's bit_generator.pyx, after M. E. O'Neill's
-# seed_seq_fe): a 4-word pool of 32-bit words, hashed with a constant that is
-# multiplied on at each use.  The pool takes 4 + 4 * 3 uses of the first
-# constant; generate_state(2, uint64) takes 4 of the second.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_XSHIFT = np.uint32(16)
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, uses: int) -> np.ndarray:
-    """The uses + 1 successive values of a SeedSequence hash constant."""
-    out = [init]
-    for _ in range(uses):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
-
-
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each column of `value` in turn: column i is
-    xored with consts[i] and multiplied by consts[i + 1]."""
-    value = value ^ consts[:-1]
-    value *= consts[1:]
-    value ^= value >> _XSHIFT
-    return value
-
-
-def philox_keys(master_seed: int, stream_ids) -> np.ndarray:
-    """Keys of the Philox streams keyed by (master_seed, stream_id) for each
-    of `stream_ids` (each in [0, 2**64)): an (n, 2) uint64 array whose row i
-    is `_philox(master_seed, stream_ids[i])`'s key, bit for bit.
-
-    That key is SeedSequence((master_seed mod 2**64, stream_id))
-    .generate_state(2, uint64).  The entropy is the seed's 32-bit words and
-    then the id's, least significant first (one word for 0): at most 4, which
-    fill the 4-word pool once zero-padded, as SeedSequence pads it.  An id
-    below 2**32 is one word, and its zero high word is that padding.  Every
-    key is then the same fixed sequence of 32-bit operations, made here for
-    all ids at once.
-    """
-    ids = [int(i) for i in stream_ids]
-    bad = [i for i in ids if not 0 <= i < 2**64]
-    if bad:
-        raise ValueError(f"stream ids must lie in [0, 2**64), got {bad}")
-    seed = int(master_seed) & (2**64 - 1)
-    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    ids = np.array(ids, dtype=np.uint64)
-    words = np.zeros((len(ids), _POOL_SIZE), dtype=np.uint32)
-    words[:, :len(seed_words)] = seed_words
-    words[:, len(seed_words)] = ids & _MASK32
-    words[:, len(seed_words) + 1] = ids >> 32
-    pool = _hashmix(words, _POOL_HASH[:_POOL_SIZE + 1])
-    # Each word, hashed with 3 successive constants, is mixed into the other
-    # three; it does not change while it is the source.
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        c = _POOL_SIZE + 3 * src
-        mixed = _MIX_MULT_L * pool[:, dst] - _MIX_MULT_R * _hashmix(
-            pool[:, src, None], _POOL_HASH[c:c + 4])
-        mixed ^= mixed >> _XSHIFT
-        pool[:, dst] = mixed
-    state = _hashmix(pool, _STATE_HASH).astype(np.uint64)
-    return state[:, 0::2] | state[:, 1::2] << 32
-
-
-def _philox(master_seed: int, stream_id: int) -> np.random.Philox:
+def stream_key(master_seed: int, stream_id: int) -> np.ndarray:
+    """Philox key of the stream keyed by (master_seed, stream_id): the two
+    uint64 words SeedSequence((master_seed mod 2**64, stream_id))
+    .generate_state(2, uint64), the key `Philox` takes from that sequence."""
     if stream_id < 0:
         raise ValueError(f"stream_id must be non-negative, got {stream_id}")
-    ss = np.random.SeedSequence((int(master_seed) & (2**64 - 1), int(stream_id)))
-    return np.random.Philox(ss)
+    seq = np.random.SeedSequence((int(master_seed) & (2**64 - 1), int(stream_id)))
+    return seq.generate_state(2, np.uint64)
 
 
 def rng_substream(master_seed: int, stream_id: int) -> np.random.Generator:
-    """Independent, reproducible substream keyed by (master_seed, stream_id).
+    """Generator of the stream keyed by (master_seed, stream_id), from the
+    start of its substream 0.
 
     Backed by the counter-based Philox generator so distinct stream ids give
     statistically independent sequences regardless of draw order.
     """
-    return np.random.Generator(_philox(master_seed, stream_id))
+    return np.random.Generator(np.random.Philox(key=stream_key(master_seed, stream_id)))
 
 
 def normal_from_uniform(u: np.ndarray, scale: float = 1.0, out=None) -> np.ndarray:
@@ -211,25 +145,28 @@ def complex_normal_ranges(master_seed: int, ranges, shape, variance: float = 1.0
                           buffer: np.ndarray | None = None,
                           keys: dict | None = None) -> np.ndarray:
     """CN(0, variance) arrays of the given shape for the record ranges
-    [(stream_id, first, count), ...] of the Philox streams keyed by
-    (master_seed, stream_id), stacked in range order: an array of shape
-    (sum of counts,) + shape.
+    [(stream_id, substream, first, count), ...], stacked in range order: an
+    array of shape (sum of counts,) + shape.
 
-    Every record consumes the same number of words: its 2 prod(shape)
-    uniforms, padded to whole counter steps.  Record r therefore starts at
-    counter step r * width / 4, and a draw is byte-identical to its records
-    drawn one by one, however they are grouped into ranges and calls.  Each
-    range sets the state of one generator, made once per call: the stream's
-    key, the counter step first * width / 4 (its low 64 bits in word 0, the
-    carry in word 1) and an empty buffer.  That is the state `_philox`
-    followed by `advance(first * width / 4)` leaves.  The uniforms of all
-    ranges fill one (records, width) array, stream by stream, and one
+    Substream s of stream (master_seed, stream_id) is that stream's Philox
+    generator jumped s times (`Philox.jumped(s)`): counter word 2 holds s,
+    and words 0 and 1 count the steps within it.  Every record consumes the
+    same number of words: its 2 prod(shape) uniforms, padded to whole
+    counter steps.  Record r therefore starts at counter step r * width / 4,
+    and a draw is byte-identical to its records drawn one by one, however
+    they are grouped into ranges and calls.  Each range sets the state of
+    one generator, made once per call: the stream's key, the counter
+    [step lo, step hi, s, 0] of step first * width / 4 and an empty buffer,
+    the state `jumped(s)` followed by `advance(first * width / 4)` leaves.
+    Raises ValueError for a range whose last counter step reaches 2**128,
+    which would carry into the substream word.  The uniforms of all ranges
+    fill one (records, width) array, range by range, and one
     `normal_from_uniform` pass turns them into normals in place; never the
     ziggurat, whose word count varies.
 
-    `keys` maps each stream id of the ranges to its `philox_keys` row, so
-    that a caller drawing from the same streams many times derives their
-    keys once; without it they are derived here.
+    `keys` maps each stream id of the ranges to its `stream_key`, so that a
+    caller drawing from the same streams many times derives their keys once;
+    without it they are derived here.
 
     `buffer`, a flat float64 array of at least records x width entries,
     holds that array; the result is then a view of it, valid until the
@@ -237,14 +174,19 @@ def complex_normal_ranges(master_seed: int, ranges, shape, variance: float = 1.0
     """
     shape = tuple(shape)
     size, width = 2 * math.prod(shape), record_words(shape)
-    for stream_id, first, count in ranges:
+    steps = width // _PHILOX_WORDS
+    for stream_id, substream, first, count in ranges:
         if first < 0 or count < 0:
             raise ValueError(f"record range of stream {stream_id} must have "
                              f"first >= 0 and count >= 0, got {first}, {count}")
+        if (first + count) * steps >= 2**128:
+            raise ValueError(f"records [{first}, {first + count}) of stream {stream_id} "
+                             f"reach counter step 2**128 and would carry into "
+                             f"the substream")
     if keys is None:
-        ids = list(dict.fromkeys(stream_id for stream_id, _, _ in ranges))
-        keys = dict(zip(ids, philox_keys(master_seed, ids)))
-    rows = sum(count for _, _, count in ranges)
+        keys = {stream_id: stream_key(master_seed, stream_id)
+                for stream_id in {r[0] for r in ranges}}
+    rows = sum(count for *_, count in ranges)
     if buffer is None:
         u = np.empty((rows, width))
     else:
@@ -255,9 +197,9 @@ def complex_normal_ranges(master_seed: int, ranges, shape, variance: float = 1.0
     state = {"bit_generator": "Philox", "buffer": np.zeros(_PHILOX_WORDS, np.uint64),
              "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
     row = 0
-    for stream_id, first, count in ranges:
-        step = first * (width // _PHILOX_WORDS)
-        counter = np.array([step & 2**64 - 1, step >> 64, 0, 0], dtype=np.uint64)
+    for stream_id, substream, first, count in ranges:
+        step = first * steps
+        counter = np.array([step & 2**64 - 1, step >> 64, substream, 0], dtype=np.uint64)
         state["state"] = {"counter": counter, "key": keys[stream_id]}
         bitgen.state = state
         generator.random(out=u[row:row + count])
@@ -265,14 +207,3 @@ def complex_normal_ranges(master_seed: int, ranges, shape, variance: float = 1.0
     normal_from_uniform(u, math.sqrt(0.5 * variance), out=u)
     z = u if width == size else np.ascontiguousarray(u[:, :size])
     return z.view(complex).reshape((rows,) + shape)
-
-
-def complex_normal_block(
-    master_seed: int, stream_id: int, first: int, count: int, shape,
-    variance: float = 1.0,
-) -> np.ndarray:
-    """CN(0, variance) arrays of the given shape for records
-    [first, first + count) of the Philox stream keyed by
-    (master_seed, stream_id): `complex_normal_ranges` of that one range."""
-    return complex_normal_ranges(master_seed, [(stream_id, first, count)], shape,
-                                 variance)

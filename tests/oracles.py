@@ -8,8 +8,10 @@ replaces by its M x M sufficient statistic, lives here too, with the
 closed-form central chi-squared CDF and the ziggurat complex normals.
 The scalar Wilson interval and the select-based inverse-CDF normals are the
 formulas whose bits the library's array and in-place versions keep, and
-the per-range Philox generators moved by `advance()` are the construction
-whose bits the library's keyed record draws keep.
+the per-range Philox generators jumped to a substream and moved by
+`advance()` are the construction whose bits the library's keyed record
+draws keep; the backtracking pool-adjacent-violators scan is the one whose
+merges the library's stack form makes.
 """
 
 import math
@@ -173,17 +175,45 @@ def normal_from_uniform_reference(u: np.ndarray) -> np.ndarray:
 def complex_normal_ranges_reference(master_seed: int, ranges, shape,
                                     variance: float = 1.0) -> np.ndarray:
     """CN(0, variance) records [first, first + count) of each range
-    (stream_id, first, count), stacked: for each range a Philox generator
-    seeded by SeedSequence((master_seed mod 2**64, stream_id)) is moved to
-    its first record by `advance()`, each record taking its 2 prod(shape)
-    uniforms padded to whole 4-word counter steps."""
+    (stream_id, substream, first, count), stacked: for each range a Philox
+    generator seeded by SeedSequence((master_seed mod 2**64, stream_id)) is
+    jumped to its substream by `jumped()` and moved to its first record by
+    `advance()`, each record taking its 2 prod(shape) uniforms padded to
+    whole 4-word counter steps."""
     size = 2 * math.prod(shape)
     width = -(-size // 4) * 4
     parts = []
-    for stream_id, first, count in ranges:
-        bitgen = np.random.Philox(np.random.SeedSequence((master_seed % 2**64, stream_id)))
+    for stream_id, substream, first, count in ranges:
+        seed = np.random.SeedSequence((master_seed % 2**64, stream_id))
+        bitgen = np.random.Philox(seed).jumped(substream)
         bitgen.advance(first * width // 4)
         u = np.random.Generator(bitgen).random((count, width))
         parts.append(normal_from_uniform_reference(u)[:, :size])
     z = np.concatenate(parts) * math.sqrt(0.5 * variance)
     return np.ascontiguousarray(z).view(complex).reshape((-1,) + tuple(shape))
+
+
+def isotonic_reference(y: np.ndarray) -> np.ndarray:
+    """Pool-adjacent-violators fit, nondecreasing, equal weights, by a scan
+    that merges a violating pair in place and steps back one block: the
+    form whose merges, and their bits, the library's stack form keeps.  An
+    input with no violation (no y[i] > y[i + 1] + 1e-15) is its own fit."""
+    vals = y.astype(float)
+    if not np.any(vals[:-1] > vals[1:] + 1e-15):
+        return vals
+    vals = list(vals)
+    weights = [1.0] * len(vals)
+    i = 0
+    while i < len(vals) - 1:
+        if vals[i] > vals[i + 1] + 1e-15:
+            merged = (vals[i] * weights[i] + vals[i + 1] * weights[i + 1]) / (
+                weights[i] + weights[i + 1]
+            )
+            vals[i] = merged
+            weights[i] += weights[i + 1]
+            del vals[i + 1], weights[i + 1]
+            if i > 0:
+                i -= 1
+        else:
+            i += 1
+    return np.repeat(vals, [int(w) for w in weights])

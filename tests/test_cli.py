@@ -384,6 +384,18 @@ class TestRun:
         assert code == cli.EXIT_OUTPUT
         assert "output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["results.csv", "summary.json", "plot.gp"])
+    def test_output_file_that_is_a_directory_exit_code(self, tmp_path, capsys, name):
+        # The directory probe passes; the write of that one file fails.
+        path = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code = cli.main(["--config", path, "--out", str(out), "--emit-plot"])
+        assert code == cli.EXIT_OUTPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: output not writable") and str(out / name) in err
+        assert "Traceback" not in err
+
     def test_seed_and_trials_overrides(self, tmp_path):
         code, out = self._run(tmp_path, argv_extra=("--seed", "99", "--trials", "10"))
         assert code == cli.EXIT_OK

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from nspradar.errors import ConfigurationError
@@ -182,6 +183,19 @@ class TestWilsonInterval:
             assert got == oracles.wilson_interval_scalar(k, n)
 
 
+# Inputs for the pooling fit: free floats, counts over a few trial numbers
+# (exact ties), values within 1e-15 of each other (the violation tolerance),
+# and noisy nondecreasing curves like empirical P_D.
+_CURVES = st.one_of(
+    st.lists(st.floats(0, 1), max_size=40),
+    st.lists(st.integers(0, 40), max_size=40).map(lambda k: [x / 40 for x in k]),
+    st.lists(st.sampled_from([0.5, 0.5 + 1e-15, 0.5 - 1e-15, 0.5 + 2e-15, 0.25]),
+             max_size=30),
+    st.lists(st.floats(-0.05, 0.05), max_size=40).map(
+        lambda e: [min(1.0, max(0.0, i / max(1, len(e)) + x)) for i, x in enumerate(e)]),
+)
+
+
 class TestIsotonic:
     def test_already_sorted(self):
         y = np.array([0.1, 0.2, 0.8])
@@ -206,6 +220,12 @@ class TestIsotonic:
         fit = _isotonic(y)
         assert fit.dtype == float and fit.tobytes() == y.tobytes()
         assert _isotonic(np.array([0, 1, 1])).tobytes() == np.array([0.0, 1.0, 1.0]).tobytes()
+
+    @given(y=_CURVES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_backtracking_scan(self, y):
+        y = np.array(y, dtype=float)
+        assert _isotonic(y).tobytes() == oracles.isotonic_reference(y).tobytes()
 
 
 class TestRunTrial:
@@ -459,13 +479,19 @@ class TestNoiseDraws:
             ]
 
     def test_stream_ids_do_not_collide(self):
-        # Redrawn-channel ids for any snr_index < 2**28.
-        assert montecarlo._CHANNEL_STREAM < montecarlo._TRIAL_CHANNEL_BASE
-        assert montecarlo._TRIAL_CHANNEL_BASE + 2**28 <= montecarlo._REDRAW_BASE
-        assert montecarlo._REDRAW_BASE + 2**32 < montecarlo._NOISE_BASE
-        # Noise and lift ids for any snr_index < 2**28 and either hypothesis.
-        assert montecarlo._NOISE_BASE + 2 * 2**28 <= montecarlo._LIFT_BASE
-        assert montecarlo._LIFT_BASE + 2 * 2**28 <= 2**64
+        # One id per kind: the fixed channel, the redrawn channels, the noise
+        # and the lift under each hypothesis; the mean-gap redraws
+        # _REDRAW_BASE + r lie above them all.  The SNR index is a substream,
+        # not part of an id.
+        kinds = [montecarlo._CHANNEL_STREAM, montecarlo._TRIAL_CHANNEL_STREAM,
+                 *(base + hyp for base in (montecarlo._NOISE_STREAM, montecarlo._LIFT_STREAM)
+                   for hyp in (montecarlo._H1, montecarlo._H0))]
+        assert sorted(kinds) == list(range(6))
+        assert max(kinds) < montecarlo._REDRAW_BASE <= 2**64 - 2**32
+        segments = [(3, 5, 2), (4, 0, 7)]
+        assert montecarlo._noise_ranges(segments, (montecarlo._H1, montecarlo._H0)) == [
+            (2, 3, 5, 2), (2, 4, 0, 7), (3, 3, 5, 2), (3, 4, 0, 7)]
+        assert montecarlo._channel_ranges(segments) == [(1, 3, 5, 2), (1, 4, 0, 7)]
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_at_angle_noise_is_cn_0_m_identity(self, m):
@@ -567,14 +593,14 @@ class TestNoiseDraws:
 
     def test_channel_draws_are_pinned(self):
         # Acceptance seeds are pinned to the fixed channel draw, so no other
-        # stream may move it.  The redrawn value pins the per-point record
-        # layout of the redrawn-channel streams.
+        # stream may move it.  The redrawn value pins the record layout of
+        # the redrawn-channel stream's per-point substreams.
         plan = tiny_plan()
         fixed = montecarlo._channels(plan, 0, 0, 1)[0, 0, 0, 0]
         redrawn = replace(plan, channel_mode=CHANNEL_REDRAWN)
         trial = montecarlo._channels(redrawn, 1, 17, 1)[0, 2, 1, 3]
         assert fixed == -0.531437094499637 + 0.023026140752559265j
-        assert trial == -0.8712791325290165 - 0.08533192293780599j
+        assert trial == -0.7406914639895344 - 0.4785313285438949j
 
 
 class TestRunExperiment:
@@ -687,36 +713,46 @@ class TestRunExperiment:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_keys_are_derived_once_per_worker(self, channel_mode, workers, trials,
                                               monkeypatch):
-        # Each _run_tiles call derives the keys of all of its streams in one
-        # philox_keys call; no draw derives its own keys or builds a
-        # generator by SeedSequence, except the fixed channel's stream 0.
-        # Neither count grows with the trials per point or the tiles.
-        calls = {"sweep": 0, "draw": 0, "philox": 0}
+        # Each _run_tiles call derives the key of each stream kind it reads
+        # once: the two noise streams, and the redrawn-channel stream.  No
+        # draw derives a key, except the fixed channel's stream 0 through
+        # rng_substream.  Neither count grows with the trials per point or
+        # the tiles.
+        calls = {"sweep": [], "draw": []}
 
         def counted(name, fn):
-            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+            return lambda seed, stream_id: calls[name].append(stream_id) or fn(seed, stream_id)
 
-        monkeypatch.setattr(montecarlo, "philox_keys",
-                            counted("sweep", montecarlo.philox_keys))
-        monkeypatch.setattr(numerics, "philox_keys", counted("draw", numerics.philox_keys))
-        monkeypatch.setattr(numerics, "_philox", counted("philox", numerics._philox))
+        monkeypatch.setattr(montecarlo, "stream_key",
+                            counted("sweep", montecarlo.stream_key))
+        monkeypatch.setattr(numerics, "stream_key", counted("draw", numerics.stream_key))
         plan = tiny_plan(channel_mode=channel_mode, trials_per_point=trials,
                          snr_grid_db=(0.0, 3.0, 6.0, 9.0))
         monkeypatch.setattr(montecarlo, "_CHUNK", 10)
         run_experiment(plan, workers=workers)
-        assert calls == {"sweep": workers, "draw": 0,
-                         "philox": int(channel_mode == CHANNEL_FIXED)}
+        kinds = [2, 3] + [1] * (channel_mode == CHANNEL_REDRAWN)
+        assert sorted(calls["sweep"]) == sorted(kinds * workers)
+        assert calls["draw"] == [0] * (channel_mode == CHANNEL_FIXED)
 
     @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
     def test_keys_are_derived_for_exactly_the_tiles_streams(self, channel_mode,
                                                             monkeypatch):
-        # Tiles of points 0 and 2 alone: the keys are those of their noise
-        # streams (and redrawn-channel streams), each derived once, and none
-        # of point 1's.
-        derived = []
-        keys = montecarlo.philox_keys
-        monkeypatch.setattr(montecarlo, "philox_keys",
-                            lambda seed, ids: derived.append(list(ids)) or keys(seed, ids))
+        # Tiles of points 0 and 2 alone: the keys are those of the noise
+        # kinds (and the redrawn-channel kind), each derived once, and every
+        # draw passes them in and reads substreams 0 and 2 alone, none of
+        # point 1's.
+        derived, read = [], []
+        keys = montecarlo.stream_key
+        draw = montecarlo.complex_normal_ranges
+        monkeypatch.setattr(montecarlo, "stream_key",
+                            lambda seed, i: derived.append(i) or keys(seed, i))
+
+        def recorded(seed, ranges, *args, keys=None, **kwargs):
+            assert sorted(keys) == sorted(derived)
+            read.extend(ranges)
+            return draw(seed, ranges, *args, keys=keys, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "complex_normal_ranges", recorded)
         monkeypatch.setattr(montecarlo, "_CHUNK", 10)
         plan = tiny_plan(channel_mode=channel_mode, trials_per_point=20,
                          snr_grid_db=(0.0, 3.0, 6.0))
@@ -727,11 +763,10 @@ class TestRunExperiment:
             h = montecarlo._channels(plan, 0, 0, 1)
             engine = montecarlo._PointEngine(plan, montecarlo._stacked_modes(plan, h)[0])
         montecarlo._run_tiles(plan, [tiles[0], tiles[1], tiles[4]], engine)
-        want = [montecarlo._NOISE_BASE + 2 * i + hyp for i in (0, 2) for hyp in (0, 1)]
-        if channel_mode == CHANNEL_REDRAWN:
-            want += [montecarlo._TRIAL_CHANNEL_BASE + i for i in (0, 2)]
-        assert len(derived) == 1
-        assert sorted(derived[0]) == sorted(want)
+        want = [1] * (channel_mode == CHANNEL_REDRAWN) + [2, 3]
+        assert sorted(derived) == want
+        assert {stream_id for stream_id, *_ in read} == set(want)
+        assert {substream for _, substream, *_ in read} == {0, 2}
 
     @pytest.mark.parametrize("n_bs, m, rank_tol", [(2, 4, None), (1, 3, 1e-3),
                                                    (4, 4, None), (6, 4, 0.0)])
@@ -843,7 +878,10 @@ class TestRunExperiment:
 # from P itself, the projected waveform's correlation, and again (by at most
 # 6.8e-16 relative, with the selection's norms by 1-2 ulp of sqrt(2)) when
 # full-rank projectors came to be built by Gram-Schmidt rather than the SVD.
-# Any other change to the streams, the selection or the arithmetic shows
+# Every tally, and the "redrawn" theory floats at 0 dB, were re-read when
+# each stream kind got one key and the SNR index became its Philox
+# substream (same law, new realization); the fixed and scan theory floats
+# and the selection did not move.  Any other change to the streams, the selection or the arithmetic shows
 # here.
 GOLDEN_PLAN = dict(
     m=4, k=2, l=16, snr_grid_db=(-6.0, 0.0), pfa_list=(0.1,), trials_per_point=40,
@@ -852,56 +890,56 @@ GOLDEN_PLAN = dict(
 GOLDEN = {
     "fixed": {
         "orthogonal": [
-            (36, 6, 0, 0.5440529562566051, 0.8152917144245608),
+            (29, 3, 0, 0.5440529562566051, 0.8152917144245608),
             (40, 4, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (30, 6, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 2, 0, 0.8725422122131623, 0.9985294586036594),
+            (24, 2, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 4, 0, 0.8725422122131623, 0.9985294586036594),
         ],
         "nsp-bs2": [
-            (25, 4, 0, 0.31152110018807877, 0.6577181694816085),
-            (39, 5, 0, 0.7723090242273174, 0.9958529653201275),
+            (19, 6, 0, 0.31152110018807877, 0.6577181694816085),
+            (40, 4, 0, 0.7723090242273174, 0.9958529653201275),
         ],
         "nsp-selected": [
-            (30, 6, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 2, 0, 0.8725422122131623, 0.9985294586036594),
+            (24, 2, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 4, 0, 0.8725422122131623, 0.9985294586036594),
         ],
     },
     "scan": {
         "orthogonal": [
-            (40, 25, 0, 0.5440529562566051, 0.8152917144245608),
+            (36, 25, 0, 0.5440529562566051, 0.8152917144245608),
             (40, 29, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (37, 25, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 28, 0, 0.8725422122131623, 0.9985294586036594),
+            (34, 27, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 25, 0, 0.8725422122131623, 0.9985294586036594),
         ],
         "nsp-bs2": [
-            (35, 33, 0, 0.31152110018807877, 0.6577181694816085),
-            (40, 28, 0, 0.7723090242273174, 0.9958529653201275),
+            (36, 22, 0, 0.31152110018807877, 0.6577181694816085),
+            (40, 23, 0, 0.7723090242273174, 0.9958529653201275),
         ],
         "nsp-selected": [
-            (37, 25, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 28, 0, 0.8725422122131623, 0.9985294586036594),
+            (34, 27, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 25, 0, 0.8725422122131623, 0.9985294586036594),
         ],
     },
     "redrawn": {
         "orthogonal": [
-            (36, 6, 0, 0.5440529562566047, 0.8152917144245608),
+            (29, 3, 0, 0.5440529562566047, 0.8152917144245608),
             (40, 4, 0, 0.9786015642681981, 0.9998694333859743),
         ],
         "nsp-bs1": [
-            (23, 3, 0, 0.2558544198798436, 0.5421437843795188),
-            (36, 6, 0, 0.4965881639220558, 0.9072706613222878),
+            (20, 4, 0, 0.2558544198798436, 0.5421437843795188),
+            (37, 1, 0, 0.48865507561291366, 0.9217050557288982),
         ],
         "nsp-bs2": [
-            (23, 4, 0, 0.21415447769751678, 0.48251746803556117),
-            (34, 4, 0, 0.5077500928449811, 0.8854759318324055),
+            (20, 6, 0, 0.21415447769751678, 0.48251746803556117),
+            (36, 6, 0, 0.5186270257206748, 0.9137451198807505),
         ],
         "nsp-selected": [
-            (23, 3, 0, 0.2558544198798436, 0.5421437843795188),
-            (36, 6, 0, 0.4965881639220558, 0.9072706613222878),
+            (20, 4, 0, 0.2558544198798436, 0.5421437843795188),
+            (37, 1, 0, 0.48865507561291366, 0.9217050557288982),
         ],
     },
 }

@@ -11,12 +11,11 @@ from nspradar import numerics
 from nspradar.numerics import (
     chi2_central_inv,
     chi2_noncentral_sf,
-    complex_normal_block,
     complex_normal_ranges,
     normal_from_uniform,
-    philox_keys,
     record_words,
     rng_substream,
+    stream_key,
     svd,
 )
 
@@ -231,6 +230,22 @@ class TestRngSubstream:
     def test_negative_stream_rejected(self):
         with pytest.raises(ValueError):
             rng_substream(1, -1)
+        with pytest.raises(ValueError):
+            stream_key(1, -1)
+
+    @pytest.mark.parametrize("seed, stream_id", [
+        (0, 0), (42, 7), (-1, 3), (2**32, 2**32 - 1), (2**64 - 1, 2**62 + 5),
+        (5, 2**63 + 11), (-2**63, 2**64 - 1)])
+    def test_is_the_seed_sequence_generator(self, seed, stream_id):
+        # The key is the one Philox takes from the SeedSequence, so the
+        # fixed channel (stream 0) and the mean-gap redraws keep their draws.
+        seq = np.random.SeedSequence((seed % 2**64, stream_id))
+        bitgen = np.random.Philox(seq)
+        key = stream_key(seed, stream_id)
+        assert key.dtype == np.uint64 and key.shape == (2,)
+        assert key.tobytes() == bitgen.state["state"]["key"].tobytes()
+        want = np.random.Generator(bitgen).standard_normal(1000)
+        assert rng_substream(seed, stream_id).standard_normal(1000).tobytes() == want.tobytes()
 
     def test_complex_normal_moments(self):
         n = 10**6
@@ -266,63 +281,13 @@ class TestNormalFromUniform:
 
 
 def _record_from_raw_stream(seed, stream, m, record):
-    """Record `record` of an M x M block stream, read off the plain stream:
-    each record takes 2 M^2 words padded up to a multiple of 4."""
+    """Record `record` of an M x M block stream's substream 0, read off the
+    plain stream: each record takes 2 M^2 words padded up to a multiple of
+    4."""
     width = 4 * -(-2 * m * m // 4)
     u = rng_substream(seed, stream).random((record + 1) * width)[record * width:]
     z = normal_from_uniform(u[:2 * m * m]) * math.sqrt(0.5)
     return (z[0::2] + 1j * z[1::2]).reshape(m, m)
-
-
-class TestComplexNormalBlock:
-    @given(
-        m=st.integers(1, 6),
-        first=st.integers(0, 50),
-        count=st.integers(1, 12),
-        seed=st.integers(0, 2**64 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_block_equals_per_record_draws(self, m, first, count, seed):
-        block = complex_normal_block(seed, 9, first, count, (m, m))
-        assert block.shape == (count, m, m) and block.dtype == complex
-        singles = np.concatenate([
-            complex_normal_block(seed, 9, t, 1, (m, m))
-            for t in range(first, first + count)
-        ])
-        assert block.tobytes() == singles.tobytes()
-
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_fixed_word_count_per_record(self, m):
-        # M=3 needs 18 words, padded to 20; M=4 needs exactly 32.
-        for record in (0, 1, 5):
-            got = complex_normal_block(77, 4, record, 1, (m, m))[0]
-            want = _record_from_raw_stream(77, 4, m, record)
-            assert got.tobytes() == want.tobytes()
-
-    def test_streams_and_seeds_differ(self):
-        a = complex_normal_block(1, 0, 0, 4, (2, 2))
-        assert not np.array_equal(a, complex_normal_block(1, 1, 0, 4, (2, 2)))
-        assert not np.array_equal(a, complex_normal_block(2, 0, 0, 4, (2, 2)))
-
-    def test_moments(self):
-        n = 200_000
-        z = complex_normal_block(5, 3, 0, n, (1,)).ravel()
-        assert abs(z.mean()) < 5 / math.sqrt(n)
-        assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01
-        assert abs(np.mean(z * z)) < 5 / math.sqrt(n)  # circular symmetry
-        assert np.isfinite(z).all()
-
-    def test_negative_stream_rejected(self):
-        with pytest.raises(ValueError):
-            complex_normal_block(1, -1, 0, 1, (2, 2))
-
-    @pytest.mark.parametrize("first, count", [(-1, 2), (0, -1), (-3, -1)])
-    def test_negative_first_or_count_rejected(self, first, count):
-        # A negative first record would wrap the counter to the stream's end.
-        with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
-            complex_normal_block(1, 0, first, count, (4,))
-        with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
-            complex_normal_ranges(1, [(0, 0, 2), (3, first, count)], (4,))
 
 
 class TestInPlaceNormals:
@@ -350,20 +315,84 @@ class TestInPlaceNormals:
 class TestComplexNormalRanges:
     @staticmethod
     def _per_range(seed, ranges, shape, variance):
-        return np.concatenate([complex_normal_block(seed, s, first, count, shape, variance)
-                               for s, first, count in ranges])
+        return np.concatenate([complex_normal_ranges(seed, [r], shape, variance)
+                               for r in ranges])
+
+    @given(
+        m=st.integers(1, 6),
+        substream=st.one_of(st.integers(0, 50), st.integers(0, 2**64 - 1)),
+        first=st.integers(0, 50),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_per_record_draws(self, m, substream, first, count, seed):
+        block = complex_normal_ranges(seed, [(9, substream, first, count)], (m, m))
+        assert block.shape == (count, m, m) and block.dtype == complex
+        singles = np.concatenate([
+            complex_normal_ranges(seed, [(9, substream, t, 1)], (m, m))
+            for t in range(first, first + count)
+        ])
+        assert block.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_fixed_word_count_per_record(self, m):
+        # M=3 needs 18 words, padded to 20; M=4 needs exactly 32.
+        for record in (0, 1, 5):
+            got = complex_normal_ranges(77, [(4, 0, record, 1)], (m, m))[0]
+            want = _record_from_raw_stream(77, 4, m, record)
+            assert got.tobytes() == want.tobytes()
+
+    def test_streams_substreams_and_seeds_differ(self):
+        a = complex_normal_ranges(1, [(0, 0, 0, 4)], (2, 2))
+        for other in ((1, [(1, 0, 0, 4)]), (1, [(0, 1, 0, 4)]), (2, [(0, 0, 0, 4)])):
+            assert not np.array_equal(a, complex_normal_ranges(*other, (2, 2)))
+
+    def test_moments(self):
+        n = 200_000
+        z = complex_normal_ranges(5, [(3, 2, 0, n)], (1,)).ravel()
+        assert abs(z.mean()) < 5 / math.sqrt(n)
+        assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01
+        assert abs(np.mean(z * z)) < 5 / math.sqrt(n)  # circular symmetry
+        assert np.isfinite(z).all()
+
+    def test_negative_stream_rejected(self):
+        with pytest.raises(ValueError):
+            complex_normal_ranges(1, [(-1, 0, 0, 1)], (2, 2))
+
+    @pytest.mark.parametrize("first, count", [(-1, 2), (0, -1), (-3, -1)])
+    def test_negative_first_or_count_rejected(self, first, count):
+        # A negative first record would wrap the counter to the stream's end.
+        with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
+            complex_normal_ranges(1, [(0, 0, first, count)], (4,))
+        with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
+            complex_normal_ranges(1, [(0, 0, 0, 2), (3, 1, first, count)], (4,))
+
+    @pytest.mark.parametrize("shape, steps", [((2,), 1), ((4,), 2), ((4, 4), 8)])
+    def test_counter_stops_short_of_the_substream_word(self, shape, steps):
+        # Record r of a range ends at counter step (r + 1) * steps; the
+        # range's last step may be 2**128 - 1 but not 2**128, which would
+        # carry into word 2 and read the next substream.
+        last = (2**128 - 1) // steps     # records [0, last) end below 2**128
+        ranges = [(7, 3, last - 1, 1), (2**63 + 1, 2**64 - 1, last - 2, 2)]
+        want = oracles.complex_normal_ranges_reference(11, ranges, shape)
+        assert complex_normal_ranges(11, ranges, shape).tobytes() == want.tobytes()
+        for bad in [(7, 3, last, 1), (7, 3, last - 1, 2), (7, 0, 2**128, 0)]:
+            with pytest.raises(ValueError, match="carry into the substream"):
+                complex_normal_ranges(11, [(7, 3, 0, 1), bad], shape)
 
     @pytest.mark.parametrize("shape", [(4,), (3,), (4, 4), (3, 3), (5, 2, 4)])
     def test_streams_split_and_out_of_order(self, shape):
-        # Several streams; stream 9 split into two adjacent ranges and read
-        # again later; streams out of order.
-        ranges = [(9, 3, 5), (2, 0, 4), (9, 8, 2), (5, 100, 1), (9, 0, 3), (1, 7, 6)]
+        # Several streams and substreams; substream 9/1 split into two
+        # adjacent ranges and read again later; streams out of order.
+        ranges = [(9, 1, 3, 5), (2, 0, 4, 4), (9, 1, 8, 2), (5, 7, 100, 1), (9, 1, 0, 3),
+                  (1, 0, 7, 6), (9, 0, 3, 2)]
         got = complex_normal_ranges(21, ranges, shape, 4.0)
-        assert got.shape == (21,) + shape and got.dtype == complex
+        assert got.shape == (23,) + shape and got.dtype == complex
         assert got.tobytes() == self._per_range(21, ranges, shape, 4.0).tobytes()
 
     @given(
-        ranges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 40),
+        ranges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 40),
                                   st.integers(1, 8)), min_size=1, max_size=6),
         shape=st.sampled_from([(1,), (2,), (3,), (8,), (2, 2), (3, 3), (2, 3, 3)]),
         variance=st.sampled_from([1.0, 4.0, 8.0]),
@@ -374,7 +403,7 @@ class TestComplexNormalRanges:
         want = self._per_range(seed, ranges, shape, variance).tobytes()
         assert complex_normal_ranges(seed, ranges, shape, variance).tobytes() == want
         # A reused buffer holding stale values gives the same bits.
-        rows = sum(count for _, _, count in ranges)
+        rows = sum(count for *_, count in ranges)
         buffer = np.full(rows * record_words(shape) + 5, np.nan)
         got = complex_normal_ranges(seed, ranges, shape, variance, buffer=buffer)
         assert got.tobytes() == want
@@ -384,17 +413,19 @@ class TestComplexNormalRanges:
 
     def test_unpadded_records_are_a_view_of_the_buffer(self):
         buffer = np.empty(10 * record_words((4,)))
-        z = complex_normal_ranges(3, [(0, 0, 4), (1, 2, 6)], (4,), buffer=buffer)
+        z = complex_normal_ranges(3, [(0, 0, 0, 4), (1, 2, 2, 6)], (4,), buffer=buffer)
         assert z.shape == (10, 4) and np.shares_memory(z, buffer)
         assert z.flags.c_contiguous
 
     def test_padded_records_come_out_contiguous(self):
         buffer = np.empty(10 * record_words((3,)))
-        z = complex_normal_ranges(3, [(0, 0, 4), (1, 2, 6)], (3,), buffer=buffer)
+        z = complex_normal_ranges(3, [(0, 0, 0, 4), (1, 2, 2, 6)], (3,), buffer=buffer)
         assert z.shape == (10, 3) and z.flags.c_contiguous
 
     @given(
         ranges=st.lists(st.tuples(st.integers(0, 2**64 - 1),
+                                  st.one_of(st.integers(0, 50),
+                                            st.integers(0, 2**64 - 1)),
                                   st.one_of(st.integers(0, 50),
                                             st.integers(2**61, 2**66)),
                                   st.integers(0, 4)), min_size=1, max_size=5),
@@ -402,7 +433,7 @@ class TestComplexNormalRanges:
         seed=st.integers(-2**63, 2**64 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equals_advanced_generators(self, ranges, shape, seed):
+    def test_equals_jumped_and_advanced_generators(self, ranges, shape, seed):
         # Record offsets from 2**61 on take counter steps of 2**64 or more
         # for most widths, so the step carries into the counter's word 1.
         want = oracles.complex_normal_ranges_reference(seed, ranges, shape, 2.0)
@@ -416,47 +447,16 @@ class TestComplexNormalRanges:
         # width_steps counter steps per record: shapes (2,), (4,) and
         # (4, 4); the record's step is first * width_steps.
         shape = {1: (2,), 2: (4,), 8: (4, 4)}[width_steps]
-        ranges = [(7, first, 2), (2**63 + 1, first, 1)]
+        ranges = [(7, 0, first, 2), (2**63 + 1, 2**64 - 1, first, 1), (3, 5, first, 1)]
         want = oracles.complex_normal_ranges_reference(11, ranges, shape)
         assert complex_normal_ranges(11, ranges, shape).tobytes() == want.tobytes()
 
     def test_given_keys_equal_derived_keys(self):
-        ranges = [(2**63 + 4, 0, 3), (1, 5, 2), (2**63 + 4, 3, 1)]
-        keys = {1: philox_keys(8, [1])[0], 2**63 + 4: philox_keys(8, [2**63 + 4])[0]}
+        ranges = [(2**63 + 4, 2, 0, 3), (1, 0, 5, 2), (2**63 + 4, 2, 3, 1), (1, 9, 0, 2)]
+        keys = {1: stream_key(8, 1), 2**63 + 4: stream_key(8, 2**63 + 4)}
         got = complex_normal_ranges(8, ranges, (3,), keys=keys)
         assert got.tobytes() == complex_normal_ranges(8, ranges, (3,)).tobytes()
 
     def test_record_words(self):
         assert [record_words(s) for s in [(1,), (2,), (3,), (4, 4), (5, 2, 4)]] == [
             4, 4, 8, 32, 80]
-
-
-# Seeds and stream ids at the 32-bit word boundaries of SeedSequence's
-# entropy, and the sweep's stream bases (2**62, 2**63 + 2**62 + k).
-_KEY_EDGES = [0, 1, 2**32 - 1, 2**32, 2**62, 2**63,
-              *(2**63 + 2**62 + k for k in range(4)), 2**64 - 1]
-
-
-class TestPhiloxKeys:
-    @staticmethod
-    def _want(seed, ids):
-        return np.array([numerics._philox(seed, i).state["state"]["key"] for i in ids],
-                        dtype=np.uint64).reshape(-1, 2)
-
-    @given(seed=st.integers(-2**63, 2**64 - 1),
-           ids=st.lists(st.integers(0, 2**64 - 1), max_size=6))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_seed_sequence_keys(self, seed, ids):
-        got = philox_keys(seed, ids)
-        assert got.dtype == np.uint64 and got.shape == (len(ids), 2)
-        assert got.tobytes() == self._want(seed, ids).tobytes()
-
-    @pytest.mark.parametrize("seed", _KEY_EDGES + [-1, -2**32, -2**63])
-    def test_edge_cases(self, seed):
-        got = philox_keys(seed, _KEY_EDGES)
-        assert got.tobytes() == self._want(seed, _KEY_EDGES).tobytes()
-
-    @pytest.mark.parametrize("bad", [-1, 2**64])
-    def test_out_of_range_ids_rejected(self, bad):
-        with pytest.raises(ValueError, match="2\\*\\*64"):
-            philox_keys(3, [0, bad])

@@ -1,6 +1,7 @@
 import json
 import os
 import runpy
+import statistics
 import sys
 
 import pytest
@@ -54,7 +55,7 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
         run = bench["trees"]["change"][name]
         assert run["wall_s"] > 0 and len(run["runs_s"]) == 1
         assert run["min_s"] == run["max_s"] == run["wall_s"]
-        assert "resolved" not in run   # only later trees are compared
+        assert not {"resolved", "wins", "losses"} & set(run)   # only later trees are compared
         assert run["trials_per_s"] == 2 * 41 / run["wall_s"]
         assert set(run["stages_s"]) == {"setup", "points", "theory", "output"}
     assert bench["speedup"] == {"change": {name: 1.0 for name in runs}}
@@ -69,20 +70,61 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
     assert scans == {"fig4-scan"}
 
 
-def test_bench_presets_resolved_outside_first_tree_spread():
-    # A later tree's median is resolved only outside the first tree's
-    # [min_s, max_s]; the bounds themselves count as inside.
+def _mark_resolved(parent_s, change_s):
     mark = runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"))["mark_resolved"]
-    base = {"min_s": 0.24, "max_s": 0.38, "wall_s": 0.32}
-    results = {"parent": {"fig3": base},
-               **{label: {"fig3": {"wall_s": wall}} for label, wall in
-                  (("faster", 0.2), ("low", 0.24), ("inside", 0.35),
-                   ("high", 0.38), ("slower", 0.39))}}
+    results = {label: {"fig4": {"runs_s": runs, "wall_s": statistics.median(runs)}}
+               for label, runs in (("parent", parent_s), ("change", change_s))}
     mark(results, "parent")
-    assert "resolved" not in results["parent"]["fig3"]
-    assert {label: runs["fig3"]["resolved"] for label, runs in results.items()
-            if label != "parent"} == {"faster": True, "low": False, "inside": False,
-                                      "high": False, "slower": True}
+    assert set(results["parent"]["fig4"]) == {"runs_s", "wall_s"}
+    return results["change"]["fig4"]
+
+
+def test_bench_presets_three_repeats_are_unresolved():
+    # fig4-scan at 3 repeats read 2.24 -> 2.84 s, outside the parent's
+    # 1.86-2.74 s, on a host drifting by +-30%: too few pairs to tell.
+    run = _mark_resolved([1.86, 2.24, 2.74], [2.84, 2.80, 2.95])
+    assert (run["wins"], run["losses"], run["resolved"]) == (0, 3, False)
+
+
+def test_bench_presets_ten_wins_with_a_clear_gap_are_resolved():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.99]
+    run = _mark_resolved(parent, [t - 0.2 for t in parent])
+    assert (run["wins"], run["losses"], run["resolved"]) == (10, 0, True)
+    run = _mark_resolved(parent, [t + 0.2 for t in parent])
+    assert (run["wins"], run["losses"], run["resolved"]) == (0, 10, True)
+
+
+def test_bench_presets_eight_wins_are_unresolved():
+    # Two of the ten pairs tie, and count for neither side.
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.99]
+    change = [t - 0.2 for t in parent[:8]] + parent[8:]
+    run = _mark_resolved(parent, change)
+    assert (run["wins"], run["losses"], run["resolved"]) == (8, 0, False)
+
+
+def test_bench_presets_ten_wins_inside_the_spread_are_unresolved():
+    # The change wins every pair, by less than the parent's interquartile
+    # range of its own repeats.
+    parent = [1.0, 1.5, 2.0, 2.5, 3.0, 1.2, 1.7, 2.2, 2.7, 2.9]
+    run = _mark_resolved(parent, [t - 0.05 for t in parent])
+    assert (run["wins"], run["losses"], run["resolved"]) == (10, 0, False)
+
+
+def test_bench_presets_trees_take_turns_to_run_first(monkeypatch, tmp_path, capsys):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    monkeypatch.setattr(sys, "argv", [
+        "bench_presets.py", "--pr", "0", "--trials", "2", "--repeats", "2",
+        "--tree", f"a={src}", "--tree", f"b={src}", "--out-dir", str(tmp_path),
+        "--runs", "fig3"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    order = [line.split()[2:4] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("run ")]
+    assert order == [["a", "import:"], ["b", "import:"], ["a", "fig3:"], ["b", "fig3:"],
+                     ["b", "import:"], ["a", "import:"], ["b", "fig3:"], ["a", "fig3:"]]
+    run = json.loads((tmp_path / "BENCH_0.json").read_text())["trees"]["b"]["fig3"]
+    assert run["wins"] + run["losses"] <= 2 and run["resolved"] is False
 
 
 def test_bench_presets_band_runs_and_faults(monkeypatch, tmp_path):
