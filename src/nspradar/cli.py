@@ -45,30 +45,6 @@ class RunConfig:
                 "(from the config file, --workers or NSPSIM_THREADS)")
 
 
-# Config file keys -> ExperimentPlan fields (or run options), with the
-# kind `_convert` parses; the only list of config keys.
-_PLAN_KEYS = {
-    "m": ("m", int),
-    "n_bs": ("n_bs", int),
-    "k": ("k", int),
-    "l": ("l", int),
-    "theta_target_deg": ("theta_target_deg", float),
-    "snr_db": ("snr_grid_db", "grid"),
-    "pfa": ("pfa_list", "float_list"),
-    "trials": ("trials_per_point", int),
-    "seed": ("master_seed", int),
-    "channel_mode": ("channel_mode", str),
-    "modes": ("waveform_modes", "str_list"),
-    "scan": ("scan", "bool"),
-    "theta_step_deg": ("theta_step_deg", float),
-    "rank_tol_factor": ("rank_tol_factor", float),
-}
-_RUN_KEYS = {
-    "workers": int,
-    "emit_plot": "bool",
-    "output_dir": str,
-}
-
 PRESETS = {
     "fig3": dict(
         m=4, n_bs=2, k=5, pfa_list=(1e-3,),
@@ -98,21 +74,25 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_list(raw: str) -> list[str]:
+def _parse_list(raw: str) -> tuple[str, ...]:
     raw = raw.strip()
     if not (raw.startswith("[") and raw.endswith("]")):
         raise ConfigurationError(f"expected a [..] list, got {raw!r}")
     inner = raw[1:-1].strip()
     if not inner:
-        return []
-    return [item.strip() for item in inner.split(",")]
+        return ()
+    return tuple(item.strip() for item in inner.split(","))
+
+
+def _parse_floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _parse_list(raw))
 
 
 def _parse_grid(raw: str) -> tuple[float, ...]:
     """Either an explicit [a, b, c] list or a start:stop:step range (inclusive)."""
     raw = raw.strip()
     if raw.startswith("["):
-        return tuple(float(v) for v in _parse_list(raw))
+        return _parse_floats(raw)
     parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigurationError(
@@ -131,17 +111,34 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def _convert(key: str, kind, raw: str):
+# Config file keys -> ExperimentPlan fields (or run options), with the
+# parser of each key's value; the only list of config keys.
+_PLAN_KEYS = {
+    "m": ("m", int),
+    "n_bs": ("n_bs", int),
+    "k": ("k", int),
+    "l": ("l", int),
+    "theta_target_deg": ("theta_target_deg", float),
+    "snr_db": ("snr_grid_db", _parse_grid),
+    "pfa": ("pfa_list", _parse_floats),
+    "trials": ("trials_per_point", int),
+    "seed": ("master_seed", int),
+    "channel_mode": ("channel_mode", str),
+    "modes": ("waveform_modes", _parse_list),
+    "scan": ("scan", _parse_bool),
+    "theta_step_deg": ("theta_step_deg", float),
+    "rank_tol_factor": ("rank_tol_factor", float),
+}
+_RUN_KEYS = {
+    "workers": int,
+    "emit_plot": _parse_bool,
+    "output_dir": str,
+}
+
+
+def _convert(key: str, parse, raw: str):
     try:
-        if kind == "bool":
-            return _parse_bool(raw)
-        if kind == "grid":
-            return _parse_grid(raw)
-        if kind == "float_list":
-            return tuple(float(v) for v in _parse_list(raw))
-        if kind == "str_list":
-            return tuple(_parse_list(raw))
-        return kind(raw)
+        return parse(raw)
     except (ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"config key {key!r}: {exc}") from exc
 
@@ -169,8 +166,8 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         if key in _PLAN_KEYS:
-            field_name, kind = _PLAN_KEYS[key]
-            plan_kwargs[field_name] = _convert(key, kind, raw)
+            field_name, parse = _PLAN_KEYS[key]
+            plan_kwargs[field_name] = _convert(key, parse, raw)
         elif key in _RUN_KEYS:
             run_kwargs[key] = _convert(key, _RUN_KEYS[key], raw)
         else:
@@ -179,39 +176,6 @@ def parse_config(path: str) -> RunConfig:
     workers = run_kwargs.pop("workers") if "workers" in run_kwargs else _default_workers()
     plan = montecarlo.ExperimentPlan(**plan_kwargs)
     return RunConfig(plan=plan, workers=workers, **run_kwargs)
-
-
-def _format(kind, value) -> str:
-    """A config value as `_convert` reads it back."""
-    if kind == "bool":
-        return str(value).lower()
-    if kind in ("grid", "float_list"):
-        return f"[{', '.join(repr(v) for v in value)}]"
-    if kind == "str_list":
-        return f"[{', '.join(value)}]"
-    return repr(value) if kind is float else str(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config: parse(serialize(cfg)) == cfg.  A plan field
-    that is None (the default rank_tol_factor) is left out.  Raises
-    ValueError, naming the key and the value, for a value parse_config
-    would not read back: one that holds '#' (a comment) or a line break, or
-    has whitespace at either end (stripped)."""
-    keys = {name: (key, kind) for key, (name, kind) in _PLAN_KEYS.items()}
-    items = [(*keys[f.name], getattr(cfg.plan, f.name)) for f in fields(cfg.plan)]
-    items += [(key, kind, getattr(cfg, key)) for key, kind in _RUN_KEYS.items()]
-    lines = []
-    for key, kind, value in items:
-        if value is None:
-            continue
-        text = _format(kind, value)
-        if any(c in text for c in "#\n\r") or text != text.strip():
-            raise ValueError(
-                f"config key {key!r}: cannot serialize {value!r}, which holds '#' "
-                f"or a line break or has whitespace at either end")
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
 
 
 def _default_workers() -> int:
@@ -277,8 +241,9 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
         fh.write("\n")
 
 
-def write_plot_script(result, path: str, csv_name: str = "results.csv") -> None:
-    """Gnuplot script laying out one P_D-vs-SNR panel per false-alarm rate."""
+def write_plot_script(result, path: str) -> None:
+    """Gnuplot script laying out one P_D-vs-SNR panel per false-alarm rate,
+    plotted from the results.csv beside it."""
     plan = result.plan
     n_panels = len(plan.pfa_list)
     cols = 2 if n_panels > 1 else 1
@@ -301,7 +266,7 @@ def write_plot_script(result, path: str, csv_name: str = "results.csv") -> None:
         for label in (curve.label for curve in result.curves):
             cond = (f"(strcol({col['mode']}) eq '{label}' && "
                     f"column({col['pfa']}) == {pfa!r})")
-            using = f"'{csv_name}' using ({cond} ? ${col['snr_db']} : NaN)"
+            using = f"'results.csv' using ({cond} ? ${col['snr_db']} : NaN)"
             plots += [f"{using}:{col['pd_emp']} with linespoints title '{label}'",
                       f"{using}:{col['pd_theory_calibrated']} with lines dashtype 2 "
                       f"title '{label} (theory)'"]
@@ -312,7 +277,11 @@ def write_plot_script(result, path: str, csv_name: str = "results.csv") -> None:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the experiment and write results.csv / summary.json / plot.gp."""
+    """Execute the experiment and write results.csv / summary.json / plot.gp.
+
+    The directory and each of the run's output files that already exists
+    are checked before the sweep, so an unwritable one leaves every file as
+    it was."""
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
         probe = os.path.join(cfg.output_dir, ".write_probe")
@@ -322,6 +291,14 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
+    for name in ["results.csv", "summary.json"] + ["plot.gp"] * cfg.emit_plot:
+        try:  # "r+" neither creates nor truncates the file
+            open(os.path.join(cfg.output_dir, name), "r+").close()
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            print(f"error: output not writable: {exc}", file=sys.stderr)
+            return EXIT_OUTPUT
     t0 = time.perf_counter()
     try:
         result = montecarlo.run_experiment(cfg.plan, workers=cfg.workers)
@@ -336,7 +313,7 @@ def run(cfg: RunConfig) -> int:
         write_summary(result, cfg, t_output - t0,
                       os.path.join(cfg.output_dir, "summary.json"),
                       time.perf_counter() - t_output)
-    except OSError as exc:  # the probe passed, but an output file is unwritable
+    except OSError as exc:  # a write failed part way, e.g. on a full disk
         print(f"error: output not writable: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
     return EXIT_OK

@@ -278,14 +278,15 @@ class SnrGapReport:
     gap_db: dict
 
 
-def wilson_interval(successes, n, z: float = _WILSON_Z):
-    """95% Wilson score interval for a binomial rate: (lo, hi) as floats for
-    scalar counts, as arrays (elementwise, broadcast) for array counts.
+def wilson_interval(successes, n):
+    """95% Wilson score interval (z = _WILSON_Z) for a binomial rate: (lo, hi)
+    as floats for scalar counts, as arrays (elementwise, broadcast) for
+    array counts.
 
     Each element takes the operations of the scalar formula in its order,
     so it has the scalar formula's bits; n = 0 gives (0, 1).
     """
-    k, n = np.asarray(successes), np.asarray(n)
+    k, n, z = np.asarray(successes), np.asarray(n), _WILSON_Z
     zz = z * z
     with np.errstate(divide="ignore", invalid="ignore"):  # n = 0
         phat = k / n
@@ -673,41 +674,42 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     return out
 
 
-def _mean_theory_pd(plan: ExperimentPlan, snr: np.ndarray,
-                    gains: np.ndarray) -> dict:
-    """Theory P_D averaged over each point's channel draws, per convention
-    and P_FA: {(convention, pfa): (points, modes)}.
+def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
+    """Theory P_D averaged over each point's channel draws: a (convention,
+    points, pfa, modes) array, the conventions "paper" and "calibrated".
 
-    `gains` is (points, C, modes) and `snr` (points,); the noncentralities
-    are `detection.noncentrality`'s.  Points go in groups of about
-    _BLOCK_ELEMENTS values, since the noncentral survival function takes
-    several temporaries of its input's size; each point's trials are still
-    reduced in one step.
+    `gains` is (points, C, modes); the noncentralities are
+    `detection.noncentrality`'s at the linear SNR of each grid point.
+    Points go in groups of about _BLOCK_ELEMENTS values, since the
+    noncentral survival function takes several temporaries of its input's
+    size; each point's trials are still reduced in one step.
 
-    Raises NumericFailure, naming the mode, SNR and P_FA, where a value is
-    not finite: the noncentral survival function returns nan from
-    rho ~ 1e19 (about 175 dB at M = 4).
+    Raises NumericFailure, naming the mode, SNR and P_FA of the first value
+    that is not finite, by convention, then P_FA, then SNR, then mode: the
+    noncentral survival function returns nan from rho ~ 1e19 (about 175 dB
+    at M = 4).
     """
     labels = [label for label, _ in _mode_labels(plan)]
     orthogonal = np.array([label == MODE_ORTHOGONAL for label in labels])
+    conventions = ("paper", "calibrated")
+    snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
+    pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(labels)))
     step = max(1, _BLOCK_ELEMENTS // gains[0].size)
-    out = {(conv, p): [] for conv in ("paper", "calibrated") for p in plan.pfa_list}
     for i in range(0, len(snr), step):
         g, s = gains[i:i + step], snr[i:i + step, None, None]
-        for conv, p in out:
+        for c, conv in enumerate(conventions):
             rho = detection.noncentrality(conv, plan.m, s, g, orthogonal)
-            out[conv, p].append(detection.theoretical_pd(rho, p).mean(axis=1))
-    out = {key: np.concatenate(parts) for key, parts in out.items()}
-    for (conv, p), pd in out.items():
-        bad = np.argwhere(~np.isfinite(pd))
-        if len(bad):
-            i, mi = bad[0]
-            raise NumericFailure(
-                f"{conv} theory P_D of mode {labels[mi]!r} at SNR "
-                f"{plan.snr_grid_db[i]!r} dB, P_FA {p!r} is {float(pd[i, mi])!r}: "
-                f"the noncentral chi-squared survival function fails at so "
-                f"large a noncentrality")
-    return out
+            for j, p in enumerate(plan.pfa_list):
+                pd[c, i:i + step, j] = detection.theoretical_pd(rho, p).mean(axis=1)
+    bad = np.argwhere(~np.isfinite(pd.swapaxes(1, 2)))
+    if len(bad):
+        c, j, i, mi = bad[0]
+        raise NumericFailure(
+            f"{conventions[c]} theory P_D of mode {labels[mi]!r} at SNR "
+            f"{plan.snr_grid_db[i]!r} dB, P_FA {plan.pfa_list[j]!r} is "
+            f"{float(pd[c, i, j, mi])!r}: the noncentral chi-squared survival "
+            f"function fails at so large a noncentrality")
+    return pd
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
@@ -749,12 +751,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
         gains = np.broadcast_to(engine.target_gain, (len(plan.snr_grid_db),)
                                 + engine.target_gain.shape)
     t_theory = time.perf_counter()
-    snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
-    theory = _mean_theory_pd(plan, snr, gains)
+    paper, calibrated = _mean_theory_pd(plan, gains)
 
     trials = plan.trials_per_point
-    paper, calibrated = (np.stack([theory[conv, p] for p in plan.pfa_list], axis=1)
-                         for conv in ("paper", "calibrated"))
     # CurvePoint's fields in order, each broadcast to (points, pfa, modes)
     # and listed curve by curve, point by point, P_FA by P_FA.
     values = (np.array(plan.snr_grid_db)[:, None, None], np.array(plan.pfa_list)[:, None],
