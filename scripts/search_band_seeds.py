@@ -6,9 +6,10 @@ The per-BS gaps are channel-realization dependent, so tests that assert
 band membership need a pinned seed.  This script scans seeds and prints
 every one whose closed-form gaps (at the target angle, 20*log10(M/c)
 convention) satisfy the band, the spread requirement, and selection of
-the best-gap BS.  With exactly orthogonal waveforms the selection always
-ties and goes to BS 1, so a kept seed is one whose BS 1 has the best gap;
-a line on stderr says so.
+the best-gap BS.  Selection is the sweep's, the first BS of maximal
+nullity (`sharing.select_by_nullity`); full-rank channels all tie there,
+so it goes to BS 1 and a kept seed is one whose BS 1 has the best gap; a
+line on stderr says so.
 """
 
 import argparse
@@ -20,12 +21,11 @@ from nspradar import detection, radar, sharing
 from nspradar.numerics import rng_substream
 
 
-def gaps_for_seed(seed, m, n_bs, k, l, theta):
+def gaps_for_seed(seed, m, n_bs, k, theta):
     a = radar.steering_vector(m, theta)
-    x = radar.orthogonal_waveforms(m, l)
     h = sharing.channel_matrices([rng_substream(seed, 0)], k, n_bs, m)[0]
-    p, _ = sharing.null_projectors(h)
-    best, _ = sharing.select_projector(p, x)
+    p, nullity = sharing.null_projectors(h)
+    best = sharing.select_by_nullity(nullity)
     # X X^H = I, so the projected waveform's correlation is P itself.
     gain = detection.direction_gain(a, p)
     gaps = detection.theory_snr_gap_db(m, gain, "paper")
@@ -37,7 +37,6 @@ def main():
     parser.add_argument("--m", type=int, default=4)
     parser.add_argument("--n-bs", type=int, default=2)
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--l", type=int, default=16)
     parser.add_argument("--theta-deg", type=float, default=10.0)
     parser.add_argument("--band", type=float, nargs=2, default=(4.0, 15.0),
                         metavar=("LO", "HI"))
@@ -53,9 +52,7 @@ def main():
     lo, hi = args.band
     hits = 0
     for seed in range(args.max_seed):
-        gaps, selected = gaps_for_seed(
-            seed, args.m, args.n_bs, args.k, args.l, theta
-        )
+        gaps, selected = gaps_for_seed(seed, args.m, args.n_bs, args.k, theta)
         if not all(lo <= g <= hi for g in gaps):
             continue
         if max(gaps) - min(gaps) < args.min_spread:

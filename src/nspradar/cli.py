@@ -127,7 +127,6 @@ _PLAN_KEYS = {
     "modes": ("waveform_modes", _parse_list),
     "scan": ("scan", _parse_bool),
     "theta_step_deg": ("theta_step_deg", float),
-    "rank_tol_factor": ("rank_tol_factor", float),
 }
 _RUN_KEYS = {
     "workers": int,

@@ -90,7 +90,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import detection, radar, sharing
-from .errors import ConfigurationError, NumericFailure
+from .errors import ConfigurationError
 from .numerics import complex_normal_ranges, record_words, rng_substream, stream_key
 
 MODE_ORTHOGONAL = "orthogonal"
@@ -145,7 +145,6 @@ class ExperimentPlan:
     waveform_modes: tuple[str, ...] = (MODE_ORTHOGONAL, MODE_NSP_SELECTED)
     scan: bool = False
     theta_step_deg: float = 0.5
-    rank_tol_factor: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
@@ -175,6 +174,13 @@ class ExperimentPlan:
             raise ConfigurationError("pfa list must be non-empty")
         if not all(0 < p < 1 for p in self.pfa_list):
             raise ConfigurationError("pfa values must lie in (0, 1)")
+        # The threshold is the chi-squared quantile at 1 - pfa, which is
+        # finite only where 1 - pfa rounds below 1.
+        tiny = [p for p in self.pfa_list if 1 - p == 1]
+        if tiny:
+            raise ConfigurationError(
+                f"pfa values must exceed 2 ** -54 (about 5.6e-17) so that "
+                f"1 - pfa < 1, got {tiny}")
         if self.l < self.m:
             raise ConfigurationError(f"need l >= m, got l={self.l}, m={self.m}")
         if self.channel_mode not in (CHANNEL_FIXED, CHANNEL_REDRAWN):
@@ -194,14 +200,6 @@ class ExperimentPlan:
             raise ConfigurationError("theta_step_deg must lie in (0, 180]")
         if not abs(self.theta_target_deg) <= 90:  # also rejects nan
             raise ConfigurationError("theta_target_deg must lie in [-90, 90]")
-        # The largest singular value must count toward the rank
-        # (`sharing.null_projectors`), or a projector nulls nothing: P = I.
-        tol = self.rank_tol_factor
-        if tol is not None and not (math.isfinite(tol) and 0 <= tol
-                                    and tol * max(self.n_bs, self.m) < 1):
-            raise ConfigurationError(
-                f"rank_tol_factor must be finite, >= 0 and below "
-                f"1 / max(n_bs, m) = {1 / max(self.n_bs, self.m):g}, got {tol!r}")
 
     @property
     def theta_target(self) -> float:
@@ -327,7 +325,7 @@ def _stacked_modes(
     selection is the first BS of maximal nullity (`sharing.select_by_nullity`,
     equal to `sharing.select_projector` on these waveforms); no degradation
     norm is formed."""
-    p, nullity = sharing.null_projectors(h, plan.rank_tol_factor)  # (C, K, M, M)
+    p, nullity = sharing.null_projectors(h)  # (C, K, M, M)
     selected = sharing.select_by_nullity(nullity)
     c = len(h)
     blocks = {
@@ -683,17 +681,11 @@ def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
     Points go in groups of about _BLOCK_ELEMENTS values, since the
     noncentral survival function takes several temporaries of its input's
     size; each point's trials are still reduced in one step.
-
-    Raises NumericFailure, naming the mode, SNR and P_FA of the first value
-    that is not finite, by convention, then P_FA, then SNR, then mode: the
-    noncentral survival function returns nan from rho ~ 1e19 (about 175 dB
-    at M = 4).
     """
-    labels = [label for label, _ in _mode_labels(plan)]
-    orthogonal = np.array([label == MODE_ORTHOGONAL for label in labels])
+    orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
     conventions = ("paper", "calibrated")
     snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
-    pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(labels)))
+    pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(orthogonal)))
     step = max(1, _BLOCK_ELEMENTS // gains[0].size)
     for i in range(0, len(snr), step):
         g, s = gains[i:i + step], snr[i:i + step, None, None]
@@ -701,14 +693,6 @@ def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
             rho = detection.noncentrality(conv, plan.m, s, g, orthogonal)
             for j, p in enumerate(plan.pfa_list):
                 pd[c, i:i + step, j] = detection.theoretical_pd(rho, p).mean(axis=1)
-    bad = np.argwhere(~np.isfinite(pd.swapaxes(1, 2)))
-    if len(bad):
-        c, j, i, mi = bad[0]
-        raise NumericFailure(
-            f"{conventions[c]} theory P_D of mode {labels[mi]!r} at SNR "
-            f"{plan.snr_grid_db[i]!r} dB, P_FA {plan.pfa_list[j]!r} is "
-            f"{float(pd[c, i, j, mi])!r}: the noncentral chi-squared survival "
-            f"function fails at so large a noncentrality")
     return pd
 
 

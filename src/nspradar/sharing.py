@@ -23,7 +23,8 @@ from .numerics import svd
 # argmin is decided by this tolerance, which resolves ties to the lowest index.
 _TIE_RTOL = 1e-9
 
-_DEFAULT_RANK_TOL_FACTOR = 100 * np.finfo(float).eps
+# The null-space rank rule (`null_projectors`).
+_RANK_TOL_FACTOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -54,33 +55,30 @@ def channel_matrices(
     return math.sqrt(0.5) * (z[:, :, 0] + 1j * z[:, :, 1])
 
 
-def null_projectors(
-    h: np.ndarray, rank_tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def null_projectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projectors onto the null spaces of a (..., N_BS, M) stack
     of channel matrices: P shaped (..., M, M) and the nullities (...).
 
     The rank rule is the SVD's: singular values above
-    rank_tol * s_max * max(N_BS, M) count toward the numerical rank q, and
-    P projects onto the complement of the q leading right singular vectors.
+    _RANK_TOL_FACTOR * s_max * max(N_BS, M) count toward the numerical rank
+    q, and P projects onto the complement of the q leading right singular
+    vectors.
 
     For N_BS < M each matrix is first scaled to its largest entry and its
     rows are made orthonormal by two-pass classical Gram-Schmidt, so that
     P = I - W^H W with W the orthonormal rows.  The residual norms r_i
     multiply to s_1 ... s_N_BS <= s_min s_max^(N_BS - 1), and s_max <= ||H||_F,
     so prod(r_i / ||H||_F) bounds s_min / s_max from below: a matrix whose
-    bound exceeds twice the tolerance (never less than twice the default) is
-    full rank under the SVD rule too, with nullity M - N_BS.  Every other
-    matrix, every stack with N_BS >= M and any stack holding a non-finite
-    entry go to the SVD (`_svd_projectors`), so the nullities are the SVD
-    rule's exactly.  Each matrix's result depends on that matrix alone, not
-    on the stack it sits in.
+    bound exceeds 2 * _RANK_TOL_FACTOR * M is full rank under the SVD rule
+    too, with nullity M - N_BS.  Every other matrix, every stack with
+    N_BS >= M and any stack holding a non-finite entry go to the SVD
+    (`_svd_projectors`), so the nullities are the SVD rule's exactly.  Each
+    matrix's result depends on that matrix alone, not on the stack it sits
+    in.
     """
-    if rank_tol is None:
-        rank_tol = _DEFAULT_RANK_TOL_FACTOR
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or not 0 < h.shape[-2] < h.shape[-1] or not np.all(np.isfinite(h)):
-        return _svd_projectors(h, rank_tol)
+        return _svd_projectors(h)
     n_bs, m = h.shape[-2:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w, bound = _orthonormal_rows(h)
@@ -89,9 +87,9 @@ def null_projectors(
         p -= w[..., i, :, None].conj() * w[..., i, None, :]
     nullity = np.full(h.shape[:-2], m - n_bs)
     # max(N_BS, M) = M here; a nan bound (an all-zero matrix) fails too.
-    fallback = ~(bound > 2 * max(rank_tol, _DEFAULT_RANK_TOL_FACTOR) * m)
+    fallback = ~(bound > 2 * _RANK_TOL_FACTOR * m)
     if fallback.any():
-        p[fallback], nullity[fallback] = _svd_projectors(h[fallback], rank_tol)
+        p[fallback], nullity[fallback] = _svd_projectors(h[fallback])
     return p, nullity
 
 
@@ -118,14 +116,12 @@ def _orthonormal_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, bound
 
 
-def _svd_projectors(
-    h: np.ndarray, rank_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _svd_projectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`null_projectors` by the SVD H = U diag(s) V^H: P = V_null V_null^H
     from the trailing M - q right singular vectors."""
     _, s, v = svd(h)
     n_bs, m = h.shape[-2:]
-    q = np.sum(s > rank_tol * s[..., :1] * max(n_bs, m), axis=-1)
+    q = np.sum(s > _RANK_TOL_FACTOR * s[..., :1] * max(n_bs, m), axis=-1)
     # V with its first q columns zeroed, so that each matrix of the stack
     # keeps its own rank.
     v_null = v * (np.arange(m) >= q[..., None])[..., None, :]

@@ -114,7 +114,6 @@ channel_mode = redrawn-per-trial
 modes = [orthogonal, nsp-per-bs]
 scan = true
 theta_step_deg = 7.5
-rank_tol_factor = 0.001
 workers = 2
 emit_plot = true
 output_dir = elsewhere
@@ -128,7 +127,7 @@ output_dir = elsewhere
                 snr_grid_db=(0.0, 6.0), pfa_list=(0.1, 0.01), trials_per_point=50,
                 master_seed=5, channel_mode=montecarlo.CHANNEL_REDRAWN,
                 waveform_modes=(MODE_ORTHOGONAL, montecarlo.MODE_NSP_PER_BS),
-                scan=True, theta_step_deg=7.5, rank_tol_factor=0.001),
+                scan=True, theta_step_deg=7.5),
             output_dir="elsewhere", emit_plot=True, workers=2)
         defaults = cli.RunConfig(plan=montecarlo.ExperimentPlan())
         assert all(getattr(cfg.plan, f.name) != getattr(defaults.plan, f.name)
@@ -318,19 +317,22 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rank_tol_factor_that_nulls_nothing_exit_code(self, tmp_path, capsys):
-        # 0.5 * max(n_bs, m) >= 1: no singular value counts toward the rank,
-        # so every projector would be the identity.
-        path = write_config(tmp_path, SMALL + "rank_tol_factor = 0.5\n")
-        assert cli.main(["--config", path]) == cli.EXIT_CONFIG
-        assert "rank_tol_factor" in capsys.readouterr().err
+    def test_rank_tol_factor_is_an_unknown_key(self, tmp_path, capsys):
+        # The rank rule of the null-space projectors is a constant.
+        path = write_config(tmp_path, SMALL + "rank_tol_factor = 0.001\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "unknown config key 'rank_tol_factor'" in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("extra, want", [("", None), ("rank_tol_factor = 0.001\n", 0.001)])
-    def test_summary_echoes_rank_tol_factor(self, tmp_path, extra, want):
-        code, out = self._run(tmp_path, extra=extra)
-        assert code == cli.EXIT_OK
-        summary = json.loads(Path(out, "summary.json").read_text())
-        assert summary["plan"]["rank_tol_factor"] == want
+    def test_pfa_whose_complement_rounds_to_one_exit_code(self, tmp_path, capsys):
+        # 1 - 1e-17 == 1, so the threshold has no finite value; this used to
+        # exit 1 with a traceback.
+        path = write_config(tmp_path, "pfa = [1e-17]\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "got [1e-17]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("snr_db = [nan, 0.0]", "snr grid values must be finite"),
@@ -348,30 +350,22 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_finite_theory_exit_code(self, tmp_path, capsys):
-        # The noncentral survival function returns nan from rho ~ 1e19; the
-        # theory columns used to read nan with exit code 0.
-        path = write_config(tmp_path, SMALL.replace("[0.0, 6.0]", "[0.0, 400.0]"))
-        out = str(tmp_path / "out")
-        assert cli.main(["--config", path, "--out", out]) == cli.EXIT_NUMERIC
-        assert ("paper theory P_D of mode 'orthogonal' at SNR 400.0 dB, P_FA 0.1 "
-                "is nan") in capsys.readouterr().err
-        assert not os.path.exists(os.path.join(out, "results.csv"))
-
-    def test_non_finite_theory_names_the_first_bad_value(self, tmp_path, capsys):
-        # The calibrated orthogonal value fails from about 174.6 dB, the
-        # paper's from about 177.6 dB, and the paper's NSP values only
-        # further up: the first bad value is sought by convention, then
-        # P_FA, then SNR, then mode.
+    def test_theory_is_one_at_very_high_snr(self, tmp_path):
+        # The noncentral survival function returns nan from rho ~ 1e19 (about
+        # 175 dB at M = 4); such runs used to exit 4, though P_D there is 1.
         text = (SMALL.replace("[0.0, 6.0]", "[0.0, 176.0, 178.0, 400.0]")
                 .replace("[0.1]", "[0.1, 0.001]")
                 .replace("[orthogonal, nsp-selected]",
-                         "[nsp-per-bs, nsp-selected, orthogonal]"))
+                         "[orthogonal, nsp-per-bs, nsp-selected]"))
         out = str(tmp_path / "out")
         assert cli.main(["--config", write_config(tmp_path, text),
-                         "--out", out]) == cli.EXIT_NUMERIC
-        assert ("paper theory P_D of mode 'orthogonal' at SNR 178.0 dB, P_FA 0.1 "
-                "is nan") in capsys.readouterr().err
+                         "--out", out]) == cli.EXIT_OK
+        with open(os.path.join(out, "results.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5 * 4 * 2
+        for row in rows:
+            if float(row["snr_db"]) >= 176:
+                assert row["pd_theory_paper"] == row["pd_theory_calibrated"] == "1.0"
 
     @pytest.mark.parametrize("line, message", [
         ("snr_db = [1, 1]", "snr grid values must be distinct, got [1.0, 1.0]"),

@@ -14,7 +14,7 @@ from nspradar.detection import (
     theory_snr_gap_db,
 )
 from nspradar.errors import ConfigurationError
-from nspradar.numerics import chi2_central_inv, rng_substream
+from nspradar.numerics import chi2_central_inv, chi2_noncentral_sf, rng_substream
 from nspradar.radar import (
     orthogonal_waveforms,
     steering_vector,
@@ -266,6 +266,16 @@ class TestTheoreticalPd:
         want = oracles.noncentral_sf_quadrature(chi2_central_inv(0.9), 16.0)
         assert abs(got - want) < 1e-8
         assert got > 0.97
+
+    @pytest.mark.parametrize("pfa", [0.5, 1e-3, 1e-7, 6e-17])
+    def test_one_where_the_survival_function_fails(self, pfa):
+        # The survival function returns nan from rho ~ 1e19; P_D is 1 to
+        # double precision long before, and no value below 2 ** 62 changes.
+        rho = np.array([2.0**62, 1e20, 1e300, np.inf])
+        assert theoretical_pd(rho, pfa).tolist() == [1.0] * 4
+        below = np.array([0.0, 1.0, 1e3, 1e18, np.nextafter(2.0**62, 0)])
+        want = chi2_noncentral_sf(chi2_central_inv(1 - pfa), below)
+        assert theoretical_pd(below, pfa).tobytes() == want.tobytes()
 
     def test_monotone_in_noncentrality(self):
         vals = [theoretical_pd(r, 1e-3) for r in np.linspace(0, 60, 25)]

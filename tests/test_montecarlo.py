@@ -76,27 +76,18 @@ class TestPlanValidation:
             {"theta_step_deg": 0.0},
             {"m": 0},
             {"n_bs": 0},
-            {"rank_tol_factor": math.nan},
-            {"rank_tol_factor": math.inf},
-            {"rank_tol_factor": -1e-3},
-            # rank_tol_factor * max(n_bs, m) >= 1 nulls nothing: P = I.
-            {"rank_tol_factor": 0.5},
-            {"rank_tol_factor": 0.25},
-            {"m": 8, "l": 16, "rank_tol_factor": 0.125},
-            {"n_bs": 10, "rank_tol_factor": 0.1},
+            # 1 - pfa == 1: the threshold chi2_central_inv(1 - pfa) fails.
+            {"pfa_list": (1e-3, 1e-17)},
+            {"pfa_list": (2.0**-54,)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigurationError):
             ExperimentPlan(**kwargs)
 
-    @pytest.mark.parametrize("rank_tol_factor", [None, 0.0, 1e-3, 0.2])
-    def test_accepts_rank_tol_factors_that_keep_the_largest_singular_value(
-            self, rank_tol_factor):
-        plan = ExperimentPlan(rank_tol_factor=rank_tol_factor)
-        h = montecarlo._channels(plan, 0, 0, 1)
-        _, nullity = sharing.null_projectors(h, plan.rank_tol_factor)
-        assert np.all(nullity < plan.m)
+    def test_accepts_the_smallest_pfa_above_the_bound(self):
+        plan = tiny_plan(pfa_list=(np.nextafter(2.0**-54, 1),))
+        assert np.isfinite(run_experiment(plan).curves[0].points[0].pd_theory_paper)
 
     @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 5.0, 0.7])
     def test_scan_grid_is_unchanged_where_it_lies_within_90_degrees(self, step):
@@ -768,13 +759,11 @@ class TestRunExperiment:
         assert {stream_id for stream_id, *_ in read} == set(want)
         assert {substream for _, substream, *_ in read} == {0, 2}
 
-    @pytest.mark.parametrize("n_bs, m, rank_tol", [(2, 4, None), (1, 3, 1e-3),
-                                                   (4, 4, None), (6, 4, 0.0)])
-    def test_selection_is_the_degradation_argmin(self, n_bs, m, rank_tol):
+    @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 3), (4, 4), (6, 4)])
+    def test_selection_is_the_degradation_argmin(self, n_bs, m):
         # The set-up selects by nullity; on the orthogonal waveforms that is
         # select_projector's argmin, and nsp-selected takes its projector.
-        plan = tiny_plan(m=m, n_bs=n_bs, l=16, rank_tol_factor=rank_tol,
-                         channel_mode=CHANNEL_REDRAWN,
+        plan = tiny_plan(m=m, n_bs=n_bs, l=16, channel_mode=CHANNEL_REDRAWN,
                          waveform_modes=(MODE_NSP_SELECTED,))
         h = montecarlo._channels(plan, 0, 0, 40)
         h[::3, 1] = 0                                   # zero channels

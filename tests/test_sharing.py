@@ -6,7 +6,6 @@ from nspradar.errors import ConfigurationError
 from nspradar.numerics import rng_substream
 from nspradar.radar import orthogonal_waveforms
 from nspradar.sharing import (
-    _DEFAULT_RANK_TOL_FACTOR,
     _svd_projectors,
     channel_matrices,
     null_projectors,
@@ -89,9 +88,6 @@ class TestProjectionMatrix:
         assert nullity == m - min(n_bs, m)
 
 
-_RANK_TOLS = [None, 0.0, 1e-10, 1e-3]
-
-
 class TestGramSchmidtRoute:
     """`null_projectors` (Gram-Schmidt with its certificate, N_BS < M)
     against `_svd_projectors`, the SVD rule it must reproduce."""
@@ -101,15 +97,13 @@ class TestGramSchmidtRoute:
         data=st.data(),
         eps=st.sampled_from([0.0, 1e-14, 1e-8]),
         scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
-        tol_index=st.integers(0, len(_RANK_TOLS) - 1),
         seed=st.integers(0, 10**6),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_svd_rule(self, m, data, eps, scale, tol_index, seed):
+    def test_matches_svd_rule(self, m, data, eps, scale, seed):
         # A stack of a random channel, one whose second row is the first
         # plus eps times noise, an all-zero channel and a rank-one one.
         n_bs = data.draw(st.integers(1, m - 1))
-        rank_tol = _RANK_TOLS[tol_index]
         rng = np.random.default_rng(seed)
         h = complex_normal(rng, (4, n_bs, m))
         if n_bs > 1:
@@ -117,9 +111,8 @@ class TestGramSchmidtRoute:
         h[2] = 0
         h[3] = h[3, :1] * rng.standard_normal((n_bs, 1))
         h *= scale
-        p, nullity = null_projectors(h, rank_tol)
-        want_p, want_nullity = _svd_projectors(
-            h, _DEFAULT_RANK_TOL_FACTOR if rank_tol is None else rank_tol)
+        p, nullity = null_projectors(h)
+        want_p, want_nullity = _svd_projectors(h)
         np.testing.assert_array_equal(nullity, want_nullity)
         s = np.linalg.svd(h, compute_uv=False)
         for j in range(len(h)):
@@ -129,17 +122,6 @@ class TestGramSchmidtRoute:
             cond = s[j, 0] / s[j, q - 1] if q else 1.0
             tol = 1e-13 * max(1.0, np.linalg.norm(want_p[j])) * cond
             assert np.abs(p[j] - want_p[j]).max() <= tol
-
-    @pytest.mark.parametrize("m", [2, 4, 8])
-    def test_zero_tolerance_on_proportional_rows(self, m):
-        # Under rank_tol = 0 the SVD counts any nonzero s_min, which
-        # rounding decides for exactly proportional rows; the certificate
-        # leaves such rows to the SVD whatever the tolerance.
-        rng = np.random.default_rng(m)
-        h = complex_normal(rng, (20000, 2, m))
-        h[:, 1] = h[:, 0] * complex_normal(rng, (20000, 1))
-        _, nullity = null_projectors(h, 0.0)
-        np.testing.assert_array_equal(nullity, _svd_projectors(h, 0.0)[1])
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     def test_full_rank_channels_take_no_svd(self, monkeypatch, scale):
@@ -271,12 +253,9 @@ class TestStackedSharing:
     """The stacked projector and selection code against the same functions
     applied one matrix (the scalar path), one trial at a time."""
 
-    @pytest.mark.parametrize("n_bs, m, rank_tol", [
-        (2, 4, None), (1, 4, None), (3, 3, None), (4, 2, None),
-        (2, 4, 1e-3), (2, 8, 1e-3),
-    ])
+    @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 4), (3, 3), (4, 2), (2, 8)])
     @pytest.mark.parametrize("orthogonal", [True, False])
-    def test_matches_scalar_path(self, n_bs, m, rank_tol, orthogonal):
+    def test_matches_scalar_path(self, n_bs, m, orthogonal):
         rng = np.random.default_rng(n_bs * 100 + m)
         t, k, l = 6, 5, 2 * m
         h = _channel_stack(rng, t, k, n_bs, m)
@@ -284,11 +263,11 @@ class TestStackedSharing:
             x = orthogonal_waveforms(m, l)
         else:
             x = rng.standard_normal((m, l)) + 1j * rng.standard_normal((m, l))
-        p, nullity = null_projectors(h, rank_tol)
+        p, nullity = null_projectors(h)
         best, norms = select_projector(p, x)
         assert p.shape == (t, k, m, m) and nullity.shape == (t, k)
         for i in range(t):
-            projs = [null_projectors(h[i, j], rank_tol) for j in range(k)]
+            projs = [null_projectors(h[i, j]) for j in range(k)]
             for j, (pj, nj) in enumerate(projs):
                 np.testing.assert_array_equal(p[i, j], pj)
                 assert nullity[i, j] == nj
@@ -301,13 +280,10 @@ class TestStackedSharing:
 
     def test_rank_rule(self):
         # Rank-1 channels with two antennas leave an (M - 1)-dimensional null
-        # space; a second singular value of 1e-6 s_max counts toward the rank
-        # under the default tolerance but not under rank_tol = 1e-3.
+        # space; a second singular value of 1e-6 s_max counts toward the rank.
         h = _channel_stack(np.random.default_rng(0), 4, 5, 2, 4)
         _, nullity = null_projectors(h)
         assert np.all(nullity[:, 1] == 3) and np.all(nullity[:, 2] == 2)
-        _, nullity = null_projectors(h, 1e-3)
-        assert np.all(nullity[:, 2] == 3)
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_row_does_not_depend_on_stack_size(self, m):
@@ -344,24 +320,24 @@ class TestSelectByNullity:
     @staticmethod
     def _stack(rng, t, k, n_bs, m):
         h = rng.standard_normal((t, k, n_bs, m)) + 1j * rng.standard_normal((t, k, n_bs, m))
-        kind = rng.integers(0, 4, (t, k))
+        kind = rng.integers(0, 5, (t, k))
         h[kind == 1] = 0                                   # zero channel
         if n_bs > 1:                                       # repeated rows
             h[kind == 2, 1:] = h[kind == 2, :1]
-        # Rows scaled by 1e-9 beyond the first: rank-deficient or not,
-        # depending on the rank tolerance.
+        # Rows beyond the first scaled by 1e-9 (full rank under the rank
+        # rule) or by 1e-15 (rank one).
         h[kind == 3, 1:] *= 1e-9
+        h[kind == 4, 1:] *= 1e-15
         return h
 
     @given(seed=st.integers(0, 10**6), k=st.integers(1, 6),
            n_bs=st.integers(1, 9), m=st.sampled_from([1, 2, 3, 4, 8]),
-           l_extra=st.integers(0, 8),
-           rank_tol=st.sampled_from([None, 0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+           l_extra=st.integers(0, 8))
     @settings(max_examples=120, deadline=None)
     def test_equals_select_projector_on_orthogonal_waveforms(
-            self, seed, k, n_bs, m, l_extra, rank_tol):
+            self, seed, k, n_bs, m, l_extra):
         h = self._stack(np.random.default_rng(seed), 5, k, n_bs, m)
-        p, nullity = null_projectors(h, rank_tol)
+        p, nullity = null_projectors(h)
         want, norms = select_projector(p, orthogonal_waveforms(m, m + l_extra))
         assert select_by_nullity(nullity).tolist() == want.tolist()
         # The norms are sqrt(M - nullity).
