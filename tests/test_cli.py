@@ -325,13 +325,16 @@ class TestRun:
         assert "unknown config key 'rank_tol_factor'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_pfa_whose_complement_rounds_to_one_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("pfa, message", [("[1e-17]", "got [1e-17]"),
+                                              ("[0.1, 2e-17]", "got [2e-17]")])
+    def test_pfa_whose_complement_rounds_to_one_exit_code(self, tmp_path, capsys,
+                                                          pfa, message):
         # 1 - 1e-17 == 1, so the threshold has no finite value; this used to
         # exit 1 with a traceback.
-        path = write_config(tmp_path, "pfa = [1e-17]\n")
+        path = write_config(tmp_path, f"pfa = {pfa}\n")
         out = tmp_path / "out"
         assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
-        assert "got [1e-17]" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [

@@ -79,14 +79,17 @@ class TestPlanValidation:
             # 1 - pfa == 1: the threshold chi2_central_inv(1 - pfa) fails.
             {"pfa_list": (1e-3, 1e-17)},
             {"pfa_list": (2.0**-54,)},
+            {"pfa_list": (1e-300,)},
+            {"pfa_list": (5e-324,)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigurationError):
             ExperimentPlan(**kwargs)
 
-    def test_accepts_the_smallest_pfa_above_the_bound(self):
-        plan = tiny_plan(pfa_list=(np.nextafter(2.0**-54, 1),))
+    @pytest.mark.parametrize("pfa", [np.nextafter(2.0**-54, 1), 1e-16, 1e-10])
+    def test_accepts_pfas_above_the_bound(self, pfa):
+        plan = tiny_plan(pfa_list=(pfa,))
         assert np.isfinite(run_experiment(plan).curves[0].points[0].pd_theory_paper)
 
     @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 5.0, 0.7])

@@ -123,6 +123,17 @@ class TestGramSchmidtRoute:
             tol = 1e-13 * max(1.0, np.linalg.norm(want_p[j])) * cond
             assert np.abs(p[j] - want_p[j]).max() <= tol
 
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_proportional_rows_match_svd_rule(self, m):
+        # Rounding decides s_min of exactly proportional rows; the
+        # certificate leaves such rows to the SVD, which counts rank one.
+        rng = np.random.default_rng(m)
+        h = complex_normal(rng, (20000, 2, m))
+        h[:, 1] = h[:, 0] * complex_normal(rng, (20000, 1))
+        _, nullity = null_projectors(h)
+        np.testing.assert_array_equal(nullity, _svd_projectors(h)[1])
+        assert np.all(nullity == m - 1)
+
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     def test_full_rank_channels_take_no_svd(self, monkeypatch, scale):
         # Rayleigh channels pass the certificate at any scale: the rows are
@@ -253,7 +264,8 @@ class TestStackedSharing:
     """The stacked projector and selection code against the same functions
     applied one matrix (the scalar path), one trial at a time."""
 
-    @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 4), (3, 3), (4, 2), (2, 8)])
+    @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 4), (3, 3), (4, 2), (2, 8),
+                                         (1, 8), (3, 8)])
     @pytest.mark.parametrize("orthogonal", [True, False])
     def test_matches_scalar_path(self, n_bs, m, orthogonal):
         rng = np.random.default_rng(n_bs * 100 + m)
