@@ -20,14 +20,23 @@ from .radar import steering_vector
 GAIN_FLOOR_FRAC = 1e-10
 
 
+def check_pfa(pfa: float) -> None:
+    """Raise ConfigurationError unless 0 < pfa < 1 and 1 - pfa < 1, the
+    P_FA values whose threshold, the chi-squared quantile at 1 - pfa, is
+    finite: pfa in (2 ** -54, 1)."""
+    if not (0 < pfa < 1 and 1 - pfa < 1):
+        raise ConfigurationError(
+            f"pfa must lie in (2 ** -54, 1) so that 1 - pfa < 1 (2 ** -54 is "
+            f"about 5.6e-17), got {pfa}")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     pfa: float
     theta_grid: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.pfa < 1:
-            raise ConfigurationError(f"pfa must lie in (0, 1), got {self.pfa}")
+        check_pfa(self.pfa)
         g = np.asarray(self.theta_grid, dtype=float)
         if g.size == 0:
             raise ConfigurationError("theta grid must be non-empty")
@@ -125,11 +134,10 @@ def noncentrality(convention: str, m: int, snr, gain, orthogonal=False):
 
 def theoretical_pd(rho: float, pfa: float) -> float:
     """P_D = 1 - F_{chi2_2(rho)}( F^-1_{chi2_2}(1 - pfa) )."""
-    if not 0 < pfa < 1:
-        raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
+    check_pfa(pfa)
     # The survival function returns nan from rho ~ 1e19, but reads exactly 1
-    # at rho = 2 ** 62 for every threshold up to 1490 (a pfa of 1e-300; the
-    # smallest pfa, 2 ** -54, gives 75): P_D is 1 to double precision there.
+    # at rho = 2 ** 62 for every threshold up to 1490 (a pfa of 1e-300; a pfa
+    # just above 2 ** -54 gives 75): P_D is 1 to double precision there.
     return chi2_noncentral_sf(chi2_central_inv(1.0 - pfa), np.minimum(rho, 2.0**62))
 
 

@@ -48,8 +48,8 @@ stack and `_stacked_modes` turns it into projectors (one stacked
 it cannot certify full rank) and the selection per draw.
 With X X^H = I the degradation ||P X - X||_F is sqrt(M - nullity), so the
 selection is the first BS of maximal nullity, read from the same call
-(`sharing.select_by_nullity`); only a fixed channel's reported norms take
-`sharing.select_projector`.  Every waveform mode is one projector applied to
+(`sharing.select_by_nullity`), and a fixed channel's reported norms are
+those square roots.  Every waveform mode is one projector applied to
 X, so a set-up's modes are one (C, modes, M, M) stack in `_mode_labels`
 order: the identity, the K projectors, and the selected BS's projector,
 gathered per draw by its index; a selection rule only gives that index.
@@ -83,6 +83,7 @@ its one gain.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -130,6 +131,13 @@ _CHUNK = 2000
 _BLOCK_ELEMENTS = 2**17
 
 
+def max_snr_db(m: int) -> float:
+    """The largest SNR (dB) a plan with m antennas accepts, about
+    2967.5 - 20 log10(m) dB; derived above its check in `ExperimentPlan`."""
+    return (10 * math.log10(sys.float_info.max * detection.GAIN_FLOOR_FRAC / 32)
+            - 20 * math.log10(m))
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     m: int = 4
@@ -160,27 +168,38 @@ class ExperimentPlan:
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigurationError(
                 f"snr grid values must be finite, got {self.snr_grid_db}")
-        too_large = []
-        for s in self.snr_grid_db:
-            try:
-                10 ** (s / 10)
-            except OverflowError:  # a float power raises where it overflows
-                too_large.append(s)
+        # Up to S = F f / (32 M^2), with F the largest float and f the gain
+        # floor (`detection.GAIN_FLOOR_FRAC`), every value the sweep forms
+        # is finite, for every grid and projector.  Take an SNR s <= S.
+        # - Noise: no normal lies beyond ndtri(2 ** -54) = -8.29
+        #   (`numerics.normal_from_uniform`), so ||E0||_F <= 8.3 M and the
+        #   at-angle noise vector has ||w|| <= 8.3 M.  Since sqrt(S) is
+        #   about 1e147, (sqrt(s) + 8.3)^2 <= 2 S.
+        # - Scan: the anti-diagonal sums d of E = (alpha A + E0) P
+        #   (`_PointEngine`) have ||d||^2 <= M ||E||_F^2
+        #   <= M^3 (sqrt(s) + 8.3)^2 <= 2 M^3 S, as ||A||_F = M and
+        #   ||P||_2 <= 1.  Each of the 4M - 3 terms is a part of an
+        #   autocorrelation, at most ||d||^2 in size, and each basis entry
+        #   is at most 2 * 2 / (M c_g) <= 4 / (f M^2).  So every partial sum
+        #   of a terms @ basis product is below
+        #   4M * 2 M^3 S * 4 / (f M^2) = 32 M^2 S / f = F.
+        # - At the target angle alone: the numerator
+        #   g = w^T P a^* + alpha M c has |g| <= sqrt(c) (||w|| + sqrt(s) M^1.5)
+        #   with c <= M, so |g|^2 <= 2 M^4 S = F f M^2 / 16, below F for
+        #   every M whose M x M matrices fit in memory (M < 4e5), and the
+        #   scaled power 2 |g|^2 / (M c) <= 4 M^3 S likewise.
+        # - Theory: both `detection.noncentrality` conventions are at most
+        #   2 s M^2 <= F f / 16.
+        top = max_snr_db(self.m)
+        too_large = [s for s in self.snr_grid_db if s > top]
         if too_large:
             raise ConfigurationError(
-                f"snr grid values must have a finite linear SNR 10 ** (snr_db / 10) "
-                f"(below about 3082 dB), got {too_large}")
+                f"snr grid values must be at most {top!r} dB at m = {self.m}, "
+                f"where the statistics stay finite, got {too_large}")
         if not self.pfa_list:
             raise ConfigurationError("pfa list must be non-empty")
-        if not all(0 < p < 1 for p in self.pfa_list):
-            raise ConfigurationError("pfa values must lie in (0, 1)")
-        # The threshold is the chi-squared quantile at 1 - pfa, which is
-        # finite only where 1 - pfa rounds below 1.
-        tiny = [p for p in self.pfa_list if 1 - p == 1]
-        if tiny:
-            raise ConfigurationError(
-                f"pfa values must exceed 2 ** -54 (about 5.6e-17) so that "
-                f"1 - pfa < 1, got {tiny}")
+        for p in self.pfa_list:
+            detection.check_pfa(p)
         if self.l < self.m:
             raise ConfigurationError(f"need l >= m, got l={self.l}, m={self.m}")
         if self.channel_mode not in (CHANNEL_FIXED, CHANNEL_REDRAWN):
@@ -315,16 +334,16 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
 
 def _stacked_modes(
     plan: ExperimentPlan, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The modes' projectors for a (C, K, N_BS, M) stack of channel draws:
-    (proj, selected, p), with proj the (C, modes, M, M) stack in
-    `_mode_labels` order, selected the chosen BS's 0-based index (C,) and p
-    the BSs' projectors (C, K, M, M).
+    (proj, selected, p, nullity), with proj the (C, modes, M, M) stack in
+    `_mode_labels` order, selected the chosen BS's 0-based index (C,), p
+    the BSs' projectors (C, K, M, M) and nullity their nullities (C, K).
 
     The orthogonal waveforms have X X^H = I, so the minimum-degradation
-    selection is the first BS of maximal nullity (`sharing.select_by_nullity`,
-    equal to `sharing.select_projector` on these waveforms); no degradation
-    norm is formed."""
+    selection is the first BS of maximal nullity (`sharing.select_by_nullity`),
+    and BS i's degradation norm is sqrt(M - nullity_i); no waveform is
+    formed."""
     p, nullity = sharing.null_projectors(h)  # (C, K, M, M)
     selected = sharing.select_by_nullity(nullity)
     c = len(h)
@@ -335,7 +354,7 @@ def _stacked_modes(
         MODE_NSP_SELECTED: p[np.arange(c), selected, None],
     }
     proj = np.concatenate([blocks[mode] for mode in plan.waveform_modes], axis=1)
-    return proj, selected, p
+    return proj, selected, p, nullity
 
 
 def _channel_shape(plan: ExperimentPlan) -> tuple[int, int, int]:
@@ -703,17 +722,13 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
         h = _channels(plan, 0, 0, 1)
-        proj, selected, p = _stacked_modes(plan, h)
+        proj, selected, p, nullity = _stacked_modes(plan, h)
         engine = _PointEngine(plan, proj)
-        # The reported degradation norms are the paper's rule's, whose
-        # argmin is the selection.
-        x = radar.orthogonal_waveforms(plan.m, plan.l)
-        _, norms = sharing.select_projector(p, x)
-        x_tx = p[0, selected[0]] @ x
-        residual = sharing.residual_interference(h[0, selected[0]], x_tx)
+        best = int(selected[0])
         selection = sharing.ChannelSelection(
-            selected=int(selected[0]) + 1, norms=tuple(float(n) for n in norms[0]),
-            residual_interference=residual)
+            selected=best + 1,
+            norms=tuple(math.sqrt(plan.m - n) for n in nullity[0].tolist()),
+            residual_interference=sharing.residual_interference(h[0, best], p[0, best]))
     t_points = time.perf_counter()
     tiles = _tiles(plan)
     groups = min(workers, len(tiles))

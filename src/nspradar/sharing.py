@@ -1,6 +1,6 @@
 """Spectrum sharing machinery on stacks of channels: Rayleigh-fading channel
-draws, null-space projectors, minimum-degradation selection and residual
-interference.
+draws, null-space projectors, minimum-degradation selection by nullity and
+residual interference.
 
 A projector onto a channel's null space needs only an orthonormal basis of
 its N_BS rows, so for N_BS < M it is built by Gram-Schmidt; the SVD's rank
@@ -17,22 +17,18 @@ import numpy as np
 from .errors import ConfigurationError
 from .numerics import svd
 
-# Relative tie window for the argmin over degradation norms.  With exactly
-# orthogonal waveforms every channel degrades the waveform by the identical
-# amount (||P X - X||_F^2 = min(N_BS, M) for any full-rank channel), so the
-# argmin is decided by this tolerance, which resolves ties to the lowest index.
-_TIE_RTOL = 1e-9
-
 # The null-space rank rule (`null_projectors`).
 _RANK_TOL_FACTOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class ChannelSelection:
-    """Result of the minimum-degradation argmin over K projectors."""
+    """Result of the minimum-degradation selection over K projectors."""
 
     selected: int                 # 1-based index of the winning BS
-    norms: tuple[float, ...]      # ||P_i X - X||_F per BS, in BS order
+    # ||P_i X - X||_F per BS, in BS order: sqrt(M - nullity_i) for the
+    # waveforms with X X^H = I.
+    norms: tuple[float, ...]
     # `residual_interference` of the selected waveform at the selected BS.
     residual_interference: float
 
@@ -128,46 +124,25 @@ def _svd_projectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v_null @ np.swapaxes(v_null.conj(), -1, -2), m - q
 
 
-def _gram_factor(x: np.ndarray) -> np.ndarray:
-    """An M x min(M, L) factor F of the waveform Gram matrix, F F^H = X X^H.
-
-    ||A X||_F = ||A F||_F for every A, so the degradation norms need F
-    alone, never the M x L samples.
-    """
-    return np.linalg.qr(x.conj().T, mode="r").conj().T
-
-
-def select_projector(p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-degradation selection over the K axis of a (..., K, M, M)
-    stack of projectors.
-
-    Returns the winning index (...) and the norms ||P_i X - X||_F (..., K).
-    Norms within a relative _TIE_RTOL of the least tie, and a tie goes to
-    the lowest index.
-    """
-    f = _gram_factor(x)
-    norms = np.linalg.norm(p @ f - f, axis=(-2, -1))
-    best = norms.min(axis=-1, keepdims=True)
-    return np.argmax(norms <= best * (1 + _TIE_RTOL) + 1e-12, axis=-1), norms
-
-
 def select_by_nullity(nullity: np.ndarray) -> np.ndarray:
     """Minimum-degradation selection over the last axis of a (..., K) array
     of projector nullities (`null_projectors`): the first index of maximal
     nullity.
 
-    For waveforms with X X^H = I, ||P X - X||_F^2 = tr(I - P) = M - nullity,
-    so this is `select_projector`'s argmin.  Norms of unequal nullities
-    differ by at least sqrt(M) - sqrt(M - 1) >= 1 / (2 sqrt(M)), far outside
-    its tie window, and equal nullities tie there and go to the lowest index
-    as here.
+    This is the argmin of the degradation norms ||P X - X||_F, ties going
+    to the lowest index: for waveforms with X X^H = I,
+    ||P X - X||_F^2 = tr(I - P) = M - nullity, so equal nullities tie
+    exactly and unequal ones differ by at least sqrt(M) - sqrt(M - 1).
     """
     return np.argmax(nullity, axis=-1)
 
 
 def residual_interference(h: np.ndarray, x_tx: np.ndarray) -> float:
     """Normalized residual power a channel still receives from the
-    transmitted samples: ||H X_tx||_F / max(1, ||H||_F ||X_tx||_F)."""
+    transmitted samples: ||H X_tx||_F / max(1, ||H||_F ||X_tx||_F).
+
+    Both norms are unchanged by X_tx -> X_tx X for X X^H = I, so the
+    projector P itself (the samples of X = I_M) gives the value of P X."""
     num = float(np.linalg.norm(h @ x_tx))
     den = max(1.0, float(np.linalg.norm(h)) * float(np.linalg.norm(x_tx)))
     return num / den

@@ -91,7 +91,7 @@ class TestAcceptance:
             trials_per_point=n, master_seed=7,
             waveform_modes=(MODE_ORTHOGONAL,),
         )
-        modes, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
+        modes = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, modes)
         stats = np.empty(n)
         for start in range(0, n, 10_000):
@@ -170,17 +170,17 @@ class TestAcceptance:
                     if curve.label.startswith("nsp-bs"):
                         s = sel[pt.snr_db]
                         ok &= s.pd_emp >= pt.pd_emp - (s.ci_hi - s.ci_lo)
-            # selection argmin vs brute-force recomputation, for the fixed
-            # draw shared by all trials and for 50 independent redraws
+            # the sweep's selection vs brute-force recomputation of the
+            # degradation argmin, for the fixed draw shared by all trials
+            # and for 50 independent redraws
             x = radar.orthogonal_waveforms(plan.m, plan.l)
             draws = [montecarlo._channels(plan, 0, 0, 1)[0]]
             for r in range(50):
                 rng = rng_substream(plan.master_seed, montecarlo._REDRAW_BASE + r)
                 draws.append(sharing.channel_matrices([rng], plan.k, plan.n_bs, plan.m)[0])
-            for h in draws:
-                p, _ = sharing.null_projectors(h)
-                got, _ = sharing.select_projector(p, x)
-                idx, _ = oracles.brute_force_argmin_norms(list(p), x)
+            _, selected, p, _ = montecarlo._stacked_modes(plan, np.stack(draws))
+            for got, pc in zip(selected.tolist(), p):
+                idx, _ = oracles.brute_force_argmin_norms(list(pc), x)
                 ok &= got == idx
         _report(5, "dominance and selection optimality", bool(ok))
 

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nspradar import cli, montecarlo
@@ -256,6 +258,11 @@ class TestRun:
         assert code == cli.EXIT_OK
         selection = json.loads(Path(out, "summary.json").read_text())["selection"]
         assert 0.0 <= selection["residual_interference"] <= bound
+        # ||P X - X||_F = sqrt(M - nullity) exactly: sqrt(2) per full-rank
+        # 2 x 4 channel, 2 = sqrt(4) per 4 x 4 one.
+        want = math.sqrt(4 - (4 - n_bs))
+        assert selection["degradation_norms"] == [want] * 3
+        assert selection["selected_bs"] == 1
 
     def test_reruns_are_byte_identical(self, tmp_path):
         _, out1 = self._run(tmp_path)
@@ -325,8 +332,8 @@ class TestRun:
         assert "unknown config key 'rank_tol_factor'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("pfa, message", [("[1e-17]", "got [1e-17]"),
-                                              ("[0.1, 2e-17]", "got [2e-17]")])
+    @pytest.mark.parametrize("pfa, message", [("[1e-17]", "got 1e-17"),
+                                              ("[0.1, 2e-17]", "got 2e-17")])
     def test_pfa_whose_complement_rounds_to_one_exit_code(self, tmp_path, capsys,
                                                           pfa, message):
         # 1 - 1e-17 == 1, so the threshold has no finite value; this used to
@@ -342,8 +349,8 @@ class TestRun:
         ("snr_db = [inf]", "snr grid values must be finite"),
         # 10 ** 400 overflows a float; this used to exit 1 with a traceback.
         ("snr_db = [0.0, 4000.0]",
-         "snr grid values must have a finite linear SNR 10 ** (snr_db / 10) "
-         "(below about 3082 dB), got [4000.0]"),
+         f"snr grid values must be at most {montecarlo.max_snr_db(4)!r} dB at "
+         f"m = 4, where the statistics stay finite, got [4000.0]"),
         ("theta_target_deg = nan", "theta_target_deg must lie in [-90, 90]"),
     ])
     def test_non_finite_angle_or_snr_exit_code(self, tmp_path, capsys, line, message):
@@ -351,6 +358,17 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_snr_just_above_the_bound_exit_code(self, tmp_path, capsys, m):
+        # 3070 dB at m = 4 used to run, its scan statistics nan and its
+        # detections 0; the bound now stops such a plan.
+        above = float(np.nextafter(montecarlo.max_snr_db(m), np.inf))
+        path = write_config(tmp_path, f"m = {m}\nl = 16\nsnr_db = [0.0, {above!r}]\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"got [{above!r}]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_theory_is_one_at_very_high_snr(self, tmp_path):

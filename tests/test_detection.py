@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import stats as scipy_stats
 
 from nspradar.detection import (
     DetectorConfig,
+    check_pfa,
     direction_gain,
     glrt_scan,
     noncentrality,
@@ -254,6 +256,39 @@ class TestNoncentralities:
     def test_unknown_convention(self):
         with pytest.raises(ValueError, match=r"'published'.*\['calibrated', 'paper'\]"):
             noncentrality("published", 4, 1.0, 4.0)
+
+
+class TestCheckPfa:
+    """One P_FA rule for the plan, the detector and the theory: the
+    threshold at 1 - pfa is finite."""
+
+    BAD = [1e-17, 2.0**-54, 0.0, 1.0, -0.1, float("nan")]
+
+    @staticmethod
+    def _message(pfa):
+        return re.escape("pfa must lie in (2 ** -54, 1)") + ".*" + re.escape(f"got {pfa}")
+
+    @pytest.mark.parametrize("pfa", BAD)
+    def test_detector_config_rejects(self, pfa):
+        with pytest.raises(ConfigurationError, match=self._message(pfa)):
+            DetectorConfig(pfa=pfa, theta_grid=np.array([0.0]))
+
+    @pytest.mark.parametrize("pfa", BAD)
+    def test_theoretical_pd_rejects(self, pfa):
+        # 1e-17 used to fail in the quantile with "p must lie in [0, 1),
+        # got 1.0", naming neither P_FA nor the bound.
+        with pytest.raises(ConfigurationError, match=self._message(pfa)):
+            theoretical_pd(1.0, pfa)
+
+    def test_accepts_the_next_value_above_the_bound(self):
+        pfa = float(np.nextafter(2.0**-54, 1))
+        check_pfa(pfa)
+        cfg = DetectorConfig(pfa=pfa, theta_grid=np.array([0.0]))
+        x = orthogonal_waveforms(4, 16)
+        result = glrt_scan(sufficient_statistic(x, x), np.eye(4), cfg)
+        assert result.threshold == chi2_central_inv(1 - pfa) < 76
+        # 1 - pfa rounds to 1 - 2 ** -53, so the threshold's rate is 2 ** -53.
+        assert theoretical_pd(0.0, pfa) == pytest.approx(2.0**-53, rel=1e-12, abs=0)
 
 
 class TestTheoreticalPd:

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from nspradar.montecarlo import (
     MODE_NSP_SELECTED,
     MODE_ORTHOGONAL,
     ExperimentPlan,
+    max_snr_db,
     mean_selected_gap_db,
     run_experiment,
     run_trial,
@@ -91,6 +93,50 @@ class TestPlanValidation:
     def test_accepts_pfas_above_the_bound(self, pfa):
         plan = tiny_plan(pfa_list=(pfa,))
         assert np.isfinite(run_experiment(plan).curves[0].points[0].pd_theory_paper)
+
+    @pytest.mark.parametrize("pfa", [1e-17, 2.0**-54, 0.0, 1.0, float("nan")])
+    def test_pfa_message_names_the_value_and_the_bound(self, pfa):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("pfa must lie in (2 ** -54, 1)") + ".*"
+                           + re.escape(f"got {pfa}")):
+            tiny_plan(pfa_list=(0.1, pfa))
+
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    def test_snr_bound(self, m):
+        # The top of the SNR range is max_snr_db(m) itself; the next float
+        # above it is named in the error.
+        top = max_snr_db(m)
+        assert top == pytest.approx(2967.4956558 - 20 * math.log10(m), abs=1e-6)
+        assert tiny_plan(m=m, snr_grid_db=(0.0, top)).snr_grid_db[-1] == top
+        above = float(np.nextafter(top, np.inf))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"at most {top!r} dB at m = {m}, ")
+                           + ".*" + re.escape(f"got [{above!r}]")):
+            tiny_plan(m=m, snr_grid_db=(0.0, above))
+
+    @pytest.mark.parametrize("m, n_bs", [(4, 2), (4, 3), (8, 2), (8, 7)])
+    @pytest.mark.parametrize("scan, channel_mode", [(True, CHANNEL_FIXED),
+                                                    (True, CHANNEL_REDRAWN),
+                                                    (False, CHANNEL_FIXED)])
+    def test_detects_at_the_snr_bound(self, m, n_bs, scan, channel_mode):
+        # At the bound every value the sweep forms is finite, so nothing
+        # warns, and every mode that is not degenerate detects every
+        # target.  Above about 3060 dB the scan's terms used to overflow to
+        # nan statistics that detected nothing.
+        top = max_snr_db(m)
+        plan = tiny_plan(m=m, n_bs=n_bs, k=3, snr_grid_db=(0.0, top),
+                         pfa_list=(0.1, 1e-6), trials_per_point=10, scan=scan,
+                         theta_step_deg=5.0, channel_mode=channel_mode,
+                         waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS,
+                                         MODE_NSP_SELECTED))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_experiment(plan)
+        top_points = [pt for c in result.curves for pt in c.points if pt.snr_db == top]
+        assert len(top_points) == 5 * 2
+        for pt in top_points:
+            assert pt.degenerate == 0
+            assert pt.pd_emp == pt.pd_theory_paper == pt.pd_theory_calibrated == 1.0
 
     @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 5.0, 0.7])
     def test_scan_grid_is_unchanged_where_it_lies_within_90_degrees(self, step):
@@ -316,7 +362,7 @@ class TestEngineOracle:
             waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
             scan=scan, theta_step_deg=1.0,
         )
-        proj, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, proj)
         alpha = math.sqrt(10 ** (6.0 / 10))
         e1 = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, 8)
@@ -368,8 +414,8 @@ class TestScanKernel:
                          waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS,
                                          MODE_NSP_SELECTED))
         rows = 6
-        proj, _, _ = montecarlo._stacked_modes(
-            plan, montecarlo._channels(plan, 1, 0, rows))
+        proj = montecarlo._stacked_modes(
+            plan, montecarlo._channels(plan, 1, 0, rows))[0]
         engine = montecarlo._PointEngine(plan, proj)
         noise = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, rows)
         for alpha in (0.0, math.sqrt(10 ** (6.0 / 10))):
@@ -385,7 +431,7 @@ class TestScanKernel:
         # entry; the trigonometric polynomial's one real product takes 8.
         plan = tiny_plan(scan=True, k=5, trials_per_point=100,
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
-        proj, _, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, proj)
         noise = montecarlo._noise_block(plan, 0, montecarlo._H1, 0, 100)
         engine.statistics(noise, 1.0)
@@ -688,6 +734,26 @@ class TestRunExperiment:
         assert len(calls) == 1
         assert result.selection.residual_interference < 1e-12
 
+    @pytest.mark.parametrize("m, n_bs", [(4, 2), (4, 4), (4, 6), (8, 3)])
+    def test_fixed_report_forms_no_waveform(self, m, n_bs, monkeypatch):
+        # The reported norms are sqrt(M - nullity) exactly, and the
+        # brute-force norms of the orthogonal waveform to rounding; the
+        # selection is the brute-force argmin.
+        def no_waveform(*args):
+            raise AssertionError("run_experiment formed a waveform")
+
+        plan = tiny_plan(m=m, n_bs=n_bs, trials_per_point=5)
+        monkeypatch.setattr(radar, "orthogonal_waveforms", no_waveform)
+        selection = run_experiment(plan).selection
+        monkeypatch.undo()
+        p, nullity = sharing.null_projectors(montecarlo._channels(plan, 0, 0, 1)[0])
+        assert selection.norms == tuple(math.sqrt(m - n) for n in nullity.tolist())
+        idx, want = oracles.brute_force_argmin_norms(
+            list(p), radar.orthogonal_waveforms(m, plan.l))
+        assert selection.selected == idx + 1
+        np.testing.assert_allclose(selection.norms, want, rtol=1e-12)
+        assert selection.residual_interference < 1e-12
+
     @pytest.mark.parametrize("chunk", [20, montecarlo._CHUNK])
     def test_redrawn_setup_is_built_once_per_tile(self, chunk, monkeypatch):
         # P points x T trials take ceil(P T / rows) set-ups, not one per point.
@@ -765,15 +831,17 @@ class TestRunExperiment:
     @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 3), (4, 4), (6, 4)])
     def test_selection_is_the_degradation_argmin(self, n_bs, m):
         # The set-up selects by nullity; on the orthogonal waveforms that is
-        # select_projector's argmin, and nsp-selected takes its projector.
+        # the brute-force degradation argmin, and nsp-selected takes its
+        # projector.
         plan = tiny_plan(m=m, n_bs=n_bs, l=16, channel_mode=CHANNEL_REDRAWN,
                          waveform_modes=(MODE_NSP_SELECTED,))
         h = montecarlo._channels(plan, 0, 0, 40)
         h[::3, 1] = 0                                   # zero channels
         h[1::3, 2, 1:] = h[1::3, 2, :1]                 # repeated rows
-        proj, selected, p = montecarlo._stacked_modes(plan, h)
-        want, _ = sharing.select_projector(p, radar.orthogonal_waveforms(m, plan.l))
-        assert selected.tolist() == want.tolist()
+        proj, selected, p, _ = montecarlo._stacked_modes(plan, h)
+        x = radar.orthogonal_waveforms(m, plan.l)
+        want = [oracles.brute_force_argmin_norms(list(pc), x)[0] for pc in p]
+        assert selected.tolist() == want
         assert proj[:, 0].tobytes() == p[np.arange(40), want].tobytes()
 
     def test_redrawn_worker_count_invariance(self):
@@ -870,6 +938,8 @@ class TestRunExperiment:
 # from P itself, the projected waveform's correlation, and again (by at most
 # 6.8e-16 relative, with the selection's norms by 1-2 ulp of sqrt(2)) when
 # full-rank projectors came to be built by Gram-Schmidt rather than the SVD.
+# The norms were re-read as exactly sqrt(2) when they came to be
+# sqrt(M - nullity) rather than formed from the waveform.
 # Every tally, and the "redrawn" theory floats at 0 dB, were re-read when
 # each stream kind got one key and the SNR index became its Philox
 # substream (same law, new realization); the fixed and scan theory floats
@@ -951,7 +1021,7 @@ class TestGoldenOutputs:
         assert got == GOLDEN[setting]
         if setting != "redrawn":
             assert result.selection.selected == 1
-            assert result.selection.norms == (1.4142135623730947, 1.414213562373095)
+            assert result.selection.norms == (math.sqrt(2), math.sqrt(2))
 
 
 class TestSnrGap:
@@ -978,7 +1048,7 @@ class TestSnrGap:
         h = sharing.channel_matrices([rng_substream(plan.master_seed, 0)],
                                      plan.k, plan.n_bs, plan.m)[0]
         p, _ = sharing.null_projectors(h)
-        best, _ = sharing.select_projector(p, x)
+        best, _ = oracles.brute_force_argmin_norms(list(p), x)
         gain = detection.direction_gain(a, oracles.waveform_correlation(p[best] @ x))
         want = detection.theory_snr_gap_db(plan.m, gain, "calibrated")
         assert abs(report.gap_db[MODE_NSP_SELECTED] - want) < 0.05

@@ -11,7 +11,6 @@ from nspradar.sharing import (
     null_projectors,
     residual_interference,
     select_by_nullity,
-    select_projector,
 )
 
 import oracles
@@ -159,39 +158,6 @@ class TestGramSchmidtRoute:
             null_projectors(h)
 
 
-class TestSelectChannel:
-    def test_identity_projector_wins(self):
-        x = orthogonal_waveforms(4, 16)
-        p = np.stack([np.zeros((4, 4), dtype=complex), np.eye(4, dtype=complex)])
-        best, norms = select_projector(p, x)
-        assert best == 1
-        assert norms[1] < 1e-12
-
-    def test_single_candidate(self):
-        x = orthogonal_waveforms(4, 16)
-        best, _ = select_projector(np.eye(4, dtype=complex)[None], x)
-        assert best == 0
-
-    def test_matches_brute_force_on_nonorthogonal_waveform(self):
-        # A random (non-orthogonal) sample matrix gives distinct norms.
-        rng = rng_substream(3, 0)
-        x = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        p, _ = null_projectors(channel_matrices([rng], 5, 2, 4)[0])
-        best, norms = select_projector(p, x)
-        idx, want = oracles.brute_force_argmin_norms(list(p), x)
-        assert best == idx
-        np.testing.assert_allclose(norms, want)
-
-    def test_orthogonal_waveform_ties_resolve_to_lowest_bs(self):
-        # For exactly orthogonal waveforms every full-rank channel degrades
-        # the waveform identically, so the argmin is a tie.
-        x = orthogonal_waveforms(4, 16)
-        p, _ = null_projectors(channel_matrices([rng_substream(3, 1)], 5, 2, 4)[0])
-        best, norms = select_projector(p, x)
-        assert best == 0
-        np.testing.assert_allclose(norms, np.sqrt(2.0), rtol=1e-9)
-
-
 @st.composite
 def _shapes(draw):
     """(M, L, N_BS) with M in 1..8, L in M..3M and N_BS in 1..M + 1."""
@@ -233,8 +199,9 @@ class TestResidualInterference:
     def test_selected_channel_residual_vanishes(self):
         x = orthogonal_waveforms(4, 16)
         h = channel_matrices([rng_substream(5, 0)], 3, 2, 4)[0]
-        p, _ = null_projectors(h)
-        best, _ = select_projector(p, x)
+        p, nullity = null_projectors(h)
+        best, _ = oracles.brute_force_argmin_norms(list(p), x)
+        assert best == select_by_nullity(nullity)
         assert residual_interference(h[best], p[best] @ x) < 1e-8
 
     def test_unselected_channel_sees_power(self):
@@ -242,6 +209,10 @@ class TestResidualInterference:
         h = channel_matrices([rng_substream(5, 1)], 2, 2, 4)[0]
         p, _ = null_projectors(h)
         assert residual_interference(h[1], p[0] @ x) > 1e-3
+        # The samples of X = I_M, P itself, give the value of every X with
+        # X X^H = I.
+        assert residual_interference(h[1], p[0]) == pytest.approx(
+            residual_interference(h[1], p[0] @ x), rel=1e-12)
 
     def test_zero_waveform(self):
         h = channel_matrices([rng_substream(5, 2)], 1, 2, 4)[0]
@@ -266,29 +237,23 @@ class TestStackedSharing:
 
     @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 4), (3, 3), (4, 2), (2, 8),
                                          (1, 8), (3, 8)])
-    @pytest.mark.parametrize("orthogonal", [True, False])
-    def test_matches_scalar_path(self, n_bs, m, orthogonal):
+    def test_matches_scalar_path(self, n_bs, m):
         rng = np.random.default_rng(n_bs * 100 + m)
-        t, k, l = 6, 5, 2 * m
+        t, k = 6, 5
         h = _channel_stack(rng, t, k, n_bs, m)
-        if orthogonal:
-            x = orthogonal_waveforms(m, l)
-        else:
-            x = rng.standard_normal((m, l)) + 1j * rng.standard_normal((m, l))
+        x = orthogonal_waveforms(m, 2 * m)
         p, nullity = null_projectors(h)
-        best, norms = select_projector(p, x)
+        best = select_by_nullity(nullity)
         assert p.shape == (t, k, m, m) and nullity.shape == (t, k)
         for i in range(t):
             projs = [null_projectors(h[i, j]) for j in range(k)]
             for j, (pj, nj) in enumerate(projs):
                 np.testing.assert_array_equal(p[i, j], pj)
                 assert nullity[i, j] == nj
-            sel, sel_norms = select_projector(np.stack([pj for pj, _ in projs]), x)
-            assert sel == best[i]
-            np.testing.assert_array_equal(norms[i], sel_norms)
             idx, want = oracles.brute_force_argmin_norms([pj for pj, _ in projs], x)
             assert best[i] == idx
-            np.testing.assert_allclose(norms[i], want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(np.sqrt(m - nullity[i]), want, rtol=1e-9,
+                                       atol=1e-12)
 
     def test_rank_rule(self):
         # Rank-1 channels with two antennas leave an (M - 1)-dimensional null
@@ -308,20 +273,6 @@ class TestStackedSharing:
             pi, ni = null_projectors(h[i:i + 1])
             assert pi.tobytes() == p[i:i + 1].tobytes()
             assert ni.tobytes() == nullity[i:i + 1].tobytes()
-
-    def test_exact_ties_go_to_the_lowest_index(self):
-        rng = np.random.default_rng(5)
-        h = rng.standard_normal((6, 5, 2, 4)) + 1j * rng.standard_normal((6, 5, 2, 4))
-        x = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        _, norms = select_projector(null_projectors(h)[0], x)
-        order = np.argsort(norms, axis=-1)
-        # Each trial's best channel at positions 1 and 3, worse ones around it.
-        tied = h[np.arange(6)[:, None], order[:, [4, 0, 3, 0, 2]]]
-        best, norms = select_projector(null_projectors(tied)[0], x)
-        assert np.all(norms[:, 1] == norms[:, 3]) and np.all(best == 1)
-        same = np.repeat(h[:, :1], 5, axis=1)
-        best, _ = select_projector(null_projectors(same)[0], x)
-        assert np.all(best == 0)
 
 
 class TestSelectByNullity:
@@ -346,14 +297,18 @@ class TestSelectByNullity:
            n_bs=st.integers(1, 9), m=st.sampled_from([1, 2, 3, 4, 8]),
            l_extra=st.integers(0, 8))
     @settings(max_examples=120, deadline=None)
-    def test_equals_select_projector_on_orthogonal_waveforms(
+    def test_equals_brute_force_argmin_on_orthogonal_waveforms(
             self, seed, k, n_bs, m, l_extra):
         h = self._stack(np.random.default_rng(seed), 5, k, n_bs, m)
         p, nullity = null_projectors(h)
-        want, norms = select_projector(p, orthogonal_waveforms(m, m + l_extra))
-        assert select_by_nullity(nullity).tolist() == want.tolist()
-        # The norms are sqrt(M - nullity).
-        np.testing.assert_allclose(norms, np.sqrt(m - nullity), rtol=0, atol=1e-12)
+        x = orthogonal_waveforms(m, m + l_extra)
+        got = select_by_nullity(nullity)
+        for i in range(len(h)):
+            want, norms = oracles.brute_force_argmin_norms(list(p[i]), x)
+            assert got[i] == want
+            # The norms are sqrt(M - nullity).
+            np.testing.assert_allclose(norms, np.sqrt(m - nullity[i]), rtol=0,
+                                       atol=1e-12)
 
     def test_ties_go_to_the_lowest_index(self):
         assert select_by_nullity(np.array([[2, 3, 3, 1], [0, 0, 0, 0]])).tolist() == [1, 0]
