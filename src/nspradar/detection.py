@@ -76,7 +76,15 @@ def direction_gain(a: np.ndarray, r: np.ndarray):
     owns its memory: a caller that keeps it does not keep the complex sum
     of twice its size that its values come from.
     """
-    gain = np.sum(a * (r @ a.conj()), axis=-1).real.copy()
+    return projected_gain(a, r @ a.conj())
+
+
+def projected_gain(a: np.ndarray, v: np.ndarray):
+    """The direction gain a^T v of a correlation R from v = R a^*, shaped
+    (..., M); `direction_gain` is this of R a^*.  With R = P a null-space
+    projector, v is P a^* (`sharing.null_projections`), so the gain is
+    read without forming P."""
+    gain = np.sum(a * v, axis=-1).real.copy()
     return float(gain) if gain.ndim == 0 else gain
 
 

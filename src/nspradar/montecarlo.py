@@ -42,29 +42,35 @@ statistics are one real matrix product per mode (`_PointEngine`).  They
 agree with the direct per-angle form to about 1e-15 relative (less near a
 null of the direction gain; see `_PointEngine`).
 
-Channels take one route everywhere: `_channels` draws a (C, K, N_BS, M)
-stack and `_stacked_modes` turns it into projectors (one stacked
-`sharing.null_projectors` call: Gram-Schmidt, with the SVD for any channel
-it cannot certify full rank) and the selection per draw.
-With X X^H = I the degradation ||P X - X||_F is sqrt(M - nullity), so the
-selection is the first BS of maximal nullity, read from the same call
-(`sharing.select_by_nullity`), and a fixed channel's reported norms are
-those square roots.  Every waveform mode is one projector applied to
-X, so a set-up's modes are one (C, modes, M, M) stack in `_mode_labels`
-order: the identity, the K projectors, and the selected BS's projector,
-gathered per draw by its index; a selection rule only gives that index.
+`_channels` draws a (C, K, N_BS, M) stack of channels, and
+`_stacked_modes` sets up the modes and the selection per draw from one
+stacked `sharing` call (Gram-Schmidt, with the SVD for any channel it
+cannot certify full rank).  With X X^H = I the degradation ||P X - X||_F
+is sqrt(M - nullity), so the selection is the first BS of maximal nullity,
+read from the same call (`sharing.select_by_nullity`), and a fixed
+channel's reported norms are those square roots.  Every waveform mode is
+one projector applied to X, so a set-up's modes are one stack in
+`_mode_labels` order: the identity, the K projectors, and the selected
+BS's projector, gathered per draw by its index; a selection rule only
+gives that index.  The scan, a fixed channel and `run_trial` take the
+(C, modes, M, M) projectors (`sharing.null_projectors`).  At the target
+angle alone the GLRT and its theory read P only through v = P a^*: the
+noise coefficient is v, the gain c = a^T v and the echo term M c.  So
+redrawn tiles without the scan, and `mean_selected_gap_db`, take the
+(C, modes, M) stack of those vectors (`sharing.null_projections`), with
+a^* for the orthogonal mode, and form no projector.
 A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 `run_experiment`.  Redrawn channels are drawn as the noise is: one Philox
 stream, whose substream i is SNR point i's, of which trial t reads the
 fixed-width record t, its K channels of i.i.d. CN(0, 1) entries.
-`run_trial` takes the same route for its one trial.
+`run_trial` reads the same record for its one trial.
 
 The sweep is one loop over tiles of its (SNR point, trial) rows, each tile
 a list of (snr_index, first trial, count) segments (`_tiles`).  A tile packs
 whole points in grid order up to a row budget (`_tile_rows`); only a point
 larger than the budget is split, one segment per tile.  With redrawn
-channels each tile is set up once (C = its rows): one stacked projector
-build and one engine for all of its points.  Every row still reads its own
+channels each tile is set up once (C = its rows): one stacked set-up
+and one engine for all of its points.  Every row still reads its own
 channel record and its own noise record, and a channel's projector does not
 depend on the stack it sits in, so no tile size changes an output.  With
 workers, threads run contiguous runs of tiles through the same loop,
@@ -77,7 +83,10 @@ tile, summed per point segment.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t; with a fixed channel that is the value at
-its one gain.
+its one gain.  The survival function is evaluated once per distinct gain:
+once per point for the orthogonal mode, whose gain is the same in every
+draw, and not at all for nsp-selected beside nsp-per-bs, whose per-draw
+P_D is gathered from the selected BS's column (`_mean_theory_pd`).
 """
 
 from __future__ import annotations
@@ -333,23 +342,33 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
 
 
 def _stacked_modes(
-    plan: ExperimentPlan, h: np.ndarray
+    plan: ExperimentPlan, h: np.ndarray, x: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The modes' projectors for a (C, K, N_BS, M) stack of channel draws:
     (proj, selected, p, nullity), with proj the (C, modes, M, M) stack in
     `_mode_labels` order, selected the chosen BS's 0-based index (C,), p
     the BSs' projectors (C, K, M, M) and nullity their nullities (C, K).
 
+    Given an M-vector x, every projector P is P x instead
+    (`sharing.null_projections`): proj is (C, modes, M), with x for the
+    orthogonal mode, and p is (C, K, M).  At the target angle alone the
+    engine reads P only through P a^*, so it is set up from x = a^*.
+
     The orthogonal waveforms have X X^H = I, so the minimum-degradation
     selection is the first BS of maximal nullity (`sharing.select_by_nullity`),
     and BS i's degradation norm is sqrt(M - nullity_i); no waveform is
     formed."""
-    p, nullity = sharing.null_projectors(h)  # (C, K, M, M)
+    # The orthogonal mode's entry: the identity, or I x = x.
+    if x is None:
+        p, nullity = sharing.null_projectors(h)  # (C, K, M, M)
+        unprojected = np.eye(plan.m, dtype=complex)
+    else:
+        p, nullity = sharing.null_projections(h, x)  # (C, K, M)
+        unprojected = x
     selected = sharing.select_by_nullity(nullity)
     c = len(h)
     blocks = {
-        MODE_ORTHOGONAL: np.broadcast_to(np.eye(plan.m, dtype=complex),
-                                         (c, 1, plan.m, plan.m)),
+        MODE_ORTHOGONAL: np.broadcast_to(unprojected, (c, 1) + unprojected.shape),
         MODE_NSP_PER_BS: p,
         MODE_NSP_SELECTED: p[np.arange(c), selected, None],
     }
@@ -428,7 +447,8 @@ def _lifted_noise(plan: ExperimentPlan, snr_index: int, hypothesis: int,
 
 class _PointEngine:
     """Vectorized statistic evaluation for the (C, modes, M, M) projector
-    stack of `_stacked_modes`, over C channel draws.
+    stack of `_stacked_modes`, over C channel draws, or at the target angle
+    alone for its (C, modes, M) stack of the vectors P a^*.
 
     With X X^H = I the matched filter of mode P is E = (alpha A + E0) P, as
     X X_tx^H = X X^H P = P, and P is the waveform correlation R too.  At
@@ -454,7 +474,9 @@ class _PointEngine:
     (4M - 3) autocorrelation coefficients per mode.  The grid is
     `plan.theta_grid()`.  At the target angle alone the numerator's noise
     term is w^T P a^*, and the product is (T, M) @ (M, modes) on the
-    `_noise_block` vectors w.  Both are exact rewrites of glrt_scan on
+    `_noise_block` vectors w, which reads P only through P a^*: a
+    (C, modes, M) stack of those vectors sets it up as the projectors
+    do.  Both are exact rewrites of glrt_scan on
     sufficient_statistic(alpha A X_tx + E0 X, X_tx).  The scan's statistics
     agree with the direct form to about 1e-15 relative.  Where the
     maximizing angle's gain c_g is far below M (near a null of a rank-one
@@ -467,12 +489,17 @@ class _PointEngine:
         a = radar.steering_vector(plan.m, plan.theta_target)
         a_grid = radar.steering_vector(plan.m, grid)             # (M, G)
         a_conj = a_grid.conj()
-        p_a = proj @ a_conj                                      # (C, modes, M, G)
+        if proj.ndim == 3:
+            # P a^* at the target angle, the one grid angle.
+            p_a = proj[..., None]
+            self.target_gain = detection.projected_gain(a, proj)
+        else:
+            p_a = proj @ a_conj                                  # (C, modes, M, G)
+            self.target_gain = detection.direction_gain(a, proj)  # (C, modes)
         # c_g = a_g^H P^T a_g = a_g^T P a_g^*
         gain = np.real(np.sum(a_grid * p_a, axis=-2))           # (C, modes, G)
         valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
         self.degenerate = ~valid.any(axis=-1)                    # (C, modes)
-        self.target_gain = detection.direction_gain(a, proj)     # (C, modes)
         # Invalid angles get scale 0: their statistic 0 never exceeds the
         # maximum over the valid ones, which is >= 0.
         scale = np.divide(2.0, plan.m * gain, out=np.zeros_like(gain), where=valid)
@@ -553,19 +580,22 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     A fixed-channel engine builds one real (modes, G) statistic array per
     row, G being the number of grid angles; with the scan its other per-row
     arrays, the (modes, 2M - 1) anti-diagonal sums and autocorrelations,
-    are small beside it.  Redrawn channels also set up every row: M^2 (K +
-    modes) entries for the (K, M, M) projectors and the modes' stacked
-    (modes, M, M) projectors, and about 5M - 1 per (mode, angle) for the
-    (modes, M, G) products P a_g^* the gains are formed from, the real
-    (modes, 4M - 3, G) scaled basis and the (modes, G) gains and scales.
-    The scan's (M^2, modes x (2M - 1)) coefficients are small beside the
-    basis.
+    are small beside it.  Redrawn channels also set up every row: with the
+    scan, M^2 (K + modes) entries for the (K, M, M) projectors and the
+    modes' stacked (modes, M, M) projectors; at the target angle alone,
+    M (K + modes) for the (K, M) vectors P a^* and the modes' stacked
+    (modes, M) ones (`_stacked_modes` with x = a^*).  Both add about
+    5M - 1 per (mode, angle) for the (modes, M, G) products P a_g^* the
+    gains are formed from, the real (modes, 4M - 3, G) scaled basis and
+    the (modes, G) gains and scales.  The scan's
+    (M^2, modes x (2M - 1)) coefficients are small beside the basis.
     """
     grid = len(plan.theta_grid())
     n_modes = len(_mode_labels(plan))
     per_row = n_modes * grid
     if plan.channel_mode == CHANNEL_REDRAWN:
-        per_row = plan.m ** 2 * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
+        per_vector = plan.m ** 2 if plan.scan else plan.m
+        per_row = per_vector * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
     return max(1, min(_CHUNK, _BLOCK_ELEMENTS // per_row))
 
 
@@ -591,8 +621,10 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
     `engine` is the fixed-channel engine; without it the channels are
     redrawn per trial and set up once per tile.  Returns tallies per SNR
     point (detections and false alarms (points, pfa, modes), degenerate
-    trials (points, modes)) and, for redrawn channels, the target gains of
-    the rows in order, as a list of (tile rows, modes) arrays.
+    trials (points, modes)) and, for redrawn channels, the target gains and
+    selected BSs of the rows in order, as lists of (tile rows, modes) and
+    (tile rows,) arrays.  At the target angle alone a tile is set up from
+    the vectors P a^* (`_stacked_modes` with x = a^*), not the projectors.
 
     Each call owns one buffer of uniforms, allocated here for the largest
     of its tiles, so a worker thread (one call each) draws into its own
@@ -611,7 +643,8 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
     false_alarms = np.zeros_like(detections)
     degenerate = np.zeros((n_points, n_modes), dtype=np.int64)
     redrawn = engine is None
-    gains = []
+    gains, selections = [], []
+    x = None if plan.scan else radar.steering_vector(plan.m, plan.theta_target).conj()
     noise_shape, noise_var = _noise_shape(plan)
     # Doubles per row: the two hypotheses' noise records, or the channel
     # record, each padded to whole Philox counter steps of 4 words.
@@ -630,8 +663,10 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
         if redrawn:
             h = complex_normal_ranges(plan.master_seed, _channel_ranges(tile),
                                       _channel_shape(plan), buffer=buffer, keys=keys)
-            engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
+            modes, selected = _stacked_modes(plan, h, x)[:2]
+            engine = _PointEngine(plan, modes)
             gains.append(engine.target_gain)
+            selections.append(selected)
         noise = complex_normal_ranges(plan.master_seed, _noise_ranges(tile, (_H1, _H0)),
                                       noise_shape, noise_var, buffer=buffer, keys=keys)
         alphas = [math.sqrt(10 ** (plan.snr_grid_db[i] / 10)) for i in points]
@@ -645,7 +680,7 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
         deg = np.broadcast_to(engine.degenerate, (rows, n_modes))
         degenerate[points] += np.add.reduceat(deg, bounds[:-1], axis=0)
     return {"detections": detections, "false_alarms": false_alarms,
-            "degenerate": degenerate, "gains": gains}
+            "degenerate": degenerate, "gains": gains, "selected": selections}
 
 
 def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) -> dict:
@@ -691,27 +726,50 @@ def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) ->
     return out
 
 
-def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
+def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray,
+                    selected: np.ndarray) -> np.ndarray:
     """Theory P_D averaged over each point's channel draws: a (convention,
     points, pfa, modes) array, the conventions "paper" and "calibrated".
 
-    `gains` is (points, C, modes); the noncentralities are
-    `detection.noncentrality`'s at the linear SNR of each grid point.
-    Points go in groups of about _BLOCK_ELEMENTS values, since the
-    noncentral survival function takes several temporaries of its input's
-    size; each point's trials are still reduced in one step.
+    `gains` is (points, C, modes) and `selected` (points, C), the selected
+    BS's 0-based index per draw; the noncentralities are
+    `detection.noncentrality`'s at the linear SNR of each grid point.  The
+    survival function is evaluated once per distinct gain: the orthogonal
+    gain is the same in every draw, so its column is evaluated once per
+    point, and with nsp-per-bs the selected column's per-draw P_D is
+    gathered from the BS columns.  Points go in groups of about
+    _BLOCK_ELEMENTS values, since the noncentral survival function takes
+    several temporaries of its input's size; each point's trials are still
+    reduced in one step.
     """
-    orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
+    labels = [label for label, _ in _mode_labels(plan)]
+    orthogonal = np.array([label == MODE_ORTHOGONAL for label in labels])
+    first_bs = labels.index("nsp-bs1") if MODE_NSP_PER_BS in plan.waveform_modes else None
+    gathered = (labels.index(MODE_NSP_SELECTED)
+                if first_bs is not None and MODE_NSP_SELECTED in labels else None)
+    # The columns evaluated per draw.
+    per_draw = [j for j, label in enumerate(labels)
+                if label != MODE_ORTHOGONAL and j != gathered]
     conventions = ("paper", "calibrated")
     snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
-    pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(orthogonal)))
+    pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(labels)))
     step = max(1, _BLOCK_ELEMENTS // gains[0].size)
     for i in range(0, len(snr), step):
         g, s = gains[i:i + step], snr[i:i + step, None, None]
         for c, conv in enumerate(conventions):
-            rho = detection.noncentrality(conv, plan.m, s, g, orthogonal)
+            rho = detection.noncentrality(conv, plan.m, s, g[..., per_draw])
+            rho_orthogonal = detection.noncentrality(conv, plan.m, s[:, 0],
+                                                     g[:, 0, orthogonal], True)
             for j, p in enumerate(plan.pfa_list):
-                pd[c, i:i + step, j] = detection.theoretical_pd(rho, p).mean(axis=1)
+                # The orthogonal column, zeros here, is replaced below.
+                trial_pd = np.zeros(g.shape)
+                trial_pd[..., per_draw] = detection.theoretical_pd(rho, p)
+                if gathered is not None:
+                    trial_pd[..., gathered] = np.take_along_axis(
+                        trial_pd, selected[i:i + step, :, None] + first_bs, axis=2)[..., 0]
+                out = pd[c, i:i + step, j]
+                out[...] = trial_pd.mean(axis=1)
+                out[:, orthogonal] = detection.theoretical_pd(rho_orthogonal, p)
     return pd
 
 
@@ -722,9 +780,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
         h = _channels(plan, 0, 0, 1)
-        proj, selected, p, nullity = _stacked_modes(plan, h)
+        proj, fixed_selected, p, nullity = _stacked_modes(plan, h)
         engine = _PointEngine(plan, proj)
-        best = int(selected[0])
+        best = int(fixed_selected[0])
         selection = sharing.ChannelSelection(
             selected=best + 1,
             norms=tuple(math.sqrt(plan.m - n) for n in nullity[0].tolist()),
@@ -743,14 +801,17 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     detections, false_alarms, degenerate = (
         sum(part[key] for part in parts)
         for key in ("detections", "false_alarms", "degenerate"))
+    n_points = len(plan.snr_grid_db)
     if engine is None:
         gains = np.concatenate([g for part in parts for g in part["gains"]])
-        gains = gains.reshape(len(plan.snr_grid_db), plan.trials_per_point, -1)
+        gains = gains.reshape(n_points, plan.trials_per_point, -1)
+        selected = np.concatenate([s for part in parts for s in part["selected"]])
+        selected = selected.reshape(n_points, plan.trials_per_point)
     else:
-        gains = np.broadcast_to(engine.target_gain, (len(plan.snr_grid_db),)
-                                + engine.target_gain.shape)
+        gains = np.broadcast_to(engine.target_gain, (n_points,) + engine.target_gain.shape)
+        selected = np.broadcast_to(fixed_selected, (n_points, 1))
     t_theory = time.perf_counter()
-    paper, calibrated = _mean_theory_pd(plan, gains)
+    paper, calibrated = _mean_theory_pd(plan, gains, selected)
 
     trials = plan.trials_per_point
     # CurvePoint's fields in order, each broadcast to (points, pfa, modes)
@@ -865,9 +926,9 @@ def mean_selected_gap_db(
         raise ValueError(f"n_redraws must be >= 1, got {n_redraws!r}")
     rngs = [rng_substream(plan.master_seed, _REDRAW_BASE + r) for r in range(n_redraws)]
     h = sharing.channel_matrices(rngs, plan.k, plan.n_bs, plan.m)
-    proj = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)[0]
-    gain = detection.direction_gain(radar.steering_vector(plan.m, plan.theta_target),
-                                    proj[:, 0])
+    a = radar.steering_vector(plan.m, plan.theta_target)
+    v = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h, a.conj())[0]
+    gain = detection.projected_gain(a, v[:, 0])
     zero = int(np.count_nonzero(gain <= 0))
     if zero:
         raise ValueError(

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
+from nspradar import montecarlo
 from nspradar.errors import ConfigurationError
-from nspradar.radar import steering_vector, transmit_receive_matrix
+from nspradar.radar import orthogonal_waveforms, steering_vector, transmit_receive_matrix
 
 
 def chi2_central_cdf(x: float) -> float:
@@ -122,6 +123,32 @@ def brute_force_argmin_norms(projectors, x: np.ndarray) -> tuple[int, list[float
         if n <= best * (1 + 1e-9) + 1e-12:
             return i, norms
     raise AssertionError("unreachable")
+
+
+def mean_selected_theory_pd(plan, snr_index: int, pfa: float, convention: str) -> float:
+    """The nsp-selected theory P_D of one SNR point of a redrawn-channel
+    plan, trial by trial: each trial's K channels (`montecarlo._channels`),
+    their null-space projectors I - Q Q^H from a QR factorization of H^H
+    (N_BS < M, full rank), the brute-force minimum-degradation BS on the
+    orthogonal waveforms, its direction gain a^H P^T a, and the noncentral
+    chi-squared survival function at that gain's noncentrality (2 SNR M c,
+    or SNR c^2 for "paper"); the exact mean (math.fsum) over the trials."""
+    from scipy import stats
+
+    a = steering_vector(plan.m, plan.theta_target)
+    x = orthogonal_waveforms(plan.m, plan.l)
+    snr = 10 ** (plan.snr_grid_db[snr_index] / 10)
+    pds = []
+    for t in range(plan.trials_per_point):
+        projs = []
+        for h in montecarlo._channels(plan, snr_index, t, 1)[0]:
+            q, _ = np.linalg.qr(h.conj().T)
+            projs.append(np.eye(plan.m) - q @ q.conj().T)
+        best, _ = brute_force_argmin_norms(projs, x)
+        gain = float(np.real(a.conj() @ projs[best].T @ a))
+        rho = 2 * snr * plan.m * gain if convention == "calibrated" else snr * gain ** 2
+        pds.append(stats.ncx2.sf(-2 * math.log(pfa), 2, rho))
+    return math.fsum(pds) / len(pds)
 
 
 def pd_at_snr_root(m: int, gain: float, pfa: float, target_pd: float) -> float:

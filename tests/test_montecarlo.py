@@ -754,19 +754,67 @@ class TestRunExperiment:
         np.testing.assert_allclose(selection.norms, want, rtol=1e-12)
         assert selection.residual_interference < 1e-12
 
+    def test_at_angle_redrawn_forms_no_projector(self, monkeypatch):
+        # At the target angle alone redrawn tiles, and the gap's redraws,
+        # are set up from the vectors P a^*; the scan still builds the
+        # projectors.
+        def fail(*args):
+            raise AssertionError("a projector was formed")
+
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30,
+                         waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED))
+        build = sharing.null_projectors
+        monkeypatch.setattr(sharing, "null_projectors", fail)
+        result = run_experiment(plan)
+        assert result.degenerate_trials == 0
+        assert math.isfinite(mean_selected_gap_db(plan, n_redraws=5))
+        calls = []
+        monkeypatch.setattr(sharing, "null_projectors",
+                            lambda *args: calls.append(1) or build(*args))
+        run_experiment(replace(plan, scan=True, theta_step_deg=10.0))
+        assert calls
+
+    @pytest.mark.parametrize("scan", [False, True])
     @pytest.mark.parametrize("chunk", [20, montecarlo._CHUNK])
-    def test_redrawn_setup_is_built_once_per_tile(self, chunk, monkeypatch):
-        # P points x T trials take ceil(P T / rows) set-ups, not one per point.
+    def test_redrawn_setup_is_built_once_per_tile(self, chunk, scan, monkeypatch):
+        # P points x T trials take ceil(P T / rows) set-ups, not one per
+        # point, at the target angle (from the vectors P a^*) and with the
+        # scan (from the projectors) alike.
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         calls = []
         build = montecarlo._stacked_modes
         monkeypatch.setattr(montecarlo, "_stacked_modes",
                             lambda *args: calls.append(1) or build(*args))
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=10,
-                         snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0))
+                         snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), scan=scan,
+                         theta_step_deg=10.0)
         run_experiment(plan)
         rows = montecarlo._tile_rows(plan)
         assert len(calls) == math.ceil(5 * 10 / rows) < 5
+
+    def test_selected_theory_is_gathered_per_draw(self):
+        # With nsp-per-bs the selected column's per-draw P_D is gathered
+        # from the BS columns by each draw's index, and the orthogonal
+        # column is evaluated once per point; each equals the direct
+        # per-draw mean.
+        plan = tiny_plan(k=3, snr_grid_db=(-3.0, 0.0, 5.0), pfa_list=(0.1, 1e-3),
+                         channel_mode=CHANNEL_REDRAWN,
+                         waveform_modes=(MODE_NSP_SELECTED, MODE_NSP_PER_BS, MODE_ORTHOGONAL))
+        rng = np.random.default_rng(1)
+        gains = rng.uniform(0.5, 4.0, (3, 30, 5))
+        selected = rng.integers(0, 3, (3, 30))
+        gains[..., 0] = np.take_along_axis(gains[..., 1:4], selected[..., None], axis=2)[..., 0]
+        gains[..., 4] = detection.direction_gain(
+            radar.steering_vector(plan.m, plan.theta_target), np.eye(plan.m))
+        pd = montecarlo._mean_theory_pd(plan, gains, selected)
+        for c, conv in enumerate(("paper", "calibrated")):
+            for i, snr_db in enumerate(plan.snr_grid_db):
+                for j, pfa in enumerate(plan.pfa_list):
+                    rho = detection.noncentrality(conv, plan.m, 10 ** (snr_db / 10), gains[i],
+                                                  np.arange(5) == 4)
+                    want = detection.theoretical_pd(rho, pfa).mean(axis=0)
+                    np.testing.assert_allclose(pd[c, i, j], want, rtol=0, atol=1e-15)
+                    assert pd[c, i, j, 4] == detection.theoretical_pd(rho[0, 4], pfa)
 
     @pytest.mark.parametrize("trials", [10, 40])
     @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
@@ -943,7 +991,11 @@ class TestRunExperiment:
 # Every tally, and the "redrawn" theory floats at 0 dB, were re-read when
 # each stream kind got one key and the SNR index became its Philox
 # substream (same law, new realization); the fixed and scan theory floats
-# and the selection did not move.  Any other change to the streams, the selection or the arithmetic shows
+# and the selection did not move.  The "redrawn" theory floats of the
+# orthogonal mode and bs1 (and so nsp-selected) were re-read (by at most
+# 8.2e-16 relative; no tally moved) when at-angle redrawn tiles came to be
+# set up from the vectors P a^* and the orthogonal column to be evaluated
+# once per point: it now equals the "fixed" one.  Any other change to the streams, the selection or the arithmetic shows
 # here.
 GOLDEN_PLAN = dict(
     m=4, k=2, l=16, snr_grid_db=(-6.0, 0.0), pfa_list=(0.1,), trials_per_point=40,
@@ -988,20 +1040,20 @@ GOLDEN = {
     },
     "redrawn": {
         "orthogonal": [
-            (29, 3, 0, 0.5440529562566047, 0.8152917144245608),
-            (40, 4, 0, 0.9786015642681981, 0.9998694333859743),
+            (29, 3, 0, 0.5440529562566051, 0.8152917144245608),
+            (40, 4, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (20, 4, 0, 0.2558544198798436, 0.5421437843795188),
-            (37, 1, 0, 0.48865507561291366, 0.9217050557288982),
+            (20, 4, 0, 0.2558544198798435, 0.5421437843795188),
+            (37, 1, 0, 0.4886550756129136, 0.9217050557288982),
         ],
         "nsp-bs2": [
             (20, 6, 0, 0.21415447769751678, 0.48251746803556117),
             (36, 6, 0, 0.5186270257206748, 0.9137451198807505),
         ],
         "nsp-selected": [
-            (20, 4, 0, 0.2558544198798436, 0.5421437843795188),
-            (37, 1, 0, 0.48865507561291366, 0.9217050557288982),
+            (20, 4, 0, 0.2558544198798435, 0.5421437843795188),
+            (37, 1, 0, 0.4886550756129136, 0.9217050557288982),
         ],
     },
 }
@@ -1022,6 +1074,36 @@ class TestGoldenOutputs:
         if setting != "redrawn":
             assert result.selection.selected == 1
             assert result.selection.norms == (math.sqrt(2), math.sqrt(2))
+
+
+class TestRedrawnTheory:
+    @pytest.mark.parametrize("kwargs", [{}, {"scan": True, "theta_step_deg": 5.0}])
+    def test_orthogonal_theory_is_the_fixed_channels(self, kwargs):
+        # The orthogonal gain is the same in every draw, and its column is
+        # evaluated once per point: bit for bit the fixed channel's.
+        plan = ExperimentPlan(**{**GOLDEN_PLAN, "snr_grid_db": tuple(np.arange(-10.0, 20.1, 2.0)),
+                                 "pfa_list": (0.1, 1e-3)}, **kwargs)
+
+        def theory(p):
+            curve = next(c for c in run_experiment(p).curves if c.label == MODE_ORTHOGONAL)
+            return [(pt.pd_theory_paper, pt.pd_theory_calibrated) for pt in curve.points]
+
+        assert theory(replace(plan, channel_mode=CHANNEL_REDRAWN)) == theory(plan)
+
+    @pytest.mark.parametrize("modes", [(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
+                                       (MODE_ORTHOGONAL, MODE_NSP_SELECTED)])
+    def test_selected_theory_is_the_per_trial_mean(self, modes):
+        # Gathered from the BS columns (with nsp-per-bs) or evaluated per
+        # draw, the selected theory is the oracle's trial-by-trial mean.
+        plan = ExperimentPlan(**{**GOLDEN_PLAN, "waveform_modes": modes},
+                              channel_mode=CHANNEL_REDRAWN)
+        curve = next(c for c in run_experiment(plan).curves if c.label == MODE_NSP_SELECTED)
+        for pt in curve.points:
+            i = plan.snr_grid_db.index(pt.snr_db)
+            for conv, got in (("paper", pt.pd_theory_paper),
+                              ("calibrated", pt.pd_theory_calibrated)):
+                want = oracles.mean_selected_theory_pd(plan, i, pt.pfa, conv)
+                assert got == pytest.approx(want, rel=0, abs=1e-15)
 
 
 class TestSnrGap:
