@@ -6,12 +6,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -25,7 +24,7 @@ EXIT_OUTPUT = 3
 EXIT_NUMERIC = 4
 
 # A results.csv row is its curve's mode and bs_id, then its CurvePoint.
-_POINT_FIELDS = [f.name for f in fields(montecarlo.CurvePoint)]
+_POINT_FIELDS = montecarlo.CurvePoint._fields
 CSV_HEADER = ",".join(["mode", "bs_id", *_POINT_FIELDS])
 
 
@@ -193,11 +192,10 @@ def _default_workers() -> int:
 def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
     """results.csv: one row per (mode, SNR, P_FA), the curve's mode and
     bs_id and then the CurvePoint's fields, each as its repr."""
-    point = operator.attrgetter(*_POINT_FIELDS)
     lines = [CSV_HEADER]
     for curve in result.curves:
         head = f"{curve.label},{curve.bs_id},"
-        lines.extend(head + ",".join(map(repr, point(pt))) for pt in curve.points)
+        lines.extend(head + ",".join(map(repr, pt)) for pt in curve.points)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -218,8 +216,8 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
         "master_seed": plan.master_seed,
-        "plan": {key: value for key, value in asdict(plan).items()
-                 if key != "master_seed"},
+        "plan": {f.name: getattr(plan, f.name) for f in fields(plan)
+                 if f.name != "master_seed"},
         "workers": cfg.workers,
         "degenerate_trials": result.degenerate_trials,
         "degenerate_by_mode": result.degenerate_by_mode,
@@ -236,8 +234,7 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
             "residual_interference": result.selection.residual_interference,
         }
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2) + "\n")
 
 
 def write_plot_script(result, path: str) -> None:

@@ -55,10 +55,12 @@ BS's projector, gathered per draw by its index; a selection rule only
 gives that index.  The scan, a fixed channel and `run_trial` take the
 (C, modes, M, M) projectors (`sharing.null_projectors`).  At the target
 angle alone the GLRT and its theory read P only through v = P a^*: the
-noise coefficient is v, the gain c = a^T v and the echo term M c.  So
-redrawn tiles without the scan, and `mean_selected_gap_db`, take the
-(C, modes, M) stack of those vectors (`sharing.null_projections`), with
-a^* for the orthogonal mode, and form no projector.
+noise coefficient is v, the gain c = a^T v and the echo term
+a^H A P a^* = (a^H a)(a^T v) = M c.  So redrawn tiles without the scan,
+and `mean_selected_gap_db`, take the (C, modes, M) stack of those vectors
+(`sharing.null_projections`), with a^* for the orthogonal mode, and form
+no projector; the at-angle engine reduces a fixed channel's projectors to
+v first, and is set up from v and c alone.
 A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 `run_experiment`.  Redrawn channels are drawn as the noise is: one Philox
 stream, whose substream i is SNR point i's, of which trial t reads the
@@ -96,6 +98,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,8 +247,7 @@ class ExperimentPlan:
         return grid[grid <= np.pi / 2]
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One (mode, SNR, P_FA) point of a curve.  Its fields, in order, are
     the results.csv columns after mode and bs_id; ci_* and pfa_ci_* are 95%
     Wilson intervals (`wilson_interval`)."""
@@ -473,10 +475,12 @@ class _PointEngine:
     2 / (M c_g), so the scaled statistics are one real product of the rows'
     (4M - 3) autocorrelation coefficients per mode.  The grid is
     `plan.theta_grid()`.  At the target angle alone the numerator's noise
-    term is w^T P a^*, and the product is (T, M) @ (M, modes) on the
-    `_noise_block` vectors w, which reads P only through P a^*: a
-    (C, modes, M) stack of those vectors sets it up as the projectors
-    do.  Both are exact rewrites of glrt_scan on
+    term is w^T v with v = P a^*, and the product is (T, M) @ (M, modes) on
+    the `_noise_block` vectors w.  The set-up reads only v and the gain
+    c = a^T v (`detection.projected_gain`): c gives the scale and the
+    degenerate flags, and the echo term is M c.  A (C, modes, M) stack of
+    the vectors v sets it up directly; a projector stack is reduced to
+    P a^* first.  Both are exact rewrites of glrt_scan on
     sufficient_statistic(alpha A X_tx + E0 X, X_tx).  The scan's statistics
     agree with the direct form to about 1e-15 relative.  Where the
     maximizing angle's gain c_g is far below M (near a null of a rank-one
@@ -485,26 +489,26 @@ class _PointEngine:
     """
 
     def __init__(self, plan: ExperimentPlan, proj: np.ndarray):
-        grid = plan.theta_grid()
         a = radar.steering_vector(plan.m, plan.theta_target)
-        a_grid = radar.steering_vector(plan.m, grid)             # (M, G)
-        a_conj = a_grid.conj()
-        if proj.ndim == 3:
-            # P a^* at the target angle, the one grid angle.
-            p_a = proj[..., None]
-            self.target_gain = detection.projected_gain(a, proj)
-        else:
-            p_a = proj @ a_conj                                  # (C, modes, M, G)
+        if plan.scan:
+            grid = plan.theta_grid()
+            a_grid = radar.steering_vector(plan.m, grid)         # (M, G)
+            p_a = proj @ a_grid.conj()                           # (C, modes, M, G)
             self.target_gain = detection.direction_gain(a, proj)  # (C, modes)
-        # c_g = a_g^H P^T a_g = a_g^T P a_g^*
-        gain = np.real(np.sum(a_grid * p_a, axis=-2))           # (C, modes, G)
+            # c_g = a_g^H P^T a_g = a_g^T P a_g^*
+            gain = np.real(np.sum(a_grid * p_a, axis=-2))       # (C, modes, G)
+        else:
+            if proj.ndim == 4:
+                proj = proj @ a.conj()                           # v = P a^*
+            self.target_gain = detection.projected_gain(a, proj)  # c = a^T v
+            gain = self.target_gain[..., None]                   # the one grid angle
         valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
         self.degenerate = ~valid.any(axis=-1)                    # (C, modes)
         # Invalid angles get scale 0: their statistic 0 never exceeds the
         # maximum over the valid ones, which is >= 0.
         scale = np.divide(2.0, plan.m * gain, out=np.zeros_like(gain), where=valid)
-        a_mat = radar.transmit_receive_matrix(a)
         if plan.scan:
+            a_mat = radar.transmit_receive_matrix(a)
             n_draws, n_modes, m = proj.shape[:3]
             # coef[c, (i, q), (mode, s)] = P_c[q, s - i]: the anti-diagonal
             # sums of E0 P are e @ coef, for e = E0 flattened.
@@ -520,9 +524,10 @@ class _PointEngine:
             trig[1:] *= 2
             self.basis = scale[:, :, None, :] * trig             # (C, modes, 4M - 3, G)
         else:
-            self.sig = np.sum(a_conj * (a_mat @ p_a), axis=-2)
-            # coef[c, n, mode] = (P_c a^*)[n]
-            self.coef = np.swapaxes(p_a[..., 0], 1, 2)
+            # a^H A P a^* = (a^H a)(a^T v) = M c
+            self.sig = plan.m * gain
+            # coef[c, n, mode] = v_c[n]
+            self.coef = np.swapaxes(proj, 1, 2)
             self.scale = scale
             self.basis = None
 
@@ -584,11 +589,17 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     scan, M^2 (K + modes) entries for the (K, M, M) projectors and the
     modes' stacked (modes, M, M) projectors; at the target angle alone,
     M (K + modes) for the (K, M) vectors P a^* and the modes' stacked
-    (modes, M) ones (`_stacked_modes` with x = a^*).  Both add about
-    5M - 1 per (mode, angle) for the (modes, M, G) products P a_g^* the
-    gains are formed from, the real (modes, 4M - 3, G) scaled basis and
-    the (modes, G) gains and scales.  The scan's
-    (M^2, modes x (2M - 1)) coefficients are small beside the basis.
+    (modes, M) ones (`_stacked_modes` with x = a^*).  Both add 5M - 1 per
+    (mode, angle).  With the scan that is what the engine allocates: the
+    (modes, M, G) products P a_g^* the gains are formed from, the real
+    (modes, 4M - 3, G) scaled basis and the (modes, G) gains and scales;
+    its (M^2, modes x (2M - 1)) coefficients are small beside the basis.
+    At the target angle alone (G = 1) the engine holds only the gain, the
+    scale and the echo term per mode, and its (M, modes) coefficients are a
+    view of the stacked vectors, so there the term bounds the set-up with
+    room to spare.  It is kept so that the rows per tile (724 for the fig3
+    at-angle redrawn plan), and the CI split steps that take their trials
+    from them, stay as they were.
     """
     grid = len(plan.theta_grid())
     n_modes = len(_mode_labels(plan))

@@ -103,7 +103,13 @@ def _null_space(h: np.ndarray, x: np.ndarray | None) -> tuple[np.ndarray, np.nda
         for i in range(n_bs):
             out -= w[..., i, :, None].conj() * w[..., i, None, :]
     else:
-        out = x - np.sum(w.conj() * (w @ x)[..., None], axis=-2)
+        # W^H (W x) as a running sum over the rows, in row order: no
+        # (..., N_BS, M) temporary.
+        wx = w @ x
+        s = w[..., 0, :].conj() * wx[..., 0, None]
+        for i in range(1, n_bs):
+            s += w[..., i, :].conj() * wx[..., i, None]
+        out = x - s
     nullity = np.full(h.shape[:-2], m - n_bs)
     # max(N_BS, M) = M here; a nan bound (an all-zero matrix) fails too.
     fallback = ~(bound > 2 * _RANK_TOL_FACTOR * m)

@@ -200,8 +200,11 @@ class TestRun:
         result = montecarlo.run_experiment(cli.parse_config(str(tmp_path / "run.cfg")).plan)
         points = [(c, pt) for c in result.curves for pt in c.points]
         assert len(rows) == len(points)
-        names = [f.name for f in fields(montecarlo.CurvePoint)]
+        names = montecarlo.CurvePoint._fields
         assert header == ["mode", "bs_id", *names]
+        # A row is immutable: setting a field raises.
+        with pytest.raises(AttributeError):
+            points[0][1].pd_emp = 0.5
         for row, (curve, pt) in zip(rows, points):
             assert row == [curve.label, curve.bs_id,
                            *(repr(getattr(pt, name)) for name in names)]
@@ -234,7 +237,10 @@ class TestRun:
     def test_summary_reports_versions_and_stage_timings(self, tmp_path):
         code, out = self._run(tmp_path)
         assert code == cli.EXIT_OK
-        summary = json.loads(Path(out, "summary.json").read_text())
+        text = Path(out, "summary.json").read_text()
+        # The layout: json's two-space indent and one trailing newline.
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        summary = json.loads(text)
         assert set(summary["versions"]) == {"python", "numpy", "scipy"}
         assert all(isinstance(v, str) and v for v in summary["versions"].values())
         timings = summary["timings_s"]

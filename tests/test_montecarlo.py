@@ -356,13 +356,21 @@ class TestEngineOracle:
         plan = tiny_plan(snr_grid_db=(3.0,), trials_per_point=montecarlo._CHUNK + 3)
         _assert_tallies_match(plan, run_experiment(plan), 0.1)
 
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_FIXED, CHANNEL_REDRAWN])
     @pytest.mark.parametrize("scan", [False, True])
-    def test_statistics_match(self, scan):
+    def test_statistics_match(self, scan, channel_mode):
+        # Redrawn channels: one draw per row (C = 8), set up at the target
+        # angle alone from the vectors v = P a^*, as the sweep does.
         plan = tiny_plan(
             waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
-            scan=scan, theta_step_deg=1.0,
+            scan=scan, theta_step_deg=1.0, channel_mode=channel_mode,
         )
-        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))[0]
+        if channel_mode == CHANNEL_FIXED:
+            h, x = montecarlo._channels(plan, 0, 0, 1), None
+        else:
+            h = montecarlo._channels(plan, 1, 0, 8)
+            x = None if scan else radar.steering_vector(plan.m, plan.theta_target).conj()
+        proj = montecarlo._stacked_modes(plan, h, x)[0]
         engine = montecarlo._PointEngine(plan, proj)
         alpha = math.sqrt(10 ** (6.0 / 10))
         e1 = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, 8)
