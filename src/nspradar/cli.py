@@ -106,6 +106,9 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
     vals, v = [], start
     while v <= stop + 1e-9:
         vals.append(round(v, 10))
+        if v + step == v:  # step is at most half the spacing of floats at v
+            raise ConfigurationError(
+                f"grid step {step!r} does not advance the range past {v!r}, got {raw!r}")
         v += step
     return tuple(vals)
 
@@ -200,17 +203,21 @@ def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _gap_reports(result) -> dict:
+    """The summary's SNR gaps at P_D = 0.9, {repr(pfa): {source: gap_db}},
+    one `montecarlo.snr_gap` report per P_FA and source."""
+    return {repr(pfa): {
+        source: montecarlo.snr_gap(result.curves, pfa=pfa, source=source).gap_db
+        for source in ("emp", "theory_paper", "theory_calibrated")}
+        for pfa in result.plan.pfa_list}
+
+
 def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
-                  output_s: float) -> None:
-    """summary.json; `output_s` is the time spent writing the other output
-    files, reported with `result.timings_s` under "timings_s"."""
+                  output_s: float, gaps: dict) -> None:
+    """summary.json, with the `_gap_reports` gaps; `output_s` is the time
+    spent writing the other output files and computing the gaps, reported
+    with `result.timings_s` under "timings_s"."""
     plan = result.plan
-    gap_reports = {}
-    for pfa in plan.pfa_list:
-        gap_reports[repr(pfa)] = {
-            source: montecarlo.snr_gap(result.curves, pfa=pfa, source=source).gap_db
-            for source in ("emp", "theory_paper", "theory_calibrated")
-        }
     summary = {
         "version": __version__,
         "versions": {"python": platform.python_version(),
@@ -222,7 +229,7 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
         "degenerate_trials": result.degenerate_trials,
         "degenerate_by_mode": result.degenerate_by_mode,
         "selection": None,
-        "snr_gap_db_at_pd_0.9": gap_reports,
+        "snr_gap_db_at_pd_0.9": gaps,
         "wall_time_s": round(wall_time, 3),
         "timings_s": {stage: round(seconds, 6) for stage, seconds in
                       {**result.timings_s, "output": output_s}.items()},
@@ -306,9 +313,10 @@ def run(cfg: RunConfig) -> int:
         write_csv(result, os.path.join(cfg.output_dir, "results.csv"))
         if cfg.emit_plot:
             write_plot_script(result, os.path.join(cfg.output_dir, "plot.gp"))
+        gaps = _gap_reports(result)
         write_summary(result, cfg, t_output - t0,
                       os.path.join(cfg.output_dir, "summary.json"),
-                      time.perf_counter() - t_output)
+                      time.perf_counter() - t_output, gaps)
     except OSError as exc:  # a write failed part way, e.g. on a full disk
         print(f"error: output not writable: {exc}", file=sys.stderr)
         return EXIT_OUTPUT

@@ -38,9 +38,11 @@ z_g = exp(j phi_g): the numerator a_g^H E a_g^* is a polynomial in z_g
 whose 2M - 1 coefficients are the anti-diagonal sums of E, and its power
 is a real trigonometric polynomial in phi_g with 4M - 3 terms.  The engine
 folds those terms and each angle's scale into one real basis, so a tile's
-statistics are one real matrix product per mode (`_PointEngine`).  They
-agree with the direct per-angle form to about 1e-15 relative (less near a
-null of the direction gain; see `_PointEngine`).
+statistics are one real matrix product per mode (`_PointEngine`), taken
+in row blocks with a fixed channel, so that no tile size grows its
+(modes, rows, angles) result.  They agree with the direct per-angle form
+to about 1e-15 relative (less near a null of the direction gain; see
+`_PointEngine`).
 
 `_channels` draws a (C, K, N_BS, M) stack of channels, and
 `_stacked_modes` sets up the modes and the selection per draw from one
@@ -70,7 +72,10 @@ fixed-width record t, its K channels of i.i.d. CN(0, 1) entries.
 The sweep is one loop over tiles of its (SNR point, trial) rows, each tile
 a list of (snr_index, first trial, count) segments (`_tiles`).  A tile packs
 whole points in grid order up to a row budget (`_tile_rows`); only a point
-larger than the budget is split, one segment per tile.  With redrawn
+larger than the budget is split, one segment per tile.  A fixed-channel
+tile is the unit of draws and tallies alone, so its budget counts no
+array that grows with the angle grid; with redrawn channels the budget
+also bounds the tile's set-up, whose scan basis is per row.  With redrawn
 channels each tile is set up once (C = its rows): one stacked set-up
 and one engine for all of its points.  Every row still reads its own
 channel record and its own noise record, and a channel's projector does not
@@ -135,10 +140,11 @@ _H1 = 0
 _H0 = 1
 
 _WILSON_Z = 1.959963984540054  # 95%
-# A tile holds at most _CHUNK rows, and the engine's per-row arrays hold at
-# most _BLOCK_ELEMENTS entries over the tile (`_tile_rows`); the theory
-# curves are evaluated on about _BLOCK_ELEMENTS values at a time
-# (`_mean_theory_pd`).  Both bound the memory a sweep takes.
+# A tile holds at most _CHUNK rows, and the per-row arrays it holds whole
+# take at most _BLOCK_ELEMENTS entries (`_tile_rows`).  The
+# fixed-channel scan's grid product (`_PointEngine.statistics`) and the
+# theory curves (`_mean_theory_pd`) are evaluated on about _BLOCK_ELEMENTS
+# values at a time.  All three bound the memory a sweep takes.
 _CHUNK = 2000
 _BLOCK_ELEMENTS = 2**17
 
@@ -540,8 +546,13 @@ class _PointEngine:
         term `sig` in one step (their own rows of `sig` when C = T).  The
         scan then evaluates the scaled power's trigonometric polynomial at
         every grid angle as one real product per mode; no per-angle complex
-        array is built.  Columns of degenerate modes (`self.degenerate`)
-        read 0."""
+        array is built.  With one channel draw (C = 1) the polynomial's
+        terms, that product and its maximum over the grid run in row blocks
+        of _BLOCK_ELEMENTS // (modes G) rows, G being the number of grid
+        angles, into the one (T, modes) output: only the anti-diagonal sums
+        span the tile, and no tile size grows the grid-sized temporary.
+        With C = T draws the tile's row budget bounds it (`_tile_rows`).
+        Columns of degenerate modes (`self.degenerate`) read 0."""
         t = len(noise)
         e = noise.reshape(t, -1)
         if len(self.coef) == 1:
@@ -560,51 +571,71 @@ class _PointEngine:
             power += g.imag ** 2
             power *= self.scale
             return power.max(axis=2)
-        r = _autocorrelations(g)
-        terms = np.concatenate([r.real, r.imag[..., 1:]], axis=-1)  # (T, modes, 4M - 3)
-        if len(self.basis) == 1:
-            return np.matmul(np.swapaxes(terms, 0, 1), self.basis[0]).max(axis=2).T
-        return (terms[:, :, None] @ self.basis)[:, :, 0].max(axis=2)
+        if len(self.basis) > 1:
+            return (_power_terms(g)[:, :, None] @ self.basis)[:, :, 0].max(axis=2)
+        # The terms go block by block too.  Formed for the whole tile beside
+        # the product block, they took a 2000-row call's working set past
+        # the point where the allocator hands it back to the system after
+        # the call, and the next call faulted it in again: about 550 minor
+        # page faults a call.
+        basis = self.basis[0]
+        out = np.empty((t, len(basis)))
+        step = max(1, _BLOCK_ELEMENTS // (len(basis) * basis.shape[-1]))
+        for lo in range(0, t, step):
+            block = np.swapaxes(_power_terms(g[lo:lo + step]), 0, 1)
+            out[lo:lo + step] = np.matmul(block, basis).max(axis=2).T
+        return out
 
 
-def _autocorrelations(d: np.ndarray) -> np.ndarray:
-    """r_k = sum_s d[..., s + k] conj(d[..., s]) for k = 0 .. S - 1, of a
-    (..., S) array d; shape (..., S)."""
+def _power_terms(d: np.ndarray) -> np.ndarray:
+    """The 2S - 1 real coefficients of |sum_s d[..., s] z^s|^2 on |z| = 1
+    (`_PointEngine`), of a (..., S) array d: the real parts of
+    r_0 .. r_{S-1} and the imaginary parts of r_1 .. r_{S-1}, with the
+    autocorrelations r_k = sum_s d[..., s + k] conj(d[..., s]); shape
+    (..., 2S - 1)."""
     s = d.shape[-1]
     dc = d.conj()
     r = np.empty_like(d)
     for k in range(s):
         r[..., k] = np.einsum("...i,...i->...", d[..., k:], dc[..., :s - k])
-    return r
+    return np.concatenate([r.real, r.imag[..., 1:]], axis=-1)
 
 
 def _tile_rows(plan: ExperimentPlan) -> int:
-    """Rows per tile: at most _CHUNK, and few enough that the engine's
-    per-row arrays hold at most _BLOCK_ELEMENTS entries over the tile.
+    """Rows per tile: at most _CHUNK, and few enough that the per-row
+    arrays the tile holds whole take at most _BLOCK_ELEMENTS entries.
 
-    A fixed-channel engine builds one real (modes, G) statistic array per
-    row, G being the number of grid angles; with the scan its other per-row
-    arrays, the (modes, 2M - 1) anti-diagonal sums and autocorrelations,
-    are small beside it.  Redrawn channels also set up every row: with the
-    scan, M^2 (K + modes) entries for the (K, M, M) projectors and the
-    modes' stacked (modes, M, M) projectors; at the target angle alone,
-    M (K + modes) for the (K, M) vectors P a^* and the modes' stacked
-    (modes, M) ones (`_stacked_modes` with x = a^*).  Both add 5M - 1 per
-    (mode, angle).  With the scan that is what the engine allocates: the
-    (modes, M, G) products P a_g^* the gains are formed from, the real
-    (modes, 4M - 3, G) scaled basis and the (modes, G) gains and scales;
-    its (M^2, modes x (2M - 1)) coefficients are small beside the basis.
-    At the target angle alone (G = 1) the engine holds only the gain, the
-    scale and the echo term per mode, and its (M, modes) coefficients are a
-    view of the stacked vectors, so there the term bounds the set-up with
-    room to spare.  It is kept so that the rows per tile (724 for the fig3
-    at-angle redrawn plan), and the CI split steps that take their trials
-    from them, stay as they were.
+    A fixed-channel tile is the unit of draws and tallies: its engine is
+    set up once per sweep, and with the scan the engine forms the (modes, G)
+    statistic arrays of the grid product in row blocks of its own
+    (`_PointEngine.statistics`), G being the number of grid angles.  So its
+    budget counts the per-row entries that do not grow with the grid: with
+    the scan, the (modes, 2M - 1) anti-diagonal sums and the (modes, 4M - 3)
+    autocorrelation terms, 6M - 4 entries per mode, which gives the fig4
+    scan plan 2000 rows, 20 whole 100-trial points per tile; at the target
+    angle alone, the (modes,) statistics.
+
+    Redrawn channels also set up every row, and their scan basis is per
+    row: with the scan, M^2 (K + modes) entries for the (K, M, M)
+    projectors and the modes' stacked (modes, M, M) projectors; at the
+    target angle alone, M (K + modes) for the (K, M) vectors P a^* and the
+    modes' stacked (modes, M) ones (`_stacked_modes` with x = a^*).  Both
+    add 5M - 1 per (mode, angle).  With the scan that is what the engine
+    allocates: the (modes, M, G) products P a_g^* the gains are formed
+    from, the real (modes, 4M - 3, G) scaled basis and the (modes, G) gains
+    and scales; its (M^2, modes x (2M - 1)) coefficients are small beside
+    the basis.  At the target angle alone (G = 1) the engine holds only the
+    gain, the scale and the echo term per mode, and its (M, modes)
+    coefficients are a view of the stacked vectors, so there the term
+    bounds the set-up with room to spare.  It is kept so that the rows per
+    tile (724 for the fig3 at-angle redrawn plan), and the CI split steps
+    that take their trials from them, stay as they were.
     """
-    grid = len(plan.theta_grid())
     n_modes = len(_mode_labels(plan))
-    per_row = n_modes * grid
-    if plan.channel_mode == CHANNEL_REDRAWN:
+    if plan.channel_mode == CHANNEL_FIXED:
+        per_row = n_modes * (6 * plan.m - 4) if plan.scan else n_modes
+    else:
+        grid = len(plan.theta_grid())
         per_vector = plan.m ** 2 if plan.scan else plan.m
         per_row = per_vector * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
     return max(1, min(_CHUNK, _BLOCK_ELEMENTS // per_row))

@@ -2,8 +2,10 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -247,6 +249,21 @@ class TestRun:
         assert set(timings) == {"setup", "points", "theory", "output"}
         assert all(v >= 0 for v in timings.values())
 
+    def test_output_stage_times_the_gap_reports(self, tmp_path, monkeypatch):
+        # The summary's three SNR-gap reports per P_FA are computed inside
+        # the "output" stage, not after it was taken.
+        gap = montecarlo.snr_gap
+
+        def slow(*args, **kwargs):
+            time.sleep(0.02)
+            return gap(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "snr_gap", slow)
+        code, out = self._run(tmp_path)
+        assert code == cli.EXIT_OK
+        summary = json.loads(Path(out, "summary.json").read_text())
+        assert summary["timings_s"]["output"] >= 3 * 0.02
+
     def test_summary_reports_degenerate_trials_by_mode(self, tmp_path):
         # n_bs = m: the projected mode is degenerate in every trial.
         code, out = self._run(tmp_path, "n_bs = 4\n")
@@ -423,6 +440,23 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert "config key 'snr_db'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snr_range_whose_step_cannot_advance_exit_code(self, tmp_path):
+        # 1e17 + 1 == 1e17, so the range used to loop for ever, appending
+        # 1e17.  The run goes in a child with a timeout and a 1 GiB
+        # address-space cap, so a loop fails the test rather than hanging
+        # the suite or filling memory.
+        path = write_config(tmp_path, "snr_db = 1e17:1e17:1\n")
+        out = tmp_path / "out"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))  # noqa: E731
+        proc = subprocess.run(
+            [sys.executable, "-m", "nspradar.cli", "--config", path, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert "config key 'snr_db': grid step" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["7", "13", "100"])

@@ -452,6 +452,30 @@ class TestScanKernel:
         entries = 100 * proj.shape[1] * len(plan.theta_grid())
         assert peak <= 16 * entries
 
+    def test_statistics_working_set_of_a_whole_tile(self):
+        # One 2000-row fig4 scan tile.  The terms and the grid product run
+        # in row blocks of _BLOCK_ELEMENTS (mode, angle) entries, 1 MiB,
+        # beside the tile's anti-diagonal sums, 0.4 MiB: 1.5 MiB in all.
+        # The (modes, 2000, 361) product in one piece took 12.6 MiB.
+        plan = tiny_plan(scan=True, k=5, trials_per_point=2000,
+                         pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
+        rows = montecarlo._tile_rows(plan)
+        assert rows == 2000
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))[0]
+        engine = montecarlo._PointEngine(plan, proj)
+        noise = montecarlo._noise_block(plan, 0, montecarlo._H1, 0, rows)
+        # 100-row calls, each one block: no row depends on its block.
+        want = np.concatenate([engine.statistics(noise[lo:lo + 100], 1.0)
+                               for lo in range(0, rows, 100)])
+        tracemalloc.start()
+        try:
+            got = engine.statistics(noise, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (rows, 2) and got.tobytes() == want.tobytes()
+        assert peak < 3 * 2**20
+
 
 class TestNoiseDraws:
     @pytest.mark.parametrize("kwargs", [
@@ -496,6 +520,23 @@ class TestNoiseDraws:
                 row_segments(plan, r, min(r + 7, n)) for r in range(0, n, 7)])
         assert run_experiment(plan, workers=workers).curves == want
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_grid_block_size_does_not_change_scan_curves(self, block_rows, workers,
+                                                         monkeypatch):
+        # The fixed-channel scan's terms and grid product run in row blocks
+        # of _BLOCK_ELEMENTS // (modes G) rows: here 1-row blocks, and 7-row
+        # blocks that straddle the 25-row SNR segments of two 50-row tiles.
+        plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0), trials_per_point=25,
+                         scan=True, theta_step_deg=5.0)
+        want = run_experiment(plan).curves
+        tiles = [row_segments(plan, r, r + 50) for r in (0, 50)]
+        assert tiles[0] == [(0, 0, 25), (1, 0, 25)]
+        monkeypatch.setattr(montecarlo, "_tiles", lambda plan: tiles)
+        entries = len(montecarlo._mode_labels(plan)) * len(plan.theta_grid())
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block_rows * entries)
+        assert run_experiment(plan, workers=workers).curves == want
+
     def test_tiles_pack_whole_points_and_split_larger_ones(self, monkeypatch):
         plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), trials_per_point=25)
         monkeypatch.setattr(montecarlo, "_CHUNK", 60)
@@ -508,12 +549,19 @@ class TestNoiseDraws:
         assert row_segments(plan, 20, 57) == [(0, 20, 5), (1, 0, 25), (2, 0, 7)]
 
     def test_scan_budget_keeps_100_trial_points_whole(self):
-        # Splitting the fig4 scan's 100-trial points into smaller tiles
-        # measured 6-12% slower; a tile holds one whole point.
+        # The fig4 scan plan.  A fixed-channel tile is sized by the per-row
+        # entries that do not grow with the grid, and the engine takes its
+        # grid product in row blocks of its own, so a tile packs many whole
+        # points and a sweep pays the per-tile draw, statistics and tally
+        # calls a few times rather than once per point.
         plan = tiny_plan(scan=True, k=5, trials_per_point=100,
+                         snr_grid_db=tuple(range(-10, 31)),
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
         assert len(plan.theta_grid()) == 361
-        assert montecarlo._tile_rows(plan) >= 100
+        tiles = montecarlo._tiles(plan)
+        assert all(count == 100 for tile in tiles for _, _, count in tile)
+        assert montecarlo._tile_rows(plan) // 100 >= 10
+        assert max(len(tile) for tile in tiles) >= 10
 
     def test_sample_count_does_not_change_draws(self):
         # With X X^H = I the statistic depends on the noise only through E0,
