@@ -87,6 +87,12 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(v) for v in _parse_list(raw))
 
 
+# A range is counted before it is built, so that no config can make the
+# parser fill memory: each point is a results.csv row per mode and P_FA,
+# and the figures take 41 points.
+_MAX_GRID_STEPS = 10**6
+
+
 def _parse_grid(raw: str) -> tuple[float, ...]:
     """Either an explicit [a, b, c] list or a start:stop:step range (inclusive)."""
     raw = raw.strip()
@@ -103,6 +109,11 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
             f"start, stop and step of a range must be finite, got {raw!r}")
     if step <= 0:
         raise ConfigurationError("grid step must be positive")
+    steps = (stop - start) / step
+    if not steps <= _MAX_GRID_STEPS:  # inf too
+        raise ConfigurationError(
+            f"range {raw!r} has about {steps + 1:.7g} points, more than "
+            f"{_MAX_GRID_STEPS + 1}")
     vals, v = [], start
     while v <= stop + 1e-9:
         vals.append(round(v, 10))
@@ -226,7 +237,7 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
         "plan": {f.name: getattr(plan, f.name) for f in fields(plan)
                  if f.name != "master_seed"},
         "workers": cfg.workers,
-        "degenerate_trials": result.degenerate_trials,
+        "degenerate_trials": sum(result.degenerate_by_mode.values()),
         "degenerate_by_mode": result.degenerate_by_mode,
         "selection": None,
         "snr_gap_db_at_pd_0.9": gaps,

@@ -1,18 +1,17 @@
-"""GLRT detector: matched-filter sufficient statistic, the calibrated test
-statistic maximized over an angle grid, thresholds and theoretical
-detection probabilities.
+"""GLRT detector quantities: the P_FA rule, direction gains, noncentralities,
+theoretical detection probabilities and SNR gaps.
 
-Detection at a known target angle is the scan over the one-angle grid."""
+The GLRT statistic 2 |a^H E a^*|^2 / (M a^H R^T a) on E = Y X_tx^H,
+maximized over an angle grid, is evaluated by `montecarlo._PointEngine`
+alone; detection at a known target angle is the scan over the one-angle
+grid."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .numerics import chi2_central_inv, chi2_noncentral_sf
-from .radar import steering_vector
 
 # A steering direction whose direction gain a^H R^T a falls below this
 # fraction of the orthogonal value M is treated as lying in the projector's
@@ -28,42 +27,6 @@ def check_pfa(pfa: float) -> None:
         raise ConfigurationError(
             f"pfa must lie in (2 ** -54, 1) so that 1 - pfa < 1 (2 ** -54 is "
             f"about 5.6e-17), got {pfa}")
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    pfa: float
-    theta_grid: np.ndarray
-
-    def __post_init__(self):
-        check_pfa(self.pfa)
-        g = np.asarray(self.theta_grid, dtype=float)
-        if g.size == 0:
-            raise ConfigurationError("theta grid must be non-empty")
-        if np.any(np.diff(g) < 0):
-            raise ConfigurationError("theta grid must be sorted ascending")
-        if np.any(np.abs(g) > np.pi / 2 + 1e-12):
-            raise ConfigurationError("theta grid must lie within [-pi/2, pi/2]")
-        object.__setattr__(self, "theta_grid", g)
-
-
-@dataclass(frozen=True)
-class GlrtResult:
-    statistic: float
-    theta_ml: float
-    detected: bool
-    threshold: float
-    degenerate: bool = False
-
-
-def sufficient_statistic(y: np.ndarray, x_tx: np.ndarray) -> np.ndarray:
-    """Matched-filter matrix E = sum_n y[n] x_tx[n]^H.
-
-    For null-space projected transmissions x_tx is the projected waveform.
-    """
-    if y.shape != x_tx.shape:
-        raise ConfigurationError(f"shape mismatch: {y.shape} vs {x_tx.shape}")
-    return y @ x_tx.conj().T
 
 
 def direction_gain(a: np.ndarray, r: np.ndarray):
@@ -86,39 +49,6 @@ def projected_gain(a: np.ndarray, v: np.ndarray):
     read without forming P."""
     gain = np.sum(a * v, axis=-1).real.copy()
     return float(gain) if gain.ndim == 0 else gain
-
-
-def glrt_scan(e: np.ndarray, r: np.ndarray, cfg: DetectorConfig) -> GlrtResult:
-    """Maximize the scaled GLRT ratio 2 |a^H E a*|^2 / (M a^H R^T a) over the
-    angle grid and threshold it; M is the size of the M x M correlation R.
-
-    With unit noise variance the statistic at each angle is exactly
-    chi-squared with two degrees of freedom under the target-absent
-    hypothesis.  Degenerate grid points (direction gain below the floor) are
-    skipped; an entirely degenerate grid yields a forced target-absent
-    decision with statistic 0 and the degeneracy flag set.
-    """
-    threshold = chi2_central_inv(1.0 - cfg.pfa)
-    grid = cfg.theta_grid
-    m = len(r)
-    a_grid = steering_vector(m, grid)  # M x G
-    denom = np.real(np.einsum("mg,mn,ng->g", a_grid.conj(), r.T, a_grid))
-    valid = denom >= GAIN_FLOOR_FRAC * m
-    if not np.any(valid):
-        return GlrtResult(
-            statistic=0.0, theta_ml=float(grid[0]), detected=False,
-            threshold=threshold, degenerate=True,
-        )
-    num = np.abs(np.einsum("mg,mn,ng->g", a_grid.conj(), e, a_grid.conj())) ** 2
-    stats = np.full(grid.size, -np.inf)
-    stats[valid] = 2.0 * num[valid] / (m * denom[valid])
-    best = int(np.argmax(stats))  # ties resolve to the smaller angle
-    return GlrtResult(
-        statistic=float(stats[best]),
-        theta_ml=float(grid[best]),
-        detected=bool(stats[best] > threshold),
-        threshold=threshold,
-    )
 
 
 def noncentrality(convention: str, m: int, snr, gain, orthogonal=False):

@@ -22,15 +22,14 @@ per record range (`numerics.complex_normal_ranges`), with the bits of a
 generator seeded per stream, jumped to the substream and moved by
 `advance()`.
 
-`run_trial` is the test oracle of the vectorized engine: it runs
-the explicit pipeline on the echo noise N = E0 X, which has N X^H = E0.
-At the target angle it first lifts w to E0 = a w^T / M + (I - a a^H / M) G,
-with G of i.i.d. CN(0, 1) entries from a separate stream kind; this E0 has
-i.i.d. CN(0, 1) entries and E0^T a^* = w exactly.
+The engine is the only form of the detector here.  Its test oracle in
+tests/oracles.py runs the explicit pipeline one trial at a time on the
+echo noise N = E0 X, from draws and projectors of its own.  At the target
+angle it lifts w to E0 = a w^T / M + (I - a a^H / M) G, with G from
+streams 4 + hypothesis, which no sweep reads.
 
 The detector is one GLRT maximized over `ExperimentPlan.theta_grid()`: the
-scan grid, or the target angle alone when the scan is off.  The engine and
-`run_trial` both take that grid.
+scan grid, or the target angle alone when the scan is off.
 
 The scan evaluates no complex per-angle array.  The array is a uniform
 linear array, so conj(a_g[m]) conj(a_g[p]) = z_g^(m + p) with
@@ -54,7 +53,7 @@ channel's reported norms are those square roots.  Every waveform mode is
 one projector applied to X, so a set-up's modes are one stack in
 `_mode_labels` order: the identity, the K projectors, and the selected
 BS's projector, gathered per draw by its index; a selection rule only
-gives that index.  The scan, a fixed channel and `run_trial` take the
+gives that index.  The scan and a fixed channel take the
 (C, modes, M, M) projectors (`sharing.null_projectors`).  At the target
 angle alone the GLRT and its theory read P only through v = P a^*: the
 noise coefficient is v, the gain c = a^T v and the echo term
@@ -67,7 +66,6 @@ A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 `run_experiment`.  Redrawn channels are drawn as the noise is: one Philox
 stream, whose substream i is SNR point i's, of which trial t reads the
 fixed-width record t, its K channels of i.i.d. CN(0, 1) entries.
-`run_trial` reads the same record for its one trial.
 
 The sweep is one loop over tiles of its (SNR point, trial) rows, each tile
 a list of (snr_index, first trial, count) segments (`_tiles`).  A tile packs
@@ -127,14 +125,13 @@ CHANNEL_REDRAWN = "redrawn-per-trial"
 #                        channels per trial;
 #   2 + hypothesis       noise (E0 with the scan, w without it), one
 #                        fixed-width record per trial;
-#   4 + hypothesis       the M x M G with which `run_trial` lifts w to E0,
-#                        one record per trial;
+#   4 + hypothesis       reserved: only the lift of w to E0 in the test
+#                        oracle (tests/oracles.py) draws them;
 #   _REDRAW_BASE + r     channel redraws of mean_selected_gap_db (pinned
 #                        like stream 0).
 _CHANNEL_STREAM = 0
 _TRIAL_CHANNEL_STREAM = 1
 _NOISE_STREAM = 2
-_LIFT_STREAM = 4
 _REDRAW_BASE = 2**62
 _H1 = 0
 _H0 = 1
@@ -284,23 +281,12 @@ class DetectionCurve:
 class ExperimentResult:
     plan: ExperimentPlan
     curves: tuple[DetectionCurve, ...]
-    degenerate_trials: int
     selection: sharing.ChannelSelection | None  # fixed-channel runs only
     # Seconds per stage: "setup" (the fixed channel's engine), "points"
     # (the trials) and "theory" (the theory curves and the curve tables).
     timings_s: dict[str, float] = field(default_factory=dict)
-    # Degenerate trials per mode label; they sum to degenerate_trials.
+    # Degenerate trials per mode label.
     degenerate_by_mode: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    statistic_h1: float
-    statistic_h0: float
-    detected_h1: bool
-    detected_h0: bool
-    theta_ml: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -438,21 +424,6 @@ def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
         *_noise_shape(plan))
 
 
-def _lifted_noise(plan: ExperimentPlan, snr_index: int, hypothesis: int,
-                  first: int, count: int) -> np.ndarray:
-    """E0 for trials [first, first + count) of an at-angle plan: the
-    (count, M, M) E0 = G + a (w^T - a^H G) / M, with w from `_noise_block`
-    and G of i.i.d. CN(0, 1) entries from the point's substream of the lift
-    stream.  Its entries are i.i.d. CN(0, 1) and E0^T a^* = w, since
-    a^T a^* = M."""
-    w = _noise_block(plan, snr_index, hypothesis, first, count)
-    g = complex_normal_ranges(
-        plan.master_seed, [(_LIFT_STREAM + hypothesis, snr_index, first, count)],
-        (plan.m, plan.m))
-    a = radar.steering_vector(plan.m, plan.theta_target)
-    return g + a[:, None] * ((w - a.conj() @ g) / plan.m)[:, None, :]
-
-
 class _PointEngine:
     """Vectorized statistic evaluation for the (C, modes, M, M) projector
     stack of `_stacked_modes`, over C channel draws, or at the target angle
@@ -486,8 +457,8 @@ class _PointEngine:
     c = a^T v (`detection.projected_gain`): c gives the scale and the
     degenerate flags, and the echo term is M c.  A (C, modes, M) stack of
     the vectors v sets it up directly; a projector stack is reduced to
-    P a^* first.  Both are exact rewrites of glrt_scan on
-    sufficient_statistic(alpha A X_tx + E0 X, X_tx).  The scan's statistics
+    P a^* first.  Both are exact rewrites of the GLRT on
+    E = (alpha A X_tx + E0 X) X_tx^H.  The scan's statistics
     agree with the direct form to about 1e-15 relative.  Where the
     maximizing angle's gain c_g is far below M (near a null of a rank-one
     projector) the power is a small difference of terms of size r_0, and
@@ -725,49 +696,6 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
             "degenerate": degenerate, "gains": gains, "selected": selections}
 
 
-def run_trial(plan: ExperimentPlan, snr_db: float, pfa: float, trial_id: int) -> dict:
-    """Single-trial reference path through the explicit pipeline.
-
-    Reads the trial's channels (`_channels` with count 1: the fixed draw,
-    or record trial_id of the point's redrawn-channel substream, the record
-    the sweep reads) and its E0 (`_lifted_noise` at the target angle
-    alone), forms the echo noise N = E0 X (so N X^H = E0) and runs
-    sufficient_statistic and glrt_scan, with R = X_tx X_tx^H formed from
-    each mode's samples, over `plan.theta_grid()` on the echo.
-    Returns {mode label: TrialOutcome}; deterministic in (plan, snr_db, trial_id).
-    """
-    if snr_db not in plan.snr_grid_db:
-        raise ConfigurationError(f"snr_db {snr_db} not on the plan's grid")
-    if pfa not in plan.pfa_list:
-        raise ConfigurationError(f"pfa {pfa} not in the plan's list")
-    snr_index = plan.snr_grid_db.index(snr_db)
-    alpha = math.sqrt(10 ** (snr_db / 10))
-    proj = _stacked_modes(plan, _channels(plan, snr_index, trial_id, 1))[0]
-    cfg = detection.DetectorConfig(pfa=pfa, theta_grid=plan.theta_grid())
-
-    x = radar.orthogonal_waveforms(plan.m, plan.l)
-    draw = _noise_block if plan.scan else _lifted_noise
-    n1 = draw(plan, snr_index, _H1, trial_id, 1)[0] @ x
-    n0 = draw(plan, snr_index, _H0, trial_id, 1)[0] @ x
-    a_mat = radar.transmit_receive_matrix(
-        radar.steering_vector(plan.m, plan.theta_target)
-    )
-
-    out = {}
-    for (label, _), pm in zip(_mode_labels(plan), proj[0]):
-        x_tx = pm @ x
-        r = x_tx @ x_tx.conj().T
-        y1 = alpha * (a_mat @ x_tx) + n1
-        r1 = detection.glrt_scan(detection.sufficient_statistic(y1, x_tx), r, cfg)
-        r0 = detection.glrt_scan(detection.sufficient_statistic(n0, x_tx), r, cfg)
-        out[label] = TrialOutcome(
-            statistic_h1=r1.statistic, statistic_h0=r0.statistic,
-            detected_h1=r1.detected, detected_h0=r0.detected,
-            theta_ml=r1.theta_ml, degenerate=r1.degenerate,
-        )
-    return out
-
-
 def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray,
                     selected: np.ndarray) -> np.ndarray:
     """Theory P_D averaged over each point's channel draws: a (convention,
@@ -873,8 +801,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     timings = {"setup": t_points - t_setup, "points": t_theory - t_points,
                "theory": time.perf_counter() - t_theory}
     return ExperimentResult(
-        plan=plan, curves=tuple(curves), degenerate_trials=sum(by_mode.values()),
-        selection=selection, timings_s=timings, degenerate_by_mode=by_mode,
+        plan=plan, curves=tuple(curves), selection=selection, timings_s=timings,
+        degenerate_by_mode=by_mode,
     )
 
 

@@ -3,9 +3,11 @@
 These deliberately avoid the library's own code paths: chi-squared
 quantities come from direct quadrature of the density / bisection on the
 CDF, and steering products from explicit summation loops.  The explicit
-M x L echo model (`TargetScenario`, `synthesize_echo`), which the sweep
-replaces by its M x M sufficient statistic, lives here too, with the
-closed-form central chi-squared CDF and the ziggurat complex normals.
+M x L echo model (`TargetScenario`, `synthesize_echo`) and the explicit
+pipeline of one sweep trial (`run_trial`: channels, SVD projectors,
+brute-force selection, echo, GLRT on Y X_tx^H), which the sweep replaces
+by its M x M sufficient statistic, live here too, with the closed-form
+central chi-squared CDF and the ziggurat complex normals.
 The scalar Wilson interval and the select-based inverse-CDF normals are the
 formulas whose bits the library's array and in-place versions keep, and
 the per-range Philox generators jumped to a substream and moved by
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from nspradar import montecarlo
+from nspradar.detection import GAIN_FLOOR_FRAC
 from nspradar.errors import ConfigurationError
 from nspradar.radar import orthogonal_waveforms, steering_vector, transmit_receive_matrix
 
@@ -127,12 +129,12 @@ def brute_force_argmin_norms(projectors, x: np.ndarray) -> tuple[int, list[float
 
 def mean_selected_theory_pd(plan, snr_index: int, pfa: float, convention: str) -> float:
     """The nsp-selected theory P_D of one SNR point of a redrawn-channel
-    plan, trial by trial: each trial's K channels (`montecarlo._channels`),
-    their null-space projectors I - Q Q^H from a QR factorization of H^H
-    (N_BS < M, full rank), the brute-force minimum-degradation BS on the
-    orthogonal waveforms, its direction gain a^H P^T a, and the noncentral
-    chi-squared survival function at that gain's noncentrality (2 SNR M c,
-    or SNR c^2 for "paper"); the exact mean (math.fsum) over the trials."""
+    plan, trial by trial: each trial's K channels (`trial_channels`), their
+    projectors (`null_projector`), the brute-force minimum-degradation BS on
+    the orthogonal waveforms, its direction gain a^H P^T a, and the
+    noncentral chi-squared survival function at that gain's noncentrality
+    (2 SNR M c, or SNR c^2 for "paper"); the exact mean (math.fsum) over the
+    trials."""
     from scipy import stats
 
     a = steering_vector(plan.m, plan.theta_target)
@@ -140,15 +142,92 @@ def mean_selected_theory_pd(plan, snr_index: int, pfa: float, convention: str) -
     snr = 10 ** (plan.snr_grid_db[snr_index] / 10)
     pds = []
     for t in range(plan.trials_per_point):
-        projs = []
-        for h in montecarlo._channels(plan, snr_index, t, 1)[0]:
-            q, _ = np.linalg.qr(h.conj().T)
-            projs.append(np.eye(plan.m) - q @ q.conj().T)
+        projs = [null_projector(h) for h in trial_channels(plan, snr_index, t)]
         best, _ = brute_force_argmin_norms(projs, x)
         gain = float(np.real(a.conj() @ projs[best].T @ a))
         rho = 2 * snr * plan.m * gain if convention == "calibrated" else snr * gain ** 2
         pds.append(stats.ncx2.sf(-2 * math.log(pfa), 2, rho))
     return math.fsum(pds) / len(pds)
+
+
+def trial_channels(plan, snr_index: int, trial: int) -> np.ndarray:
+    """The (K, N_BS, M) channels of one trial: the first standard_normal
+    draw of stream 0's generator (real, then imaginary parts per BS) for a
+    fixed channel, record `trial` of the point's substream of stream 1."""
+    shape = (plan.k, plan.n_bs, plan.m)
+    if plan.channel_mode == "fixed-per-experiment":
+        seed = np.random.SeedSequence((plan.master_seed % 2**64, 0))
+        z = np.random.Generator(np.random.Philox(seed)).standard_normal((plan.k, 2, *shape[1:]))
+        return math.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
+    return complex_normal_ranges_reference(plan.master_seed, [(1, snr_index, trial, 1)], shape)[0]
+
+
+def null_projector(h: np.ndarray) -> np.ndarray:
+    """Projector V_0 V_0^H onto the null space of one N_BS x M channel, V_0
+    the right singular vectors past the rank q: the count of singular values
+    above 100 eps s_max max(N_BS, M)."""
+    _, s, vh = np.linalg.svd(h)
+    q = int(np.sum(s > 100 * np.finfo(float).eps * s[0] * max(h.shape)))
+    return vh[q:].conj().T @ vh[q:]
+
+
+def glrt(y: np.ndarray, x_tx: np.ndarray, grid) -> tuple[float, float, bool]:
+    """The GLRT on E = Y X_tx^H with R = X_tx X_tx^H: the maximum over the
+    grid of 2 |a^H E a^*|^2 / (M a^H R^T a) at the angles whose gain
+    a^H R^T a is at least GAIN_FLOOR_FRAC M, as (statistic, its angle,
+    False); (0, grid[0], True) when no angle is."""
+    m = len(y)
+    e, r = y @ x_tx.conj().T, x_tx @ x_tx.conj().T
+    a = steering_vector(m, np.asarray(grid))
+    gain = np.einsum("mg,nm,ng->g", a.conj(), r, a).real
+    valid = np.flatnonzero(gain >= GAIN_FLOOR_FRAC * m)
+    if not valid.size:
+        return 0.0, float(grid[0]), True
+    num = np.abs(np.einsum("mg,mn,ng->g", a.conj(), e, a.conj())[valid]) ** 2
+    stats = 2 * num / (m * gain[valid])
+    best = int(np.argmax(stats))  # ties go to the smaller angle
+    return float(stats[best]), float(grid[valid[best]]), False
+
+
+def noise_e0(plan, snr_index: int, hypothesis: int, first: int, count: int):
+    """E0 of trials [first, first + count) of an SNR point under one
+    hypothesis (H1 = 0, H0 = 1), (count, M, M) of i.i.d. CN(0, 1) entries:
+    records of stream 2 + hypothesis with the scan.  At the target angle
+    alone those records are w = E0^T a^*, and E0 = G + a (w^T - a^H G) / M
+    with G from stream 4 + hypothesis, so that E0^T a^* = w as a^T a^* = M."""
+    m, seed = plan.m, plan.master_seed
+    ranges = [(2 + hypothesis, snr_index, first, count)]
+    if plan.scan:
+        return complex_normal_ranges_reference(seed, ranges, (m, m))
+    w = complex_normal_ranges_reference(seed, ranges, (m,), m)
+    g = complex_normal_ranges_reference(seed, [(4 + hypothesis, snr_index, first, count)], (m, m))
+    a = steering_vector(m, plan.theta_target)
+    return g + a[:, None] * ((w - a.conj() @ g) / m)[:, None, :]
+
+
+def run_trial(plan, snr_index: int, trial: int) -> dict:
+    """One trial of the sweep's plan through the explicit pipeline,
+    {mode label: (statistic under H1, under H0, H1's angle, degenerate)} in
+    the sweep's mode order: the trial's channels, their projectors, the
+    brute-force selection on X = `orthogonal_waveforms`, and `glrt` over
+    `plan.theta_grid()` on each mode's echo Y = alpha A P X + E0 X, E0 from
+    `noise_e0`."""
+    m, grid = plan.m, plan.theta_grid()
+    x = orthogonal_waveforms(m, plan.l)
+    a = steering_vector(m, plan.theta_target)
+    projs = [null_projector(h) for h in trial_channels(plan, snr_index, trial)]
+    modes = {"orthogonal": np.eye(m), **{f"nsp-bs{i + 1}": p for i, p in enumerate(projs)},
+             "nsp-selected": projs[brute_force_argmin_norms(projs, x)[0]]}
+    labels = [label for mode in plan.waveform_modes for label in
+              (list(modes)[1:-1] if mode == "nsp-per-bs" else [mode])]
+    noise = [noise_e0(plan, snr_index, hyp, trial, 1)[0] @ x for hyp in (0, 1)]
+    alpha = math.sqrt(10 ** (plan.snr_grid_db[snr_index] / 10))
+    out = {}
+    for label in labels:
+        x_tx = modes[label] @ x
+        s1, theta, degenerate = glrt(alpha * np.outer(a, a) @ x_tx + noise[0], x_tx, grid)
+        out[label] = (s1, glrt(noise[1], x_tx, grid)[0], theta, degenerate)
+    return out
 
 
 def pd_at_snr_root(m: int, gain: float, pfa: float, target_pd: float) -> float:

@@ -442,12 +442,17 @@ class TestRun:
         assert "config key 'snr_db'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_snr_range_whose_step_cannot_advance_exit_code(self, tmp_path):
-        # 1e17 + 1 == 1e17, so the range used to loop for ever, appending
-        # 1e17.  The run goes in a child with a timeout and a 1 GiB
-        # address-space cap, so a loop fails the test rather than hanging
-        # the suite or filling memory.
-        path = write_config(tmp_path, "snr_db = 1e17:1e17:1\n")
+    @pytest.mark.parametrize("grid, message", [
+        ("1e17:1e17:1", "grid step"),
+        ("0:1e300:1e-300", "range '0:1e300:1e-300' has about inf points"),
+    ], ids=["stuck-step", "huge-range"])
+    def test_snr_range_whose_step_cannot_advance_exit_code(self, tmp_path, grid, message):
+        # 1e17 + 1 == 1e17, so the first range used to loop for ever,
+        # appending 1e17; the second appended values until memory ran out.
+        # The run goes in a child with a timeout and a 1 GiB address-space
+        # cap, so a loop fails the test rather than hanging the suite or
+        # filling memory.
+        path = write_config(tmp_path, f"snr_db = {grid}\n")
         out = tmp_path / "out"
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
@@ -456,7 +461,7 @@ class TestRun:
             [sys.executable, "-m", "nspradar.cli", "--config", path, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
-        assert "config key 'snr_db': grid step" in proc.stderr
+        assert f"config key 'snr_db': {message}" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["7", "13", "100"])

@@ -23,7 +23,6 @@ from nspradar.montecarlo import (
     max_snr_db,
     mean_selected_gap_db,
     run_experiment,
-    run_trial,
     snr_gap,
     wilson_interval,
     _isotonic,
@@ -269,52 +268,54 @@ class TestIsotonic:
 
 
 class TestRunTrial:
+    """The explicit single-trial pipeline of `oracles.run_trial`."""
+
     def test_deterministic(self):
         plan = tiny_plan()
-        a = run_trial(plan, 6.0, 0.1, 3)
-        b = run_trial(plan, 6.0, 0.1, 3)
-        assert a == b
+        assert oracles.run_trial(plan, 1, 3) == oracles.run_trial(plan, 1, 3)
 
     def test_trials_differ(self):
         plan = tiny_plan()
-        a = run_trial(plan, 6.0, 0.1, 3)
-        b = run_trial(plan, 6.0, 0.1, 4)
-        assert a[MODE_ORTHOGONAL].statistic_h1 != b[MODE_ORTHOGONAL].statistic_h1
-
-    def test_off_grid_rejected(self):
-        plan = tiny_plan()
-        with pytest.raises(ConfigurationError):
-            run_trial(plan, 3.3, 0.1, 0)
-        with pytest.raises(ConfigurationError):
-            run_trial(plan, 6.0, 0.5, 0)
+        a = oracles.run_trial(plan, 1, 3)
+        b = oracles.run_trial(plan, 1, 4)
+        assert a[MODE_ORTHOGONAL][0] != b[MODE_ORTHOGONAL][0]
 
     def test_matches_experiment_tallies(self):
         # The vectorized sweep must agree trial-for-trial with the explicit
         # single-trial pipeline.
         plan = tiny_plan(trials_per_point=60)
-        result = run_experiment(plan)
-        for snr_db in plan.snr_grid_db:
-            det = {label: 0 for label, _ in
-                   [(c.label, c.bs_id) for c in result.curves]}
-            fa = dict(det)
-            for t in range(plan.trials_per_point):
-                out = run_trial(plan, snr_db, 0.1, t)
-                for label, outcome in out.items():
-                    det[label] += outcome.detected_h1
-                    fa[label] += outcome.detected_h0
-            for curve in result.curves:
-                pt = next(p for p in curve.points if p.snr_db == snr_db)
-                assert pt.detections == det[curve.label]
-                assert pt.false_alarms == fa[curve.label]
+        _assert_tallies_match(plan, run_experiment(plan), 0.1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"scan": True, "theta_step_deg": 10.0},
+        {"channel_mode": CHANNEL_REDRAWN,
+         "waveform_modes": (MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED)},
+    ], ids=["fixed", "fixed-scan", "redrawn"])
+    def test_shares_no_setup_with_the_engine(self, kwargs, monkeypatch):
+        # With the engine's set-up and the library's projectors patched to
+        # fail, the oracle still gives every outcome.
+        plan = tiny_plan(trials_per_point=4, **kwargs)
+        want = [oracles.run_trial(plan, 1, t) for t in range(4)]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the oracle called the engine's set-up")
+
+        for owner, name in [(montecarlo, "_stacked_modes"), (montecarlo, "_channels"),
+                            (montecarlo, "_PointEngine"), (sharing, "null_projectors"),
+                            (sharing, "null_projections")]:
+            monkeypatch.setattr(owner, name, fail)
+        assert [oracles.run_trial(plan, 1, t) for t in range(4)] == want
 
 
 def _tallies_by_run_trial(plan, pfa):
+    threshold = numerics.chi2_central_inv(1 - pfa)
     det, fa = {}, {}
-    for snr_db in plan.snr_grid_db:
+    for i, snr_db in enumerate(plan.snr_grid_db):
         for t in range(plan.trials_per_point):
-            for label, outcome in run_trial(plan, snr_db, pfa, t).items():
-                det[label, snr_db] = det.get((label, snr_db), 0) + outcome.detected_h1
-                fa[label, snr_db] = fa.get((label, snr_db), 0) + outcome.detected_h0
+            for label, (s1, s0, *_) in oracles.run_trial(plan, i, t).items():
+                det[label, snr_db] = det.get((label, snr_db), 0) + (s1 > threshold)
+                fa[label, snr_db] = fa.get((label, snr_db), 0) + (s0 > threshold)
     return det, fa
 
 
@@ -328,7 +329,8 @@ def _assert_tallies_match(plan, result, pfa):
 
 
 class TestEngineOracle:
-    """The vectorized engine against the explicit run_trial pipeline."""
+    """The vectorized engine against the explicit pipeline of
+    `oracles.run_trial`."""
 
     @pytest.mark.parametrize("kwargs", [
         {"trials_per_point": 30, "scan": True, "theta_step_deg": 2.0},
@@ -379,9 +381,9 @@ class TestEngineOracle:
         s0 = engine.statistics(e0, 0.0)
         for mi, (label, _) in enumerate(montecarlo._mode_labels(plan)):
             for t in range(8):
-                want = run_trial(plan, 6.0, 0.1, t)[label]
-                assert s1[t, mi] == pytest.approx(want.statistic_h1, rel=1e-9)
-                assert s0[t, mi] == pytest.approx(want.statistic_h0, rel=1e-9)
+                want = oracles.run_trial(plan, 1, t)[label]
+                assert s1[t, mi] == pytest.approx(want[0], rel=1e-9)
+                assert s0[t, mi] == pytest.approx(want[1], rel=1e-9)
 
 
 class TestScanKernel:
@@ -576,12 +578,12 @@ class TestNoiseDraws:
 
     def test_stream_ids_do_not_collide(self):
         # One id per kind: the fixed channel, the redrawn channels, the noise
-        # and the lift under each hypothesis; the mean-gap redraws
-        # _REDRAW_BASE + r lie above them all.  The SNR index is a substream,
-        # not part of an id.
+        # under each hypothesis, and 4 and 5, reserved for the test oracle's
+        # lift; the mean-gap redraws _REDRAW_BASE + r lie above them all.  The
+        # SNR index is a substream, not part of an id.
         kinds = [montecarlo._CHANNEL_STREAM, montecarlo._TRIAL_CHANNEL_STREAM,
-                 *(base + hyp for base in (montecarlo._NOISE_STREAM, montecarlo._LIFT_STREAM)
-                   for hyp in (montecarlo._H1, montecarlo._H0))]
+                 *(montecarlo._NOISE_STREAM + hyp for hyp in (montecarlo._H1, montecarlo._H0)),
+                 4, 5]
         assert sorted(kinds) == list(range(6))
         assert max(kinds) < montecarlo._REDRAW_BASE <= 2**64 - 2**32
         segments = [(3, 5, 2), (4, 0, 7)]
@@ -612,13 +614,13 @@ class TestNoiseDraws:
         plan = tiny_plan(trials_per_point=20_000)
         m, n = plan.m, 20_000
         w = montecarlo._noise_block(plan, 1, montecarlo._H0, 0, n)
-        e0 = montecarlo._lifted_noise(plan, 1, montecarlo._H0, 0, n)
+        e0 = oracles.noise_e0(plan, 1, montecarlo._H0, 0, n)
         assert e0.shape == (n, m, m)
         a = radar.steering_vector(m, plan.theta_target)
         np.testing.assert_allclose(np.einsum("tmn,m->tn", e0, a.conj()), w,
                                    rtol=0, atol=1e-12)
         # One trial's lift is the block's row: run_trial reads count = 1.
-        one = montecarlo._lifted_noise(plan, 1, montecarlo._H0, 17, 1)[0]
+        one = oracles.noise_e0(plan, 1, montecarlo._H0, 17, 1)[0]
         assert one.tobytes() == e0[17].tobytes()
         # vec(E0) ~ CN(0, I): unit power per entry, and no correlation or
         # pseudo-correlation between entries.  As for w, re and im of the
@@ -745,7 +747,7 @@ class TestRunExperiment:
         for curve in result.curves:
             for pt in curve.points:
                 assert abs(pt.pd_emp - pt.pd_theory_calibrated) < 0.03
-        assert result.degenerate_trials == 0
+        assert sum(result.degenerate_by_mode.values()) == 0
 
     def test_redrawn_channels_run_and_reproduce(self):
         plan = tiny_plan(
@@ -822,7 +824,7 @@ class TestRunExperiment:
         build = sharing.null_projectors
         monkeypatch.setattr(sharing, "null_projectors", fail)
         result = run_experiment(plan)
-        assert result.degenerate_trials == 0
+        assert sum(result.degenerate_by_mode.values()) == 0
         assert math.isfinite(mean_selected_gap_db(plan, n_redraws=5))
         calls = []
         monkeypatch.setattr(sharing, "null_projectors",
