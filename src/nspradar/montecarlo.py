@@ -52,11 +52,12 @@ read from the same call (`sharing.select_by_nullity`), and a fixed
 channel's reported norms are those square roots.  Every waveform mode is
 one projector applied to X, so a set-up's modes are one stack in
 `_mode_labels` order: the identity, the K projectors, and the selected
-BS's projector, gathered per draw by its index; a selection rule only
-gives that index.  The scan and a fixed channel take the
-(C, modes, M, M) projectors (`sharing.null_projectors`).  At the target
-angle alone the GLRT and its theory read P only through v = P a^*: the
-noise coefficient is v, the gain c = a^T v and the echo term
+BS's projector, taken per draw by its index.  A selection rule only gives
+that index, and past `_stacked_modes` only the fixed channel's selection
+report reads it.  The scan and a fixed channel take the (C, modes, M, M)
+projectors (`sharing.null_projectors`).  At the target angle alone the
+GLRT and its theory read P only through v = P a^*: the noise coefficient
+is v, the gain c = a^T v and the echo term
 a^H A P a^* = (a^H a)(a^T v) = M c.  So redrawn tiles without the scan,
 and `mean_selected_gap_db`, take the (C, modes, M) stack of those vectors
 (`sharing.null_projections`), with a^* for the orthogonal mode, and form
@@ -87,11 +88,12 @@ another.  A point's tallies are one threshold comparison per hypothesis and
 tile, summed per point segment.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
-the per-trial target gains c_t; with a fixed channel that is the value at
-its one gain.  The survival function is evaluated once per distinct gain:
-once per point for the orthogonal mode, whose gain is the same in every
-draw, and not at all for nsp-selected beside nsp-per-bs, whose per-draw
-P_D is gathered from the selected BS's column (`_mean_theory_pd`).
+the per-trial target gains c_t alone; with a fixed channel that is the
+value at its one gain.  The survival function is evaluated once per
+distinct noncentrality, so a column that copies another's gains (the
+selected BS's beside nsp-per-bs) costs no evaluation, and a mode whose
+draws share one noncentrality (the orthogonal mode, a fixed channel, no
+null space) reads that value (`_mean_theory_pd`).
 """
 
 from __future__ import annotations
@@ -144,6 +146,14 @@ _WILSON_Z = 1.959963984540054  # 95%
 # values at a time.  All three bound the memory a sweep takes.
 _CHUNK = 2000
 _BLOCK_ELEMENTS = 2**17
+# A plan takes at most _MAX_TRIALS trials per point: a redrawn run holds the
+# target gain of every row and mode for the theory, points x trials x modes
+# floats, 2.3 GB for fig3 at this bound, and the tile list grows with the
+# trials in every channel mode.
+_MAX_TRIALS = 10**6
+# A scan grid has at most _MAX_SCAN_ANGLES angles, so that one row of one
+# mode's statistics over the grid fits a block.
+_MAX_SCAN_ANGLES = _BLOCK_ELEMENTS
 
 
 def max_snr_db(m: int) -> float:
@@ -176,8 +186,10 @@ class ExperimentPlan:
         if self.m < 1 or self.n_bs < 1 or self.k < 1:
             raise ConfigurationError(
                 f"m, n_bs and k must all be >= 1, got m={self.m}, n_bs={self.n_bs}, k={self.k}")
-        if self.trials_per_point < 1:
-            raise ConfigurationError("trials_per_point must be >= 1")
+        if not 1 <= self.trials_per_point <= _MAX_TRIALS:
+            raise ConfigurationError(
+                f"trials_per_point must lie in [1, {_MAX_TRIALS}], "
+                f"got {self.trials_per_point}")
         if not self.snr_grid_db:
             raise ConfigurationError("snr grid must be non-empty")
         if not all(math.isfinite(s) for s in self.snr_grid_db):
@@ -232,6 +244,13 @@ class ExperimentPlan:
                 raise ConfigurationError(f"{name} must be distinct, got {list(values)}")
         if not 0 < self.theta_step_deg <= 180:
             raise ConfigurationError("theta_step_deg must lie in (0, 180]")
+        # Counted before `theta_grid` builds the grid.
+        if self.scan and 180 / self.theta_step_deg + 1 > _MAX_SCAN_ANGLES:
+            raise ConfigurationError(
+                f"theta_step_deg = {self.theta_step_deg!r} gives a scan grid of "
+                f"about {180 / self.theta_step_deg + 1:.4g} angles; the scan takes "
+                f"at most {_MAX_SCAN_ANGLES}, a step of at least "
+                f"{180 / (_MAX_SCAN_ANGLES - 1)!r} degrees")
         if not abs(self.theta_target_deg) <= 90:  # also rejects nan
             raise ConfigurationError("theta_target_deg must lie in [-90, 90]")
 
@@ -273,7 +292,7 @@ class CurvePoint(NamedTuple):
 @dataclass(frozen=True)
 class DetectionCurve:
     label: str          # "orthogonal", "nsp-bs<N>", "nsp-selected"
-    bs_id: str          # "orthogonal", "<N>", "selected"
+    bs_id: str          # the BS number "<N>", else the mode without "nsp-"
     points: tuple[CurvePoint, ...]
 
 
@@ -326,12 +345,10 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
     """Expanded (label, bs_id) pairs in deterministic output order."""
     out = []
     for mode in plan.waveform_modes:
-        if mode == MODE_ORTHOGONAL:
-            out.append((MODE_ORTHOGONAL, "orthogonal"))
-        elif mode == MODE_NSP_PER_BS:
+        if mode == MODE_NSP_PER_BS:
             out.extend((f"nsp-bs{i}", str(i)) for i in range(1, plan.k + 1))
-        else:
-            out.append((MODE_NSP_SELECTED, "selected"))
+        else:  # bs_id: the mode without its "nsp-" prefix
+            out.append((mode, mode.removeprefix("nsp-")))
     return out
 
 
@@ -634,10 +651,11 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
     `engine` is the fixed-channel engine; without it the channels are
     redrawn per trial and set up once per tile.  Returns tallies per SNR
     point (detections and false alarms (points, pfa, modes), degenerate
-    trials (points, modes)) and, for redrawn channels, the target gains and
-    selected BSs of the rows in order, as lists of (tile rows, modes) and
-    (tile rows,) arrays.  At the target angle alone a tile is set up from
-    the vectors P a^* (`_stacked_modes` with x = a^*), not the projectors.
+    trials (points, modes)) and, for redrawn channels, the target gains of
+    the rows in order, a list of (tile rows, modes) arrays: the theory
+    needs nothing else of a draw.  At the target angle alone a tile is set
+    up from the vectors P a^* (`_stacked_modes` with x = a^*), not the
+    projectors.
 
     Each call owns one buffer of uniforms, allocated here for the largest
     of its tiles, so a worker thread (one call each) draws into its own
@@ -656,7 +674,7 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
     false_alarms = np.zeros_like(detections)
     degenerate = np.zeros((n_points, n_modes), dtype=np.int64)
     redrawn = engine is None
-    gains, selections = [], []
+    gains = []
     x = None if plan.scan else radar.steering_vector(plan.m, plan.theta_target).conj()
     noise_shape, noise_var = _noise_shape(plan)
     # Doubles per row: the two hypotheses' noise records, or the channel
@@ -676,10 +694,8 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
         if redrawn:
             h = complex_normal_ranges(plan.master_seed, _channel_ranges(tile),
                                       _channel_shape(plan), buffer=buffer, keys=keys)
-            modes, selected = _stacked_modes(plan, h, x)[:2]
-            engine = _PointEngine(plan, modes)
+            engine = _PointEngine(plan, _stacked_modes(plan, h, x)[0])
             gains.append(engine.target_gain)
-            selections.append(selected)
         noise = complex_normal_ranges(plan.master_seed, _noise_ranges(tile, (_H1, _H0)),
                                       noise_shape, noise_var, buffer=buffer, keys=keys)
         alphas = [math.sqrt(10 ** (plan.snr_grid_db[i] / 10)) for i in points]
@@ -693,53 +709,38 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
         deg = np.broadcast_to(engine.degenerate, (rows, n_modes))
         degenerate[points] += np.add.reduceat(deg, bounds[:-1], axis=0)
     return {"detections": detections, "false_alarms": false_alarms,
-            "degenerate": degenerate, "gains": gains, "selected": selections}
+            "degenerate": degenerate, "gains": gains}
 
 
-def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray,
-                    selected: np.ndarray) -> np.ndarray:
+def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
     """Theory P_D averaged over each point's channel draws: a (convention,
     points, pfa, modes) array, the conventions "paper" and "calibrated".
 
-    `gains` is (points, C, modes) and `selected` (points, C), the selected
-    BS's 0-based index per draw; the noncentralities are
-    `detection.noncentrality`'s at the linear SNR of each grid point.  The
-    survival function is evaluated once per distinct gain: the orthogonal
-    gain is the same in every draw, so its column is evaluated once per
-    point, and with nsp-per-bs the selected column's per-draw P_D is
-    gathered from the BS columns.  Points go in groups of about
-    _BLOCK_ELEMENTS values, since the noncentral survival function takes
-    several temporaries of its input's size; each point's trials are still
-    reduced in one step.
+    `gains` is (points, C, modes), the target gains of each point's draws;
+    the noncentralities are `detection.noncentrality`'s at the linear SNR
+    of each grid point.  The survival function is evaluated once per
+    distinct noncentrality of a group of points, and a (point, mode) whose
+    draws share one noncentrality reads that value, not a mean of equal
+    values: the orthogonal mode, a fixed channel (C = 1), or a mode with no
+    null space.  Points go in groups of about _BLOCK_ELEMENTS values,
+    since the noncentral survival function takes several temporaries of
+    its input's size; each point's trials are still reduced in one step.
     """
-    labels = [label for label, _ in _mode_labels(plan)]
-    orthogonal = np.array([label == MODE_ORTHOGONAL for label in labels])
-    first_bs = labels.index("nsp-bs1") if MODE_NSP_PER_BS in plan.waveform_modes else None
-    gathered = (labels.index(MODE_NSP_SELECTED)
-                if first_bs is not None and MODE_NSP_SELECTED in labels else None)
-    # The columns evaluated per draw.
-    per_draw = [j for j, label in enumerate(labels)
-                if label != MODE_ORTHOGONAL and j != gathered]
+    orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
     conventions = ("paper", "calibrated")
     snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
-    pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(labels)))
+    pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(orthogonal)))
     step = max(1, _BLOCK_ELEMENTS // gains[0].size)
     for i in range(0, len(snr), step):
         g, s = gains[i:i + step], snr[i:i + step, None, None]
         for c, conv in enumerate(conventions):
-            rho = detection.noncentrality(conv, plan.m, s, g[..., per_draw])
-            rho_orthogonal = detection.noncentrality(conv, plan.m, s[:, 0],
-                                                     g[:, 0, orthogonal], True)
+            rho = detection.noncentrality(conv, plan.m, s, g, orthogonal)
+            distinct, index = np.unique(rho, return_inverse=True)
+            index = index.reshape(rho.shape)
+            shared = (rho == rho[:, :1]).all(axis=1)
             for j, p in enumerate(plan.pfa_list):
-                # The orthogonal column, zeros here, is replaced below.
-                trial_pd = np.zeros(g.shape)
-                trial_pd[..., per_draw] = detection.theoretical_pd(rho, p)
-                if gathered is not None:
-                    trial_pd[..., gathered] = np.take_along_axis(
-                        trial_pd, selected[i:i + step, :, None] + first_bs, axis=2)[..., 0]
-                out = pd[c, i:i + step, j]
-                out[...] = trial_pd.mean(axis=1)
-                out[:, orthogonal] = detection.theoretical_pd(rho_orthogonal, p)
+                trial_pd = detection.theoretical_pd(distinct, p)[index]
+                pd[c, i:i + step, j] = np.where(shared, trial_pd[:, 0], trial_pd.mean(axis=1))
     return pd
 
 
@@ -750,9 +751,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
         h = _channels(plan, 0, 0, 1)
-        proj, fixed_selected, p, nullity = _stacked_modes(plan, h)
+        proj, selected, p, nullity = _stacked_modes(plan, h)
         engine = _PointEngine(plan, proj)
-        best = int(fixed_selected[0])
+        best = int(selected[0])
         selection = sharing.ChannelSelection(
             selected=best + 1,
             norms=tuple(math.sqrt(plan.m - n) for n in nullity[0].tolist()),
@@ -775,13 +776,10 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     if engine is None:
         gains = np.concatenate([g for part in parts for g in part["gains"]])
         gains = gains.reshape(n_points, plan.trials_per_point, -1)
-        selected = np.concatenate([s for part in parts for s in part["selected"]])
-        selected = selected.reshape(n_points, plan.trials_per_point)
     else:
         gains = np.broadcast_to(engine.target_gain, (n_points,) + engine.target_gain.shape)
-        selected = np.broadcast_to(fixed_selected, (n_points, 1))
     t_theory = time.perf_counter()
-    paper, calibrated = _mean_theory_pd(plan, gains, selected)
+    paper, calibrated = _mean_theory_pd(plan, gains)
 
     trials = plan.trials_per_point
     # CurvePoint's fields in order, each broadcast to (points, pfa, modes)

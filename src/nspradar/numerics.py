@@ -1,9 +1,8 @@
 """Shared numerical substrate.
 
-Complex SVD facade, chi-squared statistics with two degrees of freedom
-(the central inverse CDF and the noncentral survival function, i.e. the
-first-order Marcum Q), deterministic RNG substreams, and fixed-width
-Gaussian record streams.
+Chi-squared statistics with two degrees of freedom (the central inverse
+CDF and the noncentral survival function, i.e. the first-order Marcum Q),
+deterministic RNG substreams, and fixed-width Gaussian record streams.
 
 A stream is the Philox generator seeded by
 SeedSequence((master_seed mod 2**64, stream_id)); `stream_key` derives its
@@ -28,32 +27,11 @@ import numpy as np
 from scipy.special import chdtrc, ndtri
 from scipy.special._ufuncs import _ncx2_sf
 
-from .errors import NumericFailure
 
 # Generator.random() spends one 64-bit word per double and returns k * 2**-53
 # with k in [0, 2**53); one Philox counter step yields four words.
 _HALF_CELL = 2.0 ** -54
 _PHILOX_WORDS = 4
-
-
-def svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD of a complex matrix or a (..., n, m) stack of them, returned
-    as (U, s, V) with H = U diag(s) V^H.
-
-    Note the third factor is V itself, not V^H.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-2] < 1 or h.shape[-1] < 1:
-        raise ValueError(f"expected a (..., n, m) matrix stack, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("matrix contains non-finite entries")
-    try:
-        u, s, vh = np.linalg.svd(h, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(
-            f"SVD did not converge for a stack of {h.shape[-2]}x{h.shape[-1]} matrices"
-        ) from exc
-    return u, s, np.swapaxes(vh.conj(), -1, -2)
 
 
 def chi2_central_inv(p: float) -> float:

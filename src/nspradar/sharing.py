@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .numerics import svd
+from .errors import ConfigurationError, NumericFailure
 
 # The null-space rank rule (`null_projectors`).
 _RANK_TOL_FACTOR = 100 * np.finfo(float).eps
@@ -145,8 +144,20 @@ def _svd_projectors(h: np.ndarray, x: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """`null_projectors` by the SVD H = U diag(s) V^H: P = V_null V_null^H
     from the trailing M - q right singular vectors; P x instead of P for
-    an M-vector x."""
-    _, s, v = svd(h)
+    an M-vector x.  Raises ValueError for a stack that is not (..., N, M)
+    with N, M >= 1 or holds a non-finite entry, and NumericFailure where
+    the SVD does not converge."""
+    if h.ndim < 2 or h.shape[-2] < 1 or h.shape[-1] < 1:
+        raise ValueError(f"expected a (..., n, m) matrix stack, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix contains non-finite entries")
+    try:
+        _, s, vh = np.linalg.svd(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(
+            f"SVD did not converge for a stack of {h.shape[-2]}x{h.shape[-1]} matrices"
+        ) from exc
+    v = np.swapaxes(vh.conj(), -1, -2)
     n_bs, m = h.shape[-2:]
     q = np.sum(s > _RANK_TOL_FACTOR * s[..., :1] * max(n_bs, m), axis=-1)
     # V with its first q columns zeroed, so that each matrix of the stack

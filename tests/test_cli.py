@@ -449,10 +449,15 @@ class TestRun:
     def test_snr_range_whose_step_cannot_advance_exit_code(self, tmp_path, grid, message):
         # 1e17 + 1 == 1e17, so the first range used to loop for ever,
         # appending 1e17; the second appended values until memory ran out.
+        self._assert_capped_run_rejects(tmp_path, f"snr_db = {grid}\n",
+                                        f"config key 'snr_db': {message}")
+
+    @staticmethod
+    def _assert_capped_run_rejects(tmp_path, text, message):
         # The run goes in a child with a timeout and a 1 GiB address-space
         # cap, so a loop fails the test rather than hanging the suite or
         # filling memory.
-        path = write_config(tmp_path, f"snr_db = {grid}\n")
+        path = write_config(tmp_path, text)
         out = tmp_path / "out"
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
@@ -461,8 +466,32 @@ class TestRun:
             [sys.executable, "-m", "nspradar.cli", "--config", path, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
-        assert f"config key 'snr_db': {message}" in proc.stderr
+        assert message in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("trials = 1000000000000000000\n", "trials_per_point must lie in [1, 1000000]"),
+        ("scan = true\ntheta_step_deg = 1e-9\n", "theta_step_deg = 1e-09 gives a scan grid"),
+        ("channel_mode = redrawn-per-trial\nscan = true\ntheta_step_deg = 1e-7\n",
+         "theta_step_deg = 1e-07 gives a scan grid"),
+    ], ids=["huge-trials", "tiny-scan-step", "tiny-redrawn-scan-step"])
+    def test_plan_too_large_for_memory_exit_code(self, tmp_path, text, message):
+        # The first used to build tile lists until memory ran out, the
+        # others the scan grid (1.31 TiB, and 13.4 GiB of redrawn set-up):
+        # exit 1 at best.
+        self._assert_capped_run_rejects(tmp_path, text, message)
+
+    def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # With n_bs = m every channel takes the SVD; its failure to converge
+        # is a numeric failure (exit 4), and no result is written.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        code, out = self._run(tmp_path, extra="n_bs = 4\n")
+        assert code == cli.EXIT_NUMERIC
+        assert "numeric failure" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "results.csv"))
 
     @pytest.mark.parametrize("step", ["7", "13", "100"])
     def test_scan_step_that_does_not_divide_180_runs(self, tmp_path, step):

@@ -75,6 +75,8 @@ class TestPlanValidation:
             {"k": 0},
             {"theta_target_deg": 91.0},
             {"theta_step_deg": 0.0},
+            {"trials_per_point": montecarlo._MAX_TRIALS + 1},
+            {"scan": True, "theta_step_deg": 1e-9},
             {"m": 0},
             {"n_bs": 0},
             # 1 - pfa == 1: the threshold chi2_central_inv(1 - pfa) fails.
@@ -149,6 +151,29 @@ class TestPlanValidation:
         assert np.rad2deg(grid[-1]) == pytest.approx(last)
         assert np.rad2deg(grid[0]) == -90.0
         assert np.all(np.abs(grid) <= np.pi / 2)
+
+    def test_trial_bound(self):
+        # The bound itself is accepted; the message names the value and it.
+        assert tiny_plan(trials_per_point=montecarlo._MAX_TRIALS).trials_per_point == 10**6
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("must lie in [1, 1000000], got 10")):
+            tiny_plan(trials_per_point=10**18)
+
+    def test_scan_grid_bound(self):
+        # The grid is counted before it is built: the largest accepted grid
+        # has at most _MAX_SCAN_ANGLES angles, and a step below its step is
+        # rejected, naming the value and the bound.  Without the scan the
+        # step is never used and any step in (0, 180] is accepted.
+        step = 180 / (montecarlo._MAX_SCAN_ANGLES - 1)
+        assert len(tiny_plan(scan=True, theta_step_deg=step).theta_grid()) \
+            <= montecarlo._MAX_SCAN_ANGLES
+        below = float(np.nextafter(step, 0) - 1e-12)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"theta_step_deg = {below!r}") + ".*"
+                           + re.escape(f"at most {montecarlo._MAX_SCAN_ANGLES}")):
+            tiny_plan(scan=True, theta_step_deg=below)
+        plan = tiny_plan(theta_step_deg=1e-9)
+        assert plan.theta_grid().tolist() == [plan.theta_target]
 
     def test_grid_without_scan_is_the_target_angle(self):
         plan = tiny_plan(theta_target_deg=-20.0)
@@ -850,21 +875,19 @@ class TestRunExperiment:
         rows = montecarlo._tile_rows(plan)
         assert len(calls) == math.ceil(5 * 10 / rows) < 5
 
-    def test_selected_theory_is_gathered_per_draw(self):
-        # With nsp-per-bs the selected column's per-draw P_D is gathered
-        # from the BS columns by each draw's index, and the orthogonal
-        # column is evaluated once per point; each equals the direct
-        # per-draw mean.
+    def test_theory_is_the_per_draw_mean_of_any_gains(self):
+        # The theory reads each column's gains alone: nsp-selected's gains
+        # here match no BS column, and each column equals the direct
+        # per-draw mean.  The orthogonal column, whose draws share one
+        # noncentrality, reads that value exactly.
         plan = tiny_plan(k=3, snr_grid_db=(-3.0, 0.0, 5.0), pfa_list=(0.1, 1e-3),
                          channel_mode=CHANNEL_REDRAWN,
                          waveform_modes=(MODE_NSP_SELECTED, MODE_NSP_PER_BS, MODE_ORTHOGONAL))
         rng = np.random.default_rng(1)
         gains = rng.uniform(0.5, 4.0, (3, 30, 5))
-        selected = rng.integers(0, 3, (3, 30))
-        gains[..., 0] = np.take_along_axis(gains[..., 1:4], selected[..., None], axis=2)[..., 0]
         gains[..., 4] = detection.direction_gain(
             radar.steering_vector(plan.m, plan.theta_target), np.eye(plan.m))
-        pd = montecarlo._mean_theory_pd(plan, gains, selected)
+        pd = montecarlo._mean_theory_pd(plan, gains)
         for c, conv in enumerate(("paper", "calibrated")):
             for i, snr_db in enumerate(plan.snr_grid_db):
                 for j, pfa in enumerate(plan.pfa_list):
@@ -873,6 +896,22 @@ class TestRunExperiment:
                     want = detection.theoretical_pd(rho, pfa).mean(axis=0)
                     np.testing.assert_allclose(pd[c, i, j], want, rtol=0, atol=1e-15)
                     assert pd[c, i, j, 4] == detection.theoretical_pd(rho[0, 4], pfa)
+
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_degenerate_redrawn_theory_is_exact_at_zero(self, scan):
+        # With n_bs = m no draw has a null space: every nsp-* gain is 0, so
+        # every draw of those columns shares rho = 0 and the cell reads
+        # P_D(0) itself, not a mean of equal values.
+        plan = tiny_plan(n_bs=4, k=3, trials_per_point=50, pfa_list=(0.1, 1e-3),
+                         channel_mode=CHANNEL_REDRAWN, scan=scan, theta_step_deg=10.0,
+                         waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED))
+        curves = run_experiment(plan).curves
+        assert [c.label for c in curves if c.label != MODE_ORTHOGONAL] == [
+            "nsp-bs1", "nsp-bs2", "nsp-bs3", MODE_NSP_SELECTED]
+        for curve in curves[1:]:
+            for pt in curve.points:
+                assert pt.pd_theory_paper == pt.pd_theory_calibrated == \
+                    detection.theoretical_pd(0.0, pt.pfa)
 
     @pytest.mark.parametrize("trials", [10, 40])
     @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
-from nspradar.errors import NumericFailure
 from nspradar import numerics
 from nspradar.numerics import (
     chi2_central_inv,
@@ -16,66 +15,10 @@ from nspradar.numerics import (
     record_words,
     rng_substream,
     stream_key,
-    svd,
 )
 
 import oracles
 from oracles import chi2_central_cdf, complex_normal
-
-
-class TestSvd:
-    def test_identity(self):
-        _, s, _ = svd(np.eye(2))
-        np.testing.assert_allclose(s, [1.0, 1.0])
-
-    def test_zero_matrix(self):
-        _, s, _ = svd(np.zeros((2, 4)))
-        np.testing.assert_allclose(s, [0.0, 0.0])
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(7)
-        h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
-        u, s, v = svd(h)
-        smat = np.zeros((2, 4))
-        smat[:2, :2] = np.diag(s)
-        assert np.linalg.norm(h - u @ smat @ v.conj().T) < 1e-10
-        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 1e-12
-        assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-12
-
-    def test_singular_values_sorted_nonnegative(self):
-        rng = np.random.default_rng(8)
-        h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        _, s, _ = svd(h)
-        assert np.all(s >= 0)
-        assert np.all(np.diff(s) <= 0)
-
-    def test_roundtrip_many_random_shapes(self):
-        rng = np.random.default_rng(123)
-        for _ in range(1000):
-            r = int(rng.integers(1, 9))
-            c = int(rng.integers(1, 9))
-            h = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
-            u, s, v = svd(h)
-            smat = np.zeros((r, c))
-            k = min(r, c)
-            smat[:k, :k] = np.diag(s)
-            err = np.linalg.norm(h - u @ smat @ v.conj().T)
-            assert err / max(1.0, np.linalg.norm(h)) < 1e-10
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_stack_equals_per_matrix(self):
-        rng = np.random.default_rng(9)
-        h = rng.standard_normal((3, 4, 2, 5)) + 1j * rng.standard_normal((3, 4, 2, 5))
-        u, s, v = svd(h)
-        assert u.shape == (3, 4, 2, 2) and s.shape == (3, 4, 2) and v.shape == (3, 4, 5, 5)
-        for i in np.ndindex(3, 4):
-            for got, want in zip((u[i], s[i], v[i]), svd(h[i])):
-                np.testing.assert_array_equal(got, want)
-        with pytest.raises(ValueError):
-            svd(np.ones(3))
 
 
 class TestCentralChi2:

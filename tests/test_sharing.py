@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nspradar.errors import ConfigurationError
+from nspradar.errors import ConfigurationError, NumericFailure
 from nspradar.numerics import rng_substream
 from nspradar.radar import orthogonal_waveforms, steering_vector
 from nspradar.sharing import (
@@ -140,12 +140,12 @@ class TestGramSchmidtRoute:
         # scaled to their largest entry before any sum of squares.
         import nspradar.sharing as sharing
 
-        def fail(h):
+        def fail(*args):
             raise AssertionError("SVD called")
 
         h = channel_matrices([rng_substream(3, 2)], 5, 2, 4)
         want, _ = null_projectors(h)
-        monkeypatch.setattr(sharing, "svd", fail)
+        monkeypatch.setattr(sharing, "_svd_projectors", fail)
         p, nullity = null_projectors(h * scale)
         assert np.all(nullity == 2)
         np.testing.assert_allclose(p, want, rtol=0, atol=1e-15)
@@ -156,6 +156,22 @@ class TestGramSchmidtRoute:
         h = channel_matrices([rng_substream(3, 3)], 3, n_bs, m)
         h[0, 1, 0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
+            null_projectors(h)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0, 4), (2, 3, 0)])
+    def test_malformed_stack_raises(self, shape):
+        # No route takes an empty or one-dimensional stack.
+        with pytest.raises(ValueError, match="matrix stack"):
+            null_projectors(np.ones(shape, dtype=complex))
+
+    def test_svd_failure_is_a_numeric_failure(self, monkeypatch):
+        # N_BS >= M takes the SVD, whose LinAlgError becomes NumericFailure.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        h = channel_matrices([rng_substream(3, 3)], 3, 4, 4)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericFailure, match="4x4"):
             null_projectors(h)
 
 
@@ -265,12 +281,12 @@ class TestNullProjections:
         # less its part in the rows' span.
         import nspradar.sharing as sharing
 
-        def fail(h):
+        def fail(*args):
             raise AssertionError("SVD called")
 
         h = channel_matrices([rng_substream(3, 4)], 5, 2, 4)
         x = steering_vector(4, 0.3).conj()
-        monkeypatch.setattr(sharing, "svd", fail)
+        monkeypatch.setattr(sharing, "_svd_projectors", fail)
         v, nullity = null_projections(h, x)
         assert np.all(nullity == 2)
         np.testing.assert_allclose(h @ v[..., None], 0, rtol=0, atol=1e-14)
