@@ -7,15 +7,16 @@ with the run's worker count W and its --preset and --config, by
 perf_counter, output files included.  That time leaves out the import, so
 each tree's cold start `import_s` is timed on its own: a fresh interpreter
 timing `import nspradar.cli`.  The run `fig3-redrawn` is the `fig3` preset
-with channels redrawn per trial, and `fig4-scan` the `fig4` preset with
-the GLRT scan over the angle grid, each set by a config file the script
-writes and passes with --config.  `band-m4` and `band-m8` are the
-acceptance band fixture of tests/test_acceptance.py (M = 4 with seed 26
-over -6:16 dB, M = 8 with seed 201 over -12:2 dB, 0.5 dB steps, the fig3
-modes, P_FA 1e-3), set by a config file alone; they run when --runs names
-them.  Every run takes 1 worker but `fig5-w2` and `fig3-redrawn-w2`, which
-are `fig5` and `fig3-redrawn` at 2 worker threads; they too run when
---runs names them.  Runs of several trees (say, a parent commit's src/ and
+with channels redrawn per trial, `fig4-scan` the `fig4` preset with the
+GLRT scan over the angle grid, and `fig3-redrawn-scan` the `fig3` preset
+with both, on a 2 degree grid, each set by a config file the script writes
+and passes with --config.  `band-m4` and `band-m8` are the acceptance band
+fixture of tests/test_acceptance.py (M = 4 with seed 26 over -6:16 dB,
+M = 8 with seed 201 over -12:2 dB, 0.5 dB steps, the fig3 modes, P_FA
+1e-3), set by a config file alone; they and `fig3-redrawn-scan` run when
+--runs names them.  Every run takes 1 worker but `fig5-w2` and
+`fig3-redrawn-w2`, which are `fig5` and `fig3-redrawn` at 2 worker
+threads; they too run when --runs names them.  Runs of several trees (say, a parent commit's src/ and
 this one's) interleave run by run, so that drift in the machine's speed
 reaches them alike.  Each (tree, run) reports the median of --repeats
 runs:
@@ -74,6 +75,8 @@ RUNS = {
     "band-m8": (None, _band_config(8, 201, -12.0, 2.0), 1),
     "fig5-w2": ("fig5", None, 2),
     "fig3-redrawn-w2": ("fig3", "channel_mode = redrawn-per-trial\n", 2),
+    "fig3-redrawn-scan": ("fig3", "channel_mode = redrawn-per-trial\nscan = true\n"
+                                  "theta_step_deg = 2\n", 1),
 }
 DEFAULT_RUNS = ("fig3", "fig4", "fig5", "fig3-redrawn", "fig4-scan")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -203,7 +206,8 @@ def main() -> int:
     parser.add_argument("--runs", nargs="+", choices=(*RUNS, "all"),
                         default=list(DEFAULT_RUNS),
                         help=f"runs to time (default: {' '.join(DEFAULT_RUNS)}; "
-                             "'all' adds the band fixture)")
+                             "'all' adds the band fixture, the 2-worker runs "
+                             "and fig3-redrawn-scan)")
     args = parser.parse_args()
     names = list(RUNS) if "all" in args.runs else list(dict.fromkeys(args.runs))
 

@@ -146,6 +146,11 @@ _RUN_KEYS = {
     "emit_plot": _parse_bool,
     "output_dir": str,
 }
+# Command-line flags -> the ExperimentPlan fields they override.
+_PLAN_FLAGS = {
+    "seed": "master_seed",
+    "trials": "trials_per_point",
+}
 
 
 def _convert(key: str, parse, raw: str):
@@ -153,6 +158,18 @@ def _convert(key: str, parse, raw: str):
         return parse(raw)
     except (ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"config key {key!r}: {exc}") from exc
+
+
+def _checked_plan(build, sources: dict):
+    """The plan build() returns.  A plan check that fails on a field the
+    user set names where it was set, `sources` mapping fields to the config
+    key or flag, as a value's parse error names its key."""
+    try:
+        return build()
+    except ConfigurationError as exc:
+        if exc.field not in sources:
+            raise
+        raise ConfigurationError(f"{sources[exc.field]}: {exc}", exc.field) from exc
 
 
 def parse_config(path: str) -> RunConfig:
@@ -163,7 +180,7 @@ def parse_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
 
-    plan_kwargs, run_kwargs, seen = {}, {}, set()
+    plan_kwargs, run_kwargs, seen, sources = {}, {}, set(), {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -180,13 +197,14 @@ def parse_config(path: str) -> RunConfig:
         if key in _PLAN_KEYS:
             field_name, parse = _PLAN_KEYS[key]
             plan_kwargs[field_name] = _convert(key, parse, raw)
+            sources[field_name] = f"config key {key!r}"
         elif key in _RUN_KEYS:
             run_kwargs[key] = _convert(key, _RUN_KEYS[key], raw)
         else:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
 
     workers = run_kwargs.pop("workers") if "workers" in run_kwargs else _default_workers()
-    plan = montecarlo.ExperimentPlan(**plan_kwargs)
+    plan = _checked_plan(lambda: montecarlo.ExperimentPlan(**plan_kwargs), sources)
     return RunConfig(plan=plan, workers=workers, **run_kwargs)
 
 
@@ -346,13 +364,11 @@ def build_config(args) -> RunConfig:
                 f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
             )
         plan = replace(plan, **PRESETS[args.preset])
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials_per_point"] = args.trials
+    overrides = {field: getattr(args, flag) for flag, field in _PLAN_FLAGS.items()
+                 if getattr(args, flag) is not None}
     if overrides:
-        plan = replace(plan, **overrides)
+        plan = _checked_plan(lambda: replace(plan, **overrides),
+                             {field: f"--{flag}" for flag, field in _PLAN_FLAGS.items()})
     cfg = replace(cfg, plan=plan)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)

@@ -19,14 +19,15 @@ from .numerics import chi2_central_inv, chi2_noncentral_sf
 GAIN_FLOOR_FRAC = 1e-10
 
 
-def check_pfa(pfa: float) -> None:
-    """Raise ConfigurationError unless 0 < pfa < 1 and 1 - pfa < 1, the
-    P_FA values whose threshold, the chi-squared quantile at 1 - pfa, is
-    finite: pfa in (2 ** -54, 1)."""
+def check_pfa(pfa: float, field: str | None = None) -> None:
+    """Raise ConfigurationError, naming the plan `field` that holds pfa if
+    given, unless 0 < pfa < 1 and 1 - pfa < 1, the P_FA values whose
+    threshold, the chi-squared quantile at 1 - pfa, is finite: pfa in
+    (2 ** -54, 1)."""
     if not (0 < pfa < 1 and 1 - pfa < 1):
         raise ConfigurationError(
             f"pfa must lie in (2 ** -54, 1) so that 1 - pfa < 1 (2 ** -54 is "
-            f"about 5.6e-17), got {pfa}")
+            f"about 5.6e-17), got {pfa}", field)
 
 
 def direction_gain(a: np.ndarray, r: np.ndarray):

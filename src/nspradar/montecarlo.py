@@ -15,12 +15,13 @@ Noise comes from one Philox stream per hypothesis under the master seed,
 and the SNR index is the substream (counter word 2, numpy's
 `Philox.jumped`).  Trial t reads a fixed-width record at a fixed offset of
 its point's substream, so results are independent of tiling, execution
-order and worker count.  A stream is its key and a counter: each worker's
-tile loop derives the keys of the stream kinds it reads once
-(`numerics.stream_key`), and each draw sets a generator's key and counter
-per record range (`numerics.complex_normal_ranges`), with the bits of a
-generator seeded per stream, jumped to the substream and moved by
-`advance()`.
+order and worker count.  Redrawn channels are records of one stream too,
+but of its substream 0 alone: trial t reads record t at every SNR point.
+A stream is its key and a counter: each worker's tile loop derives the
+keys of the stream kinds it reads once (`numerics.stream_key`), and each
+draw sets a generator's key and counter per record range
+(`numerics.complex_normal_ranges`), with the bits of a generator seeded
+per stream, jumped to the substream and moved by `advance()`.
 
 The engine is the only form of the detector here.  Its test oracle in
 tests/oracles.py runs the explicit pipeline one trial at a time on the
@@ -38,7 +39,7 @@ whose 2M - 1 coefficients are the anti-diagonal sums of E, and its power
 is a real trigonometric polynomial in phi_g with 4M - 3 terms.  The engine
 folds those terms and each angle's scale into one real basis, so a tile's
 statistics are one real matrix product per mode (`_PointEngine`), taken
-in row blocks with a fixed channel, so that no tile size grows its
+in blocks of rows or of points, so that no tile size grows its
 (modes, rows, angles) result.  They agree with the direct per-angle form
 to about 1e-15 relative (less near a null of the direction gain; see
 `_PointEngine`).
@@ -64,36 +65,42 @@ and `mean_selected_gap_db`, take the (C, modes, M) stack of those vectors
 no projector; the at-angle engine reduces a fixed channel's projectors to
 v first, and is set up from v and c alone.
 A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
-`run_experiment`.  Redrawn channels are drawn as the noise is: one Philox
-stream, whose substream i is SNR point i's, of which trial t reads the
-fixed-width record t, its K channels of i.i.d. CN(0, 1) entries.
+`run_experiment`.  Redrawn channels are records of substream 0 of one
+Philox stream: trial t reads the fixed-width record t, its K channels of
+i.i.d. CN(0, 1) entries, whatever its SNR point.  So every point sees the
+same channel draws, as every point of a fixed channel does: common random
+numbers (Glasserman, "Monte Carlo Methods in Financial Engineering", 2003,
+sec. 4.2).  Each point's tallies keep their law, and adjacent points'
+tallies are positively correlated.
 
-The sweep is one loop over tiles of its (SNR point, trial) rows, each tile
-a list of (snr_index, first trial, count) segments (`_tiles`).  A tile packs
-whole points in grid order up to a row budget (`_tile_rows`); only a point
-larger than the budget is split, one segment per tile.  A fixed-channel
-tile is the unit of draws and tallies alone, so its budget counts no
-array that grows with the angle grid; with redrawn channels the budget
-also bounds the tile's set-up, whose scan basis is per row.  With redrawn
-channels each tile is set up once (C = its rows): one stacked set-up
-and one engine for all of its points.  Every row still reads its own
-channel record and its own noise record, and a channel's projector does not
-depend on the stack it sits in, so no tile size changes an output.  With
-workers, threads run contiguous runs of tiles through the same loop,
-sharing the read-only fixed-channel engine.  Each thread's loop (one
-`_run_tiles` call) owns its buffer of uniforms, allocated once for its
-largest tile: a tile's noise, both hypotheses of all of its points, is one
-`numerics.complex_normal_ranges` draw into it, and redrawn channels
-another.  A point's tallies are one threshold comparison per hypothesis and
-tile, summed per point segment.
+The sweep is one loop over tiles (`_tiles`), in both channel modes.  A tile
+is a rectangle of the (SNR point, trial) rows, (first trial, count, first
+point, end point): a trial range of n trials, n the trials per point up to
+`_range_trials`, times a block of as many points as fit `_tile_rows` rows.
+A tile's noise, both hypotheses of all of its rows, is one
+`numerics.complex_normal_ranges` draw into its thread's buffer of
+uniforms, allocated once for the largest tile; each hypothesis's
+statistics are one (points, n) block (`_PointEngine.statistics`), each
+point with its own amplitude, and its tallies one sum over the trial axis.
+A fixed channel's engine is shared by every tile.  With redrawn channels a
+trial range is drawn and set up once (C = n draws: one stacked set-up and
+one engine), and each of its point blocks runs against that engine; the
+engine holds no view of the buffer that the blocks' noise overwrites.
+With workers, threads run contiguous runs of tiles through the same loop
+(one `_run_tiles` call each); a trial range whose point blocks land in two
+threads is set up in both, from the same records and so with the same
+bits.  Every row reads its own noise record and its trial's channel
+record, and a channel's projector does not depend on the stack it sits in,
+so no tile size changes an output.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
-the per-trial target gains c_t alone; with a fixed channel that is the
-value at its one gain.  The survival function is evaluated once per
-distinct noncentrality, so a column that copies another's gains (the
-selected BS's beside nsp-per-bs) costs no evaluation, and a mode whose
-draws share one noncentrality (the orthogonal mode, a fixed channel, no
-null space) reads that value (`_mean_theory_pd`).
+the per-trial target gains c_t alone, one (C, modes) array that every
+point shares; with a fixed channel that is the value at its one gain.  The
+survival function is evaluated once per distinct noncentrality, so a
+column that copies another's gains (the selected BS's beside nsp-per-bs)
+costs no evaluation, and a mode whose draws share one noncentrality (the
+orthogonal mode, a fixed channel, no null space) reads that value
+(`_mean_theory_pd`).
 """
 
 from __future__ import annotations
@@ -120,11 +127,11 @@ CHANNEL_FIXED = "fixed-per-experiment"
 CHANNEL_REDRAWN = "redrawn-per-trial"
 
 # Streams under the master seed, one per kind; the SNR index is the
-# substream of the per-point kinds:
+# substream of the noise kinds:
 #   0                    fixed-per-experiment channels (acceptance seeds are
 #                        pinned to this draw);
-#   1                    redrawn channels, one fixed-width record of K
-#                        channels per trial;
+#   1                    redrawn channels: record t of substream 0 holds
+#                        trial t's K channels, shared by every SNR point;
 #   2 + hypothesis       noise (E0 with the scan, w without it), one
 #                        fixed-width record per trial;
 #   4 + hypothesis       reserved: only the lift of w to E0 in the test
@@ -139,17 +146,18 @@ _H1 = 0
 _H0 = 1
 
 _WILSON_Z = 1.959963984540054  # 95%
-# A tile holds at most _CHUNK rows, and the per-row arrays it holds whole
-# take at most _BLOCK_ELEMENTS entries (`_tile_rows`).  The
-# fixed-channel scan's grid product (`_PointEngine.statistics`) and the
-# theory curves (`_mean_theory_pd`) are evaluated on about _BLOCK_ELEMENTS
-# values at a time.  All three bound the memory a sweep takes.
+# A tile holds at most _CHUNK rows, the per-row arrays it holds whole take
+# at most _BLOCK_ELEMENTS entries (`_tile_rows`), and so does the set-up of
+# a redrawn trial range (`_range_trials`).  The scan's grid product
+# (`_PointEngine.statistics`) and the theory curves (`_mean_theory_pd`) are
+# evaluated on about _BLOCK_ELEMENTS values at a time.  All of these bound
+# the memory a sweep takes.
 _CHUNK = 2000
 _BLOCK_ELEMENTS = 2**17
 # A plan takes at most _MAX_TRIALS trials per point: a redrawn run holds the
-# target gain of every row and mode for the theory, points x trials x modes
-# floats, 2.3 GB for fig3 at this bound, and the tile list grows with the
-# trials in every channel mode.
+# target gain of every trial and mode for the theory, and its survival
+# function takes temporaries of that size per point, 56 MB each for fig3 at
+# this bound; the tile list grows with the trials in every channel mode.
 _MAX_TRIALS = 10**6
 # A scan grid has at most _MAX_SCAN_ANGLES angles, so that one row of one
 # mode's statistics over the grid fits a block.
@@ -183,18 +191,19 @@ class ExperimentPlan:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "pfa_list", tuple(float(p) for p in self.pfa_list))
         object.__setattr__(self, "waveform_modes", tuple(self.waveform_modes))
-        if self.m < 1 or self.n_bs < 1 or self.k < 1:
+        if min(self.m, self.n_bs, self.k) < 1:
             raise ConfigurationError(
-                f"m, n_bs and k must all be >= 1, got m={self.m}, n_bs={self.n_bs}, k={self.k}")
+                f"m, n_bs and k must all be >= 1, got m={self.m}, n_bs={self.n_bs}, "
+                f"k={self.k}", "m" if self.m < 1 else "n_bs" if self.n_bs < 1 else "k")
         if not 1 <= self.trials_per_point <= _MAX_TRIALS:
             raise ConfigurationError(
                 f"trials_per_point must lie in [1, {_MAX_TRIALS}], "
-                f"got {self.trials_per_point}")
+                f"got {self.trials_per_point}", "trials_per_point")
         if not self.snr_grid_db:
-            raise ConfigurationError("snr grid must be non-empty")
+            raise ConfigurationError("snr grid must be non-empty", "snr_grid_db")
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigurationError(
-                f"snr grid values must be finite, got {self.snr_grid_db}")
+                f"snr grid values must be finite, got {self.snr_grid_db}", "snr_grid_db")
         # Up to S = F f / (32 M^2), with F the largest float and f the gain
         # floor (`detection.GAIN_FLOOR_FRAC`), every value the sweep forms
         # is finite, for every grid and projector.  Take an SNR s <= S.
@@ -222,37 +231,41 @@ class ExperimentPlan:
         if too_large:
             raise ConfigurationError(
                 f"snr grid values must be at most {top!r} dB at m = {self.m}, "
-                f"where the statistics stay finite, got {too_large}")
+                f"where the statistics stay finite, got {too_large}", "snr_grid_db")
         if not self.pfa_list:
-            raise ConfigurationError("pfa list must be non-empty")
+            raise ConfigurationError("pfa list must be non-empty", "pfa_list")
         for p in self.pfa_list:
-            detection.check_pfa(p)
+            detection.check_pfa(p, "pfa_list")
         if self.l < self.m:
-            raise ConfigurationError(f"need l >= m, got l={self.l}, m={self.m}")
+            raise ConfigurationError(f"need l >= m, got l={self.l}, m={self.m}", "l")
         if self.channel_mode not in (CHANNEL_FIXED, CHANNEL_REDRAWN):
-            raise ConfigurationError(f"unknown channel_mode {self.channel_mode!r}")
+            raise ConfigurationError(f"unknown channel_mode {self.channel_mode!r}",
+                                     "channel_mode")
         if not self.waveform_modes:
-            raise ConfigurationError("waveform modes must be non-empty")
+            raise ConfigurationError("waveform modes must be non-empty", "waveform_modes")
         unknown = [w for w in self.waveform_modes if w not in _KNOWN_MODES]
         if unknown:
-            raise ConfigurationError(f"unknown waveform modes: {unknown}")
+            raise ConfigurationError(f"unknown waveform modes: {unknown}", "waveform_modes")
         # Each (mode, snr, pfa) is one results.csv row and one curve key.
-        for name, values in (("snr grid values", self.snr_grid_db),
-                             ("pfa values", self.pfa_list),
-                             ("waveform modes", self.waveform_modes)):
+        for field_name, name in (("snr_grid_db", "snr grid values"),
+                                 ("pfa_list", "pfa values"),
+                                 ("waveform_modes", "waveform modes")):
+            values = getattr(self, field_name)
             if len(set(values)) < len(values):
-                raise ConfigurationError(f"{name} must be distinct, got {list(values)}")
+                raise ConfigurationError(f"{name} must be distinct, got {list(values)}",
+                                         field_name)
         if not 0 < self.theta_step_deg <= 180:
-            raise ConfigurationError("theta_step_deg must lie in (0, 180]")
+            raise ConfigurationError("theta_step_deg must lie in (0, 180]", "theta_step_deg")
         # Counted before `theta_grid` builds the grid.
         if self.scan and 180 / self.theta_step_deg + 1 > _MAX_SCAN_ANGLES:
             raise ConfigurationError(
                 f"theta_step_deg = {self.theta_step_deg!r} gives a scan grid of "
                 f"about {180 / self.theta_step_deg + 1:.4g} angles; the scan takes "
                 f"at most {_MAX_SCAN_ANGLES}, a step of at least "
-                f"{180 / (_MAX_SCAN_ANGLES - 1)!r} degrees")
+                f"{180 / (_MAX_SCAN_ANGLES - 1)!r} degrees", "theta_step_deg")
         if not abs(self.theta_target_deg) <= 90:  # also rejects nan
-            raise ConfigurationError("theta_target_deg must lie in [-90, 90]")
+            raise ConfigurationError("theta_target_deg must lie in [-90, 90]",
+                                     "theta_target_deg")
 
     @property
     def theta_target(self) -> float:
@@ -387,11 +400,6 @@ def _stacked_modes(
     return proj, selected, p, nullity
 
 
-def _channel_shape(plan: ExperimentPlan) -> tuple[int, int, int]:
-    """Shape (K, N_BS, M) of one trial's redrawn-channel record."""
-    return plan.k, plan.n_bs, plan.m
-
-
 def _noise_shape(plan: ExperimentPlan) -> tuple[tuple[int, ...], float]:
     """(record shape, variance) of one trial's noise: E0 = N X^H, M x M of
     i.i.d. CN(0, 1) entries, with the scan; w = E0^T a^*, M i.i.d. CN(0, M)
@@ -399,45 +407,32 @@ def _noise_shape(plan: ExperimentPlan) -> tuple[tuple[int, ...], float]:
     return ((plan.m, plan.m), 1.0) if plan.scan else ((plan.m,), float(plan.m))
 
 
-def _channel_ranges(segments: list[tuple[int, int, int]]) -> list[tuple[int, ...]]:
-    """`complex_normal_ranges` record ranges of the redrawn channels of the
-    (snr_index, first trial, count) segments."""
-    return [(_TRIAL_CHANNEL_STREAM, *segment) for segment in segments]
+def _channels(plan: ExperimentPlan, snr_index: int, first: int, count: int,
+              keys: dict | None = None) -> np.ndarray:
+    """(C, K, N_BS, M) channel draws for trials [first, first + count).
 
-
-def _noise_ranges(segments: list[tuple[int, int, int]],
-                  hypotheses: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """`complex_normal_ranges` record ranges of the noise of the segments,
-    hypothesis by hypothesis."""
-    return [(_NOISE_STREAM + hypothesis, *segment)
-            for hypothesis in hypotheses for segment in segments]
-
-
-def _channels(plan: ExperimentPlan, snr_index: int, first: int,
-              count: int) -> np.ndarray:
-    """(C, K, N_BS, M) channel draws for trials [first, first + count) of
-    SNR point snr_index.
-
-    A fixed channel is stream 0 alone (C = 1) for every point and trial.
-    Redrawn channels (C = count) are records [first, first + count) of the
-    point's substream of the redrawn-channel stream, one record of K
-    channels of i.i.d. CN(0, 1) entries per trial, so a block equals its
-    trials drawn one by one.
+    Every SNR point shares its trials' channels, so `snr_index` selects
+    nothing; it keeps the (plan, snr_index, first, count) form of
+    `_noise_block`.  A fixed channel is stream 0 alone (C = 1) for every
+    trial.  Redrawn channels (C = count) are records [first, first + count)
+    of substream 0 of the redrawn-channel stream, one record of K channels
+    of i.i.d. CN(0, 1) entries per trial, so a block equals its trials
+    drawn one by one.  `keys` is `complex_normal_ranges`'.
     """
     if plan.channel_mode == CHANNEL_FIXED:
         rng = rng_substream(plan.master_seed, _CHANNEL_STREAM)
         return sharing.channel_matrices([rng], plan.k, plan.n_bs, plan.m)
     return complex_normal_ranges(plan.master_seed,
-                                 _channel_ranges([(snr_index, first, count)]),
-                                 _channel_shape(plan))
+                                 [(_TRIAL_CHANNEL_STREAM, 0, first, count)],
+                                 (plan.k, plan.n_bs, plan.m), keys=keys)
 
 
 def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
                  first: int, count: int) -> np.ndarray:
-    """The noise of trials [first, first + count) under one hypothesis: a
-    (count,) + record shape array (`_noise_shape`)."""
+    """The noise of trials [first, first + count) of SNR point snr_index
+    under one hypothesis: a (count,) + record shape array (`_noise_shape`)."""
     return complex_normal_ranges(
-        plan.master_seed, _noise_ranges([(snr_index, first, count)], (hypothesis,)),
+        plan.master_seed, [(_NOISE_STREAM + hypothesis, snr_index, first, count)],
         *_noise_shape(plan))
 
 
@@ -457,9 +452,10 @@ class _PointEngine:
     d holding the anti-diagonal sums of E.  d is linear in E0: with one
     channel draw (C = 1) a tile of T rows takes one
     (T, M^2) @ (M^2, modes x (2M - 1)) product for all modes, across its
-    SNR points; with C = T draws row t is evaluated against draw t.  The
-    echo's anti-diagonal sums (`sig`, those of A P) scale by one alpha for
-    all rows of a point, so `statistics` adds them once per point segment.
+    SNR points; with C = n draws trial t of every point is evaluated
+    against draw t.  The echo's anti-diagonal sums (`sig`, those of A P)
+    scale by one alpha for all rows of a point, so `statistics` adds them
+    once per point, broadcast over its trials.
     The numerator's power is then a real trigonometric polynomial in phi_g,
 
         |n_g|^2 = r_0 + 2 sum_{k=1}^{2M-2} (Re r_k cos k phi_g - Im r_k sin k phi_g),
@@ -525,53 +521,62 @@ class _PointEngine:
             self.scale = scale
             self.basis = None
 
-    def statistics(self, noise: np.ndarray, alpha, bounds=None) -> np.ndarray:
-        """Scaled GLRT statistics, shape (T, modes), for the T rows' noise
-        from `_noise_block`: the maximum over the grid.  `alpha` is the
-        echo amplitude of every row or, with `bounds`, one amplitude per
-        SNR point segment of rows bounds[j]:bounds[j + 1]; each segment's
-        numerators (the scan's anti-diagonal sums) get alpha times the echo
-        term `sig` in one step (their own rows of `sig` when C = T).  The
-        scan then evaluates the scaled power's trigonometric polynomial at
-        every grid angle as one real product per mode; no per-angle complex
-        array is built.  With one channel draw (C = 1) the polynomial's
-        terms, that product and its maximum over the grid run in row blocks
-        of _BLOCK_ELEMENTS // (modes G) rows, G being the number of grid
-        angles, into the one (T, modes) output: only the anti-diagonal sums
-        span the tile, and no tile size grows the grid-sized temporary.
-        With C = T draws the tile's row budget bounds it (`_tile_rows`).
+    def statistics(self, noise: np.ndarray, alpha) -> np.ndarray:
+        """Scaled GLRT statistics, the maximum over the grid, of a block of
+        rows: shape lead + (modes,) for noise of shape lead + record (the
+        records of `_noise_block`).  A tile's block is (P, n), P SNR
+        points' noise over the same n trials; with C = n channel draws
+        trial t is read against draw t, and with one draw (C = 1) any
+        leading shape goes.  `alpha`, the echo amplitude, broadcasts
+        against the leading axes: the P points' amplitudes of a (P, n)
+        block, or one for every row.  The numerators (the scan's
+        anti-diagonal sums) get alpha times the echo term `sig`.  The scan
+        then evaluates the scaled power's trigonometric polynomial at every
+        grid angle as one real product per mode; no per-angle complex array
+        is built.  That product and its maximum over the grid run in blocks
+        into the one output: with one draw, the polynomial's terms too, in
+        row blocks of _BLOCK_ELEMENTS // (modes G) rows, G being the number
+        of grid angles; with C = n draws, in blocks of
+        _BLOCK_ELEMENTS // (n modes G) points.  Only the anti-diagonal sums
+        span the block, so no tile size grows the grid-sized temporary.
         Columns of degenerate modes (`self.degenerate`) read 0."""
-        t = len(noise)
-        e = noise.reshape(t, -1)
+        lead = noise.shape[:noise.ndim - (1 if self.basis is None else 2)]
         if len(self.coef) == 1:
-            g = e @ self.coef[0]
+            g = noise.reshape(math.prod(lead), -1) @ self.coef[0]
         else:
-            g = (e[:, None] @ self.coef)[:, 0]
-        g = g.reshape((t,) + self.sig.shape[1:])
-        if bounds is None:
-            alpha, bounds = [alpha], [0, t]
-        for a, lo, hi in zip(alpha, bounds, bounds[1:]):
-            # alpha = 0 (H0) would add zeros.
-            if a:
-                g[lo:hi] += a * (self.sig if len(self.sig) == 1 else self.sig[lo:hi])
+            g = (noise.reshape(lead + (1, -1)) @ self.coef)[..., 0, :]
+        g = g.reshape(lead + self.sig.shape[1:])
+        alpha = np.asarray(alpha, dtype=float)
+        # alpha = 0 (H0) would add zeros.
+        if alpha.any():
+            g += alpha.reshape(alpha.shape + (1,) * (g.ndim - alpha.ndim)) * self.sig
         if self.basis is None:
             power = g.real ** 2
             power += g.imag ** 2
             power *= self.scale
-            return power.max(axis=2)
+            return power.max(axis=-1)
+        out = np.empty(g.shape[:-1])
         if len(self.basis) > 1:
-            return (_power_terms(g)[:, :, None] @ self.basis)[:, :, 0].max(axis=2)
+            # Blocks of the axes before the draws'; a block's terms meet
+            # each draw's basis in one batched product.
+            rows = g.reshape((-1,) + g.shape[-3:])
+            flat = out.reshape((-1,) + out.shape[-2:])
+            step = max(1, _BLOCK_ELEMENTS // self.basis[..., 0, :].size)
+            for lo in range(0, len(rows), step):
+                terms = _power_terms(rows[lo:lo + step])[..., None, :]
+                flat[lo:lo + step] = (terms @ self.basis)[..., 0, :].max(axis=-1)
+            return out
         # The terms go block by block too.  Formed for the whole tile beside
         # the product block, they took a 2000-row call's working set past
         # the point where the allocator hands it back to the system after
         # the call, and the next call faulted it in again: about 550 minor
         # page faults a call.
         basis = self.basis[0]
-        out = np.empty((t, len(basis)))
+        rows, flat = g.reshape((-1,) + g.shape[-2:]), out.reshape(-1, len(basis))
         step = max(1, _BLOCK_ELEMENTS // (len(basis) * basis.shape[-1]))
-        for lo in range(0, t, step):
-            block = np.swapaxes(_power_terms(g[lo:lo + step]), 0, 1)
-            out[lo:lo + step] = np.matmul(block, basis).max(axis=2).T
+        for lo in range(0, len(rows), step):
+            block = np.swapaxes(_power_terms(rows[lo:lo + step]), 0, 1)
+            flat[lo:lo + step] = np.matmul(block, basis).max(axis=2).T
         return out
 
 
@@ -590,21 +595,30 @@ def _power_terms(d: np.ndarray) -> np.ndarray:
 
 
 def _tile_rows(plan: ExperimentPlan) -> int:
-    """Rows per tile: at most _CHUNK, and few enough that the per-row
-    arrays the tile holds whole take at most _BLOCK_ELEMENTS entries.
+    """Rows per tile, in both channel modes: at most _CHUNK, and few enough
+    that the per-row arrays the tile holds whole take at most
+    _BLOCK_ELEMENTS entries.
 
-    A fixed-channel tile is the unit of draws and tallies: its engine is
-    set up once per sweep, and with the scan the engine forms the (modes, G)
-    statistic arrays of the grid product in row blocks of its own
-    (`_PointEngine.statistics`), G being the number of grid angles.  So its
-    budget counts the per-row entries that do not grow with the grid: with
-    the scan, the (modes, 2M - 1) anti-diagonal sums and the (modes, 4M - 3)
-    autocorrelation terms, 6M - 4 entries per mode, which gives the fig4
-    scan plan 2000 rows, 20 whole 100-trial points per tile; at the target
-    angle alone, the (modes,) statistics.
+    A tile is the unit of draws, statistics and tallies.  With the scan the
+    engine forms the (modes, G) statistic arrays of the grid product in
+    blocks of its own (`_PointEngine.statistics`), G being the number of
+    grid angles, so the budget counts the per-row entries that do not grow
+    with the grid: with the scan, the (modes, 2M - 1) anti-diagonal sums
+    and the (modes, 4M - 3) autocorrelation terms, 6M - 4 entries per mode,
+    which gives the fig4 scan plan 2000 rows, 20 whole 100-trial points per
+    tile; at the target angle alone, the (modes,) statistics.
+    """
+    n_modes = len(_mode_labels(plan))
+    per_row = n_modes * (6 * plan.m - 4) if plan.scan else n_modes
+    return max(1, min(_CHUNK, _BLOCK_ELEMENTS // per_row))
 
-    Redrawn channels also set up every row, and their scan basis is per
-    row: with the scan, M^2 (K + modes) entries for the (K, M, M)
+
+def _range_trials(plan: ExperimentPlan) -> int:
+    """The most trials of one trial range: `_tile_rows`, and with redrawn
+    channels few enough that the range's set-up, one per draw, takes at
+    most _BLOCK_ELEMENTS entries.
+
+    With the scan a draw takes M^2 (K + modes) entries for the (K, M, M)
     projectors and the modes' stacked (modes, M, M) projectors; at the
     target angle alone, M (K + modes) for the (K, M) vectors P a^* and the
     modes' stacked (modes, M) ones (`_stacked_modes` with x = a^*).  Both
@@ -615,57 +629,57 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     the basis.  At the target angle alone (G = 1) the engine holds only the
     gain, the scale and the echo term per mode, and its (M, modes)
     coefficients are a view of the stacked vectors, so there the term
-    bounds the set-up with room to spare.  It is kept so that the rows per
-    tile (724 for the fig3 at-angle redrawn plan), and the CI split steps
-    that take their trials from them, stay as they were.
+    bounds the set-up with room to spare: 724 draws for the fig3 at-angle
+    redrawn plan, 2 for its scan on a 0.5 degree grid.
     """
-    n_modes = len(_mode_labels(plan))
+    rows = _tile_rows(plan)
     if plan.channel_mode == CHANNEL_FIXED:
-        per_row = n_modes * (6 * plan.m - 4) if plan.scan else n_modes
-    else:
-        grid = len(plan.theta_grid())
-        per_vector = plan.m ** 2 if plan.scan else plan.m
-        per_row = per_vector * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
-    return max(1, min(_CHUNK, _BLOCK_ELEMENTS // per_row))
+        return rows
+    n_modes, grid = len(_mode_labels(plan)), len(plan.theta_grid())
+    per_vector = plan.m ** 2 if plan.scan else plan.m
+    per_draw = per_vector * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
+    return max(1, min(rows, _BLOCK_ELEMENTS // per_draw))
 
 
-def _tiles(plan: ExperimentPlan) -> list[list[tuple[int, int, int]]]:
-    """The sweep's tiles in row order, each a list of (snr_index, first
-    trial, count) segments.  A tile packs whole points up to `_tile_rows`
-    rows; a point larger than that is split into tiles of its own, one
-    segment each."""
-    trials, rows = plan.trials_per_point, _tile_rows(plan)
-    points = range(len(plan.snr_grid_db))
-    if trials <= rows:
-        step = rows // trials
-        return [[(i, 0, trials) for i in points[j:j + step]]
-                for j in range(0, len(points), step)]
-    return [[(i, first, min(rows, trials - first))]
-            for i in points for first in range(0, trials, rows)]
+def _tiles(plan: ExperimentPlan) -> list[tuple[int, int, int, int]]:
+    """The sweep's tiles, each a rectangle (first trial, count, first point,
+    end point): trials [first, first + count) of SNR points
+    [first point, end point).  A trial range takes
+    n = min(trials per point, `_range_trials`) trials, and a point block
+    max(1, `_tile_rows` // n) points; tiles go range by range, and block by
+    block within a range.  With a fixed channel a tile thus packs whole
+    points up to `_tile_rows` rows, and a point larger than that is split
+    into tiles of one range each."""
+    trials, points = plan.trials_per_point, len(plan.snr_grid_db)
+    n = min(trials, _range_trials(plan))
+    block = max(1, _tile_rows(plan) // n)
+    return [(first, min(n, trials - first), lo, min(lo + block, points))
+            for first in range(0, trials, n) for lo in range(0, points, block)]
 
 
-def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
+def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
                engine: _PointEngine | None) -> dict:
-    """The trials of the sweep rows in `tiles` (`_tiles`' segment lists).
+    """The trials of the sweep rows in `tiles` (`_tiles`' rectangles).
 
     `engine` is the fixed-channel engine; without it the channels are
-    redrawn per trial and set up once per tile.  Returns tallies per SNR
-    point (detections and false alarms (points, pfa, modes), degenerate
-    trials (points, modes)) and, for redrawn channels, the target gains of
-    the rows in order, a list of (tile rows, modes) arrays: the theory
-    needs nothing else of a draw.  At the target angle alone a tile is set
-    up from the vectors P a^* (`_stacked_modes` with x = a^*), not the
-    projectors.
+    redrawn per trial, and each trial range is drawn and set up once, for
+    the run of its tiles here.  Returns tallies per SNR point (detections
+    and false alarms (points, pfa, modes), degenerate trials (points,
+    modes)) and, for redrawn channels, the target gains of the trial ranges
+    whose first point block is here, in order, a list of (count, modes)
+    arrays: the theory needs nothing else of a draw.  At the target angle
+    alone a range is set up from the vectors P a^* (`_stacked_modes` with
+    x = a^*), not the projectors.
 
     Each call owns one buffer of uniforms, allocated here for the largest
     of its tiles, so a worker thread (one call each) draws into its own
     memory and no tile allocates it again.  A tile's noise, both
-    hypotheses of all of its SNR point segments, is one
-    `complex_normal_ranges` draw into the buffer; redrawn channels are
-    another, consumed by the engine before the noise overwrites them.  The
-    Philox keys of the stream kinds the tiles read (the two noise streams,
-    and the redrawn-channel stream) are derived once, before the first
-    tile; the segments' SNR indices are substreams of them.
+    hypotheses of all of its points, is one `complex_normal_ranges` draw
+    into the buffer; redrawn channels are drawn into memory of their own,
+    which the engine may keep.  The Philox keys of the stream kinds the
+    tiles read (the two noise streams, and the redrawn-channel stream) are
+    derived once, before the first tile; the SNR indices are substreams of
+    the noise streams.
     """
     thresholds = np.array([detection.chi2_central_inv(1 - p)
                            for p in plan.pfa_list])[:, None, None]
@@ -673,68 +687,65 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[list[tuple[int, int, int]]],
     detections = np.zeros((n_points, len(plan.pfa_list), n_modes), dtype=np.int64)
     false_alarms = np.zeros_like(detections)
     degenerate = np.zeros((n_points, n_modes), dtype=np.int64)
+    alphas = [math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db]
     redrawn = engine is None
-    gains = []
+    gains, drawn = [], None
     x = None if plan.scan else radar.steering_vector(plan.m, plan.theta_target).conj()
     noise_shape, noise_var = _noise_shape(plan)
-    # Doubles per row: the two hypotheses' noise records, or the channel
-    # record, each padded to whole Philox counter steps of 4 words.
-    per_row = 2 * record_words(noise_shape)
-    if redrawn:
-        per_row = max(per_row, record_words(_channel_shape(plan)))
-    buffer = np.empty(max(sum(count for *_, count in tile) for tile in tiles)
-                      * per_row)
+    # Doubles per row: the two hypotheses' noise records, each padded to
+    # whole Philox counter steps of 4 words.
+    buffer = np.empty(max(count * (end - lo) for _, count, lo, end in tiles)
+                      * 2 * record_words(noise_shape))
     kinds = [_NOISE_STREAM + _H1, _NOISE_STREAM + _H0]
     kinds += [_TRIAL_CHANNEL_STREAM] if redrawn else []
     keys = {kind: stream_key(plan.master_seed, kind) for kind in kinds}
-    for tile in tiles:
-        points = [i for i, _, _ in tile]
-        bounds = np.cumsum([0] + [count for *_, count in tile]).tolist()
-        rows = bounds[-1]
-        if redrawn:
-            h = complex_normal_ranges(plan.master_seed, _channel_ranges(tile),
-                                      _channel_shape(plan), buffer=buffer, keys=keys)
-            engine = _PointEngine(plan, _stacked_modes(plan, h, x)[0])
-            gains.append(engine.target_gain)
-        noise = complex_normal_ranges(plan.master_seed, _noise_ranges(tile, (_H1, _H0)),
-                                      noise_shape, noise_var, buffer=buffer, keys=keys)
-        alphas = [math.sqrt(10 ** (plan.snr_grid_db[i] / 10)) for i in points]
-        s1 = engine.statistics(noise[:rows], alphas, bounds)
-        s0 = engine.statistics(noise[rows:], 0.0)
-        # Per-segment sums, (segments, pfa, modes); degenerate columns read
-        # 0, below every threshold.
-        for tally, s in ((detections, s1), (false_alarms, s0)):
-            tally[points] += np.add.reduceat(s > thresholds, bounds[:-1], axis=1
-                                             ).swapaxes(0, 1)
-        deg = np.broadcast_to(engine.degenerate, (rows, n_modes))
-        degenerate[points] += np.add.reduceat(deg, bounds[:-1], axis=0)
+    for first, count, lo, end in tiles:
+        if redrawn and first != drawn:
+            h = _channels(plan, 0, first, count, keys=keys)
+            engine, drawn = _PointEngine(plan, _stacked_modes(plan, h, x)[0]), first
+            if lo == 0:
+                gains.append(engine.target_gain)
+        ranges = [(_NOISE_STREAM + hypothesis, i, first, count)
+                  for hypothesis in (_H1, _H0) for i in range(lo, end)]
+        noise = complex_normal_ranges(plan.master_seed, ranges, noise_shape, noise_var,
+                                      buffer=buffer, keys=keys)
+        noise = noise.reshape((2, end - lo, count) + noise_shape)
+        # (points, pfa, modes) sums over the trials, taken with the trials
+        # last in memory: a bool sum along a middle axis took 6 times as
+        # long.  Degenerate columns read 0, below every threshold.
+        for tally, s in ((detections, engine.statistics(noise[0], alphas[lo:end])),
+                         (false_alarms, engine.statistics(noise[1], 0.0))):
+            s = np.ascontiguousarray(s.swapaxes(1, 2))[:, None]
+            tally[lo:end] += (s > thresholds).sum(axis=-1)
+        degenerate[lo:end] += np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
     return {"detections": detections, "false_alarms": false_alarms,
             "degenerate": degenerate, "gains": gains}
 
 
 def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
-    """Theory P_D averaged over each point's channel draws: a (convention,
-    points, pfa, modes) array, the conventions "paper" and "calibrated".
+    """Theory P_D averaged over the channel draws: a (convention, points,
+    pfa, modes) array, the conventions "paper" and "calibrated".
 
-    `gains` is (points, C, modes), the target gains of each point's draws;
-    the noncentralities are `detection.noncentrality`'s at the linear SNR
-    of each grid point.  The survival function is evaluated once per
-    distinct noncentrality of a group of points, and a (point, mode) whose
-    draws share one noncentrality reads that value, not a mean of equal
-    values: the orthogonal mode, a fixed channel (C = 1), or a mode with no
-    null space.  Points go in groups of about _BLOCK_ELEMENTS values,
-    since the noncentral survival function takes several temporaries of
-    its input's size; each point's trials are still reduced in one step.
+    `gains` is (C, modes), the target gains of the draws every point
+    shares; the noncentralities are `detection.noncentrality`'s at the
+    linear SNR of each grid point.  The survival function is evaluated once
+    per distinct noncentrality of a group of points, and a (point, mode)
+    whose draws share one noncentrality reads that value, not a mean of
+    equal values: the orthogonal mode, a fixed channel (C = 1), or a mode
+    with no null space.  Points go in groups of about _BLOCK_ELEMENTS
+    values, since the noncentral survival function takes several
+    temporaries of its input's size; each point's trials are still reduced
+    in one step.
     """
     orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
     conventions = ("paper", "calibrated")
     snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
     pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(orthogonal)))
-    step = max(1, _BLOCK_ELEMENTS // gains[0].size)
+    step = max(1, _BLOCK_ELEMENTS // gains.size)
     for i in range(0, len(snr), step):
-        g, s = gains[i:i + step], snr[i:i + step, None, None]
+        s = snr[i:i + step, None, None]
         for c, conv in enumerate(conventions):
-            rho = detection.noncentrality(conv, plan.m, s, g, orthogonal)
+            rho = detection.noncentrality(conv, plan.m, s, gains, orthogonal)
             distinct, index = np.unique(rho, return_inverse=True)
             index = index.reshape(rho.shape)
             shared = (rho == rho[:, :1]).all(axis=1)
@@ -772,12 +783,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     detections, false_alarms, degenerate = (
         sum(part[key] for part in parts)
         for key in ("detections", "false_alarms", "degenerate"))
-    n_points = len(plan.snr_grid_db)
-    if engine is None:
-        gains = np.concatenate([g for part in parts for g in part["gains"]])
-        gains = gains.reshape(n_points, plan.trials_per_point, -1)
-    else:
-        gains = np.broadcast_to(engine.target_gain, (n_points,) + engine.target_gain.shape)
+    gains = (engine.target_gain if engine is not None else
+             np.concatenate([g for part in parts for g in part["gains"]]))
     t_theory = time.perf_counter()
     paper, calibrated = _mean_theory_pd(plan, gains)
 

@@ -142,7 +142,7 @@ def mean_selected_theory_pd(plan, snr_index: int, pfa: float, convention: str) -
     snr = 10 ** (plan.snr_grid_db[snr_index] / 10)
     pds = []
     for t in range(plan.trials_per_point):
-        projs = [null_projector(h) for h in trial_channels(plan, snr_index, t)]
+        projs = [null_projector(h) for h in trial_channels(plan, t)]
         best, _ = brute_force_argmin_norms(projs, x)
         gain = float(np.real(a.conj() @ projs[best].T @ a))
         rho = 2 * snr * plan.m * gain if convention == "calibrated" else snr * gain ** 2
@@ -150,16 +150,17 @@ def mean_selected_theory_pd(plan, snr_index: int, pfa: float, convention: str) -
     return math.fsum(pds) / len(pds)
 
 
-def trial_channels(plan, snr_index: int, trial: int) -> np.ndarray:
-    """The (K, N_BS, M) channels of one trial: the first standard_normal
-    draw of stream 0's generator (real, then imaginary parts per BS) for a
-    fixed channel, record `trial` of the point's substream of stream 1."""
+def trial_channels(plan, trial: int) -> np.ndarray:
+    """The (K, N_BS, M) channels of one trial, the same at every SNR point:
+    the first standard_normal draw of stream 0's generator (real, then
+    imaginary parts per BS) for a fixed channel, record `trial` of
+    substream 0 of stream 1 for redrawn ones."""
     shape = (plan.k, plan.n_bs, plan.m)
     if plan.channel_mode == "fixed-per-experiment":
         seed = np.random.SeedSequence((plan.master_seed % 2**64, 0))
         z = np.random.Generator(np.random.Philox(seed)).standard_normal((plan.k, 2, *shape[1:]))
         return math.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
-    return complex_normal_ranges_reference(plan.master_seed, [(1, snr_index, trial, 1)], shape)[0]
+    return complex_normal_ranges_reference(plan.master_seed, [(1, 0, trial, 1)], shape)[0]
 
 
 def null_projector(h: np.ndarray) -> np.ndarray:
@@ -215,7 +216,7 @@ def run_trial(plan, snr_index: int, trial: int) -> dict:
     m, grid = plan.m, plan.theta_grid()
     x = orthogonal_waveforms(m, plan.l)
     a = steering_vector(m, plan.theta_target)
-    projs = [null_projector(h) for h in trial_channels(plan, snr_index, trial)]
+    projs = [null_projector(h) for h in trial_channels(plan, trial)]
     modes = {"orthogonal": np.eye(m), **{f"nsp-bs{i + 1}": p for i, p in enumerate(projs)},
              "nsp-selected": projs[brute_force_argmin_norms(projs, x)[0]]}
     labels = [label for mode in plan.waveform_modes for label in

@@ -313,6 +313,25 @@ class TestRun:
         assert cli.main(["--config", path]) == cli.EXIT_CONFIG
         assert "pfa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, argv, message", [
+        ("trials = 1000000000000000000\n", (),
+         "error: config key 'trials': trials_per_point must lie in [1, 1000000], "
+         "got 1000000000000000000"),
+        ("", ("--trials", "0"), "error: --trials: trials_per_point must lie in [1, 1000000]"),
+        ("pfa = [1.5]\n", (), "error: config key 'pfa': pfa must lie in (2 ** -54, 1)"),
+        ("snr_db = [1, 1]\n", (), "error: config key 'snr_db': snr grid values must be "
+         "distinct"),
+        ("l = 2\n", (), "error: config key 'l': need l >= m, got l=2, m=4"),
+    ], ids=["config-key", "flag", "pfa", "snr-grid", "l"])
+    def test_plan_error_names_the_key_or_flag(self, tmp_path, capsys, text, argv, message):
+        # A plan check names the config key or the flag that set the field
+        # it rejects, as a value's parse error does.
+        out = tmp_path / "out"
+        code = cli.main(["--config", write_config(tmp_path, text), "--out", str(out), *argv])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_flag_exit_code(self, tmp_path, capsys, workers):
         path = write_config(tmp_path, SMALL)

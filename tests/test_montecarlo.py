@@ -43,19 +43,6 @@ def tiny_plan(**kwargs):
     return ExperimentPlan(**base)
 
 
-def row_segments(plan, start, stop):
-    """The tile of sweep rows [start, stop) as `_tiles` gives tiles: the
-    (snr_index, first trial, count) segments of each SNR point's part, row
-    i * trials_per_point + t being trial t of point i."""
-    out = []
-    while start < stop:
-        snr_index, first = divmod(start, plan.trials_per_point)
-        count = min(stop - start, plan.trials_per_point - first)
-        out.append((snr_index, first, count))
-        start += count
-    return out
-
-
 class TestPlanValidation:
     def test_defaults_are_valid(self):
         plan = ExperimentPlan()
@@ -541,10 +528,14 @@ class TestNoiseDraws:
             monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         elif tiling == "packed":     # 60-row budget: two whole points per tile
             monkeypatch.setattr(montecarlo, "_CHUNK", 60)
-        else:                        # 7-row tiles across point boundaries
-            n = len(plan.snr_grid_db) * plan.trials_per_point
+        else:
+            # Trial ranges of 7, 11 and 7 trials whose point blocks differ
+            # from range to range, so that each range's blocks straddle the
+            # point boundaries of the others'; at 2 workers the second
+            # range's blocks land in both threads.
             monkeypatch.setattr(montecarlo, "_tiles", lambda plan: [
-                row_segments(plan, r, min(r + 7, n)) for r in range(0, n, 7)])
+                (0, 7, 0, 2), (0, 7, 2, 3), (7, 11, 0, 1),
+                (7, 11, 1, 3), (18, 7, 0, 1), (18, 7, 1, 3)])
         assert run_experiment(plan, workers=workers).curves == want
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -553,27 +544,61 @@ class TestNoiseDraws:
                                                          monkeypatch):
         # The fixed-channel scan's terms and grid product run in row blocks
         # of _BLOCK_ELEMENTS // (modes G) rows: here 1-row blocks, and 7-row
-        # blocks that straddle the 25-row SNR segments of two 50-row tiles.
+        # blocks that straddle the 25-trial points of two 50-row tiles.
         plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0), trials_per_point=25,
                          scan=True, theta_step_deg=5.0)
         want = run_experiment(plan).curves
-        tiles = [row_segments(plan, r, r + 50) for r in (0, 50)]
-        assert tiles[0] == [(0, 0, 25), (1, 0, 25)]
-        monkeypatch.setattr(montecarlo, "_tiles", lambda plan: tiles)
+        monkeypatch.setattr(montecarlo, "_tiles",
+                            lambda plan: [(0, 25, 0, 2), (0, 25, 2, 4)])
         entries = len(montecarlo._mode_labels(plan)) * len(plan.theta_grid())
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block_rows * entries)
         assert run_experiment(plan, workers=workers).curves == want
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block_points", [1, 3])
+    def test_point_block_size_does_not_change_redrawn_scan_curves(
+            self, block_points, workers, monkeypatch):
+        # With redrawn channels the scan's grid product runs in blocks of
+        # _BLOCK_ELEMENTS // (n modes G) points of a tile's n trials.  Here
+        # two 4-point tiles, over a 10-trial and a 15-trial range, take
+        # blocks of 1 point each, or blocks of 4 points and of 3 and 1.
+        plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0), trials_per_point=25,
+                         scan=True, theta_step_deg=5.0, channel_mode=CHANNEL_REDRAWN)
+        want = run_experiment(plan).curves
+        monkeypatch.setattr(montecarlo, "_tiles",
+                            lambda plan: [(0, 10, 0, 4), (10, 15, 0, 4)])
+        entries = len(montecarlo._mode_labels(plan)) * len(plan.theta_grid())
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block_points * 15 * entries)
+        assert run_experiment(plan, workers=workers).curves == want
+
     def test_tiles_pack_whole_points_and_split_larger_ones(self, monkeypatch):
+        # Tiles are (first trial, count, first point, end point).  With a
+        # fixed channel a trial range is a whole point up to the row budget,
+        # and a block packs as many points as fit it; a larger point is
+        # split, one range per tile, range by range.
         plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), trials_per_point=25)
         monkeypatch.setattr(montecarlo, "_CHUNK", 60)
-        assert montecarlo._tiles(plan) == [[(0, 0, 25), (1, 0, 25)],
-                                           [(2, 0, 25), (3, 0, 25)], [(4, 0, 25)]]
+        assert montecarlo._tiles(plan) == [(0, 25, 0, 2), (0, 25, 2, 4), (0, 25, 4, 5)]
         monkeypatch.setattr(montecarlo, "_CHUNK", 10)
         tiles = montecarlo._tiles(plan)
-        assert tiles[:4] == [[(0, 0, 10)], [(0, 10, 10)], [(0, 20, 5)], [(1, 0, 10)]]
-        assert len(tiles) == 5 * 3 and tiles[-1] == [(4, 20, 5)]
-        assert row_segments(plan, 20, 57) == [(0, 20, 5), (1, 0, 25), (2, 0, 7)]
+        assert tiles[:6] == [(0, 10, i, i + 1) for i in range(5)] + [(10, 10, 0, 1)]
+        assert len(tiles) == 3 * 5 and tiles[-1] == (20, 5, 4, 5)
+
+    def test_redrawn_trial_ranges_are_bounded_by_their_setup(self, monkeypatch):
+        # With redrawn channels a trial range also takes at most
+        # `_range_trials` draws, the set-up budget per draw: here 10 draws
+        # (58 entries each at the target angle, M (K + modes) + (5M - 1)
+        # modes) beside a 290-row budget, so each range's one block holds
+        # every point; with a 25-row budget, blocks of 2 points.
+        plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), trials_per_point=25,
+                         channel_mode=CHANNEL_REDRAWN)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 580)
+        assert (montecarlo._tile_rows(plan), montecarlo._range_trials(plan)) == (290, 10)
+        assert montecarlo._tiles(plan) == [(0, 10, 0, 5), (10, 10, 0, 5), (20, 5, 0, 5)]
+        assert montecarlo._range_trials(replace(plan, channel_mode=CHANNEL_FIXED)) == 290
+        monkeypatch.setattr(montecarlo, "_CHUNK", 25)
+        assert montecarlo._tiles(plan)[:4] == [(0, 10, 0, 2), (0, 10, 2, 4),
+                                               (0, 10, 4, 5), (10, 10, 0, 2)]
 
     def test_scan_budget_keeps_100_trial_points_whole(self):
         # The fig4 scan plan.  A fixed-channel tile is sized by the per-row
@@ -586,9 +611,9 @@ class TestNoiseDraws:
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
         assert len(plan.theta_grid()) == 361
         tiles = montecarlo._tiles(plan)
-        assert all(count == 100 for tile in tiles for _, _, count in tile)
+        assert all(count == 100 for _, count, _, _ in tiles)
         assert montecarlo._tile_rows(plan) // 100 >= 10
-        assert max(len(tile) for tile in tiles) >= 10
+        assert max(end - lo for *_, lo, end in tiles) >= 10
 
     def test_sample_count_does_not_change_draws(self):
         # With X X^H = I the statistic depends on the noise only through E0,
@@ -601,20 +626,27 @@ class TestNoiseDraws:
                 (p.detections, p.false_alarms) for p in cb.points
             ]
 
-    def test_stream_ids_do_not_collide(self):
+    def test_stream_ids_do_not_collide(self, monkeypatch):
         # One id per kind: the fixed channel, the redrawn channels, the noise
         # under each hypothesis, and 4 and 5, reserved for the test oracle's
         # lift; the mean-gap redraws _REDRAW_BASE + r lie above them all.  The
-        # SNR index is a substream, not part of an id.
+        # SNR index is a substream of the noise kinds, not part of an id.
         kinds = [montecarlo._CHANNEL_STREAM, montecarlo._TRIAL_CHANNEL_STREAM,
                  *(montecarlo._NOISE_STREAM + hyp for hyp in (montecarlo._H1, montecarlo._H0)),
                  4, 5]
         assert sorted(kinds) == list(range(6))
         assert max(kinds) < montecarlo._REDRAW_BASE <= 2**64 - 2**32
-        segments = [(3, 5, 2), (4, 0, 7)]
-        assert montecarlo._noise_ranges(segments, (montecarlo._H1, montecarlo._H0)) == [
-            (2, 3, 5, 2), (2, 4, 0, 7), (3, 3, 5, 2), (3, 4, 0, 7)]
-        assert montecarlo._channel_ranges(segments) == [(1, 3, 5, 2), (1, 4, 0, 7)]
+        # The record ranges (stream, substream, first, count) of a redrawn
+        # tile of trials [5, 7) at points 3 and 4: the channels of substream
+        # 0, then the noise of each point's substream, hypothesis by
+        # hypothesis.
+        read = []
+        draw = montecarlo.complex_normal_ranges
+        monkeypatch.setattr(montecarlo, "complex_normal_ranges", lambda seed, ranges, *args,
+                            **kwargs: read.append(ranges) or draw(seed, ranges, *args, **kwargs))
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, snr_grid_db=(0.0, 1.0, 2.0, 3.0, 4.0))
+        montecarlo._run_tiles(plan, [(5, 2, 3, 5)], None)
+        assert read == [[(1, 0, 5, 2)], [(2, 3, 5, 2), (2, 4, 5, 2), (3, 3, 5, 2), (3, 4, 5, 2)]]
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_at_angle_noise_is_cn_0_m_identity(self, m):
@@ -717,13 +749,15 @@ class TestNoiseDraws:
     def test_channel_draws_are_pinned(self):
         # Acceptance seeds are pinned to the fixed channel draw, so no other
         # stream may move it.  The redrawn value pins the record layout of
-        # the redrawn-channel stream's per-point substreams.
+        # the redrawn-channel stream's substream 0, which every SNR point
+        # reads.
         plan = tiny_plan()
         fixed = montecarlo._channels(plan, 0, 0, 1)[0, 0, 0, 0]
         redrawn = replace(plan, channel_mode=CHANNEL_REDRAWN)
-        trial = montecarlo._channels(redrawn, 1, 17, 1)[0, 2, 1, 3]
+        trial = montecarlo._channels(redrawn, 1, 17, 1)
         assert fixed == -0.531437094499637 + 0.023026140752559265j
-        assert trial == -0.7406914639895344 - 0.4785313285438949j
+        assert trial[0, 2, 1, 3] == 1.5499391458675438 - 0.22710690785007884j
+        assert trial.tobytes() == montecarlo._channels(redrawn, 0, 17, 1).tobytes()
 
 
 class TestRunExperiment:
@@ -859,21 +893,51 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("scan", [False, True])
     @pytest.mark.parametrize("chunk", [20, montecarlo._CHUNK])
-    def test_redrawn_setup_is_built_once_per_tile(self, chunk, scan, monkeypatch):
-        # P points x T trials take ceil(P T / rows) set-ups, not one per
-        # point, at the target angle (from the vectors P a^*) and with the
-        # scan (from the projectors) alike.
+    def test_redrawn_setup_is_built_once_per_trial_range(self, chunk, scan, monkeypatch):
+        # P points x T trials take one set-up of n draws per trial range,
+        # ceil(T / n) in all, whatever the number of points or of point
+        # blocks: at the target angle (from the vectors P a^*) and with the
+        # scan (from the projectors) alike.  20-row tiles hold 20-trial
+        # ranges of one point each.
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         calls = []
         build = montecarlo._stacked_modes
         monkeypatch.setattr(montecarlo, "_stacked_modes",
-                            lambda *args: calls.append(1) or build(*args))
-        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=10,
+                            lambda plan, h, *args: calls.append(len(h)) or build(plan, h, *args))
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30,
                          snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), scan=scan,
                          theta_step_deg=10.0)
         run_experiment(plan)
-        rows = montecarlo._tile_rows(plan)
-        assert len(calls) == math.ceil(5 * 10 / rows) < 5
+        n = montecarlo._range_trials(plan)
+        assert len(montecarlo._tiles(plan)) == (10 if chunk == 20 else 1)
+        assert calls == [min(n, 30 - first) for first in range(0, 30, n)]
+
+    @pytest.mark.parametrize("scan", [False, True])
+    @pytest.mark.parametrize("workers, setups", [
+        (2, [12, 12, 12, 6]),
+        (4, [12, 12, 12, 12, 6, 6]),
+    ], ids=["2-workers", "4-workers"])
+    def test_trial_range_set_up_in_two_threads(self, workers, setups, scan, monkeypatch):
+        # Ranges of 12, 12 and 6 trials in 1-point blocks: 15 tiles.  2
+        # threads take tiles 0-6 and 7-14, so the second range's blocks land
+        # in both and it is set up twice; 4 threads (tiles 0-2, 3-6, 7-10
+        # and 11-14) set up the first and the second range twice, and the
+        # last one too.  Each set-up of a range reads the same records, so
+        # the curves, theory columns included, are bit for bit those of 1
+        # worker.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 12)
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30,
+                         snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), scan=scan,
+                         theta_step_deg=10.0,
+                         waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED))
+        assert len(montecarlo._tiles(plan)) == 15
+        want = run_experiment(plan, workers=1).curves
+        calls = []
+        build = montecarlo._stacked_modes
+        monkeypatch.setattr(montecarlo, "_stacked_modes",
+                            lambda plan, h, *args: calls.append(len(h)) or build(plan, h, *args))
+        assert run_experiment(plan, workers=workers).curves == want
+        assert sorted(calls) == sorted(setups)
 
     def test_theory_is_the_per_draw_mean_of_any_gains(self):
         # The theory reads each column's gains alone: nsp-selected's gains
@@ -944,8 +1008,8 @@ class TestRunExperiment:
                                                             monkeypatch):
         # Tiles of points 0 and 2 alone: the keys are those of the noise
         # kinds (and the redrawn-channel kind), each derived once, and every
-        # draw passes them in and reads substreams 0 and 2 alone, none of
-        # point 1's.
+        # draw passes them in.  The noise draws read substreams 0 and 2
+        # alone, none of point 1's, and the redrawn channels substream 0.
         derived, read = [], []
         keys = montecarlo.stream_key
         draw = montecarlo.complex_normal_ranges
@@ -962,16 +1026,17 @@ class TestRunExperiment:
         plan = tiny_plan(channel_mode=channel_mode, trials_per_point=20,
                          snr_grid_db=(0.0, 3.0, 6.0))
         tiles = montecarlo._tiles(plan)
-        assert tiles[1] == [(0, 10, 10)] and tiles[4] == [(2, 0, 10)]
+        assert [tiles[i] for i in (0, 2, 3)] == [(0, 10, 0, 1), (0, 10, 2, 3), (10, 10, 0, 1)]
         engine = None
         if channel_mode == CHANNEL_FIXED:
             h = montecarlo._channels(plan, 0, 0, 1)
             engine = montecarlo._PointEngine(plan, montecarlo._stacked_modes(plan, h)[0])
-        montecarlo._run_tiles(plan, [tiles[0], tiles[1], tiles[4]], engine)
+        montecarlo._run_tiles(plan, [tiles[0], tiles[2], tiles[3]], engine)
         want = [1] * (channel_mode == CHANNEL_REDRAWN) + [2, 3]
         assert sorted(derived) == want
         assert {stream_id for stream_id, *_ in read} == set(want)
-        assert {substream for _, substream, *_ in read} == {0, 2}
+        assert {substream for stream_id, substream, *_ in read if stream_id > 1} == {0, 2}
+        assert {substream for stream_id, substream, *_ in read if stream_id == 1} <= {0}
 
     @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 3), (4, 4), (6, 4)])
     def test_selection_is_the_degradation_argmin(self, n_bs, m):
@@ -1057,7 +1122,7 @@ class TestRunExperiment:
         want = run_experiment(plan).curves
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         tiles = montecarlo._tiles(plan)
-        sizes = {sum(count for *_, count in tile) for tile in tiles}
+        sizes = {count * (end - lo) for _, count, lo, end in tiles}
         assert len(tiles) > 1 and len(sizes) > 1
         assert run_experiment(plan).curves == want
 
@@ -1092,8 +1157,11 @@ class TestRunExperiment:
 # orthogonal mode and bs1 (and so nsp-selected) were re-read (by at most
 # 8.2e-16 relative; no tally moved) when at-angle redrawn tiles came to be
 # set up from the vectors P a^* and the orthogonal column to be evaluated
-# once per point: it now equals the "fixed" one.  Any other change to the streams, the selection or the arithmetic shows
-# here.
+# once per point: it now equals the "fixed" one.  The "redrawn" projected
+# modes at 0 dB (tallies and theory) were re-read when every SNR point came
+# to read each trial's channels from substream 0, which point 0 (-6 dB)
+# read already (same law, new realization; -6 dB did not move).  Any other
+# change to the streams, the selection or the arithmetic shows here.
 GOLDEN_PLAN = dict(
     m=4, k=2, l=16, snr_grid_db=(-6.0, 0.0), pfa_list=(0.1,), trials_per_point=40,
     master_seed=5, waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
@@ -1142,15 +1210,15 @@ GOLDEN = {
         ],
         "nsp-bs1": [
             (20, 4, 0, 0.2558544198798435, 0.5421437843795188),
-            (37, 1, 0, 0.4886550756129136, 0.9217050557288982),
+            (34, 2, 0, 0.5708131994295308, 0.914491812727577),
         ],
         "nsp-bs2": [
             (20, 6, 0, 0.21415447769751678, 0.48251746803556117),
-            (36, 6, 0, 0.5186270257206748, 0.9137451198807505),
+            (37, 4, 0, 0.4608083947862697, 0.8958055238513838),
         ],
         "nsp-selected": [
             (20, 4, 0, 0.2558544198798435, 0.5421437843795188),
-            (37, 1, 0, 0.4886550756129136, 0.9217050557288982),
+            (34, 2, 0, 0.5708131994295308, 0.914491812727577),
         ],
     },
 }
@@ -1186,6 +1254,19 @@ class TestRedrawnTheory:
             return [(pt.pd_theory_paper, pt.pd_theory_calibrated) for pt in curve.points]
 
         assert theory(replace(plan, channel_mode=CHANNEL_REDRAWN)) == theory(plan)
+
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_points_share_each_trials_channels(self, scan):
+        # Every SNR point reads trial t's channels from the same record, so
+        # at two SNRs 1e-12 dB apart the nsp-bs1 theory, a mean over the
+        # same 40 draws, agrees to rounding; with channels drawn per point
+        # the two means differed by the spread of the draws.
+        plan = ExperimentPlan(**{**GOLDEN_PLAN, "snr_grid_db": (0.0, 1e-12)},
+                              channel_mode=CHANNEL_REDRAWN, scan=scan, theta_step_deg=5.0)
+        curve = next(c for c in run_experiment(plan).curves if c.label == "nsp-bs1")
+        a, b = curve.points
+        assert b.pd_theory_paper == pytest.approx(a.pd_theory_paper, rel=1e-9)
+        assert b.pd_theory_calibrated == pytest.approx(a.pd_theory_calibrated, rel=1e-9)
 
     @pytest.mark.parametrize("modes", [(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
                                        (MODE_ORTHOGONAL, MODE_NSP_SELECTED)])

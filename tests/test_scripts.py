@@ -129,26 +129,30 @@ def test_bench_presets_trees_take_turns_to_run_first(monkeypatch, tmp_path, caps
 
 def test_bench_presets_band_runs_and_faults(monkeypatch, tmp_path):
     # --runs picks the acceptance band fixture's two plans (45 and 29 SNR
-    # points) and the 2-worker runs; every run records the minor faults its
-    # cli.main took and the worker count its summary.json reports.
+    # points), the 2-worker runs and the redrawn scan; every run records
+    # the minor faults its cli.main took and the worker count its
+    # summary.json reports.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     monkeypatch.setattr(sys, "argv", [
         "bench_presets.py", "--pr", "0", "--trials", "2", "--repeats", "1",
         "--tree", f"change={src}", "--out-dir", str(tmp_path),
-        "--runs", "band-m4", "band-m8", "fig5", "fig5-w2", "fig3-redrawn-w2"])
+        "--runs", "band-m4", "band-m8", "fig5", "fig5-w2", "fig3-redrawn-w2",
+        "fig3-redrawn-scan"])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"), run_name="__main__")
     assert exit_info.value.code == 0
     bench = json.loads((tmp_path / "BENCH_0.json").read_text())
     assert "workers" not in bench["config"]
     runs = bench["trees"]["change"]
-    assert list(runs) == ["band-m4", "band-m8", "fig5", "fig5-w2", "fig3-redrawn-w2"]
+    assert list(runs) == ["band-m4", "band-m8", "fig5", "fig5-w2", "fig3-redrawn-w2",
+                          "fig3-redrawn-scan"]
     for name, points, workers in (("band-m4", 45, 1), ("band-m8", 29, 1), ("fig5", 41, 1),
-                                  ("fig5-w2", 41, 2), ("fig3-redrawn-w2", 41, 2)):
+                                  ("fig5-w2", 41, 2), ("fig3-redrawn-w2", 41, 2),
+                                  ("fig3-redrawn-scan", 41, 1)):
         run = runs[name]
         assert run["trials_per_s"] == 2 * points / run["wall_s"]
         assert run["workers"] == workers
-        assert run["channel_mode"] == ("redrawn-per-trial" if name == "fig3-redrawn-w2"
+        assert run["channel_mode"] == ("redrawn-per-trial" if name.startswith("fig3-redrawn")
                                        else "fixed-per-experiment")
-        assert not run["scan"]
+        assert run["scan"] == (name == "fig3-redrawn-scan")
         assert run["runs_minflt"] == [run["minflt"]] and run["minflt"] >= 0
