@@ -174,6 +174,12 @@ def _checked_plan(build, sources: dict):
 
 def parse_config(path: str) -> RunConfig:
     """Parse the flat key=value config format; unknown keys are rejected."""
+    return _parse_config(path)[0]
+
+
+def _parse_config(path: str) -> tuple[RunConfig, dict]:
+    """`parse_config`'s RunConfig, and the `_checked_plan` sources of the
+    plan fields the file set, each its config key."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -205,7 +211,7 @@ def parse_config(path: str) -> RunConfig:
 
     workers = run_kwargs.pop("workers") if "workers" in run_kwargs else _default_workers()
     plan = _checked_plan(lambda: montecarlo.ExperimentPlan(**plan_kwargs), sources)
-    return RunConfig(plan=plan, workers=workers, **run_kwargs)
+    return RunConfig(plan=plan, workers=workers, **run_kwargs), sources
 
 
 def _default_workers() -> int:
@@ -221,24 +227,48 @@ def _default_workers() -> int:
             f"NSPSIM_THREADS: expected an integer, got {env!r}") from None
 
 
+def _csv_fields(columns: dict) -> list[np.ndarray]:
+    """The results.csv text of each CurvePoint field, in row order (curve by
+    curve, point by point, P_FA by P_FA), from the (points, pfa, modes)
+    arrays of `ExperimentResult.columns`.  Each distinct value of a dtype is
+    formatted once, as the repr of its Python float or int, and gathered;
+    floats are told apart by their bits (the int64 view), so -0.0 and 0.0
+    keep their own text."""
+    flat = {name: np.moveaxis(columns[name], -1, 0).ravel() for name in _POINT_FIELDS}
+    text = {}
+    for dtype in {v.dtype for v in flat.values()}:
+        names = [name for name, v in flat.items() if v.dtype == dtype]
+        block = np.stack([flat[name] for name in names])
+        keys, index = np.unique(block.view(np.int64) if dtype.kind == "f" else block,
+                                return_inverse=True)
+        words = np.array([repr(v) for v in keys.view(dtype).tolist()], dtype=object)
+        text.update(zip(names, words[index.reshape(block.shape)]))
+    return [text[name] for name in _POINT_FIELDS]
+
+
 def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
     """results.csv: one row per (mode, SNR, P_FA), the curve's mode and
-    bs_id and then the CurvePoint's fields, each as its repr."""
-    lines = [CSV_HEADER]
-    for curve in result.curves:
-        head = f"{curve.label},{curve.bs_id},"
-        lines.extend(head + ",".join(map(repr, pt)) for pt in curve.points)
+    bs_id and then the CurvePoint's fields, each as its repr: a float's
+    shortest round-trip text, an int bare.  It reads the result's columns,
+    not its curves, which hold the same values."""
+    rows = math.prod(result.columns["snr_db"].shape[:-1])
+    heads = [f"{curve.label},{curve.bs_id}" for curve in result.curves for _ in range(rows)]
+    lines = [CSV_HEADER, *map(",".join, zip(heads, *_csv_fields(result.columns)))]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _gap_reports(result) -> dict:
     """The summary's SNR gaps at P_D = 0.9, {repr(pfa): {source: gap_db}},
-    one `montecarlo.snr_gap` report per P_FA and source."""
+    one `montecarlo.snr_gap_columns` call per P_FA and source on the
+    result's (points, modes) columns at that P_FA: the gaps
+    `montecarlo.snr_gap` reads from the curves."""
+    labels = [curve.label for curve in result.curves]
+    snr_db = np.array(result.plan.snr_grid_db)
     return {repr(pfa): {
-        source: montecarlo.snr_gap(result.curves, pfa=pfa, source=source).gap_db
-        for source in ("emp", "theory_paper", "theory_calibrated")}
-        for pfa in result.plan.pfa_list}
+        source: montecarlo.snr_gap_columns(labels, snr_db, result.columns[attr][:, j])[1]
+        for source, attr in montecarlo.GAP_SOURCES.items()}
+        for j, pfa in enumerate(result.plan.pfa_list)}
 
 
 def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
@@ -353,8 +383,13 @@ def run(cfg: RunConfig) -> int:
 
 
 def build_config(args) -> RunConfig:
+    """The run the arguments ask for: the config file's plan, then the
+    preset's fields, then the flags'.  A plan check that fails at a step
+    names the config key, the preset or the flag that set the field it
+    rejects (`_checked_plan`)."""
+    sources = {}
     if args.config:
-        cfg = parse_config(args.config)
+        cfg, sources = _parse_config(args.config)
     else:
         cfg = RunConfig(plan=montecarlo.ExperimentPlan(), workers=_default_workers())
     plan = cfg.plan
@@ -363,12 +398,15 @@ def build_config(args) -> RunConfig:
             raise ConfigurationError(
                 f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
             )
-        plan = replace(plan, **PRESETS[args.preset])
+        preset = PRESETS[args.preset]
+        sources.update(dict.fromkeys(preset, f"--preset {args.preset}"))
+        plan = _checked_plan(lambda: replace(plan, **preset), sources)
     overrides = {field: getattr(args, flag) for flag, field in _PLAN_FLAGS.items()
                  if getattr(args, flag) is not None}
     if overrides:
-        plan = _checked_plan(lambda: replace(plan, **overrides),
-                             {field: f"--{flag}" for flag, field in _PLAN_FLAGS.items()})
+        sources.update({field: f"--{flag}" for flag, field in _PLAN_FLAGS.items()
+                        if field in overrides})
+        plan = _checked_plan(lambda: replace(plan, **overrides), sources)
     cfg = replace(cfg, plan=plan)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)

@@ -61,7 +61,8 @@ def noncentrality(convention: str, m: int, snr, gain, orthogonal=False):
     the law the simulated statistic follows.  "paper" is the published
     formula: SNR M^2 where `orthogonal` is true (the unprojected waveform)
     and SNR c^2 elsewhere.  The two coincide only for the identity
-    correlation, up to a factor of two.
+    correlation, up to a factor of two.  Either is snr times its value at
+    snr = 1, bit for bit, which `montecarlo._mean_theory_pd` relies on.
     """
     if convention == "calibrated":
         return snr * (2.0 * m * gain)

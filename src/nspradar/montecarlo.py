@@ -95,12 +95,19 @@ so no tile size changes an output.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t alone, one (C, modes) array that every
-point shares; with a fixed channel that is the value at its one gain.  The
-survival function is evaluated once per distinct noncentrality, so a
-column that copies another's gains (the selected BS's beside nsp-per-bs)
-costs no evaluation, and a mode whose draws share one noncentrality (the
-orthogonal mode, a fixed channel, no null space) reads that value
-(`_mean_theory_pd`).
+point shares; with a fixed channel that is the value at its one gain.  A
+noncentrality is the point's SNR times a factor of the gain alone, so one
+`np.unique` per convention over the draws' factors serves every point:
+the survival function is evaluated on one (points, distinct factors)
+table, a column that copies another's gains (the selected BS's beside
+nsp-per-bs) costs no evaluation, and a mode whose draws share one
+noncentrality (the orthogonal mode, a fixed channel, no null space) reads
+that value (`_mean_theory_pd`).
+
+`run_experiment` keeps every CurvePoint field as a (points, pfa, modes)
+array (`ExperimentResult.columns`) beside the curves built from them, and
+the CLI writes results.csv and the summary's SNR gaps from those arrays
+(`snr_gap_columns`; `snr_gap` reads the same from the curves).
 """
 
 from __future__ import annotations
@@ -314,6 +321,9 @@ class ExperimentResult:
     plan: ExperimentPlan
     curves: tuple[DetectionCurve, ...]
     selection: sharing.ChannelSelection | None  # fixed-channel runs only
+    # The curves' values as arrays: each CurvePoint field, keyed by its
+    # name, broadcast to (points, pfa, modes), modes in curve order.
+    columns: dict[str, np.ndarray] = field(compare=False)
     # Seconds per stage: "setup" (the fixed channel's engine), "points"
     # (the trials) and "theory" (the theory curves and the curve tables).
     timings_s: dict[str, float] = field(default_factory=dict)
@@ -728,29 +738,43 @@ def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
 
     `gains` is (C, modes), the target gains of the draws every point
     shares; the noncentralities are `detection.noncentrality`'s at the
-    linear SNR of each grid point.  The survival function is evaluated once
-    per distinct noncentrality of a group of points, and a (point, mode)
-    whose draws share one noncentrality reads that value, not a mean of
-    equal values: the orthogonal mode, a fixed channel (C = 1), or a mode
-    with no null space.  Points go in groups of about _BLOCK_ELEMENTS
-    values, since the noncentral survival function takes several
-    temporaries of its input's size; each point's trials are still reduced
-    in one step.
+    linear SNR s of each grid point.  That is s times a factor q of the
+    gain alone (2 M c, c^2, or M^2 for the orthogonal column of the
+    paper's convention), so rho = s q bit for bit, q being the value at
+    s = 1.  Per convention one `np.unique` over the (C, modes) factors
+    gives the distinct q, and the survival function is evaluated on the
+    (points, distinct q) table of s q, whatever the number of points;
+    a column that copies another's gains (the selected BS's beside
+    nsp-per-bs) costs no evaluation.  The table is gathered back into a
+    C-contiguous (points, C, modes) array per P_FA (`np.take`), and its
+    mean over the draws is that of the per-point form
+    (tests/oracles.py), bit for bit: numpy's summation order follows the
+    array's layout, so the layout stays.
+
+    A (point, mode) whose draws share one noncentrality reads that value,
+    not a mean of equal values: the orthogonal mode, a fixed channel
+    (C = 1), a mode with no null space, or a point whose SNR underflows
+    to 0.  Rounding s q is monotone in q for s >= 0, so the draws share
+    one noncentrality exactly when s min(q) == s max(q) over the column.
+    Points go in groups of about _BLOCK_ELEMENTS values, since the
+    noncentral survival function takes several temporaries of its
+    input's size.
     """
     orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
     conventions = ("paper", "calibrated")
     snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
     pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(orthogonal)))
     step = max(1, _BLOCK_ELEMENTS // gains.size)
-    for i in range(0, len(snr), step):
-        s = snr[i:i + step, None, None]
-        for c, conv in enumerate(conventions):
-            rho = detection.noncentrality(conv, plan.m, s, gains, orthogonal)
-            distinct, index = np.unique(rho, return_inverse=True)
-            index = index.reshape(rho.shape)
-            shared = (rho == rho[:, :1]).all(axis=1)
+    for c, conv in enumerate(conventions):
+        q = detection.noncentrality(conv, plan.m, 1.0, gains, orthogonal)
+        distinct, index = np.unique(q, return_inverse=True)
+        index = index.reshape(q.shape)
+        low, high = q.min(axis=0), q.max(axis=0)
+        for i in range(0, len(snr), step):
+            s = snr[i:i + step, None]
+            rho, shared = s * distinct, s * low == s * high
             for j, p in enumerate(plan.pfa_list):
-                trial_pd = detection.theoretical_pd(distinct, p)[index]
+                trial_pd = np.take(detection.theoretical_pd(rho, p), index, axis=1)
                 pd[c, i:i + step, j] = np.where(shared, trial_pd[:, 0], trial_pd.mean(axis=1))
     return pd
 
@@ -789,35 +813,48 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     paper, calibrated = _mean_theory_pd(plan, gains)
 
     trials = plan.trials_per_point
-    # CurvePoint's fields in order, each broadcast to (points, pfa, modes)
-    # and listed curve by curve, point by point, P_FA by P_FA.
+    # CurvePoint's fields in order, each broadcast to (points, pfa, modes).
     values = (np.array(plan.snr_grid_db)[:, None, None], np.array(plan.pfa_list)[:, None],
               trials, detections, detections / trials,
               *wilson_interval(detections, trials), paper, calibrated,
               false_alarms, false_alarms / trials, *wilson_interval(false_alarms, trials),
               degenerate[:, None])
-    points = [CurvePoint(*row) for row in zip(*(
-        np.moveaxis(np.broadcast_to(v, detections.shape), -1, 0).ravel().tolist()
-        for v in values))]
-    n = len(points) // detections.shape[-1]
-    curves = [DetectionCurve(label=label, bs_id=bs_id, points=tuple(points[j * n:][:n]))
-              for j, (label, bs_id) in enumerate(_mode_labels(plan))]
+    columns = {name: np.broadcast_to(v, detections.shape)
+               for name, v in zip(CurvePoint._fields, values)}
+    curves = _curves(plan, columns)
     by_mode = dict(zip((c.label for c in curves), degenerate.sum(axis=0).tolist()))
     timings = {"setup": t_points - t_setup, "points": t_theory - t_points,
                "theory": time.perf_counter() - t_theory}
     return ExperimentResult(
-        plan=plan, curves=tuple(curves), selection=selection, timings_s=timings,
+        plan=plan, curves=curves, selection=selection, columns=columns, timings_s=timings,
         degenerate_by_mode=by_mode,
     )
+
+
+def _curves(plan: ExperimentPlan, columns: dict) -> tuple[DetectionCurve, ...]:
+    """The curves of `ExperimentResult.columns`, in `_mode_labels` order,
+    each listing its points point by point, P_FA by P_FA."""
+    rows = zip(*(np.moveaxis(columns[name], -1, 0).ravel().tolist()
+                 for name in CurvePoint._fields))
+    points = list(map(CurvePoint._make, rows))
+    labels = _mode_labels(plan)
+    n = len(points) // len(labels)
+    return tuple(DetectionCurve(label=label, bs_id=bs_id, points=tuple(points[j * n:][:n]))
+                 for j, (label, bs_id) in enumerate(labels))
 
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators fit, nondecreasing, equal weights.  Each
     value, as a block of weight 1, pools with the top of a stack of pooled
     blocks into their weighted mean while that top exceeds it by more than
-    1e-15, and then goes onto the stack."""
+    1e-15, and then goes onto the stack.  An input in which no value
+    exceeds the next by more than 1e-15 pools nothing, so it is its own fit
+    and is returned as it is (as floats)."""
+    y = np.asarray(y, dtype=float)
+    if not np.any(y[:-1] > y[1:] + 1e-15):
+        return y
     vals, weights = [], []
-    for v in y.astype(float).tolist():
+    for v in y.tolist():
         w = 1
         while vals and vals[-1] > v + 1e-15:
             u, k = vals.pop(), weights.pop()
@@ -842,6 +879,33 @@ def _snr_at_target(snr_db: np.ndarray, pd: np.ndarray, target: float):
     return float(x0 + (target - y0) * (x1 - x0) / (y1 - y0))
 
 
+# snr_gap's sources: the CurvePoint field each one reads.
+GAP_SOURCES = {
+    "emp": "pd_emp",
+    "theory_paper": "pd_theory_paper",
+    "theory_calibrated": "pd_theory_calibrated",
+}
+
+
+def snr_gap_columns(labels, snr_db: np.ndarray, pd: np.ndarray,
+                    target_pd: float = 0.9) -> tuple[dict, dict]:
+    """SNR (dB) each mode needs to reach the target detection probability,
+    and the gap versus the orthogonal mode: (snr_at_target, gap_db), dicts
+    keyed by `labels`, for a (points, modes) array `pd` over the SNR grid
+    `snr_db`, one column per label.
+
+    Each column is fitted nondecreasing (`_isotonic`) and interpolated
+    linearly at the target.  A mode that never reaches it reports None, and
+    so does every gap when the orthogonal mode does not reach it or is
+    absent.  `snr_gap` reads the same from the curves."""
+    snr_at = {label: _snr_at_target(snr_db, pd[:, j], target_pd)
+              for j, label in enumerate(labels)}
+    base = snr_at.get(MODE_ORTHOGONAL)
+    gaps = {label: None if val is None or base is None else val - base
+            for label, val in snr_at.items()}
+    return snr_at, gaps
+
+
 def snr_gap(
     curves,
     target_pd: float = 0.9,
@@ -849,38 +913,26 @@ def snr_gap(
     source: str = "emp",
 ) -> SnrGapReport:
     """SNR (dB) each mode needs to reach the target detection probability,
-    and the gap versus the orthogonal curve.
+    and the gap versus the orthogonal curve (`snr_gap_columns` on the
+    curves' points at one P_FA).
 
     source selects which probability the interpolation reads: "emp",
     "theory_paper", or "theory_calibrated".  Modes that never reach the
     target report None.  Raises ValueError for an unknown source or a pfa
     that the curves do not hold.
     """
-    attrs = {
-        "emp": "pd_emp",
-        "theory_paper": "pd_theory_paper",
-        "theory_calibrated": "pd_theory_calibrated",
-    }
-    if source not in attrs:
-        raise ValueError(f"unknown source {source!r}; choose from {list(attrs)}")
-    attr = attrs[source]
+    if source not in GAP_SOURCES:
+        raise ValueError(f"unknown source {source!r}; choose from {list(GAP_SOURCES)}")
+    attr = GAP_SOURCES[source]
     pfas = list(dict.fromkeys(pt.pfa for pt in curves[0].points))
     if pfa is None:
         pfa = pfas[0]
     elif pfa not in pfas:
         raise ValueError(f"pfa {pfa!r} is not in the curves; choose from {pfas}")
-    snr_at, gaps = {}, {}
-    for curve in curves:
-        pts = [pt for pt in curve.points if pt.pfa == pfa]
-        snr_db = np.array([pt.snr_db for pt in pts])
-        pd = np.array([getattr(pt, attr) for pt in pts])
-        snr_at[curve.label] = _snr_at_target(snr_db, pd, target_pd)
-    base = snr_at.get(MODE_ORTHOGONAL)
-    for label, val in snr_at.items():
-        if val is None or base is None:
-            gaps[label] = None
-        else:
-            gaps[label] = val - base
+    snr_db = np.array([pt.snr_db for pt in curves[0].points if pt.pfa == pfa])
+    pd = np.array([[getattr(pt, attr) for pt in curve.points if pt.pfa == pfa]
+                   for curve in curves]).T
+    snr_at, gaps = snr_gap_columns([curve.label for curve in curves], snr_db, pd, target_pd)
     return SnrGapReport(
         target_pd=target_pd, pfa=pfa, source=source,
         snr_at_target=snr_at, gap_db=gaps,

@@ -13,7 +13,9 @@ formulas whose bits the library's array and in-place versions keep, and
 the per-range Philox generators jumped to a substream and moved by
 `advance()` are the construction whose bits the library's keyed record
 draws keep; the backtracking pool-adjacent-violators scan is the one whose
-merges the library's stack form makes.
+merges the library's stack form makes.  The per-point theory mean, the
+repr-per-field CSV and the per-curve SNR gap are the loops whose bits the
+library's one-pass array forms keep.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from nspradar.detection import GAIN_FLOOR_FRAC
+from nspradar.detection import GAIN_FLOOR_FRAC, noncentrality, theoretical_pd
 from nspradar.errors import ConfigurationError
 from nspradar.radar import orthogonal_waveforms, steering_vector, transmit_receive_matrix
 
@@ -324,3 +326,48 @@ def isotonic_reference(y: np.ndarray) -> np.ndarray:
         else:
             i += 1
     return np.repeat(vals, [int(w) for w in weights])
+
+
+def mean_theory_pd_reference(plan, gains: np.ndarray) -> np.ndarray:
+    """The theory P_D of every (convention, point, pfa, mode) cell, point by
+    point: each point's (C, modes) noncentralities, the survival function
+    once per distinct one, and per mode either the value its draws share or
+    the mean over the draws (axis 0 of the point's (C, modes) array)."""
+    orthogonal = np.array([mode == "orthogonal" for mode in plan.waveform_modes
+                           for _ in range(plan.k if mode == "nsp-per-bs" else 1)])
+    out = np.empty((2, len(plan.snr_grid_db), len(plan.pfa_list), gains.shape[1]))
+    for c, conv in enumerate(("paper", "calibrated")):
+        for i, snr_db in enumerate(plan.snr_grid_db):
+            rho = noncentrality(conv, plan.m, 10 ** (snr_db / 10), gains, orthogonal)
+            distinct, index = np.unique(rho, return_inverse=True)
+            shared = (rho == rho[:1]).all(axis=0)
+            for j, pfa in enumerate(plan.pfa_list):
+                trial_pd = theoretical_pd(distinct, pfa)[index.reshape(rho.shape)]
+                out[c, i, j] = np.where(shared, trial_pd[0], trial_pd.mean(axis=0))
+    return out
+
+
+def results_csv_reference(result) -> str:
+    """results.csv built row by row from the curves: the header, then per
+    point its curve's mode and bs_id and the repr of each CurvePoint field."""
+    lines = ["mode,bs_id," + ",".join(type(result.curves[0].points[0])._fields)]
+    for curve in result.curves:
+        lines += [f"{curve.label},{curve.bs_id}," + ",".join(map(repr, pt))
+                  for pt in curve.points]
+    return "\n".join(lines) + "\n"
+
+
+def snr_at_target_reference(snr_db, pd, target: float):
+    """The SNR (dB) at which the nondecreasing fit (`isotonic_reference`) of
+    one curve first reaches `target`, linearly interpolated; None if it never
+    does."""
+    fit = isotonic_reference(np.asarray(pd, dtype=float))
+    if fit[-1] < target:
+        return None
+    j = next(i for i, v in enumerate(fit) if v >= target)
+    if j == 0:
+        return float(snr_db[0])
+    x0, x1, y0, y1 = snr_db[j - 1], snr_db[j], fit[j - 1], fit[j]
+    if y1 == y0:
+        return float(x1)
+    return float(x0 + (target - y0) * (x1 - x0) / (y1 - y0))

@@ -6,7 +6,7 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,8 @@ import pytest
 from nspradar import cli, montecarlo
 from nspradar.errors import ConfigurationError
 from nspradar.montecarlo import MODE_NSP_SELECTED, MODE_ORTHOGONAL
+
+import oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -215,6 +217,32 @@ class TestRun:
                 pt.false_alarms, pt.trials)
             assert pt.pfa_emp == pt.false_alarms / pt.trials
 
+    @pytest.mark.parametrize("channel_mode", ["fixed-per-experiment", "redrawn-per-trial"])
+    def test_csv_equals_the_repr_per_field_rows(self, tmp_path, channel_mode):
+        # The writer formats each distinct value once, from the result's
+        # columns; the text is the row-by-row repr of the curves' fields.
+        # -0.0 and 0.0 share a column here and keep their own text, beside
+        # 0.0 and 1.0 at the interval edges.
+        plan = cli.parse_config(write_config(
+            tmp_path, SMALL + f"channel_mode = {channel_mode}\n")).plan
+        result = montecarlo.run_experiment(plan)
+        columns = dict(result.columns)
+        signs = np.where(np.arange(columns["pd_theory_paper"].size) % 2, -0.0, 0.0)
+        columns["pd_theory_paper"] = signs.reshape(columns["pd_theory_paper"].shape)
+        columns["ci_lo"] = np.zeros(columns["ci_lo"].shape)
+        columns["ci_hi"] = np.ones(columns["ci_hi"].shape)
+        edited = replace(result, columns=columns,
+                         curves=montecarlo._curves(plan, columns))
+        for res in (result, edited):
+            path = tmp_path / "results.csv"
+            cli.write_csv(res, str(path))
+            assert path.read_bytes() == oracles.results_csv_reference(res).encode()
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["pd_theory_paper"] for row in rows} == {"0.0", "-0.0"}
+        assert {(row["ci_lo"], row["ci_hi"]) for row in rows} == {("0.0", "1.0")}
+        assert all(row["trials"] == "50" for row in rows)
+
     def test_false_alarm_and_degenerate_columns(self, tmp_path):
         # n_bs = m leaves the projected mode no null space: every trial is
         # degenerate.
@@ -252,13 +280,13 @@ class TestRun:
     def test_output_stage_times_the_gap_reports(self, tmp_path, monkeypatch):
         # The summary's three SNR-gap reports per P_FA are computed inside
         # the "output" stage, not after it was taken.
-        gap = montecarlo.snr_gap
+        gap = montecarlo.snr_gap_columns
 
         def slow(*args, **kwargs):
             time.sleep(0.02)
             return gap(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "snr_gap", slow)
+        monkeypatch.setattr(montecarlo, "snr_gap_columns", slow)
         code, out = self._run(tmp_path)
         assert code == cli.EXIT_OK
         summary = json.loads(Path(out, "summary.json").read_text())
@@ -328,6 +356,24 @@ class TestRun:
         # it rejects, as a value's parse error does.
         out = tmp_path / "out"
         code = cli.main(["--config", write_config(tmp_path, text), "--out", str(out), *argv])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, preset, message", [
+        ("l = 6\n", {}, "error: config key 'l': need l >= m, got l=6, m=8"),
+        ("", {"pfa_list": (2.0,)}, "error: --preset fig5: pfa must lie in (2 ** -54, 1)"),
+        ("m = 4\n", {"m": 32}, "error: need l >= m, got l=16, m=32"),
+    ], ids=["config-key", "preset", "default"])
+    def test_preset_plan_error_names_its_source(self, tmp_path, capsys, monkeypatch,
+                                                text, preset, message):
+        # A plan check that fails once the preset is applied names the
+        # config key or the preset that set the field it rejects; a field
+        # left at its default has no source to name.
+        monkeypatch.setitem(cli.PRESETS, "fig5", {**cli.PRESETS["fig5"], **preset})
+        out = tmp_path / "out"
+        code = cli.main(["--config", write_config(tmp_path, text), "--preset", "fig5",
+                         "--trials", "5", "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()

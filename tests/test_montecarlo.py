@@ -29,7 +29,7 @@ from nspradar.montecarlo import (
 )
 
 import nspradar.montecarlo as montecarlo
-from nspradar import detection, numerics, radar, sharing
+from nspradar import cli, detection, numerics, radar, sharing
 import oracles
 
 
@@ -239,6 +239,8 @@ class TestWilsonInterval:
 # and noisy nondecreasing curves like empirical P_D.
 _CURVES = st.one_of(
     st.lists(st.floats(0, 1), max_size=40),
+    st.lists(st.floats(0, 1), max_size=40).map(sorted),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=40).map(sorted),
     st.lists(st.integers(0, 40), max_size=40).map(lambda k: [x / 40 for x in k]),
     st.lists(st.sampled_from([0.5, 0.5 + 1e-15, 0.5 - 1e-15, 0.5 + 2e-15, 0.25]),
              max_size=30),
@@ -275,6 +277,7 @@ class TestIsotonic:
     @given(y=_CURVES)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_backtracking_scan(self, y):
+        # Random, monotone, tied and 1e-15-dipping curves alike.
         y = np.array(y, dtype=float)
         assert _isotonic(y).tobytes() == oracles.isotonic_reference(y).tobytes()
 
@@ -943,23 +946,74 @@ class TestRunExperiment:
         # The theory reads each column's gains alone: nsp-selected's gains
         # here match no BS column, and each column equals the direct
         # per-draw mean.  The orthogonal column, whose draws share one
-        # noncentrality, reads that value exactly.
+        # noncentrality, reads that value exactly.  Every point reads the
+        # same (C, modes) gains, as in the sweep.
         plan = tiny_plan(k=3, snr_grid_db=(-3.0, 0.0, 5.0), pfa_list=(0.1, 1e-3),
                          channel_mode=CHANNEL_REDRAWN,
                          waveform_modes=(MODE_NSP_SELECTED, MODE_NSP_PER_BS, MODE_ORTHOGONAL))
         rng = np.random.default_rng(1)
-        gains = rng.uniform(0.5, 4.0, (3, 30, 5))
-        gains[..., 4] = detection.direction_gain(
+        gains = rng.uniform(0.5, 4.0, (30, 5))
+        gains[:, 4] = detection.direction_gain(
             radar.steering_vector(plan.m, plan.theta_target), np.eye(plan.m))
         pd = montecarlo._mean_theory_pd(plan, gains)
+        assert pd.tobytes() == oracles.mean_theory_pd_reference(plan, gains).tobytes()
         for c, conv in enumerate(("paper", "calibrated")):
             for i, snr_db in enumerate(plan.snr_grid_db):
                 for j, pfa in enumerate(plan.pfa_list):
-                    rho = detection.noncentrality(conv, plan.m, 10 ** (snr_db / 10), gains[i],
+                    rho = detection.noncentrality(conv, plan.m, 10 ** (snr_db / 10), gains,
                                                   np.arange(5) == 4)
                     want = detection.theoretical_pd(rho, pfa).mean(axis=0)
                     np.testing.assert_allclose(pd[c, i, j], want, rtol=0, atol=1e-15)
                     assert pd[c, i, j, 4] == detection.theoretical_pd(rho[0, 4], pfa)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(channel_mode=CHANNEL_REDRAWN),
+        dict(channel_mode=CHANNEL_REDRAWN, scan=True, theta_step_deg=10.0),
+        dict(),
+        dict(channel_mode=CHANNEL_REDRAWN, n_bs=4),
+        dict(channel_mode=CHANNEL_REDRAWN, waveform_modes=(MODE_NSP_SELECTED,)),
+        dict(channel_mode=CHANNEL_REDRAWN, snr_grid_db=(-4000.0, -3.0, 0.0, 12.0)),
+    ], ids=["redrawn", "redrawn-scan", "fixed", "n_bs-eq-m", "one-mode", "snr-underflow"])
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_theory_equals_the_per_point_oracle(self, monkeypatch, kwargs, block):
+        # The sweep's theory table, byte for byte the per-point loop: with
+        # nsp-per-bs beside nsp-selected (a column copying a BS column's
+        # gains), two P_FA values, all gains 0 (n_bs = m), one mode, and an
+        # SNR whose linear value underflows to 0, so that every draw shares
+        # rho = 0.  A 64-value block takes the points one at a time.
+        if block:
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block)
+        plan = tiny_plan(**{"k": 3, "trials_per_point": 30, "pfa_list": (0.1, 1e-3),
+                            "snr_grid_db": tuple(np.arange(-9.0, 20.0, 3.0)),
+                            "waveform_modes": (MODE_ORTHOGONAL, MODE_NSP_PER_BS,
+                                               MODE_NSP_SELECTED), **kwargs})
+        seen = []
+        theory = montecarlo._mean_theory_pd
+        monkeypatch.setattr(montecarlo, "_mean_theory_pd",
+                            lambda plan, gains: seen.append((gains, theory(plan, gains)))
+                            or seen[-1][1])
+        run_experiment(plan)
+        (gains, pd), = seen
+        assert gains.shape == ((1,) if plan.channel_mode != CHANNEL_REDRAWN else (30,)) + (
+            len(montecarlo._mode_labels(plan)),)
+        assert pd.tobytes() == oracles.mean_theory_pd_reference(plan, gains).tobytes()
+
+    def test_theory_unique_calls_do_not_grow_with_the_points(self, monkeypatch):
+        # One np.unique per convention over the (C, modes) gains serves
+        # every SNR point, also when each point is a block of its own.
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 64)
+        gains = np.random.default_rng(2).uniform(0.0, 4.0, (20, 2))
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        counts = []
+        for points in (2, 6, 30):
+            plan = tiny_plan(snr_grid_db=tuple(np.linspace(-5.0, 10.0, points)),
+                             channel_mode=CHANNEL_REDRAWN)
+            calls.clear()
+            montecarlo._mean_theory_pd(plan, gains)
+            counts.append(len(calls))
+        assert counts == [2, 2, 2]
 
     @pytest.mark.parametrize("scan", [False, True])
     def test_degenerate_redrawn_theory_is_exact_at_zero(self, scan):
@@ -1334,6 +1388,32 @@ class TestSnrGap:
         with pytest.raises(ValueError, match="'bogus'.*'emp'"):
             snr_gap(result.curves, source="bogus")
         assert snr_gap(result.curves, pfa=0.1).pfa == 0.1
+
+    def test_gap_columns_equal_the_per_curve_fits(self):
+        # The summary's gaps, read from the result's columns, are the
+        # per-curve reports, and each mode's SNR at the target is the
+        # per-curve oracle's.  Under the paper's convention nsp-selected
+        # never reaches 0.9, so its gap is None beside the orthogonal 0.0,
+        # and at P_FA 1e-3 the orthogonal curve does not either.
+        result = run_experiment(tiny_plan(snr_grid_db=tuple(np.arange(-10.0, 0.1, 1.0)),
+                                          pfa_list=(0.1, 1e-3), trials_per_point=300))
+        reports = cli._gap_reports(result)
+        assert reports == {repr(pfa): {
+            source: snr_gap(result.curves, pfa=pfa, source=source).gap_db
+            for source in ("emp", "theory_paper", "theory_calibrated")}
+            for pfa in result.plan.pfa_list}
+        assert reports["0.1"]["theory_paper"] == {MODE_ORTHOGONAL: 0.0, MODE_NSP_SELECTED: None}
+        assert reports["0.001"]["theory_paper"] == {MODE_ORTHOGONAL: None,
+                                                    MODE_NSP_SELECTED: None}
+        assert reports["0.1"]["theory_calibrated"][MODE_NSP_SELECTED] > 0
+        for pfa in result.plan.pfa_list:
+            for source, attr in montecarlo.GAP_SOURCES.items():
+                report = snr_gap(result.curves, pfa=pfa, source=source)
+                for curve in result.curves:
+                    pts = [pt for pt in curve.points if pt.pfa == pfa]
+                    want = oracles.snr_at_target_reference(
+                        [pt.snr_db for pt in pts], [getattr(pt, attr) for pt in pts], 0.9)
+                    assert report.snr_at_target[curve.label] == want
 
     def test_empirical_gap_near_theory_gap(self):
         plan = tiny_plan(
