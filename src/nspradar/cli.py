@@ -23,9 +23,14 @@ EXIT_CONFIG = 2
 EXIT_OUTPUT = 3
 EXIT_NUMERIC = 4
 
-# A results.csv row is its curve's mode and bs_id, then its CurvePoint.
-_POINT_FIELDS = montecarlo.CurvePoint._fields
-CSV_HEADER = ",".join(["mode", "bs_id", *_POINT_FIELDS])
+# A results.csv row is its mode's label and bs_id, then its point's fields.
+CSV_HEADER = ",".join(["mode", "bs_id", *montecarlo.POINT_FIELDS])
+# The summary's SNR-gap sources: the column each one reads.
+GAP_SOURCES = {
+    "emp": "pd_emp",
+    "theory_paper": "pd_theory_paper",
+    "theory_calibrated": "pd_theory_calibrated",
+}
 
 
 @dataclass(frozen=True)
@@ -228,13 +233,14 @@ def _default_workers() -> int:
 
 
 def _csv_fields(columns: dict) -> list[np.ndarray]:
-    """The results.csv text of each CurvePoint field, in row order (curve by
-    curve, point by point, P_FA by P_FA), from the (points, pfa, modes)
-    arrays of `ExperimentResult.columns`.  Each distinct value of a dtype is
-    formatted once, as the repr of its Python float or int, and gathered;
-    floats are told apart by their bits (the int64 view), so -0.0 and 0.0
-    keep their own text."""
-    flat = {name: np.moveaxis(columns[name], -1, 0).ravel() for name in _POINT_FIELDS}
+    """The results.csv text of each `montecarlo.POINT_FIELDS` field, in row
+    order (mode by mode, point by point, P_FA by P_FA), from the
+    (points, pfa, modes) arrays of `ExperimentResult.columns`.  Each
+    distinct value of a dtype is formatted once, as the repr of its Python
+    float or int, and gathered; floats are told apart by their bits (the
+    int64 view), so -0.0 and 0.0 keep their own text."""
+    flat = {name: np.moveaxis(columns[name], -1, 0).ravel()
+            for name in montecarlo.POINT_FIELDS}
     text = {}
     for dtype in {v.dtype for v in flat.values()}:
         names = [name for name, v in flat.items() if v.dtype == dtype]
@@ -243,16 +249,15 @@ def _csv_fields(columns: dict) -> list[np.ndarray]:
                                 return_inverse=True)
         words = np.array([repr(v) for v in keys.view(dtype).tolist()], dtype=object)
         text.update(zip(names, words[index.reshape(block.shape)]))
-    return [text[name] for name in _POINT_FIELDS]
+    return [text[name] for name in montecarlo.POINT_FIELDS]
 
 
 def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
-    """results.csv: one row per (mode, SNR, P_FA), the curve's mode and
-    bs_id and then the CurvePoint's fields, each as its repr: a float's
-    shortest round-trip text, an int bare.  It reads the result's columns,
-    not its curves, which hold the same values."""
+    """results.csv: one row per (mode, SNR, P_FA), the mode's label and
+    bs_id and then the point's fields, each as its repr: a float's
+    shortest round-trip text, an int bare."""
     rows = math.prod(result.columns["snr_db"].shape[:-1])
-    heads = [f"{curve.label},{curve.bs_id}" for curve in result.curves for _ in range(rows)]
+    heads = [f"{label},{bs_id}" for label, bs_id in result.labels for _ in range(rows)]
     lines = [CSV_HEADER, *map(",".join, zip(heads, *_csv_fields(result.columns)))]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -260,14 +265,13 @@ def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
 
 def _gap_reports(result) -> dict:
     """The summary's SNR gaps at P_D = 0.9, {repr(pfa): {source: gap_db}},
-    one `montecarlo.snr_gap_columns` call per P_FA and source on the
-    result's (points, modes) columns at that P_FA: the gaps
-    `montecarlo.snr_gap` reads from the curves."""
-    labels = [curve.label for curve in result.curves]
+    one `montecarlo.snr_gap_columns` call per P_FA and source
+    (`GAP_SOURCES`) on the result's (points, modes) column at that P_FA."""
+    labels = [label for label, _ in result.labels]
     snr_db = np.array(result.plan.snr_grid_db)
     return {repr(pfa): {
-        source: montecarlo.snr_gap_columns(labels, snr_db, result.columns[attr][:, j])[1]
-        for source, attr in montecarlo.GAP_SOURCES.items()}
+        source: montecarlo.snr_gap_columns(labels, snr_db, result.columns[name][:, j])[1]
+        for source, name in GAP_SOURCES.items()}
         for j, pfa in enumerate(result.plan.pfa_list)}
 
 
@@ -277,6 +281,9 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
     spent writing the other output files and computing the gaps, reported
     with `result.timings_s` under "timings_s"."""
     plan = result.plan
+    # Degenerate trials per mode: the column is the same at every P_FA.
+    by_mode = dict(zip((label for label, _ in result.labels),
+                       result.columns["degenerate"][:, 0].sum(axis=0).tolist()))
     summary = {
         "version": __version__,
         "versions": {"python": platform.python_version(),
@@ -285,8 +292,8 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
         "plan": {f.name: getattr(plan, f.name) for f in fields(plan)
                  if f.name != "master_seed"},
         "workers": cfg.workers,
-        "degenerate_trials": sum(result.degenerate_by_mode.values()),
-        "degenerate_by_mode": result.degenerate_by_mode,
+        "degenerate_trials": sum(by_mode.values()),
+        "degenerate_by_mode": by_mode,
         "selection": None,
         "snr_gap_db_at_pd_0.9": gaps,
         "wall_time_s": round(wall_time, 3),
@@ -325,7 +332,7 @@ def write_plot_script(result, path: str) -> None:
     for pfa in plan.pfa_list:
         lines.append(f"set title 'P_FA = {pfa:g}'")
         plots = []
-        for label in (curve.label for curve in result.curves):
+        for label, _ in result.labels:
             cond = (f"(strcol({col['mode']}) eq '{label}' && "
                     f"column({col['pfa']}) == {pfa!r})")
             using = f"'results.csv' using ({cond} ? ${col['snr_db']} : NaN)"

@@ -38,8 +38,9 @@ z_g = exp(j phi_g): the numerator a_g^H E a_g^* is a polynomial in z_g
 whose 2M - 1 coefficients are the anti-diagonal sums of E, and its power
 is a real trigonometric polynomial in phi_g with 4M - 3 terms.  The engine
 folds those terms and each angle's scale into one real basis, so a tile's
-statistics are one real matrix product per mode (`_PointEngine`), taken
-in blocks of rows or of points, so that no tile size grows its
+statistics are one real matrix product per channel draw and mode
+(`_PointEngine`), taken in one loop of blocks (of rows with a fixed
+channel, of points with redrawn ones), so that no tile size grows its
 (modes, rows, angles) result.  They agree with the direct per-angle form
 to about 1e-15 relative (less near a null of the direction gain; see
 `_PointEngine`).
@@ -104,10 +105,10 @@ nsp-per-bs) costs no evaluation, and a mode whose draws share one
 noncentrality (the orthogonal mode, a fixed channel, no null space) reads
 that value (`_mean_theory_pd`).
 
-`run_experiment` keeps every CurvePoint field as a (points, pfa, modes)
-array (`ExperimentResult.columns`) beside the curves built from them, and
-the CLI writes results.csv and the summary's SNR gaps from those arrays
-(`snr_gap_columns`; `snr_gap` reads the same from the curves).
+A sweep's result is its columns (`ExperimentResult.columns`): each
+`POINT_FIELDS` field as one (points, pfa, modes) array, the modes in the
+order of `ExperimentResult.labels`.  The CLI writes results.csv, the plot
+script and the summary's SNR gaps (`snr_gap_columns`) from those arrays.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -289,55 +289,28 @@ class ExperimentPlan:
         return grid[grid <= np.pi / 2]
 
 
-class CurvePoint(NamedTuple):
-    """One (mode, SNR, P_FA) point of a curve.  Its fields, in order, are
-    the results.csv columns after mode and bs_id; ci_* and pfa_ci_* are 95%
-    Wilson intervals (`wilson_interval`)."""
-    snr_db: float
-    pfa: float
-    trials: int
-    detections: int
-    pd_emp: float
-    ci_lo: float
-    ci_hi: float
-    pd_theory_paper: float
-    pd_theory_calibrated: float
-    false_alarms: int
-    pfa_emp: float
-    pfa_ci_lo: float
-    pfa_ci_hi: float
-    degenerate: int
+# The fields of one (mode, SNR, P_FA) point, in order: the results.csv
+# columns after mode and bs_id, and the keys of `ExperimentResult.columns`.
+# ci_* and pfa_ci_* are 95% Wilson intervals (`wilson_interval`).
+POINT_FIELDS = ("snr_db", "pfa", "trials", "detections", "pd_emp", "ci_lo", "ci_hi",
+                "pd_theory_paper", "pd_theory_calibrated", "false_alarms", "pfa_emp",
+                "pfa_ci_lo", "pfa_ci_hi", "degenerate")
 
 
-@dataclass(frozen=True)
-class DetectionCurve:
-    label: str          # "orthogonal", "nsp-bs<N>", "nsp-selected"
-    bs_id: str          # the BS number "<N>", else the mode without "nsp-"
-    points: tuple[CurvePoint, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     plan: ExperimentPlan
-    curves: tuple[DetectionCurve, ...]
+    # (label, bs_id) per mode, in column order (`_mode_labels`): label is
+    # "orthogonal", "nsp-bs<N>" or "nsp-selected", bs_id the BS number
+    # "<N>", else the mode without "nsp-".
+    labels: tuple[tuple[str, str], ...]
     selection: sharing.ChannelSelection | None  # fixed-channel runs only
-    # The curves' values as arrays: each CurvePoint field, keyed by its
-    # name, broadcast to (points, pfa, modes), modes in curve order.
-    columns: dict[str, np.ndarray] = field(compare=False)
+    # Each POINT_FIELDS field, keyed by its name, as a read-only array
+    # broadcast to (points, pfa, modes).
+    columns: dict[str, np.ndarray]
     # Seconds per stage: "setup" (the fixed channel's engine), "points"
-    # (the trials) and "theory" (the theory curves and the curve tables).
+    # (the trials) and "theory" (the theory curves and the columns).
     timings_s: dict[str, float] = field(default_factory=dict)
-    # Degenerate trials per mode label.
-    degenerate_by_mode: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SnrGapReport:
-    target_pd: float
-    pfa: float
-    source: str
-    snr_at_target: dict
-    gap_db: dict
 
 
 def wilson_interval(successes, n):
@@ -417,17 +390,16 @@ def _noise_shape(plan: ExperimentPlan) -> tuple[tuple[int, ...], float]:
     return ((plan.m, plan.m), 1.0) if plan.scan else ((plan.m,), float(plan.m))
 
 
-def _channels(plan: ExperimentPlan, snr_index: int, first: int, count: int,
+def _channels(plan: ExperimentPlan, first: int, count: int,
               keys: dict | None = None) -> np.ndarray:
-    """(C, K, N_BS, M) channel draws for trials [first, first + count).
+    """(C, K, N_BS, M) channel draws for trials [first, first + count), the
+    same at every SNR point.
 
-    Every SNR point shares its trials' channels, so `snr_index` selects
-    nothing; it keeps the (plan, snr_index, first, count) form of
-    `_noise_block`.  A fixed channel is stream 0 alone (C = 1) for every
-    trial.  Redrawn channels (C = count) are records [first, first + count)
-    of substream 0 of the redrawn-channel stream, one record of K channels
-    of i.i.d. CN(0, 1) entries per trial, so a block equals its trials
-    drawn one by one.  `keys` is `complex_normal_ranges`'.
+    A fixed channel is stream 0 alone (C = 1) for every trial.  Redrawn
+    channels (C = count) are records [first, first + count) of substream 0
+    of the redrawn-channel stream, one record of K channels of i.i.d.
+    CN(0, 1) entries per trial, so a block equals its trials drawn one by
+    one.  `keys` is `complex_normal_ranges`'.
     """
     if plan.channel_mode == CHANNEL_FIXED:
         rng = rng_substream(plan.master_seed, _CHANNEL_STREAM)
@@ -435,15 +407,6 @@ def _channels(plan: ExperimentPlan, snr_index: int, first: int, count: int,
     return complex_normal_ranges(plan.master_seed,
                                  [(_TRIAL_CHANNEL_STREAM, 0, first, count)],
                                  (plan.k, plan.n_bs, plan.m), keys=keys)
-
-
-def _noise_block(plan: ExperimentPlan, snr_index: int, hypothesis: int,
-                 first: int, count: int) -> np.ndarray:
-    """The noise of trials [first, first + count) of SNR point snr_index
-    under one hypothesis: a (count,) + record shape array (`_noise_shape`)."""
-    return complex_normal_ranges(
-        plan.master_seed, [(_NOISE_STREAM + hypothesis, snr_index, first, count)],
-        *_noise_shape(plan))
 
 
 class _PointEngine:
@@ -476,7 +439,7 @@ class _PointEngine:
     (4M - 3) autocorrelation coefficients per mode.  The grid is
     `plan.theta_grid()`.  At the target angle alone the numerator's noise
     term is w^T v with v = P a^*, and the product is (T, M) @ (M, modes) on
-    the `_noise_block` vectors w.  The set-up reads only v and the gain
+    the noise vectors w.  The set-up reads only v and the gain
     c = a^T v (`detection.projected_gain`): c gives the scale and the
     degenerate flags, and the echo term is M c.  A (C, modes, M) stack of
     the vectors v sets it up directly; a projector stack is reduced to
@@ -533,23 +496,24 @@ class _PointEngine:
 
     def statistics(self, noise: np.ndarray, alpha) -> np.ndarray:
         """Scaled GLRT statistics, the maximum over the grid, of a block of
-        rows: shape lead + (modes,) for noise of shape lead + record (the
-        records of `_noise_block`).  A tile's block is (P, n), P SNR
-        points' noise over the same n trials; with C = n channel draws
-        trial t is read against draw t, and with one draw (C = 1) any
-        leading shape goes.  `alpha`, the echo amplitude, broadcasts
-        against the leading axes: the P points' amplitudes of a (P, n)
-        block, or one for every row.  The numerators (the scan's
-        anti-diagonal sums) get alpha times the echo term `sig`.  The scan
-        then evaluates the scaled power's trigonometric polynomial at every
-        grid angle as one real product per mode; no per-angle complex array
-        is built.  That product and its maximum over the grid run in blocks
-        into the one output: with one draw, the polynomial's terms too, in
-        row blocks of _BLOCK_ELEMENTS // (modes G) rows, G being the number
-        of grid angles; with C = n draws, in blocks of
-        _BLOCK_ELEMENTS // (n modes G) points.  Only the anti-diagonal sums
-        span the block, so no tile size grows the grid-sized temporary.
-        Columns of degenerate modes (`self.degenerate`) read 0."""
+        rows: shape lead + (modes,) for noise of shape lead + record
+        (`_noise_shape`).  A tile's block is (P, n), P SNR points' noise
+        over the same n trials; with C = n channel draws trial t is read
+        against draw t, and with one draw (C = 1) any leading shape goes.
+        `alpha`, the echo amplitude, broadcasts against the leading axes:
+        the P points' amplitudes of a (P, n) block, or one for every row.
+        The numerators (the scan's anti-diagonal sums) get alpha times the
+        echo term `sig`.  The scan then evaluates the scaled power's
+        trigonometric polynomial at every grid angle as one real product
+        per draw and mode, no per-angle complex array being built: rows
+        taken in groups of C, one per draw, are one
+        (C, modes, groups, 4M - 3) @ (C, modes, 4M - 3, G) product, G
+        being the number of grid angles.  The polynomial's terms, that
+        product and its maximum over the grid run block by block into the
+        one output, _BLOCK_ELEMENTS // (C modes G) groups a block (rows
+        with one draw, points with C = n), so no tile size grows the
+        grid-sized temporary.  Columns of degenerate modes
+        (`self.degenerate`) read 0."""
         lead = noise.shape[:noise.ndim - (1 if self.basis is None else 2)]
         if len(self.coef) == 1:
             g = noise.reshape(math.prod(lead), -1) @ self.coef[0]
@@ -565,28 +529,22 @@ class _PointEngine:
             power += g.imag ** 2
             power *= self.scale
             return power.max(axis=-1)
+        # The terms go block by block with the product.  Formed for the
+        # whole tile beside the product block, they took a 2000-row call's
+        # working set past the point where the allocator hands it back to
+        # the system after the call, and the next call faulted it in again:
+        # about 550 minor page faults a call.
         out = np.empty(g.shape[:-1])
-        if len(self.basis) > 1:
-            # Blocks of the axes before the draws'; a block's terms meet
-            # each draw's basis in one batched product.
-            rows = g.reshape((-1,) + g.shape[-3:])
-            flat = out.reshape((-1,) + out.shape[-2:])
-            step = max(1, _BLOCK_ELEMENTS // self.basis[..., 0, :].size)
-            for lo in range(0, len(rows), step):
-                terms = _power_terms(rows[lo:lo + step])[..., None, :]
-                flat[lo:lo + step] = (terms @ self.basis)[..., 0, :].max(axis=-1)
-            return out
-        # The terms go block by block too.  Formed for the whole tile beside
-        # the product block, they took a 2000-row call's working set past
-        # the point where the allocator hands it back to the system after
-        # the call, and the next call faulted it in again: about 550 minor
-        # page faults a call.
-        basis = self.basis[0]
-        rows, flat = g.reshape((-1,) + g.shape[-2:]), out.reshape(-1, len(basis))
-        step = max(1, _BLOCK_ELEMENTS // (len(basis) * basis.shape[-1]))
+        draws = len(self.basis)
+        rows = g.reshape((-1, draws) + g.shape[-2:])
+        flat = out.reshape(-1, draws, out.shape[-1])
+        step = max(1, _BLOCK_ELEMENTS // self.basis[..., 0, :].size)
         for lo in range(0, len(rows), step):
-            block = np.swapaxes(_power_terms(rows[lo:lo + step]), 0, 1)
-            flat[lo:lo + step] = np.matmul(block, basis).max(axis=2).T
+            # (groups, C, modes, terms) -> (C, modes, groups, terms), and
+            # the (C, modes, groups) maxima back.  `np.moveaxis` does the
+            # same, but its argument checks took about 4 us a block.
+            terms = _power_terms(rows[lo:lo + step]).transpose(1, 2, 0, 3)
+            flat[lo:lo + step] = (terms @ self.basis).max(axis=-1).transpose(2, 0, 1)
         return out
 
 
@@ -711,7 +669,7 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     keys = {kind: stream_key(plan.master_seed, kind) for kind in kinds}
     for first, count, lo, end in tiles:
         if redrawn and first != drawn:
-            h = _channels(plan, 0, first, count, keys=keys)
+            h = _channels(plan, first, count, keys=keys)
             engine, drawn = _PointEngine(plan, _stacked_modes(plan, h, x)[0]), first
             if lo == 0:
                 gains.append(engine.target_gain)
@@ -785,7 +743,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     t_setup = time.perf_counter()
     selection, engine = None, None
     if plan.channel_mode == CHANNEL_FIXED:
-        h = _channels(plan, 0, 0, 1)
+        h = _channels(plan, 0, 1)
         proj, selected, p, nullity = _stacked_modes(plan, h)
         engine = _PointEngine(plan, proj)
         best = int(selected[0])
@@ -813,34 +771,18 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     paper, calibrated = _mean_theory_pd(plan, gains)
 
     trials = plan.trials_per_point
-    # CurvePoint's fields in order, each broadcast to (points, pfa, modes).
+    # POINT_FIELDS in order, each broadcast to (points, pfa, modes).
     values = (np.array(plan.snr_grid_db)[:, None, None], np.array(plan.pfa_list)[:, None],
               trials, detections, detections / trials,
               *wilson_interval(detections, trials), paper, calibrated,
               false_alarms, false_alarms / trials, *wilson_interval(false_alarms, trials),
               degenerate[:, None])
     columns = {name: np.broadcast_to(v, detections.shape)
-               for name, v in zip(CurvePoint._fields, values)}
-    curves = _curves(plan, columns)
-    by_mode = dict(zip((c.label for c in curves), degenerate.sum(axis=0).tolist()))
+               for name, v in zip(POINT_FIELDS, values)}
     timings = {"setup": t_points - t_setup, "points": t_theory - t_points,
                "theory": time.perf_counter() - t_theory}
-    return ExperimentResult(
-        plan=plan, curves=curves, selection=selection, columns=columns, timings_s=timings,
-        degenerate_by_mode=by_mode,
-    )
-
-
-def _curves(plan: ExperimentPlan, columns: dict) -> tuple[DetectionCurve, ...]:
-    """The curves of `ExperimentResult.columns`, in `_mode_labels` order,
-    each listing its points point by point, P_FA by P_FA."""
-    rows = zip(*(np.moveaxis(columns[name], -1, 0).ravel().tolist()
-                 for name in CurvePoint._fields))
-    points = list(map(CurvePoint._make, rows))
-    labels = _mode_labels(plan)
-    n = len(points) // len(labels)
-    return tuple(DetectionCurve(label=label, bs_id=bs_id, points=tuple(points[j * n:][:n]))
-                 for j, (label, bs_id) in enumerate(labels))
+    return ExperimentResult(plan=plan, labels=tuple(_mode_labels(plan)), selection=selection,
+                            columns=columns, timings_s=timings)
 
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
@@ -869,22 +811,15 @@ def _snr_at_target(snr_db: np.ndarray, pd: np.ndarray, target: float):
     pd = _isotonic(pd)
     if pd[-1] < target:
         return None
-    if pd[0] >= target:
+    # The first point at the target; the fit may dip by up to 1e-15, so it
+    # is scanned, not binary-searched.
+    j = int(np.argmax(pd >= target))
+    if j == 0:
         return float(snr_db[0])
-    j = int(np.searchsorted(pd, target))
+    # pd[j - 1] < target <= pd[j], so y1 > y0.
     x0, x1 = snr_db[j - 1], snr_db[j]
     y0, y1 = pd[j - 1], pd[j]
-    if y1 == y0:
-        return float(x1)
     return float(x0 + (target - y0) * (x1 - x0) / (y1 - y0))
-
-
-# snr_gap's sources: the CurvePoint field each one reads.
-GAP_SOURCES = {
-    "emp": "pd_emp",
-    "theory_paper": "pd_theory_paper",
-    "theory_calibrated": "pd_theory_calibrated",
-}
 
 
 def snr_gap_columns(labels, snr_db: np.ndarray, pd: np.ndarray,
@@ -897,46 +832,13 @@ def snr_gap_columns(labels, snr_db: np.ndarray, pd: np.ndarray,
     Each column is fitted nondecreasing (`_isotonic`) and interpolated
     linearly at the target.  A mode that never reaches it reports None, and
     so does every gap when the orthogonal mode does not reach it or is
-    absent.  `snr_gap` reads the same from the curves."""
+    absent."""
     snr_at = {label: _snr_at_target(snr_db, pd[:, j], target_pd)
               for j, label in enumerate(labels)}
     base = snr_at.get(MODE_ORTHOGONAL)
     gaps = {label: None if val is None or base is None else val - base
             for label, val in snr_at.items()}
     return snr_at, gaps
-
-
-def snr_gap(
-    curves,
-    target_pd: float = 0.9,
-    pfa: float | None = None,
-    source: str = "emp",
-) -> SnrGapReport:
-    """SNR (dB) each mode needs to reach the target detection probability,
-    and the gap versus the orthogonal curve (`snr_gap_columns` on the
-    curves' points at one P_FA).
-
-    source selects which probability the interpolation reads: "emp",
-    "theory_paper", or "theory_calibrated".  Modes that never reach the
-    target report None.  Raises ValueError for an unknown source or a pfa
-    that the curves do not hold.
-    """
-    if source not in GAP_SOURCES:
-        raise ValueError(f"unknown source {source!r}; choose from {list(GAP_SOURCES)}")
-    attr = GAP_SOURCES[source]
-    pfas = list(dict.fromkeys(pt.pfa for pt in curves[0].points))
-    if pfa is None:
-        pfa = pfas[0]
-    elif pfa not in pfas:
-        raise ValueError(f"pfa {pfa!r} is not in the curves; choose from {pfas}")
-    snr_db = np.array([pt.snr_db for pt in curves[0].points if pt.pfa == pfa])
-    pd = np.array([[getattr(pt, attr) for pt in curve.points if pt.pfa == pfa]
-                   for curve in curves]).T
-    snr_at, gaps = snr_gap_columns([curve.label for curve in curves], snr_db, pd, target_pd)
-    return SnrGapReport(
-        target_pd=target_pd, pfa=pfa, source=source,
-        snr_at_target=snr_at, gap_db=gaps,
-    )
 
 
 def mean_selected_gap_db(

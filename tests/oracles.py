@@ -14,8 +14,10 @@ the per-range Philox generators jumped to a substream and moved by
 `advance()` are the construction whose bits the library's keyed record
 draws keep; the backtracking pool-adjacent-violators scan is the one whose
 merges the library's stack form makes.  The per-point theory mean, the
-repr-per-field CSV and the per-curve SNR gap are the loops whose bits the
-library's one-pass array forms keep.
+cell-by-cell CSV and the per-curve SNR gap are the loops whose bits the
+library's one-pass array forms keep.  The sweep's noise records are
+drawn here as well (`noise_block`), so the engine's tests read noise of
+the oracle's own draw.
 """
 
 import math
@@ -192,20 +194,31 @@ def glrt(y: np.ndarray, x_tx: np.ndarray, grid) -> tuple[float, float, bool]:
     return float(stats[best]), float(grid[valid[best]]), False
 
 
+def noise_block(plan, snr_index: int, hypothesis: int, first: int, count: int):
+    """The sweep's noise records of trials [first, first + count) of an SNR
+    point under one hypothesis (H1 = 0, H0 = 1), records of stream
+    2 + hypothesis: E0, (count, M, M) of i.i.d. CN(0, 1) entries, with the
+    scan; w = E0^T a^*, (count, M) of i.i.d. CN(0, M) entries, without it."""
+    m = plan.m
+    shape, variance = ((m, m), 1.0) if plan.scan else ((m,), float(m))
+    return complex_normal_ranges_reference(
+        plan.master_seed, [(2 + hypothesis, snr_index, first, count)], shape, variance)
+
+
 def noise_e0(plan, snr_index: int, hypothesis: int, first: int, count: int):
     """E0 of trials [first, first + count) of an SNR point under one
-    hypothesis (H1 = 0, H0 = 1), (count, M, M) of i.i.d. CN(0, 1) entries:
-    records of stream 2 + hypothesis with the scan.  At the target angle
-    alone those records are w = E0^T a^*, and E0 = G + a (w^T - a^H G) / M
-    with G from stream 4 + hypothesis, so that E0^T a^* = w as a^T a^* = M."""
-    m, seed = plan.m, plan.master_seed
-    ranges = [(2 + hypothesis, snr_index, first, count)]
+    hypothesis, (count, M, M) of i.i.d. CN(0, 1) entries: the records of
+    `noise_block` with the scan.  At the target angle alone those records
+    are w = E0^T a^*, and E0 = G + a (w^T - a^H G) / M with G from stream
+    4 + hypothesis, so that E0^T a^* = w as a^T a^* = M."""
+    records = noise_block(plan, snr_index, hypothesis, first, count)
     if plan.scan:
-        return complex_normal_ranges_reference(seed, ranges, (m, m))
-    w = complex_normal_ranges_reference(seed, ranges, (m,), m)
-    g = complex_normal_ranges_reference(seed, [(4 + hypothesis, snr_index, first, count)], (m, m))
+        return records
+    m = plan.m
+    g = complex_normal_ranges_reference(
+        plan.master_seed, [(4 + hypothesis, snr_index, first, count)], (m, m))
     a = steering_vector(m, plan.theta_target)
-    return g + a[:, None] * ((w - a.conj() @ g) / m)[:, None, :]
+    return g + a[:, None] * ((records - a.conj() @ g) / m)[:, None, :]
 
 
 def run_trial(plan, snr_index: int, trial: int) -> dict:
@@ -347,13 +360,23 @@ def mean_theory_pd_reference(plan, gains: np.ndarray) -> np.ndarray:
     return out
 
 
+def result_rows(result) -> list:
+    """The (label, bs_id, {column: value}) of each results.csv row, mode by
+    mode, point by point, P_FA by P_FA, read cell by cell from the result's
+    (points, pfa, modes) columns as Python floats and ints."""
+    c = result.columns
+    points, pfas, _ = c["snr_db"].shape
+    return [(label, bs_id, {name: column[i, j, k].item() for name, column in c.items()})
+            for k, (label, bs_id) in enumerate(result.labels)
+            for i in range(points) for j in range(pfas)]
+
+
 def results_csv_reference(result) -> str:
-    """results.csv built row by row from the curves: the header, then per
-    point its curve's mode and bs_id and the repr of each CurvePoint field."""
-    lines = ["mode,bs_id," + ",".join(type(result.curves[0].points[0])._fields)]
-    for curve in result.curves:
-        lines += [f"{curve.label},{curve.bs_id}," + ",".join(map(repr, pt))
-                  for pt in curve.points]
+    """results.csv built cell by cell (`result_rows`): the header, then per
+    row its mode's label and bs_id and the repr of each column's value."""
+    lines = ["mode,bs_id," + ",".join(result.columns)]
+    lines += [f"{label},{bs_id}," + ",".join(map(repr, cells.values()))
+              for label, bs_id, cells in result_rows(result)]
     return "\n".join(lines) + "\n"
 
 

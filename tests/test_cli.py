@@ -186,8 +186,8 @@ class TestRun:
         assert "snr_gap_db_at_pd_0.9" in summary
 
     def test_csv_header_is_pinned(self):
-        # The header is derived from CurvePoint's fields, so reordering them
-        # would reorder the CSV; the README documents this header.
+        # The header is derived from montecarlo.POINT_FIELDS, so reordering
+        # them would reorder the CSV; the README documents this header.
         header = ("mode,bs_id,snr_db,pfa,trials,detections,pd_emp,ci_lo,ci_hi,"
                   "pd_theory_paper,pd_theory_calibrated,"
                   "false_alarms,pfa_emp,pfa_ci_lo,pfa_ci_hi,degenerate")
@@ -202,25 +202,26 @@ class TestRun:
             rows = list(csv.reader(fh))
         header, rows = rows[0], rows[1:]
         result = montecarlo.run_experiment(cli.parse_config(str(tmp_path / "run.cfg")).plan)
-        points = [(c, pt) for c in result.curves for pt in c.points]
+        points = oracles.result_rows(result)
         assert len(rows) == len(points)
-        names = montecarlo.CurvePoint._fields
+        names = montecarlo.POINT_FIELDS
         assert header == ["mode", "bs_id", *names]
-        # A row is immutable: setting a field raises.
-        with pytest.raises(AttributeError):
-            points[0][1].pd_emp = 0.5
-        for row, (curve, pt) in zip(rows, points):
-            assert row == [curve.label, curve.bs_id,
-                           *(repr(getattr(pt, name)) for name in names)]
+        # The columns are read-only: writing a cell raises.
+        for column in result.columns.values():
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0, 0] = 0
+        for row, (label, bs_id, pt) in zip(rows, points):
+            assert row == [label, bs_id, *(repr(pt[name]) for name in names)]
             # The false-alarm columns are the ones the writer used to compute.
-            assert (pt.pfa_ci_lo, pt.pfa_ci_hi) == montecarlo.wilson_interval(
-                pt.false_alarms, pt.trials)
-            assert pt.pfa_emp == pt.false_alarms / pt.trials
+            assert (pt["pfa_ci_lo"], pt["pfa_ci_hi"]) == montecarlo.wilson_interval(
+                pt["false_alarms"], pt["trials"])
+            assert pt["pfa_emp"] == pt["false_alarms"] / pt["trials"]
 
     @pytest.mark.parametrize("channel_mode", ["fixed-per-experiment", "redrawn-per-trial"])
     def test_csv_equals_the_repr_per_field_rows(self, tmp_path, channel_mode):
         # The writer formats each distinct value once, from the result's
-        # columns; the text is the row-by-row repr of the curves' fields.
+        # columns; the text is the cell-by-cell repr of the columns.
         # -0.0 and 0.0 share a column here and keep their own text, beside
         # 0.0 and 1.0 at the interval edges.
         plan = cli.parse_config(write_config(
@@ -231,8 +232,7 @@ class TestRun:
         columns["pd_theory_paper"] = signs.reshape(columns["pd_theory_paper"].shape)
         columns["ci_lo"] = np.zeros(columns["ci_lo"].shape)
         columns["ci_hi"] = np.ones(columns["ci_hi"].shape)
-        edited = replace(result, columns=columns,
-                         curves=montecarlo._curves(plan, columns))
+        edited = replace(result, columns=columns)
         for res in (result, edited):
             path = tmp_path / "results.csv"
             cli.write_csv(res, str(path))
@@ -251,18 +251,18 @@ class TestRun:
         with open(os.path.join(out, "results.csv")) as fh:
             rows = list(csv.DictReader(fh))
         result = montecarlo.run_experiment(cli.parse_config(str(tmp_path / "run.cfg")).plan)
-        points = [(c.label, pt) for c in result.curves for pt in c.points]
+        points = oracles.result_rows(result)
         assert len(rows) == len(points)
-        for row, (label, pt) in zip(rows, points):
+        for row, (label, _, pt) in zip(rows, points):
             assert row["mode"] == label
             fa, n = int(row["false_alarms"]), int(row["trials"])
-            assert fa == pt.false_alarms
+            assert fa == pt["false_alarms"]
             assert float(row["pfa_emp"]) == fa / n
             lo, hi = float(row["pfa_ci_lo"]), float(row["pfa_ci_hi"])
             assert (lo, hi) == montecarlo.wilson_interval(fa, n)
             assert lo <= fa / n <= hi
-            assert int(row["degenerate"]) == pt.degenerate
-            assert pt.degenerate == (n if label == MODE_NSP_SELECTED else 0)
+            assert int(row["degenerate"]) == pt["degenerate"]
+            assert pt["degenerate"] == (n if label == MODE_NSP_SELECTED else 0)
 
     def test_summary_reports_versions_and_stage_timings(self, tmp_path):
         code, out = self._run(tmp_path)

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from nspradar.errors import ConfigurationError
@@ -23,7 +23,6 @@ from nspradar.montecarlo import (
     max_snr_db,
     mean_selected_gap_db,
     run_experiment,
-    snr_gap,
     wilson_interval,
     _isotonic,
 )
@@ -31,6 +30,22 @@ from nspradar.montecarlo import (
 import nspradar.montecarlo as montecarlo
 from nspradar import cli, detection, numerics, radar, sharing
 import oracles
+
+
+def _assert_same_result(got, want):
+    """The two results have the same labels, and every column the same
+    shape, dtype and bytes."""
+    assert got.labels == want.labels
+    assert list(got.columns) == list(want.columns)
+    for name, column in want.columns.items():
+        assert got.columns[name].shape == column.shape, name
+        assert got.columns[name].dtype == column.dtype, name
+        assert got.columns[name].tobytes() == column.tobytes(), name
+
+
+def _mode_index(result, label):
+    """The column of a mode label."""
+    return [mode for mode, _ in result.labels].index(label)
 
 
 def tiny_plan(**kwargs):
@@ -80,7 +95,7 @@ class TestPlanValidation:
     @pytest.mark.parametrize("pfa", [np.nextafter(2.0**-54, 1), 1e-16, 1e-10])
     def test_accepts_pfas_above_the_bound(self, pfa):
         plan = tiny_plan(pfa_list=(pfa,))
-        assert np.isfinite(run_experiment(plan).curves[0].points[0].pd_theory_paper)
+        assert np.isfinite(run_experiment(plan).columns["pd_theory_paper"][0, 0, 0])
 
     @pytest.mark.parametrize("pfa", [1e-17, 2.0**-54, 0.0, 1.0, float("nan")])
     def test_pfa_message_names_the_value_and_the_bound(self, pfa):
@@ -120,11 +135,11 @@ class TestPlanValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_experiment(plan)
-        top_points = [pt for c in result.curves for pt in c.points if pt.snr_db == top]
-        assert len(top_points) == 5 * 2
-        for pt in top_points:
-            assert pt.degenerate == 0
-            assert pt.pd_emp == pt.pd_theory_paper == pt.pd_theory_calibrated == 1.0
+        top_point = {name: column[-1] for name, column in result.columns.items()}
+        assert (top_point["snr_db"] == top).all() and top_point["degenerate"].shape == (2, 5)
+        assert not top_point["degenerate"].any()
+        for name in ("pd_emp", "pd_theory_paper", "pd_theory_calibrated"):
+            assert (top_point[name] == 1.0).all()
 
     @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 5.0, 0.7])
     def test_scan_grid_is_unchanged_where_it_lies_within_90_degrees(self, step):
@@ -336,11 +351,11 @@ def _tallies_by_run_trial(plan, pfa):
 
 def _assert_tallies_match(plan, result, pfa):
     det, fa = _tallies_by_run_trial(plan, pfa)
-    for curve in result.curves:
-        for pt in curve.points:
-            if pt.pfa == pfa:
-                assert pt.detections == det[curve.label, pt.snr_db]
-                assert pt.false_alarms == fa[curve.label, pt.snr_db]
+    j = plan.pfa_list.index(pfa)
+    for k, (label, _) in enumerate(result.labels):
+        for i, snr_db in enumerate(plan.snr_grid_db):
+            assert result.columns["detections"][i, j, k] == det[label, snr_db]
+            assert result.columns["false_alarms"][i, j, k] == fa[label, snr_db]
 
 
 class TestEngineOracle:
@@ -363,10 +378,10 @@ class TestEngineOracle:
         plan = tiny_plan(m=2, n_bs=2, l=4, trials_per_point=20, scan=scan,
                          theta_step_deg=5.0)
         result = run_experiment(plan)
-        curves = {c.label: c for c in result.curves}
-        for pt in curves[MODE_NSP_SELECTED].points:
-            assert pt.degenerate == pt.trials and pt.detections == 0
-        assert all(pt.degenerate == 0 for pt in curves[MODE_ORTHOGONAL].points)
+        c, sel = result.columns, _mode_index(result, MODE_NSP_SELECTED)
+        assert (c["degenerate"][..., sel] == c["trials"][..., sel]).all()
+        assert not c["detections"][..., sel].any()
+        assert not c["degenerate"][..., _mode_index(result, MODE_ORTHOGONAL)].any()
         _assert_tallies_match(plan, result, 0.1)
 
     def test_tallies_match_across_chunk_boundary(self):
@@ -383,15 +398,15 @@ class TestEngineOracle:
             scan=scan, theta_step_deg=1.0, channel_mode=channel_mode,
         )
         if channel_mode == CHANNEL_FIXED:
-            h, x = montecarlo._channels(plan, 0, 0, 1), None
+            h, x = montecarlo._channels(plan, 0, 1), None
         else:
-            h = montecarlo._channels(plan, 1, 0, 8)
+            h = montecarlo._channels(plan, 0, 8)
             x = None if scan else radar.steering_vector(plan.m, plan.theta_target).conj()
         proj = montecarlo._stacked_modes(plan, h, x)[0]
         engine = montecarlo._PointEngine(plan, proj)
         alpha = math.sqrt(10 ** (6.0 / 10))
-        e1 = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, 8)
-        e0 = montecarlo._noise_block(plan, 1, montecarlo._H0, 0, 8)
+        e1 = oracles.noise_block(plan, 1, montecarlo._H1, 0, 8)
+        e0 = oracles.noise_block(plan, 1, montecarlo._H0, 0, 8)
         s1 = engine.statistics(e1, alpha)
         s0 = engine.statistics(e0, 0.0)
         for mi, (label, _) in enumerate(montecarlo._mode_labels(plan)):
@@ -440,9 +455,9 @@ class TestScanKernel:
                                          MODE_NSP_SELECTED))
         rows = 6
         proj = montecarlo._stacked_modes(
-            plan, montecarlo._channels(plan, 1, 0, rows))[0]
+            plan, montecarlo._channels(plan, 0, rows))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = montecarlo._noise_block(plan, 1, montecarlo._H1, 0, rows)
+        noise = oracles.noise_block(plan, 1, montecarlo._H1, 0, rows)
         for alpha in (0.0, math.sqrt(10 ** (6.0 / 10))):
             want = self._direct(plan, proj, noise, alpha)
             np.testing.assert_allclose(engine.statistics(noise, alpha), want,
@@ -456,9 +471,9 @@ class TestScanKernel:
         # entry; the trigonometric polynomial's one real product takes 8.
         plan = tiny_plan(scan=True, k=5, trials_per_point=100,
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
-        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))[0]
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = montecarlo._noise_block(plan, 0, montecarlo._H1, 0, 100)
+        noise = oracles.noise_block(plan, 0, montecarlo._H1, 0, 100)
         engine.statistics(noise, 1.0)
         tracemalloc.start()
         try:
@@ -478,9 +493,9 @@ class TestScanKernel:
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
         rows = montecarlo._tile_rows(plan)
         assert rows == 2000
-        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 0, 1))[0]
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = montecarlo._noise_block(plan, 0, montecarlo._H1, 0, rows)
+        noise = oracles.noise_block(plan, 0, montecarlo._H1, 0, rows)
         # 100-row calls, each one block: no row depends on its block.
         want = np.concatenate([engine.statistics(noise[lo:lo + 100], 1.0)
                                for lo in range(0, rows, 100)])
@@ -502,19 +517,19 @@ class TestNoiseDraws:
     ])
     def test_chunk_size_does_not_change_curves(self, kwargs, monkeypatch):
         plan = tiny_plan(**{"trials_per_point": 40, **kwargs})
-        want = run_experiment(plan).curves
+        want = run_experiment(plan)
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-        assert run_experiment(plan).curves == want
+        _assert_same_result(run_experiment(plan), want)
 
     @pytest.mark.parametrize("scan", [False, True])
     def test_redraw_block_size_does_not_change_curves(self, scan, monkeypatch):
         # One-trial blocks take the engine's single-draw product.
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=25,
                          scan=scan, theta_step_deg=5.0)
-        want = run_experiment(plan).curves
+        want = run_experiment(plan)
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
         assert montecarlo._tile_rows(plan) == 1
-        assert run_experiment(plan).curves == want
+        _assert_same_result(run_experiment(plan), want)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kwargs", [
@@ -526,7 +541,7 @@ class TestNoiseDraws:
     def test_tile_size_does_not_change_curves(self, tiling, kwargs, workers,
                                               monkeypatch):
         plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=25, **kwargs)
-        want = run_experiment(plan).curves
+        want = run_experiment(plan)
         if tiling == "split":        # 7-row tiles: points of 7, 7, 7 and 4 rows
             monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         elif tiling == "packed":     # 60-row budget: two whole points per tile
@@ -539,7 +554,7 @@ class TestNoiseDraws:
             monkeypatch.setattr(montecarlo, "_tiles", lambda plan: [
                 (0, 7, 0, 2), (0, 7, 2, 3), (7, 11, 0, 1),
                 (7, 11, 1, 3), (18, 7, 0, 1), (18, 7, 1, 3)])
-        assert run_experiment(plan, workers=workers).curves == want
+        _assert_same_result(run_experiment(plan, workers=workers), want)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_rows", [1, 7])
@@ -550,12 +565,12 @@ class TestNoiseDraws:
         # blocks that straddle the 25-trial points of two 50-row tiles.
         plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0), trials_per_point=25,
                          scan=True, theta_step_deg=5.0)
-        want = run_experiment(plan).curves
+        want = run_experiment(plan)
         monkeypatch.setattr(montecarlo, "_tiles",
                             lambda plan: [(0, 25, 0, 2), (0, 25, 2, 4)])
         entries = len(montecarlo._mode_labels(plan)) * len(plan.theta_grid())
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block_rows * entries)
-        assert run_experiment(plan, workers=workers).curves == want
+        _assert_same_result(run_experiment(plan, workers=workers), want)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_points", [1, 3])
@@ -567,12 +582,12 @@ class TestNoiseDraws:
         # blocks of 1 point each, or blocks of 4 points and of 3 and 1.
         plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0), trials_per_point=25,
                          scan=True, theta_step_deg=5.0, channel_mode=CHANNEL_REDRAWN)
-        want = run_experiment(plan).curves
+        want = run_experiment(plan)
         monkeypatch.setattr(montecarlo, "_tiles",
                             lambda plan: [(0, 10, 0, 4), (10, 15, 0, 4)])
         entries = len(montecarlo._mode_labels(plan)) * len(plan.theta_grid())
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block_points * 15 * entries)
-        assert run_experiment(plan, workers=workers).curves == want
+        _assert_same_result(run_experiment(plan, workers=workers), want)
 
     def test_tiles_pack_whole_points_and_split_larger_ones(self, monkeypatch):
         # Tiles are (first trial, count, first point, end point).  With a
@@ -624,10 +639,8 @@ class TestNoiseDraws:
         plan = tiny_plan(trials_per_point=300)
         a = run_experiment(plan)
         b = run_experiment(replace(plan, l=40))
-        for ca, cb in zip(a.curves, b.curves):
-            assert [(p.detections, p.false_alarms) for p in ca.points] == [
-                (p.detections, p.false_alarms) for p in cb.points
-            ]
+        for name in ("detections", "false_alarms"):
+            assert a.columns[name].tobytes() == b.columns[name].tobytes()
 
     def test_stream_ids_do_not_collide(self, monkeypatch):
         # One id per kind: the fixed channel, the redrawn channels, the noise
@@ -655,7 +668,7 @@ class TestNoiseDraws:
     def test_at_angle_noise_is_cn_0_m_identity(self, m):
         # w = E0^T a^* ~ CN(0, M I): power M, circular, uncorrelated entries.
         plan = tiny_plan(m=m, trials_per_point=20_000)
-        w = montecarlo._noise_block(plan, 0, montecarlo._H1, 0, 20_000)
+        w = oracles.noise_block(plan, 0, montecarlo._H1, 0, 20_000)
         n = len(w)
         assert w.shape == (n, m)
         # |w_i|^2 / M is Exp(1) (standard deviation 1).
@@ -673,7 +686,7 @@ class TestNoiseDraws:
     def test_lifted_noise_matches_w_and_has_iid_unit_entries(self):
         plan = tiny_plan(trials_per_point=20_000)
         m, n = plan.m, 20_000
-        w = montecarlo._noise_block(plan, 1, montecarlo._H0, 0, n)
+        w = oracles.noise_block(plan, 1, montecarlo._H0, 0, n)
         e0 = oracles.noise_e0(plan, 1, montecarlo._H0, 0, n)
         assert e0.shape == (n, m, m)
         a = radar.steering_vector(m, plan.theta_target)
@@ -697,11 +710,24 @@ class TestNoiseDraws:
             assert np.all(np.abs(part.real) < 5 * sd)
             assert np.all(np.abs(part.imag) < 5 * sd)
 
+    @pytest.mark.parametrize("scan", [False, True])
+    @pytest.mark.parametrize("hypothesis", [montecarlo._H1, montecarlo._H0])
+    def test_oracle_noise_block_is_the_sweeps_draw(self, scan, hypothesis):
+        # The engine's tests read `oracles.noise_block`: the records the
+        # sweep draws, bit for bit, from the oracle's own generators.
+        plan = tiny_plan(scan=scan)
+        first, count = 9_000, 1_000
+        got = montecarlo.complex_normal_ranges(
+            plan.master_seed, [(montecarlo._NOISE_STREAM + hypothesis, 1, first, count)],
+            *montecarlo._noise_shape(plan))
+        want = oracles.noise_block(plan, 1, hypothesis, first, count)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_redrawn_block_equals_per_trial_channels(self):
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN)
-        block = montecarlo._channels(plan, 1, 15, 4)
+        block = montecarlo._channels(plan, 15, 4)
         for i, row in enumerate(block):
-            want = montecarlo._channels(plan, 1, 15 + i, 1)[0]
+            want = montecarlo._channels(plan, 15 + i, 1)[0]
             assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k, n_bs", [(2, 1), (1, 2)])
@@ -711,7 +737,7 @@ class TestNoiseDraws:
         # trial's record.
         plan = tiny_plan(k=k, n_bs=n_bs, channel_mode=CHANNEL_REDRAWN)
         n = 20_000
-        v = montecarlo._channels(plan, 0, 0, n).reshape(n, -1)
+        v = montecarlo._channels(plan, 0, n).reshape(n, -1)
         d = v.shape[1]
         assert d == 8
         # |v_i|^2 is Exp(1) (standard deviation 1).
@@ -745,9 +771,9 @@ class TestNoiseDraws:
 
     def test_fixed_channel_is_one_draw_for_every_trial(self):
         plan = tiny_plan()
-        want = montecarlo._channels(plan, 0, 0, 1)
+        want = montecarlo._channels(plan, 0, 1)
         assert want.shape == (1, plan.k, plan.n_bs, plan.m)
-        assert montecarlo._channels(plan, 1, 15, 4).tobytes() == want.tobytes()
+        assert montecarlo._channels(plan, 15, 4).tobytes() == want.tobytes()
 
     def test_channel_draws_are_pinned(self):
         # Acceptance seeds are pinned to the fixed channel draw, so no other
@@ -755,12 +781,11 @@ class TestNoiseDraws:
         # the redrawn-channel stream's substream 0, which every SNR point
         # reads.
         plan = tiny_plan()
-        fixed = montecarlo._channels(plan, 0, 0, 1)[0, 0, 0, 0]
+        fixed = montecarlo._channels(plan, 0, 1)[0, 0, 0, 0]
         redrawn = replace(plan, channel_mode=CHANNEL_REDRAWN)
-        trial = montecarlo._channels(redrawn, 1, 17, 1)
+        trial = montecarlo._channels(redrawn, 17, 1)
         assert fixed == -0.531437094499637 + 0.023026140752559265j
         assert trial[0, 2, 1, 3] == 1.5499391458675438 - 0.22710690785007884j
-        assert trial.tobytes() == montecarlo._channels(redrawn, 0, 17, 1).tobytes()
 
 
 class TestRunExperiment:
@@ -770,46 +795,37 @@ class TestRunExperiment:
             trials_per_point=20,
         )
         result = run_experiment(plan)
-        labels = [c.label for c in result.curves]
-        assert labels == [
-            "orthogonal", "nsp-bs1", "nsp-bs2", "nsp-bs3", "nsp-selected",
-        ]
-        assert [c.bs_id for c in result.curves] == [
-            "orthogonal", "1", "2", "3", "selected",
-        ]
-        for curve in result.curves:
-            assert len(curve.points) == len(plan.snr_grid_db) * len(plan.pfa_list)
+        assert result.labels == (
+            ("orthogonal", "orthogonal"), ("nsp-bs1", "1"), ("nsp-bs2", "2"),
+            ("nsp-bs3", "3"), ("nsp-selected", "selected"),
+        )
+        assert tuple(result.columns) == montecarlo.POINT_FIELDS
+        for column in result.columns.values():
+            assert column.shape == (len(plan.snr_grid_db), len(plan.pfa_list), 5)
         assert result.selection is not None
         assert result.selection.selected in (1, 2, 3)
 
     def test_worker_count_invariance(self):
         plan = tiny_plan(trials_per_point=100)
-        a = run_experiment(plan, workers=1)
-        b = run_experiment(plan, workers=3)
-        assert a.curves == b.curves
+        _assert_same_result(run_experiment(plan, workers=3), run_experiment(plan, workers=1))
 
     def test_saturated_snr_detects_always(self):
         plan = tiny_plan(snr_grid_db=(30.0,), trials_per_point=300)
-        result = run_experiment(plan)
-        for curve in result.curves:
-            assert curve.points[0].pd_emp == 1.0
-            assert curve.points[0].pd_theory_calibrated > 0.999
+        c = run_experiment(plan).columns
+        assert (c["pd_emp"] == 1.0).all()
+        assert (c["pd_theory_calibrated"] > 0.999).all()
 
     def test_false_alarm_rate_tracks_pfa(self):
         plan = tiny_plan(snr_grid_db=(0.0,), trials_per_point=4000, pfa_list=(0.1,))
-        result = run_experiment(plan)
+        c = run_experiment(plan).columns
         se = math.sqrt(0.1 * 0.9 / 4000)
-        for curve in result.curves:
-            fa_rate = curve.points[0].false_alarms / curve.points[0].trials
-            assert abs(fa_rate - 0.1) < 3 * se
+        assert (np.abs(c["false_alarms"] / c["trials"] - 0.1) < 3 * se).all()
 
     def test_empirical_matches_calibrated_theory(self):
         plan = tiny_plan(snr_grid_db=(-3.0, 0.0, 3.0), trials_per_point=4000)
-        result = run_experiment(plan)
-        for curve in result.curves:
-            for pt in curve.points:
-                assert abs(pt.pd_emp - pt.pd_theory_calibrated) < 0.03
-        assert sum(result.degenerate_by_mode.values()) == 0
+        c = run_experiment(plan).columns
+        assert (np.abs(c["pd_emp"] - c["pd_theory_calibrated"]) < 0.03).all()
+        assert not c["degenerate"].any()
 
     def test_redrawn_channels_run_and_reproduce(self):
         plan = tiny_plan(
@@ -817,8 +833,7 @@ class TestRunExperiment:
             snr_grid_db=(6.0,),
         )
         a = run_experiment(plan)
-        b = run_experiment(plan)
-        assert a.curves == b.curves
+        _assert_same_result(run_experiment(plan), a)
         assert a.selection is None
 
     def test_redrawn_theory_is_the_mean_over_channel_draws(self):
@@ -831,9 +846,8 @@ class TestRunExperiment:
             waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
         )
         tol = 4 * math.sqrt(0.25 / plan.trials_per_point)  # 4 standard errors at P_D = 1/2
-        for curve in run_experiment(plan).curves:
-            for pt in curve.points:
-                assert abs(pt.pd_emp - pt.pd_theory_calibrated) < tol
+        c = run_experiment(plan).columns
+        assert (np.abs(c["pd_emp"] - c["pd_theory_calibrated"]) < tol).all()
 
     def test_fixed_setup_is_built_once(self, monkeypatch):
         calls = []
@@ -866,7 +880,7 @@ class TestRunExperiment:
         monkeypatch.setattr(radar, "orthogonal_waveforms", no_waveform)
         selection = run_experiment(plan).selection
         monkeypatch.undo()
-        p, nullity = sharing.null_projectors(montecarlo._channels(plan, 0, 0, 1)[0])
+        p, nullity = sharing.null_projectors(montecarlo._channels(plan, 0, 1)[0])
         assert selection.norms == tuple(math.sqrt(m - n) for n in nullity.tolist())
         idx, want = oracles.brute_force_argmin_norms(
             list(p), radar.orthogonal_waveforms(m, plan.l))
@@ -885,8 +899,7 @@ class TestRunExperiment:
                          waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED))
         build = sharing.null_projectors
         monkeypatch.setattr(sharing, "null_projectors", fail)
-        result = run_experiment(plan)
-        assert sum(result.degenerate_by_mode.values()) == 0
+        assert not run_experiment(plan).columns["degenerate"].any()
         assert math.isfinite(mean_selected_gap_db(plan, n_redraws=5))
         calls = []
         monkeypatch.setattr(sharing, "null_projectors",
@@ -934,12 +947,12 @@ class TestRunExperiment:
                          theta_step_deg=10.0,
                          waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED))
         assert len(montecarlo._tiles(plan)) == 15
-        want = run_experiment(plan, workers=1).curves
+        want = run_experiment(plan, workers=1)
         calls = []
         build = montecarlo._stacked_modes
         monkeypatch.setattr(montecarlo, "_stacked_modes",
                             lambda plan, h, *args: calls.append(len(h)) or build(plan, h, *args))
-        assert run_experiment(plan, workers=workers).curves == want
+        _assert_same_result(run_experiment(plan, workers=workers), want)
         assert sorted(calls) == sorted(setups)
 
     def test_theory_is_the_per_draw_mean_of_any_gains(self):
@@ -1023,13 +1036,12 @@ class TestRunExperiment:
         plan = tiny_plan(n_bs=4, k=3, trials_per_point=50, pfa_list=(0.1, 1e-3),
                          channel_mode=CHANNEL_REDRAWN, scan=scan, theta_step_deg=10.0,
                          waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED))
-        curves = run_experiment(plan).curves
-        assert [c.label for c in curves if c.label != MODE_ORTHOGONAL] == [
-            "nsp-bs1", "nsp-bs2", "nsp-bs3", MODE_NSP_SELECTED]
-        for curve in curves[1:]:
-            for pt in curve.points:
-                assert pt.pd_theory_paper == pt.pd_theory_calibrated == \
-                    detection.theoretical_pd(0.0, pt.pfa)
+        result = run_experiment(plan)
+        assert [label for label, _ in result.labels] == [
+            MODE_ORTHOGONAL, "nsp-bs1", "nsp-bs2", "nsp-bs3", MODE_NSP_SELECTED]
+        for j, pfa in enumerate(plan.pfa_list):
+            for name in ("pd_theory_paper", "pd_theory_calibrated"):
+                assert (result.columns[name][:, j, 1:] == detection.theoretical_pd(0.0, pfa)).all()
 
     @pytest.mark.parametrize("trials", [10, 40])
     @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
@@ -1083,7 +1095,7 @@ class TestRunExperiment:
         assert [tiles[i] for i in (0, 2, 3)] == [(0, 10, 0, 1), (0, 10, 2, 3), (10, 10, 0, 1)]
         engine = None
         if channel_mode == CHANNEL_FIXED:
-            h = montecarlo._channels(plan, 0, 0, 1)
+            h = montecarlo._channels(plan, 0, 1)
             engine = montecarlo._PointEngine(plan, montecarlo._stacked_modes(plan, h)[0])
         montecarlo._run_tiles(plan, [tiles[0], tiles[2], tiles[3]], engine)
         want = [1] * (channel_mode == CHANNEL_REDRAWN) + [2, 3]
@@ -1099,7 +1111,7 @@ class TestRunExperiment:
         # projector.
         plan = tiny_plan(m=m, n_bs=n_bs, l=16, channel_mode=CHANNEL_REDRAWN,
                          waveform_modes=(MODE_NSP_SELECTED,))
-        h = montecarlo._channels(plan, 0, 0, 40)
+        h = montecarlo._channels(plan, 0, 40)
         h[::3, 1] = 0                                   # zero channels
         h[1::3, 2, 1:] = h[1::3, 2, :1]                 # repeated rows
         proj, selected, p, _ = montecarlo._stacked_modes(plan, h)
@@ -1110,7 +1122,7 @@ class TestRunExperiment:
 
     def test_redrawn_worker_count_invariance(self):
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, trials_per_point=30)
-        assert run_experiment(plan, workers=1).curves == run_experiment(plan, workers=2).curves
+        _assert_same_result(run_experiment(plan, workers=2), run_experiment(plan, workers=1))
 
     @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
     def test_more_threads_than_cores(self, channel_mode, monkeypatch):
@@ -1127,7 +1139,7 @@ class TestRunExperiment:
         assert len(montecarlo._tiles(plan)) >= workers
         out = {}
         run = threading.Thread(
-            target=lambda: out.update(curves=run_experiment(plan, workers=workers).curves),
+            target=lambda: out.update(result=run_experiment(plan, workers=workers)),
             daemon=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1137,7 +1149,7 @@ class TestRunExperiment:
         finally:
             sys.setswitchinterval(interval)
         assert not run.is_alive(), "the thread pool did not finish within 120 s"
-        assert out["curves"] == run_experiment(plan, workers=1).curves
+        _assert_same_result(out["result"], run_experiment(plan, workers=1))
 
     @pytest.mark.parametrize("channel_mode", [CHANNEL_REDRAWN, CHANNEL_FIXED])
     def test_more_threads_than_cores_at_angle(self, channel_mode, monkeypatch):
@@ -1150,7 +1162,7 @@ class TestRunExperiment:
         assert len(montecarlo._tiles(plan)) >= workers
         out = {}
         run = threading.Thread(
-            target=lambda: out.update(curves=run_experiment(plan, workers=workers).curves),
+            target=lambda: out.update(result=run_experiment(plan, workers=workers)),
             daemon=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1160,7 +1172,7 @@ class TestRunExperiment:
         finally:
             sys.setswitchinterval(interval)
         assert not run.is_alive(), "the thread pool did not finish within 120 s"
-        assert out["curves"] == run_experiment(plan, workers=1).curves
+        _assert_same_result(out["result"], run_experiment(plan, workers=1))
 
     @pytest.mark.parametrize("chunk", [3, 12])
     @pytest.mark.parametrize("scan", [False, True])
@@ -1173,21 +1185,19 @@ class TestRunExperiment:
         # reused across tiles of different sizes.
         plan = tiny_plan(m=3, channel_mode=channel_mode, scan=scan, theta_step_deg=5.0,
                          trials_per_point=5, snr_grid_db=(0.0, 4.0, 8.0))
-        want = run_experiment(plan).curves
+        want = run_experiment(plan)
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         tiles = montecarlo._tiles(plan)
         sizes = {count * (end - lo) for _, count, lo, end in tiles}
         assert len(tiles) > 1 and len(sizes) > 1
-        assert run_experiment(plan).curves == want
+        _assert_same_result(run_experiment(plan), want)
 
     def test_pfa_sweep_orders_detection(self):
         plan = tiny_plan(
             snr_grid_db=(3.0,), pfa_list=(0.1, 1e-3), trials_per_point=2000,
         )
-        result = run_experiment(plan)
-        for curve in result.curves:
-            by_pfa = {pt.pfa: pt.pd_emp for pt in curve.points}
-            assert by_pfa[0.1] >= by_pfa[1e-3]
+        pd = run_experiment(plan).columns["pd_emp"]
+        assert (pd[:, 0] >= pd[:, 1]).all()
 
 
 # run_experiment's tallies and theory columns for GOLDEN_PLAN, per channel
@@ -1214,8 +1224,11 @@ class TestRunExperiment:
 # once per point: it now equals the "fixed" one.  The "redrawn" projected
 # modes at 0 dB (tallies and theory) were re-read when every SNR point came
 # to read each trial's channels from substream 0, which point 0 (-6 dB)
-# read already (same law, new realization; -6 dB did not move).  Any other
-# change to the streams, the selection or the arithmetic shows here.
+# read already (same law, new realization; -6 dB did not move).  The
+# "redrawn-scan" setting, the scan engine over C = n channel draws, was
+# recorded before its grid product and the fixed channel's came to run in
+# one loop.  Any other change to the streams, the selection or the
+# arithmetic shows here.
 GOLDEN_PLAN = dict(
     m=4, k=2, l=16, snr_grid_db=(-6.0, 0.0), pfa_list=(0.1,), trials_per_point=40,
     master_seed=5, waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
@@ -1275,6 +1288,24 @@ GOLDEN = {
             (34, 2, 0, 0.5708131994295308, 0.914491812727577),
         ],
     },
+    "redrawn-scan": {
+        "orthogonal": [
+            (36, 25, 0, 0.5440529562566051, 0.8152917144245608),
+            (40, 29, 0, 0.9786015642681981, 0.9998694333859738),
+        ],
+        "nsp-bs1": [
+            (30, 27, 0, 0.2558544198798436, 0.5421437843795188),
+            (39, 23, 0, 0.5708131994295309, 0.914491812727577),
+        ],
+        "nsp-bs2": [
+            (31, 23, 0, 0.21415447769751678, 0.48251746803556117),
+            (39, 23, 0, 0.46080839478626984, 0.8958055238513838),
+        ],
+        "nsp-selected": [
+            (30, 27, 0, 0.2558544198798436, 0.5421437843795188),
+            (39, 23, 0, 0.5708131994295309, 0.914491812727577),
+        ],
+    },
 }
 
 
@@ -1283,14 +1314,18 @@ class TestGoldenOutputs:
         ("fixed", {}),
         ("scan", {"scan": True, "theta_step_deg": 5.0}),
         ("redrawn", {"channel_mode": CHANNEL_REDRAWN}),
+        ("redrawn-scan", {"channel_mode": CHANNEL_REDRAWN, "scan": True,
+                          "theta_step_deg": 5.0}),
     ])
     def test_tallies_and_theory_are_pinned(self, setting, kwargs):
         result = run_experiment(ExperimentPlan(**GOLDEN_PLAN, **kwargs))
-        got = {c.label: [(p.detections, p.false_alarms, p.degenerate,
-                          p.pd_theory_paper, p.pd_theory_calibrated) for p in c.points]
-               for c in result.curves}
+        names = ("detections", "false_alarms", "degenerate",
+                 "pd_theory_paper", "pd_theory_calibrated")
+        got = {label: [tuple(result.columns[name][i, 0, k].item() for name in names)
+                       for i in range(len(GOLDEN_PLAN["snr_grid_db"]))]
+               for k, (label, _) in enumerate(result.labels)}
         assert got == GOLDEN[setting]
-        if setting != "redrawn":
+        if not setting.startswith("redrawn"):
             assert result.selection.selected == 1
             assert result.selection.norms == (math.sqrt(2), math.sqrt(2))
 
@@ -1304,8 +1339,10 @@ class TestRedrawnTheory:
                                  "pfa_list": (0.1, 1e-3)}, **kwargs)
 
         def theory(p):
-            curve = next(c for c in run_experiment(p).curves if c.label == MODE_ORTHOGONAL)
-            return [(pt.pd_theory_paper, pt.pd_theory_calibrated) for pt in curve.points]
+            result = run_experiment(p)
+            k = _mode_index(result, MODE_ORTHOGONAL)
+            return [result.columns[name][..., k].tobytes()
+                    for name in ("pd_theory_paper", "pd_theory_calibrated")]
 
         assert theory(replace(plan, channel_mode=CHANNEL_REDRAWN)) == theory(plan)
 
@@ -1317,10 +1354,11 @@ class TestRedrawnTheory:
         # the two means differed by the spread of the draws.
         plan = ExperimentPlan(**{**GOLDEN_PLAN, "snr_grid_db": (0.0, 1e-12)},
                               channel_mode=CHANNEL_REDRAWN, scan=scan, theta_step_deg=5.0)
-        curve = next(c for c in run_experiment(plan).curves if c.label == "nsp-bs1")
-        a, b = curve.points
-        assert b.pd_theory_paper == pytest.approx(a.pd_theory_paper, rel=1e-9)
-        assert b.pd_theory_calibrated == pytest.approx(a.pd_theory_calibrated, rel=1e-9)
+        result = run_experiment(plan)
+        k = _mode_index(result, "nsp-bs1")
+        for name in ("pd_theory_paper", "pd_theory_calibrated"):
+            a, b = result.columns[name][:, 0, k]
+            assert b == pytest.approx(a, rel=1e-9)
 
     @pytest.mark.parametrize("modes", [(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
                                        (MODE_ORTHOGONAL, MODE_NSP_SELECTED)])
@@ -1329,13 +1367,22 @@ class TestRedrawnTheory:
         # draw, the selected theory is the oracle's trial-by-trial mean.
         plan = ExperimentPlan(**{**GOLDEN_PLAN, "waveform_modes": modes},
                               channel_mode=CHANNEL_REDRAWN)
-        curve = next(c for c in run_experiment(plan).curves if c.label == MODE_NSP_SELECTED)
-        for pt in curve.points:
-            i = plan.snr_grid_db.index(pt.snr_db)
-            for conv, got in (("paper", pt.pd_theory_paper),
-                              ("calibrated", pt.pd_theory_calibrated)):
-                want = oracles.mean_selected_theory_pd(plan, i, pt.pfa, conv)
-                assert got == pytest.approx(want, rel=0, abs=1e-15)
+        result = run_experiment(plan)
+        k = _mode_index(result, MODE_NSP_SELECTED)
+        for i in range(len(plan.snr_grid_db)):
+            for j, pfa in enumerate(plan.pfa_list):
+                for conv in ("paper", "calibrated"):
+                    got = result.columns[f"pd_theory_{conv}"][i, j, k]
+                    want = oracles.mean_selected_theory_pd(plan, i, pfa, conv)
+                    assert got == pytest.approx(want, rel=0, abs=1e-15)
+
+
+def _gaps(result, source, target_pd=0.9):
+    """(snr_at_target, gap_db) of one gap source (`cli.GAP_SOURCES`) at the
+    result's first P_FA, from its (points, modes) column there."""
+    return montecarlo.snr_gap_columns(
+        [label for label, _ in result.labels], np.array(result.plan.snr_grid_db),
+        result.columns[cli.GAP_SOURCES[source]][:, 0], target_pd)
 
 
 class TestSnrGap:
@@ -1348,72 +1395,69 @@ class TestSnrGap:
 
     def test_theory_gap_matches_closed_form(self):
         plan, result = self._dense_result()
-        report = snr_gap(result.curves, target_pd=0.9, source="theory_calibrated")
-        sel_curve = next(c for c in result.curves if c.label == MODE_NSP_SELECTED)
+        _, gaps = _gaps(result, "theory_calibrated")
         # closed form: at equal detection probability the calibrated laws
         # differ by the SNR ratio M / c
-        import nspradar.detection as detection
-        import nspradar.radar as radar
-        import nspradar.sharing as sharing
-        from nspradar.numerics import rng_substream
-
         a = radar.steering_vector(plan.m, plan.theta_target)
         x = radar.orthogonal_waveforms(plan.m, plan.l)
-        h = sharing.channel_matrices([rng_substream(plan.master_seed, 0)],
+        h = sharing.channel_matrices([numerics.rng_substream(plan.master_seed, 0)],
                                      plan.k, plan.n_bs, plan.m)[0]
         p, _ = sharing.null_projectors(h)
         best, _ = oracles.brute_force_argmin_norms(list(p), x)
         gain = detection.direction_gain(a, oracles.waveform_correlation(p[best] @ x))
         want = detection.theory_snr_gap_db(plan.m, gain, "calibrated")
-        assert abs(report.gap_db[MODE_NSP_SELECTED] - want) < 0.05
-        assert report.gap_db[MODE_ORTHOGONAL] == 0.0
+        assert abs(gaps[MODE_NSP_SELECTED] - want) < 0.05
+        assert gaps[MODE_ORTHOGONAL] == 0.0
 
     def test_orthogonal_threshold_snr_matches_root_oracle(self):
         plan, result = self._dense_result()
-        report = snr_gap(result.curves, target_pd=0.9, source="theory_calibrated")
+        snr_at, _ = _gaps(result, "theory_calibrated")
         want = oracles.pd_at_snr_root(plan.m, float(plan.m), 0.1, 0.9)
-        assert abs(report.snr_at_target[MODE_ORTHOGONAL] - want) < 0.05
+        assert abs(snr_at[MODE_ORTHOGONAL] - want) < 0.05
 
     def test_unreachable_target_reports_none(self):
         plan = tiny_plan(snr_grid_db=(-30.0, -25.0), trials_per_point=50)
-        result = run_experiment(plan)
-        report = snr_gap(result.curves, target_pd=0.9, source="emp")
-        assert report.snr_at_target[MODE_ORTHOGONAL] is None
-        assert report.gap_db[MODE_NSP_SELECTED] is None
+        snr_at, gaps = _gaps(run_experiment(plan), "emp")
+        assert snr_at[MODE_ORTHOGONAL] is None
+        assert gaps[MODE_NSP_SELECTED] is None
 
-    def test_unknown_pfa_or_source_raises(self):
-        result = run_experiment(tiny_plan(trials_per_point=5, pfa_list=(1e-3, 1e-1)))
-        with pytest.raises(ValueError, match=r"pfa 0\.5 .*\[0\.001, 0\.1\]"):
-            snr_gap(result.curves, pfa=0.5)
-        with pytest.raises(ValueError, match="'bogus'.*'emp'"):
-            snr_gap(result.curves, source="bogus")
-        assert snr_gap(result.curves, pfa=0.1).pfa == 0.1
+    @given(y=_CURVES.filter(len), target=st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]), st.floats(0, 1)))
+    @example(y=[0.5, 0.9, 0.9 - 1e-16, 0.95], target=0.9)
+    @settings(max_examples=300, deadline=None)
+    def test_snr_at_target_equals_the_linear_scan(self, y, target):
+        # The first SNR where the fit reaches the target, also where the
+        # fit dips by less than 1e-15 after it: the example's fit keeps
+        # 0.9 - 1e-16, and it first reaches 0.9 at 1 dB.
+        snr_db = np.arange(len(y), dtype=float)
+        got = montecarlo._snr_at_target(snr_db, np.array(y, dtype=float), target)
+        assert got == oracles.snr_at_target_reference(snr_db, y, target)
 
     def test_gap_columns_equal_the_per_curve_fits(self):
         # The summary's gaps, read from the result's columns, are the
-        # per-curve reports, and each mode's SNR at the target is the
-        # per-curve oracle's.  Under the paper's convention nsp-selected
-        # never reaches 0.9, so its gap is None beside the orthogonal 0.0,
-        # and at P_FA 1e-3 the orthogonal curve does not either.
+        # per-curve oracle's fits, column by column.  Under the paper's
+        # convention nsp-selected never reaches 0.9, so its gap is None
+        # beside the orthogonal 0.0, and at P_FA 1e-3 the orthogonal curve
+        # does not either.
         result = run_experiment(tiny_plan(snr_grid_db=tuple(np.arange(-10.0, 0.1, 1.0)),
                                           pfa_list=(0.1, 1e-3), trials_per_point=300))
         reports = cli._gap_reports(result)
-        assert reports == {repr(pfa): {
-            source: snr_gap(result.curves, pfa=pfa, source=source).gap_db
-            for source in ("emp", "theory_paper", "theory_calibrated")}
-            for pfa in result.plan.pfa_list}
         assert reports["0.1"]["theory_paper"] == {MODE_ORTHOGONAL: 0.0, MODE_NSP_SELECTED: None}
         assert reports["0.001"]["theory_paper"] == {MODE_ORTHOGONAL: None,
                                                     MODE_NSP_SELECTED: None}
         assert reports["0.1"]["theory_calibrated"][MODE_NSP_SELECTED] > 0
-        for pfa in result.plan.pfa_list:
-            for source, attr in montecarlo.GAP_SOURCES.items():
-                report = snr_gap(result.curves, pfa=pfa, source=source)
-                for curve in result.curves:
-                    pts = [pt for pt in curve.points if pt.pfa == pfa]
-                    want = oracles.snr_at_target_reference(
-                        [pt.snr_db for pt in pts], [getattr(pt, attr) for pt in pts], 0.9)
-                    assert report.snr_at_target[curve.label] == want
+        want = {}
+        for j, pfa in enumerate(result.plan.pfa_list):
+            want[repr(pfa)] = {}
+            for source, name in cli.GAP_SOURCES.items():
+                snr_at = {label: oracles.snr_at_target_reference(
+                    result.plan.snr_grid_db, result.columns[name][:, j, k], 0.9)
+                    for k, (label, _) in enumerate(result.labels)}
+                base = snr_at[MODE_ORTHOGONAL]
+                want[repr(pfa)][source] = {
+                    label: None if v is None or base is None else v - base
+                    for label, v in snr_at.items()}
+        assert reports == want
 
     def test_empirical_gap_near_theory_gap(self):
         plan = tiny_plan(
@@ -1421,11 +1465,9 @@ class TestSnrGap:
             trials_per_point=3000,
         )
         result = run_experiment(plan)
-        emp = snr_gap(result.curves, source="emp")
-        theo = snr_gap(result.curves, source="theory_calibrated")
-        assert abs(
-            emp.gap_db[MODE_NSP_SELECTED] - theo.gap_db[MODE_NSP_SELECTED]
-        ) < 0.5
+        _, emp = _gaps(result, "emp")
+        _, theo = _gaps(result, "theory_calibrated")
+        assert abs(emp[MODE_NSP_SELECTED] - theo[MODE_NSP_SELECTED]) < 0.5
 
 
 class TestMeanSelectedGap:
