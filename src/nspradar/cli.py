@@ -10,7 +10,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy
@@ -35,18 +35,17 @@ GAP_SOURCES = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run: its plan and the options of the CLI around it.  A worker count
+    below 1 is rejected with field "workers", as a plan check names its
+    field, so `_run_config` names the config key or flag that set it."""
     plan: montecarlo.ExperimentPlan
     output_dir: str = "results"
     emit_plot: bool = False
     workers: int = 1
 
     def __post_init__(self):
-        # Checked here so that the config file, --workers and NSPSIM_THREADS
-        # agree.
         if self.workers < 1:
-            raise ConfigurationError(
-                f"config key 'workers': must be >= 1, got {self.workers} "
-                "(from the config file, --workers or NSPSIM_THREADS)")
+            raise ConfigurationError(f"must be >= 1, got {self.workers}", "workers")
 
 
 PRESETS = {
@@ -151,10 +150,14 @@ _RUN_KEYS = {
     "emit_plot": _parse_bool,
     "output_dir": str,
 }
-# Command-line flags -> the ExperimentPlan fields they override.
-_PLAN_FLAGS = {
+# Command-line flags (argparse dests) -> the ExperimentPlan fields or run
+# options they set.
+_FLAGS = {
     "seed": "master_seed",
     "trials": "trials_per_point",
+    "workers": "workers",
+    "out": "output_dir",
+    "emit_plot": "emit_plot",
 }
 
 
@@ -165,26 +168,10 @@ def _convert(key: str, parse, raw: str):
         raise ConfigurationError(f"config key {key!r}: {exc}") from exc
 
 
-def _checked_plan(build, sources: dict):
-    """The plan build() returns.  A plan check that fails on a field the
-    user set names where it was set, `sources` mapping fields to the config
-    key or flag, as a value's parse error names its key."""
-    try:
-        return build()
-    except ConfigurationError as exc:
-        if exc.field not in sources:
-            raise
-        raise ConfigurationError(f"{sources[exc.field]}: {exc}", exc.field) from exc
-
-
-def parse_config(path: str) -> RunConfig:
-    """Parse the flat key=value config format; unknown keys are rejected."""
-    return _parse_config(path)[0]
-
-
-def _parse_config(path: str) -> tuple[RunConfig, dict]:
-    """`parse_config`'s RunConfig, and the `_checked_plan` sources of the
-    plan fields the file set, each its config key."""
+def _read_config(path: str) -> tuple[dict, dict, dict]:
+    """The ExperimentPlan kwargs and the run kwargs that the flat key=value
+    file at `path` sets, and their sources, each field's config key.  Each
+    value is parsed; unknown keys are rejected; no plan is built."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -206,30 +193,33 @@ def _parse_config(path: str) -> tuple[RunConfig, dict]:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         if key in _PLAN_KEYS:
-            field_name, parse = _PLAN_KEYS[key]
-            plan_kwargs[field_name] = _convert(key, parse, raw)
-            sources[field_name] = f"config key {key!r}"
+            (name, parse), kwargs = _PLAN_KEYS[key], plan_kwargs
         elif key in _RUN_KEYS:
-            run_kwargs[key] = _convert(key, _RUN_KEYS[key], raw)
+            name, parse, kwargs = key, _RUN_KEYS[key], run_kwargs
         else:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+        kwargs[name] = _convert(key, parse, raw)
+        sources[name] = f"config key {key!r}"
+    return plan_kwargs, run_kwargs, sources
 
-    workers = run_kwargs.pop("workers") if "workers" in run_kwargs else _default_workers()
-    plan = _checked_plan(lambda: montecarlo.ExperimentPlan(**plan_kwargs), sources)
-    return RunConfig(plan=plan, workers=workers, **run_kwargs), sources
 
-
-def _default_workers() -> int:
-    """Worker count from NSPSIM_THREADS (1 when unset); `RunConfig` checks
-    the value as it checks the config key and --workers."""
-    env = os.environ.get("NSPSIM_THREADS")
-    if not env:
-        return 1
+def _run_config(plan_kwargs: dict, run_kwargs: dict, sources: dict) -> RunConfig:
+    """The run of these kwargs: the only place a plan and a run are built,
+    and so checked.  A check that fails on a field the user set names where
+    it was set, `sources` mapping fields to the config key, preset or flag,
+    as a value's parse error names its key."""
     try:
-        return int(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"NSPSIM_THREADS: expected an integer, got {env!r}") from None
+        return RunConfig(montecarlo.ExperimentPlan(**plan_kwargs), **run_kwargs)
+    except ConfigurationError as exc:
+        if exc.field not in sources:
+            raise
+        raise ConfigurationError(f"{sources[exc.field]}: {exc}", exc.field) from exc
+
+
+def parse_config(path: str) -> RunConfig:
+    """The run that a flat key=value config file alone sets, checked as
+    `build_config` checks one; unknown keys are rejected."""
+    return _run_config(*_read_config(path))
 
 
 def _csv_fields(columns: dict) -> list[np.ndarray]:
@@ -390,38 +380,26 @@ def run(cfg: RunConfig) -> int:
 
 
 def build_config(args) -> RunConfig:
-    """The run the arguments ask for: the config file's plan, then the
-    preset's fields, then the flags'.  A plan check that fails at a step
-    names the config key, the preset or the flag that set the field it
-    rejects (`_checked_plan`)."""
-    sources = {}
-    if args.config:
-        cfg, sources = _parse_config(args.config)
-    else:
-        cfg = RunConfig(plan=montecarlo.ExperimentPlan(), workers=_default_workers())
-    plan = cfg.plan
+    """The run the arguments ask for, in layers: the config file's fields,
+    then the preset's, then the flags', each layer overriding the ones
+    before it.  The plan and the run are built and checked once, from the
+    last layer's values (`_run_config`), so a failed check names the config
+    key, the preset or the flag that set the field it rejects."""
+    plan_kwargs, run_kwargs, sources = (_read_config(args.config) if args.config
+                                        else ({}, {}, {}))
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigurationError(
                 f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
             )
-        preset = PRESETS[args.preset]
-        sources.update(dict.fromkeys(preset, f"--preset {args.preset}"))
-        plan = _checked_plan(lambda: replace(plan, **preset), sources)
-    overrides = {field: getattr(args, flag) for flag, field in _PLAN_FLAGS.items()
-                 if getattr(args, flag) is not None}
-    if overrides:
-        sources.update({field: f"--{flag}" for flag, field in _PLAN_FLAGS.items()
-                        if field in overrides})
-        plan = _checked_plan(lambda: replace(plan, **overrides), sources)
-    cfg = replace(cfg, plan=plan)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    if args.emit_plot:
-        cfg = replace(cfg, emit_plot=True)
-    return cfg
+        plan_kwargs.update(PRESETS[args.preset])
+        sources.update(dict.fromkeys(PRESETS[args.preset], f"--preset {args.preset}"))
+    for flag, name in _FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            (run_kwargs if name in _RUN_KEYS else plan_kwargs)[name] = value
+            sources[name] = "--" + flag.replace("_", "-")
+    return _run_config(plan_kwargs, run_kwargs, sources)
 
 
 def main(argv=None) -> int:
@@ -436,7 +414,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override master seed")
     parser.add_argument("--trials", type=int, help="override trials per grid point")
     parser.add_argument("--workers", type=int, help="worker thread count")
-    parser.add_argument("--emit-plot", action="store_true",
+    parser.add_argument("--emit-plot", action="store_true", default=None,
                         help="write a gnuplot script alongside the CSV")
     args = parser.parse_args(argv)
     try:

@@ -13,7 +13,8 @@ class NumericFailure(NspRadarError):
 
 class ConfigurationError(NspRadarError):
     """Invalid experiment or detector configuration.  `field` names the
-    `ExperimentPlan` field at fault, where the check reads one."""
+    `ExperimentPlan` or `cli.RunConfig` field at fault, where the check
+    reads one."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)

@@ -166,6 +166,12 @@ _BLOCK_ELEMENTS = 2**17
 # function takes temporaries of that size per point, 56 MB each for fig3 at
 # this bound; the tile list grows with the trials in every channel mode.
 _MAX_TRIALS = 10**6
+# One channel draw and its projectors take at most _MAX_DRAW_ENTRIES
+# entries: the (K, N_BS, M) draw and the M x M projectors of the K BSs and
+# of the modes, K N_BS M + M^2 (K + modes), counted before any is formed.
+# A fixed channel's set-up and a scan's form all of them for one draw at
+# least, 64 MiB of complex entries at this bound; fig5 takes 528.
+_MAX_DRAW_ENTRIES = 2**22
 # A scan grid has at most _MAX_SCAN_ANGLES angles, so that one row of one
 # mode's statistics over the grid fits a block.
 _MAX_SCAN_ANGLES = _BLOCK_ELEMENTS
@@ -206,6 +212,13 @@ class ExperimentPlan:
             raise ConfigurationError(
                 f"trials_per_point must lie in [1, {_MAX_TRIALS}], "
                 f"got {self.trials_per_point}", "trials_per_point")
+        n_modes = sum(self.k if w == MODE_NSP_PER_BS else 1 for w in self.waveform_modes)
+        entries = self.k * self.n_bs * self.m + self.m ** 2 * (self.k + n_modes)
+        if entries > _MAX_DRAW_ENTRIES:
+            raise ConfigurationError(
+                f"a channel draw and its projectors at m = {self.m}, n_bs = {self.n_bs}, "
+                f"k = {self.k} and {n_modes} modes take {entries} entries, more than "
+                f"{_MAX_DRAW_ENTRIES}")
         if not self.snr_grid_db:
             raise ConfigurationError("snr grid must be non-empty", "snr_grid_db")
         if not all(math.isfinite(s) for s in self.snr_grid_db):

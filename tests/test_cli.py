@@ -99,11 +99,6 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             cli.parse_config("/nonexistent/run.cfg")
 
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NSPSIM_THREADS", "3")
-        cfg = cli.parse_config(write_config(tmp_path, ""))
-        assert cfg.workers == 3
-
     def test_every_key_set_parses(self, tmp_path):
         # Each key set to a value other than its field's default.
         text = """
@@ -378,13 +373,49 @@ class TestRun:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, argv, plan_fields", [
+        ("trials = 0\n", ("--trials", "5"), {"trials_per_point": 5}),
+        ("m = 20\n", ("--preset", "fig3", "--trials", "5"), {"m": 4}),
+        ("modes = []\n", ("--preset", "fig4", "--trials", "5"),
+         {"waveform_modes": [MODE_ORTHOGONAL, MODE_NSP_SELECTED]}),
+    ], ids=["trials-flag", "preset-m", "preset-modes"])
+    def test_later_layer_overrides_a_value_it_would_reject(self, tmp_path, text, argv,
+                                                           plan_fields):
+        # The file, the preset and the flags are layers of one plan, checked
+        # once: a file value that a later layer overrides is never checked.
+        out = tmp_path / "out"
+        code = cli.main(["--config", write_config(tmp_path, text), "--out", str(out), *argv])
+        assert code == cli.EXIT_OK
+        plan = json.loads((out / "summary.json").read_text())["plan"]
+        assert {name: plan[name] for name in plan_fields} == plan_fields
+        with open(out / "results.csv") as fh:
+            assert {row["trials"] for row in csv.DictReader(fh)} == {"5"}
+
+    @pytest.mark.parametrize("config, argv", [
+        (None, ("--preset", "fig4", "--seed", "3", "--trials", "5")),
+        (SMALL, ("--preset", "fig3", "--trials", "5", "--workers", "2", "--emit-plot")),
+    ], ids=["preset-and-flags", "file-preset-and-flags"])
+    def test_one_plan_is_built_per_run(self, tmp_path, monkeypatch, config, argv):
+        built = []
+        post_init = montecarlo.ExperimentPlan.__post_init__
+
+        def counted(plan):
+            built.append(plan)
+            post_init(plan)
+
+        monkeypatch.setattr(montecarlo.ExperimentPlan, "__post_init__", counted)
+        monkeypatch.setattr(cli, "run", lambda cfg: cli.EXIT_OK)
+        file_args = ("--config", write_config(tmp_path, config)) if config else ()
+        assert cli.main([*file_args, *argv]) == cli.EXIT_OK
+        assert len(built) == 1
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_flag_exit_code(self, tmp_path, capsys, workers):
         path = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
         code = cli.main(["--config", path, "--out", str(out), "--workers", workers])
         assert code == cli.EXIT_CONFIG
-        assert "config key 'workers': must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --workers: must be >= 1, got {workers}\n"
         assert not out.exists()
 
     def test_nonpositive_workers_key_exit_code(self, tmp_path, capsys):
@@ -398,18 +429,6 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert "m, n_bs and k must all be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value, message", [
-        ("abc", "NSPSIM_THREADS: expected an integer, got 'abc'"),
-        ("-4", "config key 'workers': must be >= 1, got -4"),
-    ])
-    def test_bad_workers_env_exit_code(self, tmp_path, capsys, monkeypatch, value, message):
-        monkeypatch.setenv("NSPSIM_THREADS", value)
-        path = write_config(tmp_path, SMALL)
-        out = tmp_path / "out"
-        assert cli.main(["--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_rank_tol_factor_is_an_unknown_key(self, tmp_path, capsys):
@@ -539,11 +558,17 @@ class TestRun:
         ("scan = true\ntheta_step_deg = 1e-9\n", "theta_step_deg = 1e-09 gives a scan grid"),
         ("channel_mode = redrawn-per-trial\nscan = true\ntheta_step_deg = 1e-7\n",
          "theta_step_deg = 1e-07 gives a scan grid"),
-    ], ids=["huge-trials", "tiny-scan-step", "tiny-redrawn-scan-step"])
+        ("k = 1000000000000\n", "k = 1000000000000 and 2 modes take 24000000000032 "
+         "entries, more than 4194304"),
+        ("n_bs = 1000000000000\n", "n_bs = 1000000000000, k = 5"),
+        ("m = 1000000\nl = 1000000\n", "at m = 1000000, n_bs = 2"),
+    ], ids=["huge-trials", "tiny-scan-step", "tiny-redrawn-scan-step",
+            "huge-k", "huge-n-bs", "huge-m"])
     def test_plan_too_large_for_memory_exit_code(self, tmp_path, text, message):
         # The first used to build tile lists until memory ran out, the
-        # others the scan grid (1.31 TiB, and 13.4 GiB of redrawn set-up):
-        # exit 1 at best.
+        # next two the scan grid (1.31 TiB, and 13.4 GiB of redrawn set-up),
+        # and the huge sizes one channel draw or its projectors (116 TiB,
+        # 291 TiB and 14.6 TiB): exit 1 at best.
         self._assert_capped_run_rejects(tmp_path, text, message)
 
     def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):
