@@ -45,9 +45,10 @@ def direction_gain(a: np.ndarray, r: np.ndarray):
 
 def projected_gain(a: np.ndarray, v: np.ndarray):
     """The direction gain a^T v of a correlation R from v = R a^*, shaped
-    (..., M); `direction_gain` is this of R a^*.  With R = P a null-space
-    projector, v is P a^* (`sharing.null_projections`), so the gain is
-    read without forming P."""
+    (..., M); `direction_gain` is this of R a^*.  The engine
+    (`montecarlo._PointEngine`) forms v = P a^* once per set-up, as its
+    at-angle noise coefficients, and reads both detectors' target gains
+    from it."""
     gain = np.sum(a * v, axis=-1).real.copy()
     return float(gain) if gain.ndim == 0 else gain
 

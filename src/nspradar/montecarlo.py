@@ -47,24 +47,22 @@ to about 1e-15 relative (less near a null of the direction gain; see
 
 `_channels` draws a (C, K, N_BS, M) stack of channels, and
 `_stacked_modes` sets up the modes and the selection per draw from one
-stacked `sharing` call (Gram-Schmidt, with the SVD for any channel it
-cannot certify full rank).  With X X^H = I the degradation ||P X - X||_F
-is sqrt(M - nullity), so the selection is the first BS of maximal nullity,
-read from the same call (`sharing.select_by_nullity`), and a fixed
-channel's reported norms are those square roots.  Every waveform mode is
+stacked `sharing.null_projectors` call (Gram-Schmidt, with the SVD for any
+channel it cannot certify full rank).  With X X^H = I the degradation
+||P X - X||_F is sqrt(M - nullity), so the selection is the first BS of
+maximal nullity, read from the same call (`sharing.select_by_nullity`),
+and a fixed channel's reported norms are those square roots.  Every waveform mode is
 one projector applied to X, so a set-up's modes are one stack in
 `_mode_labels` order: the identity, the K projectors, and the selected
 BS's projector, taken per draw by its index.  A selection rule only gives
 that index, and past `_stacked_modes` only the fixed channel's selection
-report reads it.  The scan and a fixed channel take the (C, modes, M, M)
-projectors (`sharing.null_projectors`).  At the target angle alone the
-GLRT and its theory read P only through v = P a^*: the noise coefficient
-is v, the gain c = a^T v and the echo term
-a^H A P a^* = (a^H a)(a^T v) = M c.  So redrawn tiles without the scan,
-and `mean_selected_gap_db`, take the (C, modes, M) stack of those vectors
-(`sharing.null_projections`), with a^* for the orthogonal mode, and form
-no projector; the at-angle engine reduces a fixed channel's projectors to
-v first, and is set up from v and c alone.
+report reads it.  Every set-up takes that (C, modes, M, M) projector
+stack: fixed and redrawn channels, with and without the scan, and
+`mean_selected_gap_db`.  At the target angle alone the GLRT and its theory
+read P only through v = P a^*: the noise coefficient is v, the gain
+c = a^T v and the echo term a^H A P a^* = (a^H a)(a^T v) = M c.  The
+engine forms v and c once, whatever the grid, so the scan's target gains
+are the at-angle ones bit for bit.
 A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 `run_experiment`.  Redrawn channels are records of substream 0 of one
 Philox stream: trial t reads the fixed-width record t, its K channels of
@@ -168,9 +166,10 @@ _BLOCK_ELEMENTS = 2**17
 _MAX_TRIALS = 10**6
 # One channel draw and its projectors take at most _MAX_DRAW_ENTRIES
 # entries: the (K, N_BS, M) draw and the M x M projectors of the K BSs and
-# of the modes, K N_BS M + M^2 (K + modes), counted before any is formed.
-# A fixed channel's set-up and a scan's form all of them for one draw at
-# least, 64 MiB of complex entries at this bound; fig5 takes 528.
+# of the modes, K N_BS M + M^2 (K + modes), and with the scan the engine's
+# (M^2, modes x (2M - 1)) coefficients, counted before any is formed.
+# Every set-up forms all of them for one draw at least, 64 MiB of complex
+# entries at this bound; fig5 takes 528, and its scan 2448.
 _MAX_DRAW_ENTRIES = 2**22
 # A scan grid has at most _MAX_SCAN_ANGLES angles, so that one row of one
 # mode's statistics over the grid fits a block.
@@ -214,9 +213,13 @@ class ExperimentPlan:
                 f"got {self.trials_per_point}", "trials_per_point")
         n_modes = sum(self.k if w == MODE_NSP_PER_BS else 1 for w in self.waveform_modes)
         entries = self.k * self.n_bs * self.m + self.m ** 2 * (self.k + n_modes)
+        if self.scan:
+            entries += self.m ** 2 * n_modes * (2 * self.m - 1)
         if entries > _MAX_DRAW_ENTRIES:
+            what = ("a channel draw, its projectors and the scan's coefficients"
+                    if self.scan else "a channel draw and its projectors")
             raise ConfigurationError(
-                f"a channel draw and its projectors at m = {self.m}, n_bs = {self.n_bs}, "
+                f"{what} at m = {self.m}, n_bs = {self.n_bs}, "
                 f"k = {self.k} and {n_modes} modes take {entries} entries, more than "
                 f"{_MAX_DRAW_ENTRIES}")
         if not self.snr_grid_db:
@@ -362,33 +365,23 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
 
 
 def _stacked_modes(
-    plan: ExperimentPlan, h: np.ndarray, x: np.ndarray | None = None
+    plan: ExperimentPlan, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The modes' projectors for a (C, K, N_BS, M) stack of channel draws:
     (proj, selected, p, nullity), with proj the (C, modes, M, M) stack in
     `_mode_labels` order, selected the chosen BS's 0-based index (C,), p
-    the BSs' projectors (C, K, M, M) and nullity their nullities (C, K).
-
-    Given an M-vector x, every projector P is P x instead
-    (`sharing.null_projections`): proj is (C, modes, M), with x for the
-    orthogonal mode, and p is (C, K, M).  At the target angle alone the
-    engine reads P only through P a^*, so it is set up from x = a^*.
+    the BSs' projectors (C, K, M, M) and nullity their nullities (C, K),
+    all from one `sharing.null_projectors` call.
 
     The orthogonal waveforms have X X^H = I, so the minimum-degradation
     selection is the first BS of maximal nullity (`sharing.select_by_nullity`),
     and BS i's degradation norm is sqrt(M - nullity_i); no waveform is
     formed."""
-    # The orthogonal mode's entry: the identity, or I x = x.
-    if x is None:
-        p, nullity = sharing.null_projectors(h)  # (C, K, M, M)
-        unprojected = np.eye(plan.m, dtype=complex)
-    else:
-        p, nullity = sharing.null_projections(h, x)  # (C, K, M)
-        unprojected = x
+    p, nullity = sharing.null_projectors(h)  # (C, K, M, M)
     selected = sharing.select_by_nullity(nullity)
     c = len(h)
     blocks = {
-        MODE_ORTHOGONAL: np.broadcast_to(unprojected, (c, 1) + unprojected.shape),
+        MODE_ORTHOGONAL: np.broadcast_to(np.eye(plan.m, dtype=complex), p[:, :1].shape),
         MODE_NSP_PER_BS: p,
         MODE_NSP_SELECTED: p[np.arange(c), selected, None],
     }
@@ -424,8 +417,7 @@ def _channels(plan: ExperimentPlan, first: int, count: int,
 
 class _PointEngine:
     """Vectorized statistic evaluation for the (C, modes, M, M) projector
-    stack of `_stacked_modes`, over C channel draws, or at the target angle
-    alone for its (C, modes, M) stack of the vectors P a^*.
+    stack of `_stacked_modes`, over C channel draws.
 
     With X X^H = I the matched filter of mode P is E = (alpha A + E0) P, as
     X X_tx^H = X X^H P = P, and P is the waveform correlation R too.  At
@@ -452,31 +444,29 @@ class _PointEngine:
     (4M - 3) autocorrelation coefficients per mode.  The grid is
     `plan.theta_grid()`.  At the target angle alone the numerator's noise
     term is w^T v with v = P a^*, and the product is (T, M) @ (M, modes) on
-    the noise vectors w.  The set-up reads only v and the gain
+    the noise vectors w.  That set-up reads only v and the gain
     c = a^T v (`detection.projected_gain`): c gives the scale and the
-    degenerate flags, and the echo term is M c.  A (C, modes, M) stack of
-    the vectors v sets it up directly; a projector stack is reduced to
-    P a^* first.  Both are exact rewrites of the GLRT on
-    E = (alpha A X_tx + E0 X) X_tx^H.  The scan's statistics
-    agree with the direct form to about 1e-15 relative.  Where the
-    maximizing angle's gain c_g is far below M (near a null of a rank-one
-    projector) the power is a small difference of terms of size r_0, and
-    the error grows to about 1e-16 M / c_g.
+    degenerate flags, and the echo term is M c.  Both forms first reduce
+    the stack to v and c, the target gains the theory reads, so a plan's
+    theory is the same with and without the scan.  Both are exact
+    rewrites of the GLRT on E = (alpha A X_tx + E0 X) X_tx^H.  The scan's
+    statistics agree with the direct form to about 1e-15 relative.  Where
+    the maximizing angle's gain c_g is far below M (near a null of a
+    rank-one projector) the power is a small difference of terms of size
+    r_0, and the error grows to about 1e-16 M / c_g.
     """
 
     def __init__(self, plan: ExperimentPlan, proj: np.ndarray):
         a = radar.steering_vector(plan.m, plan.theta_target)
+        v = proj @ a.conj()                                      # (C, modes, M): P a^*
+        self.target_gain = detection.projected_gain(a, v)        # (C, modes): a^T v
         if plan.scan:
             grid = plan.theta_grid()
             a_grid = radar.steering_vector(plan.m, grid)         # (M, G)
             p_a = proj @ a_grid.conj()                           # (C, modes, M, G)
-            self.target_gain = detection.direction_gain(a, proj)  # (C, modes)
             # c_g = a_g^H P^T a_g = a_g^T P a_g^*
             gain = np.real(np.sum(a_grid * p_a, axis=-2))       # (C, modes, G)
         else:
-            if proj.ndim == 4:
-                proj = proj @ a.conj()                           # v = P a^*
-            self.target_gain = detection.projected_gain(a, proj)  # c = a^T v
             gain = self.target_gain[..., None]                   # the one grid angle
         valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
         self.degenerate = ~valid.any(axis=-1)                    # (C, modes)
@@ -503,7 +493,7 @@ class _PointEngine:
             # a^H A P a^* = (a^H a)(a^T v) = M c
             self.sig = plan.m * gain
             # coef[c, n, mode] = v_c[n]
-            self.coef = np.swapaxes(proj, 1, 2)
+            self.coef = np.swapaxes(v, 1, 2)
             self.scale = scale
             self.basis = None
 
@@ -599,26 +589,23 @@ def _range_trials(plan: ExperimentPlan) -> int:
     channels few enough that the range's set-up, one per draw, takes at
     most _BLOCK_ELEMENTS entries.
 
-    With the scan a draw takes M^2 (K + modes) entries for the (K, M, M)
-    projectors and the modes' stacked (modes, M, M) projectors; at the
-    target angle alone, M (K + modes) for the (K, M) vectors P a^* and the
-    modes' stacked (modes, M) ones (`_stacked_modes` with x = a^*).  Both
-    add 5M - 1 per (mode, angle).  With the scan that is what the engine
+    A draw takes M^2 (K + modes) entries for the (K, M, M) projectors and
+    the modes' stacked (modes, M, M) projectors (`_stacked_modes`), and
+    5M - 1 per (mode, angle).  With the scan that is what the engine
     allocates: the (modes, M, G) products P a_g^* the gains are formed
     from, the real (modes, 4M - 3, G) scaled basis and the (modes, G) gains
     and scales; its (M^2, modes x (2M - 1)) coefficients are small beside
     the basis.  At the target angle alone (G = 1) the engine holds only the
-    gain, the scale and the echo term per mode, and its (M, modes)
-    coefficients are a view of the stacked vectors, so there the term
-    bounds the set-up with room to spare: 724 draws for the fig3 at-angle
-    redrawn plan, 2 for its scan on a 0.5 degree grid.
+    (modes, M) vectors P a^*, of which its coefficients are a view, and the
+    gain, the scale and the echo term per mode, so there the term bounds
+    the set-up with room to spare: 403 draws for the fig3 at-angle redrawn
+    plan, 2 for its scan on a 0.5 degree grid.
     """
     rows = _tile_rows(plan)
     if plan.channel_mode == CHANNEL_FIXED:
         return rows
     n_modes, grid = len(_mode_labels(plan)), len(plan.theta_grid())
-    per_vector = plan.m ** 2 if plan.scan else plan.m
-    per_draw = per_vector * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
+    per_draw = plan.m ** 2 * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
     return max(1, min(rows, _BLOCK_ELEMENTS // per_draw))
 
 
@@ -648,9 +635,8 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     and false alarms (points, pfa, modes), degenerate trials (points,
     modes)) and, for redrawn channels, the target gains of the trial ranges
     whose first point block is here, in order, a list of (count, modes)
-    arrays: the theory needs nothing else of a draw.  At the target angle
-    alone a range is set up from the vectors P a^* (`_stacked_modes` with
-    x = a^*), not the projectors.
+    arrays: the theory needs nothing else of a draw.  A range is set up from
+    its draws' projector stack (`_stacked_modes`), with or without the scan.
 
     Each call owns one buffer of uniforms, allocated here for the largest
     of its tiles, so a worker thread (one call each) draws into its own
@@ -671,7 +657,6 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     alphas = [math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db]
     redrawn = engine is None
     gains, drawn = [], None
-    x = None if plan.scan else radar.steering_vector(plan.m, plan.theta_target).conj()
     noise_shape, noise_var = _noise_shape(plan)
     # Doubles per row: the two hypotheses' noise records, each padded to
     # whole Philox counter steps of 4 words.
@@ -683,7 +668,7 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     for first, count, lo, end in tiles:
         if redrawn and first != drawn:
             h = _channels(plan, first, count, keys=keys)
-            engine, drawn = _PointEngine(plan, _stacked_modes(plan, h, x)[0]), first
+            engine, drawn = _PointEngine(plan, _stacked_modes(plan, h)[0]), first
             if lo == 0:
                 gains.append(engine.target_gain)
         ranges = [(_NOISE_STREAM + hypothesis, i, first, count)
@@ -869,8 +854,8 @@ def mean_selected_gap_db(
     rngs = [rng_substream(plan.master_seed, _REDRAW_BASE + r) for r in range(n_redraws)]
     h = sharing.channel_matrices(rngs, plan.k, plan.n_bs, plan.m)
     a = radar.steering_vector(plan.m, plan.theta_target)
-    v = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h, a.conj())[0]
-    gain = detection.projected_gain(a, v[:, 0])
+    proj = _stacked_modes(replace(plan, waveform_modes=(MODE_NSP_SELECTED,)), h)[0]
+    gain = detection.direction_gain(a, proj[:, 0])
     zero = int(np.count_nonzero(gain <= 0))
     if zero:
         raise ValueError(

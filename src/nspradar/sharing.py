@@ -6,8 +6,8 @@ A projector onto a channel's null space needs only an orthonormal basis of
 its N_BS rows, so for N_BS < M it is built by Gram-Schmidt; the SVD's rank
 rule stays exact, as a certificate from the Gram-Schmidt residuals sends
 every channel it cannot prove full rank to the SVD (`null_projectors`).
-Where only P x is needed for one vector x, `null_projections` takes the
-same route and never forms P for a channel that Gram-Schmidt certifies."""
+Every set-up, of fixed and of redrawn channels, with and without the scan,
+takes its (..., M, M) projector stack from that one call."""
 
 from __future__ import annotations
 
@@ -73,48 +73,21 @@ def null_projectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix's result depends on that matrix alone, not on the stack it sits
     in.
     """
-    return _null_space(h, None)
-
-
-def null_projections(h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P x for the null-space projectors P of a (..., N_BS, M) stack of
-    channel matrices and an M-vector x: shaped (..., M), with the nullities
-    (...).
-
-    The rank rule, the certificate and the SVD fallback are
-    `null_projectors`'; a channel the certificate passes gives
-    x - W^H (W x) from its orthonormal rows W, without forming P, and
-    every other channel P x from its SVD projector.
-    """
-    return _null_space(h, np.asarray(x, dtype=complex))
-
-
-def _null_space(h: np.ndarray, x: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """`null_projectors` (x None) or `null_projections` of the stack h."""
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or not 0 < h.shape[-2] < h.shape[-1] or not np.all(np.isfinite(h)):
-        return _svd_projectors(h, x)
+        return _svd_projectors(h)
     n_bs, m = h.shape[-2:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w, bound = _orthonormal_rows(h)
-    if x is None:
-        out = np.broadcast_to(np.eye(m, dtype=complex), w.shape[:-2] + (m, m)).copy()
-        for i in range(n_bs):
-            out -= w[..., i, :, None].conj() * w[..., i, None, :]
-    else:
-        # W^H (W x) as a running sum over the rows, in row order: no
-        # (..., N_BS, M) temporary.
-        wx = w @ x
-        s = w[..., 0, :].conj() * wx[..., 0, None]
-        for i in range(1, n_bs):
-            s += w[..., i, :].conj() * wx[..., i, None]
-        out = x - s
+    p = np.broadcast_to(np.eye(m, dtype=complex), w.shape[:-2] + (m, m)).copy()
+    for i in range(n_bs):
+        p -= w[..., i, :, None].conj() * w[..., i, None, :]
     nullity = np.full(h.shape[:-2], m - n_bs)
     # max(N_BS, M) = M here; a nan bound (an all-zero matrix) fails too.
     fallback = ~(bound > 2 * _RANK_TOL_FACTOR * m)
     if fallback.any():
-        out[fallback], nullity[fallback] = _svd_projectors(h[fallback], x)
-    return out, nullity
+        p[fallback], nullity[fallback] = _svd_projectors(h[fallback])
+    return p, nullity
 
 
 def _orthonormal_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,13 +113,11 @@ def _orthonormal_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, bound
 
 
-def _svd_projectors(h: np.ndarray, x: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _svd_projectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`null_projectors` by the SVD H = U diag(s) V^H: P = V_null V_null^H
-    from the trailing M - q right singular vectors; P x instead of P for
-    an M-vector x.  Raises ValueError for a stack that is not (..., N, M)
-    with N, M >= 1 or holds a non-finite entry, and NumericFailure where
-    the SVD does not converge."""
+    from the trailing M - q right singular vectors.  Raises ValueError for
+    a stack that is not (..., N, M) with N, M >= 1 or holds a non-finite
+    entry, and NumericFailure where the SVD does not converge."""
     if h.ndim < 2 or h.shape[-2] < 1 or h.shape[-1] < 1:
         raise ValueError(f"expected a (..., n, m) matrix stack, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
@@ -163,8 +134,7 @@ def _svd_projectors(h: np.ndarray, x: np.ndarray | None = None
     # V with its first q columns zeroed, so that each matrix of the stack
     # keeps its own rank.
     v_null = v * (np.arange(m) >= q[..., None])[..., None, :]
-    p = v_null @ np.swapaxes(v_null.conj(), -1, -2)
-    return (p if x is None else p @ x), m - q
+    return v_null @ np.swapaxes(v_null.conj(), -1, -2), m - q
 
 
 def select_by_nullity(nullity: np.ndarray) -> np.ndarray:

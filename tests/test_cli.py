@@ -562,13 +562,17 @@ class TestRun:
          "entries, more than 4194304"),
         ("n_bs = 1000000000000\n", "n_bs = 1000000000000, k = 5"),
         ("m = 1000000\nl = 1000000\n", "at m = 1000000, n_bs = 2"),
+        ("scan = true\nm = 300\nl = 300\ntrials = 5\nsnr_db = [0.0]\n",
+         "its projectors and the scan's coefficients at m = 300, n_bs = 2, k = 5 and "
+         "2 modes take 108453000 entries, more than 4194304"),
     ], ids=["huge-trials", "tiny-scan-step", "tiny-redrawn-scan-step",
-            "huge-k", "huge-n-bs", "huge-m"])
+            "huge-k", "huge-n-bs", "huge-m", "huge-m-scan"])
     def test_plan_too_large_for_memory_exit_code(self, tmp_path, text, message):
         # The first used to build tile lists until memory ran out, the
         # next two the scan grid (1.31 TiB, and 13.4 GiB of redrawn set-up),
         # and the huge sizes one channel draw or its projectors (116 TiB,
-        # 291 TiB and 14.6 TiB): exit 1 at best.
+        # 291 TiB and 14.6 TiB): exit 1 at best.  The last one's draw and
+        # projectors fit, but the scan's coefficients took 1.61 GiB.
         self._assert_capped_run_rejects(tmp_path, text, message)
 
     def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -4,11 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from nspradar.errors import ConfigurationError, NumericFailure
 from nspradar.numerics import rng_substream
-from nspradar.radar import orthogonal_waveforms, steering_vector
+from nspradar.radar import orthogonal_waveforms
 from nspradar.sharing import (
     _svd_projectors,
     channel_matrices,
-    null_projections,
     null_projectors,
     residual_interference,
     select_by_nullity,
@@ -246,53 +245,6 @@ def _channel_stack(rng, t, k, n_bs, m):
     s[:, 1:] = s[:, :1] * 1e-6
     h[:, 2] = (u * s[:, None, :]) @ vh
     return h
-
-
-class TestNullProjections:
-    """`null_projections` (x - W^H (W x) for the channels Gram-Schmidt
-    certifies, the SVD projector times x for the rest) against the
-    projectors times x."""
-
-    @given(
-        m=st.sampled_from([1, 2, 3, 4, 8]),
-        n_bs=st.integers(1, 9),
-        theta=st.floats(-np.pi / 2, np.pi / 2),
-        scale=st.sampled_from([1e-300, 1.0, 1e300]),
-        seed=st.integers(0, 10**6),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_projector_times_vector(self, m, n_bs, theta, scale, seed):
-        # A stack of random channels, an all-zero one and a rank-one one
-        # (both go to the SVD), for the engine's x = a^* at an angle.
-        rng = np.random.default_rng(seed)
-        h = complex_normal(rng, (5, 3, n_bs, m))
-        h[:, 1] = 0
-        h[:, 2] = h[:, 2, :1] * rng.standard_normal((5, n_bs, 1))
-        h *= scale
-        x = steering_vector(m, theta).conj()
-        v, nullity = null_projections(h, x)
-        p, want_nullity = null_projectors(h)
-        assert v.shape == (5, 3, m)
-        np.testing.assert_array_equal(nullity, want_nullity)
-        np.testing.assert_allclose(v, p @ x, rtol=0, atol=1e-15 * m)
-
-    def test_certified_channels_take_no_svd(self, monkeypatch):
-        # Rayleigh channels pass the certificate: no SVD, and v is x itself
-        # less its part in the rows' span.
-        import nspradar.sharing as sharing
-
-        def fail(*args):
-            raise AssertionError("SVD called")
-
-        h = channel_matrices([rng_substream(3, 4)], 5, 2, 4)
-        x = steering_vector(4, 0.3).conj()
-        monkeypatch.setattr(sharing, "_svd_projectors", fail)
-        v, nullity = null_projections(h, x)
-        assert np.all(nullity == 2)
-        np.testing.assert_allclose(h @ v[..., None], 0, rtol=0, atol=1e-14)
-        # v - x lies in the rows' span, orthogonal to v.
-        np.testing.assert_allclose(np.sum((v - x).conj() * v, axis=-1), 0,
-                                   rtol=0, atol=1e-14)
 
 
 class TestStackedSharing:
