@@ -202,7 +202,8 @@ def main() -> int:
                              "repeat to compare trees (default: change=src)")
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out-dir", default=".", help="where BENCH_<pr>.json goes")
+    parser.add_argument("--out-dir", default=".",
+                        help="where BENCH_<pr>.json goes; made if missing")
     parser.add_argument("--runs", nargs="+", choices=(*RUNS, "all"),
                         default=list(DEFAULT_RUNS),
                         help=f"runs to time (default: {' '.join(DEFAULT_RUNS)}; "
@@ -210,6 +211,14 @@ def main() -> int:
                              "and fig3-redrawn-scan)")
     args = parser.parse_args()
     names = list(RUNS) if "all" in args.runs else list(dict.fromkeys(args.runs))
+    # Made before the first run, so that an unusable --out-dir fails at once
+    # rather than after every run.
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out-dir {args.out_dir}: {exc}")
+    if not os.access(args.out_dir, os.W_OK):
+        parser.error(f"--out-dir {args.out_dir}: not writable")
 
     trees = dict(t.split("=", 1) for t in (args.tree or ["change=src"]))
     runs = {(label, p): [] for label in trees for p in names}

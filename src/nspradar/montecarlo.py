@@ -11,11 +11,14 @@ itself.  At the target angle alone the statistic sees E0 only through
 w = E0^T a^*, since a^H E0 P a^* = w^T P a^* for every P, and
 w ~ CN(0, M I); those trials draw the M-vector w.
 
-Noise comes from one Philox stream per hypothesis under the master seed,
-and the SNR index is the substream (counter word 2, numpy's
-`Philox.jumped`).  Trial t reads a fixed-width record at a fixed offset of
-its point's substream, so results are independent of tiling, execution
-order and worker count.  Redrawn channels are records of one stream too,
+Noise comes from one Philox stream under the master seed, and the SNR
+index is the substream (counter word 2, numpy's `Philox.jumped`).  Trial t
+reads a fixed-width record at a fixed offset of its point's substream, so
+results are independent of tiling, execution order and worker count.  Both
+hypotheses read that record: a trial's H0 echo is its H1 echo without the
+target (alpha = 0), common random numbers across the hypothesis pair.
+Each tally keeps its binomial law, and a row's detection and false-alarm
+tallies are dependent.  Redrawn channels are records of one stream too,
 but of its substream 0 alone: trial t reads record t at every SNR point.
 A stream is its key and a counter: each worker's tile loop derives the
 keys of the stream kinds it reads once (`numerics.stream_key`), and each
@@ -27,7 +30,7 @@ The engine is the only form of the detector here.  Its test oracle in
 tests/oracles.py runs the explicit pipeline one trial at a time on the
 echo noise N = E0 X, from draws and projectors of its own.  At the target
 angle it lifts w to E0 = a w^T / M + (I - a a^H / M) G, with G from
-streams 4 + hypothesis, which no sweep reads.
+stream 4, which no sweep reads.
 
 The detector is one GLRT maximized over `ExperimentPlan.theta_grid()`: the
 scan grid, or the target angle alone when the scan is off.
@@ -76,11 +79,12 @@ The sweep is one loop over tiles (`_tiles`), in both channel modes.  A tile
 is a rectangle of the (SNR point, trial) rows, (first trial, count, first
 point, end point): a trial range of n trials, n the trials per point up to
 `_range_trials`, times a block of as many points as fit `_tile_rows` rows.
-A tile's noise, both hypotheses of all of its rows, is one
+A tile's noise, one record per row, is one
 `numerics.complex_normal_ranges` draw into its thread's buffer of
 uniforms, allocated once for the largest tile; each hypothesis's
-statistics are one (points, n) block (`_PointEngine.statistics`), each
-point with its own amplitude, and its tallies one sum over the trial axis.
+statistics are one (points, n) block on that noise
+(`_PointEngine.statistics`), under H1 each point with its own amplitude
+and under H0 with none, and its tallies one sum over the trial axis.
 A fixed channel's engine is shared by every tile.  With redrawn channels a
 trial range is drawn and set up once (C = n draws: one stacked set-up and
 one engine), and each of its point blocks runs against that engine; the
@@ -132,23 +136,23 @@ CHANNEL_FIXED = "fixed-per-experiment"
 CHANNEL_REDRAWN = "redrawn-per-trial"
 
 # Streams under the master seed, one per kind; the SNR index is the
-# substream of the noise kinds:
+# substream of the noise kind:
 #   0                    fixed-per-experiment channels (acceptance seeds are
 #                        pinned to this draw);
 #   1                    redrawn channels: record t of substream 0 holds
 #                        trial t's K channels, shared by every SNR point;
-#   2 + hypothesis       noise (E0 with the scan, w without it), one
-#                        fixed-width record per trial;
-#   4 + hypothesis       reserved: only the lift of w to E0 in the test
-#                        oracle (tests/oracles.py) draws them;
+#   2                    noise (E0 with the scan, w without it), one
+#                        fixed-width record per trial, read under both
+#                        hypotheses;
+#   4                    reserved: only the lift of w to E0 in the test
+#                        oracle (tests/oracles.py) draws it;
 #   _REDRAW_BASE + r     channel redraws of mean_selected_gap_db (pinned
 #                        like stream 0).
+# Ids 3 and 5 are unused.
 _CHANNEL_STREAM = 0
 _TRIAL_CHANNEL_STREAM = 1
 _NOISE_STREAM = 2
 _REDRAW_BASE = 2**62
-_H1 = 0
-_H0 = 1
 
 _WILSON_Z = 1.959963984540054  # 95%
 # A tile holds at most _CHUNK rows, the per-row arrays it holds whole take
@@ -591,21 +595,25 @@ def _range_trials(plan: ExperimentPlan) -> int:
 
     A draw takes M^2 (K + modes) entries for the (K, M, M) projectors and
     the modes' stacked (modes, M, M) projectors (`_stacked_modes`), and
-    5M - 1 per (mode, angle).  With the scan that is what the engine
-    allocates: the (modes, M, G) products P a_g^* the gains are formed
-    from, the real (modes, 4M - 3, G) scaled basis and the (modes, G) gains
-    and scales; its (M^2, modes x (2M - 1)) coefficients are small beside
-    the basis.  At the target angle alone (G = 1) the engine holds only the
-    (modes, M) vectors P a^*, of which its coefficients are a view, and the
-    gain, the scale and the echo term per mode, so there the term bounds
-    the set-up with room to spare: 403 draws for the fig3 at-angle redrawn
-    plan, 2 for its scan on a 0.5 degree grid.
+    5M - 1 per (mode, angle): with the scan, the (modes, M, G) products
+    P a_g^* the engine forms the gains from, its real (modes, 4M - 3, G)
+    scaled basis and the (modes, G) gains and scales.  The scan engine also
+    holds its (M^2, modes x (2M - 1)) coefficients, M^2 modes (2M - 1)
+    entries, the largest part on a coarse grid: 31200 against 594
+    per-angle entries for two modes at M = 20 on a 90 degree grid.  At the
+    target angle alone (G = 1) the engine holds only the (modes, M) vectors
+    P a^*, of which its coefficients are a view, and the gain, the scale
+    and the echo term per mode, so there the term bounds the set-up with
+    room to spare: 403 draws for the fig3 at-angle redrawn plan, 2 for its
+    scan on a 0.5 degree grid and 10 on a 2 degree grid.
     """
     rows = _tile_rows(plan)
     if plan.channel_mode == CHANNEL_FIXED:
         return rows
     n_modes, grid = len(_mode_labels(plan)), len(plan.theta_grid())
     per_draw = plan.m ** 2 * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
+    if plan.scan:
+        per_draw += plan.m ** 2 * n_modes * (2 * plan.m - 1)
     return max(1, min(rows, _BLOCK_ELEMENTS // per_draw))
 
 
@@ -640,13 +648,15 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
 
     Each call owns one buffer of uniforms, allocated here for the largest
     of its tiles, so a worker thread (one call each) draws into its own
-    memory and no tile allocates it again.  A tile's noise, both
-    hypotheses of all of its points, is one `complex_normal_ranges` draw
-    into the buffer; redrawn channels are drawn into memory of their own,
-    which the engine may keep.  The Philox keys of the stream kinds the
-    tiles read (the two noise streams, and the redrawn-channel stream) are
-    derived once, before the first tile; the SNR indices are substreams of
-    the noise streams.
+    memory and no tile allocates it again.  A tile's noise, one record per
+    row of all of its points, is one `complex_normal_ranges` draw into the
+    buffer, and both hypotheses read it: the detections are the statistics
+    with the points' amplitudes, the false alarms those with amplitude 0,
+    and neither `_PointEngine.statistics` call writes to the noise.
+    Redrawn channels are drawn into memory of their own, which the engine
+    may keep.  The Philox keys of the stream kinds the tiles read (the
+    noise stream, and the redrawn-channel stream) are derived once, before
+    the first tile; the SNR indices are substreams of the noise stream.
     """
     thresholds = np.array([detection.chi2_central_inv(1 - p)
                            for p in plan.pfa_list])[:, None, None]
@@ -658,12 +668,11 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     redrawn = engine is None
     gains, drawn = [], None
     noise_shape, noise_var = _noise_shape(plan)
-    # Doubles per row: the two hypotheses' noise records, each padded to
-    # whole Philox counter steps of 4 words.
+    # Doubles per row: its noise record, padded to whole Philox counter
+    # steps of 4 words.
     buffer = np.empty(max(count * (end - lo) for _, count, lo, end in tiles)
-                      * 2 * record_words(noise_shape))
-    kinds = [_NOISE_STREAM + _H1, _NOISE_STREAM + _H0]
-    kinds += [_TRIAL_CHANNEL_STREAM] if redrawn else []
+                      * record_words(noise_shape))
+    kinds = [_NOISE_STREAM] + ([_TRIAL_CHANNEL_STREAM] if redrawn else [])
     keys = {kind: stream_key(plan.master_seed, kind) for kind in kinds}
     for first, count, lo, end in tiles:
         if redrawn and first != drawn:
@@ -671,16 +680,15 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
             engine, drawn = _PointEngine(plan, _stacked_modes(plan, h)[0]), first
             if lo == 0:
                 gains.append(engine.target_gain)
-        ranges = [(_NOISE_STREAM + hypothesis, i, first, count)
-                  for hypothesis in (_H1, _H0) for i in range(lo, end)]
+        ranges = [(_NOISE_STREAM, i, first, count) for i in range(lo, end)]
         noise = complex_normal_ranges(plan.master_seed, ranges, noise_shape, noise_var,
                                       buffer=buffer, keys=keys)
-        noise = noise.reshape((2, end - lo, count) + noise_shape)
+        noise = noise.reshape((end - lo, count) + noise_shape)
         # (points, pfa, modes) sums over the trials, taken with the trials
         # last in memory: a bool sum along a middle axis took 6 times as
         # long.  Degenerate columns read 0, below every threshold.
-        for tally, s in ((detections, engine.statistics(noise[0], alphas[lo:end])),
-                         (false_alarms, engine.statistics(noise[1], 0.0))):
+        for tally, alpha in ((detections, alphas[lo:end]), (false_alarms, 0.0)):
+            s = engine.statistics(noise, alpha)
             s = np.ascontiguousarray(s.swapaxes(1, 2))[:, None]
             tally[lo:end] += (s > thresholds).sum(axis=-1)
         degenerate[lo:end] += np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)

@@ -194,29 +194,29 @@ def glrt(y: np.ndarray, x_tx: np.ndarray, grid) -> tuple[float, float, bool]:
     return float(stats[best]), float(grid[valid[best]]), False
 
 
-def noise_block(plan, snr_index: int, hypothesis: int, first: int, count: int):
+def noise_block(plan, snr_index: int, first: int, count: int):
     """The sweep's noise records of trials [first, first + count) of an SNR
-    point under one hypothesis (H1 = 0, H0 = 1), records of stream
-    2 + hypothesis: E0, (count, M, M) of i.i.d. CN(0, 1) entries, with the
-    scan; w = E0^T a^*, (count, M) of i.i.d. CN(0, M) entries, without it."""
+    point, records of stream 2, which both hypotheses read: E0, (count, M, M)
+    of i.i.d. CN(0, 1) entries, with the scan; w = E0^T a^*, (count, M) of
+    i.i.d. CN(0, M) entries, without it."""
     m = plan.m
     shape, variance = ((m, m), 1.0) if plan.scan else ((m,), float(m))
     return complex_normal_ranges_reference(
-        plan.master_seed, [(2 + hypothesis, snr_index, first, count)], shape, variance)
+        plan.master_seed, [(2, snr_index, first, count)], shape, variance)
 
 
-def noise_e0(plan, snr_index: int, hypothesis: int, first: int, count: int):
-    """E0 of trials [first, first + count) of an SNR point under one
-    hypothesis, (count, M, M) of i.i.d. CN(0, 1) entries: the records of
-    `noise_block` with the scan.  At the target angle alone those records
-    are w = E0^T a^*, and E0 = G + a (w^T - a^H G) / M with G from stream
-    4 + hypothesis, so that E0^T a^* = w as a^T a^* = M."""
-    records = noise_block(plan, snr_index, hypothesis, first, count)
+def noise_e0(plan, snr_index: int, first: int, count: int):
+    """E0 of trials [first, first + count) of an SNR point, (count, M, M) of
+    i.i.d. CN(0, 1) entries: the records of `noise_block` with the scan.  At
+    the target angle alone those records are w = E0^T a^*, and
+    E0 = G + a (w^T - a^H G) / M with G from stream 4, so that E0^T a^* = w
+    as a^T a^* = M."""
+    records = noise_block(plan, snr_index, first, count)
     if plan.scan:
         return records
     m = plan.m
     g = complex_normal_ranges_reference(
-        plan.master_seed, [(4 + hypothesis, snr_index, first, count)], (m, m))
+        plan.master_seed, [(4, snr_index, first, count)], (m, m))
     a = steering_vector(m, plan.theta_target)
     return g + a[:, None] * ((records - a.conj() @ g) / m)[:, None, :]
 
@@ -227,7 +227,8 @@ def run_trial(plan, snr_index: int, trial: int) -> dict:
     the sweep's mode order: the trial's channels, their projectors, the
     brute-force selection on X = `orthogonal_waveforms`, and `glrt` over
     `plan.theta_grid()` on each mode's echo Y = alpha A P X + E0 X, E0 from
-    `noise_e0`."""
+    `noise_e0`.  The H0 echo is the H1 echo with alpha = 0: the same
+    noise."""
     m, grid = plan.m, plan.theta_grid()
     x = orthogonal_waveforms(m, plan.l)
     a = steering_vector(m, plan.theta_target)
@@ -236,13 +237,13 @@ def run_trial(plan, snr_index: int, trial: int) -> dict:
              "nsp-selected": projs[brute_force_argmin_norms(projs, x)[0]]}
     labels = [label for mode in plan.waveform_modes for label in
               (list(modes)[1:-1] if mode == "nsp-per-bs" else [mode])]
-    noise = [noise_e0(plan, snr_index, hyp, trial, 1)[0] @ x for hyp in (0, 1)]
+    noise = noise_e0(plan, snr_index, trial, 1)[0] @ x
     alpha = math.sqrt(10 ** (plan.snr_grid_db[snr_index] / 10))
     out = {}
     for label in labels:
         x_tx = modes[label] @ x
-        s1, theta, degenerate = glrt(alpha * np.outer(a, a) @ x_tx + noise[0], x_tx, grid)
-        out[label] = (s1, glrt(noise[1], x_tx, grid)[0], theta, degenerate)
+        s1, theta, degenerate = glrt(alpha * np.outer(a, a) @ x_tx + noise, x_tx, grid)
+        out[label] = (s1, glrt(noise, x_tx, grid)[0], theta, degenerate)
     return out
 
 

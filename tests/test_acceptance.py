@@ -100,7 +100,7 @@ class TestAcceptance:
         engine = montecarlo._PointEngine(plan, modes)
         stats = np.empty(n)
         for start in range(0, n, 10_000):
-            noise = oracles.noise_block(plan, 0, montecarlo._H0, start, 10_000)
+            noise = oracles.noise_block(plan, 0, start, 10_000)
             stats[start:start + 10_000] = engine.statistics(noise, 0.0)[:, 0]
         ks = scipy_stats.kstest(stats, scipy_stats.chi2(2).cdf).statistic
         ok = ks < 0.01

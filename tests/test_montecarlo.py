@@ -400,10 +400,10 @@ class TestEngineOracle:
         proj = montecarlo._stacked_modes(plan, h)[0]
         engine = montecarlo._PointEngine(plan, proj)
         alpha = math.sqrt(10 ** (6.0 / 10))
-        e1 = oracles.noise_block(plan, 1, montecarlo._H1, 0, 8)
-        e0 = oracles.noise_block(plan, 1, montecarlo._H0, 0, 8)
-        s1 = engine.statistics(e1, alpha)
-        s0 = engine.statistics(e0, 0.0)
+        # Both hypotheses read the same records.
+        noise = oracles.noise_block(plan, 1, 0, 8)
+        s1 = engine.statistics(noise, alpha)
+        s0 = engine.statistics(noise, 0.0)
         for mi, (label, _) in enumerate(montecarlo._mode_labels(plan)):
             for t in range(8):
                 want = oracles.run_trial(plan, 1, t)[label]
@@ -452,7 +452,7 @@ class TestScanKernel:
         proj = montecarlo._stacked_modes(
             plan, montecarlo._channels(plan, 0, rows))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = oracles.noise_block(plan, 1, montecarlo._H1, 0, rows)
+        noise = oracles.noise_block(plan, 1, 0, rows)
         for alpha in (0.0, math.sqrt(10 ** (6.0 / 10))):
             want = self._direct(plan, proj, noise, alpha)
             np.testing.assert_allclose(engine.statistics(noise, alpha), want,
@@ -468,7 +468,7 @@ class TestScanKernel:
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = oracles.noise_block(plan, 0, montecarlo._H1, 0, 100)
+        noise = oracles.noise_block(plan, 0, 0, 100)
         engine.statistics(noise, 1.0)
         tracemalloc.start()
         try:
@@ -490,7 +490,7 @@ class TestScanKernel:
         assert rows == 2000
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = oracles.noise_block(plan, 0, montecarlo._H1, 0, rows)
+        noise = oracles.noise_block(plan, 0, 0, rows)
         # 100-row calls, each one block: no row depends on its block.
         want = np.concatenate([engine.statistics(noise[lo:lo + 100], 1.0)
                                for lo in range(0, rows, 100)])
@@ -613,6 +613,36 @@ class TestNoiseDraws:
         assert montecarlo._tiles(plan)[:4] == [(0, 10, 0, 2), (0, 10, 2, 4),
                                                (0, 10, 4, 5), (10, 10, 0, 2)]
 
+    def test_redrawn_scan_range_counts_the_scan_coefficients(self):
+        # M = 20 on a 90 degree grid (3 angles): the engine's
+        # (M^2, modes x (2M - 1)) coefficients, 31200 entries a draw, outweigh
+        # its 594 per-angle entries, so they bound the range: 3 draws, where
+        # leaving them out gave 38 (coefficients of 1185600 entries).
+        plan = tiny_plan(m=20, l=20, k=5, scan=True, theta_step_deg=90.0,
+                         channel_mode=CHANNEL_REDRAWN)
+        n = montecarlo._range_trials(plan)
+        assert n == 3
+        proj, _, p, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, n))
+        tracemalloc.start()
+        try:
+            engine = montecarlo._PointEngine(plan, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = p.size + proj.size + engine.coef.size + engine.basis.size
+        assert held <= montecarlo._BLOCK_ELEMENTS
+        # At most one complex entry of 16 bytes per budget entry.
+        assert peak <= 16 * montecarlo._BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("config, draws", [
+        ({}, 403), ({"scan": True}, 2), ({"scan": True, "theta_step_deg": 2.0}, 10),
+    ], ids=["at-angle", "scan-0.5", "scan-2"])
+    def test_fig3_redrawn_trial_ranges(self, config, draws):
+        # The fig3 preset's redrawn trial ranges, at the target angle and
+        # with the scan on a 0.5 and a 2 degree grid.
+        plan = ExperimentPlan(**cli.PRESETS["fig3"], **config, channel_mode=CHANNEL_REDRAWN)
+        assert montecarlo._range_trials(plan) == draws
+
     def test_scan_budget_keeps_100_trial_points_whole(self):
         # The fig4 scan plan.  A fixed-channel tile is sized by the per-row
         # entries that do not grow with the grid, and the engine takes its
@@ -638,32 +668,31 @@ class TestNoiseDraws:
             assert a.columns[name].tobytes() == b.columns[name].tobytes()
 
     def test_stream_ids_do_not_collide(self, monkeypatch):
-        # One id per kind: the fixed channel, the redrawn channels, the noise
-        # under each hypothesis, and 4 and 5, reserved for the test oracle's
+        # One id per kind: the fixed channel, the redrawn channels, the noise,
+        # which both hypotheses read, and 4, reserved for the test oracle's
         # lift; the mean-gap redraws _REDRAW_BASE + r lie above them all.  The
-        # SNR index is a substream of the noise kinds, not part of an id.
+        # SNR index is a substream of the noise kind, not part of an id.
         kinds = [montecarlo._CHANNEL_STREAM, montecarlo._TRIAL_CHANNEL_STREAM,
-                 *(montecarlo._NOISE_STREAM + hyp for hyp in (montecarlo._H1, montecarlo._H0)),
-                 4, 5]
-        assert sorted(kinds) == list(range(6))
+                 montecarlo._NOISE_STREAM, 4]
+        assert sorted(kinds) == [0, 1, 2, 4]
         assert max(kinds) < montecarlo._REDRAW_BASE <= 2**64 - 2**32
         # The record ranges (stream, substream, first, count) of a redrawn
         # tile of trials [5, 7) at points 3 and 4: the channels of substream
-        # 0, then the noise of each point's substream, hypothesis by
-        # hypothesis.
+        # 0, then the noise of each point's substream, once for both
+        # hypotheses.
         read = []
         draw = montecarlo.complex_normal_ranges
         monkeypatch.setattr(montecarlo, "complex_normal_ranges", lambda seed, ranges, *args,
                             **kwargs: read.append(ranges) or draw(seed, ranges, *args, **kwargs))
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, snr_grid_db=(0.0, 1.0, 2.0, 3.0, 4.0))
         montecarlo._run_tiles(plan, [(5, 2, 3, 5)], None)
-        assert read == [[(1, 0, 5, 2)], [(2, 3, 5, 2), (2, 4, 5, 2), (3, 3, 5, 2), (3, 4, 5, 2)]]
+        assert read == [[(1, 0, 5, 2)], [(2, 3, 5, 2), (2, 4, 5, 2)]]
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_at_angle_noise_is_cn_0_m_identity(self, m):
         # w = E0^T a^* ~ CN(0, M I): power M, circular, uncorrelated entries.
         plan = tiny_plan(m=m, trials_per_point=20_000)
-        w = oracles.noise_block(plan, 0, montecarlo._H1, 0, 20_000)
+        w = oracles.noise_block(plan, 0, 0, 20_000)
         n = len(w)
         assert w.shape == (n, m)
         # |w_i|^2 / M is Exp(1) (standard deviation 1).
@@ -681,14 +710,14 @@ class TestNoiseDraws:
     def test_lifted_noise_matches_w_and_has_iid_unit_entries(self):
         plan = tiny_plan(trials_per_point=20_000)
         m, n = plan.m, 20_000
-        w = oracles.noise_block(plan, 1, montecarlo._H0, 0, n)
-        e0 = oracles.noise_e0(plan, 1, montecarlo._H0, 0, n)
+        w = oracles.noise_block(plan, 1, 0, n)
+        e0 = oracles.noise_e0(plan, 1, 0, n)
         assert e0.shape == (n, m, m)
         a = radar.steering_vector(m, plan.theta_target)
         np.testing.assert_allclose(np.einsum("tmn,m->tn", e0, a.conj()), w,
                                    rtol=0, atol=1e-12)
         # One trial's lift is the block's row: run_trial reads count = 1.
-        one = oracles.noise_e0(plan, 1, montecarlo._H0, 17, 1)[0]
+        one = oracles.noise_e0(plan, 1, 17, 1)[0]
         assert one.tobytes() == e0[17].tobytes()
         # vec(E0) ~ CN(0, I): unit power per entry, and no correlation or
         # pseudo-correlation between entries.  As for w, re and im of the
@@ -706,16 +735,15 @@ class TestNoiseDraws:
             assert np.all(np.abs(part.imag) < 5 * sd)
 
     @pytest.mark.parametrize("scan", [False, True])
-    @pytest.mark.parametrize("hypothesis", [montecarlo._H1, montecarlo._H0])
-    def test_oracle_noise_block_is_the_sweeps_draw(self, scan, hypothesis):
+    def test_oracle_noise_block_is_the_sweeps_draw(self, scan):
         # The engine's tests read `oracles.noise_block`: the records the
         # sweep draws, bit for bit, from the oracle's own generators.
         plan = tiny_plan(scan=scan)
         first, count = 9_000, 1_000
         got = montecarlo.complex_normal_ranges(
-            plan.master_seed, [(montecarlo._NOISE_STREAM + hypothesis, 1, first, count)],
+            plan.master_seed, [(montecarlo._NOISE_STREAM, 1, first, count)],
             *montecarlo._noise_shape(plan))
-        want = oracles.noise_block(plan, 1, hypothesis, first, count)
+        want = oracles.noise_block(plan, 1, first, count)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_redrawn_block_equals_per_trial_channels(self):
@@ -1024,7 +1052,7 @@ class TestRunExperiment:
     def test_keys_are_derived_once_per_worker(self, channel_mode, workers, trials,
                                               monkeypatch):
         # Each _run_tiles call derives the key of each stream kind it reads
-        # once: the two noise streams, and the redrawn-channel stream.  No
+        # once: the noise stream, and the redrawn-channel stream.  No
         # draw derives a key, except the fixed channel's stream 0 through
         # rng_substream.  Neither count grows with the trials per point or
         # the tiles.
@@ -1040,7 +1068,7 @@ class TestRunExperiment:
                          snr_grid_db=(0.0, 3.0, 6.0, 9.0))
         monkeypatch.setattr(montecarlo, "_CHUNK", 10)
         run_experiment(plan, workers=workers)
-        kinds = [2, 3] + [1] * (channel_mode == CHANNEL_REDRAWN)
+        kinds = [2] + [1] * (channel_mode == CHANNEL_REDRAWN)
         assert sorted(calls["sweep"]) == sorted(kinds * workers)
         assert calls["draw"] == [0] * (channel_mode == CHANNEL_FIXED)
 
@@ -1048,7 +1076,7 @@ class TestRunExperiment:
     def test_keys_are_derived_for_exactly_the_tiles_streams(self, channel_mode,
                                                             monkeypatch):
         # Tiles of points 0 and 2 alone: the keys are those of the noise
-        # kinds (and the redrawn-channel kind), each derived once, and every
+        # kind (and the redrawn-channel kind), each derived once, and every
         # draw passes them in.  The noise draws read substreams 0 and 2
         # alone, none of point 1's, and the redrawn channels substream 0.
         derived, read = [], []
@@ -1073,7 +1101,7 @@ class TestRunExperiment:
             h = montecarlo._channels(plan, 0, 1)
             engine = montecarlo._PointEngine(plan, montecarlo._stacked_modes(plan, h)[0])
         montecarlo._run_tiles(plan, [tiles[0], tiles[2], tiles[3]], engine)
-        want = [1] * (channel_mode == CHANNEL_REDRAWN) + [2, 3]
+        want = [1] * (channel_mode == CHANNEL_REDRAWN) + [2]
         assert sorted(derived) == want
         assert {stream_id for stream_id, *_ in read} == set(want)
         assert {substream for stream_id, substream, *_ in read if stream_id > 1} == {0, 2}
@@ -1167,6 +1195,39 @@ class TestRunExperiment:
         assert len(tiles) > 1 and len(sizes) > 1
         _assert_same_result(run_experiment(plan), want)
 
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"channel_mode": CHANNEL_REDRAWN}, {"scan": True},
+        {"channel_mode": CHANNEL_REDRAWN, "scan": True, "theta_step_deg": 2.0},
+    ], ids=["fixed", "redrawn", "scan", "redrawn-scan"])
+    def test_hypotheses_share_each_trials_noise(self, kwargs):
+        # At -1000 and -400 dB the echo adds nothing a double holds to the
+        # noise's statistic, so with both hypotheses reading one record per
+        # trial every row's detections are its false alarms.
+        plan = ExperimentPlan(**{**cli.PRESETS["fig3"], **kwargs,
+                                 "snr_grid_db": (-1000.0, -400.0), "pfa_list": (0.1, 0.5),
+                                 "trials_per_point": 200})
+        c = run_experiment(plan).columns
+        assert c["detections"].tobytes() == c["false_alarms"].tobytes()
+        assert c["false_alarms"][:, 1].all()   # P_FA = 0.5: not vacuous
+
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_FIXED, CHANNEL_REDRAWN])
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1))
+    def test_false_alarms_are_binomial_on_any_seed(self, channel_mode, seed):
+        # At the target angle each mode's H0 statistic is chi-squared with 2
+        # dof whatever the channel, and its points read independent
+        # substreams, so its false alarms pooled over the points are
+        # Binomial(points x trials, P_FA): within 4 sigma of the mean.
+        plan = ExperimentPlan(**{**cli.PRESETS["fig3"], "master_seed": seed,
+                                 "snr_grid_db": tuple(range(-10, 20, 3)),
+                                 "pfa_list": (0.1, 0.01), "trials_per_point": 500,
+                                 "channel_mode": channel_mode})
+        c = run_experiment(plan).columns
+        n = len(plan.snr_grid_db) * plan.trials_per_point
+        pfa = np.array(plan.pfa_list)[:, None]
+        pooled = c["false_alarms"].sum(axis=0)                 # (pfa, modes)
+        assert (np.abs(pooled - n * pfa) <= 4 * np.sqrt(n * pfa * (1 - pfa))).all()
+
     def test_pfa_sweep_orders_detection(self):
         plan = tiny_plan(
             snr_grid_db=(3.0,), pfa_list=(0.1, 1e-3), trials_per_point=2000,
@@ -1206,6 +1267,9 @@ class TestRunExperiment:
 # nsp-selected at both points, nsp-bs2 at 0 dB) were re-read, each by
 # 1 ulp to the "redrawn-scan" value, when at-angle redrawn tiles came to be
 # set up from the projectors, whose P a^* the scan's target gains read too.
+# Every false-alarm tally was re-read when both hypotheses came to read one
+# noise record per trial, the H0 echo being the H1 echo without the target
+# (same law, new realization); no other entry moved.
 # Any other change to the streams, the selection or the
 # arithmetic shows here.
 GOLDEN_PLAN = dict(
@@ -1215,74 +1279,74 @@ GOLDEN_PLAN = dict(
 GOLDEN = {
     "fixed": {
         "orthogonal": [
-            (29, 3, 0, 0.5440529562566051, 0.8152917144245608),
-            (40, 4, 0, 0.9786015642681981, 0.9998694333859738),
+            (29, 5, 0, 0.5440529562566051, 0.8152917144245608),
+            (40, 5, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (24, 2, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 4, 0, 0.8725422122131623, 0.9985294586036594),
+            (24, 4, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 7, 0, 0.8725422122131623, 0.9985294586036594),
         ],
         "nsp-bs2": [
-            (19, 6, 0, 0.31152110018807877, 0.6577181694816085),
-            (40, 4, 0, 0.7723090242273174, 0.9958529653201275),
+            (19, 4, 0, 0.31152110018807877, 0.6577181694816085),
+            (40, 5, 0, 0.7723090242273174, 0.9958529653201275),
         ],
         "nsp-selected": [
-            (24, 2, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 4, 0, 0.8725422122131623, 0.9985294586036594),
+            (24, 4, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 7, 0, 0.8725422122131623, 0.9985294586036594),
         ],
     },
     "scan": {
         "orthogonal": [
-            (36, 25, 0, 0.5440529562566051, 0.8152917144245608),
+            (36, 24, 0, 0.5440529562566051, 0.8152917144245608),
             (40, 29, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (34, 27, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 25, 0, 0.8725422122131623, 0.9985294586036594),
+            (34, 21, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 23, 0, 0.8725422122131623, 0.9985294586036594),
         ],
         "nsp-bs2": [
-            (36, 22, 0, 0.31152110018807877, 0.6577181694816085),
-            (40, 23, 0, 0.7723090242273174, 0.9958529653201275),
+            (36, 24, 0, 0.31152110018807877, 0.6577181694816085),
+            (40, 25, 0, 0.7723090242273174, 0.9958529653201275),
         ],
         "nsp-selected": [
-            (34, 27, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 25, 0, 0.8725422122131623, 0.9985294586036594),
+            (34, 21, 0, 0.3783434868292714, 0.7149767374024333),
+            (40, 23, 0, 0.8725422122131623, 0.9985294586036594),
         ],
     },
     "redrawn": {
         "orthogonal": [
-            (29, 3, 0, 0.5440529562566051, 0.8152917144245608),
-            (40, 4, 0, 0.9786015642681981, 0.9998694333859738),
+            (29, 5, 0, 0.5440529562566051, 0.8152917144245608),
+            (40, 5, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (20, 4, 0, 0.2558544198798436, 0.5421437843795188),
-            (34, 2, 0, 0.5708131994295309, 0.914491812727577),
+            (20, 2, 0, 0.2558544198798436, 0.5421437843795188),
+            (34, 3, 0, 0.5708131994295309, 0.914491812727577),
         ],
         "nsp-bs2": [
-            (20, 6, 0, 0.21415447769751678, 0.48251746803556117),
+            (20, 4, 0, 0.21415447769751678, 0.48251746803556117),
             (37, 4, 0, 0.46080839478626984, 0.8958055238513838),
         ],
         "nsp-selected": [
-            (20, 4, 0, 0.2558544198798436, 0.5421437843795188),
-            (34, 2, 0, 0.5708131994295309, 0.914491812727577),
+            (20, 2, 0, 0.2558544198798436, 0.5421437843795188),
+            (34, 3, 0, 0.5708131994295309, 0.914491812727577),
         ],
     },
     "redrawn-scan": {
         "orthogonal": [
-            (36, 25, 0, 0.5440529562566051, 0.8152917144245608),
+            (36, 24, 0, 0.5440529562566051, 0.8152917144245608),
             (40, 29, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
-            (30, 27, 0, 0.2558544198798436, 0.5421437843795188),
-            (39, 23, 0, 0.5708131994295309, 0.914491812727577),
+            (30, 20, 0, 0.2558544198798436, 0.5421437843795188),
+            (39, 24, 0, 0.5708131994295309, 0.914491812727577),
         ],
         "nsp-bs2": [
-            (31, 23, 0, 0.21415447769751678, 0.48251746803556117),
-            (39, 23, 0, 0.46080839478626984, 0.8958055238513838),
+            (31, 25, 0, 0.21415447769751678, 0.48251746803556117),
+            (39, 25, 0, 0.46080839478626984, 0.8958055238513838),
         ],
         "nsp-selected": [
-            (30, 27, 0, 0.2558544198798436, 0.5421437843795188),
-            (39, 23, 0, 0.5708131994295309, 0.914491812727577),
+            (30, 20, 0, 0.2558544198798436, 0.5421437843795188),
+            (39, 24, 0, 0.5708131994295309, 0.914491812727577),
         ],
     },
 }

@@ -70,6 +70,32 @@ def test_bench_presets_smoke(monkeypatch, tmp_path):
     assert scans == {"fig4-scan"}
 
 
+def test_bench_presets_makes_a_missing_out_dir(monkeypatch, tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = tmp_path / "new" / "dir"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_presets.py", "--pr", "0", "--trials", "2", "--repeats", "1",
+        "--tree", f"change={src}", "--out-dir", str(out), "--runs", "fig3"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert list(json.loads((out / "BENCH_0.json").read_text())["trees"]["change"]) == ["fig3"]
+
+
+def test_bench_presets_rejects_an_unusable_out_dir_before_any_run(monkeypatch, tmp_path,
+                                                                    capsys):
+    # A file where the directory should go: exit 2 before the first run.
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setattr(sys, "argv", [
+        "bench_presets.py", "--pr", "0", "--trials", "2", "--repeats", "1",
+        "--out-dir", str(tmp_path / "taken"), "--runs", "fig3"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"), run_name="__main__")
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "run " not in out and "--out-dir" in err
+
+
 def _mark_resolved(parent_s, change_s):
     mark = runpy.run_path(os.path.join(SCRIPTS, "bench_presets.py"))["mark_resolved"]
     results = {label: {"fig4": {"runs_s": runs, "wall_s": statistics.median(runs)}}
