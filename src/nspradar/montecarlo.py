@@ -11,15 +11,19 @@ itself.  At the target angle alone the statistic sees E0 only through
 w = E0^T a^*, since a^H E0 P a^* = w^T P a^* for every P, and
 w ~ CN(0, M I); those trials draw the M-vector w.
 
-Noise comes from one Philox stream under the master seed, and the SNR
-index is the substream (counter word 2, numpy's `Philox.jumped`).  Trial t
-reads a fixed-width record at a fixed offset of its point's substream, so
-results are independent of tiling, execution order and worker count.  Both
-hypotheses read that record: a trial's H0 echo is its H1 echo without the
-target (alpha = 0), common random numbers across the hypothesis pair.
-Each tally keeps its binomial law, and a row's detection and false-alarm
-tallies are dependent.  Redrawn channels are records of one stream too,
-but of its substream 0 alone: trial t reads record t at every SNR point.
+Noise comes from one Philox stream under the master seed.  Trial t reads
+the fixed-width record t of its substream 0 (word 2 of the Philox counter
+at 0, numpy's `Philox.jumped`) at every SNR point, so results are
+independent of tiling, execution order and worker count.  Both
+hypotheses read that record too: a trial's H0 echo is its H1 echo
+without the target (alpha = 0).  These are common random numbers across
+the hypothesis pair and across the curve (Glasserman, "Monte Carlo
+Methods in Financial Engineering", 2003, sec. 4.2).  Each tally keeps its
+binomial law; a row's detection and false-alarm tallies are dependent,
+adjacent points' detections are positively correlated, and the false
+alarms of a (mode, P_FA) are one H0 sample repeated on every SNR row,
+since H0 has no SNR.  Redrawn channels are records of substream 0 of one stream too:
+trial t reads record t at every SNR point.
 A stream is its key and a counter: each worker's tile loop derives the
 keys of the stream kinds it reads once (`numerics.stream_key`), and each
 draw sets a generator's key and counter per record range
@@ -71,30 +75,31 @@ A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 Philox stream: trial t reads the fixed-width record t, its K channels of
 i.i.d. CN(0, 1) entries, whatever its SNR point.  So every point sees the
 same channel draws, as every point of a fixed channel does: common random
-numbers (Glasserman, "Monte Carlo Methods in Financial Engineering", 2003,
-sec. 4.2).  Each point's tallies keep their law, and adjacent points'
-tallies are positively correlated.
+numbers, as the noise records are (above).
 
 The sweep is one loop over tiles (`_tiles`), in both channel modes.  A tile
 is a rectangle of the (SNR point, trial) rows, (first trial, count, first
 point, end point): a trial range of n trials, n the trials per point up to
 `_range_trials`, times a block of as many points as fit `_tile_rows` rows.
-A tile's noise, one record per row, is one
-`numerics.complex_normal_ranges` draw into its thread's buffer of
-uniforms, allocated once for the largest tile; each hypothesis's
-statistics are one (points, n) block on that noise
-(`_PointEngine.statistics`), under H1 each point with its own amplitude
-and under H0 with none, and its tallies one sum over the trial axis.
-A fixed channel's engine is shared by every tile.  With redrawn channels a
-trial range is drawn and set up once (C = n draws: one stacked set-up and
-one engine), and each of its point blocks runs against that engine; the
-engine holds no view of the buffer that the blocks' noise overwrites.
+A trial range is handled once, at its first tile: its noise, one record
+per trial, is one `numerics.complex_normal_ranges` draw into its thread's
+buffer of uniforms, allocated once for the longest range; the engine forms
+its noise numerators once (`_PointEngine.numerators`), and its H0
+statistics and false-alarm tallies once, which every point of each of its
+point blocks adds.  A point block's H1 statistics are then one (points, n)
+block of those numerators plus each point's amplitude times the echo term
+(`_PointEngine.statistics`), and its detections one sum over the trial
+axis.  A fixed channel's engine is shared by every tile.  With redrawn
+channels a trial range is drawn and set up at its first tile too (C = n
+draws: one stacked set-up and one engine), and each of its point blocks
+runs against that engine; neither the engine nor the numerators hold a
+view of the buffer that the next range's noise overwrites.
 With workers, threads run contiguous runs of tiles through the same loop
 (one `_run_tiles` call each); a trial range whose point blocks land in two
-threads is set up in both, from the same records and so with the same
-bits.  Every row reads its own noise record and its trial's channel
-record, and a channel's projector does not depend on the stack it sits in,
-so no tile size changes an output.
+threads is drawn and set up in both, from the same records and so with
+the same bits.  Every trial reads its own noise and channel records
+whatever its point, and a channel's projector does not depend on the
+stack it sits in, so no tile size changes an output.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t alone, one (C, modes) array that every
@@ -135,15 +140,15 @@ _KNOWN_MODES = (MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED)
 CHANNEL_FIXED = "fixed-per-experiment"
 CHANNEL_REDRAWN = "redrawn-per-trial"
 
-# Streams under the master seed, one per kind; the SNR index is the
-# substream of the noise kind:
+# Streams under the master seed, one per kind; the sweep reads substream 0
+# of each, whatever the SNR point:
 #   0                    fixed-per-experiment channels (acceptance seeds are
 #                        pinned to this draw);
-#   1                    redrawn channels: record t of substream 0 holds
-#                        trial t's K channels, shared by every SNR point;
-#   2                    noise (E0 with the scan, w without it), one
-#                        fixed-width record per trial, read under both
-#                        hypotheses;
+#   1                    redrawn channels: record t holds trial t's K
+#                        channels, shared by every SNR point;
+#   2                    noise (E0 with the scan, w without it): record t
+#                        holds trial t's, read at every SNR point under
+#                        both hypotheses;
 #   4                    reserved: only the lift of w to E0 in the test
 #                        oracle (tests/oracles.py) draws it;
 #   _REDRAW_BASE + r     channel redraws of mean_selected_gap_db (pinned
@@ -432,12 +437,13 @@ class _PointEngine:
         n_g = sum_{s=0}^{2M-2} d_s z_g^s,
 
     d holding the anti-diagonal sums of E.  d is linear in E0: with one
-    channel draw (C = 1) a tile of T rows takes one
-    (T, M^2) @ (M^2, modes x (2M - 1)) product for all modes, across its
-    SNR points; with C = n draws trial t of every point is evaluated
-    against draw t.  The echo's anti-diagonal sums (`sig`, those of A P)
-    scale by one alpha for all rows of a point, so `statistics` adds them
-    once per point, broadcast over its trials.
+    channel draw (C = 1) a trial range of n trials takes one
+    (n, M^2) @ (M^2, modes x (2M - 1)) product for all modes
+    (`numerators`), which every SNR point reads; with C = n draws trial t
+    is evaluated against draw t.  The echo's anti-diagonal sums (`sig`,
+    those of A P) scale by one alpha for all trials of a point, so a
+    point's numerators are the noise's plus alpha `sig`, broadcast over
+    its trials, and under H0 the noise's alone.
     The numerator's power is then a real trigonometric polynomial in phi_g,
 
         |n_g|^2 = r_0 + 2 sum_{k=1}^{2M-2} (Re r_k cos k phi_g - Im r_k sin k phi_g),
@@ -447,7 +453,7 @@ class _PointEngine:
     2 / (M c_g), so the scaled statistics are one real product of the rows'
     (4M - 3) autocorrelation coefficients per mode.  The grid is
     `plan.theta_grid()`.  At the target angle alone the numerator's noise
-    term is w^T v with v = P a^*, and the product is (T, M) @ (M, modes) on
+    term is w^T v with v = P a^*, and the product is (n, M) @ (M, modes) on
     the noise vectors w.  That set-up reads only v and the gain
     c = a^T v (`detection.projected_gain`): c gives the scale and the
     degenerate flags, and the echo term is M c.  Both forms first reduce
@@ -501,36 +507,38 @@ class _PointEngine:
             self.scale = scale
             self.basis = None
 
-    def statistics(self, noise: np.ndarray, alpha) -> np.ndarray:
+    def numerators(self, noise: np.ndarray) -> np.ndarray:
+        """The numerators of n trials' noise records under H0, the noise
+        product `noise @ coef`: shape (n, modes, 1) at the target angle
+        alone (its one grid angle), (n, modes, 2M - 1) with the scan (the
+        anti-diagonal sums of E0 P), for noise of shape (n,) + record
+        (`_noise_shape`).  With C = n channel draws trial t is read against
+        draw t.  Under H1 the numerators are these plus alpha times the
+        echo term `sig`, which broadcasts against them for one draw and for
+        C = n alike."""
+        n = len(noise)
+        if len(self.coef) == 1:
+            g = noise.reshape(n, -1) @ self.coef[0]
+        else:
+            g = (noise.reshape(n, 1, -1) @ self.coef)[:, 0]
+        return g.reshape((n,) + self.sig.shape[1:])
+
+    def statistics(self, g: np.ndarray) -> np.ndarray:
         """Scaled GLRT statistics, the maximum over the grid, of a block of
-        rows: shape lead + (modes,) for noise of shape lead + record
-        (`_noise_shape`).  A tile's block is (P, n), P SNR points' noise
-        over the same n trials; with C = n channel draws trial t is read
-        against draw t, and with one draw (C = 1) any leading shape goes.
-        `alpha`, the echo amplitude, broadcasts against the leading axes:
-        the P points' amplitudes of a (P, n) block, or one for every row.
-        The numerators (the scan's anti-diagonal sums) get alpha times the
-        echo term `sig`.  The scan then evaluates the scaled power's
-        trigonometric polynomial at every grid angle as one real product
-        per draw and mode, no per-angle complex array being built: rows
-        taken in groups of C, one per draw, are one
+        numerators (`numerators`, plus alpha `sig` under H1): shape
+        lead + (modes,).  The last axes of lead are the trials, read
+        against the C draws as `numerators` reads them: a (P, n) block of
+        P SNR points over the same n trials, or n trials alone.  The scan
+        evaluates the scaled power's trigonometric polynomial at every grid
+        angle as one real product per draw and mode, no per-angle complex
+        array being built: rows taken in groups of C, one per draw, are one
         (C, modes, groups, 4M - 3) @ (C, modes, 4M - 3, G) product, G
         being the number of grid angles.  The polynomial's terms, that
         product and its maximum over the grid run block by block into the
         one output, _BLOCK_ELEMENTS // (C modes G) groups a block (rows
-        with one draw, points with C = n), so no tile size grows the
+        with one draw, points with C = n), so no block size grows the
         grid-sized temporary.  Columns of degenerate modes
         (`self.degenerate`) read 0."""
-        lead = noise.shape[:noise.ndim - (1 if self.basis is None else 2)]
-        if len(self.coef) == 1:
-            g = noise.reshape(math.prod(lead), -1) @ self.coef[0]
-        else:
-            g = (noise.reshape(lead + (1, -1)) @ self.coef)[..., 0, :]
-        g = g.reshape(lead + self.sig.shape[1:])
-        alpha = np.asarray(alpha, dtype=float)
-        # alpha = 0 (H0) would add zeros.
-        if alpha.any():
-            g += alpha.reshape(alpha.shape + (1,) * (g.ndim - alpha.ndim)) * self.sig
         if self.basis is None:
             power = g.real ** 2
             power += g.imag ** 2
@@ -574,12 +582,15 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     that the per-row arrays the tile holds whole take at most
     _BLOCK_ELEMENTS entries.
 
-    A tile is the unit of draws, statistics and tallies.  With the scan the
-    engine forms the (modes, G) statistic arrays of the grid product in
-    blocks of its own (`_PointEngine.statistics`), G being the number of
-    grid angles, so the budget counts the per-row entries that do not grow
-    with the grid: with the scan, the (modes, 2M - 1) anti-diagonal sums
-    and the (modes, 4M - 3) autocorrelation terms, 6M - 4 entries per mode,
+    A tile is the unit of the H1 statistics and the detection tallies; its
+    trial range's noise, numerators and H0 statistics are formed once, for
+    all of the range's tiles (`_run_tiles`), and take fewer entries than
+    one tile: n <= `_tile_rows` trials.  With the scan the engine forms the
+    (modes, G) statistic arrays of the grid product in blocks of its own
+    (`_PointEngine.statistics`), G being the number of grid angles, so the
+    budget counts the per-row entries that do not grow with the grid: with
+    the scan, the (modes, 2M - 1) anti-diagonal sums and the (modes, 4M - 3)
+    autocorrelation terms, 6M - 4 entries per mode,
     which gives the fig4 scan plan 2000 rows, 20 whole 100-trial points per
     tile; at the target angle alone, the (modes,) statistics.
     """
@@ -646,17 +657,21 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     arrays: the theory needs nothing else of a draw.  A range is set up from
     its draws' projector stack (`_stacked_modes`), with or without the scan.
 
-    Each call owns one buffer of uniforms, allocated here for the largest
-    of its tiles, so a worker thread (one call each) draws into its own
-    memory and no tile allocates it again.  A tile's noise, one record per
-    row of all of its points, is one `complex_normal_ranges` draw into the
-    buffer, and both hypotheses read it: the detections are the statistics
-    with the points' amplitudes, the false alarms those with amplitude 0,
-    and neither `_PointEngine.statistics` call writes to the noise.
-    Redrawn channels are drawn into memory of their own, which the engine
-    may keep.  The Philox keys of the stream kinds the tiles read (the
-    noise stream, and the redrawn-channel stream) are derived once, before
-    the first tile; the SNR indices are substreams of the noise stream.
+    A trial range is handled once, at its first tile here: every point
+    reads trial t's noise record t of substream 0 of the noise stream, so
+    its noise is one `complex_normal_ranges` draw, its numerators one
+    `_PointEngine.numerators` product, and its H0 statistics and
+    false-alarm tallies one pass on them, added to every point of each of
+    its point blocks.  A point block's detections are the statistics of
+    the numerators plus its points' amplitudes times the engine's echo
+    term; no statistics call writes to the numerators.  Each call owns one
+    buffer of uniforms, allocated here for the longest of its trial
+    ranges, so a worker thread (one call each) draws into its own memory
+    and no range allocates it again; the numerators are an array of their
+    own, and redrawn channels are drawn into memory of their own, which the
+    engine may keep.  The Philox keys of the stream kinds the tiles read
+    (the noise stream, and the redrawn-channel stream) are derived once,
+    before the first tile.
     """
     thresholds = np.array([detection.chi2_central_inv(1 - p)
                            for p in plan.pfa_list])[:, None, None]
@@ -664,36 +679,47 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     detections = np.zeros((n_points, len(plan.pfa_list), n_modes), dtype=np.int64)
     false_alarms = np.zeros_like(detections)
     degenerate = np.zeros((n_points, n_modes), dtype=np.int64)
-    alphas = [math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db]
+    # Each point's amplitude, against a trial range's (trials, modes, 1)
+    # numerators, or (trials, modes, 2M - 1) with the scan.
+    alphas = np.array([math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db])
+    alphas = alphas[:, None, None, None]
     redrawn = engine is None
     gains, drawn = [], None
     noise_shape, noise_var = _noise_shape(plan)
-    # Doubles per row: its noise record, padded to whole Philox counter
+    # Doubles per trial: its noise record, padded to whole Philox counter
     # steps of 4 words.
-    buffer = np.empty(max(count * (end - lo) for _, count, lo, end in tiles)
-                      * record_words(noise_shape))
+    buffer = np.empty(max(count for _, count, _, _ in tiles) * record_words(noise_shape))
     kinds = [_NOISE_STREAM] + ([_TRIAL_CHANNEL_STREAM] if redrawn else [])
     keys = {kind: stream_key(plan.master_seed, kind) for kind in kinds}
     for first, count, lo, end in tiles:
-        if redrawn and first != drawn:
-            h = _channels(plan, first, count, keys=keys)
-            engine, drawn = _PointEngine(plan, _stacked_modes(plan, h)[0]), first
-            if lo == 0:
-                gains.append(engine.target_gain)
-        ranges = [(_NOISE_STREAM, i, first, count) for i in range(lo, end)]
-        noise = complex_normal_ranges(plan.master_seed, ranges, noise_shape, noise_var,
-                                      buffer=buffer, keys=keys)
-        noise = noise.reshape((end - lo, count) + noise_shape)
-        # (points, pfa, modes) sums over the trials, taken with the trials
-        # last in memory: a bool sum along a middle axis took 6 times as
-        # long.  Degenerate columns read 0, below every threshold.
-        for tally, alpha in ((detections, alphas[lo:end]), (false_alarms, 0.0)):
-            s = engine.statistics(noise, alpha)
-            s = np.ascontiguousarray(s.swapaxes(1, 2))[:, None]
-            tally[lo:end] += (s > thresholds).sum(axis=-1)
+        if first != drawn:
+            if redrawn:
+                h = _channels(plan, first, count, keys=keys)
+                engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
+                if lo == 0:
+                    gains.append(engine.target_gain)
+            noise = complex_normal_ranges(plan.master_seed,
+                                          [(_NOISE_STREAM, 0, first, count)],
+                                          noise_shape, noise_var, buffer=buffer, keys=keys)
+            g0 = engine.numerators(noise)
+            range_false_alarms = _tally(engine.statistics(g0), thresholds)
+            drawn = first
+        detections[lo:end] += _tally(engine.statistics(g0 + alphas[lo:end] * engine.sig),
+                                     thresholds)
+        false_alarms[lo:end] += range_false_alarms
         degenerate[lo:end] += np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
     return {"detections": detections, "false_alarms": false_alarms,
             "degenerate": degenerate, "gains": gains}
+
+
+def _tally(s: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Threshold crossings of (..., trials, modes) statistics s, summed
+    over the trials: (..., pfa, modes) for the (pfa, 1, 1) thresholds.
+    The sum runs with the trials last in memory: a bool sum along a middle
+    axis took 6 times as long.  Degenerate columns read 0, below every
+    threshold."""
+    s = np.ascontiguousarray(s.swapaxes(-1, -2))[..., None, :, :]
+    return (s > thresholds).sum(axis=-1)
 
 
 def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:

@@ -100,8 +100,8 @@ class TestAcceptance:
         engine = montecarlo._PointEngine(plan, modes)
         stats = np.empty(n)
         for start in range(0, n, 10_000):
-            noise = oracles.noise_block(plan, 0, start, 10_000)
-            stats[start:start + 10_000] = engine.statistics(noise, 0.0)[:, 0]
+            noise = oracles.noise_block(plan, start, 10_000)
+            stats[start:start + 10_000] = engine.statistics(engine.numerators(noise))[:, 0]
         ks = scipy_stats.kstest(stats, scipy_stats.chi2(2).cdf).statistic
         ok = ks < 0.01
         for pfa in (0.1, 0.01, 0.001):

@@ -400,10 +400,10 @@ class TestEngineOracle:
         proj = montecarlo._stacked_modes(plan, h)[0]
         engine = montecarlo._PointEngine(plan, proj)
         alpha = math.sqrt(10 ** (6.0 / 10))
-        # Both hypotheses read the same records.
-        noise = oracles.noise_block(plan, 1, 0, 8)
-        s1 = engine.statistics(noise, alpha)
-        s0 = engine.statistics(noise, 0.0)
+        # Both hypotheses read the same records, whatever the SNR point.
+        g0 = engine.numerators(oracles.noise_block(plan, 0, 8))
+        s1 = engine.statistics(g0 + alpha * engine.sig)
+        s0 = engine.statistics(g0)
         for mi, (label, _) in enumerate(montecarlo._mode_labels(plan)):
             for t in range(8):
                 want = oracles.run_trial(plan, 1, t)[label]
@@ -452,11 +452,11 @@ class TestScanKernel:
         proj = montecarlo._stacked_modes(
             plan, montecarlo._channels(plan, 0, rows))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = oracles.noise_block(plan, 1, 0, rows)
+        noise = oracles.noise_block(plan, 0, rows)
         for alpha in (0.0, math.sqrt(10 ** (6.0 / 10))):
             want = self._direct(plan, proj, noise, alpha)
-            np.testing.assert_allclose(engine.statistics(noise, alpha), want,
-                                       rtol=1e-12, atol=0)
+            got = engine.statistics(engine.numerators(noise) + alpha * engine.sig)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         if degenerate:
             assert engine.degenerate[:, 1:].all() and not engine.degenerate[:, 0].any()
 
@@ -468,11 +468,11 @@ class TestScanKernel:
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = oracles.noise_block(plan, 0, 0, 100)
-        engine.statistics(noise, 1.0)
+        g = engine.numerators(oracles.noise_block(plan, 0, 100)) + engine.sig
+        engine.statistics(g)
         tracemalloc.start()
         try:
-            engine.statistics(noise, 1.0)
+            engine.statistics(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -490,13 +490,13 @@ class TestScanKernel:
         assert rows == 2000
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
         engine = montecarlo._PointEngine(plan, proj)
-        noise = oracles.noise_block(plan, 0, 0, rows)
+        g = engine.numerators(oracles.noise_block(plan, 0, rows)) + engine.sig
         # 100-row calls, each one block: no row depends on its block.
-        want = np.concatenate([engine.statistics(noise[lo:lo + 100], 1.0)
+        want = np.concatenate([engine.statistics(g[lo:lo + 100])
                                for lo in range(0, rows, 100)])
         tracemalloc.start()
         try:
-            got = engine.statistics(noise, 1.0)
+            got = engine.statistics(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -647,8 +647,8 @@ class TestNoiseDraws:
         # The fig4 scan plan.  A fixed-channel tile is sized by the per-row
         # entries that do not grow with the grid, and the engine takes its
         # grid product in row blocks of its own, so a tile packs many whole
-        # points and a sweep pays the per-tile draw, statistics and tally
-        # calls a few times rather than once per point.
+        # points and a sweep pays the per-tile statistics and tally calls a
+        # few times rather than once per point.
         plan = tiny_plan(scan=True, k=5, trials_per_point=100,
                          snr_grid_db=tuple(range(-10, 31)),
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
@@ -671,14 +671,15 @@ class TestNoiseDraws:
         # One id per kind: the fixed channel, the redrawn channels, the noise,
         # which both hypotheses read, and 4, reserved for the test oracle's
         # lift; the mean-gap redraws _REDRAW_BASE + r lie above them all.  The
-        # SNR index is a substream of the noise kind, not part of an id.
+        # SNR index is neither part of an id nor a substream: every point
+        # reads each trial's records.
         kinds = [montecarlo._CHANNEL_STREAM, montecarlo._TRIAL_CHANNEL_STREAM,
                  montecarlo._NOISE_STREAM, 4]
         assert sorted(kinds) == [0, 1, 2, 4]
         assert max(kinds) < montecarlo._REDRAW_BASE <= 2**64 - 2**32
         # The record ranges (stream, substream, first, count) of a redrawn
         # tile of trials [5, 7) at points 3 and 4: the channels of substream
-        # 0, then the noise of each point's substream, once for both
+        # 0, then the noise of substream 0, once for both points and both
         # hypotheses.
         read = []
         draw = montecarlo.complex_normal_ranges
@@ -686,13 +687,13 @@ class TestNoiseDraws:
                             **kwargs: read.append(ranges) or draw(seed, ranges, *args, **kwargs))
         plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, snr_grid_db=(0.0, 1.0, 2.0, 3.0, 4.0))
         montecarlo._run_tiles(plan, [(5, 2, 3, 5)], None)
-        assert read == [[(1, 0, 5, 2)], [(2, 3, 5, 2), (2, 4, 5, 2)]]
+        assert read == [[(1, 0, 5, 2)], [(2, 0, 5, 2)]]
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_at_angle_noise_is_cn_0_m_identity(self, m):
         # w = E0^T a^* ~ CN(0, M I): power M, circular, uncorrelated entries.
         plan = tiny_plan(m=m, trials_per_point=20_000)
-        w = oracles.noise_block(plan, 0, 0, 20_000)
+        w = oracles.noise_block(plan, 0, 20_000)
         n = len(w)
         assert w.shape == (n, m)
         # |w_i|^2 / M is Exp(1) (standard deviation 1).
@@ -710,14 +711,14 @@ class TestNoiseDraws:
     def test_lifted_noise_matches_w_and_has_iid_unit_entries(self):
         plan = tiny_plan(trials_per_point=20_000)
         m, n = plan.m, 20_000
-        w = oracles.noise_block(plan, 1, 0, n)
-        e0 = oracles.noise_e0(plan, 1, 0, n)
+        w = oracles.noise_block(plan, 0, n)
+        e0 = oracles.noise_e0(plan, 0, n)
         assert e0.shape == (n, m, m)
         a = radar.steering_vector(m, plan.theta_target)
         np.testing.assert_allclose(np.einsum("tmn,m->tn", e0, a.conj()), w,
                                    rtol=0, atol=1e-12)
         # One trial's lift is the block's row: run_trial reads count = 1.
-        one = oracles.noise_e0(plan, 1, 17, 1)[0]
+        one = oracles.noise_e0(plan, 17, 1)[0]
         assert one.tobytes() == e0[17].tobytes()
         # vec(E0) ~ CN(0, I): unit power per entry, and no correlation or
         # pseudo-correlation between entries.  As for w, re and im of the
@@ -741,9 +742,9 @@ class TestNoiseDraws:
         plan = tiny_plan(scan=scan)
         first, count = 9_000, 1_000
         got = montecarlo.complex_normal_ranges(
-            plan.master_seed, [(montecarlo._NOISE_STREAM, 1, first, count)],
+            plan.master_seed, [(montecarlo._NOISE_STREAM, 0, first, count)],
             *montecarlo._noise_shape(plan))
-        want = oracles.noise_block(plan, 1, first, count)
+        want = oracles.noise_block(plan, first, count)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_redrawn_block_equals_per_trial_channels(self):
@@ -1077,8 +1078,9 @@ class TestRunExperiment:
                                                             monkeypatch):
         # Tiles of points 0 and 2 alone: the keys are those of the noise
         # kind (and the redrawn-channel kind), each derived once, and every
-        # draw passes them in.  The noise draws read substreams 0 and 2
-        # alone, none of point 1's, and the redrawn channels substream 0.
+        # draw passes them in.  Every draw reads substream 0: one noise
+        # range per trial range, whatever its points, and the redrawn
+        # channels of each range.
         derived, read = [], []
         keys = montecarlo.stream_key
         draw = montecarlo.complex_normal_ranges
@@ -1104,8 +1106,9 @@ class TestRunExperiment:
         want = [1] * (channel_mode == CHANNEL_REDRAWN) + [2]
         assert sorted(derived) == want
         assert {stream_id for stream_id, *_ in read} == set(want)
-        assert {substream for stream_id, substream, *_ in read if stream_id > 1} == {0, 2}
-        assert {substream for stream_id, substream, *_ in read if stream_id == 1} <= {0}
+        assert [r for r in read if r[0] == 2] == [(2, 0, 0, 10), (2, 0, 10, 10)]
+        assert [r for r in read if r[0] == 1] == (
+            [(1, 0, 0, 10), (1, 0, 10, 10)] if channel_mode == CHANNEL_REDRAWN else [])
 
     @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 3), (4, 4), (6, 4)])
     def test_selection_is_the_degradation_argmin(self, n_bs, m):
@@ -1210,23 +1213,43 @@ class TestRunExperiment:
         assert c["detections"].tobytes() == c["false_alarms"].tobytes()
         assert c["false_alarms"][:, 1].all()   # P_FA = 0.5: not vacuous
 
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"channel_mode": CHANNEL_REDRAWN}, {"scan": True},
+        {"channel_mode": CHANNEL_REDRAWN, "scan": True, "theta_step_deg": 2.0},
+    ], ids=["fixed", "redrawn", "scan", "redrawn-scan"])
+    def test_every_point_reads_the_same_trial_records(self, kwargs):
+        # Trial t reads its noise and channel records whatever its SNR
+        # point, so a one-point plan at SNR s gives the row at s of any
+        # plan whose grid holds s, byte for byte in every column, and a
+        # mode's false alarms are one H0 sample repeated on every row.
+        plan = ExperimentPlan(**{**cli.PRESETS["fig3"], **kwargs,
+                                 "snr_grid_db": (-4.0, 0.0, 3.0, 7.5), "pfa_list": (0.1, 0.01),
+                                 "trials_per_point": 60})
+        full = run_experiment(plan).columns
+        for i, snr_db in enumerate(plan.snr_grid_db):
+            one = run_experiment(replace(plan, snr_grid_db=(snr_db,))).columns
+            for name, column in full.items():
+                assert one[name][0].tobytes() == column[i].tobytes(), (snr_db, name)
+        for name in ("false_alarms", "pfa_emp", "pfa_ci_lo", "pfa_ci_hi"):
+            assert (full[name] == full[name][:1]).all(), name
+        assert full["false_alarms"].any()
+
     @pytest.mark.parametrize("channel_mode", [CHANNEL_FIXED, CHANNEL_REDRAWN])
     @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1))
     def test_false_alarms_are_binomial_on_any_seed(self, channel_mode, seed):
         # At the target angle each mode's H0 statistic is chi-squared with 2
-        # dof whatever the channel, and its points read independent
-        # substreams, so its false alarms pooled over the points are
-        # Binomial(points x trials, P_FA): within 4 sigma of the mean.
+        # dof whatever the channel.  Every point reads the same H0 trials,
+        # so a mode's false alarms are one Binomial(trials, P_FA) count,
+        # the same on every row: within 4 sigma of its mean.
         plan = ExperimentPlan(**{**cli.PRESETS["fig3"], "master_seed": seed,
                                  "snr_grid_db": tuple(range(-10, 20, 3)),
-                                 "pfa_list": (0.1, 0.01), "trials_per_point": 500,
+                                 "pfa_list": (0.1, 0.01), "trials_per_point": 5000,
                                  "channel_mode": channel_mode})
-        c = run_experiment(plan).columns
-        n = len(plan.snr_grid_db) * plan.trials_per_point
-        pfa = np.array(plan.pfa_list)[:, None]
-        pooled = c["false_alarms"].sum(axis=0)                 # (pfa, modes)
-        assert (np.abs(pooled - n * pfa) <= 4 * np.sqrt(n * pfa * (1 - pfa))).all()
+        fa = run_experiment(plan).columns["false_alarms"]     # (points, pfa, modes)
+        assert (fa == fa[:1]).all()
+        n, pfa = plan.trials_per_point, np.array(plan.pfa_list)[:, None]
+        assert (np.abs(fa[0] - n * pfa) <= 4 * np.sqrt(n * pfa * (1 - pfa))).all()
 
     def test_pfa_sweep_orders_detection(self):
         plan = tiny_plan(
@@ -1269,7 +1292,11 @@ class TestRunExperiment:
 # set up from the projectors, whose P a^* the scan's target gains read too.
 # Every false-alarm tally was re-read when both hypotheses came to read one
 # noise record per trial, the H0 echo being the H1 echo without the target
-# (same law, new realization); no other entry moved.
+# (same law, new realization); no other entry moved.  The 0 dB tallies were
+# re-read when every SNR point came to read trial t's noise record from
+# substream 0, which point 0 (-6 dB) read already (same law, new
+# realization; no -6 dB entry and no theory float moved): each 0 dB false
+# alarm count now equals its -6 dB one, the same H0 trials.
 # Any other change to the streams, the selection or the
 # arithmetic shows here.
 GOLDEN_PLAN = dict(
@@ -1284,33 +1311,33 @@ GOLDEN = {
         ],
         "nsp-bs1": [
             (24, 4, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 7, 0, 0.8725422122131623, 0.9985294586036594),
+            (40, 4, 0, 0.8725422122131623, 0.9985294586036594),
         ],
         "nsp-bs2": [
             (19, 4, 0, 0.31152110018807877, 0.6577181694816085),
-            (40, 5, 0, 0.7723090242273174, 0.9958529653201275),
+            (40, 4, 0, 0.7723090242273174, 0.9958529653201275),
         ],
         "nsp-selected": [
             (24, 4, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 7, 0, 0.8725422122131623, 0.9985294586036594),
+            (40, 4, 0, 0.8725422122131623, 0.9985294586036594),
         ],
     },
     "scan": {
         "orthogonal": [
             (36, 24, 0, 0.5440529562566051, 0.8152917144245608),
-            (40, 29, 0, 0.9786015642681981, 0.9998694333859738),
+            (40, 24, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
             (34, 21, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 23, 0, 0.8725422122131623, 0.9985294586036594),
+            (40, 21, 0, 0.8725422122131623, 0.9985294586036594),
         ],
         "nsp-bs2": [
             (36, 24, 0, 0.31152110018807877, 0.6577181694816085),
-            (40, 25, 0, 0.7723090242273174, 0.9958529653201275),
+            (40, 24, 0, 0.7723090242273174, 0.9958529653201275),
         ],
         "nsp-selected": [
             (34, 21, 0, 0.3783434868292714, 0.7149767374024333),
-            (40, 23, 0, 0.8725422122131623, 0.9985294586036594),
+            (40, 21, 0, 0.8725422122131623, 0.9985294586036594),
         ],
     },
     "redrawn": {
@@ -1320,33 +1347,33 @@ GOLDEN = {
         ],
         "nsp-bs1": [
             (20, 2, 0, 0.2558544198798436, 0.5421437843795188),
-            (34, 3, 0, 0.5708131994295309, 0.914491812727577),
+            (38, 2, 0, 0.5708131994295309, 0.914491812727577),
         ],
         "nsp-bs2": [
             (20, 4, 0, 0.21415447769751678, 0.48251746803556117),
-            (37, 4, 0, 0.46080839478626984, 0.8958055238513838),
+            (33, 4, 0, 0.46080839478626984, 0.8958055238513838),
         ],
         "nsp-selected": [
             (20, 2, 0, 0.2558544198798436, 0.5421437843795188),
-            (34, 3, 0, 0.5708131994295309, 0.914491812727577),
+            (38, 2, 0, 0.5708131994295309, 0.914491812727577),
         ],
     },
     "redrawn-scan": {
         "orthogonal": [
             (36, 24, 0, 0.5440529562566051, 0.8152917144245608),
-            (40, 29, 0, 0.9786015642681981, 0.9998694333859738),
+            (40, 24, 0, 0.9786015642681981, 0.9998694333859738),
         ],
         "nsp-bs1": [
             (30, 20, 0, 0.2558544198798436, 0.5421437843795188),
-            (39, 24, 0, 0.5708131994295309, 0.914491812727577),
+            (38, 20, 0, 0.5708131994295309, 0.914491812727577),
         ],
         "nsp-bs2": [
             (31, 25, 0, 0.21415447769751678, 0.48251746803556117),
-            (39, 25, 0, 0.46080839478626984, 0.8958055238513838),
+            (36, 25, 0, 0.46080839478626984, 0.8958055238513838),
         ],
         "nsp-selected": [
             (30, 20, 0, 0.2558544198798436, 0.5421437843795188),
-            (39, 24, 0, 0.5708131994295309, 0.914491812727577),
+            (38, 20, 0, 0.5708131994295309, 0.914491812727577),
         ],
     },
 }
