@@ -76,10 +76,17 @@ def noncentrality(convention: str, m: int, snr, gain, orthogonal=False):
 def theoretical_pd(rho: float, pfa: float) -> float:
     """P_D = 1 - F_{chi2_2(rho)}( F^-1_{chi2_2}(1 - pfa) )."""
     check_pfa(pfa)
+    return threshold_pd(chi2_central_inv(1.0 - pfa), rho)
+
+
+def threshold_pd(threshold, rho):
+    """P_D = 1 - F_{chi2_2(rho)}(threshold), `theoretical_pd` at the
+    threshold of its P_FA; broadcasts, so that one call covers several
+    thresholds."""
     # The survival function returns nan from rho ~ 1e19, but reads exactly 1
     # at rho = 2 ** 62 for every threshold up to 1490 (a pfa of 1e-300; a pfa
     # just above 2 ** -54 gives 75): P_D is 1 to double precision there.
-    return chi2_noncentral_sf(chi2_central_inv(1.0 - pfa), np.minimum(rho, 2.0**62))
+    return chi2_noncentral_sf(threshold, np.minimum(rho, 2.0**62))
 
 
 def theory_snr_gap_db(m: int, gain: float, convention: str = "calibrated") -> float:

@@ -50,7 +50,13 @@ statistics are one real matrix product per channel draw and mode
 channel, of points with redrawn ones), so that no tile size grows its
 (modes, rows, angles) result.  They agree with the direct per-angle form
 to about 1e-15 relative (less near a null of the direction gain; see
-`_PointEngine`).
+`_PointEngine`).  Most rows need no grid: any grid angle's statistic
+bounds the maximum from below, and a row whose statistic at the anchor,
+the grid angle nearest the target, clears the largest threshold by a
+margin that covers the rounding of both forms is a detection at every
+P_FA.  That statistic is linear in the amplitude before its power, so it
+costs O(rows x modes) per point; the grid runs only for the rows left
+undecided, and every tally is the grid maximum's (`_PointEngine.tally`).
 
 `_channels` draws a (C, K, N_BS, M) stack of channels, and
 `_stacked_modes` sets up the modes and the selection per draw from one
@@ -106,11 +112,12 @@ the per-trial target gains c_t alone, one (C, modes) array that every
 point shares; with a fixed channel that is the value at its one gain.  A
 noncentrality is the point's SNR times a factor of the gain alone, so one
 `np.unique` per convention over the draws' factors serves every point:
-the survival function is evaluated on one (points, distinct factors)
-table, a column that copies another's gains (the selected BS's beside
-nsp-per-bs) costs no evaluation, and a mode whose draws share one
-noncentrality (the orthogonal mode, a fixed channel, no null space) reads
-that value (`_mean_theory_pd`).
+the survival function is one call per convention, every P_FA's
+threshold against one (points, distinct factors) table, a column that
+copies another's gains (the selected BS's beside nsp-per-bs) costs no
+evaluation, and a mode whose draws share one noncentrality (the
+orthogonal mode, a fixed channel, no null space) reads that value
+(`_mean_theory_pd`).
 
 A sweep's result is its columns (`ExperimentResult.columns`): each
 `POINT_FIELDS` field as one (points, pfa, modes) array, the modes in the
@@ -180,6 +187,10 @@ _MAX_TRIALS = 10**6
 # Every set-up forms all of them for one draw at least, 64 MiB of complex
 # entries at this bound; fig5 takes 528, and its scan 2448.
 _MAX_DRAW_ENTRIES = 2**22
+# The scan's early exit counts a row as detected when its anchor statistic
+# exceeds the largest threshold by more than _ANCHOR_MARGIN times its scale
+# and bound (`_PointEngine`, where the bound on the rounding is derived).
+_ANCHOR_MARGIN = 1e-9
 # A scan grid has at most _MAX_SCAN_ANGLES angles, so that one row of one
 # mode's statistics over the grid fits a block.
 _MAX_SCAN_ANGLES = _BLOCK_ELEMENTS
@@ -464,6 +475,52 @@ class _PointEngine:
     the maximizing angle's gain c_g is far below M (near a null of a
     rank-one projector) the power is a small difference of terms of size
     r_0, and the error grows to about 1e-16 M / c_g.
+
+    The early exit (`tally`).  A row's grid maximum is at least its
+    statistic at any one grid angle; the engine takes the anchor k, the
+    grid angle nearest the target, where a detection's statistic is
+    large.  The anchor numerator u = d @ z_k, z_k[s] = z_k^s, is linear in
+    the amplitude, u = u0 + alpha u_sig with u0 = g0 @ z_k and
+    u_sig = `sig` @ z_k.  A (row, mode) with
+
+        scale_k (|u|^2 - 1e-9 B) > t_max,   B = (||g0|| + alpha ||sig||)^2,
+
+    t_max the largest threshold, exceeds every threshold in the grid
+    maximum that `statistics` computes.  The left side is
+    c0 + alpha c1 + alpha^2 c2: its noise terms c0 and c1 are formed once
+    per trial range (`anchor`), c2 once per engine, so a point's decisions
+    cost O(rows x modes), not O(rows x modes x G).  B bounds
+    r_0 = ||d||^2 from above (d = g0 + alpha sig, as computed), and the
+    sums of the anchor's own parts, which may cancel in d: with
+    S = 2M - 1, ||g0||_1 + alpha ||sig||_1 <= sqrt(S B).  With eps = 2^-53
+    the two forms round as follows.
+    - The computed z_k^s is w^s (1 + eta_s), w = exp(j phi) at the anchor's
+      computed sine, |eta_s| <= (19 s + 2) eps: the argument s phi, at
+      most 4.72 s, takes four roundings of relative eps, and exp one more.
+    - The grid's value at k, scale_k times the (4M - 3)-term polynomial,
+      differs from scale_k |sum_s d_s w^s|^2 by at most 30 S^2 eps
+      scale_k r_0: the terms' trigonometric factors err by eta_k, on
+      terms 2 |r_k| <= 2 r_0 (19 S^2), the autocorrelations by about
+      1.5 S eps r_0 each (5 S^2), and the product's sum by 2 S eps times
+      the terms' sizes, at most 2.9 S r_0 (6 S^2).
+    - u, as computed, differs from sum_s d_s w^s by at most
+      22 S eps sqrt(S B) (the same eta_s, the dot products' sums, and the
+      roundings of d, of alpha u_sig and of the sum), so scale_k |u|^2
+      differs from scale_k times that exact power by at most
+      44 S^2 eps scale_k B.  Each of the three parts of the expanded form
+      is at most S scale_k B in size, and forming and summing them adds at
+      most about 10 S eps scale_k B.
+    In all at most 80 S^2 eps scale_k B < 3.6e-14 M^2 scale_k B, with the
+    comparison's own rounding, at most S eps scale_k B, inside it.  A scan
+    plan has M <= 127 (its draw, projectors and coefficients take at
+    least 2 M^3 + M^2 + M of the _MAX_DRAW_ENTRIES entries), where that
+    is 5.8e-10 scale_k B, below the _ANCHOR_MARGIN of 1e-9.  The margin
+    scales with 1 / c_k through scale_k, so it covers the growth near a
+    null of the gain; at an invalid anchor (scale_k = 0) and in a
+    degenerate mode nothing is decided.  B is about r_0 where the echo or
+    the noise dominates d, and larger only where they cancel.  A row
+    whose anchor statistic lies within the margin of t_max is left
+    undecided and goes through the grid.
     """
 
     def __init__(self, plan: ExperimentPlan, proj: np.ndarray):
@@ -499,6 +556,16 @@ class _PointEngine:
             trig = np.concatenate([z.real, z.imag[1:]])
             trig[1:] *= 2
             self.basis = scale[:, :, None, :] * trig             # (C, modes, 4M - 3, G)
+            # The anchor (`tally`): the grid angle nearest the target, whose
+            # numerator is d @ z_k for z_k[s] = z_k^s, and the echo's
+            # terms of its margined power.
+            k = int(np.argmin(np.abs(grid - plan.theta_target)))
+            self.anchor_z = z[:, k].conj()
+            self.anchor_scale = scale[..., k]                    # (C, modes)
+            self.anchor_sig = self.sig @ self.anchor_z           # (C, modes)
+            self.sig_norm = _norm(self.sig)                      # (C, modes)
+            self.anchor_c2 = self.anchor_scale * (
+                _abs2(self.anchor_sig) - _ANCHOR_MARGIN * self.sig_norm ** 2)
         else:
             # a^H A P a^* = (a^H a)(a^T v) = M c
             self.sig = plan.m * gain
@@ -562,6 +629,61 @@ class _PointEngine:
             flat[lo:lo + step] = (terms @ self.basis).max(axis=-1).transpose(2, 0, 1)
         return out
 
+    def anchor(self, g0: np.ndarray):
+        """The noise terms (c0, c1), each (n, modes), of the margined
+        anchor statistic c0 + alpha c1 + alpha^2 c2 of n trials' noise
+        numerators g0 (`numerators`); see the class docstring.  None at the
+        target angle alone."""
+        if self.basis is None:
+            return None
+        u0, norm0 = g0 @ self.anchor_z, _norm(g0)
+        cross = u0.real * self.anchor_sig.real + u0.imag * self.anchor_sig.imag
+        c0 = self.anchor_scale * (_abs2(u0) - _ANCHOR_MARGIN * norm0 ** 2)
+        c1 = 2 * self.anchor_scale * (cross - _ANCHOR_MARGIN * norm0 * self.sig_norm)
+        return c0, c1
+
+    def tally(self, g0: np.ndarray, anchor, alphas: np.ndarray,
+              thresholds: np.ndarray) -> np.ndarray:
+        """Threshold crossings of the statistics of the numerators
+        g0 + alpha `sig`, for each of the P amplitudes alphas (P, 1, 1, 1)
+        over the n trials of g0, summed over the trials: (P, pfa, modes)
+        for the (pfa, 1, 1) thresholds; alpha = 0 gives H0's.  `anchor` is
+        `anchor(g0)`.  Every count is `_tally(statistics(g), thresholds)`'s.
+
+        With the scan a (row, mode) whose anchor statistic less the margin
+        exceeds the largest threshold counts as a detection at every P_FA
+        (the class docstring derives the bound), and only the rows with an
+        undecided mode go through `statistics`: one row per group with one
+        channel draw, one point's n trials per group with C = n.  A
+        degenerate mode reads 0 in `statistics`, so it leaves no row
+        undecided."""
+        if self.basis is None:
+            return _tally(self.statistics(g0 + alphas * self.sig), thresholds)
+        c0, c1 = anchor
+        a = alphas[..., 0]                                       # (P, 1, 1)
+        detected = c0 + a * (c1 + a * self.anchor_c2) > thresholds.max()  # (P, n, modes)
+        undecided = ~(detected | self.degenerate)
+        s = np.where(detected, np.inf, 0.0)
+        if len(self.basis) == 1:
+            point, trial = np.nonzero(undecided.any(axis=-1))
+            if len(point):
+                s[point, trial] = self.statistics(g0[trial] + alphas[point, 0] * self.sig)
+        else:
+            point, = np.nonzero(undecided.any(axis=(-2, -1)))
+            if len(point):
+                s[point] = self.statistics(g0 + alphas[point] * self.sig)
+        return _tally(s, thresholds)
+
+
+def _abs2(u: np.ndarray) -> np.ndarray:
+    """|u|^2 of a complex array, elementwise."""
+    return u.real ** 2 + u.imag ** 2
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of a (..., S) complex array over its last axis."""
+    return np.sqrt(_abs2(d).sum(axis=-1))
+
 
 def _power_terms(d: np.ndarray) -> np.ndarray:
     """The 2S - 1 real coefficients of |sum_s d[..., s] z^s|^2 on |z| = 1
@@ -592,7 +714,10 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     the scan, the (modes, 2M - 1) anti-diagonal sums and the (modes, 4M - 3)
     autocorrelation terms, 6M - 4 entries per mode,
     which gives the fig4 scan plan 2000 rows, 20 whole 100-trial points per
-    tile; at the target angle alone, the (modes,) statistics.
+    tile; at the target angle alone, the (modes,) statistics.  The scan's
+    early exit (`_PointEngine.tally`) holds about five (modes,) arrays per
+    row, its anchor values and the statistics it tallies; from M = 2 they
+    take no more than the terms, which the engine forms block by block.
     """
     n_modes = len(_mode_labels(plan))
     per_row = n_modes * (6 * plan.m - 4) if plan.scan else n_modes
@@ -664,7 +789,13 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     false-alarm tallies one pass on them, added to every point of each of
     its point blocks.  A point block's detections are the statistics of
     the numerators plus its points' amplitudes times the engine's echo
-    term; no statistics call writes to the numerators.  Each call owns one
+    term; no statistics call writes to the numerators.  Both hypotheses'
+    tallies are `_PointEngine.tally`'s, H0's at amplitude 0.  With the scan
+    the range's anchor terms (`_PointEngine.anchor`) are formed with its
+    numerators, each (row, mode) whose anchor statistic clears the largest
+    threshold by the margin counts as a detection, and only the rest go
+    through the grid: the rows with an undecided mode with a fixed channel,
+    the points with one with redrawn channels (C = n).  Each call owns one
     buffer of uniforms, allocated here for the longest of its trial
     ranges, so a worker thread (one call each) draws into its own memory
     and no range allocates it again; the numerators are an array of their
@@ -673,8 +804,7 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     (the noise stream, and the redrawn-channel stream) are derived once,
     before the first tile.
     """
-    thresholds = np.array([detection.chi2_central_inv(1 - p)
-                           for p in plan.pfa_list])[:, None, None]
+    thresholds = _thresholds(plan)
     n_points, n_modes = len(plan.snr_grid_db), len(_mode_labels(plan))
     detections = np.zeros((n_points, len(plan.pfa_list), n_modes), dtype=np.int64)
     false_alarms = np.zeros_like(detections)
@@ -683,6 +813,7 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     # numerators, or (trials, modes, 2M - 1) with the scan.
     alphas = np.array([math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db])
     alphas = alphas[:, None, None, None]
+    no_echo = np.zeros((1, 1, 1, 1))                             # H0
     redrawn = engine is None
     gains, drawn = [], None
     noise_shape, noise_var = _noise_shape(plan)
@@ -702,14 +833,20 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
                                           [(_NOISE_STREAM, 0, first, count)],
                                           noise_shape, noise_var, buffer=buffer, keys=keys)
             g0 = engine.numerators(noise)
-            range_false_alarms = _tally(engine.statistics(g0), thresholds)
+            anchor = engine.anchor(g0)
+            range_false_alarms = engine.tally(g0, anchor, no_echo, thresholds)[0]
             drawn = first
-        detections[lo:end] += _tally(engine.statistics(g0 + alphas[lo:end] * engine.sig),
-                                     thresholds)
+        detections[lo:end] += engine.tally(g0, anchor, alphas[lo:end], thresholds)
         false_alarms[lo:end] += range_false_alarms
         degenerate[lo:end] += np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
     return {"detections": detections, "false_alarms": false_alarms,
             "degenerate": degenerate, "gains": gains}
+
+
+def _thresholds(plan: ExperimentPlan) -> np.ndarray:
+    """The detection thresholds of the plan's P_FA values, shaped (pfa, 1, 1)."""
+    return np.array([detection.chi2_central_inv(1 - p)
+                     for p in plan.pfa_list])[:, None, None]
 
 
 def _tally(s: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -735,26 +872,29 @@ def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
     gives the distinct q, and the survival function is evaluated on the
     (points, distinct q) table of s q, whatever the number of points;
     a column that copies another's gains (the selected BS's beside
-    nsp-per-bs) costs no evaluation.  The table is gathered back into a
-    C-contiguous (points, C, modes) array per P_FA (`np.take`), and its
-    mean over the draws is that of the per-point form
-    (tests/oracles.py), bit for bit: numpy's summation order follows the
-    array's layout, so the layout stays.
+    nsp-per-bs) costs no evaluation.  One survival-function call
+    (`detection.threshold_pd`) takes the (pfa, 1) thresholds against that
+    table, every P_FA at once.  Its (points, pfa, distinct q) values are
+    gathered back into a C-contiguous (points, pfa, C, modes) array
+    (`np.take`), and its mean over the draws is that of the per-point
+    form (tests/oracles.py), bit for bit: numpy's summation order follows
+    the layout of each (C, modes) slab, so that layout stays.
 
     A (point, mode) whose draws share one noncentrality reads that value,
     not a mean of equal values: the orthogonal mode, a fixed channel
     (C = 1), a mode with no null space, or a point whose SNR underflows
     to 0.  Rounding s q is monotone in q for s >= 0, so the draws share
     one noncentrality exactly when s min(q) == s max(q) over the column.
-    Points go in groups of about _BLOCK_ELEMENTS values, since the
-    noncentral survival function takes several temporaries of its
-    input's size.
+    Points go in groups of about _BLOCK_ELEMENTS (point, P_FA, draw,
+    mode) values, since the noncentral survival function takes several
+    temporaries of its input's size.
     """
     orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
     conventions = ("paper", "calibrated")
     snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
-    pd = np.empty((len(conventions), len(snr), len(plan.pfa_list), len(orthogonal)))
-    step = max(1, _BLOCK_ELEMENTS // gains.size)
+    thresholds = _thresholds(plan)[:, 0]                         # (pfa, 1)
+    pd = np.empty((len(conventions), len(snr), len(thresholds), len(orthogonal)))
+    step = max(1, _BLOCK_ELEMENTS // (gains.size * len(thresholds)))
     for c, conv in enumerate(conventions):
         q = detection.noncentrality(conv, plan.m, 1.0, gains, orthogonal)
         distinct, index = np.unique(q, return_inverse=True)
@@ -763,9 +903,10 @@ def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
         for i in range(0, len(snr), step):
             s = snr[i:i + step, None]
             rho, shared = s * distinct, s * low == s * high
-            for j, p in enumerate(plan.pfa_list):
-                trial_pd = np.take(detection.theoretical_pd(rho, p), index, axis=1)
-                pd[c, i:i + step, j] = np.where(shared, trial_pd[:, 0], trial_pd.mean(axis=1))
+            # (points, pfa, distinct q) -> (points, pfa, C, modes)
+            trial_pd = np.take(detection.threshold_pd(thresholds, rho[:, None]), index, axis=2)
+            pd[c, i:i + step] = np.where(shared[:, None], trial_pd[:, :, 0],
+                                         trial_pd.mean(axis=2))
     return pd
 
 

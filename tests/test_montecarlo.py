@@ -504,6 +504,117 @@ class TestScanKernel:
         assert peak < 3 * 2**20
 
 
+class TestEarlyExit:
+    """The scan engine's anchor-angle early exit (`_PointEngine.tally`)
+    against the grid maximum of every row."""
+
+    @staticmethod
+    def _setup(plan, trials):
+        draws = 1 if plan.channel_mode == CHANNEL_FIXED else trials
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, draws))[0]
+        engine = montecarlo._PointEngine(plan, proj)
+        g0 = engine.numerators(oracles.noise_block(plan, 0, trials))
+        return engine, g0
+
+    @staticmethod
+    def _undecided(engine, g0, alpha, t_max):
+        """The (trials, modes) the early exit leaves undecided, by its rule:
+        the anchor statistic of g0 + alpha sig less the margin does not
+        exceed t_max in a mode that is not degenerate."""
+        u = (g0 + alpha * engine.sig) @ engine.anchor_z
+        bound = (np.linalg.norm(g0, axis=-1) + alpha * np.linalg.norm(engine.sig, axis=-1)) ** 2
+        stat = engine.anchor_scale * (np.abs(u) ** 2 - montecarlo._ANCHOR_MARGIN * bound)
+        return ~(stat > t_max) & ~engine.degenerate
+
+    @pytest.mark.parametrize("channel_mode, trials", [(CHANNEL_FIXED, 300),
+                                                      (CHANNEL_REDRAWN, 12)])
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("target", [10.0, 10.25])  # on and off the 0.5 degree grid
+    @pytest.mark.parametrize("n_bs", ["fig4", "rank-one", "no-null-space"])
+    def test_tallies_equal_the_grid_maximum(self, n_bs, target, m, channel_mode, trials,
+                                            monkeypatch):
+        plan = tiny_plan(**{**cli.PRESETS["fig4"], "m": m, "scan": True,
+                            "n_bs": {"fig4": 2, "rank-one": m - 1, "no-null-space": m}[n_bs],
+                            "theta_target_deg": target, "channel_mode": channel_mode,
+                            "snr_grid_db": tuple(np.arange(-10.0, 31.0, 5.0))})
+        engine, g0 = self._setup(plan, trials)
+        thresholds = montecarlo._thresholds(plan)
+        alphas = np.array([0.0] + [math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db])
+        alphas = alphas[:, None, None, None]
+        want = montecarlo._tally(engine.statistics(g0 + alphas * engine.sig), thresholds)
+        anchor = engine.anchor(g0)
+        got = engine.tally(g0, anchor, alphas, thresholds)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # Point by point, statistics reads the rows with an undecided mode
+        # (with C = n, the point's n trials if it has one), and most rows at
+        # 30 dB are decided.
+        seen = []
+        statistics = engine.statistics
+        monkeypatch.setattr(engine, "statistics",
+                            lambda g: seen.append(math.prod(g.shape[:-2])) or statistics(g))
+        for i, alpha in enumerate(alphas[:, 0, 0, 0]):
+            seen.clear()
+            assert np.array_equal(engine.tally(g0, anchor, alphas[i:i + 1], thresholds),
+                                  want[i:i + 1])
+            rows = self._undecided(engine, g0, alpha, thresholds.max()).any(axis=-1)
+            undecided = rows.sum() if channel_mode == CHANNEL_FIXED else trials * rows.any()
+            assert sum(seen) == undecided
+        assert undecided == 0 if channel_mode == CHANNEL_FIXED else rows.sum() < trials // 2
+        if n_bs == "no-null-space":
+            # P = 0: the nsp mode's anchor scale is 0, and it decides nothing
+            # and leaves no row undecided.
+            assert engine.degenerate[:, 1].all() and not engine.anchor_scale[:, 1].any()
+
+    @pytest.mark.parametrize("target", [10.0, 10.25])
+    def test_row_within_the_margin_goes_through_the_grid(self, target, monkeypatch):
+        # Row 0 is scaled so that its anchor statistic exceeds t_max by 1e-11
+        # relative, inside the margin (at least 1e-9 / (2M - 1) of it);
+        # rows 1 and 2 clear t_max tenfold.  Only row 0 reaches the grid.
+        plan = tiny_plan(scan=True, theta_target_deg=target, k=5,
+                         pfa_list=(1e-1, 1e-7), waveform_modes=(MODE_ORTHOGONAL,))
+        engine, g0 = self._setup(plan, 3)
+        thresholds = montecarlo._thresholds(plan)
+        t_max = thresholds.max()
+        stat = engine.anchor_scale[0, 0] * np.abs(g0[:, 0] @ engine.anchor_z) ** 2
+        g0 *= np.sqrt(t_max * np.array([1 + 1e-11, 10, 10]) / stat)[:, None, None]
+        assert engine.anchor_scale[0, 0] * abs(g0[0, 0] @ engine.anchor_z) ** 2 > t_max
+        seen = []
+        statistics = engine.statistics
+        monkeypatch.setattr(engine, "statistics", lambda g: seen.append(g) or statistics(g))
+        no_echo = np.zeros((1, 1, 1, 1))
+        got = engine.tally(g0, engine.anchor(g0), no_echo, thresholds)
+        (g,), = seen,
+        assert g.shape == (1,) + g0.shape[1:] and g.tobytes() == g0[:1].tobytes()
+        assert np.array_equal(got[0], montecarlo._tally(statistics(g0), thresholds))
+
+    def test_statistics_sees_only_the_undecided_rows(self, monkeypatch):
+        # A high-SNR fig4 scan: statistics reads H0's rows and the few
+        # H1 rows the anchor leaves undecided, not every row.
+        plan = tiny_plan(**{**cli.PRESETS["fig4"], "scan": True,
+                            "snr_grid_db": (10.0, 15.0, 20.0, 30.0)})
+        engine, g0 = self._setup(plan, 200)
+        t_max = montecarlo._thresholds(plan).max()
+        want = [int(self._undecided(engine, g0, math.sqrt(10 ** (s / 10)), t_max)
+                    .any(axis=-1).sum()) for s in (-math.inf,) + plan.snr_grid_db]
+        seen = []
+        statistics = montecarlo._PointEngine.statistics
+        monkeypatch.setattr(montecarlo._PointEngine, "statistics",
+                            lambda self, g: seen.append(math.prod(g.shape[:-2]))
+                            or statistics(self, g))
+        run_experiment(plan)
+        assert sum(seen) == sum(want)
+        assert want[0] == 200 and sum(want[1:]) < 0.05 * 4 * 200
+
+    def test_scan_plans_stay_below_128_antennas(self):
+        # The margin's bound holds for M <= 127, which every scan plan has:
+        # its draw, projectors and coefficients take 2 M^3 + M^2 + M entries
+        # at least.
+        small = dict(n_bs=1, k=1, waveform_modes=(MODE_ORTHOGONAL,), scan=True)
+        ExperimentPlan(m=127, l=127, **small)
+        with pytest.raises(ConfigurationError):
+            ExperimentPlan(m=128, l=128, **small)
+
+
 class TestNoiseDraws:
     @pytest.mark.parametrize("kwargs", [
         {},
@@ -1031,6 +1142,26 @@ class TestRunExperiment:
             montecarlo._mean_theory_pd(plan, gains)
             counts.append(len(calls))
         assert counts == [2, 2, 2]
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_theory_takes_one_survival_call_per_block(self, block, monkeypatch):
+        # Every P_FA in one call per convention and point block; the block
+        # counts the P_FA axis, so no call takes more than _BLOCK_ELEMENTS
+        # values (here 2 points a block).
+        gains = np.random.default_rng(3).uniform(0.0, 4.0, (20, 2))
+        plan = tiny_plan(snr_grid_db=tuple(np.linspace(-5.0, 10.0, 7)),
+                         pfa_list=(1e-1, 1e-3, 1e-5, 1e-7), channel_mode=CHANNEL_REDRAWN)
+        if block:
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block * gains.size * 4)
+        sizes = []
+        threshold_pd = detection.threshold_pd
+        monkeypatch.setattr(detection, "threshold_pd",
+                            lambda t, rho: sizes.append(np.broadcast(t, rho).size)
+                            or threshold_pd(t, rho))
+        pd = montecarlo._mean_theory_pd(plan, gains)
+        assert len(sizes) == (2 if block is None else 2 * 4)
+        assert max(sizes) <= montecarlo._BLOCK_ELEMENTS
+        assert pd.tobytes() == oracles.mean_theory_pd_reference(plan, gains).tobytes()
 
     @pytest.mark.parametrize("scan", [False, True])
     def test_degenerate_redrawn_theory_is_exact_at_zero(self, scan):
