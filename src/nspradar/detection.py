@@ -11,12 +11,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import chi2_central_inv, chi2_noncentral_sf
+from .numerics import chi2_central_inv, chi2_noncentral_sf, noncentral_sf_domain
 
 # A steering direction whose direction gain a^H R^T a falls below this
 # fraction of the orthogonal value M is treated as lying in the projector's
 # kernel.
 GAIN_FLOOR_FRAC = 1e-10
+
+# P_D = Q1(a, b), a = sqrt(rho), b = sqrt(threshold), is 1.0 in double
+# precision where a - b >= PD_SATURATION_MARGIN.  For a > b the CDF
+# 1 - Q1(a, b) is at most exp(-(a - b)^2 / 2) / 2 (Simon and Alouini,
+# "Exponential-type bounds on the generalized Marcum Q-function with
+# application to error probability analysis over fading channels", IEEE
+# Trans. Commun. 48(3), 2000).  At a margin of 9 that is exp(-40.5) / 2,
+# about 1.3e-18, below 2 ** -56: a quarter of the 2 ** -54 below which
+# 1 - CDF rounds to 1.0, which leaves 4x room for the survival function's
+# own term errors.
+PD_SATURATION_MARGIN = 9.0
 
 
 def check_pfa(pfa: float, field: str | None = None) -> None:
@@ -82,11 +93,26 @@ def theoretical_pd(rho: float, pfa: float) -> float:
 def threshold_pd(threshold, rho):
     """P_D = 1 - F_{chi2_2(rho)}(threshold), `theoretical_pd` at the
     threshold of its P_FA; broadcasts, so that one call covers several
-    thresholds."""
-    # The survival function returns nan from rho ~ 1e19, but reads exactly 1
-    # at rho = 2 ** 62 for every threshold up to 1490 (a pfa of 1e-300; a pfa
-    # just above 2 ** -54 gives 75): P_D is 1 to double precision there.
-    return chi2_noncentral_sf(threshold, np.minimum(rho, 2.0**62))
+    thresholds.
+
+    P_D is the Marcum Q function Q1(sqrt(rho), sqrt(threshold)), and a cell
+    with sqrt(rho) - sqrt(threshold) >= PD_SATURATION_MARGIN reads exactly
+    1.0 without evaluating the survival function, whose value there is 1.0
+    too (the bound is derived at the constant; tests/test_detection.py
+    checks the equality against the installed scipy).  The other cells are
+    evaluated in one call, on the compressed (threshold, rho) pairs.  The
+    domain checks of `numerics.chi2_noncentral_sf` run on every cell
+    first: a NaN rho fails every comparison, and would otherwise read 1.0.
+    """
+    threshold, rho = noncentral_sf_domain(threshold, rho)
+    live = np.sqrt(rho) - np.sqrt(threshold) < PD_SATURATION_MARGIN
+    pd = np.ones(live.shape)
+    threshold, rho = np.broadcast_arrays(threshold, rho)
+    # The survival function returns nan from rho ~ 1e19, which a live cell
+    # reaches only at a threshold of about 1e19; it reads the value at
+    # rho = 2 ** 62 there.
+    pd[live] = chi2_noncentral_sf(threshold[live], np.minimum(rho[live], 2.0**62))
+    return float(pd) if pd.ndim == 0 else pd
 
 
 def theory_snr_gap_db(m: int, gain: float, convention: str = "calibrated") -> float:

@@ -112,12 +112,14 @@ the per-trial target gains c_t alone, one (C, modes) array that every
 point shares; with a fixed channel that is the value at its one gain.  A
 noncentrality is the point's SNR times a factor of the gain alone, so one
 `np.unique` per convention over the draws' factors serves every point:
-the survival function is one call per convention, every P_FA's
-threshold against one (points, distinct factors) table, a column that
-copies another's gains (the selected BS's beside nsp-per-bs) costs no
-evaluation, and a mode whose draws share one noncentrality (the
+the theory is one `detection.threshold_pd` call per convention, every
+P_FA's threshold against one (points, distinct factors) table, a column
+that copies another's gains (the selected BS's beside nsp-per-bs) costs
+no evaluation, and a mode whose draws share one noncentrality (the
 orthogonal mode, a fixed channel, no null space) reads that value
-(`_mean_theory_pd`).
+(`_mean_theory_pd`).  Saturated cells, whose noncentrality is so far
+past the threshold that P_D is exactly 1.0 in double precision, are not
+evaluated: they read 1.0, about 40% of the table of a redrawn fig3 run.
 
 A sweep's result is its columns (`ExperimentResult.columns`): each
 `POINT_FIELDS` field as one (points, pfa, modes) array, the modes in the
@@ -872,9 +874,12 @@ def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
     gives the distinct q, and the survival function is evaluated on the
     (points, distinct q) table of s q, whatever the number of points;
     a column that copies another's gains (the selected BS's beside
-    nsp-per-bs) costs no evaluation.  One survival-function call
-    (`detection.threshold_pd`) takes the (pfa, 1) thresholds against that
-    table, every P_FA at once.  Its (points, pfa, distinct q) values are
+    nsp-per-bs) costs no evaluation.  One `detection.threshold_pd` call
+    takes the (pfa, 1) thresholds against that table, every P_FA at once;
+    it evaluates the survival function only on the cells whose P_D is
+    not saturated (`detection.PD_SATURATION_MARGIN`), and the others read
+    exactly 1.0, the value the survival function gives them.  Its
+    (points, pfa, distinct q) values are
     gathered back into a C-contiguous (points, pfa, C, modes) array
     (`np.take`), and its mean over the draws is that of the per-point
     form (tests/oracles.py), bit for bit: numpy's summation order follows

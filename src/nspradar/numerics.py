@@ -42,6 +42,19 @@ def chi2_central_inv(p: float) -> float:
     return -2.0 * math.log1p(-p)
 
 
+def noncentral_sf_domain(x, rho):
+    """x and rho as float arrays, after the domain checks of
+    `chi2_noncentral_sf`: a ValueError unless every x is finite and
+    non-negative and every rho non-negative (NaN fails both)."""
+    x = np.asarray(x, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if not np.all((x >= 0) & (x < np.inf)):
+        raise ValueError(f"x must be finite and non-negative, got {x}")
+    if not np.all(rho >= 0):
+        raise ValueError(f"rho must be non-negative, got {rho}")
+    return x, rho
+
+
 def chi2_noncentral_sf(x, rho):
     """Survival function 1 - F of the noncentral chi-squared law (2 dof,
     noncentrality rho); equals the Marcum Q function Q1(sqrt(rho), sqrt(x)).
@@ -52,14 +65,14 @@ def chi2_noncentral_sf(x, rho):
 
     Broadcasts over arrays; scalar arguments give a float.
     """
-    x = np.asarray(x, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if not np.all((x >= 0) & (x < np.inf)):
-        raise ValueError(f"x must be finite and non-negative, got {x}")
-    if not np.all(rho >= 0):
-        raise ValueError(f"rho must be non-negative, got {rho}")
+    x, rho = noncentral_sf_domain(x, rho)
     with np.errstate(over="ignore"):
-        sf = np.where(rho == 0, chdtrc(2.0, x), _ncx2_sf(x, 2.0, rho))
+        sf = _ncx2_sf(x, 2.0, rho)
+    # The central law is evaluated only where some cell takes it: on a large
+    # array of x it costs about a sixth of `_ncx2_sf`.
+    central = rho == 0
+    if central.any():
+        sf = np.where(central, chdtrc(2.0, x), sf)
     sf = np.where(x == 0, 1.0, sf)
     return float(sf) if sf.ndim == 0 else sf
 

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from nspradar.detection import GAIN_FLOOR_FRAC, noncentrality, theoretical_pd
+from nspradar.detection import GAIN_FLOOR_FRAC, noncentrality
 from nspradar.errors import ConfigurationError
+from nspradar.numerics import chi2_central_inv, chi2_noncentral_sf
 from nspradar.radar import orthogonal_waveforms, steering_vector, transmit_receive_matrix
 
 
@@ -343,11 +344,21 @@ def isotonic_reference(y: np.ndarray) -> np.ndarray:
     return np.repeat(vals, [int(w) for w in weights])
 
 
+def threshold_pd_reference(threshold, rho):
+    """P_D = 1 - F_{chi2_2(rho)}(threshold) with the survival function
+    evaluated on every cell, the noncentrality taken as at most 2 ** 62
+    (from about 1e19 the survival function returns nan).  It raises where
+    the survival function does, as near P_FA = 1 at large rho, where
+    `detection.threshold_pd` reads the saturated cells as 1.0 unevaluated."""
+    return chi2_noncentral_sf(threshold, np.minimum(rho, 2.0**62))
+
+
 def mean_theory_pd_reference(plan, gains: np.ndarray) -> np.ndarray:
     """The theory P_D of every (convention, point, pfa, mode) cell, point by
     point: each point's (C, modes) noncentralities, the survival function
-    once per distinct one, and per mode either the value its draws share or
-    the mean over the draws (axis 0 of the point's (C, modes) array)."""
+    once per distinct one (`threshold_pd_reference`, which evaluates every
+    cell), and per mode either the value its draws share or the mean over
+    the draws (axis 0 of the point's (C, modes) array)."""
     orthogonal = np.array([mode == "orthogonal" for mode in plan.waveform_modes
                            for _ in range(plan.k if mode == "nsp-per-bs" else 1)])
     out = np.empty((2, len(plan.snr_grid_db), len(plan.pfa_list), gains.shape[1]))
@@ -357,7 +368,8 @@ def mean_theory_pd_reference(plan, gains: np.ndarray) -> np.ndarray:
             distinct, index = np.unique(rho, return_inverse=True)
             shared = (rho == rho[:1]).all(axis=0)
             for j, pfa in enumerate(plan.pfa_list):
-                trial_pd = theoretical_pd(distinct, pfa)[index.reshape(rho.shape)]
+                threshold = chi2_central_inv(1.0 - pfa)
+                trial_pd = threshold_pd_reference(threshold, distinct)[index.reshape(rho.shape)]
                 out[c, i, j] = np.where(shared, trial_pd[0], trial_pd.mean(axis=0))
     return out
 

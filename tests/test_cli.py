@@ -495,6 +495,23 @@ class TestRun:
             if float(row["snr_db"]) >= 176:
                 assert row["pd_theory_paper"] == row["pd_theory_calibrated"] == "1.0"
 
+    def test_theory_near_pfa_one(self, tmp_path):
+        # At P_FA = 1 - 1e-9 the survival function overflows in boost's
+        # tgamma from rho ~ 400 and runs for minutes at rho ~ 1e12; this
+        # used to exit 1 with a traceback.  Those cells are saturated and
+        # read 1.0 unevaluated.
+        path = write_config(tmp_path, "pfa = [0.999999999]\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", path, "--trials", "5", "--out", str(out)]) == cli.EXIT_OK
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * len(montecarlo.ExperimentPlan().snr_grid_db)
+        for row in rows:
+            for key in ("pd_theory_paper", "pd_theory_calibrated"):
+                assert 0.999999999 <= float(row[key]) <= 1.0
+                if float(row["snr_db"]) >= 20:
+                    assert row[key] == "1.0"
+
     @pytest.mark.parametrize("line, message", [
         ("snr_db = [1, 1]", "snr grid values must be distinct, got [1.0, 1.0]"),
         ("snr_db = [0.0, -0.0]", "snr grid values must be distinct"),

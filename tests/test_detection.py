@@ -6,10 +6,12 @@ import pytest
 from scipy import stats as scipy_stats
 
 from nspradar.detection import (
+    PD_SATURATION_MARGIN,
     check_pfa,
     direction_gain,
     noncentrality,
     theoretical_pd,
+    threshold_pd,
     theory_snr_gap_db,
 )
 from nspradar.errors import ConfigurationError
@@ -285,6 +287,16 @@ class TestTheoreticalPd:
         want = chi2_noncentral_sf(chi2_central_inv(1 - pfa), below)
         assert theoretical_pd(below, pfa).tobytes() == want.tobytes()
 
+    def test_one_near_pfa_one(self):
+        # At P_FA = 1 - 1e-9 the survival function raises OverflowError from
+        # boost's tgamma from rho ~ 400, and at rho ~ 1e12 runs for minutes;
+        # both cells are saturated and read 1.0 unevaluated.
+        t = -2 * math.log(1 - 1e-9)
+        with pytest.raises(OverflowError):
+            oracles.threshold_pd_reference(t, 1e3)
+        assert threshold_pd(t, np.array([1e3, 1e12])).tolist() == [1.0, 1.0]
+        assert theoretical_pd(1e12, 0.999999999) == 1.0
+
     def test_monotone_in_noncentrality(self):
         vals = [theoretical_pd(r, 1e-3) for r in np.linspace(0, 60, 25)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -306,3 +318,90 @@ class TestTheoreticalPd:
     def test_gap_nonpositive_gain_is_named(self, gain, message):
         with pytest.raises(ValueError, match="direction gain must be positive, " + message):
             theory_snr_gap_db(4, gain)
+
+
+class TestSaturation:
+    """`threshold_pd` skips the survival function where sqrt(rho) -
+    sqrt(threshold) >= PD_SATURATION_MARGIN; everywhere else, and wherever
+    the survival function itself returns a value, it is that function's
+    value bit for bit (`oracles.threshold_pd_reference`)."""
+
+    # Every P_FA the plan accepts, from just above 2 ** -54 to 1 - 2 ** -53.
+    PFAS = [float(np.nextafter(2.0**-54, 1)), *np.logspace(-16, -1, 31).tolist(),
+            0.5, 0.9, 1 - 1e-4, 1 - 1e-6, 1 - 1e-7, 1 - 1e-8, 1 - 1e-9, 1 - 1e-12,
+            float(np.nextafter(1.0, 0))]
+    # At thresholds below 1e-7 (P_FA above 1 - 5e-8) the survival function
+    # overflows at large rho: at once up to rho = 1e5, after seconds to
+    # minutes beyond (1e12 takes minutes), so the reference is not run there.
+    SLOW_BELOW = 1e-7
+    FAST_RHO = 1e5
+
+    def _rho(self, t):
+        margin = math.sqrt(t) + PD_SATURATION_MARGIN
+        edge = margin**2
+        return np.unique(np.concatenate([
+            [0.0, 1e300, np.inf],
+            np.logspace(-6, 300, 307),
+            (margin + np.linspace(-1, 1, 401)) ** 2,
+            [np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf)],
+        ]))
+
+    def test_bit_equal_to_the_survival_function(self):
+        evaluated = saturated = 0
+        for pfa in self.PFAS:
+            t = chi2_central_inv(1 - pfa)
+            rho = self._rho(t)
+            got = threshold_pd(t, rho)
+            assert got.dtype == np.float64 and got.shape == rho.shape
+            gap = np.sqrt(rho) - math.sqrt(t)
+            # Saturated cells read exactly 1.0.
+            assert (got[gap >= PD_SATURATION_MARGIN] == 1.0).all()
+            checked = rho <= self.FAST_RHO if t < self.SLOW_BELOW else np.ones(rho.shape, bool)
+            for r, g in zip(rho[checked], got[checked]):
+                try:
+                    want = oracles.threshold_pd_reference(t, r)
+                except OverflowError:
+                    assert g == 1.0, (pfa, r)
+                    saturated += 1
+                    continue
+                assert np.float64(g).tobytes() == np.float64(want).tobytes(), (pfa, r, g, want)
+                evaluated += 1
+            # Beyond FAST_RHO at the smallest thresholds every cell is
+            # saturated: 1e5 is far past (sqrt(t) + 9) ** 2.
+            assert (got[~checked] == 1.0).all()
+        assert evaluated > 20000 and saturated > 0
+
+    def test_the_bound_holds_where_the_cdf_is_representable(self):
+        # The constant rests on 1 - Q1(a, b) <= exp(-(a - b) ** 2 / 2) / 2
+        # for a > b; check it against scipy's CDF at margins 0.5 to 8.
+        for t in (1e-9, 0.2, 13.8, 75.0):
+            for margin in np.linspace(0.5, 8.0, 16):
+                rho = (math.sqrt(t) + margin) ** 2
+                cdf = scipy_stats.ncx2.cdf(t, 2, rho)
+                assert cdf <= 0.5 * math.exp(-margin**2 / 2) * (1 + 1e-9), (t, margin)
+        assert 0.5 * math.exp(-PD_SATURATION_MARGIN**2 / 2) < 2.0**-56
+
+    def test_scalar_in_scalar_out(self):
+        assert threshold_pd(THRESHOLD, 16.0) == chi2_noncentral_sf(THRESHOLD, 16.0)
+        assert isinstance(threshold_pd(THRESHOLD, 16.0), float)
+        assert isinstance(threshold_pd(THRESHOLD, 1e6), float)
+
+    def test_broadcasts_thresholds_against_rho(self):
+        t = np.array([[chi2_central_inv(1 - p)] for p in (0.5, 1e-3, 1e-7, 1 - 1e-9)])
+        rho = np.array([0.0, 4.0, 40.0, 400.0, 1e6])
+        got = threshold_pd(t, rho)
+        assert got.shape == (4, 5)
+        for i in range(4):
+            assert got[i].tobytes() == threshold_pd(t[i, 0], rho).tobytes()
+
+    @pytest.mark.parametrize("threshold, rho", [
+        (1.0, np.nan), (1.0, -1.0), (1.0, -np.inf), (-1.0, 1e6), (np.inf, 1e6),
+        (np.inf, np.inf), (np.nan, 1e6), (1.0, np.array([1e6, np.nan])),
+        (np.array([1.0, -1.0]), 1e6),
+    ])
+    def test_domain_errors_before_the_mask(self, threshold, rho):
+        # With the mask taken before the domain checks, sqrt(rho) -
+        # sqrt(threshold) is nan on all of these but (inf, 1e6), which fails
+        # the comparison, so they would read 1.0 unevaluated.
+        with pytest.raises(ValueError, match="must be"):
+            threshold_pd(threshold, rho)

@@ -114,6 +114,14 @@ class TestNoncentralSf:
         assert np.array_equal(got, want)
         assert not np.any(np.signbit(got))
 
+    @pytest.mark.parametrize("rho", [SF_RHO[1:], np.array([0.0]), np.array([-0.0, 1.0])])
+    def test_central_branch_only_where_rho_is_zero(self, rho):
+        # With no rho = 0 the central law is not evaluated, and every value
+        # is still the scipy.stats one; -0.0 takes the central branch.
+        got = chi2_noncentral_sf(self.SF_X[:, None], rho)
+        assert np.array_equal(got, stats.ncx2.sf(self.SF_X[:, None], 2, rho))
+        assert not np.any(np.signbit(got))
+
     @given(
         x=st.floats(0.0, 60.0),
         rho1=st.floats(0.0, 40.0),
