@@ -26,9 +26,9 @@ since H0 has no SNR.  Redrawn channels are records of substream 0 of one stream 
 trial t reads record t at every SNR point.
 A stream is its key and a counter: each worker's tile loop derives the
 keys of the stream kinds it reads once (`numerics.stream_key`), and each
-draw sets a generator's key and counter per record range
+draw sets a generator's key and counter to its record range
 (`numerics.complex_normal_ranges`), with the bits of a generator seeded
-per stream, jumped to the substream and moved by `advance()`.
+per stream and moved by `advance()`.
 
 The engine is the only form of the detector here.  Its test oracle in
 tests/oracles.py runs the explicit pipeline one trial at a time on the
@@ -170,8 +170,8 @@ _REDRAW_BASE = 2**62
 
 _WILSON_Z = 1.959963984540054  # 95%
 # A tile holds at most _CHUNK rows, the per-row arrays it holds whole take
-# at most _BLOCK_ELEMENTS entries (`_tile_rows`), and so does the set-up of
-# a redrawn trial range (`_range_trials`).  The scan's grid product
+# at most _BLOCK_ELEMENTS entries (`_tile_rows`), and so do the draws and
+# set-up of a redrawn trial range (`_range_trials`).  The scan's grid product
 # (`_PointEngine.statistics`) and the theory curves (`_mean_theory_pd`) are
 # evaluated on about _BLOCK_ELEMENTS values at a time.  All of these bound
 # the memory a sweep takes.
@@ -182,20 +182,15 @@ _BLOCK_ELEMENTS = 2**17
 # function takes temporaries of that size per point, 56 MB each for fig3 at
 # this bound; the tile list grows with the trials in every channel mode.
 _MAX_TRIALS = 10**6
-# One channel draw and its projectors take at most _MAX_DRAW_ENTRIES
-# entries: the (K, N_BS, M) draw and the M x M projectors of the K BSs and
-# of the modes, K N_BS M + M^2 (K + modes), and with the scan the engine's
-# (M^2, modes x (2M - 1)) coefficients, counted before any is formed.
-# Every set-up forms all of them for one draw at least, 64 MiB of complex
-# entries at this bound; fig5 takes 528, and its scan 2448.
+# One channel draw and its set-up take at most _MAX_DRAW_ENTRIES entries
+# (`_draw_entries`, counted before any is formed, the grid too).  Every
+# set-up forms all of them for one draw at least, 64 MiB of complex entries
+# at this bound; the fig4 scan takes 14094, the fig3 scan 49029.
 _MAX_DRAW_ENTRIES = 2**22
 # The scan's early exit counts a row as detected when its anchor statistic
 # exceeds the largest threshold by more than _ANCHOR_MARGIN times its scale
 # and bound (`_PointEngine`, where the bound on the rounding is derived).
 _ANCHOR_MARGIN = 1e-9
-# A scan grid has at most _MAX_SCAN_ANGLES angles, so that one row of one
-# mode's statistics over the grid fits a block.
-_MAX_SCAN_ANGLES = _BLOCK_ELEMENTS
 
 
 def max_snr_db(m: int) -> float:
@@ -233,16 +228,16 @@ class ExperimentPlan:
             raise ConfigurationError(
                 f"trials_per_point must lie in [1, {_MAX_TRIALS}], "
                 f"got {self.trials_per_point}", "trials_per_point")
-        n_modes = sum(self.k if w == MODE_NSP_PER_BS else 1 for w in self.waveform_modes)
-        entries = self.k * self.n_bs * self.m + self.m ** 2 * (self.k + n_modes)
-        if self.scan:
-            entries += self.m ** 2 * n_modes * (2 * self.m - 1)
+        if not 0 < self.theta_step_deg <= 180:
+            raise ConfigurationError("theta_step_deg must lie in (0, 180]", "theta_step_deg")
+        entries = _draw_entries(self)
         if entries > _MAX_DRAW_ENTRIES:
-            what = ("a channel draw, its projectors and the scan's coefficients"
-                    if self.scan else "a channel draw and its projectors")
+            what = (f"a channel draw and its set-up on a scan grid of {_grid_angles(self)} "
+                    f"angles (theta_step_deg = {self.theta_step_deg!r})" if self.scan
+                    else "a channel draw and its set-up")
             raise ConfigurationError(
-                f"{what} at m = {self.m}, n_bs = {self.n_bs}, "
-                f"k = {self.k} and {n_modes} modes take {entries} entries, more than "
+                f"{what} at m = {self.m}, n_bs = {self.n_bs}, k = {self.k} and "
+                f"{_mode_count(self)} modes take {entries} entries, more than "
                 f"{_MAX_DRAW_ENTRIES}")
         if not self.snr_grid_db:
             raise ConfigurationError("snr grid must be non-empty", "snr_grid_db")
@@ -299,15 +294,6 @@ class ExperimentPlan:
             if len(set(values)) < len(values):
                 raise ConfigurationError(f"{name} must be distinct, got {list(values)}",
                                          field_name)
-        if not 0 < self.theta_step_deg <= 180:
-            raise ConfigurationError("theta_step_deg must lie in (0, 180]", "theta_step_deg")
-        # Counted before `theta_grid` builds the grid.
-        if self.scan and 180 / self.theta_step_deg + 1 > _MAX_SCAN_ANGLES:
-            raise ConfigurationError(
-                f"theta_step_deg = {self.theta_step_deg!r} gives a scan grid of "
-                f"about {180 / self.theta_step_deg + 1:.4g} angles; the scan takes "
-                f"at most {_MAX_SCAN_ANGLES}, a step of at least "
-                f"{180 / (_MAX_SCAN_ANGLES - 1)!r} degrees", "theta_step_deg")
         if not abs(self.theta_target_deg) <= 90:  # also rejects nan
             raise ConfigurationError("theta_target_deg must lie in [-90, 90]",
                                      "theta_target_deg")
@@ -386,6 +372,12 @@ def _mode_labels(plan: ExperimentPlan) -> list[tuple[str, str]]:
     return out
 
 
+def _mode_count(plan: ExperimentPlan) -> int:
+    """len(_mode_labels(plan)), counted without forming the labels: the plan
+    check takes it before k is bounded."""
+    return sum(plan.k if mode == MODE_NSP_PER_BS else 1 for mode in plan.waveform_modes)
+
+
 def _stacked_modes(
     plan: ExperimentPlan, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -419,7 +411,7 @@ def _noise_shape(plan: ExperimentPlan) -> tuple[tuple[int, ...], float]:
 
 
 def _channels(plan: ExperimentPlan, first: int, count: int,
-              keys: dict | None = None) -> np.ndarray:
+              key: np.ndarray | None = None) -> np.ndarray:
     """(C, K, N_BS, M) channel draws for trials [first, first + count), the
     same at every SNR point.
 
@@ -427,14 +419,14 @@ def _channels(plan: ExperimentPlan, first: int, count: int,
     channels (C = count) are records [first, first + count) of substream 0
     of the redrawn-channel stream, one record of K channels of i.i.d.
     CN(0, 1) entries per trial, so a block equals its trials drawn one by
-    one.  `keys` is `complex_normal_ranges`'.
+    one.  `key` is that stream's Philox key, derived here when not given.
     """
     if plan.channel_mode == CHANNEL_FIXED:
         rng = rng_substream(plan.master_seed, _CHANNEL_STREAM)
         return sharing.channel_matrices([rng], plan.k, plan.n_bs, plan.m)
-    return complex_normal_ranges(plan.master_seed,
-                                 [(_TRIAL_CHANNEL_STREAM, 0, first, count)],
-                                 (plan.k, plan.n_bs, plan.m), keys=keys)
+    if key is None:
+        key = stream_key(plan.master_seed, _TRIAL_CHANNEL_STREAM)
+    return complex_normal_ranges(key, first, count, (plan.k, plan.n_bs, plan.m))
 
 
 class _PointEngine:
@@ -514,8 +506,8 @@ class _PointEngine:
       most about 10 S eps scale_k B.
     In all at most 80 S^2 eps scale_k B < 3.6e-14 M^2 scale_k B, with the
     comparison's own rounding, at most S eps scale_k B, inside it.  A scan
-    plan has M <= 127 (its draw, projectors and coefficients take at
-    least 2 M^3 + M^2 + M of the _MAX_DRAW_ENTRIES entries), where that
+    plan has M <= 127 (its `_draw_entries`, at most _MAX_DRAW_ENTRIES, are
+    at least 2 M^3 + M^2 + M, at K = N_BS = 1 and one mode), where that
     is 5.8e-10 scale_k B, below the _ANCHOR_MARGIN of 1e-9.  The margin
     scales with 1 / c_k through scale_k, so it covers the growth near a
     null of the gain; at an invalid anchor (scale_k = 0) and in a
@@ -606,7 +598,9 @@ class _PointEngine:
         product and its maximum over the grid run block by block into the
         one output, _BLOCK_ELEMENTS // (C modes G) groups a block (rows
         with one draw, points with C = n), so no block size grows the
-        grid-sized temporary.  Columns of degenerate modes
+        grid-sized temporary; a block holds one group at least, whose
+        (C, modes, G) maxima take fewer entries than the basis, which
+        `_draw_entries` counts.  Columns of degenerate modes
         (`self.degenerate`) read 0."""
         if self.basis is None:
             power = g.real ** 2
@@ -721,38 +715,65 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     row, its anchor values and the statistics it tallies; from M = 2 they
     take no more than the terms, which the engine forms block by block.
     """
-    n_modes = len(_mode_labels(plan))
+    n_modes = _mode_count(plan)
     per_row = n_modes * (6 * plan.m - 4) if plan.scan else n_modes
     return max(1, min(_CHUNK, _BLOCK_ELEMENTS // per_row))
 
 
+def _grid_angles(plan: ExperimentPlan) -> int:
+    """len(plan.theta_grid()), counted without building the grid.
+
+    np.arange(-90, stop, step) has ceil((stop + 90) / step) values: -90,
+    -90 + step, and from the third on -90 + i delta, delta being its second
+    value plus 90 as rounded.  They increase with i, and the grid keeps
+    those not above 90 degrees, which end near i = 180 / delta."""
+    if not plan.scan:
+        return 1
+    step = plan.theta_step_deg
+    # A grid of 2**63 angles or more could not be built at all.
+    n = math.ceil(min((90.0 + step / 2 + 90.0) / step, 2.0 ** 63))
+    delta = (-90.0 + step) + 90.0
+    kept = n if delta == 0 else min(n, max(2, int(180 / delta)))
+    while kept > 2 and math.radians(-90.0 + (kept - 1) * delta) > math.pi / 2:
+        kept -= 1
+    while kept < n and math.radians(-90.0 + kept * delta) <= math.pi / 2:
+        kept += 1
+    return kept
+
+
+def _draw_entries(plan: ExperimentPlan) -> int:
+    """The entries one channel draw and its set-up take, for G = `_grid_angles`
+    angles: K N_BS M for the (K, N_BS, M) draw, M^2 (K + modes) for the
+    (K, M, M) projectors and the modes' stacked (modes, M, M) projectors
+    (`_stacked_modes`), and 5M - 1 per (mode, angle): the (modes, M, G)
+    products P a_g^* the engine forms the gains from, its real
+    (modes, 4M - 3, G) scaled basis with the scan, and the (modes, G) gains
+    and scales.  The scan engine also holds its (M^2, modes x (2M - 1))
+    coefficients, M^2 modes (2M - 1) entries, the largest part on a coarse
+    grid: 31200 against 594 per-angle entries for two modes at M = 20 on a
+    90 degree grid.  At the target angle alone (G = 1) the engine holds
+    only the (modes, M) vectors P a^*, of which its coefficients are a view,
+    and the gain, the scale and the echo term per mode, so there the count
+    bounds the set-up with room to spare."""
+    m, n_modes = plan.m, _mode_count(plan)
+    entries = (plan.k * plan.n_bs * m + m ** 2 * (plan.k + n_modes)
+               + (5 * m - 1) * n_modes * _grid_angles(plan))
+    if plan.scan:
+        entries += m ** 2 * n_modes * (2 * m - 1)
+    return entries
+
+
 def _range_trials(plan: ExperimentPlan) -> int:
     """The most trials of one trial range: `_tile_rows`, and with redrawn
-    channels few enough that the range's set-up, one per draw, takes at
-    most _BLOCK_ELEMENTS entries.
-
-    A draw takes M^2 (K + modes) entries for the (K, M, M) projectors and
-    the modes' stacked (modes, M, M) projectors (`_stacked_modes`), and
-    5M - 1 per (mode, angle): with the scan, the (modes, M, G) products
-    P a_g^* the engine forms the gains from, its real (modes, 4M - 3, G)
-    scaled basis and the (modes, G) gains and scales.  The scan engine also
-    holds its (M^2, modes x (2M - 1)) coefficients, M^2 modes (2M - 1)
-    entries, the largest part on a coarse grid: 31200 against 594
-    per-angle entries for two modes at M = 20 on a 90 degree grid.  At the
-    target angle alone (G = 1) the engine holds only the (modes, M) vectors
-    P a^*, of which its coefficients are a view, and the gain, the scale
-    and the echo term per mode, so there the term bounds the set-up with
-    room to spare: 403 draws for the fig3 at-angle redrawn plan, 2 for its
-    scan on a 0.5 degree grid and 10 on a 2 degree grid.
+    channels few enough that the range's draws and their set-up
+    (`_draw_entries` each) take at most _BLOCK_ELEMENTS entries: 359 draws
+    for the fig3 at-angle redrawn plan, 2 for its scan on a 0.5 degree grid
+    and 9 on a 2 degree grid.
     """
     rows = _tile_rows(plan)
     if plan.channel_mode == CHANNEL_FIXED:
         return rows
-    n_modes, grid = len(_mode_labels(plan)), len(plan.theta_grid())
-    per_draw = plan.m ** 2 * (plan.k + n_modes) + (5 * plan.m - 1) * n_modes * grid
-    if plan.scan:
-        per_draw += plan.m ** 2 * n_modes * (2 * plan.m - 1)
-    return max(1, min(rows, _BLOCK_ELEMENTS // per_draw))
+    return max(1, min(rows, _BLOCK_ELEMENTS // _draw_entries(plan)))
 
 
 def _tiles(plan: ExperimentPlan) -> list[tuple[int, int, int, int]]:
@@ -807,7 +828,7 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     before the first tile.
     """
     thresholds = _thresholds(plan)
-    n_points, n_modes = len(plan.snr_grid_db), len(_mode_labels(plan))
+    n_points, n_modes = len(plan.snr_grid_db), _mode_count(plan)
     detections = np.zeros((n_points, len(plan.pfa_list), n_modes), dtype=np.int64)
     false_alarms = np.zeros_like(detections)
     degenerate = np.zeros((n_points, n_modes), dtype=np.int64)
@@ -822,18 +843,18 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     # Doubles per trial: its noise record, padded to whole Philox counter
     # steps of 4 words.
     buffer = np.empty(max(count for _, count, _, _ in tiles) * record_words(noise_shape))
-    kinds = [_NOISE_STREAM] + ([_TRIAL_CHANNEL_STREAM] if redrawn else [])
-    keys = {kind: stream_key(plan.master_seed, kind) for kind in kinds}
+    noise_key = stream_key(plan.master_seed, _NOISE_STREAM)
+    if redrawn:
+        channel_key = stream_key(plan.master_seed, _TRIAL_CHANNEL_STREAM)
     for first, count, lo, end in tiles:
         if first != drawn:
             if redrawn:
-                h = _channels(plan, first, count, keys=keys)
+                h = _channels(plan, first, count, channel_key)
                 engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
                 if lo == 0:
                     gains.append(engine.target_gain)
-            noise = complex_normal_ranges(plan.master_seed,
-                                          [(_NOISE_STREAM, 0, first, count)],
-                                          noise_shape, noise_var, buffer=buffer, keys=keys)
+            noise = complex_normal_ranges(noise_key, first, count, noise_shape, noise_var,
+                                          buffer=buffer)
             g0 = engine.numerators(noise)
             anchor = engine.anchor(g0)
             range_false_alarms = engine.tally(g0, anchor, no_echo, thresholds)[0]

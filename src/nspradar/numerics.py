@@ -11,7 +11,8 @@ easy as 1, 2, 3", SC'11): a stream is its 128-bit key and a 256-bit
 counter, so it splits into 2**64 independent substreams by the counter's
 word 2 (numpy's `Philox.jumped`), and a record at a known offset of a
 substream needs no generator object of its own.  `complex_normal_ranges`
-reads each record range by setting one generator's key and counter.
+reads a record range of substream 0 by setting one generator's key and
+counter.
 
 The noncentral survival function is the `scipy.special` ufunc behind
 `scipy.stats.ncx2.sf`, with the same branches, so it equals that function
@@ -132,69 +133,50 @@ def record_words(shape) -> int:
     return -(-2 * math.prod(shape) // _PHILOX_WORDS) * _PHILOX_WORDS
 
 
-def complex_normal_ranges(master_seed: int, ranges, shape, variance: float = 1.0,
-                          buffer: np.ndarray | None = None,
-                          keys: dict | None = None) -> np.ndarray:
-    """CN(0, variance) arrays of the given shape for the record ranges
-    [(stream_id, substream, first, count), ...], stacked in range order: an
-    array of shape (sum of counts,) + shape.
+def complex_normal_ranges(key: np.ndarray, first: int, count: int, shape,
+                          variance: float = 1.0,
+                          buffer: np.ndarray | None = None) -> np.ndarray:
+    """CN(0, variance) arrays of the given shape for records
+    [first, first + count) of substream 0 of the stream whose Philox key is
+    `key` (`stream_key`): an array of shape (count,) + shape.
 
-    Substream s of stream (master_seed, stream_id) is that stream's Philox
-    generator jumped s times (`Philox.jumped(s)`): counter word 2 holds s,
-    and words 0 and 1 count the steps within it.  Every record consumes the
-    same number of words: its 2 prod(shape) uniforms, padded to whole
-    counter steps.  Record r therefore starts at counter step r * width / 4,
-    and a draw is byte-identical to its records drawn one by one, however
-    they are grouped into ranges and calls.  Each range sets the state of
-    one generator, made once per call: the stream's key, the counter
-    [step lo, step hi, s, 0] of step first * width / 4 and an empty buffer,
-    the state `jumped(s)` followed by `advance(first * width / 4)` leaves.
-    Raises ValueError for a range whose last counter step reaches 2**128,
-    which would carry into the substream word.  The uniforms of all ranges
-    fill one (records, width) array, range by range, and one
-    `normal_from_uniform` pass turns them into normals in place; never the
-    ziggurat, whose word count varies.
+    Every record consumes the same number of words: its 2 prod(shape)
+    uniforms, padded to whole counter steps.  Record r therefore starts at
+    counter step r * width / 4, and a draw is byte-identical to its records
+    drawn one by one.  The draw sets the state of one generator: the key,
+    the counter [step lo, step hi, 0, 0] of step first * width / 4 and an
+    empty buffer, the state `advance(first * width / 4)` leaves on the
+    stream's generator.  Raises ValueError for a negative first or count,
+    or for records whose last counter step reaches 2**128, which would carry
+    into the substream word.  The uniforms fill one (count, width) array,
+    and one `normal_from_uniform` pass turns them into normals in place;
+    never the ziggurat, whose word count varies.
 
-    `keys` maps each stream id of the ranges to its `stream_key`, so that a
-    caller drawing from the same streams many times derives their keys once;
-    without it they are derived here.
-
-    `buffer`, a flat float64 array of at least records x width entries,
-    holds that array; the result is then a view of it, valid until the
-    buffer's next use.  Without it a new array is allocated.
+    `buffer`, a flat float64 array of at least count x width entries, holds
+    that array; the result is then a view of it, valid until the buffer's
+    next use.  Without it a new array is allocated.
     """
     shape = tuple(shape)
     size, width = 2 * math.prod(shape), record_words(shape)
     steps = width // _PHILOX_WORDS
-    for stream_id, substream, first, count in ranges:
-        if first < 0 or count < 0:
-            raise ValueError(f"record range of stream {stream_id} must have "
-                             f"first >= 0 and count >= 0, got {first}, {count}")
-        if (first + count) * steps >= 2**128:
-            raise ValueError(f"records [{first}, {first + count}) of stream {stream_id} "
-                             f"reach counter step 2**128 and would carry into "
-                             f"the substream")
-    if keys is None:
-        keys = {stream_id: stream_key(master_seed, stream_id)
-                for stream_id in {r[0] for r in ranges}}
-    rows = sum(count for *_, count in ranges)
+    if first < 0 or count < 0:
+        raise ValueError(f"record range must have first >= 0 and count >= 0, "
+                         f"got {first}, {count}")
+    if (first + count) * steps >= 2**128:
+        raise ValueError(f"records [{first}, {first + count}) reach counter step "
+                         f"2**128 and would carry into the substream")
     if buffer is None:
-        u = np.empty((rows, width))
+        u = np.empty((count, width))
     else:
-        u = buffer[:rows * width].reshape(rows, width)
+        u = buffer[:count * width].reshape(count, width)
     # Philox() alone would read OS entropy for a key that is replaced anyway.
     bitgen = np.random.Philox(0)
-    generator = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox", "buffer": np.zeros(_PHILOX_WORDS, np.uint64),
-             "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
-    row = 0
-    for stream_id, substream, first, count in ranges:
-        step = first * steps
-        counter = np.array([step & 2**64 - 1, step >> 64, substream, 0], dtype=np.uint64)
-        state["state"] = {"counter": counter, "key": keys[stream_id]}
-        bitgen.state = state
-        generator.random(out=u[row:row + count])
-        row += count
+    step = first * steps
+    counter = np.array([step & 2**64 - 1, step >> 64, 0, 0], dtype=np.uint64)
+    bitgen.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                    "buffer": np.zeros(_PHILOX_WORDS, np.uint64),
+                    "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
+    np.random.Generator(bitgen).random(out=u)
     normal_from_uniform(u, math.sqrt(0.5 * variance), out=u)
     z = u if width == size else np.ascontiguousarray(u[:, :size])
-    return z.view(complex).reshape((rows,) + shape)
+    return z.view(complex).reshape((count,) + shape)

@@ -1,16 +1,13 @@
-"""Colocated MIMO radar model: steering vectors of the uniform linear array,
-the rank-one transmit-receive matrix and orthogonal waveform synthesis.
+"""Colocated MIMO radar model: steering vectors of the uniform linear array
+and the rank-one transmit-receive matrix.
 
-The array has M elements, given to `steering_vector` or read from the rows
-of the waveform; its element spacing is fixed at 3/4 of the carrier
-wavelength.
+The array has M elements, given to `steering_vector`; its element spacing
+is fixed at 3/4 of the carrier wavelength.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ConfigurationError
 
 # 3.55 GHz carrier (~8.45 cm).  The nominal 6.42 cm spacing quoted alongside
 # an 8.5 cm wavelength is inconsistent by ~0.5 mm, so the spacing is derived
@@ -38,16 +35,3 @@ def transmit_receive_matrix(a: np.ndarray) -> np.ndarray:
     symmetric but generally not Hermitian)."""
     a = np.asarray(a)
     return np.outer(a, a)
-
-
-def orthogonal_waveforms(m: int, l: int) -> np.ndarray:
-    """M x L sample matrix whose rows are normalized DFT tones.
-
-    Row m is exp(2j*pi*m*n/L)/sqrt(L); the sample-sum correlation
-    sum_n x[n] x[n]^H is exactly the identity for L >= M.
-    """
-    if l < m:
-        raise ConfigurationError(f"need L >= M for orthogonality, got L={l}, M={m}")
-    n = np.arange(l)
-    rows = np.arange(m)[:, None]
-    return np.exp(2j * np.pi * rows * n / l) / np.sqrt(l)

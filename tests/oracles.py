@@ -2,12 +2,13 @@
 
 These deliberately avoid the library's own code paths: chi-squared
 quantities come from direct quadrature of the density / bisection on the
-CDF, and steering products from explicit summation loops.  The explicit
-M x L echo model (`TargetScenario`, `synthesize_echo`) and the explicit
-pipeline of one sweep trial (`run_trial`: channels, SVD projectors,
-brute-force selection, echo, GLRT on Y X_tx^H), which the sweep replaces
-by its M x M sufficient statistic, live here too, with the closed-form
-central chi-squared CDF and the ziggurat complex normals.
+CDF, and steering products from explicit summation loops.  The orthogonal
+DFT waveforms (`orthogonal_waveforms`), which the library never forms,
+the explicit M x L echo model (`TargetScenario`, `synthesize_echo`) and
+the explicit pipeline of one sweep trial (`run_trial`: channels, SVD
+projectors, brute-force selection, echo, GLRT on Y X_tx^H), which the
+sweep replaces by its M x M sufficient statistic, live here too, with the
+closed-form central chi-squared CDF and the ziggurat complex normals.
 The scalar Wilson interval and the select-based inverse-CDF normals are the
 formulas whose bits the library's array and in-place versions keep, and
 the per-range Philox generators jumped to a substream and moved by
@@ -30,7 +31,7 @@ from scipy import integrate, special
 from nspradar.detection import GAIN_FLOOR_FRAC, noncentrality
 from nspradar.errors import ConfigurationError
 from nspradar.numerics import chi2_central_inv, chi2_noncentral_sf
-from nspradar.radar import orthogonal_waveforms, steering_vector, transmit_receive_matrix
+from nspradar.radar import steering_vector, transmit_receive_matrix
 
 
 def chi2_central_cdf(x: float) -> float:
@@ -57,6 +58,19 @@ class TargetScenario:
     def __post_init__(self):
         if self.noise_var <= 0:
             raise ConfigurationError("noise variance must be positive")
+
+
+def orthogonal_waveforms(m: int, l: int) -> np.ndarray:
+    """M x L sample matrix whose rows are normalized DFT tones.
+
+    Row m is exp(2j*pi*m*n/L)/sqrt(L); the sample-sum correlation
+    sum_n x[n] x[n]^H is exactly the identity for L >= M.
+    """
+    if l < m:
+        raise ConfigurationError(f"need L >= M for orthogonality, got L={l}, M={m}")
+    n = np.arange(l)
+    rows = np.arange(m)[:, None]
+    return np.exp(2j * np.pi * rows * n / l) / np.sqrt(l)
 
 
 def waveform_correlation(x: np.ndarray) -> np.ndarray:

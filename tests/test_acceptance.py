@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from nspradar import cli, detection, montecarlo, radar, sharing
+from nspradar import cli, detection, montecarlo, sharing
 from nspradar.montecarlo import (
     MODE_NSP_PER_BS,
     MODE_NSP_SELECTED,
@@ -174,7 +174,7 @@ class TestAcceptance:
             # the sweep's selection vs brute-force recomputation of the
             # degradation argmin, for the fixed draw shared by all trials
             # and for 50 independent redraws
-            x = radar.orthogonal_waveforms(plan.m, plan.l)
+            x = oracles.orthogonal_waveforms(plan.m, plan.l)
             draws = [montecarlo._channels(plan, 0, 1)[0]]
             for r in range(50):
                 rng = rng_substream(plan.master_seed, montecarlo._REDRAW_BASE + r)

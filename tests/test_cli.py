@@ -572,24 +572,34 @@ class TestRun:
 
     @pytest.mark.parametrize("text, message", [
         ("trials = 1000000000000000000\n", "trials_per_point must lie in [1, 1000000]"),
-        ("scan = true\ntheta_step_deg = 1e-9\n", "theta_step_deg = 1e-09 gives a scan grid"),
+        ("scan = true\ntheta_step_deg = 1e-9\n",
+         "scan grid of 179999345621 angles (theta_step_deg = 1e-09)"),
         ("channel_mode = redrawn-per-trial\nscan = true\ntheta_step_deg = 1e-7\n",
-         "theta_step_deg = 1e-07 gives a scan grid"),
-        ("k = 1000000000000\n", "k = 1000000000000 and 2 modes take 24000000000032 "
+         "scan grid of 1800000001 angles (theta_step_deg = 1e-07)"),
+        ("k = 1000000000000\n", "k = 1000000000000 and 2 modes take 24000000000070 "
          "entries, more than 4194304"),
+        ("k = 1000000000000\nmodes = [nsp-per-bs]\n",
+         "k = 1000000000000 and 1000000000000 modes take"),
         ("n_bs = 1000000000000\n", "n_bs = 1000000000000, k = 5"),
         ("m = 1000000\nl = 1000000\n", "at m = 1000000, n_bs = 2"),
         ("scan = true\nm = 300\nl = 300\ntrials = 5\nsnr_db = [0.0]\n",
-         "its projectors and the scan's coefficients at m = 300, n_bs = 2, k = 5 and "
-         "2 modes take 108453000 entries, more than 4194304"),
+         "scan grid of 361 angles (theta_step_deg = 0.5) at m = 300, n_bs = 2, k = 5 and "
+         "2 modes take 109535278 entries, more than 4194304"),
+        ("scan = true\nm = 100\nl = 100\ntheta_step_deg = 0.001373311970702678\n"
+         "trials = 5\nsnr_db = [0.0]\n",
+         "scan grid of 131070 angles (theta_step_deg = 0.001373311970702678) at m = 100, "
+         "n_bs = 2, k = 5 and 2 modes take 134858860 entries, more than 4194304"),
     ], ids=["huge-trials", "tiny-scan-step", "tiny-redrawn-scan-step",
-            "huge-k", "huge-n-bs", "huge-m", "huge-m-scan"])
+            "huge-k", "huge-k-per-bs", "huge-n-bs", "huge-m", "huge-m-scan",
+            "huge-grid-scan"])
     def test_plan_too_large_for_memory_exit_code(self, tmp_path, text, message):
         # The first used to build tile lists until memory ran out, the
         # next two the scan grid (1.31 TiB, and 13.4 GiB of redrawn set-up),
         # and the huge sizes one channel draw or its projectors (116 TiB,
-        # 291 TiB and 14.6 TiB): exit 1 at best.  The last one's draw and
-        # projectors fit, but the scan's coefficients took 1.61 GiB.
+        # 291 TiB and 14.6 TiB): exit 1 at best.  The m = 300 scan's draw
+        # and projectors fit, but the scan's coefficients took 1.61 GiB;
+        # the m = 100 scan's coefficients fit, but its grid set-up took
+        # more than 1.2 GiB.
         self._assert_capped_run_rejects(tmp_path, text, message)
 
     def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -17,14 +17,13 @@ from nspradar.detection import (
 from nspradar.errors import ConfigurationError
 from nspradar.numerics import chi2_central_inv, chi2_noncentral_sf, rng_substream
 from nspradar.radar import (
-    orthogonal_waveforms,
     steering_vector,
     transmit_receive_matrix,
 )
 from nspradar.sharing import channel_matrices, null_projectors
 
 import oracles
-from oracles import TargetScenario, glrt, synthesize_echo
+from oracles import TargetScenario, glrt, orthogonal_waveforms, synthesize_echo
 
 
 GRID_HALF_DEG = np.deg2rad(np.arange(-90.0, 90.0 + 0.25, 0.5))

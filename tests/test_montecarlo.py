@@ -162,20 +162,54 @@ class TestPlanValidation:
             tiny_plan(trials_per_point=10**18)
 
     def test_scan_grid_bound(self):
-        # The grid is counted before it is built: the largest accepted grid
-        # has at most _MAX_SCAN_ANGLES angles, and a step below its step is
-        # rejected, naming the value and the bound.  Without the scan the
-        # step is never used and any step in (0, 180] is accepted.
-        step = 180 / (montecarlo._MAX_SCAN_ANGLES - 1)
-        assert len(tiny_plan(scan=True, theta_step_deg=step).theta_grid()) \
-            <= montecarlo._MAX_SCAN_ANGLES
-        below = float(np.nextafter(step, 0) - 1e-12)
+        # The grid is counted before it is built, in the one draw bound: at
+        # M = 4 with two modes a grid of 131071 angles is rejected, the
+        # message naming the step, the angle count and the entries.
+        # Without the scan the step is never used and any step in (0, 180]
+        # is accepted.
+        step = 180 / (2**17 - 1)
         with pytest.raises(ConfigurationError,
-                           match=re.escape(f"theta_step_deg = {below!r}") + ".*"
-                           + re.escape(f"at most {montecarlo._MAX_SCAN_ANGLES}")):
-            tiny_plan(scan=True, theta_step_deg=below)
+                           match=re.escape(f"scan grid of 131071 angles (theta_step_deg = "
+                                           f"{step!r})") + ".*"
+                           + re.escape("take 4981026 entries, more than 4194304")):
+            tiny_plan(scan=True, theta_step_deg=step)
         plan = tiny_plan(theta_step_deg=1e-9)
         assert plan.theta_grid().tolist() == [plan.theta_target]
+
+    @pytest.mark.parametrize("step", [0.5, 0.7, 7.0, 13.0, 100.0, 180 / 131069])
+    def test_grid_angles_are_counted_before_the_grid_is_built(self, step):
+        # Steps that divide 180 degrees and steps that do not; at
+        # 180 / 131069 the arange's last value rounds above 90 degrees and
+        # the grid drops it.
+        plan = tiny_plan(m=1, l=1, k=1, n_bs=1, waveform_modes=(MODE_ORTHOGONAL,),
+                         scan=True, theta_step_deg=step)
+        assert montecarlo._grid_angles(plan) == len(plan.theta_grid())
+        assert montecarlo._grid_angles(replace(plan, scan=False)) == 1
+
+    @given(step=st.floats(0.01, 180.0))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_angles_match_the_built_grid(self, step):
+        plan = tiny_plan(scan=True, theta_step_deg=step)
+        assert montecarlo._grid_angles(plan) == len(plan.theta_grid())
+
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("modes", [
+        (MODE_ORTHOGONAL, MODE_NSP_SELECTED),
+        (MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
+    ], ids=["2-modes", "7-modes"])
+    def test_largest_accepted_grid(self, m, modes):
+        # _draw_entries grows by (5M - 1) modes per angle: the largest grid
+        # the bound accepts takes it to at most _MAX_DRAW_ENTRIES, and one
+        # angle more is rejected.  A step of 180 / (G - 1/2) gives G angles.
+        kwargs = dict(m=m, l=16, k=5, waveform_modes=modes, scan=True)
+        per_angle = (5 * m - 1) * len(montecarlo._mode_labels(tiny_plan(**kwargs)))
+        rest = montecarlo._draw_entries(tiny_plan(**kwargs)) - 361 * per_angle
+        top = (montecarlo._MAX_DRAW_ENTRIES - rest) // per_angle
+        plan = tiny_plan(**kwargs, theta_step_deg=180 / (top - 0.5))
+        assert len(plan.theta_grid()) == top
+        assert montecarlo._draw_entries(plan) <= montecarlo._MAX_DRAW_ENTRIES
+        with pytest.raises(ConfigurationError, match=f"scan grid of {top + 1} angles"):
+            tiny_plan(**kwargs, theta_step_deg=180 / (top + 0.5))
 
     def test_grid_without_scan_is_the_target_angle(self):
         plan = tiny_plan(theta_target_deg=-20.0)
@@ -417,7 +451,7 @@ class TestScanKernel:
 
     @staticmethod
     def _direct(plan, proj, noise, alpha):
-        x = radar.orthogonal_waveforms(plan.m, plan.l)
+        x = oracles.orthogonal_waveforms(plan.m, plan.l)
         a = radar.steering_vector(plan.m, plan.theta_target)
         a_grid = radar.steering_vector(plan.m, plan.theta_grid())
         echo = alpha * radar.transmit_receive_matrix(a)
@@ -609,7 +643,8 @@ class TestEarlyExit:
         # The margin's bound holds for M <= 127, which every scan plan has:
         # its draw, projectors and coefficients take 2 M^3 + M^2 + M entries
         # at least.
-        small = dict(n_bs=1, k=1, waveform_modes=(MODE_ORTHOGONAL,), scan=True)
+        small = dict(n_bs=1, k=1, waveform_modes=(MODE_ORTHOGONAL,), scan=True,
+                     theta_step_deg=180.0)
         ExperimentPlan(m=127, l=127, **small)
         with pytest.raises(ConfigurationError):
             ExperimentPlan(m=128, l=128, **small)
@@ -711,15 +746,16 @@ class TestNoiseDraws:
     def test_redrawn_trial_ranges_are_bounded_by_their_setup(self, monkeypatch):
         # With redrawn channels a trial range also takes at most
         # `_range_trials` draws, the set-up budget per draw: here 10 draws
-        # (118 entries each at the target angle, M^2 (K + modes) + (5M - 1)
-        # modes) beside a 590-row budget, so each range's one block holds
-        # every point; with a 25-row budget, blocks of 2 points.
+        # (142 entries each at the target angle, K N_BS M + M^2 (K + modes)
+        # + (5M - 1) modes) beside a 710-row budget, so each range's one
+        # block holds every point; with a 25-row budget, blocks of 2 points.
         plan = tiny_plan(snr_grid_db=(0.0, 3.0, 6.0, 9.0, 12.0), trials_per_point=25,
                          channel_mode=CHANNEL_REDRAWN)
-        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1180)
-        assert (montecarlo._tile_rows(plan), montecarlo._range_trials(plan)) == (590, 10)
+        assert montecarlo._draw_entries(plan) == 142
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1420)
+        assert (montecarlo._tile_rows(plan), montecarlo._range_trials(plan)) == (710, 10)
         assert montecarlo._tiles(plan) == [(0, 10, 0, 5), (10, 10, 0, 5), (20, 5, 0, 5)]
-        assert montecarlo._range_trials(replace(plan, channel_mode=CHANNEL_FIXED)) == 590
+        assert montecarlo._range_trials(replace(plan, channel_mode=CHANNEL_FIXED)) == 710
         monkeypatch.setattr(montecarlo, "_CHUNK", 25)
         assert montecarlo._tiles(plan)[:4] == [(0, 10, 0, 2), (0, 10, 2, 4),
                                                (0, 10, 4, 5), (10, 10, 0, 2)]
@@ -746,13 +782,30 @@ class TestNoiseDraws:
         assert peak <= 16 * montecarlo._BLOCK_ELEMENTS
 
     @pytest.mark.parametrize("config, draws", [
-        ({}, 403), ({"scan": True}, 2), ({"scan": True, "theta_step_deg": 2.0}, 10),
+        ({}, 359), ({"scan": True}, 2), ({"scan": True, "theta_step_deg": 2.0}, 9),
     ], ids=["at-angle", "scan-0.5", "scan-2"])
     def test_fig3_redrawn_trial_ranges(self, config, draws):
         # The fig3 preset's redrawn trial ranges, at the target angle and
         # with the scan on a 0.5 and a 2 degree grid.
         plan = ExperimentPlan(**cli.PRESETS["fig3"], **config, channel_mode=CHANNEL_REDRAWN)
         assert montecarlo._range_trials(plan) == draws
+
+    @pytest.mark.parametrize("preset, scan, entries", [
+        ("fig3", False, 365), ("fig3", True, 49029), ("fig4", False, 190),
+        ("fig4", True, 14094),
+    ])
+    def test_range_trials_is_the_draw_bound(self, preset, scan, entries):
+        # One count sizes both the plan bound and a redrawn trial range:
+        # K N_BS M + M^2 (K + modes) + (5M - 1) modes G, and with the scan
+        # M^2 modes (2M - 1) more.
+        plan = ExperimentPlan(**cli.PRESETS[preset], scan=scan, channel_mode=CHANNEL_REDRAWN)
+        m, k, modes, grid = plan.m, plan.k, len(montecarlo._mode_labels(plan)), 361 * scan or 1
+        assert len(plan.theta_grid()) == grid
+        assert montecarlo._draw_entries(plan) == entries == (
+            k * plan.n_bs * m + m * m * (k + modes) + (5 * m - 1) * modes * grid
+            + scan * m * m * modes * (2 * m - 1))
+        assert montecarlo._range_trials(plan) == max(1, min(
+            montecarlo._tile_rows(plan), montecarlo._BLOCK_ELEMENTS // entries))
 
     def test_scan_budget_keeps_100_trial_points_whole(self):
         # The fig4 scan plan.  A fixed-channel tile is sized by the per-row
@@ -788,17 +841,20 @@ class TestNoiseDraws:
                  montecarlo._NOISE_STREAM, 4]
         assert sorted(kinds) == [0, 1, 2, 4]
         assert max(kinds) < montecarlo._REDRAW_BASE <= 2**64 - 2**32
-        # The record ranges (stream, substream, first, count) of a redrawn
-        # tile of trials [5, 7) at points 3 and 4: the channels of substream
-        # 0, then the noise of substream 0, once for both points and both
+        # The record ranges (stream, first, count) of a redrawn tile of
+        # trials [5, 7) at points 3 and 4, each of substream 0: the
+        # channels, then the noise, once for both points and both
         # hypotheses.
+        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, snr_grid_db=(0.0, 1.0, 2.0, 3.0, 4.0))
+        streams = {montecarlo.stream_key(plan.master_seed, i).tobytes(): i for i in (1, 2)}
         read = []
         draw = montecarlo.complex_normal_ranges
-        monkeypatch.setattr(montecarlo, "complex_normal_ranges", lambda seed, ranges, *args,
-                            **kwargs: read.append(ranges) or draw(seed, ranges, *args, **kwargs))
-        plan = tiny_plan(channel_mode=CHANNEL_REDRAWN, snr_grid_db=(0.0, 1.0, 2.0, 3.0, 4.0))
+        monkeypatch.setattr(montecarlo, "complex_normal_ranges",
+                            lambda key, first, count, *args, **kwargs:
+                            read.append((streams[key.tobytes()], first, count))
+                            or draw(key, first, count, *args, **kwargs))
         montecarlo._run_tiles(plan, [(5, 2, 3, 5)], None)
-        assert read == [[(1, 0, 5, 2)], [(2, 0, 5, 2)]]
+        assert read == [(1, 5, 2), (2, 5, 2)]
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_at_angle_noise_is_cn_0_m_identity(self, m):
@@ -853,7 +909,7 @@ class TestNoiseDraws:
         plan = tiny_plan(scan=scan)
         first, count = 9_000, 1_000
         got = montecarlo.complex_normal_ranges(
-            plan.master_seed, [(montecarlo._NOISE_STREAM, 0, first, count)],
+            montecarlo.stream_key(plan.master_seed, montecarlo._NOISE_STREAM), first, count,
             *montecarlo._noise_shape(plan))
         want = oracles.noise_block(plan, first, count)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -1004,21 +1060,18 @@ class TestRunExperiment:
         assert result.selection.residual_interference < 1e-12
 
     @pytest.mark.parametrize("m, n_bs", [(4, 2), (4, 4), (4, 6), (8, 3)])
-    def test_fixed_report_forms_no_waveform(self, m, n_bs, monkeypatch):
+    def test_fixed_report_forms_no_waveform(self, m, n_bs):
         # The reported norms are sqrt(M - nullity) exactly, and the
         # brute-force norms of the orthogonal waveform to rounding; the
-        # selection is the brute-force argmin.
-        def no_waveform(*args):
-            raise AssertionError("run_experiment formed a waveform")
-
+        # selection is the brute-force argmin.  The library has no waveform
+        # to form: the waveform lives in the oracles alone.
+        assert not hasattr(radar, "orthogonal_waveforms")
         plan = tiny_plan(m=m, n_bs=n_bs, trials_per_point=5)
-        monkeypatch.setattr(radar, "orthogonal_waveforms", no_waveform)
         selection = run_experiment(plan).selection
-        monkeypatch.undo()
         p, nullity = sharing.null_projectors(montecarlo._channels(plan, 0, 1)[0])
         assert selection.norms == tuple(math.sqrt(m - n) for n in nullity.tolist())
         idx, want = oracles.brute_force_argmin_norms(
-            list(p), radar.orthogonal_waveforms(m, plan.l))
+            list(p), oracles.orthogonal_waveforms(m, plan.l))
         assert selection.selected == idx + 1
         np.testing.assert_allclose(selection.norms, want, rtol=1e-12)
         assert selection.residual_interference < 1e-12
@@ -1209,19 +1262,19 @@ class TestRunExperiment:
                                                             monkeypatch):
         # Tiles of points 0 and 2 alone: the keys are those of the noise
         # kind (and the redrawn-channel kind), each derived once, and every
-        # draw passes them in.  Every draw reads substream 0: one noise
-        # range per trial range, whatever its points, and the redrawn
+        # draw passes one of them in.  Every draw reads substream 0: one
+        # noise range per trial range, whatever its points, and the redrawn
         # channels of each range.
         derived, read = [], []
-        keys = montecarlo.stream_key
-        draw = montecarlo.complex_normal_ranges
+        derive, draw = montecarlo.stream_key, montecarlo.complex_normal_ranges
         monkeypatch.setattr(montecarlo, "stream_key",
-                            lambda seed, i: derived.append(i) or keys(seed, i))
+                            lambda seed, i: derived.append((i, derive(seed, i)))
+                            or derived[-1][1])
 
-        def recorded(seed, ranges, *args, keys=None, **kwargs):
-            assert sorted(keys) == sorted(derived)
-            read.extend(ranges)
-            return draw(seed, ranges, *args, keys=keys, **kwargs)
+        def recorded(key, first, count, *args, **kwargs):
+            stream_id, = [i for i, derived_key in derived if derived_key is key]
+            read.append((stream_id, first, count))
+            return draw(key, first, count, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "complex_normal_ranges", recorded)
         monkeypatch.setattr(montecarlo, "_CHUNK", 10)
@@ -1235,11 +1288,11 @@ class TestRunExperiment:
             engine = montecarlo._PointEngine(plan, montecarlo._stacked_modes(plan, h)[0])
         montecarlo._run_tiles(plan, [tiles[0], tiles[2], tiles[3]], engine)
         want = [1] * (channel_mode == CHANNEL_REDRAWN) + [2]
-        assert sorted(derived) == want
+        assert sorted(i for i, _ in derived) == want
         assert {stream_id for stream_id, *_ in read} == set(want)
-        assert [r for r in read if r[0] == 2] == [(2, 0, 0, 10), (2, 0, 10, 10)]
+        assert [r for r in read if r[0] == 2] == [(2, 0, 10), (2, 10, 10)]
         assert [r for r in read if r[0] == 1] == (
-            [(1, 0, 0, 10), (1, 0, 10, 10)] if channel_mode == CHANNEL_REDRAWN else [])
+            [(1, 0, 10), (1, 10, 10)] if channel_mode == CHANNEL_REDRAWN else [])
 
     @pytest.mark.parametrize("n_bs, m", [(2, 4), (1, 3), (4, 4), (6, 4)])
     def test_selection_is_the_degradation_argmin(self, n_bs, m):
@@ -1252,7 +1305,7 @@ class TestRunExperiment:
         h[::3, 1] = 0                                   # zero channels
         h[1::3, 2, 1:] = h[1::3, 2, :1]                 # repeated rows
         proj, selected, p, _ = montecarlo._stacked_modes(plan, h)
-        x = radar.orthogonal_waveforms(m, plan.l)
+        x = oracles.orthogonal_waveforms(m, plan.l)
         want = [oracles.brute_force_argmin_norms(list(pc), x)[0] for pc in p]
         assert selected.tolist() == want
         assert proj[:, 0].tobytes() == p[np.arange(40), want].tobytes()
@@ -1616,7 +1669,7 @@ class TestSnrGap:
         # closed form: at equal detection probability the calibrated laws
         # differ by the SNR ratio M / c
         a = radar.steering_vector(plan.m, plan.theta_target)
-        x = radar.orthogonal_waveforms(plan.m, plan.l)
+        x = oracles.orthogonal_waveforms(plan.m, plan.l)
         h = sharing.channel_matrices([numerics.rng_substream(plan.master_seed, 0)],
                                      plan.k, plan.n_bs, plan.m)[0]
         p, _ = sharing.null_projectors(h)

@@ -264,44 +264,38 @@ class TestInPlaceNormals:
 
 
 class TestComplexNormalRanges:
-    @staticmethod
-    def _per_range(seed, ranges, shape, variance):
-        return np.concatenate([complex_normal_ranges(seed, [r], shape, variance)
-                               for r in ranges])
-
     @given(
         m=st.integers(1, 6),
-        substream=st.one_of(st.integers(0, 50), st.integers(0, 2**64 - 1)),
         first=st.integers(0, 50),
         count=st.integers(1, 12),
         seed=st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_block_equals_per_record_draws(self, m, substream, first, count, seed):
-        block = complex_normal_ranges(seed, [(9, substream, first, count)], (m, m))
+    def test_block_equals_per_record_draws(self, m, first, count, seed):
+        key = stream_key(seed, 9)
+        block = complex_normal_ranges(key, first, count, (m, m))
         assert block.shape == (count, m, m) and block.dtype == complex
-        singles = np.concatenate([
-            complex_normal_ranges(seed, [(9, substream, t, 1)], (m, m))
-            for t in range(first, first + count)
-        ])
+        singles = np.concatenate([complex_normal_ranges(key, t, 1, (m, m))
+                                  for t in range(first, first + count)])
         assert block.tobytes() == singles.tobytes()
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_fixed_word_count_per_record(self, m):
         # M=3 needs 18 words, padded to 20; M=4 needs exactly 32.
         for record in (0, 1, 5):
-            got = complex_normal_ranges(77, [(4, 0, record, 1)], (m, m))[0]
+            got = complex_normal_ranges(stream_key(77, 4), record, 1, (m, m))[0]
             want = _record_from_raw_stream(77, 4, m, record)
             assert got.tobytes() == want.tobytes()
 
-    def test_streams_substreams_and_seeds_differ(self):
-        a = complex_normal_ranges(1, [(0, 0, 0, 4)], (2, 2))
-        for other in ((1, [(1, 0, 0, 4)]), (1, [(0, 1, 0, 4)]), (2, [(0, 0, 0, 4)])):
-            assert not np.array_equal(a, complex_normal_ranges(*other, (2, 2)))
+    def test_streams_and_seeds_differ(self):
+        a = complex_normal_ranges(stream_key(1, 0), 0, 4, (2, 2))
+        for seed, stream_id in ((1, 1), (2, 0)):
+            other = complex_normal_ranges(stream_key(seed, stream_id), 0, 4, (2, 2))
+            assert not np.array_equal(a, other)
 
     def test_moments(self):
         n = 200_000
-        z = complex_normal_ranges(5, [(3, 2, 0, n)], (1,)).ravel()
+        z = complex_normal_ranges(stream_key(5, 3), 0, n, (1,)).ravel()
         assert abs(z.mean()) < 5 / math.sqrt(n)
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01
         assert abs(np.mean(z * z)) < 5 / math.sqrt(n)  # circular symmetry
@@ -309,15 +303,13 @@ class TestComplexNormalRanges:
 
     def test_negative_stream_rejected(self):
         with pytest.raises(ValueError):
-            complex_normal_ranges(1, [(-1, 0, 0, 1)], (2, 2))
+            stream_key(1, -1)
 
     @pytest.mark.parametrize("first, count", [(-1, 2), (0, -1), (-3, -1)])
     def test_negative_first_or_count_rejected(self, first, count):
         # A negative first record would wrap the counter to the stream's end.
         with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
-            complex_normal_ranges(1, [(0, 0, first, count)], (4,))
-        with pytest.raises(ValueError, match="first >= 0 and count >= 0"):
-            complex_normal_ranges(1, [(0, 0, 0, 2), (3, 1, first, count)], (4,))
+            complex_normal_ranges(stream_key(1, 0), first, count, (4,))
 
     @pytest.mark.parametrize("shape, steps", [((2,), 1), ((4,), 2), ((4, 4), 8)])
     def test_counter_stops_short_of_the_substream_word(self, shape, steps):
@@ -325,70 +317,60 @@ class TestComplexNormalRanges:
         # range's last step may be 2**128 - 1 but not 2**128, which would
         # carry into word 2 and read the next substream.
         last = (2**128 - 1) // steps     # records [0, last) end below 2**128
-        ranges = [(7, 3, last - 1, 1), (2**63 + 1, 2**64 - 1, last - 2, 2)]
-        want = oracles.complex_normal_ranges_reference(11, ranges, shape)
-        assert complex_normal_ranges(11, ranges, shape).tobytes() == want.tobytes()
-        for bad in [(7, 3, last, 1), (7, 3, last - 1, 2), (7, 0, 2**128, 0)]:
+        key = stream_key(11, 7)
+        for first, count in ((last - 1, 1), (last - 2, 2)):
+            want = oracles.complex_normal_ranges_reference(11, [(7, 0, first, count)], shape)
+            assert complex_normal_ranges(key, first, count, shape).tobytes() == want.tobytes()
+        for first, count in ((last, 1), (last - 1, 2), (2**128, 0)):
             with pytest.raises(ValueError, match="carry into the substream"):
-                complex_normal_ranges(11, [(7, 3, 0, 1), bad], shape)
-
-    @pytest.mark.parametrize("shape", [(4,), (3,), (4, 4), (3, 3), (5, 2, 4)])
-    def test_streams_split_and_out_of_order(self, shape):
-        # Several streams and substreams; substream 9/1 split into two
-        # adjacent ranges and read again later; streams out of order.
-        ranges = [(9, 1, 3, 5), (2, 0, 4, 4), (9, 1, 8, 2), (5, 7, 100, 1), (9, 1, 0, 3),
-                  (1, 0, 7, 6), (9, 0, 3, 2)]
-        got = complex_normal_ranges(21, ranges, shape, 4.0)
-        assert got.shape == (23,) + shape and got.dtype == complex
-        assert got.tobytes() == self._per_range(21, ranges, shape, 4.0).tobytes()
+                complex_normal_ranges(key, first, count, shape)
 
     @given(
-        ranges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 40),
-                                  st.integers(1, 8)), min_size=1, max_size=6),
+        stream_id=st.integers(0, 5),
+        first=st.integers(0, 40),
+        count=st.integers(1, 8),
         shape=st.sampled_from([(1,), (2,), (3,), (8,), (2, 2), (3, 3), (2, 3, 3)]),
         variance=st.sampled_from([1.0, 4.0, 8.0]),
         seed=st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equals_per_range_draws_concatenated(self, ranges, shape, variance, seed):
-        want = self._per_range(seed, ranges, shape, variance).tobytes()
-        assert complex_normal_ranges(seed, ranges, shape, variance).tobytes() == want
+    def test_reused_buffer_gives_the_same_bits(self, stream_id, first, count, shape,
+                                               variance, seed):
+        key = stream_key(seed, stream_id)
+        want = complex_normal_ranges(key, first, count, shape, variance).tobytes()
         # A reused buffer holding stale values gives the same bits.
-        rows = sum(count for *_, count in ranges)
-        buffer = np.full(rows * record_words(shape) + 5, np.nan)
-        got = complex_normal_ranges(seed, ranges, shape, variance, buffer=buffer)
+        buffer = np.full(count * record_words(shape) + 5, np.nan)
+        got = complex_normal_ranges(key, first, count, shape, variance, buffer=buffer)
         assert got.tobytes() == want
-        again = complex_normal_ranges(seed, ranges[::-1], shape, variance, buffer=buffer)
-        assert again.tobytes() == self._per_range(seed, ranges[::-1], shape,
-                                                  variance).tobytes()
+        again = complex_normal_ranges(key, first, count, shape, variance, buffer=buffer)
+        assert again.tobytes() == want
 
     def test_unpadded_records_are_a_view_of_the_buffer(self):
         buffer = np.empty(10 * record_words((4,)))
-        z = complex_normal_ranges(3, [(0, 0, 0, 4), (1, 2, 2, 6)], (4,), buffer=buffer)
+        z = complex_normal_ranges(stream_key(3, 1), 2, 10, (4,), buffer=buffer)
         assert z.shape == (10, 4) and np.shares_memory(z, buffer)
         assert z.flags.c_contiguous
 
     def test_padded_records_come_out_contiguous(self):
         buffer = np.empty(10 * record_words((3,)))
-        z = complex_normal_ranges(3, [(0, 0, 0, 4), (1, 2, 2, 6)], (3,), buffer=buffer)
+        z = complex_normal_ranges(stream_key(3, 1), 2, 10, (3,), buffer=buffer)
         assert z.shape == (10, 3) and z.flags.c_contiguous
 
     @given(
-        ranges=st.lists(st.tuples(st.integers(0, 2**64 - 1),
-                                  st.one_of(st.integers(0, 50),
-                                            st.integers(0, 2**64 - 1)),
-                                  st.one_of(st.integers(0, 50),
-                                            st.integers(2**61, 2**66)),
-                                  st.integers(0, 4)), min_size=1, max_size=5),
+        stream_id=st.integers(0, 2**64 - 1),
+        first=st.one_of(st.integers(0, 50), st.integers(2**61, 2**66)),
+        count=st.integers(0, 4),
         shape=st.sampled_from([(1,), (2,), (3,), (4,), (3, 3)]),
         seed=st.integers(-2**63, 2**64 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equals_jumped_and_advanced_generators(self, ranges, shape, seed):
+    def test_equals_advanced_generator(self, stream_id, first, count, shape, seed):
         # Record offsets from 2**61 on take counter steps of 2**64 or more
         # for most widths, so the step carries into the counter's word 1.
-        want = oracles.complex_normal_ranges_reference(seed, ranges, shape, 2.0)
-        assert complex_normal_ranges(seed, ranges, shape, 2.0).tobytes() == want.tobytes()
+        want = oracles.complex_normal_ranges_reference(
+            seed, [(stream_id, 0, first, count)], shape, 2.0)
+        got = complex_normal_ranges(stream_key(seed, stream_id), first, count, shape, 2.0)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("width_steps, first", [
         (1, 2**64 - 1), (1, 2**64), (1, 2**64 + 5), (2, 2**63), (2, 2**63 + 1),
@@ -398,15 +380,11 @@ class TestComplexNormalRanges:
         # width_steps counter steps per record: shapes (2,), (4,) and
         # (4, 4); the record's step is first * width_steps.
         shape = {1: (2,), 2: (4,), 8: (4, 4)}[width_steps]
-        ranges = [(7, 0, first, 2), (2**63 + 1, 2**64 - 1, first, 1), (3, 5, first, 1)]
-        want = oracles.complex_normal_ranges_reference(11, ranges, shape)
-        assert complex_normal_ranges(11, ranges, shape).tobytes() == want.tobytes()
-
-    def test_given_keys_equal_derived_keys(self):
-        ranges = [(2**63 + 4, 2, 0, 3), (1, 0, 5, 2), (2**63 + 4, 2, 3, 1), (1, 9, 0, 2)]
-        keys = {1: stream_key(8, 1), 2**63 + 4: stream_key(8, 2**63 + 4)}
-        got = complex_normal_ranges(8, ranges, (3,), keys=keys)
-        assert got.tobytes() == complex_normal_ranges(8, ranges, (3,)).tobytes()
+        for stream_id, count in ((7, 2), (2**63 + 1, 1)):
+            want = oracles.complex_normal_ranges_reference(
+                11, [(stream_id, 0, first, count)], shape)
+            got = complex_normal_ranges(stream_key(11, stream_id), first, count, shape)
+            assert got.tobytes() == want.tobytes()
 
     def test_record_words(self):
         assert [record_words(s) for s in [(1,), (2,), (3,), (4, 4), (5, 2, 4)]] == [

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from nspradar.errors import ConfigurationError
 from nspradar.numerics import rng_substream
 from nspradar.radar import (
-    orthogonal_waveforms,
     steering_vector,
     transmit_receive_matrix,
 )
 
 import oracles
-from oracles import TargetScenario, synthesize_echo, waveform_correlation
+from oracles import TargetScenario, orthogonal_waveforms, synthesize_echo, waveform_correlation
 
 
 M8 = 8

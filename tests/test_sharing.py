@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from nspradar.errors import ConfigurationError, NumericFailure
 from nspradar.numerics import rng_substream
-from nspradar.radar import orthogonal_waveforms
 from nspradar.sharing import (
     _svd_projectors,
     channel_matrices,
@@ -14,7 +13,7 @@ from nspradar.sharing import (
 )
 
 import oracles
-from oracles import complex_normal
+from oracles import complex_normal, orthogonal_waveforms
 
 
 class TestDrawChannels:
