@@ -254,15 +254,15 @@ def write_csv(result: montecarlo.ExperimentResult, path: str) -> None:
 
 
 def _gap_reports(result) -> dict:
-    """The summary's SNR gaps at P_D = 0.9, {repr(pfa): {source: gap_db}},
-    one `montecarlo.snr_gap_columns` call per P_FA and source
-    (`GAP_SOURCES`) on the result's (points, modes) column at that P_FA."""
+    """The summary's SNR gaps at P_D = 0.9, {repr(pfa): {source:
+    {label: gap_db}}}, from one `montecarlo.snr_gap_columns` call on the
+    (points, pfa, source, modes) stack of the sources' columns
+    (`GAP_SOURCES`)."""
     labels = [label for label, _ in result.labels]
-    snr_db = np.array(result.plan.snr_grid_db)
-    return {repr(pfa): {
-        source: montecarlo.snr_gap_columns(labels, snr_db, result.columns[name][:, j])[1]
-        for source, name in GAP_SOURCES.items()}
-        for j, pfa in enumerate(result.plan.pfa_list)}
+    pd = np.stack([result.columns[name] for name in GAP_SOURCES.values()], axis=2)
+    gaps = montecarlo.snr_gap_columns(labels, np.array(result.plan.snr_grid_db), pd)[1]
+    return {repr(pfa): {source: dict(zip(labels, row)) for source, row in zip(GAP_SOURCES, rows)}
+            for pfa, rows in zip(result.plan.pfa_list, gaps)}
 
 
 def write_summary(result, cfg: RunConfig, wall_time: float, path: str,

@@ -92,10 +92,14 @@ per trial, is one `numerics.complex_normal_ranges` draw into its thread's
 buffer of uniforms, allocated once for the longest range; the engine forms
 its noise numerators once (`_PointEngine.numerators`), and its H0
 statistics and false-alarm tallies once, which every point of each of its
-point blocks adds.  A point block's H1 statistics are then one (points, n)
-block of those numerators plus each point's amplitude times the echo term
-(`_PointEngine.statistics`), and its detections one sum over the trial
-axis.  A fixed channel's engine is shared by every tile.  With redrawn
+point blocks adds, as it adds the range's degenerate trials.  A point
+block's H1 statistics are then one (points, n) block of those numerators
+plus each point's amplitude times the echo term, and its detections one
+sum over the trial axis (`_PointEngine.tally`).  At the target angle alone
+the echo term M c is real: the range's numerators are kept as their
+(modes, n) real parts and squared imaginary parts, and a block's
+statistics are one real (points, modes, n) array, with the trials last
+for the sum.  A fixed channel's engine is shared by every tile.  With redrawn
 channels a trial range is drawn and set up at its first tile too (C = n
 draws: one stacked set-up and one engine), and each of its point blocks
 runs against that engine; neither the engine nor the numerators hold a
@@ -111,9 +115,9 @@ The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t alone, one (C, modes) array that every
 point shares; with a fixed channel that is the value at its one gain.  A
 noncentrality is the point's SNR times a factor of the gain alone, so one
-`np.unique` per convention over the draws' factors serves every point:
-the theory is one `detection.threshold_pd` call per convention, every
-P_FA's threshold against one (points, distinct factors) table, a column
+`np.unique` over both conventions' factors of the draws serves every
+point: the theory is one `detection.threshold_pd` call, every P_FA's
+threshold against one (points, distinct factors) table, a column
 that copies another's gains (the selected BS's beside nsp-per-bs) costs
 no evaluation, and a mode whose draws share one noncentrality (the
 orthogonal mode, a fixed channel, no null space) reads that value
@@ -185,7 +189,7 @@ _MAX_TRIALS = 10**6
 # One channel draw and its set-up take at most _MAX_DRAW_ENTRIES entries
 # (`_draw_entries`, counted before any is formed, the grid too).  Every
 # set-up forms all of them for one draw at least, 64 MiB of complex entries
-# at this bound; the fig4 scan takes 14094, the fig3 scan 49029.
+# at this bound; the fig4 scan takes 22758, the fig3 scan 57693.
 _MAX_DRAW_ENTRIES = 2**22
 # The scan's early exit counts a row as detected when its anchor statistic
 # exceeds the largest threshold by more than _ANCHOR_MARGIN times its scale
@@ -461,7 +465,11 @@ class _PointEngine:
     term is w^T v with v = P a^*, and the product is (n, M) @ (M, modes) on
     the noise vectors w.  That set-up reads only v and the gain
     c = a^T v (`detection.projected_gain`): c gives the scale and the
-    degenerate flags, and the echo term is M c.  Both forms first reduce
+    degenerate flags, and the echo term is M c.  The echo term is real,
+    so it moves a numerator's real part alone: a trial range's tallies
+    read the (modes, n) real parts and squared imaginary parts of its
+    noise numerators (`anchor`) and form each point's statistics in real
+    arithmetic, trials last (`tally`).  Both forms first reduce
     the stack to v and c, the target gains the theory reads, so a plan's
     theory is the same with and without the scan.  Both are exact
     rewrites of the GLRT on E = (alpha A X_tx + E0 X) X_tx^H.  The scan's
@@ -524,9 +532,10 @@ class _PointEngine:
         if plan.scan:
             grid = plan.theta_grid()
             a_grid = radar.steering_vector(plan.m, grid)         # (M, G)
-            p_a = proj @ a_grid.conj()                           # (C, modes, M, G)
-            # c_g = a_g^H P^T a_g = a_g^T P a_g^*
-            gain = np.real(np.sum(a_grid * p_a, axis=-2))       # (C, modes, G)
+            # c_g = a_g^H P^T a_g = a_g^T P a_g^*, from the (C, modes, M, G)
+            # products P a_g^*, which are freed here, before the grid's
+            # powers z are formed.
+            gain = np.real(np.sum(a_grid * (proj @ a_grid.conj()), axis=-2))  # (C, modes, G)
         else:
             gain = self.target_gain[..., None]                   # the one grid angle
         valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
@@ -565,7 +574,10 @@ class _PointEngine:
             self.sig = plan.m * gain
             # coef[c, n, mode] = v_c[n]
             self.coef = np.swapaxes(v, 1, 2)
-            self.scale = scale
+            self.scale = scale[..., 0]                           # (C, modes)
+            # The (modes, C) echo terms and scales of `tally`'s layout.
+            self.sig_t = np.ascontiguousarray(self.sig[..., 0].T)
+            self.scale_t = np.ascontiguousarray(self.scale.T)
             self.basis = None
 
     def numerators(self, noise: np.ndarray) -> np.ndarray:
@@ -600,13 +612,11 @@ class _PointEngine:
         with one draw, points with C = n), so no block size grows the
         grid-sized temporary; a block holds one group at least, whose
         (C, modes, G) maxima take fewer entries than the basis, which
-        `_draw_entries` counts.  Columns of degenerate modes
-        (`self.degenerate`) read 0."""
+        `_draw_entries` counts.  At the target angle alone the maximum is
+        the one angle's statistic, `_at_angle_power` of the numerators'
+        parts.  Columns of degenerate modes (`self.degenerate`) read 0."""
         if self.basis is None:
-            power = g.real ** 2
-            power += g.imag ** 2
-            power *= self.scale
-            return power.max(axis=-1)
+            return _at_angle_power(g.real[..., 0].copy(), g.imag[..., 0] ** 2, self.scale)
         # The terms go block by block with the product.  Formed for the
         # whole tile beside the product block, they took a 2000-row call's
         # working set past the point where the allocator hands it back to
@@ -628,10 +638,15 @@ class _PointEngine:
     def anchor(self, g0: np.ndarray):
         """The noise terms (c0, c1), each (n, modes), of the margined
         anchor statistic c0 + alpha c1 + alpha^2 c2 of n trials' noise
-        numerators g0 (`numerators`); see the class docstring.  None at the
-        target angle alone."""
+        numerators g0 (`numerators`); see the class docstring.  At the
+        target angle alone, the real parts and the squared imaginary parts
+        of g0, each a C-contiguous (modes, n) array: the echo term M c is
+        real, so it moves the real parts alone, and `tally` reads the
+        trials along the last axis."""
         if self.basis is None:
-            return None
+            re, im2 = g0[..., 0].real.T.copy(), g0[..., 0].imag.T.copy()
+            im2 *= im2
+            return re, im2
         u0, norm0 = g0 @ self.anchor_z, _norm(g0)
         cross = u0.real * self.anchor_sig.real + u0.imag * self.anchor_sig.imag
         c0 = self.anchor_scale * (_abs2(u0) - _ANCHOR_MARGIN * norm0 ** 2)
@@ -646,6 +661,15 @@ class _PointEngine:
         for the (pfa, 1, 1) thresholds; alpha = 0 gives H0's.  `anchor` is
         `anchor(g0)`.  Every count is `_tally(statistics(g), thresholds)`'s.
 
+        At the target angle alone the echo term is real, so a point's
+        statistics are the anchor's (modes, n) real parts plus alpha `sig`,
+        squared, plus the squared imaginary parts, times the scale
+        (`_at_angle_power`, the formula `statistics` takes on the complex
+        numerators, in its order and so with its bits): a (P, modes, n)
+        real array whose crossings are summed along the trials, last in
+        memory.  No complex numerator, grid maximum or transposed copy is
+        formed.
+
         With the scan a (row, mode) whose anchor statistic less the margin
         exceeds the largest threshold counts as a detection at every P_FA
         (the class docstring derives the bound), and only the rows with an
@@ -654,7 +678,11 @@ class _PointEngine:
         degenerate mode reads 0 in `statistics`, so it leaves no row
         undecided."""
         if self.basis is None:
-            return _tally(self.statistics(g0 + alphas * self.sig), thresholds)
+            re, im2 = anchor
+            # The (P, modes, n) statistics go before the sum's buffers come.
+            crossed = _at_angle_power(re + alphas[..., 0] * self.sig_t, im2,
+                                      self.scale_t)[:, None] > thresholds
+            return crossed.sum(axis=-1)
         c0, c1 = anchor
         a = alphas[..., 0]                                       # (P, 1, 1)
         detected = c0 + a * (c1 + a * self.anchor_c2) > thresholds.max()  # (P, n, modes)
@@ -669,6 +697,19 @@ class _PointEngine:
             if len(point):
                 s[point] = self.statistics(g0 + alphas[point] * self.sig)
         return _tally(s, thresholds)
+
+
+def _at_angle_power(re: np.ndarray, im2: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The scaled statistic 2 |g|^2 / (M c) at the target angle of the
+    numerators g with real parts `re` and squared imaginary parts `im2`,
+    for the scales 2 / (M c) (0 in a degenerate mode), all broadcast
+    together: re^2, plus im2, times the scale, in that order, in place on
+    `re`, which the caller owns.  `_PointEngine.statistics` and
+    `_PointEngine.tally` both take it, in their own layouts."""
+    re *= re
+    re += im2
+    re *= scale
+    return re
 
 
 def _abs2(u: np.ndarray) -> np.ndarray:
@@ -750,16 +791,20 @@ def _draw_entries(plan: ExperimentPlan) -> int:
     (modes, 4M - 3, G) scaled basis with the scan, and the (modes, G) gains
     and scales.  The scan engine also holds its (M^2, modes x (2M - 1))
     coefficients, M^2 modes (2M - 1) entries, the largest part on a coarse
-    grid: 31200 against 594 per-angle entries for two modes at M = 20 on a
-    90 degree grid.  At the target angle alone (G = 1) the engine holds
-    only the (modes, M) vectors P a^*, of which its coefficients are a view,
-    and the gain, the scale and the echo term per mode, so there the count
-    bounds the set-up with room to spare."""
-    m, n_modes = plan.m, _mode_count(plan)
+    grid: 31200 against 594 per-(mode, angle) entries for two modes at
+    M = 20 on a 90 degree grid.  It also forms 7M - 4 entries per angle
+    that no mode multiplies: the (M, G) steering vectors a_g, the
+    (2M - 1, G) powers z[k, g] = exp(-j k phi_g) and their (4M - 3, G)
+    real terms, most of a set-up with few modes on a fine grid.  At the
+    target angle alone (G = 1) the engine holds only the (modes, M)
+    vectors P a^*, of which its coefficients are a view, and the gain, the
+    scale and the echo term per mode, so there the count bounds the set-up
+    with room to spare."""
+    m, n_modes, grid = plan.m, _mode_count(plan), _grid_angles(plan)
     entries = (plan.k * plan.n_bs * m + m ** 2 * (plan.k + n_modes)
-               + (5 * m - 1) * n_modes * _grid_angles(plan))
+               + (5 * m - 1) * n_modes * grid)
     if plan.scan:
-        entries += m ** 2 * n_modes * (2 * m - 1)
+        entries += m ** 2 * n_modes * (2 * m - 1) + (7 * m - 4) * grid
     return entries
 
 
@@ -768,7 +813,7 @@ def _range_trials(plan: ExperimentPlan) -> int:
     channels few enough that the range's draws and their set-up
     (`_draw_entries` each) take at most _BLOCK_ELEMENTS entries: 359 draws
     for the fig3 at-angle redrawn plan, 2 for its scan on a 0.5 degree grid
-    and 9 on a 2 degree grid.
+    and 8 on a 2 degree grid.
     """
     rows = _tile_rows(plan)
     if plan.channel_mode == CHANNEL_FIXED:
@@ -810,15 +855,18 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     its noise is one `complex_normal_ranges` draw, its numerators one
     `_PointEngine.numerators` product, and its H0 statistics and
     false-alarm tallies one pass on them, added to every point of each of
-    its point blocks.  A point block's detections are the statistics of
-    the numerators plus its points' amplitudes times the engine's echo
-    term; no statistics call writes to the numerators.  Both hypotheses'
-    tallies are `_PointEngine.tally`'s, H0's at amplitude 0.  With the scan
-    the range's anchor terms (`_PointEngine.anchor`) are formed with its
-    numerators, each (row, mode) whose anchor statistic clears the largest
-    threshold by the margin counts as a detection, and only the rest go
-    through the grid: the rows with an undecided mode with a fixed channel,
-    the points with one with redrawn channels (C = n).  Each call owns one
+    its point blocks, as are its degenerate trials, counted once.  A point
+    block's detections are the statistics of the numerators plus its
+    points' amplitudes times the engine's echo term; no statistics call
+    writes to the numerators.  Both hypotheses' tallies are
+    `_PointEngine.tally`'s, H0's at amplitude 0, from the range's anchor
+    (`_PointEngine.anchor`): at the target angle alone its numerators'
+    (modes, n) real parts and squared imaginary parts, and with the scan
+    its anchor-angle terms: each (row, mode) whose anchor statistic
+    clears the largest threshold by the margin counts as a detection, and
+    only the rest go through the grid: the rows with an undecided mode
+    with a fixed channel, the points with one with redrawn channels
+    (C = n).  Each call owns one
     buffer of uniforms, allocated here for the longest of its trial
     ranges, so a worker thread (one call each) draws into its own memory
     and no range allocates it again; the numerators are an array of their
@@ -858,10 +906,11 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
             g0 = engine.numerators(noise)
             anchor = engine.anchor(g0)
             range_false_alarms = engine.tally(g0, anchor, no_echo, thresholds)[0]
+            range_degenerate = np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
             drawn = first
         detections[lo:end] += engine.tally(g0, anchor, alphas[lo:end], thresholds)
         false_alarms[lo:end] += range_false_alarms
-        degenerate[lo:end] += np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
+        degenerate[lo:end] += range_degenerate
     return {"detections": detections, "false_alarms": false_alarms,
             "degenerate": degenerate, "gains": gains}
 
@@ -891,48 +940,49 @@ def _mean_theory_pd(plan: ExperimentPlan, gains: np.ndarray) -> np.ndarray:
     linear SNR s of each grid point.  That is s times a factor q of the
     gain alone (2 M c, c^2, or M^2 for the orthogonal column of the
     paper's convention), so rho = s q bit for bit, q being the value at
-    s = 1.  Per convention one `np.unique` over the (C, modes) factors
-    gives the distinct q, and the survival function is evaluated on the
-    (points, distinct q) table of s q, whatever the number of points;
-    a column that copies another's gains (the selected BS's beside
-    nsp-per-bs) costs no evaluation.  One `detection.threshold_pd` call
-    takes the (pfa, 1) thresholds against that table, every P_FA at once;
-    it evaluates the survival function only on the cells whose P_D is
-    not saturated (`detection.PD_SATURATION_MARGIN`), and the others read
-    exactly 1.0, the value the survival function gives them.  Its
-    (points, pfa, distinct q) values are
-    gathered back into a C-contiguous (points, pfa, C, modes) array
-    (`np.take`), and its mean over the draws is that of the per-point
-    form (tests/oracles.py), bit for bit: numpy's summation order follows
-    the layout of each (C, modes) slab, so that layout stays.
+    s = 1.  Both conventions' factors are one (convention, C, modes)
+    stack, one `np.unique` over it gives the distinct q, and the survival
+    function is evaluated on the (points, distinct q) table of s q,
+    whatever the number of points; a column that copies another's gains
+    (the selected BS's beside nsp-per-bs) costs no evaluation.  One
+    `detection.threshold_pd` call takes the (pfa, 1) thresholds against
+    that table, every P_FA and both conventions at once; it evaluates the
+    survival function only on the cells whose P_D is not saturated
+    (`detection.PD_SATURATION_MARGIN`), and the others read exactly 1.0,
+    the value the survival function gives them.  Its (points, pfa,
+    distinct q) values are gathered back into a C-contiguous (points,
+    pfa, convention, C, modes) array (`np.take`), and its mean over the
+    draws is that of the per-point form (tests/oracles.py), bit for bit:
+    numpy's summation order follows the layout of each (C, modes) slab,
+    so that layout stays.
 
     A (point, mode) whose draws share one noncentrality reads that value,
     not a mean of equal values: the orthogonal mode, a fixed channel
     (C = 1), a mode with no null space, or a point whose SNR underflows
     to 0.  Rounding s q is monotone in q for s >= 0, so the draws share
     one noncentrality exactly when s min(q) == s max(q) over the column.
-    Points go in groups of about _BLOCK_ELEMENTS (point, P_FA, draw,
-    mode) values, since the noncentral survival function takes several
-    temporaries of its input's size.
+    Points go in groups of about _BLOCK_ELEMENTS (point, P_FA,
+    convention, draw, mode) values, since the noncentral survival
+    function takes several temporaries of its input's size.
     """
     orthogonal = np.array([label == MODE_ORTHOGONAL for label, _ in _mode_labels(plan)])
-    conventions = ("paper", "calibrated")
     snr = np.array([10 ** (s / 10) for s in plan.snr_grid_db])
     thresholds = _thresholds(plan)[:, 0]                         # (pfa, 1)
-    pd = np.empty((len(conventions), len(snr), len(thresholds), len(orthogonal)))
-    step = max(1, _BLOCK_ELEMENTS // (gains.size * len(thresholds)))
-    for c, conv in enumerate(conventions):
-        q = detection.noncentrality(conv, plan.m, 1.0, gains, orthogonal)
-        distinct, index = np.unique(q, return_inverse=True)
-        index = index.reshape(q.shape)
-        low, high = q.min(axis=0), q.max(axis=0)
-        for i in range(0, len(snr), step):
-            s = snr[i:i + step, None]
-            rho, shared = s * distinct, s * low == s * high
-            # (points, pfa, distinct q) -> (points, pfa, C, modes)
-            trial_pd = np.take(detection.threshold_pd(thresholds, rho[:, None]), index, axis=2)
-            pd[c, i:i + step] = np.where(shared[:, None], trial_pd[:, :, 0],
-                                         trial_pd.mean(axis=2))
+    q = np.stack([detection.noncentrality(conv, plan.m, 1.0, gains, orthogonal)
+                  for conv in ("paper", "calibrated")])         # (convention, C, modes)
+    distinct, index = np.unique(q, return_inverse=True)
+    index = index.reshape(q.shape)
+    low, high = q.min(axis=1), q.max(axis=1)                     # (convention, modes)
+    pd = np.empty((len(q), len(snr), len(thresholds), q.shape[-1]))
+    step = max(1, _BLOCK_ELEMENTS // (q.size * len(thresholds)))
+    for i in range(0, len(snr), step):
+        s = snr[i:i + step, None]
+        rho, shared = s * distinct, s[:, None] * low == s[:, None] * high
+        # (points, pfa, distinct q) -> (points, pfa, convention, C, modes)
+        trial_pd = np.take(detection.threshold_pd(thresholds, rho[:, None]), index, axis=2)
+        # (points, pfa, convention, modes) -> (convention, points, pfa, modes)
+        pd[:, i:i + step] = np.where(shared[:, None], trial_pd[:, :, :, 0],
+                                     trial_pd.mean(axis=3)).transpose(2, 0, 1, 3)
     return pd
 
 
@@ -1006,38 +1056,52 @@ def _isotonic(y: np.ndarray) -> np.ndarray:
     return np.array(vals).repeat(weights)
 
 
-def _snr_at_target(snr_db: np.ndarray, pd: np.ndarray, target: float):
-    pd = _isotonic(pd)
-    if pd[-1] < target:
-        return None
+def _snr_at_target(snr_db, pd: np.ndarray, target: float) -> np.ndarray:
+    """The SNR (dB) at which each curve of `pd`, an array of
+    (points, ...) curves over the grid `snr_db`, first reaches `target`
+    after its nondecreasing fit (`_isotonic`), linearly interpolated: an
+    array shaped as pd without its points axis, nan for a curve that never
+    reaches it.
+
+    One violation check runs on every curve, and only a curve that fails
+    it is pooled; the first crossing and its interpolation are one pass on
+    the fitted curves, each element taking the operations of the
+    one-curve formula in its order."""
+    snr_db = np.asarray(snr_db, dtype=float)
+    fit = np.array(pd, dtype=float).reshape(len(pd), -1)
+    for k in np.flatnonzero(np.any(fit[:-1] > fit[1:] + 1e-15, axis=0)):
+        fit[:, k] = _isotonic(fit[:, k])
     # The first point at the target; the fit may dip by up to 1e-15, so it
     # is scanned, not binary-searched.
-    j = int(np.argmax(pd >= target))
-    if j == 0:
-        return float(snr_db[0])
-    # pd[j - 1] < target <= pd[j], so y1 > y0.
-    x0, x1 = snr_db[j - 1], snr_db[j]
-    y0, y1 = pd[j - 1], pd[j]
-    return float(x0 + (target - y0) * (x1 - x0) / (y1 - y0))
+    j = np.argmax(fit >= target, axis=0)
+    curves = np.arange(fit.shape[1])
+    x0, x1, y0, y1 = snr_db[j - 1], snr_db[j], fit[j - 1, curves], fit[j, curves]
+    # Where j > 0, fit[j - 1] < target <= fit[j], so y1 > y0; where j = 0
+    # the quotient is not read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = np.where(j == 0, snr_db[0], x0 + (target - y0) * (x1 - x0) / (y1 - y0))
+    return np.where(fit[-1] >= target, at, np.nan).reshape(np.shape(pd)[1:])
 
 
 def snr_gap_columns(labels, snr_db: np.ndarray, pd: np.ndarray,
-                    target_pd: float = 0.9) -> tuple[dict, dict]:
+                    target_pd: float = 0.9) -> tuple[list, list]:
     """SNR (dB) each mode needs to reach the target detection probability,
-    and the gap versus the orthogonal mode: (snr_at_target, gap_db), dicts
-    keyed by `labels`, for a (points, modes) array `pd` over the SNR grid
-    `snr_db`, one column per label.
+    and the gap versus the orthogonal mode: (snr_at_target, gap_db), for an
+    array `pd` of (points, ..., modes) curves over the SNR grid `snr_db`,
+    one mode per label and one set of modes per index of the middle axes.
+    Each is a nested list shaped as pd without its points axis, as
+    `ndarray.tolist` gives it.
 
-    Each column is fitted nondecreasing (`_isotonic`) and interpolated
-    linearly at the target.  A mode that never reaches it reports None, and
-    so does every gap when the orthogonal mode does not reach it or is
-    absent."""
-    snr_at = {label: _snr_at_target(snr_db, pd[:, j], target_pd)
-              for j, label in enumerate(labels)}
-    base = snr_at.get(MODE_ORTHOGONAL)
-    gaps = {label: None if val is None or base is None else val - base
-            for label, val in snr_at.items()}
-    return snr_at, gaps
+    Every curve is fitted nondecreasing (`_isotonic`) and interpolated
+    linearly at the target, all of them at once (`_snr_at_target`).  A mode
+    that never reaches it reports None, and so does every gap of a set
+    whose orthogonal mode does not reach it or is absent."""
+    snr_at = _snr_at_target(snr_db, pd, target_pd)
+    gaps = np.full_like(snr_at, np.nan)
+    if MODE_ORTHOGONAL in labels:
+        k = list(labels).index(MODE_ORTHOGONAL)
+        gaps = snr_at - snr_at[..., k:k + 1]
+    return tuple(np.where(np.isnan(v), None, v).tolist() for v in (snr_at, gaps))
 
 
 def mean_selected_gap_db(

@@ -171,7 +171,7 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError,
                            match=re.escape(f"scan grid of 131071 angles (theta_step_deg = "
                                            f"{step!r})") + ".*"
-                           + re.escape("take 4981026 entries, more than 4194304")):
+                           + re.escape("take 8126730 entries, more than 4194304")):
             tiny_plan(scan=True, theta_step_deg=step)
         plan = tiny_plan(theta_step_deg=1e-9)
         assert plan.theta_grid().tolist() == [plan.theta_target]
@@ -198,11 +198,13 @@ class TestPlanValidation:
         (MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED),
     ], ids=["2-modes", "7-modes"])
     def test_largest_accepted_grid(self, m, modes):
-        # _draw_entries grows by (5M - 1) modes per angle: the largest grid
-        # the bound accepts takes it to at most _MAX_DRAW_ENTRIES, and one
-        # angle more is rejected.  A step of 180 / (G - 1/2) gives G angles.
+        # _draw_entries grows by (5M - 1) modes + 7M - 4 per angle: the
+        # largest grid the bound accepts takes it to at most
+        # _MAX_DRAW_ENTRIES, and one angle more is rejected.  A step of
+        # 180 / (G - 1/2) gives G angles.
         kwargs = dict(m=m, l=16, k=5, waveform_modes=modes, scan=True)
-        per_angle = (5 * m - 1) * len(montecarlo._mode_labels(tiny_plan(**kwargs)))
+        per_angle = ((5 * m - 1) * len(montecarlo._mode_labels(tiny_plan(**kwargs)))
+                     + 7 * m - 4)
         rest = montecarlo._draw_entries(tiny_plan(**kwargs)) - 361 * per_angle
         top = (montecarlo._MAX_DRAW_ENTRIES - rest) // per_angle
         plan = tiny_plan(**kwargs, theta_step_deg=180 / (top - 0.5))
@@ -210,6 +212,27 @@ class TestPlanValidation:
         assert montecarlo._draw_entries(plan) <= montecarlo._MAX_DRAW_ENTRIES
         with pytest.raises(ConfigurationError, match=f"scan grid of {top + 1} angles"):
             tiny_plan(**kwargs, theta_step_deg=180 / (top + 0.5))
+
+    def test_largest_grid_set_up_fits_the_draw_bound(self):
+        # M = 1 with one mode: the set-up's arrays that no mode multiplies,
+        # the (M, G) steering vectors a_g, the (2M - 1, G) powers z and
+        # their (4M - 3, G) real terms, are most of it.  On the largest
+        # grid the bound accepts, the engine's peak stays within one
+        # complex entry (16 bytes) per counted entry; with those arrays
+        # left out of the count it took 1.77 times that.
+        kwargs = dict(m=1, l=1, k=1, n_bs=1, waveform_modes=(MODE_ORTHOGONAL,), scan=True)
+        rest = montecarlo._draw_entries(tiny_plan(**kwargs)) - 361 * 7
+        top = (montecarlo._MAX_DRAW_ENTRIES - rest) // 7
+        plan = tiny_plan(**kwargs, theta_step_deg=180 / (top - 0.5))
+        assert len(plan.theta_grid()) == top == 599185
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
+        tracemalloc.start()
+        try:
+            montecarlo._PointEngine(plan, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * montecarlo._draw_entries(plan)
 
     def test_grid_without_scan_is_the_target_angle(self):
         plan = tiny_plan(theta_target_deg=-20.0)
@@ -650,6 +673,83 @@ class TestEarlyExit:
             ExperimentPlan(m=128, l=128, **small)
 
 
+class TestAtAngleTally:
+    """The target-angle engine's tally in real arithmetic on the (modes,
+    trials) layout of its anchor (`_PointEngine.tally`) against the
+    crossings of its statistics."""
+
+    @pytest.mark.parametrize("channel_mode, trials", [(CHANNEL_FIXED, 300),
+                                                      (CHANNEL_REDRAWN, 40)])
+    @pytest.mark.parametrize("m, n_bs", [(4, 2), (4, 4), (8, 2), (8, 7)])
+    def test_tallies_equal_the_statistics_crossings(self, m, n_bs, channel_mode, trials):
+        # C = 1 and C = n; n_bs = m leaves the nsp modes degenerate, and
+        # n_bs = m - 1 rank-one; an unsorted SNR grid with -400 dB, where the
+        # echo moves no statistic, and the top of the SNR range.  Row 0 is
+        # H0 (alpha = 0).
+        plan = tiny_plan(m=m, n_bs=n_bs, k=3, channel_mode=channel_mode,
+                         snr_grid_db=(30.0, -10.0, max_snr_db(m), 6.0, -400.0, 0.0),
+                         pfa_list=(0.1, 1e-3, 1e-6),
+                         waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED))
+        draws = 1 if channel_mode == CHANNEL_FIXED else trials
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, draws))[0]
+        engine = montecarlo._PointEngine(plan, proj)
+        g0 = engine.numerators(oracles.noise_block(plan, 0, trials))
+        thresholds = montecarlo._thresholds(plan)
+        alphas = np.array([0.0] + [math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db])
+        alphas = alphas[:, None, None, None]
+        g = g0 + alphas * engine.sig
+        stats = engine.statistics(g)
+        # The statistics keep the bits of the complex form: |g|^2, the real
+        # part's square first, times the scale.
+        power = g.real ** 2
+        power += g.imag ** 2
+        power *= engine.scale[..., None]
+        assert stats.tobytes() == power.max(axis=-1).tobytes()
+        want = montecarlo._tally(stats, thresholds)
+        anchor = engine.anchor(g0)
+        modes = len(montecarlo._mode_labels(plan))
+        for part in anchor:
+            assert part.shape == (modes, trials) and part.flags.c_contiguous
+        got = engine.tally(g0, anchor, alphas, thresholds)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # Point by point, as the sweep's one-point tiles take them.
+        for i in range(len(alphas)):
+            assert np.array_equal(engine.tally(g0, anchor, alphas[i:i + 1], thresholds),
+                                  want[i:i + 1])
+        degenerate = engine.degenerate.any(axis=0)
+        assert (got[:, :, degenerate] == 0).all()
+        assert (got[3][:, ~degenerate] == trials).all()     # the top of the range
+        assert np.array_equal(got[5], got[0])               # -400 dB is H0
+        if n_bs == m:
+            assert degenerate[1:].all() and not degenerate[0]
+
+    def test_tile_forms_no_complex_temporary(self):
+        # A 2000-row fig3 tile: one point of 2000 trials, 7 modes, as at
+        # 10k trials per point.  Its statistics are one real (modes, n)
+        # array, freed before the crossings are summed; a complex
+        # (P, n, modes) numerator alone would take 16 bytes per (row, mode),
+        # and the complex form took twice that in all.
+        plan = ExperimentPlan(**{**cli.PRESETS["fig3"], "trials_per_point": 2000})
+        rows = montecarlo._tile_rows(plan)
+        assert montecarlo._tiles(plan)[0] == (0, rows, 0, 1) and rows == 2000
+        proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
+        engine = montecarlo._PointEngine(plan, proj)
+        g0 = engine.numerators(oracles.noise_block(plan, 0, rows))
+        anchor = engine.anchor(g0)
+        thresholds = montecarlo._thresholds(plan)
+        alpha = np.full((1, 1, 1, 1), math.sqrt(10 ** 0.6))
+        want = montecarlo._tally(engine.statistics(g0 + alpha * engine.sig), thresholds)
+        engine.tally(g0, anchor, alpha, thresholds)
+        tracemalloc.start()
+        try:
+            got = engine.tally(g0, anchor, alpha, thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 16 * rows * g0.shape[1]
+
+
 class TestNoiseDraws:
     @pytest.mark.parametrize("kwargs", [
         {},
@@ -763,8 +863,9 @@ class TestNoiseDraws:
     def test_redrawn_scan_range_counts_the_scan_coefficients(self):
         # M = 20 on a 90 degree grid (3 angles): the engine's
         # (M^2, modes x (2M - 1)) coefficients, 31200 entries a draw, outweigh
-        # its 594 per-angle entries, so they bound the range: 3 draws, where
-        # leaving them out gave 38 (coefficients of 1185600 entries).
+        # its 594 per-(mode, angle) and 408 per-angle entries, so they bound
+        # the range: 3 draws, where leaving them out gave 38 (coefficients
+        # of 1185600 entries).
         plan = tiny_plan(m=20, l=20, k=5, scan=True, theta_step_deg=90.0,
                          channel_mode=CHANNEL_REDRAWN)
         n = montecarlo._range_trials(plan)
@@ -782,7 +883,7 @@ class TestNoiseDraws:
         assert peak <= 16 * montecarlo._BLOCK_ELEMENTS
 
     @pytest.mark.parametrize("config, draws", [
-        ({}, 359), ({"scan": True}, 2), ({"scan": True, "theta_step_deg": 2.0}, 9),
+        ({}, 359), ({"scan": True}, 2), ({"scan": True, "theta_step_deg": 2.0}, 8),
     ], ids=["at-angle", "scan-0.5", "scan-2"])
     def test_fig3_redrawn_trial_ranges(self, config, draws):
         # The fig3 preset's redrawn trial ranges, at the target angle and
@@ -791,19 +892,19 @@ class TestNoiseDraws:
         assert montecarlo._range_trials(plan) == draws
 
     @pytest.mark.parametrize("preset, scan, entries", [
-        ("fig3", False, 365), ("fig3", True, 49029), ("fig4", False, 190),
-        ("fig4", True, 14094),
+        ("fig3", False, 365), ("fig3", True, 57693), ("fig4", False, 190),
+        ("fig4", True, 22758),
     ])
     def test_range_trials_is_the_draw_bound(self, preset, scan, entries):
         # One count sizes both the plan bound and a redrawn trial range:
         # K N_BS M + M^2 (K + modes) + (5M - 1) modes G, and with the scan
-        # M^2 modes (2M - 1) more.
+        # M^2 modes (2M - 1) + (7M - 4) G more.
         plan = ExperimentPlan(**cli.PRESETS[preset], scan=scan, channel_mode=CHANNEL_REDRAWN)
         m, k, modes, grid = plan.m, plan.k, len(montecarlo._mode_labels(plan)), 361 * scan or 1
         assert len(plan.theta_grid()) == grid
         assert montecarlo._draw_entries(plan) == entries == (
             k * plan.n_bs * m + m * m * (k + modes) + (5 * m - 1) * modes * grid
-            + scan * m * m * modes * (2 * m - 1))
+            + scan * (m * m * modes * (2 * m - 1) + (7 * m - 4) * grid))
         assert montecarlo._range_trials(plan) == max(1, min(
             montecarlo._tile_rows(plan), montecarlo._BLOCK_ELEMENTS // entries))
 
@@ -1180,7 +1281,7 @@ class TestRunExperiment:
         assert pd.tobytes() == oracles.mean_theory_pd_reference(plan, gains).tobytes()
 
     def test_theory_unique_calls_do_not_grow_with_the_points(self, monkeypatch):
-        # One np.unique per convention over the (C, modes) gains serves
+        # One np.unique over both conventions' (C, modes) factors serves
         # every SNR point, also when each point is a block of its own.
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 64)
         gains = np.random.default_rng(2).uniform(0.0, 4.0, (20, 2))
@@ -1194,25 +1295,25 @@ class TestRunExperiment:
             calls.clear()
             montecarlo._mean_theory_pd(plan, gains)
             counts.append(len(calls))
-        assert counts == [2, 2, 2]
+        assert counts == [1, 1, 1]
 
     @pytest.mark.parametrize("block", [None, 2])
     def test_theory_takes_one_survival_call_per_block(self, block, monkeypatch):
-        # Every P_FA in one call per convention and point block; the block
-        # counts the P_FA axis, so no call takes more than _BLOCK_ELEMENTS
-        # values (here 2 points a block).
+        # Every P_FA and both conventions in one call per point block; the
+        # block counts the P_FA and convention axes, so no call takes more
+        # than _BLOCK_ELEMENTS values (here 2 points a block).
         gains = np.random.default_rng(3).uniform(0.0, 4.0, (20, 2))
         plan = tiny_plan(snr_grid_db=tuple(np.linspace(-5.0, 10.0, 7)),
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7), channel_mode=CHANNEL_REDRAWN)
         if block:
-            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block * gains.size * 4)
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block * 2 * gains.size * 4)
         sizes = []
         threshold_pd = detection.threshold_pd
         monkeypatch.setattr(detection, "threshold_pd",
                             lambda t, rho: sizes.append(np.broadcast(t, rho).size)
                             or threshold_pd(t, rho))
         pd = montecarlo._mean_theory_pd(plan, gains)
-        assert len(sizes) == (2 if block is None else 2 * 4)
+        assert len(sizes) == (1 if block is None else 4)
         assert max(sizes) <= montecarlo._BLOCK_ELEMENTS
         assert pd.tobytes() == oracles.mean_theory_pd_reference(plan, gains).tobytes()
 
@@ -1649,10 +1750,12 @@ class TestRedrawnTheory:
 
 def _gaps(result, source, target_pd=0.9):
     """(snr_at_target, gap_db) of one gap source (`cli.GAP_SOURCES`) at the
-    result's first P_FA, from its (points, modes) column there."""
-    return montecarlo.snr_gap_columns(
-        [label for label, _ in result.labels], np.array(result.plan.snr_grid_db),
-        result.columns[cli.GAP_SOURCES[source]][:, 0], target_pd)
+    result's first P_FA, from its (points, modes) column there, each a
+    dict keyed by the mode labels."""
+    labels = [label for label, _ in result.labels]
+    return tuple(dict(zip(labels, values)) for values in montecarlo.snr_gap_columns(
+        labels, np.array(result.plan.snr_grid_db),
+        result.columns[cli.GAP_SOURCES[source]][:, 0], target_pd))
 
 
 class TestSnrGap:
@@ -1700,8 +1803,36 @@ class TestSnrGap:
         # fit dips by less than 1e-15 after it: the example's fit keeps
         # 0.9 - 1e-16, and it first reaches 0.9 at 1 dB.
         snr_db = np.arange(len(y), dtype=float)
-        got = montecarlo._snr_at_target(snr_db, np.array(y, dtype=float), target)
-        assert got == oracles.snr_at_target_reference(snr_db, y, target)
+        got = montecarlo.snr_gap_columns([MODE_ORTHOGONAL], snr_db,
+                                         np.array(y, dtype=float)[:, None], target)[0]
+        assert got == [oracles.snr_at_target_reference(snr_db, y, target)]
+
+    @given(data=st.data(), points=st.integers(1, 30), sets=st.integers(1, 4),
+           modes=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_snr_at_target_columns_equal_the_per_column_scans(self, data, points, sets,
+                                                              modes):
+        # One pass on a (points, sets, modes) array, curves that pool
+        # beside curves that do not and curves that never reach the
+        # target, gives each curve's one-curve answer, and each set's gaps
+        # are taken against its own orthogonal curve, column 0.
+        col = st.one_of(
+            st.lists(st.floats(0, 1), min_size=points, max_size=points),
+            st.lists(st.floats(0, 1), min_size=points, max_size=points).map(sorted),
+            st.lists(st.sampled_from([0.5, 0.9, 0.9 - 1e-16, 0.9 + 1e-15, 1.0]),
+                     min_size=points, max_size=points))
+        pd = np.array([[data.draw(col) for _ in range(modes)] for _ in range(sets)])
+        pd = pd.transpose(2, 0, 1)
+        target = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+        snr_db = np.linspace(-10.0, 20.0, points)
+        labels = [MODE_ORTHOGONAL] + [f"nsp-bs{k}" for k in range(1, modes)]
+        snr_at, gaps = montecarlo.snr_gap_columns(labels, snr_db, pd, target)
+        want = [[oracles.snr_at_target_reference(snr_db, pd[:, i, k], target)
+                 for k in range(modes)] for i in range(sets)]
+        assert snr_at == want
+        assert gaps == [[None if v is None or row[0] is None else v - row[0] for v in row]
+                        for row in want]
+        assert all(type(v) is float for row in snr_at + gaps for v in row if v is not None)
 
     def test_gap_columns_equal_the_per_curve_fits(self):
         # The summary's gaps, read from the result's columns, are the
