@@ -271,9 +271,10 @@ def write_summary(result, cfg: RunConfig, wall_time: float, path: str,
     spent writing the other output files and computing the gaps, reported
     with `result.timings_s` under "timings_s"."""
     plan = result.plan
-    # Degenerate trials per mode: the column is the same at every P_FA.
+    # Degenerate trials per mode, each trial once: a trial's set-up has no
+    # SNR, so the column is the same at every point and P_FA.
     by_mode = dict(zip((label for label, _ in result.labels),
-                       result.columns["degenerate"][:, 0].sum(axis=0).tolist()))
+                       result.columns["degenerate"][0, 0].tolist()))
     summary = {
         "version": __version__,
         "versions": {"python": platform.python_version(),

@@ -1,10 +1,10 @@
 """GLRT detector quantities: the P_FA rule, direction gains, noncentralities,
 theoretical detection probabilities and SNR gaps.
 
-The GLRT statistic 2 |a^H E a^*|^2 / (M a^H R^T a) on E = Y X_tx^H,
-maximized over an angle grid, is evaluated by `montecarlo._PointEngine`
-alone; detection at a known target angle is the scan over the one-angle
-grid."""
+The GLRT statistic 2 |a^H E a^*|^2 / (M a^H R^T a) on E = Y X_tx^H is
+evaluated by the sweep's engines alone: at the known target angle by
+`montecarlo._AngleEngine`, maximized over an angle grid by
+`montecarlo._ScanEngine`."""
 
 from __future__ import annotations
 
@@ -56,10 +56,10 @@ def direction_gain(a: np.ndarray, r: np.ndarray):
 
 def projected_gain(a: np.ndarray, v: np.ndarray):
     """The direction gain a^T v of a correlation R from v = R a^*, shaped
-    (..., M); `direction_gain` is this of R a^*.  The engine
-    (`montecarlo._PointEngine`) forms v = P a^* once per set-up, as its
-    at-angle noise coefficients, and reads both detectors' target gains
-    from it."""
+    (..., M); `direction_gain` is this of R a^*.  Both engines form
+    v = P a^* once per set-up (`montecarlo._target_gains`) and read their
+    target gains from it; the at-angle engine also takes v as its noise
+    coefficients."""
     gain = np.sum(a * v, axis=-1).real.copy()
     return float(gain) if gain.ndim == 0 else gain
 

@@ -30,14 +30,19 @@ draw sets a generator's key and counter to its record range
 (`numerics.complex_normal_ranges`), with the bits of a generator seeded
 per stream and moved by `advance()`.
 
-The engine is the only form of the detector here.  Its test oracle in
-tests/oracles.py runs the explicit pipeline one trial at a time on the
-echo noise N = E0 X, from draws and projectors of its own.  At the target
-angle it lifts w to E0 = a w^T / M + (I - a a^H / M) G, with G from
-stream 4, which no sweep reads.
-
-The detector is one GLRT maximized over `ExperimentPlan.theta_grid()`: the
-scan grid, or the target angle alone when the scan is off.
+There are two detectors, one engine each: the GLRT at the target angle,
+the paper's (`_AngleEngine`), and with the scan the GLRT maximized over
+the grid of `ExperimentPlan.theta_grid()` (`_ScanEngine`).  `plan.scan`
+picks the engine where one is built: the fixed channel's in
+`run_experiment`, a redrawn trial range's in `_run_tiles`.  Both engines
+take one protocol: `prepare(noise)` once per trial range, then
+`tally(state, alphas, thresholds)` once per point block; their
+`numerators` and `statistics` are the per-row forms.  The engines are the
+only forms of the detector here.  Their test oracle in tests/oracles.py
+runs the explicit pipeline one trial at a time on the echo noise
+N = E0 X, from draws and projectors of its own.  At the target angle it
+lifts w to E0 = a w^T / M + (I - a a^H / M) G, with G from stream 4,
+which no sweep reads.
 
 The scan evaluates no complex per-angle array.  The array is a uniform
 linear array, so conj(a_g[m]) conj(a_g[p]) = z_g^(m + p) with
@@ -46,17 +51,17 @@ whose 2M - 1 coefficients are the anti-diagonal sums of E, and its power
 is a real trigonometric polynomial in phi_g with 4M - 3 terms.  The engine
 folds those terms and each angle's scale into one real basis, so a tile's
 statistics are one real matrix product per channel draw and mode
-(`_PointEngine`), taken in one loop of blocks (of rows with a fixed
+(`_ScanEngine`), taken in one loop of blocks (of rows with a fixed
 channel, of points with redrawn ones), so that no tile size grows its
 (modes, rows, angles) result.  They agree with the direct per-angle form
 to about 1e-15 relative (less near a null of the direction gain; see
-`_PointEngine`).  Most rows need no grid: any grid angle's statistic
+`_ScanEngine`).  Most rows need no grid: any grid angle's statistic
 bounds the maximum from below, and a row whose statistic at the anchor,
 the grid angle nearest the target, clears the largest threshold by a
 margin that covers the rounding of both forms is a detection at every
 P_FA.  That statistic is linear in the amplitude before its power, so it
 costs O(rows x modes) per point; the grid runs only for the rows left
-undecided, and every tally is the grid maximum's (`_PointEngine.tally`).
+undecided, and every tally is the grid maximum's (`_ScanEngine.tally`).
 
 `_channels` draws a (C, K, N_BS, M) stack of channels, and
 `_stacked_modes` sets up the modes and the selection per draw from one
@@ -73,9 +78,9 @@ report reads it.  Every set-up takes that (C, modes, M, M) projector
 stack: fixed and redrawn channels, with and without the scan, and
 `mean_selected_gap_db`.  At the target angle alone the GLRT and its theory
 read P only through v = P a^*: the noise coefficient is v, the gain
-c = a^T v and the echo term a^H A P a^* = (a^H a)(a^T v) = M c.  The
-engine forms v and c once, whatever the grid, so the scan's target gains
-are the at-angle ones bit for bit.
+c = a^T v and the echo term a^H A P a^* = (a^H a)(a^T v) = M c.  Both
+engines form v and c by one function (`_target_gains`), so the scan's
+target gains are the at-angle ones bit for bit.
 A fixed channel is stream 0 alone (C = 1); it is set up once per sweep, in
 `run_experiment`.  Redrawn channels are records of substream 0 of one
 Philox stream: trial t reads the fixed-width record t, its K channels of
@@ -89,27 +94,30 @@ point, end point): a trial range of n trials, n the trials per point up to
 `_range_trials`, times a block of as many points as fit `_tile_rows` rows.
 A trial range is handled once, at its first tile: its noise, one record
 per trial, is one `numerics.complex_normal_ranges` draw into its thread's
-buffer of uniforms, allocated once for the longest range; the engine forms
-its noise numerators once (`_PointEngine.numerators`), and its H0
-statistics and false-alarm tallies once, which every point of each of its
-point blocks adds, as it adds the range's degenerate trials.  A point
-block's H1 statistics are then one (points, n) block of those numerators
-plus each point's amplitude times the echo term, and its detections one
-sum over the trial axis (`_PointEngine.tally`).  At the target angle alone
-the echo term M c is real: the range's numerators are kept as their
-(modes, n) real parts and squared imaginary parts, and a block's
-statistics are one real (points, modes, n) array, with the trials last
-for the sum.  A fixed channel's engine is shared by every tile.  With redrawn
-channels a trial range is drawn and set up at its first tile too (C = n
-draws: one stacked set-up and one engine), and each of its point blocks
-runs against that engine; neither the engine nor the numerators hold a
-view of the buffer that the next range's noise overwrites.
-With workers, threads run contiguous runs of tiles through the same loop
-(one `_run_tiles` call each); a trial range whose point blocks land in two
-threads is drawn and set up in both, from the same records and so with
-the same bits.  Every trial reads its own noise and channel records
-whatever its point, and a channel's projector does not depend on the
-stack it sits in, so no tile size changes an output.
+buffer of uniforms, allocated once for the longest range, and the engine
+prepares it once (`prepare`: its noise numerators, and what the tally
+reads of them).  A point block's H1 statistics are then one (points, n)
+block of those numerators plus each point's amplitude times the echo
+term, and its detections one sum over the trial axis (`tally`).  At the
+target angle alone the echo term M c is real: the range's numerators are
+kept as their (modes, n) real parts and squared imaginary parts, and a
+block's statistics are one real (points, modes, n) array, with the
+trials last for the sum.  H0 has no SNR, and neither has a set-up: a
+range's false alarms (its tally at amplitude 0), its degenerate trials
+and its target gains are taken once, at its first point block, and
+`run_experiment` broadcasts them over the points.  A fixed channel's
+engine is shared by every tile.  With redrawn channels a trial range is
+drawn and set up at its first tile too (C = n draws: one stacked set-up
+and one engine), and each of its point blocks runs against that engine;
+neither the engine nor the prepared range holds a view of the buffer
+that the next range's noise overwrites.  With workers, threads run
+contiguous runs of tiles through the same loop (one `_run_tiles` call
+each); a trial range whose point blocks land in two threads is drawn and
+set up in both, from the same records and so with the same bits, and
+only the thread holding its first block tallies H0.  Every trial reads
+its own noise and channel records whatever its point, and a channel's
+projector does not depend on the stack it sits in, so no tile size
+changes an output.
 
 The theory curves average P_D(rho_t) over the trials' channel draws, from
 the per-trial target gains c_t alone, one (C, modes) array that every
@@ -176,7 +184,7 @@ _WILSON_Z = 1.959963984540054  # 95%
 # A tile holds at most _CHUNK rows, the per-row arrays it holds whole take
 # at most _BLOCK_ELEMENTS entries (`_tile_rows`), and so do the draws and
 # set-up of a redrawn trial range (`_range_trials`).  The scan's grid product
-# (`_PointEngine.statistics`) and the theory curves (`_mean_theory_pd`) are
+# (`_ScanEngine.statistics`) and the theory curves (`_mean_theory_pd`) are
 # evaluated on about _BLOCK_ELEMENTS values at a time.  All of these bound
 # the memory a sweep takes.
 _CHUNK = 2000
@@ -193,7 +201,7 @@ _MAX_TRIALS = 10**6
 _MAX_DRAW_ENTRIES = 2**22
 # The scan's early exit counts a row as detected when its anchor statistic
 # exceeds the largest threshold by more than _ANCHOR_MARGIN times its scale
-# and bound (`_PointEngine`, where the bound on the rounding is derived).
+# and bound (`_ScanEngine`, where the bound on the rounding is derived).
 _ANCHOR_MARGIN = 1e-9
 
 
@@ -256,7 +264,7 @@ class ExperimentPlan:
         #   at-angle noise vector has ||w|| <= 8.3 M.  Since sqrt(S) is
         #   about 1e147, (sqrt(s) + 8.3)^2 <= 2 S.
         # - Scan: the anti-diagonal sums d of E = (alpha A + E0) P
-        #   (`_PointEngine`) have ||d||^2 <= M ||E||_F^2
+        #   (`_ScanEngine`) have ||d||^2 <= M ||E||_F^2
         #   <= M^3 (sqrt(s) + 8.3)^2 <= 2 M^3 S, as ||A||_F = M and
         #   ||P||_2 <= 1.  Each of the 4M - 3 terms is a part of an
         #   autocorrelation, at most ||d||^2 in size, and each basis entry
@@ -433,15 +441,131 @@ def _channels(plan: ExperimentPlan, first: int, count: int,
     return complex_normal_ranges(key, first, count, (plan.k, plan.n_bs, plan.m))
 
 
-class _PointEngine:
-    """Vectorized statistic evaluation for the (C, modes, M, M) projector
-    stack of `_stacked_modes`, over C channel draws.
+def _target_gains(a: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v = P a^* (C, modes, M) and the target gains c = a^T v (C, modes) of
+    a (C, modes, M, M) projector stack, a being the target's steering
+    vector.  Both engines take them from here, so a plan's theory, which
+    reads c alone, is the same with and without the scan, bit for bit."""
+    v = proj @ a.conj()
+    return v, detection.projected_gain(a, v)
+
+
+def _scales(plan: ExperimentPlan, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The statistic's scales 2 / (M c) of direction gains c, and where the
+    gains are valid, c >= `detection.GAIN_FLOOR_FRAC` M.  An invalid gain
+    gets scale 0: its statistic 0 exceeds no threshold, nor the maximum
+    over the valid angles, which is >= 0."""
+    valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
+    return np.divide(2.0, plan.m * gain, out=np.zeros_like(gain), where=valid), valid
+
+
+def _noise_product(noise: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """noise @ coef for the noise records of n trials, shape (n,) + record
+    (`_noise_shape`), and a (C, record entries, columns) coefficient stack:
+    (n, columns), one product with one draw (C = 1), trial t against draw
+    t with C = n."""
+    n = len(noise)
+    if len(coef) == 1:
+        return noise.reshape(n, -1) @ coef[0]
+    return (noise.reshape(n, 1, -1) @ coef)[:, 0]
+
+
+class _AngleEngine:
+    """The GLRT at the target angle alone, the paper's detector, for the
+    (C, modes, M, M) projector stack of `_stacked_modes` over C channel
+    draws.
 
     With X X^H = I the matched filter of mode P is E = (alpha A + E0) P, as
-    X X_tx^H = X X^H P = P, and P is the waveform correlation R too.  At
-    scan angle g the GLRT numerator is n_g = a_g^H E a_g^*.  The array is
-    uniform and linear, so conj(a_g[m]) conj(a_g[p]) = z_g^(m + p) with
-    z_g = exp(j phi_g), phi_g = 2 pi (d / lambda) sin(theta_g), and
+    X X_tx^H = X X^H P = P, and P is the waveform correlation R too.  The
+    numerator a^H E a^* is w^T v + alpha M c, with w = E0^T a^* the trial's
+    noise vector, v = P a^* and the gain c = a^T v (`_target_gains`), since
+    a^H A P a^* = (a^H a)(a^T v) = M c.  So the set-up reads P only through
+    v and c: v is the noise coefficient, c gives the scale 2 / (M c) and
+    the degenerate flags, and M c is the echo term `sig`.  A trial range's
+    noise numerators are one (n, M) @ (M, modes) product on its noise
+    vectors (`numerators`), trial t against draw t with C = n.  The echo
+    term is real, so it moves a numerator's real part alone: a range is
+    prepared as the (modes, n) real parts and squared imaginary parts of
+    its noise numerators (`prepare`), and each point block's statistics
+    are formed in real arithmetic, trials last (`tally`).  This is an
+    exact rewrite of the GLRT on E = (alpha A X_tx + E0 X) X_tx^H.
+    """
+
+    def __init__(self, plan: ExperimentPlan, proj: np.ndarray):
+        a = radar.steering_vector(plan.m, plan.theta_target)
+        v, self.target_gain = _target_gains(a, proj)
+        self.scale, valid = _scales(plan, self.target_gain)      # (C, modes)
+        self.degenerate = ~valid
+        self.sig = plan.m * self.target_gain                     # M c
+        self.coef = np.swapaxes(v, 1, 2)                         # coef[c, n, mode] = v_c[n]
+        # The (modes, C) echo terms and scales of `tally`'s layout.
+        self.sig_t = np.ascontiguousarray(self.sig.T)
+        self.scale_t = np.ascontiguousarray(self.scale.T)
+
+    def numerators(self, noise: np.ndarray) -> np.ndarray:
+        """The noise numerators w^T v of n trials' noise vectors w, shape
+        (n, M): (n, modes), trial t against draw t with C = n draws.  Under
+        H1 the numerators are these plus alpha `sig`."""
+        return _noise_product(noise, self.coef)
+
+    def statistics(self, g: np.ndarray) -> np.ndarray:
+        """Scaled GLRT statistics of a block of numerators (`numerators`,
+        plus alpha `sig` under H1): shape lead + (modes,), the last axis of
+        lead being the trials, read against the C draws as `numerators`
+        reads them.  They are `_at_angle_power` of the numerators' parts;
+        columns of degenerate modes read 0."""
+        return _at_angle_power(g.real.copy(), g.imag ** 2, self.scale)
+
+    def prepare(self, noise: np.ndarray):
+        """What `tally` reads of a trial range, from its n trials' noise
+        records: the real parts and the squared imaginary parts of their
+        noise numerators, each a C-contiguous (modes, n) array."""
+        g0 = self.numerators(noise)
+        re, im2 = g0.real.T.copy(), g0.imag.T.copy()
+        im2 *= im2
+        return re, im2
+
+    def tally(self, state, alphas: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Threshold crossings of a trial range (`state`, from `prepare`) at
+        each of the P amplitudes `alphas`, summed over its trials:
+        (P, pfa, modes) for the (pfa, 1, 1) thresholds; alpha = 0 gives
+        H0's.  A point's statistics are the real parts plus alpha `sig`,
+        squared, plus the squared imaginary parts, times the scale
+        (`_at_angle_power`, in the order `statistics` takes on the complex
+        numerators, and so with its bits): one real (P, modes, n) array,
+        whose crossings are summed along the trials, last in memory.  Every
+        count is `_tally(statistics(g0 + alpha sig), thresholds)`'s, g0
+        being the range's noise numerators."""
+        re, im2 = state
+        # The (P, modes, n) statistics go before the sum's buffers come.
+        crossed = _at_angle_power(re + alphas[:, None, None] * self.sig_t, im2,
+                                  self.scale_t)[:, None] > thresholds
+        return crossed.sum(axis=-1)
+
+
+def _at_angle_power(re: np.ndarray, im2: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The scaled statistic 2 |g|^2 / (M c) at the target angle of the
+    numerators g with real parts `re` and squared imaginary parts `im2`,
+    for the scales 2 / (M c) (0 in a degenerate mode), all broadcast
+    together: re^2, plus im2, times the scale, in that order, in place on
+    `re`, which the caller owns.  `_AngleEngine.statistics` and
+    `_AngleEngine.tally` both take it, in their own layouts."""
+    re *= re
+    re += im2
+    re *= scale
+    return re
+
+
+class _ScanEngine:
+    """The GLRT maximized over the scan grid `plan.theta_grid()`, for the
+    (C, modes, M, M) projector stack of `_stacked_modes` over C channel
+    draws.
+
+    With X X^H = I the matched filter of mode P is E = (alpha A + E0) P
+    (see `_AngleEngine`).  At scan angle g the GLRT numerator is
+    n_g = a_g^H E a_g^*.  The array is uniform and linear, so
+    conj(a_g[m]) conj(a_g[p]) = z_g^(m + p) with z_g = exp(j phi_g),
+    phi_g = 2 pi (d / lambda) sin(theta_g), and
 
         n_g = sum_{s=0}^{2M-2} d_s z_g^s,
 
@@ -460,19 +584,9 @@ class _PointEngine:
     with the autocorrelations r_k = sum_s d_{s+k} conj(d_s).  `basis`, built
     once, holds its 4M - 3 terms at every grid angle times the angle's scale
     2 / (M c_g), so the scaled statistics are one real product of the rows'
-    (4M - 3) autocorrelation coefficients per mode.  The grid is
-    `plan.theta_grid()`.  At the target angle alone the numerator's noise
-    term is w^T v with v = P a^*, and the product is (n, M) @ (M, modes) on
-    the noise vectors w.  That set-up reads only v and the gain
-    c = a^T v (`detection.projected_gain`): c gives the scale and the
-    degenerate flags, and the echo term is M c.  The echo term is real,
-    so it moves a numerator's real part alone: a trial range's tallies
-    read the (modes, n) real parts and squared imaginary parts of its
-    noise numerators (`anchor`) and form each point's statistics in real
-    arithmetic, trials last (`tally`).  Both forms first reduce
-    the stack to v and c, the target gains the theory reads, so a plan's
-    theory is the same with and without the scan.  Both are exact
-    rewrites of the GLRT on E = (alpha A X_tx + E0 X) X_tx^H.  The scan's
+    (4M - 3) autocorrelation coefficients per mode.  The target gains c, the
+    theory's, are the at-angle engine's (`_target_gains`).  This is an
+    exact rewrite of the GLRT on E = (alpha A X_tx + E0 X) X_tx^H.  Its
     statistics agree with the direct form to about 1e-15 relative.  Where
     the maximizing angle's gain c_g is far below M (near a null of a
     rank-one projector) the power is a small difference of terms of size
@@ -490,7 +604,7 @@ class _PointEngine:
     t_max the largest threshold, exceeds every threshold in the grid
     maximum that `statistics` computes.  The left side is
     c0 + alpha c1 + alpha^2 c2: its noise terms c0 and c1 are formed once
-    per trial range (`anchor`), c2 once per engine, so a point's decisions
+    per trial range (`prepare`), c2 once per engine, so a point's decisions
     cost O(rows x modes), not O(rows x modes x G).  B bounds
     r_0 = ||d||^2 from above (d = g0 + alpha sig, as computed), and the
     sums of the anchor's own parts, which may cancel in d: with
@@ -527,82 +641,56 @@ class _PointEngine:
 
     def __init__(self, plan: ExperimentPlan, proj: np.ndarray):
         a = radar.steering_vector(plan.m, plan.theta_target)
-        v = proj @ a.conj()                                      # (C, modes, M): P a^*
-        self.target_gain = detection.projected_gain(a, v)        # (C, modes): a^T v
-        if plan.scan:
-            grid = plan.theta_grid()
-            a_grid = radar.steering_vector(plan.m, grid)         # (M, G)
-            # c_g = a_g^H P^T a_g = a_g^T P a_g^*, from the (C, modes, M, G)
-            # products P a_g^*, which are freed here, before the grid's
-            # powers z are formed.
-            gain = np.real(np.sum(a_grid * (proj @ a_grid.conj()), axis=-2))  # (C, modes, G)
-        else:
-            gain = self.target_gain[..., None]                   # the one grid angle
-        valid = gain >= detection.GAIN_FLOOR_FRAC * plan.m
+        self.target_gain = _target_gains(a, proj)[1]             # (C, modes)
+        grid = plan.theta_grid()
+        a_grid = radar.steering_vector(plan.m, grid)             # (M, G)
+        # c_g = a_g^H P^T a_g = a_g^T P a_g^*, from the (C, modes, M, G)
+        # products P a_g^*, which are freed here, before the grid's
+        # powers z are formed.
+        gain = np.real(np.sum(a_grid * (proj @ a_grid.conj()), axis=-2))  # (C, modes, G)
+        scale, valid = _scales(plan, gain)
         self.degenerate = ~valid.any(axis=-1)                    # (C, modes)
-        # Invalid angles get scale 0: their statistic 0 never exceeds the
-        # maximum over the valid ones, which is >= 0.
-        scale = np.divide(2.0, plan.m * gain, out=np.zeros_like(gain), where=valid)
-        if plan.scan:
-            a_mat = radar.transmit_receive_matrix(a)
-            n_draws, n_modes, m = proj.shape[:3]
-            # coef[c, (i, q), (mode, s)] = P_c[q, s - i]: the anti-diagonal
-            # sums of E0 P are e @ coef, for e = E0 flattened.
-            coef = np.zeros((n_draws, m, m, n_modes, 2 * m - 1), dtype=complex)
-            for i in range(m):
-                coef[:, i, :, :, i:i + m] = np.swapaxes(proj, 1, 2)
-            self.coef = coef.reshape(n_draws, m * m, -1)
-            self.sig = (a_mat.reshape(-1) @ self.coef).reshape(n_draws, n_modes, -1)
-            # z[k, g] = exp(-j k phi_g) = conj(z_g^k), so
-            # Re(r_k z_g^k) = Re r_k Re z[k, g] + Im r_k Im z[k, g].
-            z = radar.steering_vector(2 * m - 1, grid)
-            trig = np.concatenate([z.real, z.imag[1:]])
-            trig[1:] *= 2
-            self.basis = scale[:, :, None, :] * trig             # (C, modes, 4M - 3, G)
-            # The anchor (`tally`): the grid angle nearest the target, whose
-            # numerator is d @ z_k for z_k[s] = z_k^s, and the echo's
-            # terms of its margined power.
-            k = int(np.argmin(np.abs(grid - plan.theta_target)))
-            self.anchor_z = z[:, k].conj()
-            self.anchor_scale = scale[..., k]                    # (C, modes)
-            self.anchor_sig = self.sig @ self.anchor_z           # (C, modes)
-            self.sig_norm = _norm(self.sig)                      # (C, modes)
-            self.anchor_c2 = self.anchor_scale * (
-                _abs2(self.anchor_sig) - _ANCHOR_MARGIN * self.sig_norm ** 2)
-        else:
-            # a^H A P a^* = (a^H a)(a^T v) = M c
-            self.sig = plan.m * gain
-            # coef[c, n, mode] = v_c[n]
-            self.coef = np.swapaxes(v, 1, 2)
-            self.scale = scale[..., 0]                           # (C, modes)
-            # The (modes, C) echo terms and scales of `tally`'s layout.
-            self.sig_t = np.ascontiguousarray(self.sig[..., 0].T)
-            self.scale_t = np.ascontiguousarray(self.scale.T)
-            self.basis = None
+        a_mat = radar.transmit_receive_matrix(a)
+        n_draws, n_modes, m = proj.shape[:3]
+        # coef[c, (i, q), (mode, s)] = P_c[q, s - i]: the anti-diagonal
+        # sums of E0 P are e @ coef, for e = E0 flattened.
+        coef = np.zeros((n_draws, m, m, n_modes, 2 * m - 1), dtype=complex)
+        for i in range(m):
+            coef[:, i, :, :, i:i + m] = np.swapaxes(proj, 1, 2)
+        self.coef = coef.reshape(n_draws, m * m, -1)
+        self.sig = (a_mat.reshape(-1) @ self.coef).reshape(n_draws, n_modes, -1)
+        # z[k, g] = exp(-j k phi_g) = conj(z_g^k), so
+        # Re(r_k z_g^k) = Re r_k Re z[k, g] + Im r_k Im z[k, g].
+        z = radar.steering_vector(2 * m - 1, grid)
+        trig = np.concatenate([z.real, z.imag[1:]])
+        trig[1:] *= 2
+        self.basis = scale[:, :, None, :] * trig                 # (C, modes, 4M - 3, G)
+        # The anchor (`tally`): the grid angle nearest the target, whose
+        # numerator is d @ z_k for z_k[s] = z_k^s, and the echo's
+        # terms of its margined power.
+        k = int(np.argmin(np.abs(grid - plan.theta_target)))
+        self.anchor_z = z[:, k].conj()
+        self.anchor_scale = scale[..., k]                        # (C, modes)
+        self.anchor_sig = self.sig @ self.anchor_z               # (C, modes)
+        self.sig_norm = _norm(self.sig)                          # (C, modes)
+        self.anchor_c2 = self.anchor_scale * (
+            _abs2(self.anchor_sig) - _ANCHOR_MARGIN * self.sig_norm ** 2)
 
     def numerators(self, noise: np.ndarray) -> np.ndarray:
-        """The numerators of n trials' noise records under H0, the noise
-        product `noise @ coef`: shape (n, modes, 1) at the target angle
-        alone (its one grid angle), (n, modes, 2M - 1) with the scan (the
-        anti-diagonal sums of E0 P), for noise of shape (n,) + record
-        (`_noise_shape`).  With C = n channel draws trial t is read against
-        draw t.  Under H1 the numerators are these plus alpha times the
-        echo term `sig`, which broadcasts against them for one draw and for
-        C = n alike."""
-        n = len(noise)
-        if len(self.coef) == 1:
-            g = noise.reshape(n, -1) @ self.coef[0]
-        else:
-            g = (noise.reshape(n, 1, -1) @ self.coef)[:, 0]
-        return g.reshape((n,) + self.sig.shape[1:])
+        """The numerators of n trials' noise records E0, shape (n, M, M),
+        under H0: the (n, modes, 2M - 1) anti-diagonal sums of E0 P, trial
+        t against draw t with C = n draws.  Under H1 the numerators are
+        these plus alpha `sig`, which broadcasts against them for one draw
+        and for C = n alike."""
+        return _noise_product(noise, self.coef).reshape((len(noise),) + self.sig.shape[1:])
 
     def statistics(self, g: np.ndarray) -> np.ndarray:
         """Scaled GLRT statistics, the maximum over the grid, of a block of
         numerators (`numerators`, plus alpha `sig` under H1): shape
         lead + (modes,).  The last axes of lead are the trials, read
         against the C draws as `numerators` reads them: a (P, n) block of
-        P SNR points over the same n trials, or n trials alone.  The scan
-        evaluates the scaled power's trigonometric polynomial at every grid
+        P SNR points over the same n trials, or n trials alone.  The
+        scaled power's trigonometric polynomial is evaluated at every grid
         angle as one real product per draw and mode, no per-angle complex
         array being built: rows taken in groups of C, one per draw, are one
         (C, modes, groups, 4M - 3) @ (C, modes, 4M - 3, G) product, G
@@ -612,11 +700,8 @@ class _PointEngine:
         with one draw, points with C = n), so no block size grows the
         grid-sized temporary; a block holds one group at least, whose
         (C, modes, G) maxima take fewer entries than the basis, which
-        `_draw_entries` counts.  At the target angle alone the maximum is
-        the one angle's statistic, `_at_angle_power` of the numerators'
-        parts.  Columns of degenerate modes (`self.degenerate`) read 0."""
-        if self.basis is None:
-            return _at_angle_power(g.real[..., 0].copy(), g.imag[..., 0] ** 2, self.scale)
+        `_draw_entries` counts.  Columns of degenerate modes
+        (`self.degenerate`) read 0."""
         # The terms go block by block with the product.  Formed for the
         # whole tile beside the product block, they took a 2000-row call's
         # working set past the point where the allocator hands it back to
@@ -635,81 +720,45 @@ class _PointEngine:
             flat[lo:lo + step] = (terms @ self.basis).max(axis=-1).transpose(2, 0, 1)
         return out
 
-    def anchor(self, g0: np.ndarray):
-        """The noise terms (c0, c1), each (n, modes), of the margined
-        anchor statistic c0 + alpha c1 + alpha^2 c2 of n trials' noise
-        numerators g0 (`numerators`); see the class docstring.  At the
-        target angle alone, the real parts and the squared imaginary parts
-        of g0, each a C-contiguous (modes, n) array: the echo term M c is
-        real, so it moves the real parts alone, and `tally` reads the
-        trials along the last axis."""
-        if self.basis is None:
-            re, im2 = g0[..., 0].real.T.copy(), g0[..., 0].imag.T.copy()
-            im2 *= im2
-            return re, im2
+    def prepare(self, noise: np.ndarray):
+        """What `tally` reads of a trial range, from its n trials' noise
+        records: the noise numerators g0 (`numerators`) and the noise terms
+        (c0, c1), each (n, modes), of the margined anchor statistic
+        c0 + alpha c1 + alpha^2 c2 (see the class docstring)."""
+        g0 = self.numerators(noise)
         u0, norm0 = g0 @ self.anchor_z, _norm(g0)
         cross = u0.real * self.anchor_sig.real + u0.imag * self.anchor_sig.imag
         c0 = self.anchor_scale * (_abs2(u0) - _ANCHOR_MARGIN * norm0 ** 2)
         c1 = 2 * self.anchor_scale * (cross - _ANCHOR_MARGIN * norm0 * self.sig_norm)
-        return c0, c1
+        return g0, c0, c1
 
-    def tally(self, g0: np.ndarray, anchor, alphas: np.ndarray,
-              thresholds: np.ndarray) -> np.ndarray:
-        """Threshold crossings of the statistics of the numerators
-        g0 + alpha `sig`, for each of the P amplitudes alphas (P, 1, 1, 1)
-        over the n trials of g0, summed over the trials: (P, pfa, modes)
-        for the (pfa, 1, 1) thresholds; alpha = 0 gives H0's.  `anchor` is
-        `anchor(g0)`.  Every count is `_tally(statistics(g), thresholds)`'s.
+    def tally(self, state, alphas: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Threshold crossings of the grid maxima of a trial range (`state`,
+        from `prepare`) at each of the P amplitudes `alphas`, summed over
+        its trials: (P, pfa, modes) for the (pfa, 1, 1) thresholds;
+        alpha = 0 gives H0's.  Every count is
+        `_tally(statistics(g0 + alpha sig), thresholds)`'s.
 
-        At the target angle alone the echo term is real, so a point's
-        statistics are the anchor's (modes, n) real parts plus alpha `sig`,
-        squared, plus the squared imaginary parts, times the scale
-        (`_at_angle_power`, the formula `statistics` takes on the complex
-        numerators, in its order and so with its bits): a (P, modes, n)
-        real array whose crossings are summed along the trials, last in
-        memory.  No complex numerator, grid maximum or transposed copy is
-        formed.
-
-        With the scan a (row, mode) whose anchor statistic less the margin
-        exceeds the largest threshold counts as a detection at every P_FA
-        (the class docstring derives the bound), and only the rows with an
-        undecided mode go through `statistics`: one row per group with one
-        channel draw, one point's n trials per group with C = n.  A
-        degenerate mode reads 0 in `statistics`, so it leaves no row
-        undecided."""
-        if self.basis is None:
-            re, im2 = anchor
-            # The (P, modes, n) statistics go before the sum's buffers come.
-            crossed = _at_angle_power(re + alphas[..., 0] * self.sig_t, im2,
-                                      self.scale_t)[:, None] > thresholds
-            return crossed.sum(axis=-1)
-        c0, c1 = anchor
-        a = alphas[..., 0]                                       # (P, 1, 1)
+        A (row, mode) whose anchor statistic less the margin exceeds the
+        largest threshold counts as a detection at every P_FA (the class
+        docstring derives the bound), and only the rows with an undecided
+        mode go through `statistics`: one row per group with one channel
+        draw, one point's n trials per group with C = n.  A degenerate mode
+        reads 0 in `statistics`, so it leaves no row undecided."""
+        g0, c0, c1 = state
+        a = alphas[:, None, None]                                # (P, 1, 1)
         detected = c0 + a * (c1 + a * self.anchor_c2) > thresholds.max()  # (P, n, modes)
         undecided = ~(detected | self.degenerate)
         s = np.where(detected, np.inf, 0.0)
         if len(self.basis) == 1:
             point, trial = np.nonzero(undecided.any(axis=-1))
             if len(point):
-                s[point, trial] = self.statistics(g0[trial] + alphas[point, 0] * self.sig)
+                s[point, trial] = self.statistics(g0[trial] + a[point] * self.sig)
         else:
             point, = np.nonzero(undecided.any(axis=(-2, -1)))
             if len(point):
-                s[point] = self.statistics(g0 + alphas[point] * self.sig)
+                s[point] = self.statistics(g0 + a[point, None] * self.sig)
         return _tally(s, thresholds)
-
-
-def _at_angle_power(re: np.ndarray, im2: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The scaled statistic 2 |g|^2 / (M c) at the target angle of the
-    numerators g with real parts `re` and squared imaginary parts `im2`,
-    for the scales 2 / (M c) (0 in a degenerate mode), all broadcast
-    together: re^2, plus im2, times the scale, in that order, in place on
-    `re`, which the caller owns.  `_PointEngine.statistics` and
-    `_PointEngine.tally` both take it, in their own layouts."""
-    re *= re
-    re += im2
-    re *= scale
-    return re
 
 
 def _abs2(u: np.ndarray) -> np.ndarray:
@@ -724,7 +773,7 @@ def _norm(d: np.ndarray) -> np.ndarray:
 
 def _power_terms(d: np.ndarray) -> np.ndarray:
     """The 2S - 1 real coefficients of |sum_s d[..., s] z^s|^2 on |z| = 1
-    (`_PointEngine`), of a (..., S) array d: the real parts of
+    (`_ScanEngine`), of a (..., S) array d: the real parts of
     r_0 .. r_{S-1} and the imaginary parts of r_1 .. r_{S-1}, with the
     autocorrelations r_k = sum_s d[..., s + k] conj(d[..., s]); shape
     (..., 2S - 1)."""
@@ -742,17 +791,18 @@ def _tile_rows(plan: ExperimentPlan) -> int:
     _BLOCK_ELEMENTS entries.
 
     A tile is the unit of the H1 statistics and the detection tallies; its
-    trial range's noise, numerators and H0 statistics are formed once, for
-    all of the range's tiles (`_run_tiles`), and take fewer entries than
-    one tile: n <= `_tile_rows` trials.  With the scan the engine forms the
+    trial range's noise and prepared numerators are formed once, for all
+    of the range's tiles, and its H0 statistics once, at its first
+    (`_run_tiles`); they take fewer entries than one tile:
+    n <= `_tile_rows` trials.  With the scan the engine forms the
     (modes, G) statistic arrays of the grid product in blocks of its own
-    (`_PointEngine.statistics`), G being the number of grid angles, so the
+    (`_ScanEngine.statistics`), G being the number of grid angles, so the
     budget counts the per-row entries that do not grow with the grid: with
     the scan, the (modes, 2M - 1) anti-diagonal sums and the (modes, 4M - 3)
     autocorrelation terms, 6M - 4 entries per mode,
     which gives the fig4 scan plan 2000 rows, 20 whole 100-trial points per
     tile; at the target angle alone, the (modes,) statistics.  The scan's
-    early exit (`_PointEngine.tally`) holds about five (modes,) arrays per
+    early exit (`_ScanEngine.tally`) holds about five (modes,) arrays per
     row, its anchor values and the statistics it tallies; from M = 2 they
     take no more than the terms, which the engine forms block by block.
     """
@@ -838,53 +888,42 @@ def _tiles(plan: ExperimentPlan) -> list[tuple[int, int, int, int]]:
 
 
 def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
-               engine: _PointEngine | None) -> dict:
+               engine: _AngleEngine | _ScanEngine | None) -> dict:
     """The trials of the sweep rows in `tiles` (`_tiles`' rectangles).
 
     `engine` is the fixed-channel engine; without it the channels are
     redrawn per trial, and each trial range is drawn and set up once, for
-    the run of its tiles here.  Returns tallies per SNR point (detections
-    and false alarms (points, pfa, modes), degenerate trials (points,
-    modes)) and, for redrawn channels, the target gains of the trial ranges
-    whose first point block is here, in order, a list of (count, modes)
-    arrays: the theory needs nothing else of a draw.  A range is set up from
-    its draws' projector stack (`_stacked_modes`), with or without the scan.
+    the run of its tiles here, from its draws' projector stack
+    (`_stacked_modes`).  Returns the detections per SNR point (points,
+    pfa, modes) and the SNR-free side of the trial ranges whose first
+    point block is here: their false alarms (pfa, modes), their degenerate
+    trials (modes,) and, for redrawn channels, their target gains in
+    order, a list of (count, modes) arrays: the theory needs nothing else
+    of a draw.
 
     A trial range is handled once, at its first tile here: every point
     reads trial t's noise record t of substream 0 of the noise stream, so
-    its noise is one `complex_normal_ranges` draw, its numerators one
-    `_PointEngine.numerators` product, and its H0 statistics and
-    false-alarm tallies one pass on them, added to every point of each of
-    its point blocks, as are its degenerate trials, counted once.  A point
-    block's detections are the statistics of the numerators plus its
-    points' amplitudes times the engine's echo term; no statistics call
-    writes to the numerators.  Both hypotheses' tallies are
-    `_PointEngine.tally`'s, H0's at amplitude 0, from the range's anchor
-    (`_PointEngine.anchor`): at the target angle alone its numerators'
-    (modes, n) real parts and squared imaginary parts, and with the scan
-    its anchor-angle terms: each (row, mode) whose anchor statistic
-    clears the largest threshold by the margin counts as a detection, and
-    only the rest go through the grid: the rows with an undecided mode
-    with a fixed channel, the points with one with redrawn channels
-    (C = n).  Each call owns one
-    buffer of uniforms, allocated here for the longest of its trial
-    ranges, so a worker thread (one call each) draws into its own memory
-    and no range allocates it again; the numerators are an array of their
-    own, and redrawn channels are drawn into memory of their own, which the
-    engine may keep.  The Philox keys of the stream kinds the tiles read
-    (the noise stream, and the redrawn-channel stream) are derived once,
-    before the first tile.
+    its noise is one `complex_normal_ranges` draw, which the engine
+    prepares once (`prepare`).  A point block's detections are then one
+    `tally` of its points' amplitudes.  H0 has no SNR: a range's false
+    alarms (its tally at amplitude 0), its degenerate trials and its
+    gains are taken once, at its first point block, so a run that starts
+    partway through a range draws and prepares it but runs no H0 pass,
+    and the threads' parts add up to each range counted once.  Each call
+    owns one buffer of uniforms, allocated here for the longest of its
+    trial ranges, so a worker thread (one call each) draws into its own
+    memory and no range allocates it again; what `prepare` returns holds
+    no view of it, and redrawn channels are drawn into memory of their
+    own, which the engine may keep.  The Philox keys of the stream kinds
+    the tiles read (the noise stream, and the redrawn-channel stream) are
+    derived once, before the first tile.
     """
     thresholds = _thresholds(plan)
-    n_points, n_modes = len(plan.snr_grid_db), _mode_count(plan)
-    detections = np.zeros((n_points, len(plan.pfa_list), n_modes), dtype=np.int64)
-    false_alarms = np.zeros_like(detections)
-    degenerate = np.zeros((n_points, n_modes), dtype=np.int64)
-    # Each point's amplitude, against a trial range's (trials, modes, 1)
-    # numerators, or (trials, modes, 2M - 1) with the scan.
+    n_modes = _mode_count(plan)
+    false_alarms = np.zeros((len(plan.pfa_list), n_modes), dtype=np.int64)
+    detections = np.zeros((len(plan.snr_grid_db),) + false_alarms.shape, dtype=np.int64)
+    degenerate = np.zeros(n_modes, dtype=np.int64)
     alphas = np.array([math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db])
-    alphas = alphas[:, None, None, None]
-    no_echo = np.zeros((1, 1, 1, 1))                             # H0
     redrawn = engine is None
     gains, drawn = [], None
     noise_shape, noise_var = _noise_shape(plan)
@@ -897,20 +936,18 @@ def _run_tiles(plan: ExperimentPlan, tiles: list[tuple[int, int, int, int]],
     for first, count, lo, end in tiles:
         if first != drawn:
             if redrawn:
-                h = _channels(plan, first, count, channel_key)
-                engine = _PointEngine(plan, _stacked_modes(plan, h)[0])
-                if lo == 0:
-                    gains.append(engine.target_gain)
+                proj = _stacked_modes(plan, _channels(plan, first, count, channel_key))[0]
+                engine = _ScanEngine(plan, proj) if plan.scan else _AngleEngine(plan, proj)
             noise = complex_normal_ranges(noise_key, first, count, noise_shape, noise_var,
                                           buffer=buffer)
-            g0 = engine.numerators(noise)
-            anchor = engine.anchor(g0)
-            range_false_alarms = engine.tally(g0, anchor, no_echo, thresholds)[0]
-            range_degenerate = np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
+            state = engine.prepare(noise)
             drawn = first
-        detections[lo:end] += engine.tally(g0, anchor, alphas[lo:end], thresholds)
-        false_alarms[lo:end] += range_false_alarms
-        degenerate[lo:end] += range_degenerate
+        if lo == 0:
+            false_alarms += engine.tally(state, np.zeros(1), thresholds)[0]   # H0
+            degenerate += np.broadcast_to(engine.degenerate, (count, n_modes)).sum(axis=0)
+            if redrawn:
+                gains.append(engine.target_gain)
+        detections[lo:end] += engine.tally(state, alphas[lo:end], thresholds)
     return {"detections": detections, "false_alarms": false_alarms,
             "degenerate": degenerate, "gains": gains}
 
@@ -994,7 +1031,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     if plan.channel_mode == CHANNEL_FIXED:
         h = _channels(plan, 0, 1)
         proj, selected, p, nullity = _stacked_modes(plan, h)
-        engine = _PointEngine(plan, proj)
+        engine = _ScanEngine(plan, proj) if plan.scan else _AngleEngine(plan, proj)
         best = int(selected[0])
         selection = sharing.ChannelSelection(
             selected=best + 1,
@@ -1025,7 +1062,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
               trials, detections, detections / trials,
               *wilson_interval(detections, trials), paper, calibrated,
               false_alarms, false_alarms / trials, *wilson_interval(false_alarms, trials),
-              degenerate[:, None])
+              degenerate)
     columns = {name: np.broadcast_to(v, detections.shape)
                for name, v in zip(POINT_FIELDS, values)}
     timings = {"setup": t_points - t_setup, "points": t_theory - t_points,
@@ -1040,12 +1077,9 @@ def _isotonic(y: np.ndarray) -> np.ndarray:
     blocks into their weighted mean while that top exceeds it by more than
     1e-15, and then goes onto the stack.  An input in which no value
     exceeds the next by more than 1e-15 pools nothing, so it is its own fit
-    and is returned as it is (as floats)."""
-    y = np.asarray(y, dtype=float)
-    if not np.any(y[:-1] > y[1:] + 1e-15):
-        return y
+    (as floats)."""
     vals, weights = [], []
-    for v in y.tolist():
+    for v in np.asarray(y, dtype=float).tolist():
         w = 1
         while vals and vals[-1] > v + 1e-15:
             u, k = vals.pop(), weights.pop()

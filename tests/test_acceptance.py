@@ -97,7 +97,7 @@ class TestAcceptance:
             waveform_modes=(MODE_ORTHOGONAL,),
         )
         modes = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
-        engine = montecarlo._PointEngine(plan, modes)
+        engine = montecarlo._AngleEngine(plan, modes)
         stats = np.empty(n)
         for start in range(0, n, 10_000):
             noise = oracles.noise_block(plan, start, 10_000)

@@ -288,13 +288,16 @@ class TestRun:
         summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["timings_s"]["output"] >= 0.02
 
-    def test_summary_reports_degenerate_trials_by_mode(self, tmp_path):
-        # n_bs = m: the projected mode is degenerate in every trial.
-        code, out = self._run(tmp_path, "n_bs = 4\n")
+    @pytest.mark.parametrize("extra", ["", "channel_mode = redrawn-per-trial\n"],
+                             ids=["fixed", "redrawn"])
+    def test_summary_reports_degenerate_trials_by_mode(self, tmp_path, extra):
+        # n_bs = m: the projected mode is degenerate in every trial, and each
+        # of the 50 trials counts once, whatever the 2 SNR points.
+        code, out = self._run(tmp_path, "n_bs = 4\n" + extra)
         assert code == cli.EXIT_OK
         summary = json.loads(Path(out, "summary.json").read_text())
         by_mode = summary["degenerate_by_mode"]
-        assert by_mode == {MODE_ORTHOGONAL: 0, MODE_NSP_SELECTED: 2 * 50}
+        assert by_mode == {MODE_ORTHOGONAL: 0, MODE_NSP_SELECTED: 50}
         assert sum(by_mode.values()) == summary["degenerate_trials"]
 
     @pytest.mark.parametrize("n_bs, bound", [(2, 1e-12), (4, 0.0)])

@@ -228,7 +228,7 @@ class TestPlanValidation:
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
         tracemalloc.start()
         try:
-            montecarlo._PointEngine(plan, proj)
+            montecarlo._ScanEngine(plan, proj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -389,7 +389,8 @@ class TestRunTrial:
             raise AssertionError("the oracle called the engine's set-up")
 
         for owner, name in [(montecarlo, "_stacked_modes"), (montecarlo, "_channels"),
-                            (montecarlo, "_PointEngine"), (sharing, "null_projectors")]:
+                            (montecarlo, "_AngleEngine"), (montecarlo, "_ScanEngine"),
+                            (sharing, "null_projectors")]:
             monkeypatch.setattr(owner, name, fail)
         assert [oracles.run_trial(plan, 1, t) for t in range(4)] == want
 
@@ -455,7 +456,7 @@ class TestEngineOracle:
         )
         h = montecarlo._channels(plan, 0, 1 if channel_mode == CHANNEL_FIXED else 8)
         proj = montecarlo._stacked_modes(plan, h)[0]
-        engine = montecarlo._PointEngine(plan, proj)
+        engine = (montecarlo._ScanEngine if scan else montecarlo._AngleEngine)(plan, proj)
         alpha = math.sqrt(10 ** (6.0 / 10))
         # Both hypotheses read the same records, whatever the SNR point.
         g0 = engine.numerators(oracles.noise_block(plan, 0, 8))
@@ -508,7 +509,7 @@ class TestScanKernel:
         rows = 6
         proj = montecarlo._stacked_modes(
             plan, montecarlo._channels(plan, 0, rows))[0]
-        engine = montecarlo._PointEngine(plan, proj)
+        engine = montecarlo._ScanEngine(plan, proj)
         noise = oracles.noise_block(plan, 0, rows)
         for alpha in (0.0, math.sqrt(10 ** (6.0 / 10))):
             want = self._direct(plan, proj, noise, alpha)
@@ -524,7 +525,7 @@ class TestScanKernel:
         plan = tiny_plan(scan=True, k=5, trials_per_point=100,
                          pfa_list=(1e-1, 1e-3, 1e-5, 1e-7))
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
-        engine = montecarlo._PointEngine(plan, proj)
+        engine = montecarlo._ScanEngine(plan, proj)
         g = engine.numerators(oracles.noise_block(plan, 0, 100)) + engine.sig
         engine.statistics(g)
         tracemalloc.start()
@@ -546,7 +547,7 @@ class TestScanKernel:
         rows = montecarlo._tile_rows(plan)
         assert rows == 2000
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
-        engine = montecarlo._PointEngine(plan, proj)
+        engine = montecarlo._ScanEngine(plan, proj)
         g = engine.numerators(oracles.noise_block(plan, 0, rows)) + engine.sig
         # 100-row calls, each one block: no row depends on its block.
         want = np.concatenate([engine.statistics(g[lo:lo + 100])
@@ -562,16 +563,15 @@ class TestScanKernel:
 
 
 class TestEarlyExit:
-    """The scan engine's anchor-angle early exit (`_PointEngine.tally`)
+    """The scan engine's anchor-angle early exit (`_ScanEngine.tally`)
     against the grid maximum of every row."""
 
     @staticmethod
     def _setup(plan, trials):
+        """The plan's scan engine and its trials' noise records."""
         draws = 1 if plan.channel_mode == CHANNEL_FIXED else trials
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, draws))[0]
-        engine = montecarlo._PointEngine(plan, proj)
-        g0 = engine.numerators(oracles.noise_block(plan, 0, trials))
-        return engine, g0
+        return montecarlo._ScanEngine(plan, proj), oracles.noise_block(plan, 0, trials)
 
     @staticmethod
     def _undecided(engine, g0, alpha, t_max):
@@ -594,13 +594,15 @@ class TestEarlyExit:
                             "n_bs": {"fig4": 2, "rank-one": m - 1, "no-null-space": m}[n_bs],
                             "theta_target_deg": target, "channel_mode": channel_mode,
                             "snr_grid_db": tuple(np.arange(-10.0, 31.0, 5.0))})
-        engine, g0 = self._setup(plan, trials)
+        engine, noise = self._setup(plan, trials)
+        state = engine.prepare(noise)
+        g0 = state[0]
+        assert g0.tobytes() == engine.numerators(noise).tobytes()
         thresholds = montecarlo._thresholds(plan)
         alphas = np.array([0.0] + [math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db])
-        alphas = alphas[:, None, None, None]
-        want = montecarlo._tally(engine.statistics(g0 + alphas * engine.sig), thresholds)
-        anchor = engine.anchor(g0)
-        got = engine.tally(g0, anchor, alphas, thresholds)
+        want = montecarlo._tally(
+            engine.statistics(g0 + alphas[:, None, None, None] * engine.sig), thresholds)
+        got = engine.tally(state, alphas, thresholds)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         # Point by point, statistics reads the rows with an undecided mode
         # (with C = n, the point's n trials if it has one), and most rows at
@@ -609,9 +611,9 @@ class TestEarlyExit:
         statistics = engine.statistics
         monkeypatch.setattr(engine, "statistics",
                             lambda g: seen.append(math.prod(g.shape[:-2])) or statistics(g))
-        for i, alpha in enumerate(alphas[:, 0, 0, 0]):
+        for i, alpha in enumerate(alphas):
             seen.clear()
-            assert np.array_equal(engine.tally(g0, anchor, alphas[i:i + 1], thresholds),
+            assert np.array_equal(engine.tally(state, alphas[i:i + 1], thresholds),
                                   want[i:i + 1])
             rows = self._undecided(engine, g0, alpha, thresholds.max()).any(axis=-1)
             undecided = rows.sum() if channel_mode == CHANNEL_FIXED else trials * rows.any()
@@ -624,22 +626,25 @@ class TestEarlyExit:
 
     @pytest.mark.parametrize("target", [10.0, 10.25])
     def test_row_within_the_margin_goes_through_the_grid(self, target, monkeypatch):
-        # Row 0 is scaled so that its anchor statistic exceeds t_max by 1e-11
-        # relative, inside the margin (at least 1e-9 / (2M - 1) of it);
-        # rows 1 and 2 clear t_max tenfold.  Only row 0 reaches the grid.
+        # Row 0's noise is scaled so that its anchor statistic exceeds t_max
+        # by 1e-11 relative, inside the margin (at least 1e-9 / (2M - 1) of
+        # it); rows 1 and 2 clear t_max tenfold.  Only row 0 reaches the
+        # grid.
         plan = tiny_plan(scan=True, theta_target_deg=target, k=5,
                          pfa_list=(1e-1, 1e-7), waveform_modes=(MODE_ORTHOGONAL,))
-        engine, g0 = self._setup(plan, 3)
+        engine, noise = self._setup(plan, 3)
         thresholds = montecarlo._thresholds(plan)
         t_max = thresholds.max()
+        g0 = engine.numerators(noise)
         stat = engine.anchor_scale[0, 0] * np.abs(g0[:, 0] @ engine.anchor_z) ** 2
-        g0 *= np.sqrt(t_max * np.array([1 + 1e-11, 10, 10]) / stat)[:, None, None]
+        noise = noise * np.sqrt(t_max * np.array([1 + 1e-11, 10, 10]) / stat)[:, None, None]
+        state = engine.prepare(noise)
+        g0 = state[0]
         assert engine.anchor_scale[0, 0] * abs(g0[0, 0] @ engine.anchor_z) ** 2 > t_max
         seen = []
         statistics = engine.statistics
         monkeypatch.setattr(engine, "statistics", lambda g: seen.append(g) or statistics(g))
-        no_echo = np.zeros((1, 1, 1, 1))
-        got = engine.tally(g0, engine.anchor(g0), no_echo, thresholds)
+        got = engine.tally(state, np.zeros(1), thresholds)
         (g,), = seen,
         assert g.shape == (1,) + g0.shape[1:] and g.tobytes() == g0[:1].tobytes()
         assert np.array_equal(got[0], montecarlo._tally(statistics(g0), thresholds))
@@ -649,13 +654,14 @@ class TestEarlyExit:
         # H1 rows the anchor leaves undecided, not every row.
         plan = tiny_plan(**{**cli.PRESETS["fig4"], "scan": True,
                             "snr_grid_db": (10.0, 15.0, 20.0, 30.0)})
-        engine, g0 = self._setup(plan, 200)
+        engine, noise = self._setup(plan, 200)
+        g0 = engine.numerators(noise)
         t_max = montecarlo._thresholds(plan).max()
         want = [int(self._undecided(engine, g0, math.sqrt(10 ** (s / 10)), t_max)
                     .any(axis=-1).sum()) for s in (-math.inf,) + plan.snr_grid_db]
         seen = []
-        statistics = montecarlo._PointEngine.statistics
-        monkeypatch.setattr(montecarlo._PointEngine, "statistics",
+        statistics = montecarlo._ScanEngine.statistics
+        monkeypatch.setattr(montecarlo._ScanEngine, "statistics",
                             lambda self, g: seen.append(math.prod(g.shape[:-2]))
                             or statistics(self, g))
         run_experiment(plan)
@@ -675,7 +681,7 @@ class TestEarlyExit:
 
 class TestAtAngleTally:
     """The target-angle engine's tally in real arithmetic on the (modes,
-    trials) layout of its anchor (`_PointEngine.tally`) against the
+    trials) layout of its prepared range (`_AngleEngine.tally`) against the
     crossings of its statistics."""
 
     @pytest.mark.parametrize("channel_mode, trials", [(CHANNEL_FIXED, 300),
@@ -692,29 +698,28 @@ class TestAtAngleTally:
                          waveform_modes=(MODE_ORTHOGONAL, MODE_NSP_PER_BS, MODE_NSP_SELECTED))
         draws = 1 if channel_mode == CHANNEL_FIXED else trials
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, draws))[0]
-        engine = montecarlo._PointEngine(plan, proj)
-        g0 = engine.numerators(oracles.noise_block(plan, 0, trials))
+        engine = montecarlo._AngleEngine(plan, proj)
+        noise = oracles.noise_block(plan, 0, trials)
         thresholds = montecarlo._thresholds(plan)
         alphas = np.array([0.0] + [math.sqrt(10 ** (s / 10)) for s in plan.snr_grid_db])
-        alphas = alphas[:, None, None, None]
-        g = g0 + alphas * engine.sig
+        g = engine.numerators(noise) + alphas[:, None, None] * engine.sig
         stats = engine.statistics(g)
         # The statistics keep the bits of the complex form: |g|^2, the real
         # part's square first, times the scale.
         power = g.real ** 2
         power += g.imag ** 2
-        power *= engine.scale[..., None]
-        assert stats.tobytes() == power.max(axis=-1).tobytes()
+        power *= engine.scale
+        assert stats.tobytes() == power.tobytes()
         want = montecarlo._tally(stats, thresholds)
-        anchor = engine.anchor(g0)
+        state = engine.prepare(noise)
         modes = len(montecarlo._mode_labels(plan))
-        for part in anchor:
+        for part in state:
             assert part.shape == (modes, trials) and part.flags.c_contiguous
-        got = engine.tally(g0, anchor, alphas, thresholds)
+        got = engine.tally(state, alphas, thresholds)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         # Point by point, as the sweep's one-point tiles take them.
         for i in range(len(alphas)):
-            assert np.array_equal(engine.tally(g0, anchor, alphas[i:i + 1], thresholds),
+            assert np.array_equal(engine.tally(state, alphas[i:i + 1], thresholds),
                                   want[i:i + 1])
         degenerate = engine.degenerate.any(axis=0)
         assert (got[:, :, degenerate] == 0).all()
@@ -733,21 +738,23 @@ class TestAtAngleTally:
         rows = montecarlo._tile_rows(plan)
         assert montecarlo._tiles(plan)[0] == (0, rows, 0, 1) and rows == 2000
         proj = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, 1))[0]
-        engine = montecarlo._PointEngine(plan, proj)
-        g0 = engine.numerators(oracles.noise_block(plan, 0, rows))
-        anchor = engine.anchor(g0)
+        engine = montecarlo._AngleEngine(plan, proj)
+        noise = oracles.noise_block(plan, 0, rows)
+        state = engine.prepare(noise)
         thresholds = montecarlo._thresholds(plan)
-        alpha = np.full((1, 1, 1, 1), math.sqrt(10 ** 0.6))
-        want = montecarlo._tally(engine.statistics(g0 + alpha * engine.sig), thresholds)
-        engine.tally(g0, anchor, alpha, thresholds)
+        alpha = np.full(1, math.sqrt(10 ** 0.6))
+        want = montecarlo._tally(
+            engine.statistics(engine.numerators(noise) + alpha[:, None, None] * engine.sig),
+            thresholds)
+        engine.tally(state, alpha, thresholds)
         tracemalloc.start()
         try:
-            got = engine.tally(g0, anchor, alpha, thresholds)
+            got = engine.tally(state, alpha, thresholds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, want)
-        assert peak < 16 * rows * g0.shape[1]
+        assert peak < 16 * rows * len(montecarlo._mode_labels(plan))
 
 
 class TestNoiseDraws:
@@ -796,6 +803,30 @@ class TestNoiseDraws:
                 (0, 7, 0, 2), (0, 7, 2, 3), (7, 11, 0, 1),
                 (7, 11, 1, 3), (18, 7, 0, 1), (18, 7, 1, 3)])
         _assert_same_result(run_experiment(plan, workers=workers), want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("channel_mode", [CHANNEL_FIXED, CHANNEL_REDRAWN])
+    def test_one_h0_tally_per_trial_range(self, channel_mode, workers, monkeypatch):
+        # At 50 trials the fig3 plan is one trial range in two point blocks,
+        # one per thread at 2 workers.  H0 has no SNR: only the thread
+        # holding the range's first block runs its H0 tally (alpha = 0),
+        # and its false alarms, degenerate trials and gains count once.
+        plan = ExperimentPlan(**cli.PRESETS["fig3"], trials_per_point=50,
+                              channel_mode=channel_mode)
+        assert montecarlo._tiles(plan) == [(0, 50, 0, 40), (0, 50, 40, 41)]
+        h0, gains = [], []
+        tally, theory = montecarlo._AngleEngine.tally, montecarlo._mean_theory_pd
+        monkeypatch.setattr(montecarlo._AngleEngine, "tally",
+                            lambda self, state, alphas, thresholds:
+                            h0.append(not alphas.any()) or tally(self, state, alphas, thresholds))
+        monkeypatch.setattr(montecarlo, "_mean_theory_pd",
+                            lambda plan, g: gains.append(g.shape) or theory(plan, g))
+        result = run_experiment(plan, workers=workers)
+        assert h0.count(True) == 1 and len(h0) == 3
+        assert gains == [(50 if channel_mode == CHANNEL_REDRAWN else 1, 7)]
+        c = result.columns
+        assert (c["false_alarms"] == c["false_alarms"][0]).all()
+        assert (c["degenerate"] == 0).all()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_rows", [1, 7])
@@ -873,7 +904,7 @@ class TestNoiseDraws:
         proj, _, p, _ = montecarlo._stacked_modes(plan, montecarlo._channels(plan, 0, n))
         tracemalloc.start()
         try:
-            engine = montecarlo._PointEngine(plan, proj)
+            engine = montecarlo._ScanEngine(plan, proj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1386,7 +1417,7 @@ class TestRunExperiment:
         engine = None
         if channel_mode == CHANNEL_FIXED:
             h = montecarlo._channels(plan, 0, 1)
-            engine = montecarlo._PointEngine(plan, montecarlo._stacked_modes(plan, h)[0])
+            engine = montecarlo._AngleEngine(plan, montecarlo._stacked_modes(plan, h)[0])
         montecarlo._run_tiles(plan, [tiles[0], tiles[2], tiles[3]], engine)
         want = [1] * (channel_mode == CHANNEL_REDRAWN) + [2]
         assert sorted(i for i, _ in derived) == want
